@@ -44,12 +44,12 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Allocation-regression tests (testing.AllocsPerRun) pin the per-sample
-# hot paths at zero allocations (see PERFORMANCE.md). They are tagged
+# Allocation-regression tests pin the per-sample hot paths at zero
+# allocations and EMR runtime construction under 2 MB (see PERFORMANCE.md). They are tagged
 # !race — race instrumentation allocates on its own — so the race suite
 # skips them and check runs them here without the detector.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/ild ./internal/telemetry
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/ild ./internal/telemetry ./internal/emr
 
 # bench runs every benchmark once and converts the output into the
 # machine-readable BENCH_<sha>.json record (see cmd/benchjson). The

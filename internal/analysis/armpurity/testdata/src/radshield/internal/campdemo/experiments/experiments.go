@@ -4,7 +4,6 @@
 package experiments
 
 import (
-	"radshield/internal/campdemo/leaf"
 	"radshield/internal/campdemo/mid"
 	"radshield/internal/sched"
 )
@@ -41,21 +40,6 @@ func JobsCampaign(cfg Config) ([]float64, error) {
 	return sched.Map(cfg.Steps, 1, func(i int) (float64, error) {
 		return mid.Pure(cfg.Seed + int64(i)), nil
 	})
-}
-
-// PoolCampaign recycles buffers through the declared-pure shelf and
-// calls the declared-pure function: deterministic by declaration, with
-// the justification written at the declarations in leaf. No finding.
-func PoolCampaign(cfg Config) int {
-	b := leaf.Borrow()
-	return len(b) + int(leaf.Stamp()) + cfg.Steps
-}
-
-// InertCampaign reaches a bare //radlint:pure with no reason: the
-// directive is inert, so the state write still surfaces here.
-func InertCampaign(cfg Config) int {
-	leaf.Hit() // want `campaign entry point InertCampaign must be a pure function of \(config, seed\): package-level variable leaf\.hits \(write of package-level state\) via leaf\.Hit`
-	return cfg.Steps
 }
 
 // helperCampaign is unexported: not an entry point, not checked.

@@ -26,41 +26,3 @@ func Bump() {
 func Gain(i int) float64 {
 	return gains[i%len(gains)]
 }
-
-// scratch is genuinely mutable, but declared observably deterministic:
-// the recycled buffers are wiped before reuse, so reads through the
-// shelf cannot distinguish two runs.
-//
-//radlint:pure buffers are zeroed before reuse; whether a Borrow recycles or allocates is invisible in outputs
-var scratch [][]byte
-
-// Borrow hands out a zeroed buffer, recycling through the declared-pure
-// shelf. Deterministic by declaration.
-func Borrow() []byte {
-	if n := len(scratch); n > 0 {
-		b := scratch[n-1]
-		scratch = scratch[:n-1]
-		clear(b)
-		return b
-	}
-	return make([]byte, 64)
-}
-
-// Stamp reads the wall clock but is declared pure with a written
-// reason, so callers summarize it as deterministic.
-//
-//radlint:pure fixture exercises the function-level pure declaration
-func Stamp() int64 {
-	return time.Now().Unix()
-}
-
-// hits carries a bare directive with no justification: inert, so hits
-// remains mutable state and Hit still taints its callers.
-//
-//radlint:pure
-var hits int
-
-// Hit mutates package state behind the inert directive.
-func Hit() {
-	hits++
-}

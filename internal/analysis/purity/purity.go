@@ -192,12 +192,6 @@ type Facts struct {
 	inflight map[string]bool     // recursion guard
 
 	writes map[string]map[string]bool // pkg path → var name → mutated
-
-	// pure holds //radlint:pure declarations: func FullName or
-	// "pkgpath.varname" → the written-down justification. A declared
-	// function summarizes as deterministic; a declared var's reads and
-	// writes are exempt. The directive is inert without a reason.
-	pure map[string]string
 }
 
 // sharedKey memoizes the fact store across analyzers and packages.
@@ -220,87 +214,22 @@ func newFacts(universe []*radlint.Package) *Facts {
 		sums:     map[string]*Summary{},
 		inflight: map[string]bool{},
 		writes:   map[string]map[string]bool{},
-		pure:     map[string]string{},
 	}
 	for _, pkg := range universe {
 		f.pkgs[pkg.Path] = pkg
 		for _, file := range pkg.Files {
 			for _, d := range file.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					if d.Body == nil {
-						continue
-					}
-					if fn, ok := pkg.TypesInfo.Defs[d.Name].(*types.Func); ok {
-						f.decls[fn.FullName()] = declSite{pkg, d}
-						if reason := pureDirective(d.Doc); reason != "" {
-							f.pure[fn.FullName()] = reason
-						}
-					}
-				case *ast.GenDecl:
-					if d.Tok != token.VAR {
-						continue
-					}
-					f.recordPureVars(pkg, d)
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				if fn, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+					f.decls[fn.FullName()] = declSite{pkg, fd}
 				}
 			}
 		}
 	}
 	return f
-}
-
-// recordPureVars indexes //radlint:pure declarations on package-level
-// vars: the directive may sit in the spec's doc, its trailing comment,
-// or the enclosing var block's doc.
-func (f *Facts) recordPureVars(pkg *radlint.Package, gd *ast.GenDecl) {
-	blockReason := pureDirective(gd.Doc)
-	for _, spec := range gd.Specs {
-		vs, ok := spec.(*ast.ValueSpec)
-		if !ok {
-			continue
-		}
-		reason := pureDirective(vs.Doc)
-		if reason == "" {
-			reason = pureDirective(vs.Comment)
-		}
-		if reason == "" {
-			reason = blockReason
-		}
-		if reason == "" {
-			continue
-		}
-		for _, name := range vs.Names {
-			if v, ok := pkg.TypesInfo.Defs[name].(*types.Var); ok {
-				f.pure[pkg.Path+"."+v.Name()] = reason
-			}
-		}
-	}
-}
-
-// pureDirective extracts the justification from a //radlint:pure
-// comment in cg, or "" when absent. A bare directive with no reason is
-// deliberately inert: the declaration IS the written argument.
-func pureDirective(cg *ast.CommentGroup) string {
-	if cg == nil {
-		return ""
-	}
-	for _, c := range cg.List {
-		rest, ok := strings.CutPrefix(c.Text, "//radlint:pure")
-		if !ok {
-			continue
-		}
-		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-			continue // e.g. //radlint:purex — not ours
-		}
-		return strings.TrimSpace(rest)
-	}
-	return ""
-}
-
-// PureReason returns the //radlint:pure justification recorded for a
-// function, or "" when it carries none.
-func (f *Facts) PureReason(fn *types.Func) string {
-	return f.pure[fn.FullName()]
 }
 
 // HasSource reports whether fn's body is in the analysis universe.
@@ -318,14 +247,6 @@ func (f *Facts) Function(fn *types.Func) *Summary {
 	}
 	key := fn.FullName()
 	if s, ok := f.sums[key]; ok {
-		return s
-	}
-	if _, declared := f.pure[key]; declared {
-		// Declared deterministic by a //radlint:pure directive: the
-		// justification is written at the declaration, so the body is
-		// not summarized.
-		s := &Summary{}
-		f.sums[key] = s
 		return s
 	}
 	site, ok := f.decls[key]
@@ -488,9 +409,7 @@ func (w *walker) checkWrite(lhs ast.Expr) {
 	}
 	if isPackageLevel(v) {
 		w.markWriteRoot(id)
-		if !w.facts.declaredPure(v) {
-			w.sum.add(Cause{Taint: GlobalWrite, Pos: id.Pos(), What: "package-level variable " + varName(v)})
-		}
+		w.sum.add(Cause{Taint: GlobalWrite, Pos: id.Pos(), What: "package-level variable " + varName(v)})
 		return
 	}
 	if w.asClosure && !w.local(v) {
@@ -519,24 +438,11 @@ func (w *walker) markWriteRoot(id *ast.Ident) {
 	w.writeRoots[id] = true
 }
 
-// declaredPure reports whether v carries a //radlint:pure directive
-// with a written reason.
-func (f *Facts) declaredPure(v *types.Var) bool {
-	if v.Pkg() == nil {
-		return false
-	}
-	_, ok := f.pure[v.Pkg().Path()+"."+v.Name()]
-	return ok
-}
-
 // exempt reports whether reading package-level var v cannot make two
-// runs diverge: error sentinels, zero-field stateless values, vars that
-// are provably never mutated after initialization, and vars declared
-// observably deterministic by a //radlint:pure directive. The
-// declaration covers writes as well — mutating a recycling pool is the
-// very behavior the written justification vouches for.
+// runs diverge: error sentinels, zero-field stateless values, and vars
+// that are provably never mutated after initialization.
 func (f *Facts) exempt(v *types.Var) bool {
-	if isErrorSentinel(v) || isStateless(v) || f.declaredPure(v) {
+	if isErrorSentinel(v) || isStateless(v) {
 		return true
 	}
 	return !f.mutated(v)

@@ -1,10 +1,6 @@
 package purity
 
-import (
-	"go/ast"
-	"go/token"
-	"testing"
-)
+import "testing"
 
 func TestTaintString(t *testing.T) {
 	cases := []struct {
@@ -55,32 +51,5 @@ func TestSummaryAddDedupsAndBounds(t *testing.T) {
 	}
 	if !s.Pure(GlobalRand) || s.Pure(WallClock) {
 		t.Errorf("Pure mask logic wrong: taints %v", s.Taints)
-	}
-}
-
-func TestPureDirective(t *testing.T) {
-	cg := func(lines ...string) *ast.CommentGroup {
-		g := &ast.CommentGroup{}
-		for _, l := range lines {
-			g.List = append(g.List, &ast.Comment{Slash: token.Pos(1), Text: l})
-		}
-		return g
-	}
-	cases := []struct {
-		name string
-		cg   *ast.CommentGroup
-		want string
-	}{
-		{"nil group", nil, ""},
-		{"plain doc", cg("// just a comment"), ""},
-		{"with reason", cg("// doc line", "//radlint:pure reuse is output-invariant"), "reuse is output-invariant"},
-		{"bare directive is inert", cg("//radlint:pure"), ""},
-		{"whitespace-only reason is inert", cg("//radlint:pure   "), ""},
-		{"prefix collision ignored", cg("//radlint:purely decorative"), ""},
-	}
-	for _, c := range cases {
-		if got := pureDirective(c.cg); got != c.want {
-			t.Errorf("%s: pureDirective = %q, want %q", c.name, got, c.want)
-		}
 	}
 }

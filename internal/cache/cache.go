@@ -62,19 +62,6 @@ func (c *Cache) SetECCProtected(on bool) {
 	c.ecc = on
 }
 
-// Reset invalidates every line and clears the LRU clock and statistics,
-// returning the cache to its freshly-constructed state. Geometry, ECC
-// protection, and the backing device are kept: the EMR runtime pool
-// resets the cache between campaign trials so a reused device is
-// indistinguishable from a newly built one.
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.lines)
-	c.useTick = 0
-	c.stats = Stats{}
-}
-
 // New returns a cache with the given geometry over backing. sets and ways
 // must be positive; sets must be a power of two so the set index is a
 // simple mask.

@@ -170,6 +170,14 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("emr: cost model rates must be positive")
 	}
 
+	return build(cfg), nil
+}
+
+// build constructs a runtime for a validated config: empty storage and
+// DRAM mapped behind one bus, a cold shared cache, and instruments on
+// the config's registry. Memory is backed only as it is written, so a
+// build costs the cache array, not the devices' nominal sizes.
+func build(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:     cfg,
 		bus:     mem.NewBus(),
@@ -181,24 +189,16 @@ func New(cfg Config) (*Runtime, error) {
 	rt.dramBase = rt.bus.Map(rt.dram)
 	rt.cache = cache.New(rt.bus, cfg.CacheSets, cfg.CacheWays)
 	rt.cache.SetECCProtected(cfg.CacheECC)
-	return rt, nil
+	return rt
 }
 
-// Reset returns the runtime to its freshly-constructed state so campaign
-// schedulers can reuse the device — and its >100 MB of memory arrays —
-// across trials instead of rebuilding it per trial (see PERFORMANCE.md).
-// Memory contents, ECC codes, allocator watermarks, cache lines, and all
-// device statistics are cleared; the configuration, bus mapping, and
-// telemetry instruments are kept, exactly as if New had been called with
-// the same config. Callers must not reuse a runtime across different
-// configs: pool per config instead.
-func (r *Runtime) Reset() {
-	r.dram.Reset()
-	r.storage.Reset()
-	r.cache.Reset()
-	r.inputBytes = 0
-	r.diskLoaded = 0
-}
+// Reset replaces the runtime with one built exactly as New builds it
+// for the same config, so it is fresh-equivalent: memory contents,
+// allocators, cache lines and device statistics start over, and the
+// instruments reattach to the same registry counters. Inputs, journals
+// and Specs made before a Reset belong to the old device and must not
+// be reused.
+func (r *Runtime) Reset() { *r = *build(r.cfg) }
 
 // Config returns the runtime configuration.
 func (r *Runtime) Config() Config { return r.cfg }

@@ -229,11 +229,10 @@ func AblationScheduling(c SEUConfig) (*Table, error) {
 	cfg := emr.DefaultConfig()
 	cfg.DRAMSize = 256 << 20
 	cfg.StorageSize = 256 << 20
-	rt, err := getRuntime(cfg)
+	rt, err := emr.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer putRuntime(cfg, rt)
 	spec, err := b.Build(rt, c.Size, c.Seed)
 	if err != nil {
 		return nil, err
@@ -268,11 +267,10 @@ func AblationCacheECC(c SEUConfig) (*Table, error) {
 		cfg.CacheECC = ecc
 		cfg.DRAMSize = 256 << 20
 		cfg.StorageSize = 256 << 20
-		rt, err := getRuntime(cfg)
+		rt, err := emr.New(cfg)
 		if err != nil {
 			return nil, err
 		}
-		defer putRuntime(cfg, rt)
 		spec, err := b.Build(rt, c.Size, c.Seed)
 		if err != nil {
 			return nil, err

@@ -647,11 +647,10 @@ func adaptivePayload(p adapt.Posture, seed int64, seus int, golden [][]byte) (ad
 		cfg.Scheme = fault.SchemeEMR
 		cfg.Executors = 3
 	}
-	rt, err := getRuntime(cfg)
+	rt, err := emr.New(cfg)
 	if err != nil {
 		return out, err
 	}
-	defer putRuntime(cfg, rt)
 	spec, err := workloads.ImageProcessing().Build(rt, 32<<10, 2026)
 	if err != nil {
 		return out, err

@@ -208,11 +208,10 @@ func accumulate(t *MissionTally, r missionResult) {
 func missionGolden() ([][]byte, error) {
 	cfg := emr.DefaultConfig()
 	cfg.Scheme = fault.SchemeNone
-	rt, err := getRuntime(cfg)
+	rt, err := emr.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer putRuntime(cfg, rt)
 	spec, err := workloads.ImageProcessing().Build(rt, 32<<10, 2026)
 	if err != nil {
 		return nil, err
@@ -299,11 +298,10 @@ func flyOneMission(c MissionConfig, seed int64, shielded bool, golden [][]byte, 
 func missionPayload(scheme fault.Scheme, seed int64, seus int, golden [][]byte) (ok bool, corrected int, err error) {
 	cfg := emr.DefaultConfig()
 	cfg.Scheme = scheme
-	rt, err := getRuntime(cfg)
+	rt, err := emr.New(cfg)
 	if err != nil {
 		return false, 0, err
 	}
-	defer putRuntime(cfg, rt)
 	spec, err := workloads.ImageProcessing().Build(rt, 32<<10, 2026)
 	if err != nil {
 		return false, 0, err

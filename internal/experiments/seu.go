@@ -51,11 +51,10 @@ func runScheme(b workloads.Builder, scheme fault.Scheme, frontier emr.Frontier, 
 	}
 	cfg.DRAMSize = 256 << 20
 	cfg.StorageSize = 256 << 20
-	rt, err := getRuntime(cfg)
+	rt, err := emr.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer putRuntime(cfg, rt)
 	spec, err := b.Build(rt, c.Size, c.Seed)
 	if err != nil {
 		return nil, err
@@ -459,11 +458,10 @@ func injectOnce(b workloads.Builder, scheme fault.Scheme, mbu bool, c Table7Conf
 	cfg.Telemetry = c.Telemetry
 	cfg.DRAMSize = 256 << 20
 	cfg.StorageSize = 256 << 20
-	rt, err := getRuntime(cfg)
+	rt, err := emr.New(cfg)
 	if err != nil {
 		return 0, err
 	}
-	defer putRuntime(cfg, rt)
 	spec, err := b.Build(rt, c.Size, c.Seed)
 	if err != nil {
 		return 0, err

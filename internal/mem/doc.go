@@ -22,5 +22,6 @@
 // non-ECC DRAM returns whatever was stored, flips included — silent
 // corruption by design; FlipBit mutates stored bits without touching
 // the ECC check bits, exactly like a radiation strike; addresses are
-// validated against device bounds before any access.
+// validated against device bounds before any access; bytes never
+// written or struck read as zero and cost no host memory.
 package mem

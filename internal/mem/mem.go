@@ -58,31 +58,33 @@ const wordSize = 8 // SECDED granule: 64-bit word + 8 check bits
 // 64-bit word carries SECDED check bits that are verified (and scrubbed)
 // on read; without ECC, injected bit flips silently corrupt data — the
 // paper's unprotected-DRAM configuration (e.g. the Snapdragon 801).
+//
+// Only the prefix up to the highest written or struck byte is backed by
+// host memory; it grows on Write and FlipBit. Bytes past it read as zero
+// and their check bytes are valid zeros (Encode(0) == 0), so a device of
+// any nominal Size costs only what its users write. Alloc hands out
+// addresses from 0 upward, so allocated data forms exactly that prefix.
 type DRAM struct {
-	data    []byte
-	check   []byte // one check byte per 8-byte word; nil when ECC disabled
-	stats   Stats
-	next    uint64 // bump-allocator watermark
-	touched uint64 // dirty high-water mark (writes and flips); bounds Reset's zeroing
+	size  uint64 // nominal capacity in bytes
+	ecc   bool
+	data  []byte // backed prefix, a whole number of words
+	check []byte // one check byte per backed word; empty when ECC disabled
+	stats Stats
+	next  uint64 // bump-allocator watermark
 }
 
 // NewDRAM returns a DRAM of the given size (rounded up to a multiple of
-// 8 bytes) with or without SECDED ECC.
+// 8 bytes) with or without SECDED ECC. Construction allocates no backing
+// memory.
 func NewDRAM(size uint64, withECC bool) *DRAM {
-	size = (size + wordSize - 1) / wordSize * wordSize
-	d := &DRAM{data: make([]byte, size)}
-	if withECC {
-		// Encode(0) == 0, so freshly zeroed check bytes are already valid.
-		d.check = make([]byte, size/wordSize)
-	}
-	return d
+	return &DRAM{size: (size + wordSize - 1) / wordSize * wordSize, ecc: withECC}
 }
 
 // HasECC reports whether the device verifies SECDED codes on read.
-func (d *DRAM) HasECC() bool { return d.check != nil }
+func (d *DRAM) HasECC() bool { return d.ecc }
 
 // Size returns the capacity in bytes.
-func (d *DRAM) Size() uint64 { return uint64(len(d.data)) }
+func (d *DRAM) Size() uint64 { return d.size }
 
 // Stats returns a snapshot of the device's event counters.
 func (d *DRAM) Stats() Stats { return d.stats }
@@ -93,8 +95,8 @@ func (d *DRAM) Stats() Stats { return d.stats }
 func (d *DRAM) Alloc(n uint64) (uint64, error) {
 	const align = 64
 	base := (d.next + align - 1) / align * align
-	if base+n > d.Size() {
-		return 0, fmt.Errorf("mem: DRAM exhausted: need %d bytes at %#x, size %d", n, base, d.Size())
+	if base > d.size || n > d.size-base {
+		return 0, fmt.Errorf("mem: DRAM exhausted: need %d bytes at %#x, size %d", n, base, d.size)
 	}
 	d.next = base + n
 	return base, nil
@@ -113,33 +115,17 @@ func (d *DRAM) AllocBytes(src []byte) (uint64, error) {
 	return addr, nil
 }
 
-// touch raises the dirty high-water mark to cover [addr, addr+n).
-func (d *DRAM) touch(addr, n uint64) {
-	if end := addr + n; end > d.touched {
-		d.touched = end
+// grow extends the backed prefix to cover [0, end), rounded up to a
+// whole word. The new bytes and check bytes are zero: a valid encoding.
+func (d *DRAM) grow(end uint64) {
+	n := (end + wordSize - 1) / wordSize * wordSize
+	if n <= uint64(len(d.data)) {
+		return
 	}
-}
-
-// Reset returns the device to its freshly-constructed state: allocator
-// watermark, contents, ECC codes, and event counters are all cleared, so
-// a reused device is indistinguishable from a new one (the EMR runtime
-// pool depends on this). Only the dirty prefix — bounded by a high-water
-// mark maintained on writes and bit flips — is zeroed, so resetting a
-// 64 MB arena that held a 32 KB dataset costs microseconds, not a full
-// memclr. ECC scrub-on-read corrections rewrite words that were already
-// dirtied by the write or flip that corrupted them, so the mark covers
-// them too (word-granularity rounding handles the partial-word cases).
-func (d *DRAM) Reset() {
-	n := (d.touched + wordSize - 1) / wordSize * wordSize
-	if n > d.Size() {
-		n = d.Size()
+	d.data = append(d.data, make([]byte, n-uint64(len(d.data)))...)
+	if d.ecc {
+		d.check = append(d.check, make([]byte, n/wordSize-uint64(len(d.check)))...)
 	}
-	clear(d.data[:n])
-	if d.check != nil {
-		clear(d.check[:n/wordSize]) // Encode(0) == 0
-	}
-	d.next, d.touched = 0, 0
-	d.stats = Stats{}
 }
 
 // Read implements Memory. On an ECC device every touched word is decoded:
@@ -151,18 +137,20 @@ func (d *DRAM) Read(addr uint64, dst []byte) error {
 		return err
 	}
 	d.stats.Reads++
-	if d.check == nil {
-		copy(dst, d.data[addr:addr+uint64(len(dst))])
-		return nil
-	}
-	first := addr / wordSize
-	last := (addr + uint64(len(dst)) - 1) / wordSize
-	for w := first; w <= last; w++ {
-		if err := d.verifyWord(w); err != nil {
-			return err
+	if d.ecc && len(dst) > 0 {
+		first := addr / wordSize
+		last := (addr + uint64(len(dst)) - 1) / wordSize
+		for w := first; w <= last; w++ {
+			if err := d.verifyWord(w); err != nil {
+				return err
+			}
 		}
 	}
-	copy(dst, d.data[addr:addr+uint64(len(dst))])
+	n := 0
+	if addr < uint64(len(d.data)) {
+		n = copy(dst, d.data[addr:])
+	}
+	clear(dst[n:]) // past the backed prefix
 	return nil
 }
 
@@ -177,12 +165,12 @@ func (d *DRAM) Write(addr uint64, src []byte) error {
 	if len(src) == 0 {
 		return nil
 	}
-	d.touch(addr, uint64(len(src)))
-	if d.check == nil {
+	end := addr + uint64(len(src))
+	d.grow(end)
+	if !d.ecc {
 		copy(d.data[addr:], src)
 		return nil
 	}
-	end := addr + uint64(len(src))
 	first := addr / wordSize
 	last := (end - 1) / wordSize
 	// Partial boundary words: verify before read-modify-write.
@@ -210,7 +198,7 @@ func (d *DRAM) FlipBit(addr uint64, bit uint) error {
 	if err := d.bounds(addr, 1); err != nil {
 		return err
 	}
-	d.touch(addr, 1)
+	d.grow(addr + 1)
 	d.data[addr] ^= 1 << (bit & 7)
 	d.stats.FlipsInjected++
 	return nil
@@ -233,8 +221,12 @@ func (d *DRAM) setWord(w, v uint64) {
 	}
 }
 
-// verifyWord decodes word w, scrubbing single-bit errors.
+// verifyWord decodes word w, scrubbing single-bit errors. Words past the
+// backed prefix are zero with a zero code: always valid.
 func (d *DRAM) verifyWord(w uint64) error {
+	if w >= uint64(len(d.check)) {
+		return nil
+	}
 	data, res := ecc.Decode(d.word(w), d.check[w])
 	switch res {
 	case ecc.OK:
@@ -254,8 +246,8 @@ func (d *DRAM) verifyWord(w uint64) error {
 }
 
 func (d *DRAM) bounds(addr uint64, n int) error {
-	if n < 0 || addr+uint64(n) > d.Size() || addr+uint64(n) < addr {
-		return &BoundsError{Device: "dram", Addr: addr, Len: n, Size: d.Size()}
+	if n < 0 || addr+uint64(n) > d.size || addr+uint64(n) < addr {
+		return &BoundsError{Device: "dram", Addr: addr, Len: n, Size: d.size}
 	}
 	return nil
 }

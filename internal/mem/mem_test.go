@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -155,7 +156,28 @@ func TestAllocAlignmentAndExhaustion(t *testing.T) {
 	}
 }
 
-func TestAllocBytesAndReset(t *testing.T) {
+// TestAllocRejectsWrappingSize guards the exhaustion check against
+// base+n overflowing: a size that wraps must fail, and must not move the
+// watermark under later allocations.
+func TestAllocRejectsWrappingSize(t *testing.T) {
+	d := NewDRAM(256, false)
+	first, err := d.Alloc(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Alloc(math.MaxUint64 - 50); err == nil {
+		t.Fatal("Alloc(MaxUint64-50) succeeded, want exhaustion error")
+	}
+	next, err := d.Alloc(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next < first+100 {
+		t.Errorf("Alloc after rejected wrap = %d, overlaps [%d, %d)", next, first, first+100)
+	}
+}
+
+func TestAllocBytes(t *testing.T) {
 	d := NewDRAM(256, true)
 	addr, err := d.AllocBytes([]byte("hello"))
 	if err != nil {
@@ -164,17 +186,6 @@ func TestAllocBytesAndReset(t *testing.T) {
 	dst := make([]byte, 5)
 	if err := d.Read(addr, dst); err != nil || string(dst) != "hello" {
 		t.Fatalf("AllocBytes round trip = %q, %v", dst, err)
-	}
-	d.Reset()
-	addr2, err := d.Alloc(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if addr2 != 0 {
-		t.Errorf("post-Reset Alloc = %d, want 0", addr2)
-	}
-	if err := d.Read(0, dst); err != nil {
-		t.Fatalf("post-Reset ECC read failed: %v", err)
 	}
 }
 
@@ -216,16 +227,6 @@ func TestStorageECCAlwaysOn(t *testing.T) {
 	}
 	if s.Stats().Corrected != 1 {
 		t.Errorf("Corrected = %d, want 1", s.Stats().Corrected)
-	}
-}
-
-func TestStorageReset(t *testing.T) {
-	s := NewStorage(1024)
-	s.Write(0, []byte{1})
-	s.Read(0, make([]byte, 1))
-	s.Reset()
-	if s.ReadSectors() != 0 || s.WriteSectors() != 0 {
-		t.Error("Reset did not clear sector counters")
 	}
 }
 

@@ -9,8 +9,8 @@ const SectorSize = 512
 
 // Storage models commodity flash with built-in SECDED ECC — per the
 // paper, storage is always inside the reliability frontier. It reuses the
-// DRAM word/ECC machinery and additionally counts sector-granularity IO
-// operations for the performance-counter model.
+// DRAM word/ECC machinery, backed prefix included, and additionally counts
+// sector-granularity IO operations for the performance-counter model.
 type Storage struct {
 	dram        *DRAM // always with ECC
 	readSector  uint64
@@ -38,12 +38,6 @@ func (s *Storage) Alloc(n uint64) (uint64, error) { return s.dram.Alloc(n) }
 // AllocBytes allocates space for src, copies it in, and returns the base
 // address.
 func (s *Storage) AllocBytes(src []byte) (uint64, error) { return s.dram.AllocBytes(src) }
-
-// Reset clears contents and the allocator watermark.
-func (s *Storage) Reset() {
-	s.dram.Reset()
-	s.readSector, s.writeSector = 0, 0
-}
 
 // Read implements Memory, counting the sectors touched.
 func (s *Storage) Read(addr uint64, dst []byte) error {
