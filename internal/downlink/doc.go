@@ -39,6 +39,13 @@
 //     and serves it over TCP (frame transport) and HTTP (state +
 //     telemetry). cmd/groundstation is the thin binary wrapper.
 //
+// The comms path reuses its buffers, so a steady-state round trip
+// allocates nothing. Some byte slices are therefore lent, not given:
+// DecodeFrame's Payload aliases its input, Link.RecvDown/RecvUp frames
+// are valid until the next receive in that direction, and
+// Recorder.Pending aliases the ring. DOWNLINK.md ("Buffers and
+// ownership") lists every such contract.
+//
 // Everything on the flight side is driven by explicit simulated
 // timestamps (simclock time) — no host-clock reads — so a campaign
 // replays byte-for-byte at any scheduler width. TELEMETRY.md catalogs

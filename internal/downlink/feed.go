@@ -22,6 +22,7 @@ type Feed struct {
 	br   *bufio.Reader
 	link *Link
 	tx   *Transmitter
+	ack  []byte // ACK read buffer; the link copies what it accepts
 }
 
 // DialFeed connects to a ground station and builds the flight pipeline
@@ -44,7 +45,7 @@ func DialFeed(addr string, link uint16) (*Feed, error) {
 		conn.Close()
 		return nil, err
 	}
-	return &Feed{conn: conn, br: bufio.NewReaderSize(conn, 4*MaxFrameLen), link: l, tx: tx}, nil
+	return &Feed{conn: conn, br: bufio.NewReaderSize(conn, 4*MaxFrameLen), link: l, tx: tx, ack: make([]byte, 0, MaxFrameLen)}, nil
 }
 
 // Enqueue records a payload on a virtual channel (0 highest priority).
@@ -84,11 +85,11 @@ func (f *Feed) Tick(now time.Duration) error {
 		}
 	}
 	for i := 0; i < expectAcks; i++ {
-		ack, err := ReadFrame(f.br)
-		if err != nil {
+		var err error
+		if f.ack, err = readFrameInto(f.br, f.ack); err != nil {
 			return fmt.Errorf("downlink: reading ACK: %w", err)
 		}
-		f.link.SendUp(ack, now)
+		f.link.SendUp(f.ack, now)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Frame format (CCSDS-style transfer frame, little-endian):
@@ -109,39 +110,43 @@ var (
 	ErrBadCRC     = errors.New("downlink: CRC mismatch")
 )
 
-// EncodeFrame serializes f. It fails on payloads over MaxPayload, an
-// out-of-range virtual channel, or an unknown type — oversized
-// telemetry must be chunked by the caller, never silently truncated.
-func EncodeFrame(f Frame) ([]byte, error) {
+// EncodeFrame serializes f into a fresh slice; see AppendFrame.
+func EncodeFrame(f Frame) ([]byte, error) { return AppendFrame(nil, f) }
+
+// AppendFrame appends the encoding of f to dst and returns the extended
+// slice. It fails on payloads over MaxPayload, an out-of-range virtual
+// channel, or an unknown type — oversized telemetry must be chunked by
+// the caller, never silently truncated. On error dst is returned
+// unchanged.
+func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	if f.Type >= frameTypeCount {
-		return nil, fmt.Errorf("%w: %d", ErrBadType, f.Type)
+		return dst, fmt.Errorf("%w: %d", ErrBadType, f.Type)
 	}
 	if f.VC >= NumVC {
-		return nil, fmt.Errorf("%w: %d", ErrBadVC, f.VC)
+		return dst, fmt.Errorf("%w: %d", ErrBadVC, f.VC)
 	}
 	if len(f.Payload) > MaxPayload {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadLength, len(f.Payload))
+		return dst, fmt.Errorf("%w: %d bytes", ErrBadLength, len(f.Payload))
 	}
-	b := make([]byte, HeaderLen+len(f.Payload)+TrailerLen)
-	b[0], b[1] = magic0, magic1
-	b[2] = version
-	b[3] = byte(f.Type)
-	binary.LittleEndian.PutUint16(b[4:], f.Link)
-	b[6] = f.VC
-	b[7] = f.Flags
-	binary.LittleEndian.PutUint32(b[8:], f.Seq)
-	binary.LittleEndian.PutUint16(b[12:], uint16(len(f.Payload)))
-	copy(b[HeaderLen:], f.Payload)
-	crc := crc32.ChecksumIEEE(b[:HeaderLen+len(f.Payload)])
-	binary.LittleEndian.PutUint32(b[HeaderLen+len(f.Payload):], crc)
-	return b, nil
+	start := len(dst)
+	dst = slices.Grow(dst, HeaderLen+len(f.Payload)+TrailerLen)
+	dst = append(dst, magic0, magic1, version, byte(f.Type))
+	dst = binary.LittleEndian.AppendUint16(dst, f.Link)
+	dst = append(dst, f.VC, f.Flags)
+	dst = binary.LittleEndian.AppendUint32(dst, f.Seq)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Payload)))
+	dst = append(dst, f.Payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
 }
 
 // DecodeFrame parses one frame from the front of b and returns it with
-// the number of bytes consumed. It never panics on hostile input: any
-// malformed prefix yields an error (and, for framing errors where the
-// payload length field is readable, the consumed count still advances
-// past the bad frame so stream parsers can resynchronize).
+// the number of bytes consumed. The returned Payload aliases b (capped,
+// so appending to it never writes into b): it is valid only while b is,
+// and a caller that keeps it must copy it. DecodeFrame never panics on
+// hostile input: any malformed prefix yields an error (and, for framing
+// errors where the payload length field is readable, the consumed count
+// still advances past the bad frame so stream parsers can
+// resynchronize).
 func DecodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < HeaderLen+TrailerLen {
 		return Frame{}, 0, fmt.Errorf("%w: %d bytes", ErrTruncated, len(b))
@@ -178,17 +183,28 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 		return Frame{}, total, fmt.Errorf("%w: %d", ErrBadVC, f.VC)
 	}
 	if plen > 0 {
-		f.Payload = append([]byte(nil), b[HeaderLen:HeaderLen+plen]...)
+		f.Payload = b[HeaderLen : HeaderLen+plen : HeaderLen+plen]
 	}
 	return f, total, nil
 }
 
-// EncodeAck builds the cumulative acknowledgement for vc: nextExpected
-// is the lowest sequence number the station has not yet delivered.
+// AckFrameLen is the encoded size of every ACK frame: a header, the
+// 4-byte cumulative acknowledgement, and the CRC trailer.
+const AckFrameLen = HeaderLen + 4 + TrailerLen
+
+// EncodeAck builds the cumulative acknowledgement for vc into a fresh
+// slice; see AppendAck.
 func EncodeAck(link uint16, vc uint8, nextExpected uint32) ([]byte, error) {
-	payload := make([]byte, 4)
-	binary.LittleEndian.PutUint32(payload, nextExpected)
-	return EncodeFrame(Frame{Type: FrameAck, Link: link, VC: vc, Seq: nextExpected, Payload: payload})
+	return AppendAck(nil, link, vc, nextExpected)
+}
+
+// AppendAck appends the cumulative acknowledgement for vc to dst:
+// nextExpected is the lowest sequence number the station has not yet
+// delivered. It appends exactly AckFrameLen bytes.
+func AppendAck(dst []byte, link uint16, vc uint8, nextExpected uint32) ([]byte, error) {
+	var payload [4]byte
+	binary.LittleEndian.PutUint32(payload[:], nextExpected)
+	return AppendFrame(dst, Frame{Type: FrameAck, Link: link, VC: vc, Seq: nextExpected, Payload: payload[:]})
 }
 
 // AckValue extracts the cumulative acknowledgement carried by an ACK
@@ -203,15 +219,21 @@ func AckValue(f Frame) (uint32, error) {
 	return binary.LittleEndian.Uint32(f.Payload), nil
 }
 
-// EncodeBeacon builds the degraded-mode heartbeat: pending is the
-// flight-recorder backlog at send time.
+// EncodeBeacon builds the degraded-mode heartbeat into a fresh slice;
+// see AppendBeacon.
 func EncodeBeacon(link uint16, seq uint32, degraded bool, pending uint32) ([]byte, error) {
-	payload := make([]byte, 5)
+	return AppendBeacon(nil, link, seq, degraded, pending)
+}
+
+// AppendBeacon appends the degraded-mode heartbeat to dst: seq is the
+// beacon counter and pending the flight-recorder backlog at send time.
+func AppendBeacon(dst []byte, link uint16, seq uint32, degraded bool, pending uint32) ([]byte, error) {
+	var payload [5]byte
 	if degraded {
 		payload[0] = 1
 	}
 	binary.LittleEndian.PutUint32(payload[1:], pending)
-	return EncodeFrame(Frame{Type: FrameBeacon, Link: link, VC: 0, Seq: seq, Payload: payload})
+	return AppendFrame(dst, Frame{Type: FrameBeacon, Link: link, VC: 0, Seq: seq, Payload: payload[:]})
 }
 
 // BeaconValue extracts the degradation flag and backlog from a beacon

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 )
 
 // FuzzFrameRoundTrip checks that any encodable frame decodes back to
 // itself bit-for-bit: the codec must never lose or mutate telemetry on
-// the way to the ground.
+// the way to the ground. AppendFrame onto a non-empty prefix must leave
+// the prefix alone and append exactly EncodeFrame's bytes.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint16(1), uint8(0), uint8(0), uint32(0), []byte("hello"))
 	f.Add(uint8(1), uint16(0xBEEF), uint8(3), uint8(1), uint32(0xFFFFFFFF), []byte{})
@@ -16,6 +18,17 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, typ uint8, link uint16, vc, flags uint8, seq uint32, payload []byte) {
 		in := Frame{Type: FrameType(typ), Link: link, VC: vc, Flags: flags, Seq: seq, Payload: payload}
 		raw, err := EncodeFrame(in)
+		prefix := append(make([]byte, 0, 64), "prefix"...) // spare room: appends land in place
+		appended, appendErr := AppendFrame(prefix, in)
+		if (err == nil) != (appendErr == nil) {
+			t.Fatalf("EncodeFrame err %v, AppendFrame err %v", err, appendErr)
+		}
+		if string(appended[:len(prefix)]) != "prefix" {
+			t.Fatalf("AppendFrame clobbered its prefix: %q", appended[:len(prefix)])
+		}
+		if !bytes.Equal(appended[len(prefix):], raw) {
+			t.Fatalf("AppendFrame appended % x, EncodeFrame gave % x", appended[len(prefix):], raw)
+		}
 		if err != nil {
 			// Rejections must be for a documented reason.
 			if !errors.Is(err, ErrBadType) && !errors.Is(err, ErrBadVC) && !errors.Is(err, ErrBadLength) {
@@ -47,7 +60,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 // FuzzFrameDecode throws arbitrary bytes at the codec's trust boundary:
 // it must classify them — never panic, never claim progress it did not
 // make — because this is exactly what a corrupted radio channel feeds
-// the ground station.
+// the ground station. A decoded payload aliases data, capped so an
+// append to it cannot write into the rest of data.
 func FuzzFrameDecode(f *testing.F) {
 	good, _ := EncodeFrame(Frame{Type: FrameData, Link: 1, VC: 0, Seq: 9, Payload: []byte("seed")})
 	f.Add(good)
@@ -64,6 +78,9 @@ func FuzzFrameDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if len(fr.Payload) > 0 && (&fr.Payload[0] != &data[HeaderLen] || cap(fr.Payload) != len(fr.Payload)) {
+			t.Fatalf("payload does not alias data[%d:%d] with its cap at its length", HeaderLen, HeaderLen+len(fr.Payload))
+		}
 		// Whatever decoded must re-encode to the exact consumed bytes.
 		re, encErr := EncodeFrame(fr)
 		if encErr != nil {
@@ -71,6 +88,47 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if !bytes.Equal(re, data[:n]) {
 			t.Fatalf("re-encode mismatch:\n in  % x\n out % x", data[:n], re)
+		}
+	})
+}
+
+// FuzzStationIngest feeds arbitrary bytes to a fresh ground station —
+// what any TCP peer can send. The station must never panic, must answer
+// with whole ACK frames appended after whatever dst held, each a
+// FrameAck carrying its link × channel's next-expected sequence, and
+// Ingest must return the very same frames.
+func FuzzStationIngest(f *testing.F) {
+	a, _ := EncodeFrame(Frame{Type: FrameData, Link: 1, VC: 0, Seq: 0, Payload: []byte("evt seq=0 t=10s")})
+	b, _ := EncodeFrame(Frame{Type: FrameData, Link: 2, VC: 3, Flags: FlagBase, Seq: 4, Payload: []byte("bulk")})
+	beacon, _ := EncodeBeacon(1, 0, true, 9)
+	f.Add(append(append(append([]byte(nil), a...), b...), beacon...))
+	f.Add(a[:len(a)-1])
+	f.Add([]byte("line noise"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st := NewStation(DefaultStationConfig())
+		prefix := append(make([]byte, 0, 64), "prefix"...)
+		out := st.AppendAcks(prefix, data, time.Second)
+		if string(out[:len(prefix)]) != "prefix" {
+			t.Fatalf("AppendAcks clobbered dst: %q", out[:len(prefix)])
+		}
+		acks := out[len(prefix):]
+		if len(acks)%AckFrameLen != 0 {
+			t.Fatalf("AppendAcks appended %d bytes, not a multiple of %d", len(acks), AckFrameLen)
+		}
+		for rest := acks; len(rest) > 0; rest = rest[AckFrameLen:] {
+			fr, n, err := DecodeFrame(rest)
+			if err != nil || n != AckFrameLen || fr.Type != FrameAck {
+				t.Fatalf("ACK frame % x: %+v n=%d err=%v", rest[:AckFrameLen], fr, n, err)
+			}
+			next, err := AckValue(fr)
+			ls := st.links[fr.Link]
+			if err != nil || ls == nil || next != ls.vc[fr.VC].Expected {
+				t.Fatalf("ACK for link %d vc %d carries %d (err %v), station expects %+v", fr.Link, fr.VC, next, err, ls)
+			}
+		}
+		got := NewStation(DefaultStationConfig()).Ingest(data, time.Second)
+		if !bytes.Equal(bytes.Join(got, nil), acks) || len(got) != len(acks)/AckFrameLen {
+			t.Fatalf("Ingest returned %d frames % x, AppendAcks % x", len(got), got, acks)
 		}
 	})
 }

@@ -69,7 +69,9 @@ type delivery struct {
 	data []byte
 }
 
-// pipe is one direction of the link.
+// pipe is one direction of the link. Accepted frames are copied into
+// MaxFrameLen buffers that cycle between inflight, the last recv's
+// result and free, so a steady-state pipe allocates nothing.
 type pipe struct {
 	rateBps  int
 	latency  time.Duration
@@ -78,6 +80,8 @@ type pipe struct {
 	lastNow  time.Duration
 	inflight []delivery
 	nextID   int
+	free     [][]byte // recycled frame buffers
+	out      [][]byte // recv's result, lent to the caller until the next recv
 
 	dropped      uint64
 	corrupted    uint64
@@ -194,22 +198,24 @@ func (l *Link) CanSendDown(n int, now time.Duration) bool {
 // bandwidth; the caller retries later). An accepted frame may still be
 // lost or mangled by the loss model — that is what ARQ is for.
 func (l *Link) SendDown(b []byte, now time.Duration) bool {
-	return l.send(l.down, b, now, true)
+	return l.send(l.down, b, now)
 }
 
 // RecvDown returns the frames arriving at the ground at or before now,
-// in deterministic arrival order.
+// in deterministic arrival order, or nil if none. The slice and the
+// frames are the link's own buffers: they stay valid, whatever is sent
+// meanwhile, until the next RecvDown.
 func (l *Link) RecvDown(now time.Duration) [][]byte {
 	return l.down.recv(now)
 }
 
 // SendUp transmits an encoded frame ground-to-space (ACKs).
 func (l *Link) SendUp(b []byte, now time.Duration) bool {
-	return l.send(l.up, b, now, false)
+	return l.send(l.up, b, now)
 }
 
 // RecvUp returns the frames arriving at the spacecraft at or before
-// now.
+// now, valid until the next RecvUp (see RecvDown).
 func (l *Link) RecvUp(now time.Duration) [][]byte {
 	return l.up.recv(now)
 }
@@ -224,8 +230,9 @@ func (l *Link) Stats() LinkStats {
 	}
 }
 
-// send pushes b through p, applying blackout and fault windows.
-func (l *Link) send(p *pipe, b []byte, now time.Duration, downDir bool) bool {
+// send pushes a copy of b through p, applying blackout and fault
+// windows.
+func (l *Link) send(p *pipe, b []byte, now time.Duration) bool {
 	if !p.canSend(len(b), now) {
 		return false
 	}
@@ -244,7 +251,7 @@ func (l *Link) send(p *pipe, b []byte, now time.Duration, downDir bool) bool {
 		l.ins.linkDropped()
 		return true
 	}
-	data := append([]byte(nil), b...)
+	data := append(p.buffer(), b...)
 	if corrupt > 0 && p.rng.Float64() < corrupt {
 		bit := p.rng.Intn(len(data) * 8)
 		data[bit/8] ^= 1 << (bit % 8)
@@ -258,7 +265,6 @@ func (l *Link) send(p *pipe, b []byte, now time.Duration, downDir bool) bool {
 		l.ins.linkReordered()
 	}
 	p.deliver(delivery{due: due, data: data})
-	_ = downDir
 	return true
 }
 
@@ -304,19 +310,30 @@ func (p *pipe) deliver(d delivery) {
 	p.inflight[i] = d
 }
 
-// recv pops every delivery due at or before now.
+// buffer returns an empty frame buffer with room for any frame the
+// token bucket can admit (at most MaxFrameLen bytes).
+func (p *pipe) buffer() []byte {
+	if n := len(p.free); n > 0 {
+		b := p.free[n-1]
+		p.free = p.free[:n-1]
+		return b[:0]
+	}
+	return make([]byte, 0, MaxFrameLen)
+}
+
+// recv takes back the buffers lent by the previous recv, then pops
+// every delivery due at or before now, compacting inflight in place.
 func (p *pipe) recv(now time.Duration) [][]byte {
+	p.free = append(p.free, p.out...)
+	p.out = p.out[:0]
 	n := 0
 	for n < len(p.inflight) && p.inflight[n].due <= now {
+		p.out = append(p.out, p.inflight[n].data)
 		n++
 	}
 	if n == 0 {
 		return nil
 	}
-	out := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		out[i] = p.inflight[i].data
-	}
-	p.inflight = p.inflight[n:]
-	return out
+	p.inflight = p.inflight[:copy(p.inflight, p.inflight[n:])]
+	return p.out
 }

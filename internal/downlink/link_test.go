@@ -87,6 +87,33 @@ func TestLinkLatencyAndOrdering(t *testing.T) {
 	}
 }
 
+// TestLinkRecvValidUntilNextRecv pins the receive contract: the frames
+// RecvDown returns are the link's recycled buffers, and they must
+// survive any number of later sends until the next RecvDown takes them
+// back.
+func TestLinkRecvValidUntilNextRecv(t *testing.T) {
+	l, _ := NewLink(LinkConfig{RateBps: 1 << 20, AckRateBps: 1 << 20, Latency: 10 * time.Millisecond})
+	a, b := mustFrame(t, 0, 0, "first frame"), mustFrame(t, 0, 1, "second frame")
+	l.SendDown(a, time.Millisecond)
+	l.SendDown(b, time.Millisecond)
+	got := l.RecvDown(11 * time.Millisecond)
+	if len(got) != 2 {
+		t.Fatalf("got %d frames, want 2", len(got))
+	}
+	for i := 0; i < 20; i++ {
+		at := 11*time.Millisecond + time.Duration(i)*time.Millisecond
+		if !l.SendDown(mustFrame(t, 1, uint32(i), "later traffic that must not land in lent buffers"), at) {
+			t.Fatalf("send %d refused", i)
+		}
+	}
+	if !bytes.Equal(got[0], a) || !bytes.Equal(got[1], b) {
+		t.Fatalf("lent frames changed before the next RecvDown:\n% x\n% x", got[0], got[1])
+	}
+	if next := l.RecvDown(time.Hour); len(next) != 20 {
+		t.Fatalf("later traffic: %d frames, want 20", len(next))
+	}
+}
+
 func TestLinkDropWindow(t *testing.T) {
 	l, _ := NewLink(LinkConfig{RateBps: 1 << 20, AckRateBps: 1 << 20, Seed: 1})
 	if err := l.ScheduleLinkFault(LinkFault{Start: 0, Duration: time.Second, Drop: 1}); err != nil {
@@ -201,9 +228,13 @@ func TestLinkDeterminism(t *testing.T) {
 			now := time.Duration(i) * 50 * time.Millisecond
 			raw := mustFrame(t, uint8(i%NumVC), uint32(i), "deterministic payload")
 			l.SendDown(raw, now)
-			delivered = append(delivered, l.RecvDown(now)...)
+			for _, f := range l.RecvDown(now) { // the link reuses f after the next RecvDown
+				delivered = append(delivered, append([]byte(nil), f...))
+			}
 		}
-		delivered = append(delivered, l.RecvDown(time.Hour)...)
+		for _, f := range l.RecvDown(time.Hour) {
+			delivered = append(delivered, append([]byte(nil), f...))
+		}
 		return l.Stats(), delivered
 	}
 	s1, d1 := run()

@@ -3,6 +3,8 @@ package downlink
 import (
 	"fmt"
 	"time"
+
+	"radshield/internal/resultcache"
 )
 
 // Record is one payload held by the flight recorder until the ground
@@ -26,15 +28,54 @@ type Record struct {
 // first and priority-0 events are the last to go. Evictions are
 // counted and reported so silent loss is impossible.
 //
+// The recorder recycles its memory: channel queues keep their backing
+// arrays, and the payload buffers of acknowledged and evicted records
+// are reused by later enqueues, so a recorder in steady state allocates
+// nothing.
+//
 // Recorder is not safe for concurrent use; the Transmitter serializes
 // access.
 type Recorder struct {
 	capacity int
-	perVC    [NumVC][]Record // unacked records in seq order
+	perVC    [NumVC]recQueue // unacked records in seq order
 	nextSeq  [NumVC]uint32
 	count    int
 	evicted  uint64
 	ins      *Instruments
+
+	free   [][]byte        // payload buffers ready for reuse
+	victim Record          // the last eviction, lent to Enqueue's caller
+	enc    resultcache.Enc // Snapshot's encode scratch
+}
+
+// payloadBufMin is the smallest payload buffer the recorder allocates,
+// so a recycled buffer fits any of the campaigns' event payloads.
+const payloadBufMin = 64
+
+// recQueue is one channel's unacknowledged records, oldest first: the
+// live records are buf[head:]. Releasing from the front advances head,
+// and an append that would grow the array first slides the live
+// records down, so the backing array lasts the recorder's lifetime.
+type recQueue struct {
+	buf  []Record
+	head int
+}
+
+func (q *recQueue) live() []Record { return q.buf[q.head:] }
+
+func (q *recQueue) push(rec Record) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+	}
+	q.buf = append(q.buf, rec)
+}
+
+// popFront drops the n oldest records.
+func (q *recQueue) popFront(n int) {
+	q.head += n
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
 }
 
 // NewRecorder returns a ring holding up to capacity records in total.
@@ -48,9 +89,12 @@ func NewRecorder(capacity int) (*Recorder, error) {
 // setInstruments attaches the transmitter's metric handles.
 func (r *Recorder) setInstruments(ins *Instruments) { r.ins = ins }
 
-// Enqueue stores payload on vc, assigning the channel's next sequence
-// number. A full ring evicts before storing; the evicted record (if
-// any) is returned so callers can log the loss.
+// Enqueue stores a copy of payload on vc, assigning the channel's next
+// sequence number. A full ring evicts before storing; the evicted
+// record (if any) is returned so callers can log the loss. The evicted
+// record belongs to the recorder: the pointer is valid until the next
+// Enqueue, and its payload stays intact through that Enqueue and is
+// reused after it.
 func (r *Recorder) Enqueue(vc uint8, payload []byte, now time.Duration) (Record, *Record, error) {
 	if vc >= NumVC {
 		return Record{}, nil, fmt.Errorf("%w: %d", ErrBadVC, vc)
@@ -58,22 +102,46 @@ func (r *Recorder) Enqueue(vc uint8, payload []byte, now time.Duration) (Record,
 	if len(payload) > MaxPayload {
 		return Record{}, nil, fmt.Errorf("%w: %d bytes", ErrBadLength, len(payload))
 	}
-	var evicted *Record
-	if r.count >= r.capacity {
-		ev := r.evictOldestLowest()
-		evicted = &ev
-	}
 	rec := Record{
 		VC:       vc,
 		Seq:      r.nextSeq[vc],
-		Payload:  append([]byte(nil), payload...),
+		Payload:  append(r.payloadBuf(len(payload)), payload...),
 		Enqueued: now,
 	}
+	// Only now, with the new record's buffer taken, does the previous
+	// victim's payload become reusable.
+	r.release(r.victim.Payload)
+	r.victim = Record{}
+	var evicted *Record
+	if r.count >= r.capacity {
+		r.victim = r.evictOldestLowest()
+		evicted = &r.victim
+	}
 	r.nextSeq[vc]++
-	r.perVC[vc] = append(r.perVC[vc], rec)
+	r.perVC[vc].push(rec)
 	r.count++
 	r.ins.ringDepth(r.count)
 	return rec, evicted, nil
+}
+
+// payloadBuf returns an empty buffer with room for n bytes, recycled
+// when one is free.
+func (r *Recorder) payloadBuf(n int) []byte {
+	if k := len(r.free); k > 0 {
+		b := r.free[k-1]
+		r.free = r.free[:k-1]
+		if cap(b) >= n {
+			return b[:0]
+		}
+	}
+	return make([]byte, 0, max(n, payloadBufMin))
+}
+
+// release hands a payload buffer back for reuse.
+func (r *Recorder) release(b []byte) {
+	if b != nil {
+		r.free = append(r.free, b)
+	}
 }
 
 // evictOldestLowest removes the oldest record from the lowest-priority
@@ -81,12 +149,12 @@ func (r *Recorder) Enqueue(vc uint8, payload []byte, now time.Duration) (Record,
 // channel has records, so a victim always exists.
 func (r *Recorder) evictOldestLowest() Record {
 	for vc := NumVC - 1; vc >= 0; vc-- {
-		q := r.perVC[vc]
-		if len(q) == 0 {
+		q := &r.perVC[vc]
+		if len(q.live()) == 0 {
 			continue
 		}
-		victim := q[0]
-		r.perVC[vc] = q[1:]
+		victim := q.live()[0]
+		q.popFront(1)
 		r.count--
 		r.evicted++
 		r.ins.ringEvicted()
@@ -102,28 +170,30 @@ func (r *Recorder) Ack(vc uint8, nextExpected uint32) int {
 	if vc >= NumVC {
 		return 0
 	}
-	q := r.perVC[vc]
+	q := &r.perVC[vc]
+	recs := q.live()
 	n := 0
-	for n < len(q) && q[n].Seq < nextExpected {
+	for n < len(recs) && recs[n].Seq < nextExpected {
+		r.release(recs[n].Payload)
 		n++
 	}
 	if n == 0 {
 		return 0
 	}
-	r.perVC[vc] = q[n:]
+	q.popFront(n)
 	r.count -= n
 	r.ins.ringDepth(r.count)
 	return n
 }
 
 // Pending returns vc's unacknowledged records in sequence order. The
-// slice aliases the ring; callers must not retain it across Enqueue or
-// Ack.
+// slice and the payloads alias the ring; callers must not retain them
+// across Enqueue, Ack or Restore.
 func (r *Recorder) Pending(vc uint8) []Record {
 	if vc >= NumVC {
 		return nil
 	}
-	return r.perVC[vc]
+	return r.perVC[vc].live()
 }
 
 // Len returns the total number of unacknowledged records.

@@ -109,3 +109,31 @@ func TestRecorderPayloadIsCopied(t *testing.T) {
 		t.Fatalf("recorder aliases caller payload: % x", got)
 	}
 }
+
+// TestRecorderEvictedPayloadOutlivesNextEnqueue pins the eviction
+// contract: the victim's payload buffer is recycled, but not before the
+// Enqueue after the one that reported it.
+func TestRecorderEvictedPayloadOutlivesNextEnqueue(t *testing.T) {
+	r, _ := NewRecorder(2)
+	r.Enqueue(3, []byte("bulk0"), 0)
+	r.Enqueue(3, []byte("bulk1"), 1)
+	r.Ack(3, 0) // nothing released; the ring stays full
+	_, ev, err := r.Enqueue(3, []byte("bulk2"), 2)
+	if err != nil || ev == nil {
+		t.Fatalf("full ring did not evict: ev=%v err=%v", ev, err)
+	}
+	held := ev.Payload
+	if _, ev2, _ := r.Enqueue(3, []byte("XXXXX"), 3); ev2 == nil || !bytes.Equal(ev2.Payload, []byte("bulk1")) {
+		t.Fatalf("second eviction %+v, want bulk1", ev2)
+	}
+	if !bytes.Equal(held, []byte("bulk0")) {
+		t.Fatalf("evicted payload changed by the following Enqueue: %q", held)
+	}
+	// Acked and evicted buffers are reused, never shared by live records.
+	for i := 0; i < 8; i++ {
+		r.Enqueue(3, []byte{byte('a' + i)}, time.Duration(4+i))
+	}
+	if p := r.Pending(3); len(p) != 2 || string(p[0].Payload) != "g" || string(p[1].Payload) != "h" {
+		t.Fatalf("pending after reuse: %q, %q", p[0].Payload, p[1].Payload)
+	}
+}

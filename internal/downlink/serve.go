@@ -126,38 +126,47 @@ func (s *Server) Close() error {
 	return err
 }
 
-// handle runs one link pipeline: frames in, ACKs out.
+// handle runs one link pipeline: frames in, ACKs out. The frame and
+// ACK buffers belong to the connection and are reused for every frame.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 4*MaxFrameLen)
+	raw := make([]byte, 0, MaxFrameLen)
+	var acks []byte
 	for {
-		raw, err := ReadFrame(br)
-		if err != nil {
+		var err error
+		if raw, err = readFrameInto(br, raw); err != nil {
 			return // EOF, closed, or an unrecoverable protocol violation
 		}
 		now := time.Duration(s.ingestSeq.Add(1))
-		acks := s.st.Ingest(raw, now)
-		for _, ack := range acks {
-			if _, err := conn.Write(ack); err != nil {
-				return
-			}
+		acks = s.st.AppendAcks(acks[:0], raw, now)
+		if len(acks) == 0 {
+			continue
+		}
+		if _, err := conn.Write(acks); err != nil {
+			return
 		}
 	}
 }
 
-// ReadFrame extracts the next frame's raw bytes from a stream,
-// resynchronizing on the magic bytes after line noise. The returned
-// slice still carries the CRC trailer — validation stays in
-// DecodeFrame / Station.Ingest.
-func ReadFrame(br *bufio.Reader) ([]byte, error) {
+// ReadFrame extracts the next frame's raw bytes from a stream into a
+// fresh slice; see readFrameInto.
+func ReadFrame(br *bufio.Reader) ([]byte, error) { return readFrameInto(br, nil) }
+
+// readFrameInto extracts the next frame's raw bytes from a stream,
+// resynchronizing on the magic bytes after line noise. The frame is
+// read into buf's storage when it fits (a MaxFrameLen buffer always
+// does). The returned slice still carries the CRC trailer — validation
+// stays in DecodeFrame / Station.AppendAcks.
+func readFrameInto(br *bufio.Reader, buf []byte) ([]byte, error) {
 	for {
 		hdr, err := br.Peek(HeaderLen)
 		if err != nil {
-			return nil, err
+			return buf[:0], err
 		}
 		if hdr[0] != magic0 || hdr[1] != magic1 {
 			if _, err := br.Discard(1); err != nil {
-				return nil, err
+				return buf[:0], err
 			}
 			continue
 		}
@@ -165,13 +174,17 @@ func ReadFrame(br *bufio.Reader) ([]byte, error) {
 		if plen > MaxPayload {
 			// Corrupt length field: skip the magic and rescan.
 			if _, err := br.Discard(2); err != nil {
-				return nil, err
+				return buf[:0], err
 			}
 			continue
 		}
-		buf := make([]byte, HeaderLen+plen+TrailerLen)
+		n := HeaderLen + plen + TrailerLen
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
 		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, err
+			return buf[:0], err
 		}
 		return buf, nil
 	}

@@ -38,14 +38,17 @@ var ErrSnapshotCorrupt = errors.New("downlink: corrupt recorder snapshot")
 // Snapshot encodes the recorder's full state — per-channel sequence
 // cursors, eviction count, and every unacknowledged record — as one
 // self-validating NVRAM page. The encoding is canonical: restoring a
-// snapshot and snapshotting again yields identical bytes.
+// snapshot and snapshotting again yields identical bytes. The returned
+// page is the only allocation.
 func (r *Recorder) Snapshot() []byte {
-	var e resultcache.Enc
+	e := &r.enc
+	e.Reset()
 	e.Uint(r.evicted)
-	for vc := 0; vc < NumVC; vc++ {
+	for vc := range r.perVC {
+		recs := r.perVC[vc].live()
 		e.Uint(uint64(r.nextSeq[vc]))
-		e.Uint(uint64(len(r.perVC[vc])))
-		for _, rec := range r.perVC[vc] {
+		e.Uint(uint64(len(recs)))
+		for _, rec := range recs {
 			e.Uint(uint64(rec.Seq))
 			e.Duration(rec.Enqueued)
 			e.Blob(rec.Payload)
@@ -61,117 +64,112 @@ func (r *Recorder) Snapshot() []byte {
 	return out
 }
 
-// snapshotState is the staging area decodeSnapshot fills: restore is
-// all-or-nothing, so nothing lands in the recorder until the whole page
-// has validated.
-type snapshotState struct {
-	evicted uint64
-	perVC   [NumVC][]Record
-	nextSeq [NumVC]uint32
-	count   int
-}
-
 // Restore replaces the recorder's state with the contents of an NVRAM
 // page produced by Snapshot. The recorder is wiped first; if the page
 // fails any integrity check the error wraps ErrSnapshotCorrupt and the
 // recorder stays verifiably empty — a corrupt page must never replay
-// stale or invented frames.
+// stale or invented frames. The page decodes straight into the wiped
+// queues and recycled payload buffers, so restoring a page shaped like
+// one restored before allocates nothing.
 func (r *Recorder) Restore(data []byte) error {
 	r.wipe()
-	st, err := r.decodeSnapshot(data)
-	if err != nil {
+	if err := r.decodeSnapshot(data); err != nil {
+		r.wipe() // all or nothing: drop what decoded before the fault
 		r.ins.snapshotCorrupt()
 		return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	r.evicted = st.evicted
-	r.perVC = st.perVC
-	r.nextSeq = st.nextSeq
-	r.count = st.count
 	r.ins.snapshotRestored()
 	r.ins.ringDepth(r.count)
 	return nil
 }
 
-// wipe empties the recorder (sequence cursors included).
+// wipe empties the recorder (sequence cursors included), keeping its
+// queues and payload buffers for reuse.
 func (r *Recorder) wipe() {
-	r.perVC = [NumVC][]Record{}
+	for vc := range r.perVC {
+		q := &r.perVC[vc]
+		for _, rec := range q.live() {
+			r.release(rec.Payload)
+		}
+		q.popFront(len(q.live()))
+	}
 	r.nextSeq = [NumVC]uint32{}
 	r.count = 0
 	r.evicted = 0
 	r.ins.ringDepth(0)
 }
 
-// decodeSnapshot validates and decodes one NVRAM page. Every check is
-// strict: framing, CRC, record count against capacity, per-channel
-// sequence monotonicity against the cursor, and payload bounds. The
-// decoder must never panic on hostile input — that is FuzzRecorderSnapshot's
-// contract.
-func (r *Recorder) decodeSnapshot(data []byte) (snapshotState, error) {
-	var st snapshotState
+// decodeSnapshot validates one NVRAM page and decodes it into the
+// (wiped) recorder. Every check is strict: framing, CRC, record count
+// against capacity, per-channel sequence monotonicity against the
+// cursor, and payload bounds. On error the recorder holds a partial
+// decode that Restore wipes. The decoder must never panic on hostile
+// input — that is FuzzRecorderSnapshot's contract.
+func (r *Recorder) decodeSnapshot(data []byte) error {
 	if len(data) < snapshotHeaderLen {
-		return st, fmt.Errorf("page truncated at %d bytes", len(data))
+		return fmt.Errorf("page truncated at %d bytes", len(data))
 	}
 	if string(data[:len(snapshotMagic)]) != string(snapshotMagic[:]) {
-		return st, fmt.Errorf("bad magic %x", data[:len(snapshotMagic)])
+		return fmt.Errorf("bad magic %x", data[:len(snapshotMagic)])
 	}
 	plen := binary.LittleEndian.Uint32(data[len(snapshotMagic):])
 	crc := binary.LittleEndian.Uint32(data[len(snapshotMagic)+4:])
 	payload := data[snapshotHeaderLen:]
 	if uint64(len(payload)) != uint64(plen) {
-		return st, fmt.Errorf("payload length %d, header says %d", len(payload), plen)
+		return fmt.Errorf("payload length %d, header says %d", len(payload), plen)
 	}
 	if crc32.ChecksumIEEE(payload) != crc {
-		return st, fmt.Errorf("CRC mismatch")
+		return fmt.Errorf("CRC mismatch")
 	}
 	d := resultcache.NewDec(payload)
-	st.evicted = d.Uint()
-	for vc := 0; vc < NumVC; vc++ {
+	r.evicted = d.Uint()
+	for vc := range r.perVC {
 		next := d.Uint()
 		if next > math.MaxUint32 {
-			return snapshotState{}, fmt.Errorf("vc %d: sequence cursor %d overflows", vc, next)
+			return fmt.Errorf("vc %d: sequence cursor %d overflows", vc, next)
 		}
-		st.nextSeq[vc] = uint32(next)
+		r.nextSeq[vc] = uint32(next)
 		n := d.Uint()
 		if d.Err() != nil {
-			return snapshotState{}, d.Err()
+			return d.Err()
 		}
 		if n > uint64(r.capacity) {
-			return snapshotState{}, fmt.Errorf("vc %d: %d records exceeds capacity %d", vc, n, r.capacity)
+			return fmt.Errorf("vc %d: %d records exceeds capacity %d", vc, n, r.capacity)
 		}
 		prevSeq := int64(-1)
 		for i := uint64(0); i < n; i++ {
 			seq := d.Uint()
 			enq := d.Duration()
-			pay := d.Blob()
+			pay := d.BlobView()
 			if d.Err() != nil {
-				return snapshotState{}, d.Err()
+				return d.Err()
 			}
 			if seq > math.MaxUint32 || seq >= next {
-				return snapshotState{}, fmt.Errorf("vc %d: record seq %d outside cursor %d", vc, seq, next)
+				return fmt.Errorf("vc %d: record seq %d outside cursor %d", vc, seq, next)
 			}
 			if int64(seq) <= prevSeq {
-				return snapshotState{}, fmt.Errorf("vc %d: sequence not increasing at %d", vc, seq)
+				return fmt.Errorf("vc %d: sequence not increasing at %d", vc, seq)
 			}
 			if len(pay) > MaxPayload {
-				return snapshotState{}, fmt.Errorf("vc %d: payload %d bytes exceeds %d", vc, len(pay), MaxPayload)
+				return fmt.Errorf("vc %d: payload %d bytes exceeds %d", vc, len(pay), MaxPayload)
 			}
 			prevSeq = int64(seq)
-			st.perVC[vc] = append(st.perVC[vc], Record{
+			r.perVC[vc].push(Record{
 				VC:       uint8(vc),
 				Seq:      uint32(seq),
-				Payload:  append([]byte(nil), pay...),
+				Payload:  append(r.payloadBuf(len(pay)), pay...),
 				Enqueued: enq,
 			})
-			st.count++
+			r.count++
 		}
 	}
 	if err := d.Close(); err != nil {
-		return snapshotState{}, err
+		return err
 	}
-	if st.count > r.capacity {
-		return snapshotState{}, fmt.Errorf("%d records exceeds capacity %d", st.count, r.capacity)
+	if r.count > r.capacity {
+		return fmt.Errorf("%d records exceeds capacity %d", r.count, r.capacity)
 	}
-	return st, nil
+	return nil
 }
 
 // CorruptSnapshot returns a damaged copy of an NVRAM page, modelling

@@ -10,13 +10,15 @@ import (
 )
 
 // Sink receives every newly delivered (in-order, deduplicated) payload.
-// It runs under the station lock; keep it fast.
+// It runs under the station lock; keep it fast. The payload aliases the
+// bytes being ingested: a sink that keeps it must copy it.
 type Sink func(link uint16, vc uint8, seq uint32, payload []byte)
 
 // StationConfig tunes the ground station.
 type StationConfig struct {
 	// KeepPayloads bounds how many recent channel-0 payloads are kept
-	// per link for the aggregated mission state (0 = keep none).
+	// per link for the aggregated mission state (0 = keep none). The
+	// newest overwrites the oldest's buffer once the bound is reached.
 	KeepPayloads int
 	// Sink, when non-nil, observes every delivery.
 	Sink Sink
@@ -46,7 +48,13 @@ type linkState struct {
 	degraded bool
 	backlog  uint32 // last beacon-reported flight-recorder depth
 	lastSeen time.Duration
-	p0       [][]byte // recent channel-0 payloads (bounded)
+	// Recent channel-0 payloads: a ring of at most KeepPayloads
+	// buffers, the oldest at p0[p0Next] once it is full.
+	p0     [][]byte
+	p0Next int
+	// needAck marks the channels already queued for an ACK by the
+	// AppendAcks call in progress.
+	needAck [NumVC]bool
 	// Recovery accounting: deliveries whose payloads announce a
 	// watchdog reset or a recovered recorder page (the oskernel
 	// campaign's telemetry prefixes).
@@ -92,6 +100,13 @@ type Station struct {
 	mu    sync.Mutex
 	links map[uint16]*linkState
 	ins   *StationInstruments
+	acks  []ackKey // AppendAcks scratch, in first-touched order
+}
+
+// ackKey names one link × channel that an ingested batch touched.
+type ackKey struct {
+	link uint16
+	vc   uint8
 }
 
 // NewStation builds an empty station.
@@ -102,18 +117,31 @@ func NewStation(cfg StationConfig) *Station {
 	return &Station{cfg: cfg, links: make(map[uint16]*linkState), ins: cfg.Instruments}
 }
 
-// Ingest parses every frame in raw (frames are self-delimiting) and
-// returns the encoded ACK frames to send back. now is the receiver's
-// clock — simulated time in campaigns, a frame-count surrogate over
-// real transports. Malformed bytes are counted and skipped; the
-// go-back-N contract means a re-ACK of the current expectation always
-// resynchronizes the sender.
+// Ingest is AppendAcks into fresh storage, returning the ACK frames
+// one per slice (nil when there are none).
 func (s *Station) Ingest(raw []byte, now time.Duration) [][]byte {
+	b := s.AppendAcks(nil, raw, now)
+	if len(b) == 0 {
+		return nil
+	}
+	acks := make([][]byte, 0, len(b)/AckFrameLen)
+	for ; len(b) > 0; b = b[AckFrameLen:] {
+		acks = append(acks, b[:AckFrameLen:AckFrameLen])
+	}
+	return acks
+}
+
+// AppendAcks parses every frame in raw (frames are self-delimiting) and
+// appends the ACK frames to send back to dst: one AckFrameLen frame per
+// link × channel the batch touched, in first-touched order. now is the
+// receiver's clock — simulated time in campaigns, a frame-count
+// surrogate over real transports. Malformed bytes are counted and
+// skipped; the go-back-N contract means a re-ACK of the current
+// expectation always resynchronizes the sender.
+func (s *Station) AppendAcks(dst, raw []byte, now time.Duration) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var acks [][]byte
-	touched := map[[2]uint32]bool{} // link, vc pairs needing an ACK
-	var order [][2]uint32
+	s.acks = s.acks[:0]
 	for len(raw) > 0 {
 		f, n, err := DecodeFrame(raw)
 		if err != nil {
@@ -128,25 +156,26 @@ func (s *Station) Ingest(raw []byte, now time.Duration) [][]byte {
 			continue
 		}
 		raw = raw[n:]
-		key := [2]uint32{uint32(f.Link), uint32(f.VC)}
-		if s.ingestFrame(f, now) && !touched[key] {
-			touched[key] = true
-			order = append(order, key)
+		if s.ingestFrame(f, now) {
+			ls := s.links[f.Link]
+			if !ls.needAck[f.VC] {
+				ls.needAck[f.VC] = true
+				s.acks = append(s.acks, ackKey{f.Link, f.VC})
+			}
 		}
 	}
-	for _, key := range order {
-		link, vc := uint16(key[0]), uint8(key[1])
-		ls := s.links[link]
-		ack, err := EncodeAck(link, vc, ls.vc[vc].Expected)
-		if err != nil {
+	for _, k := range s.acks {
+		ls := s.links[k.link]
+		ls.needAck[k.vc] = false
+		var err error
+		if dst, err = AppendAck(dst, k.link, k.vc, ls.vc[k.vc].Expected); err != nil {
 			continue
 		}
-		acks = append(acks, ack)
 		if s.ins != nil {
 			s.ins.AcksSent.Inc()
 		}
 	}
-	return acks
+	return dst
 }
 
 // ingestFrame processes one decoded frame and reports whether its
@@ -209,10 +238,7 @@ func (s *Station) ingestFrame(f Frame, now time.Duration) bool {
 			ls.adaptMode = v
 		}
 		if f.VC == 0 && s.cfg.KeepPayloads > 0 {
-			ls.p0 = append(ls.p0, append([]byte(nil), f.Payload...))
-			if len(ls.p0) > s.cfg.KeepPayloads {
-				ls.p0 = ls.p0[len(ls.p0)-s.cfg.KeepPayloads:]
-			}
+			ls.keepP0(f.Payload, s.cfg.KeepPayloads)
 		}
 		if s.ins != nil {
 			s.ins.FramesDelivered.Inc()
@@ -237,6 +263,26 @@ func (s *Station) ingestFrame(f Frame, now time.Duration) bool {
 		}
 	}
 	return true
+}
+
+// keepP0 retains a copy of a delivered channel-0 payload, reusing the
+// oldest retained buffer once keep are held.
+func (ls *linkState) keepP0(payload []byte, keep int) {
+	if len(ls.p0) < keep {
+		ls.p0 = append(ls.p0, append([]byte(nil), payload...))
+		return
+	}
+	ls.p0[ls.p0Next] = append(ls.p0[ls.p0Next][:0], payload...)
+	ls.p0Next = (ls.p0Next + 1) % keep
+}
+
+// recentP0 returns the retained channel-0 payloads, oldest first.
+func (ls *linkState) recentP0() []string {
+	var out []string
+	for i := range ls.p0 {
+		out = append(out, string(ls.p0[(ls.p0Next+i)%len(ls.p0)]))
+	}
+	return out
 }
 
 // payloadField extracts the first space-delimited token after a
@@ -284,6 +330,18 @@ func (s *Station) Delivered(link uint16, vc uint8) uint64 {
 	return ls.vc[vc].Delivered
 }
 
+// Skipped returns how many sequence numbers one link × channel jumped
+// over because the sender's recorder evicted them.
+func (s *Station) Skipped(link uint16, vc uint8) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ls := s.links[link]
+	if ls == nil || vc >= NumVC {
+		return 0
+	}
+	return ls.vc[vc].Skipped
+}
+
 // Links returns the known link ids in ascending order.
 func (s *Station) Links() []uint16 {
 	s.mu.Lock()
@@ -315,9 +373,7 @@ func (s *Station) Report() []LinkReport {
 			LastSeen: ls.lastSeen, WatchdogResets: ls.wdResets,
 			RecorderRecoveries: ls.recRecoveries,
 			CurrentPhase:       ls.phase, AdaptMode: ls.adaptMode,
-		}
-		for _, p := range ls.p0 {
-			r.RecentP0 = append(r.RecentP0, string(p))
+			RecentP0: ls.recentP0(),
 		}
 		out = append(out, r)
 	}

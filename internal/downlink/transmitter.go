@@ -112,6 +112,7 @@ type Transmitter struct {
 	ins         *Instruments
 	lastTick    time.Duration
 	powerCycles int
+	frame       []byte // MaxFrameLen encode scratch; the link copies what it accepts
 }
 
 // NewTransmitter validates cfg and binds the transmitter to its link.
@@ -137,7 +138,7 @@ func NewTransmitter(link *Link, cfg TxConfig) (*Transmitter, error) {
 	}
 	rec.setInstruments(cfg.Instruments)
 	link.SetInstruments(cfg.Instruments)
-	return &Transmitter{cfg: cfg, rec: rec, link: link, ins: cfg.Instruments}, nil
+	return &Transmitter{cfg: cfg, rec: rec, link: link, ins: cfg.Instruments, frame: make([]byte, 0, MaxFrameLen)}, nil
 }
 
 // Enqueue stores payload on vc for transmission. Eviction of an
@@ -276,7 +277,7 @@ func (t *Transmitter) Tick(now time.Duration) error {
 
 	// 3. Beacon heartbeat.
 	if t.beacon && now >= t.nextBeacon {
-		if raw, err := EncodeBeacon(t.cfg.Link, t.beaconSeq, true, uint32(t.rec.Len())); err == nil {
+		if raw, err := AppendBeacon(t.frame[:0], t.cfg.Link, t.beaconSeq, true, uint32(t.rec.Len())); err == nil {
 			if t.link.CanSendDown(len(raw), now) && t.link.SendDown(raw, now) {
 				t.beaconSeq++
 				t.stats.Beacons++
@@ -305,7 +306,7 @@ func (t *Transmitter) Tick(now time.Duration) error {
 		if st.sent == 0 {
 			flags = FlagBase
 		}
-		raw, err := EncodeFrame(Frame{Type: FrameData, Link: t.cfg.Link, VC: uint8(vc), Flags: flags, Seq: r.Seq, Payload: r.Payload})
+		raw, err := AppendFrame(t.frame[:0], Frame{Type: FrameData, Link: t.cfg.Link, VC: uint8(vc), Flags: flags, Seq: r.Seq, Payload: r.Payload})
 		if err != nil {
 			return err // recorder-validated payload: should be impossible
 		}

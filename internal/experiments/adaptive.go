@@ -418,14 +418,15 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 	if err != nil {
 		return arm, err
 	}
-	station := downlink.NewStation(downlink.DefaultStationConfig())
+	ground := groundPass{link: link, st: downlink.NewStation(downlink.DefaultStationConfig())}
 
 	var enqErr error
-	enqueue := func(vc uint8, payload string, now time.Duration) {
+	var payload []byte // built in place for every enqueue
+	enqueue := func(vc uint8, now time.Duration) {
 		if enqErr != nil {
 			return
 		}
-		if err := tx.Enqueue(vc, []byte(payload), now); err != nil {
+		if err := tx.Enqueue(vc, payload, now); err != nil {
 			enqErr = err
 			return
 		}
@@ -434,21 +435,19 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 			arm.P0Enqueued++
 		}
 	}
+	// event enqueues the priority-0 payload "<key><value> t=<now>".
+	event := func(key, value string, now time.Duration) {
+		payload = append(append(payload[:0], key...), value...)
+		payload = appendDuration(append(payload, " t="...), now)
+		enqueue(0, now)
+	}
 	var lastTick time.Duration
 	comms := func(now time.Duration) error {
 		lastTick = now
 		if err := tx.Tick(now); err != nil {
 			return err
 		}
-		var buf []byte
-		for _, raw := range link.RecvDown(now) {
-			buf = append(buf, raw...)
-		}
-		if len(buf) > 0 {
-			for _, ack := range station.Ingest(buf, now) {
-				link.SendUp(ack, now)
-			}
-		}
+		ground.run(now)
 		return nil
 	}
 	if tx.Beacon() != posture.Beacon {
@@ -472,7 +471,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 		}
 		phase, phaseChanged := tracker.Observe(tel.T)
 		if phaseChanged {
-			enqueue(0, fmt.Sprintf("mission_phase %s t=%v", phase.Kind, tel.T), tel.T)
+			event("mission_phase ", phase.Kind.String(), tel.T)
 		}
 
 		for nextEvent < len(events) && events[nextEvent].T <= tel.T {
@@ -506,7 +505,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 			if ctrl != nil {
 				ctrl.Note(tel.T, adapt.SignalWatchdogReset)
 			}
-			enqueue(0, fmt.Sprintf("watchdog_reset t=%v", tel.T), tel.T)
+			event("watchdog_reset", "", tel.T)
 		}
 
 		if dets[level].Observe(tel) {
@@ -522,7 +521,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 			}
 			lastCycle = tel.T
 			selSince = -1
-			enqueue(0, fmt.Sprintf("sel_detected level=%s t=%v", level, tel.T), tel.T)
+			event("sel_detected level=", level.String(), tel.T)
 		}
 
 		if ctrl != nil {
@@ -533,7 +532,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 				if tx.Beacon() != posture.Beacon {
 					tx.SetBeacon(posture.Beacon, tel.T, "posture "+level.String())
 				}
-				enqueue(0, fmt.Sprintf("adapt_level %s t=%v", level, tel.T), tel.T)
+				event("adapt_level ", level.String(), tel.T)
 			}
 		}
 
@@ -548,11 +547,15 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 		}
 
 		if tel.T >= nextHk {
-			enqueue(1, fmt.Sprintf("hk t=%v level=%s", tel.T, level), tel.T)
+			payload = appendDuration(append(payload[:0], "hk t="...), tel.T)
+			payload = append(append(payload, " level="...), level.String()...)
+			enqueue(1, tel.T)
 			nextHk = tel.T + posture.HousekeepEvery
 		}
 		for c.BulkEvery > 0 && nextBulk <= tel.T {
-			enqueue(3, fmt.Sprintf("bulk t=%v frame of science payload data", nextBulk), tel.T)
+			payload = appendDuration(append(payload[:0], "bulk t="...), nextBulk)
+			payload = append(payload, " frame of science payload data"...)
+			enqueue(3, tel.T)
 			nextBulk += c.BulkEvery
 		}
 
@@ -608,12 +611,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 			break
 		}
 	}
-	for _, rep := range station.Report() {
-		for vc := 0; vc < downlink.NumVC; vc++ {
-			arm.AllDelivered += rep.VC[vc].Delivered
-		}
-		arm.P0Delivered += rep.VC[0].Delivered
-	}
+	arm.AllDelivered, _, arm.P0Delivered = ground.totals()
 
 	arm.Survived = !m.Damaged()
 	arm.FinalLevel = level

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"radshield/internal/downlink"
@@ -337,10 +338,11 @@ func flyDownlinkArm(c DownlinkCampaignConfig, sp downlinkSpec, seed int64, lossy
 	if err != nil {
 		return arm, err
 	}
-	st := downlink.NewStation(downlink.DefaultStationConfig())
+	ground := groundPass{link: link, st: downlink.NewStation(downlink.DefaultStationConfig())}
 
-	enqueue := func(vc uint8, payload string, now time.Duration) error {
-		if err := tx.Enqueue(vc, []byte(payload), now); err != nil {
+	var payload []byte // built in place for every enqueue
+	enqueue := func(vc uint8, now time.Duration) error {
+		if err := tx.Enqueue(vc, payload, now); err != nil {
 			return err
 		}
 		arm.enq++
@@ -356,19 +358,25 @@ func flyDownlinkArm(c DownlinkCampaignConfig, sp downlinkSpec, seed int64, lossy
 	for now := c.Step; now <= end; now += c.Step {
 		if now <= c.Mission {
 			for c.EventEvery > 0 && nextEvent <= now {
-				if err := enqueue(0, fmt.Sprintf("evt seq=%d t=%v", arm.p0Enq, nextEvent), now); err != nil {
+				payload = strconv.AppendUint(append(payload[:0], "evt seq="...), arm.p0Enq, 10)
+				payload = appendDuration(append(payload, " t="...), nextEvent)
+				if err := enqueue(0, now); err != nil {
 					return arm, err
 				}
 				nextEvent += c.EventEvery
 			}
 			for c.HousekeepingEvery > 0 && nextHk <= now {
-				if err := enqueue(1, fmt.Sprintf("hk t=%v mode=nominal", nextHk), now); err != nil {
+				payload = appendDuration(append(payload[:0], "hk t="...), nextHk)
+				payload = append(payload, " mode=nominal"...)
+				if err := enqueue(1, now); err != nil {
 					return arm, err
 				}
 				nextHk += c.HousekeepingEvery
 			}
 			for c.BulkEvery > 0 && nextBulk <= now {
-				if err := enqueue(3, fmt.Sprintf("bulk t=%v frame of science payload data", nextBulk), now); err != nil {
+				payload = appendDuration(append(payload[:0], "bulk t="...), nextBulk)
+				payload = append(payload, " frame of science payload data"...)
+				if err := enqueue(3, now); err != nil {
 					return arm, err
 				}
 				nextBulk += c.BulkEvery
@@ -391,15 +399,7 @@ func flyDownlinkArm(c DownlinkCampaignConfig, sp downlinkSpec, seed int64, lossy
 		if err := tx.Tick(now); err != nil {
 			return arm, err
 		}
-		var buf []byte
-		for _, raw := range link.RecvDown(now) {
-			buf = append(buf, raw...)
-		}
-		if len(buf) > 0 {
-			for _, ack := range st.Ingest(buf, now) {
-				link.SendUp(ack, now)
-			}
-		}
+		ground.run(now)
 		if now > c.Mission && tx.Done() {
 			arm.drainedAt = now
 			break
@@ -411,12 +411,6 @@ func flyDownlinkArm(c DownlinkCampaignConfig, sp downlinkSpec, seed int64, lossy
 	arm.timeout = stats.Timeouts
 	arm.beacons = stats.Beacons
 	arm.evicted = tx.Evicted()
-	for _, rep := range st.Report() {
-		for vc := 0; vc < downlink.NumVC; vc++ {
-			arm.del += rep.VC[vc].Delivered
-			arm.skipped += rep.VC[vc].Skipped
-		}
-		arm.p0Del += rep.VC[0].Delivered
-	}
+	arm.del, arm.skipped, arm.p0Del = ground.totals()
 	return arm, nil
 }

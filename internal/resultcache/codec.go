@@ -38,6 +38,10 @@ type Enc struct {
 // internal storage; it is valid until the next append.
 func (e *Enc) Bytes() []byte { return e.buf }
 
+// Reset empties the encoder, keeping its buffer for reuse; a slice
+// returned by Bytes before the Reset is overwritten by later appends.
+func (e *Enc) Reset() { e.buf = e.buf[:0] }
+
 // Len returns the number of encoded bytes so far.
 func (e *Enc) Len() int { return len(e.buf) }
 
@@ -194,7 +198,7 @@ func (d *Dec) Str() string {
 
 // Blob reads a length-prefixed byte slice. The result is a copy.
 func (d *Dec) Blob() []byte {
-	p := d.prefixed(tagBlob)
+	p := d.BlobView()
 	if p == nil {
 		return nil
 	}
@@ -202,6 +206,10 @@ func (d *Dec) Blob() []byte {
 	copy(out, p)
 	return out
 }
+
+// BlobView reads a length-prefixed byte slice without copying it: the
+// result aliases the decoded buffer.
+func (d *Dec) BlobView() []byte { return d.prefixed(tagBlob) }
 
 // prefixed reads a tag + uint32 length + payload, bounds-checked
 // against the remaining buffer so a hostile length cannot allocate or
