@@ -1,32 +1,18 @@
 // Command faultcamp runs the synthetic fault-injection campaign of the
 // paper's Table 7 at configurable scale: N single-event upsets (or
 // multi-bit upsets) injected into the image-processing workload under
-// each redundancy scheme, classified against a golden run.
+// each redundancy scheme, classified against a golden run. It exits
+// non-zero if any silent corruption escapes a redundancy scheme.
 //
-// With -guard it instead turns the injector on Radshield itself: the
-// sensor-fault sweep (stuck/dropout/offset/garbage current readings
-// against the guard supervisor's degradation ladder) and the EMR
-// watchdog sweep (hung and crashed replicas against the redundancy
-// ladder).
-//
-// With -oskernel it runs the OS-level failure campaign: kernel panics,
-// hangs, IO-error bursts, scheduler stalls, and NVRAM corruption
-// against the hardware watchdog, the supervisor's hang/heartbeat
-// detection, and the recorder's verified snapshot path. -osfault
-// narrows the class grid.
-//
-// With -adaptive it flies the mission-profile catalog twice per profile
-// — an always-max static arm and a closed-loop adaptive arm sharing the
-// same seeded fault stream — and verdicts that adaptation never costs
-// survival or missed latchups (see MISSIONS.md).
+// The flight campaigns that inject faults into Radshield itself —
+// sensor and replica faults, OS-level failures, adaptive protection —
+// run with their verdict gates under radbench -exp guard, oskernel and
+// adaptive.
 //
 // Usage:
 //
 //	faultcamp -runs 100
 //	faultcamp -runs 20 -size 65536 -seed 3
-//	faultcamp -guard
-//	faultcamp -oskernel -osfault panic,fscorrupt
-//	faultcamp -adaptive
 package main
 
 import (
@@ -39,8 +25,6 @@ import (
 	"radshield/internal/downlink"
 	"radshield/internal/experiments"
 	"radshield/internal/fault"
-	"radshield/internal/machine"
-	"radshield/internal/power"
 	"radshield/internal/profiling"
 	"radshield/internal/resultcache"
 )
@@ -70,51 +54,23 @@ func ship(vc uint8, msg string) {
 
 func main() {
 	var (
-		runs     = flag.Int("runs", 20, "injections per scheme (paper: 20)")
-		size     = flag.Int("size", 64<<10, "workload input size in bytes")
-		seed     = flag.Int64("seed", 7, "campaign seed")
-		workers  = flag.Int("workers", 0, "campaign scheduler width; 0 = one worker per CPU (output is identical at any width)")
-		guard    = flag.Bool("guard", false, "inject faults into Radshield's own sensor and replicas instead of the workload")
-		oskernel = flag.Bool("oskernel", false, "run the OS-level failure campaign (kernel panics, hangs, IO bursts, scheduler stalls, NVRAM corruption) instead of the workload")
-		adaptive = flag.Bool("adaptive", false, "fly the mission-profile catalog with static-vs-adaptive paired protection arms instead of the workload")
-		osFault  = flag.String("osfault", "", "comma-separated OS fault classes for -oskernel (default all; valid: panic, hang, ioburst, schedstall, fscorrupt)")
-		dlAddr   = flag.String("downlink", "", "stream campaign verdicts to a groundstation at this TCP address (see cmd/groundstation)")
-		rcDir    = flag.String("resultcache", "", "replay unchanged campaign arms from this content-addressed cache directory, created if absent (see RESULTCACHE.md)")
-		dlLink   = flag.Int("link-id", 3, "spacecraft link id for -downlink")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file (see PERFORMANCE.md)")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file at exit (see PERFORMANCE.md)")
+		runs    = flag.Int("runs", 20, "injections per scheme (paper: 20)")
+		size    = flag.Int("size", 64<<10, "workload input size in bytes")
+		seed    = flag.Int64("seed", 7, "campaign seed")
+		workers = flag.Int("workers", 0, "campaign scheduler width; 0 = one worker per CPU (output is identical at any width)")
+		dlAddr  = flag.String("downlink", "", "stream campaign verdicts to a groundstation at this TCP address (see cmd/groundstation)")
+		rcDir   = flag.String("resultcache", "", "replay unchanged campaign arms from this content-addressed cache directory, created if absent (see RESULTCACHE.md)")
+		dlLink  = flag.Int("link-id", 3, "spacecraft link id for -downlink")
+		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file (see PERFORMANCE.md)")
+		memProf = flag.String("memprofile", "", "write a pprof heap profile to this file at exit (see PERFORMANCE.md)")
 	)
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("faultcamp: ")
 
-	// Flag conflicts fail loudly instead of silently picking a campaign.
-	picked := 0
-	for _, on := range []bool{*guard, *oskernel, *adaptive} {
-		if on {
-			picked++
-		}
-	}
-	if picked > 1 {
-		log.Fatal("-guard, -oskernel and -adaptive are mutually exclusive; pick one campaign")
-	}
-	if *osFault != "" && !*oskernel {
-		log.Fatal("-osfault only applies to -oskernel (valid classes: panic, hang, ioburst, schedstall, fscorrupt)")
-	}
-	if *osFault != "" {
-		if _, err := experiments.ParseOSFaultClasses(*osFault); err != nil {
-			log.Fatal(err)
-		}
-	}
-
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		log.Fatal(err)
-	}
-	finishProfiles := func() {
-		if err := stopProf(); err != nil {
-			log.Fatal(err)
-		}
 	}
 
 	if *dlAddr != "" {
@@ -138,36 +94,6 @@ func main() {
 		} else if err != nil {
 			log.Fatal(err)
 		}
-	}
-	closeStore := func() {
-		if store == nil {
-			return
-		}
-		st := store.Stats()
-		if err := store.Close(); err != nil {
-			log.Fatalf("result cache: %v", err)
-		}
-		fmt.Printf("resultcache: %d hits, %d misses (%.1f%% hit rate), %d entries, %d bytes in %s\n",
-			st.Hits, st.Misses, 100*st.HitRate(), st.Entries, st.Bytes, *rcDir)
-	}
-
-	if *guard {
-		runGuardCampaign(*seed, *workers, store)
-		closeStore()
-		finishProfiles()
-		return
-	}
-	if *oskernel {
-		runOSFaultCampaign(*osFault, *seed, *workers, store)
-		closeStore()
-		finishProfiles()
-		return
-	}
-	if *adaptive {
-		runAdaptiveCampaign(*seed, *workers, store)
-		closeStore()
-		finishProfiles()
-		return
 	}
 
 	cfg := experiments.Table7Config{Runs: *runs, Size: *size, Seed: *seed, Workers: *workers, Cache: store}
@@ -194,8 +120,17 @@ func main() {
 	ship(1, fmt.Sprintf("table7 runs=%d unprotected_sdc=%d protected_sdc=0", *runs, unprotectedSDC))
 	ship(0, "campaign_complete campaign=table7 verdict=protected")
 	drainFeed()
-	closeStore()
-	finishProfiles()
+	if store != nil {
+		st := store.Stats()
+		if err := store.Close(); err != nil {
+			log.Fatalf("result cache: %v", err)
+		}
+		fmt.Printf("resultcache: %d hits, %d misses (%.1f%% hit rate), %d entries, %d bytes in %s\n",
+			st.Hits, st.Misses, 100*st.HitRate(), st.Entries, st.Bytes, *rcDir)
+	}
+	if err := stopProf(); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // drainFeed flushes any unacknowledged frames before exit.
@@ -206,159 +141,4 @@ func drainFeed() {
 	if _, err := feed.Drain(dlNow+time.Millisecond, dlNow+time.Minute, time.Millisecond); err != nil {
 		log.Fatalf("downlink: %v", err)
 	}
-}
-
-// runGuardCampaign sweeps faults against Radshield's own dependencies
-// and applies the guard layer's safety verdicts.
-func runGuardCampaign(seed int64, workers int, store *resultcache.Store) {
-	gc := experiments.DefaultGuardCampaignConfig()
-	gc.SEL.Seed = seed
-	gc.SEL.Workers = workers
-	gc.SEL.Cache = store
-	trials, tbl, err := experiments.GuardCampaign(gc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(tbl)
-
-	wc := experiments.DefaultWatchdogCampaignConfig()
-	wc.Seed = seed
-	wc.Workers = workers
-	wc.Cache = store
-	wdTrials, wdTbl, err := experiments.WatchdogCampaign(wc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(wdTbl)
-
-	// Safety verdicts: a guarded mission may never miss a latchup
-	// because its own sensor died, and a degraded EMR retry may never
-	// produce wrong outputs.
-	for _, tr := range trials {
-		if tr.Kind == power.FaultStuck && tr.MissedSELs > 0 {
-			ship(0, fmt.Sprintf("protection_failure campaign=guard missed_sels=%d", tr.MissedSELs))
-			drainFeed()
-			log.Fatalf("PROTECTION FAILURE: %d SELs missed behind a stuck sensor", tr.MissedSELs)
-		}
-		if !tr.Survived {
-			ship(0, fmt.Sprintf("protection_failure campaign=guard board_lost_under=%v", tr.Kind))
-			drainFeed()
-			log.Fatalf("PROTECTION FAILURE: guarded mission lost the board under a %v sensor fault", tr.Kind)
-		}
-	}
-	for _, tr := range wdTrials {
-		if !tr.TMROutputs || !tr.Degraded {
-			ship(0, fmt.Sprintf("protection_failure campaign=watchdog cause=%s executor=%d", tr.Cause, tr.Executor))
-			drainFeed()
-			log.Fatalf("PROTECTION FAILURE: wrong outputs with a %s replica (executor %d)", tr.Cause, tr.Executor)
-		}
-	}
-	fmt.Println("guard layer held: zero missed SELs behind sensor faults, golden outputs through replica faults")
-	ship(1, fmt.Sprintf("guard trials=%d watchdog_trials=%d", len(trials), len(wdTrials)))
-	ship(0, "campaign_complete campaign=guard verdict=protected")
-	drainFeed()
-}
-
-// runAdaptiveCampaign flies every catalog mission profile with paired
-// static-max and closed-loop adaptive protection arms sharing one
-// seeded fault stream, then applies the adaptation safety verdicts:
-// relaxing posture in quiet phases may never cost survival, missed
-// latchups, or corrupt downlinked data relative to the always-max arm.
-func runAdaptiveCampaign(seed int64, workers int, store *resultcache.Store) {
-	ac := experiments.DefaultAdaptiveCampaignConfig()
-	ac.SEL.Seed = seed
-	ac.SEL.Workers = workers
-	ac.SEL.Cache = store
-	trials, tbl, err := experiments.AdaptiveCampaign(ac)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(tbl)
-
-	var moves int
-	for _, tr := range trials {
-		st, ad := tr.Static, tr.Adaptive
-		if !ad.Survived || ad.Survived != st.Survived {
-			ship(0, fmt.Sprintf("protection_failure campaign=adaptive profile=%s cause=board_lost", tr.Profile))
-			drainFeed()
-			log.Fatalf("PROTECTION FAILURE: adaptive arm lost the board on %s (static survived=%v)", tr.Profile, st.Survived)
-		}
-		if ad.MissedSELs > st.MissedSELs {
-			ship(0, fmt.Sprintf("protection_failure campaign=adaptive profile=%s missed_sels=%d static=%d", tr.Profile, ad.MissedSELs, st.MissedSELs))
-			drainFeed()
-			log.Fatalf("PROTECTION FAILURE: adaptive arm missed %d SELs on %s, static missed %d", ad.MissedSELs, tr.Profile, st.MissedSELs)
-		}
-		if ad.SDC && !st.SDC {
-			ship(0, fmt.Sprintf("protection_failure campaign=adaptive profile=%s cause=sdc", tr.Profile))
-			drainFeed()
-			log.Fatalf("PROTECTION FAILURE: adaptive arm downlinked corrupt data on %s, static did not", tr.Profile)
-		}
-		moves += len(tr.Moves)
-	}
-	fmt.Println("adaptation held: survival and missed-SEL numbers match the always-max arm on every profile")
-	ship(1, fmt.Sprintf("adaptive profiles=%d ladder_moves=%d", len(trials), moves))
-	ship(0, "campaign_complete campaign=adaptive verdict=protected")
-	drainFeed()
-}
-
-// runOSFaultCampaign sweeps OS-level failure classes — kernel panics,
-// hangs, IO-error bursts, scheduler stalls, NVRAM corruption — and
-// applies the recovery layer's safety verdicts: every class must be
-// detected in bounded time, the guarded mission must keep the board,
-// and the recorder must never replay corrupt state.
-func runOSFaultCampaign(classes string, seed int64, workers int, store *resultcache.Store) {
-	oc := experiments.DefaultOSFaultCampaignConfig()
-	if classes != "" {
-		picked, err := experiments.ParseOSFaultClasses(classes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		oc.Classes = picked
-	}
-	oc.SEL.Seed = seed
-	oc.SEL.Workers = workers
-	oc.SEL.Cache = store
-	trials, tbl, err := experiments.OSFaultCampaign(oc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(tbl)
-
-	var wdResets, recoveries int
-	for _, tr := range trials {
-		wdResets += tr.WatchdogResets
-		recoveries += tr.Recoveries
-		if tr.DetectLatency < 0 {
-			ship(0, fmt.Sprintf("protection_failure campaign=oskernel class=%v cause=undetected", tr.Class))
-			drainFeed()
-			log.Fatalf("PROTECTION FAILURE: %v fault never detected", tr.Class)
-		}
-		if !tr.Survived {
-			ship(0, fmt.Sprintf("protection_failure campaign=oskernel class=%v cause=board_lost", tr.Class))
-			drainFeed()
-			log.Fatalf("PROTECTION FAILURE: guarded mission lost the board under a %v fault", tr.Class)
-		}
-		if tr.MissedSELs > 0 {
-			ship(0, fmt.Sprintf("protection_failure campaign=oskernel class=%v missed_sels=%d", tr.Class, tr.MissedSELs))
-			drainFeed()
-			log.Fatalf("PROTECTION FAILURE: %d SELs missed under a %v fault", tr.MissedSELs, tr.Class)
-		}
-		if !tr.CleanReplay {
-			ship(0, fmt.Sprintf("protection_failure campaign=oskernel class=%v cause=dirty_replay", tr.Class))
-			drainFeed()
-			log.Fatalf("PROTECTION FAILURE: recorder replayed corrupt state under a %v fault", tr.Class)
-		}
-		if tr.Class == machine.OSFaultSchedulerStall && (!tr.TMRGolden || !tr.DegradedGolden) {
-			ship(0, fmt.Sprintf("protection_failure campaign=oskernel class=%v cause=wrong_outputs", tr.Class))
-			drainFeed()
-			log.Fatalf("PROTECTION FAILURE: wrong EMR outputs under a %v fault", tr.Class)
-		}
-	}
-	fmt.Println("recovery layer held: every OS fault detected, board kept, no corrupt replay")
-	// The watchdog_reset / recorder_recovered prefixes feed the ground
-	// station's per-link recovery accounting (cmd/groundstation /state).
-	ship(1, fmt.Sprintf("watchdog_reset count=%d classes=%d", wdResets, len(trials)))
-	ship(1, fmt.Sprintf("recorder_recovered count=%d classes=%d", recoveries, len(trials)))
-	ship(0, "campaign_complete campaign=oskernel verdict=protected")
-	drainFeed()
 }

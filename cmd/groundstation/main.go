@@ -5,11 +5,14 @@
 //
 // Flight-side peers are the -downlink flags of ildmon, radbench and
 // faultcamp, or any client speaking the frame format in DOWNLINK.md.
+// radbench -exp oskernel ships the watchdog_reset / recorder_recovered
+// counts that /state tallies per link.
 //
 // Usage:
 //
 //	groundstation -listen :7007 -http :7008
 //	ildmon -hours 1 -downlink localhost:7007
+//	radbench -exp oskernel -downlink localhost:7007
 //
 // On SIGINT/SIGTERM the server stops accepting, drains the live link
 // pipelines, prints the final per-link report and exits 0.

@@ -206,11 +206,12 @@ func main() {
 			}
 		} else if rec.Observe(tel) {
 			fired = true
+			residual := det.Residual() // Reset zeroes it
 			fmt.Printf("[%8s] !!! ILD flags an SEL (residual %.4f A) — commanding power cycle\n",
-				tel.T.Round(time.Second), det.Residual())
+				tel.T.Round(time.Second), residual)
 			m.PowerCycle()
 			det.Reset()
-			enqueueEvent(tel.T, fmt.Sprintf("sel_detected t=%v residual=%.4f", tel.T, det.Residual()))
+			enqueueEvent(tel.T, fmt.Sprintf("sel_detected t=%v residual=%.4f", tel.T, residual))
 		}
 		if fired && detectedAt < 0 {
 			detectedAt = tel.T

@@ -9,7 +9,14 @@
 //	radbench -exp tab2 -hours 24
 //	radbench -exp fig11,fig14 -size 1048576
 //	radbench -exp tab2,fig11 -telemetry out.json
+//	radbench -exp guard,oskernel,adaptive,downlink
+//	radbench -exp oskernel -osfault panic,fscorrupt
 //	radbench -list
+//
+// The guard, oskernel and adaptive experiments end in safety verdicts:
+// a failed one ships a priority-0 protection_failure event down the
+// -downlink feed. Any failed experiment, the downlink ARQ verdict
+// included, drains the feed and exits non-zero.
 package main
 
 import (
@@ -26,7 +33,9 @@ import (
 	"radshield/internal/emr"
 	"radshield/internal/experiments"
 	"radshield/internal/ild"
+	"radshield/internal/machine"
 	"radshield/internal/mission"
+	"radshield/internal/power"
 	"radshield/internal/profiling"
 	"radshield/internal/resultcache"
 	"radshield/internal/simclock"
@@ -235,7 +244,7 @@ var registry = map[string]struct {
 		gc.SEL.Workers = sel.Workers
 		gc.SEL.Telemetry = sel.Telemetry
 		gc.SEL.Cache = sel.Cache
-		_, tbl, err := experiments.GuardCampaign(gc)
+		trials, tbl, err := experiments.GuardCampaign(gc)
 		if err != nil {
 			return err
 		}
@@ -245,12 +254,12 @@ var registry = map[string]struct {
 		wc.Workers = sel.Workers
 		wc.Telemetry = sel.Telemetry
 		wc.Cache = sel.Cache
-		_, wdTbl, err := experiments.WatchdogCampaign(wc)
+		wdTrials, wdTbl, err := experiments.WatchdogCampaign(wc)
 		if err != nil {
 			return err
 		}
 		fmt.Println(wdTbl)
-		return nil
+		return guardGate(ship, trials, wdTrials)
 	}},
 	"oskernel": {desc: "OS-fault campaign: kernel panics, hangs, IO bursts, scheduler stalls, NVRAM corruption vs watchdog recovery", span: func(experiments.SELConfig) time.Duration {
 		// 5 fault classes × 2 onsets × 2 arms × 30-minute missions.
@@ -266,12 +275,12 @@ var registry = map[string]struct {
 		oc.SEL.Workers = sel.Workers
 		oc.SEL.Telemetry = sel.Telemetry
 		oc.SEL.Cache = sel.Cache
-		_, tbl, err := experiments.OSFaultCampaign(oc)
+		trials, tbl, err := experiments.OSFaultCampaign(oc)
 		if err != nil {
 			return err
 		}
 		fmt.Println(tbl)
-		return nil
+		return osKernelGate(ship, trials)
 	}},
 	"adaptive": {desc: "closed-loop adaptive protection vs always-max static posture across mission profiles", span: func(experiments.SELConfig) time.Duration {
 		// Every catalog profile flies twice: one static arm, one adaptive.
@@ -286,12 +295,12 @@ var registry = map[string]struct {
 		ac.SEL.Workers = sel.Workers
 		ac.SEL.Telemetry = sel.Telemetry
 		ac.SEL.Cache = sel.Cache
-		_, tbl, err := experiments.AdaptiveCampaign(ac)
+		trials, tbl, err := experiments.AdaptiveCampaign(ac)
 		if err != nil {
 			return err
 		}
 		fmt.Println(tbl)
-		return nil
+		return adaptiveGate(ship, trials)
 	}},
 	"featsel": {desc: "random-forest feature selection for ILD's metric set (§3.1)", span: selSpan(1), run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		res := experiments.FeatureSelection(sel)
@@ -322,6 +331,137 @@ var registry = map[string]struct {
 		fmt.Println("ARQ recovered 100% of priority-0 events on every lossy arm")
 		return nil
 	}},
+}
+
+// The -downlink feed: each experiment's completion goes to the ground
+// station as housekeeping, verdicts as priority-0 events. The feed's
+// clock is the campaign event counter — radbench has no mission
+// timeline of its own.
+var (
+	feed  *downlink.Feed
+	dlNow time.Duration
+)
+
+// ship sends one message down the feed; without -downlink it does
+// nothing.
+func ship(vc uint8, msg string) {
+	if feed == nil {
+		return
+	}
+	dlNow += time.Millisecond
+	err := feed.Enqueue(vc, []byte(msg), dlNow)
+	if err == nil {
+		dlNow += time.Millisecond
+		err = feed.Tick(dlNow)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "radbench: downlink: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// drainFeed flushes any unacknowledged frames before exit.
+func drainFeed() {
+	if feed == nil {
+		return
+	}
+	if _, err := feed.Drain(dlNow+time.Millisecond, dlNow+time.Minute, time.Millisecond); err != nil {
+		fmt.Fprintf(os.Stderr, "radbench: downlink: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// shipFunc is ship's signature; the verdict gates take one so tests can
+// record what they send.
+type shipFunc func(vc uint8, msg string)
+
+// protectionFailure ships a failed safety verdict as the priority-0
+// event "protection_failure <fields>" and returns it as the
+// experiment's error.
+func protectionFailure(ship shipFunc, fields, format string, args ...any) error {
+	ship(0, "protection_failure "+fields)
+	return fmt.Errorf("PROTECTION FAILURE: "+format, args...)
+}
+
+// guardGate applies the guard layer's safety verdicts: a guarded
+// mission may never miss a latchup because its own sensor died, nor
+// lose the board, and a degraded EMR retry may never produce wrong
+// outputs.
+func guardGate(ship shipFunc, trials []experiments.GuardTrial, wd []experiments.WatchdogTrial) error {
+	for _, tr := range trials {
+		if tr.Kind == power.FaultStuck && tr.MissedSELs > 0 {
+			return protectionFailure(ship, fmt.Sprintf("campaign=guard missed_sels=%d", tr.MissedSELs),
+				"%d SELs missed behind a stuck sensor", tr.MissedSELs)
+		}
+		if !tr.Survived {
+			return protectionFailure(ship, fmt.Sprintf("campaign=guard board_lost_under=%v", tr.Kind),
+				"guarded mission lost the board under a %v sensor fault", tr.Kind)
+		}
+	}
+	for _, tr := range wd {
+		if !tr.TMROutputs || !tr.Degraded {
+			return protectionFailure(ship, fmt.Sprintf("campaign=watchdog cause=%s executor=%d", tr.Cause, tr.Executor),
+				"wrong outputs with a %s replica (executor %d)", tr.Cause, tr.Executor)
+		}
+	}
+	fmt.Println("guard layer held: zero missed SELs behind sensor faults, golden outputs through replica faults")
+	return nil
+}
+
+// osKernelGate applies the recovery layer's safety verdicts: every OS
+// fault class must be detected, the guarded mission must keep the board
+// and miss no latchup, the recorder must never replay corrupt state,
+// and a stalled EMR run must still produce golden outputs. On a pass it
+// ships the recovery counts the ground station's /state tallies.
+func osKernelGate(ship shipFunc, trials []experiments.OSFaultTrial) error {
+	var wdResets, recoveries int
+	for _, tr := range trials {
+		wdResets += tr.WatchdogResets
+		recoveries += tr.Recoveries
+		switch {
+		case tr.DetectLatency < 0:
+			return protectionFailure(ship, fmt.Sprintf("campaign=oskernel class=%v cause=undetected", tr.Class),
+				"%v fault never detected", tr.Class)
+		case !tr.Survived:
+			return protectionFailure(ship, fmt.Sprintf("campaign=oskernel class=%v cause=board_lost", tr.Class),
+				"guarded mission lost the board under a %v fault", tr.Class)
+		case tr.MissedSELs > 0:
+			return protectionFailure(ship, fmt.Sprintf("campaign=oskernel class=%v missed_sels=%d", tr.Class, tr.MissedSELs),
+				"%d SELs missed under a %v fault", tr.MissedSELs, tr.Class)
+		case !tr.CleanReplay:
+			return protectionFailure(ship, fmt.Sprintf("campaign=oskernel class=%v cause=dirty_replay", tr.Class),
+				"recorder replayed corrupt state under a %v fault", tr.Class)
+		case tr.Class == machine.OSFaultSchedulerStall && (!tr.TMRGolden || !tr.DegradedGolden):
+			return protectionFailure(ship, fmt.Sprintf("campaign=oskernel class=%v cause=wrong_outputs", tr.Class),
+				"wrong EMR outputs under a %v fault", tr.Class)
+		}
+	}
+	fmt.Println("recovery layer held: every OS fault detected, board kept, no corrupt replay")
+	ship(1, fmt.Sprintf("watchdog_reset count=%d classes=%d", wdResets, len(trials)))
+	ship(1, fmt.Sprintf("recorder_recovered count=%d classes=%d", recoveries, len(trials)))
+	return nil
+}
+
+// adaptiveGate applies the adaptation safety verdicts: relaxing the
+// posture in quiet phases may never cost survival, missed latchups, or
+// corrupt downlinked data relative to the always-max arm.
+func adaptiveGate(ship shipFunc, trials []experiments.AdaptiveTrial) error {
+	for _, tr := range trials {
+		st, ad := tr.Static, tr.Adaptive
+		switch {
+		case !ad.Survived || ad.Survived != st.Survived:
+			return protectionFailure(ship, fmt.Sprintf("campaign=adaptive profile=%s cause=board_lost", tr.Profile),
+				"adaptive arm lost the board on %s (static survived=%v)", tr.Profile, st.Survived)
+		case ad.MissedSELs > st.MissedSELs:
+			return protectionFailure(ship, fmt.Sprintf("campaign=adaptive profile=%s missed_sels=%d static=%d", tr.Profile, ad.MissedSELs, st.MissedSELs),
+				"adaptive arm missed %d SELs on %s, static missed %d", ad.MissedSELs, tr.Profile, st.MissedSELs)
+		case ad.SDC && !st.SDC:
+			return protectionFailure(ship, fmt.Sprintf("campaign=adaptive profile=%s cause=sdc", tr.Profile),
+				"adaptive arm downlinked corrupt data on %s, static did not", tr.Profile)
+		}
+	}
+	fmt.Println("adaptation held: survival and missed-SEL numbers match the always-max arm on every profile")
+	return nil
 }
 
 // wallNow is the one sanctioned host-clock read in radbench: -wallclock
@@ -411,12 +551,6 @@ func main() {
 		fmt.Printf("telemetry: http://%s/telemetry\n\n", *telHTTP)
 	}
 
-	// Downlink: each experiment's completion goes to the ground station
-	// as housekeeping, the campaign verdict as a priority-0 event. The
-	// feed's clock is the campaign event counter — radbench has no
-	// mission timeline of its own.
-	var feed *downlink.Feed
-	var dlNow time.Duration
 	if *dlAddr != "" {
 		var err error
 		if feed, err = downlink.DialFeed(*dlAddr, uint16(*dlLink)); err != nil {
@@ -425,21 +559,6 @@ func main() {
 		}
 		defer feed.Close()
 		fmt.Printf("downlink engaged: link %d to %s\n\n", *dlLink, *dlAddr)
-	}
-	ship := func(vc uint8, msg string) {
-		if feed == nil {
-			return
-		}
-		dlNow += time.Millisecond
-		err := feed.Enqueue(vc, []byte(msg), dlNow)
-		if err == nil {
-			dlNow += time.Millisecond
-			err = feed.Tick(dlNow)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "radbench: downlink: %v\n", err)
-			os.Exit(1)
-		}
 	}
 
 	// The result cache replays arms whose (config, seed, code version)
@@ -509,6 +628,7 @@ func main() {
 		}
 		if err := entry.run(sel, seu); err != nil {
 			fmt.Fprintf(os.Stderr, "radbench: %s: %v\n", name, err)
+			drainFeed()
 			os.Exit(1)
 		}
 		switch {
@@ -533,12 +653,7 @@ func main() {
 			st.Hits, st.Misses, 100*st.HitRate(), st.Entries, st.Bytes, *rcDir)
 	}
 	ship(0, fmt.Sprintf("campaign_complete experiments=%d simulated=%v", len(targets), campaign.Now()))
-	if feed != nil {
-		if _, err := feed.Drain(dlNow+time.Millisecond, dlNow+time.Minute, time.Millisecond); err != nil {
-			fmt.Fprintf(os.Stderr, "radbench: downlink: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	drainFeed()
 
 	if *telOut != "" {
 		out := os.Stdout

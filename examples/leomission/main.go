@@ -34,7 +34,6 @@ import (
 	"radshield/internal/emr"
 	"radshield/internal/experiments"
 	"radshield/internal/fault"
-	"radshield/internal/guard"
 	"radshield/internal/ild"
 	"radshield/internal/machine"
 	"radshield/internal/mission"
@@ -243,18 +242,9 @@ func main() {
 // SEUs into the shared cache mid-run. It reports whether the product is
 // trustworthy and how many votes were corrected.
 func runPayload(p adapt.Posture, seed int64, seus int) (ok bool, corrected int) {
+	plan := p.Plan()
 	cfg := emr.DefaultConfig()
-	switch {
-	case p.SerialChecksum:
-		cfg.Scheme = fault.SchemeChecksum
-		cfg.Executors = 1
-	case p.Redundancy == guard.RedundancyDMRChecksum:
-		cfg.Scheme = fault.SchemeEMR
-		cfg.Executors = 2
-	default:
-		cfg.Scheme = fault.SchemeEMR
-		cfg.Executors = 3
-	}
+	cfg.Scheme, cfg.Executors = plan.Scheme, plan.Executors
 	rt, err := emr.New(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"radshield/internal/fault"
 	"radshield/internal/guard"
 )
 
@@ -326,6 +327,16 @@ type Posture struct {
 	// Beacon requests priority-only downlink beaconing (the transmitter
 	// protects the p0 backlog at the cost of bulk science).
 	Beacon bool
+}
+
+// Plan is the EMR runtime the posture's payload rung runs on: the
+// bottom rung's single checksum-guarded run, else the redundancy mode's
+// plan.
+func (p Posture) Plan() guard.Plan {
+	if p.SerialChecksum {
+		return guard.Plan{Scheme: fault.SchemeChecksum, Executors: 1}
+	}
+	return p.Redundancy.Plan()
 }
 
 // PostureFor maps a level onto its protection configuration. The table

@@ -112,6 +112,15 @@ func (r *Runtime) RunJournaled(spec Spec, j *Journal) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A record for a dataset the spec does not have means the journal
+	// checkpoints some other job; serving it would index past the spec.
+	last := -1
+	for i := range done {
+		last = max(last, i)
+	}
+	if last >= len(spec.Datasets) {
+		return nil, fmt.Errorf("emr: journal holds a record for dataset %d, but the spec has %d datasets", last, len(spec.Datasets))
+	}
 	// Reboot semantics: whatever the cache held is gone.
 	r.cache.FlushAll()
 

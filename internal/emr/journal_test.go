@@ -2,7 +2,9 @@ package emr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"radshield/internal/fault"
@@ -182,4 +184,99 @@ func TestRunJournaledHookIndexMapping(t *testing.T) {
 	if len(seen) == 0 {
 		t.Fatal("hook never fired on resume")
 	}
+}
+
+// journalRecords parses a journal region the way its format defines
+// it: records back to back, ending at a zero length, a record that
+// overruns the region, or the first CRC mismatch.
+func journalRecords(region []byte) map[int][]byte {
+	out := make(map[int][]byte)
+	for off := 0; off+journalHeader <= len(region); {
+		n := int(binary.LittleEndian.Uint32(region[off+4:]))
+		if n == 0 || off+journalHeader+n > len(region) {
+			break
+		}
+		body := region[off+journalHeader : off+journalHeader+n]
+		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(region[off+8:]) {
+			break
+		}
+		out[int(binary.LittleEndian.Uint32(region[off:]))] = body
+		off += journalHeader + n
+	}
+	return out
+}
+
+// journalRecord encodes one record in the journal's flash layout.
+func journalRecord(idx uint32, body string) []byte {
+	rec := make([]byte, journalHeader, journalHeader+len(body))
+	binary.LittleEndian.PutUint32(rec[0:], idx)
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(rec[8:], crc32.ChecksumIEEE([]byte(body)))
+	return append(rec, body...)
+}
+
+// FuzzJournalLoad writes arbitrary bytes over a journal's flash region —
+// what a power cut mid-append or an escaped upset leaves for the next
+// boot to replay. Load must never panic and must return exactly the
+// CRC-valid records ahead of the first bad one; RunJournaled must then
+// either refuse the journal with an error or serve those records and
+// compute the rest correctly, never panic.
+func FuzzJournalLoad(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(journalRecord(0, "first"))
+	f.Add(append(journalRecord(1, "one"), journalRecord(3, "three")...))
+	f.Add(journalRecord(9, "a dataset the spec does not have"))
+	torn := journalRecord(2, "torn")
+	torn[len(torn)-1] ^= 1
+	f.Add(append(journalRecord(0, "kept"), torn...))
+	f.Add([]byte("\x00\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		const capacity, datasets = 512, 4
+		rt := newRuntime(t, fault.SchemeEMR)
+		spec := chunkedSpec(t, rt, datasets, 64, false)
+		j, err := rt.NewJournal(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) > capacity {
+			raw = raw[:capacity]
+		}
+		if err := rt.bus.Write(j.region.Addr, raw); err != nil {
+			t.Fatal(err)
+		}
+		got, err := j.Load()
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		want := journalRecords(append(raw, make([]byte, capacity-len(raw))...))
+		if len(got) != len(want) {
+			t.Fatalf("Load returned %d records, want the %d CRC-valid ones", len(got), len(want))
+		}
+		foreign := false
+		for i, body := range want {
+			if !bytes.Equal(got[i], body) {
+				t.Fatalf("record %d = %q, want %q", i, got[i], body)
+			}
+			foreign = foreign || i >= datasets
+		}
+
+		res, err := rt.RunJournaled(spec, j)
+		if foreign {
+			if err == nil {
+				t.Fatal("RunJournaled served a journal holding a dataset the spec does not have")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("RunJournaled: %v", err)
+		}
+		for i, out := range golden(t, datasets, 64, false) {
+			if body, ok := want[i]; ok {
+				out = body
+			}
+			if !bytes.Equal(res.Outputs[i], out) {
+				t.Fatalf("dataset %d = %x, want %x", i, res.Outputs[i], out)
+			}
+		}
+	})
 }

@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"radshield/internal/adapt"
 	"radshield/internal/downlink"
-	"radshield/internal/emr"
 	"radshield/internal/fault"
-	"radshield/internal/guard"
 	"radshield/internal/ild"
 	"radshield/internal/linmodel"
 	"radshield/internal/machine"
@@ -18,7 +15,6 @@ import (
 	"radshield/internal/resultcache"
 	"radshield/internal/sched"
 	"radshield/internal/trace"
-	"radshield/internal/workloads"
 )
 
 // Adaptive campaign: the closed-loop question the static campaigns
@@ -284,7 +280,7 @@ func AdaptiveCampaign(c AdaptiveCampaignConfig) ([]AdaptiveTrial, *Table, error)
 			return nil, nil, err
 		}
 		model = base.Model()
-		if golden, err = missionGolden(); err != nil {
+		if golden, err = payloadGolden(); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -300,14 +296,10 @@ func AdaptiveCampaign(c AdaptiveCampaignConfig) ([]AdaptiveTrial, *Table, error)
 			if err != nil {
 				return AdaptiveTrial{}, err
 			}
-			flight := trace.FlightSoftware(rng, prof.Total(), machine.DefaultConfig().Cores)
 			// Bubbles are injected once, at the max-posture cadence, so
 			// both arms fly the identical trace; each arm is charged for
 			// the bubble time its own posture schedules.
-			flight = ild.InjectBubbles(flight, ild.BubblePolicy{
-				BubbleLen: c.SEL.ildConfig().SustainFor + time.Second,
-				Pause:     adapt.PostureFor(adapt.LevelMax).BubbleEvery,
-			})
+			_, flight := c.SEL.pairTrace(rng, prof.Total(), adapt.PostureFor(adapt.LevelMax).BubbleEvery)
 			st, err := flyAdaptiveArm(c, prof, model, golden, events, flight, seed, nil)
 			if err != nil {
 				return AdaptiveTrial{}, err
@@ -366,7 +358,6 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 	golden [][]byte, events []fault.Event, flight *trace.Trace, seed int64,
 	ctrl *adapt.Controller) (AdaptiveArm, error) {
 	arm := AdaptiveArm{DrainedAt: -1}
-	total := prof.Total()
 
 	// One detector per rung, all sharing the trained model: ThresholdA
 	// is fixed at construction, so a level switch swaps detectors (and
@@ -387,82 +378,49 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 		level = ctrl.Level()
 	}
 	posture := adapt.PostureFor(level)
-	bubbleLen := c.SEL.ildConfig().SustainFor + time.Second
+	bubbleLen := c.SEL.bubbleLen()
 
 	mc := c.SEL.machineConfig(seed + 1)
 	mc.Telemetry = nil // trials run in parallel; per-trial metrics stay local
 	m := machine.New(mc)
+	prot := &protection{m: m, det: dets[level]}
 	tracker := mission.NewTracker(prof, nil)
 
 	// Downlink leg: both arms fly the same impaired link (seeds shared).
 	lcfg := downlink.DefaultLinkConfig()
 	lcfg.Seed = seed + 2
-	link, err := downlink.NewLink(lcfg)
+	link, err := lossyLink(lcfg, c.LinkLoss, prof.Total()/3, c.Blackout)
 	if err != nil {
 		return arm, err
 	}
-	if c.LinkLoss > 0 {
-		if err := link.ScheduleLinkFault(downlink.LinkFault{
-			Start: 0, Duration: 0, // never closes: the drain pass is lossy too
-			Drop: c.LinkLoss, Corrupt: c.LinkLoss / 2, Reorder: c.LinkLoss / 4,
-		}); err != nil {
-			return arm, err
-		}
-	}
-	if c.Blackout > 0 {
-		if err := link.ScheduleBlackout(downlink.Blackout{Start: total / 3, Duration: c.Blackout}); err != nil {
-			return arm, err
-		}
-	}
-	tx, err := downlink.NewTransmitter(link, downlink.DefaultTxConfig(1))
+	cm, err := newComms(link, downlink.DefaultTxConfig(1))
 	if err != nil {
 		return arm, err
-	}
-	ground := groundPass{link: link, st: downlink.NewStation(downlink.DefaultStationConfig())}
-
-	var enqErr error
-	var payload []byte // built in place for every enqueue
-	enqueue := func(vc uint8, now time.Duration) {
-		if enqErr != nil {
-			return
-		}
-		if err := tx.Enqueue(vc, payload, now); err != nil {
-			enqErr = err
-			return
-		}
-		arm.AllEnqueued++
-		if vc == 0 {
-			arm.P0Enqueued++
-		}
 	}
 	// event enqueues the priority-0 payload "<key><value> t=<now>".
 	event := func(key, value string, now time.Duration) {
-		payload = append(append(payload[:0], key...), value...)
-		payload = appendDuration(append(payload, " t="...), now)
-		enqueue(0, now)
+		cm.payload = append(append(cm.payload[:0], key...), value...)
+		cm.payload = appendDuration(append(cm.payload, " t="...), now)
+		cm.enqueue(0, now)
 	}
-	var lastTick time.Duration
-	comms := func(now time.Duration) error {
-		lastTick = now
-		if err := tx.Tick(now); err != nil {
-			return err
+	note := func(t time.Duration, s adapt.Signal) {
+		if ctrl != nil {
+			ctrl.Note(t, s)
 		}
-		ground.run(now)
-		return nil
 	}
-	if tx.Beacon() != posture.Beacon {
-		tx.SetBeacon(posture.Beacon, 0, "posture "+level.String())
+	if cm.tx.Beacon() != posture.Beacon {
+		cm.tx.SetBeacon(posture.Beacon, 0, "posture "+level.String())
 	}
 
 	nextEvent := 0
 	pendingSEUs := 0
-	selSince := time.Duration(-1)
-	missedCounted := false
+	sels := selLedger{window: c.SEL.Window, since: -1}
 	lastCycle := time.Duration(-refireWindow) // no refire before the first cycle
 	nextContact := c.ContactEvery
 	nextHk := posture.HousekeepEvery
 	nextBulk := c.BulkEvery
 	nextTick := downlinkTick
+	var lastTick time.Duration
 	var loopErr error
 
 	m.RunTrace(flight, func(tel machine.Telemetry) {
@@ -484,43 +442,26 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 			}
 		}
 
-		// Latchup episode bookkeeping (guard-campaign pattern): an
-		// episode that outlives the detection window is a miss — the
+		// A latchup that outlives the detection window is a miss: the
 		// hardware watchdog catches it, at reset cost.
-		if selSince >= 0 && !m.SELActive() {
-			selSince = -1
-		}
-		if selSince < 0 && m.SELActive() {
-			selSince = tel.T
-			missedCounted = false
-		}
-		if selSince >= 0 && !missedCounted && tel.T-selSince > c.SEL.Window {
-			arm.MissedSELs++
-			missedCounted = true
+		if sels.observe(m, tel.T) {
 			arm.WDResets++
-			m.PowerCycle()
-			dets[level].Reset()
+			prot.cycle(tel.T)
+			sels.cleared(tel.T)
 			lastCycle = tel.T
-			selSince = -1
-			if ctrl != nil {
-				ctrl.Note(tel.T, adapt.SignalWatchdogReset)
-			}
+			note(tel.T, adapt.SignalWatchdogReset)
 			event("watchdog_reset", "", tel.T)
 		}
 
-		if dets[level].Observe(tel) {
+		if _, cycled := prot.observe(tel); cycled {
 			arm.Detections++
-			m.PowerCycle()
-			dets[level].Reset()
-			if ctrl != nil {
-				sig := adapt.SignalILDDetect
-				if tel.T-lastCycle <= refireWindow {
-					sig = adapt.SignalILDRefire
-				}
-				ctrl.Note(tel.T, sig)
+			sig := adapt.SignalILDDetect
+			if tel.T-lastCycle <= refireWindow {
+				sig = adapt.SignalILDRefire
 			}
+			note(tel.T, sig)
 			lastCycle = tel.T
-			selSince = -1
+			sels.cleared(tel.T)
 			event("sel_detected level=", level.String(), tel.T)
 		}
 
@@ -528,9 +469,10 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 			if d := ctrl.Observe(tel.T); d.Changed {
 				level = d.Level
 				posture = adapt.PostureFor(level)
-				dets[level].Reset()
-				if tx.Beacon() != posture.Beacon {
-					tx.SetBeacon(posture.Beacon, tel.T, "posture "+level.String())
+				prot.det = dets[level]
+				prot.det.Reset()
+				if cm.tx.Beacon() != posture.Beacon {
+					cm.tx.SetBeacon(posture.Beacon, tel.T, "posture "+level.String())
 				}
 				event("adapt_level ", level.String(), tel.T)
 			}
@@ -547,21 +489,16 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 		}
 
 		if tel.T >= nextHk {
-			payload = appendDuration(append(payload[:0], "hk t="...), tel.T)
-			payload = append(append(payload, " level="...), level.String()...)
-			enqueue(1, tel.T)
+			cm.payload = appendDuration(append(cm.payload[:0], "hk t="...), tel.T)
+			cm.payload = append(append(cm.payload, " level="...), level.String()...)
+			cm.enqueue(1, tel.T)
 			nextHk = tel.T + posture.HousekeepEvery
 		}
-		for c.BulkEvery > 0 && nextBulk <= tel.T {
-			payload = appendDuration(append(payload[:0], "bulk t="...), nextBulk)
-			payload = append(payload, " frame of science payload data"...)
-			enqueue(3, tel.T)
-			nextBulk += c.BulkEvery
-		}
+		nextBulk = cm.bulk(nextBulk, c.BulkEvery, tel.T)
 
 		if tel.T >= nextContact {
 			nextContact += c.ContactEvery
-			res, err := adaptivePayload(posture, seed+int64(tel.T), pendingSEUs, golden)
+			res, err := payloadContact(posture.Plan(), seed+int64(tel.T), pendingSEUs, golden)
 			if err != nil {
 				loopErr = err
 				return
@@ -574,27 +511,23 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 			} else {
 				arm.ActiveJ += res.energyJ
 			}
-			if res.sdc {
-				arm.SDC = true
-			}
-			if ctrl != nil && (res.corrected > 0 || res.vetoed > 0) {
-				ctrl.Note(tel.T, adapt.SignalEMRMismatch)
+			arm.SDC = arm.SDC || res.sdc
+			if res.corrected > 0 || res.vetoed > 0 {
+				note(tel.T, adapt.SignalEMRMismatch)
 			}
 		}
 
 		if tel.T >= nextTick {
-			if err := comms(tel.T); err != nil {
-				loopErr = err
-				return
-			}
+			lastTick = tel.T
+			loopErr = cm.tick(tel.T)
 			nextTick = tel.T + downlinkTick
 		}
 	})
+	if loopErr == nil {
+		loopErr = cm.err
+	}
 	if loopErr != nil {
 		return arm, loopErr
-	}
-	if enqErr != nil {
-		return arm, enqErr
 	}
 
 	// Post-mission contact extension: ARQ drains the backlog. Bubble
@@ -603,81 +536,18 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 	// from the profile total.
 	drainEnd := lastTick + c.Drain
 	for now := lastTick + downlinkTick; now <= drainEnd; now += downlinkTick {
-		if err := comms(now); err != nil {
+		if err := cm.tick(now); err != nil {
 			return arm, err
 		}
-		if tx.Done() {
+		if cm.tx.Done() {
 			arm.DrainedAt = now
 			break
 		}
 	}
-	arm.AllDelivered, _, arm.P0Delivered = ground.totals()
-
+	arm.AllDelivered, _, arm.P0Delivered = cm.totals()
+	arm.AllEnqueued, arm.P0Enqueued = cm.enq, cm.p0Enq
+	arm.MissedSELs = sels.missed
 	arm.Survived = !m.Damaged()
 	arm.FinalLevel = level
 	return arm, nil
-}
-
-// adaptivePayloadResult is one contact's outcome.
-type adaptivePayloadResult struct {
-	sdc       bool
-	corrected int
-	vetoed    int
-	energyJ   float64
-}
-
-// adaptivePayload runs the payload job under the posture's redundancy
-// rung with the SEU backlog striking the cache. The ladder's semantics:
-// serial+checksum and DMR detect (vetoed output, retried clean), TMR
-// corrects (outvoted); only a corrupted output that survives to
-// comparison is SDC.
-func adaptivePayload(p adapt.Posture, seed int64, seus int, golden [][]byte) (adaptivePayloadResult, error) {
-	var out adaptivePayloadResult
-	cfg := emr.DefaultConfig()
-	switch {
-	case p.SerialChecksum:
-		cfg.Scheme = fault.SchemeChecksum
-		cfg.Executors = 1
-	case p.Redundancy == guard.RedundancyDMRChecksum:
-		cfg.Scheme = fault.SchemeEMR
-		cfg.Executors = 2
-	default:
-		cfg.Scheme = fault.SchemeEMR
-		cfg.Executors = 3
-	}
-	rt, err := emr.New(cfg)
-	if err != nil {
-		return out, err
-	}
-	spec, err := workloads.ImageProcessing().Build(rt, 32<<10, 2026)
-	if err != nil {
-		return out, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	remaining := seus
-	spec.Hook = func(hp *emr.HookPoint) {
-		if remaining > 0 && hp.Phase == emr.PhaseAfterRead && rng.Float64() < 0.05 {
-			reg := hp.Regions[rng.Intn(len(hp.Regions))]
-			f := fault.RandomFlip(rng, reg.Len)
-			if rt.Cache().FlipBit(reg.Addr+f.Offset, f.Bit) {
-				remaining--
-			}
-		}
-	}
-	res, err := rt.Run(spec)
-	if err != nil {
-		return out, err
-	}
-	out.corrected = res.Report.Votes.Corrected
-	out.energyJ = res.Report.EnergyJ
-	for i := range golden {
-		if res.Outputs[i] == nil {
-			out.vetoed++ // detected → retried clean; not SDC
-			continue
-		}
-		if !bytes.Equal(res.Outputs[i], golden[i]) {
-			out.sdc = true
-		}
-	}
-	return out, nil
 }

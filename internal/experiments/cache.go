@@ -154,6 +154,14 @@ func encSupervisorConfig(e *resultcache.Enc, sc guard.SupervisorConfig) {
 	e.Duration(sc.HeartbeatTimeout)
 }
 
+// encWatchdogConfig canonically encodes the EMR watchdog tuning.
+func encWatchdogConfig(e *resultcache.Enc, wc guard.WatchdogConfig) {
+	e.Duration(wc.Deadline)
+	e.Int(int64(wc.MaxStrikes))
+	e.Int(int64(wc.RetryLimit))
+	e.Duration(wc.BackoffBase)
+}
+
 // encEnvironment canonically encodes a radiation environment for key
 // derivation. Every field participates: changing any rate is a new arm.
 func encEnvironment(e *resultcache.Enc, env fault.Environment) {

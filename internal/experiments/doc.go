@@ -24,6 +24,13 @@
 // byte-identical at any width (the TestParallelEquivalence tests
 // enforce this).
 //
+// The flight campaigns (mission survival, guard, watchdog, OS fault,
+// adaptive, downlink) take every onboard-loop decision they share —
+// bubble length, flight trace, latchup ledger, protection path, payload
+// contact, comms link, watchdog workload — from flight.go, and keep only
+// their own per-sample order. TestPinnedFlightCampaigns holds their
+// rendered tables fixed across commits (testdata/pinned_*.txt).
+//
 // Invariants: every harness is deterministic given its config (seeded
 // RNGs, simulated clocks, virtual cost models); scaled-down defaults
 // preserve the paper's qualitative shapes (who wins, by what factor)

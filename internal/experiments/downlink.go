@@ -303,26 +303,14 @@ func flyDownlinkArm(c DownlinkCampaignConfig, sp downlinkSpec, seed int64, lossy
 
 	lcfg := c.Link
 	lcfg.Seed = seed
-	link, err := downlink.NewLink(lcfg)
+	loss, blackout := 0.0, time.Duration(0)
+	if lossy {
+		loss, blackout = sp.loss, sp.blackout
+	}
+	link, err := lossyLink(lcfg, loss, c.Mission/3, blackout)
 	if err != nil {
 		return arm, err
 	}
-	if lossy {
-		if sp.loss > 0 {
-			if err := link.ScheduleLinkFault(downlink.LinkFault{
-				Start: 0, Duration: 0, // never closes: the drain pass is lossy too
-				Drop: sp.loss, Corrupt: sp.loss / 2, Reorder: sp.loss / 4,
-			}); err != nil {
-				return arm, err
-			}
-		}
-		if sp.blackout > 0 {
-			if err := link.ScheduleBlackout(downlink.Blackout{Start: c.Mission / 3, Duration: sp.blackout}); err != nil {
-				return arm, err
-			}
-		}
-	}
-
 	tcfg := downlink.DefaultTxConfig(1)
 	tcfg.Policy = sp.policy
 	if c.Window > 0 {
@@ -334,22 +322,9 @@ func flyDownlinkArm(c DownlinkCampaignConfig, sp downlinkSpec, seed int64, lossy
 	if c.RingCap > 0 {
 		tcfg.RingCap = c.RingCap
 	}
-	tx, err := downlink.NewTransmitter(link, tcfg)
+	cm, err := newComms(link, tcfg)
 	if err != nil {
 		return arm, err
-	}
-	ground := groundPass{link: link, st: downlink.NewStation(downlink.DefaultStationConfig())}
-
-	var payload []byte // built in place for every enqueue
-	enqueue := func(vc uint8, now time.Duration) error {
-		if err := tx.Enqueue(vc, payload, now); err != nil {
-			return err
-		}
-		arm.enq++
-		if vc == 0 {
-			arm.p0Enq++
-		}
-		return nil
 	}
 
 	nextEvent, nextHk, nextBulk := c.EventEvery, c.HousekeepingEvery, c.BulkEvery
@@ -358,59 +333,48 @@ func flyDownlinkArm(c DownlinkCampaignConfig, sp downlinkSpec, seed int64, lossy
 	for now := c.Step; now <= end; now += c.Step {
 		if now <= c.Mission {
 			for c.EventEvery > 0 && nextEvent <= now {
-				payload = strconv.AppendUint(append(payload[:0], "evt seq="...), arm.p0Enq, 10)
-				payload = appendDuration(append(payload, " t="...), nextEvent)
-				if err := enqueue(0, now); err != nil {
-					return arm, err
-				}
+				cm.payload = strconv.AppendUint(append(cm.payload[:0], "evt seq="...), cm.p0Enq, 10)
+				cm.payload = appendDuration(append(cm.payload, " t="...), nextEvent)
+				cm.enqueue(0, now)
 				nextEvent += c.EventEvery
 			}
 			for c.HousekeepingEvery > 0 && nextHk <= now {
-				payload = appendDuration(append(payload[:0], "hk t="...), nextHk)
-				payload = append(payload, " mode=nominal"...)
-				if err := enqueue(1, now); err != nil {
-					return arm, err
-				}
+				cm.payload = appendDuration(append(cm.payload[:0], "hk t="...), nextHk)
+				cm.payload = append(cm.payload, " mode=nominal"...)
+				cm.enqueue(1, now)
 				nextHk += c.HousekeepingEvery
 			}
-			for c.BulkEvery > 0 && nextBulk <= now {
-				payload = appendDuration(append(payload[:0], "bulk t="...), nextBulk)
-				payload = append(payload, " frame of science payload data"...)
-				if err := enqueue(3, now); err != nil {
-					return arm, err
-				}
-				nextBulk += c.BulkEvery
-			}
+			nextBulk = cm.bulk(nextBulk, c.BulkEvery, now)
 		}
 		if c.PowerCycleAt > 0 && !cycled && now >= c.PowerCycleAt {
-			tx.PowerCycle(now)
+			cm.tx.PowerCycle(now)
 			cycled = true
 		}
 		if c.BeaconFor > 0 {
 			inBeacon := now >= c.BeaconFrom && now < c.BeaconFrom+c.BeaconFor
-			if inBeacon != tx.Beacon() {
+			if inBeacon != cm.tx.Beacon() {
 				reason := "guard_stepdown"
 				if !inBeacon {
 					reason = "recovered"
 				}
-				tx.SetBeacon(inBeacon, now, reason)
+				cm.tx.SetBeacon(inBeacon, now, reason)
 			}
 		}
-		if err := tx.Tick(now); err != nil {
+		if err := cm.tick(now); err != nil {
 			return arm, err
 		}
-		ground.run(now)
-		if now > c.Mission && tx.Done() {
+		if now > c.Mission && cm.tx.Done() {
 			arm.drainedAt = now
 			break
 		}
 	}
 
-	stats := tx.Stats()
+	stats := cm.tx.Stats()
 	arm.retx = stats.Retransmits
 	arm.timeout = stats.Timeouts
 	arm.beacons = stats.Beacons
-	arm.evicted = tx.Evicted()
-	arm.del, arm.skipped, arm.p0Del = ground.totals()
+	arm.evicted = cm.tx.Evicted()
+	arm.enq, arm.p0Enq = cm.enq, cm.p0Enq
+	arm.del, arm.skipped, arm.p0Del = cm.totals()
 	return arm, nil
 }

@@ -9,7 +9,6 @@ import (
 	"radshield/internal/emr"
 	"radshield/internal/fault"
 	"radshield/internal/guard"
-	"radshield/internal/ild"
 	"radshield/internal/linmodel"
 	"radshield/internal/machine"
 	"radshield/internal/power"
@@ -191,11 +190,12 @@ func GuardCampaign(c GuardCampaignConfig) ([]GuardTrial, *Table, error) {
 		return cache.CachedArm(i, func() (GuardTrial, error) {
 			sp := specs[i]
 			seed := c.SEL.Seed + 1000 + int64(i)*29
-			g, err := flyGuardArm(c, sp, model, seed, true)
+			_, flight := c.SEL.pairTrace(rand.New(rand.NewSource(seed+3)), c.SEL.Duration, 3*time.Minute)
+			g, err := flyGuardArm(c, sp, model, flight, seed, true)
 			if err != nil {
 				return GuardTrial{}, err
 			}
-			u, err := flyGuardArm(c, sp, model, seed, false)
+			u, err := flyGuardArm(c, sp, model, flight, seed, false)
 			if err != nil {
 				return GuardTrial{}, err
 			}
@@ -242,23 +242,12 @@ func GuardCampaign(c GuardCampaignConfig) ([]GuardTrial, *Table, error) {
 	return trials, tbl, nil
 }
 
-// flyGuardArm flies one mission arm: flight software with bubbles,
-// latchups on the campaign period, and the scheduled sensor fault. The
+// flyGuardArm flies one mission arm over the pair's flight trace:
+// latchups on the campaign period and the scheduled sensor fault. The
 // guarded arm routes every sample through the supervisor and acts on
 // its decisions; the unguarded arm runs the paper's bare detector.
-func flyGuardArm(c GuardCampaignConfig, sp guardTrialSpec, model *linmodel.Model, seed int64, guarded bool) (guardArmResult, error) {
+func flyGuardArm(c GuardCampaignConfig, sp guardTrialSpec, model *linmodel.Model, flight *trace.Trace, seed int64, guarded bool) (guardArmResult, error) {
 	res := guardArmResult{detectSamples: -1}
-	det, err := ild.NewDetector(model, c.SEL.ildConfig())
-	if err != nil {
-		return res, err
-	}
-	var sup *guard.Supervisor
-	if guarded {
-		if sup, err = guard.NewSupervisor(det, c.Supervisor); err != nil {
-			return res, err
-		}
-	}
-
 	mc := c.SEL.machineConfig(seed)
 	mc.Telemetry = nil // trials run in parallel; per-trial metrics stay local
 	m := machine.New(mc)
@@ -267,50 +256,24 @@ func flyGuardArm(c GuardCampaignConfig, sp guardTrialSpec, model *linmodel.Model
 	}); err != nil {
 		return res, err
 	}
+	prot, err := newProtection(m, model, c.SEL.ildConfig(), c.Supervisor, guarded)
+	if err != nil {
+		return res, err
+	}
 
-	rng := rand.New(rand.NewSource(seed + 3))
-	mission := trace.FlightSoftware(rng, c.SEL.Duration, mc.Cores)
-	mission = ild.InjectBubbles(mission, ild.BubblePolicy{
-		BubbleLen: c.SEL.ildConfig().SustainFor + time.Second,
-		Pause:     3 * time.Minute,
-	})
-
-	nextSEL := c.SEL.SELEvery
-	selSince := time.Duration(-1)
-	missedCounted := false
+	sels := c.SEL.periodicSELs(c.SEL.SELEvery)
 	faultSamples := 0
-	m.RunTrace(mission, func(tel machine.Telemetry) {
-		// Latchup episode bookkeeping: one SEL at a time, next one
-		// scheduled a period after the previous clears (any power cycle
-		// clears it; a damaged board never clears).
-		if selSince >= 0 && !m.SELActive() {
-			selSince = -1
-			nextSEL = tel.T + c.SEL.SELEvery
-		}
-		if selSince < 0 && tel.T >= nextSEL && !m.Damaged() {
-			injectSEL(m, c.SEL.SELAmps)
-			selSince = tel.T
-			missedCounted = false
-		}
-		if selSince >= 0 && !missedCounted && tel.T-selSince > c.SEL.Window {
-			res.missedSELs++
-			missedCounted = true
-		}
-
+	m.RunTrace(flight, func(tel machine.Telemetry) {
+		sels.observe(m, tel.T)
 		faultActive := sp.kind != power.FaultNone && tel.T >= sp.onset &&
 			(sp.dur <= 0 || tel.T < sp.onset+sp.dur)
 		if faultActive {
 			faultSamples++
 		}
-
+		d, _ := prot.observe(tel)
 		if !guarded {
-			if det.Observe(tel) {
-				m.PowerCycle()
-				det.Reset()
-			}
 			return
 		}
-		d := sup.Observe(tel)
 		if faultActive && d.SensorOK && d.Mode == guard.ModeLinearModel {
 			res.falseHealthySamples++
 		}
@@ -320,16 +283,13 @@ func flyGuardArm(c GuardCampaignConfig, sp guardTrialSpec, model *linmodel.Model
 		if res.detectSamples < 0 && d.Demoted && faultActive {
 			res.detectSamples = faultSamples
 		}
-		if d.Fired || d.BlindCycle {
-			m.PowerCycle()
-			sup.NotePowerCycle(tel.T)
-		}
 	})
 
 	if guarded {
-		res.blindCycles = sup.BlindCycles()
-		res.finalMode = sup.Mode()
+		res.blindCycles = prot.sup.BlindCycles()
+		res.finalMode = prot.sup.Mode()
 	}
+	res.missedSELs = sels.missed
 	res.powerCycles = m.PowerCycles()
 	res.survived = !m.Damaged()
 	return res, nil
@@ -436,10 +396,7 @@ func WatchdogCampaign(c WatchdogCampaignConfig) ([]WatchdogTrial, *Table, error)
 			e.Int(int64(c.Datasets))
 			e.Int(int64(c.Chunk))
 			e.Int(c.Seed)
-			e.Duration(c.Watchdog.Deadline)
-			e.Int(int64(c.Watchdog.MaxStrikes))
-			e.Int(int64(c.Watchdog.RetryLimit))
-			e.Duration(c.Watchdog.BackoffBase)
+			encWatchdogConfig(e, c.Watchdog)
 			e.Duration(c.Stall)
 			e.Int(int64(specs[i].executor))
 			e.Str(specs[i].cause)
@@ -460,28 +417,17 @@ func WatchdogCampaign(c WatchdogCampaignConfig) ([]WatchdogTrial, *Table, error)
 			c.Datasets, c.Watchdog.Deadline),
 		Header: []string{"Executor", "Cause", "Kills", "Crashes", "Mode", "Backoff", "TMR outputs", "Degraded retry"},
 	}
-	okStr := func(ok bool) string {
-		if ok {
-			return "golden"
-		}
-		return "WRONG"
-	}
 	for _, tr := range trials {
 		tbl.AddRow(fmt.Sprint(tr.Executor), tr.Cause, fmt.Sprint(tr.Kills), fmt.Sprint(tr.Crashes),
-			tr.Mode.String(), tr.Backoff.String(), okStr(tr.TMROutputs), okStr(tr.Degraded))
+			tr.Mode.String(), tr.Backoff.String(), verdict(tr.TMROutputs), verdict(tr.Degraded))
 	}
 	return trials, tbl, nil
 }
 
 // watchdogTrialArm flies one (executor, cause) sweep point.
 func watchdogTrialArm(c WatchdogCampaignConfig, executor int, cause string) (WatchdogTrial, error) {
-	sp := struct {
-		executor int
-		cause    string
-	}{executor, cause}
-	tr := WatchdogTrial{Executor: sp.executor, Cause: sp.cause}
-
-	golden, err := watchdogGolden(c)
+	tr := WatchdogTrial{Executor: executor, Cause: cause}
+	golden, err := c.runWorkload(guard.Plan{Scheme: fault.SchemeNone, Executors: 1}, nil, -1, "")
 	if err != nil {
 		return tr, err
 	}
@@ -492,62 +438,29 @@ func watchdogTrialArm(c WatchdogCampaignConfig, executor int, cause string) (Wat
 
 	// Stage 1: TMR with the bad core. The watchdog kills/strikes it
 	// out; the remaining replicas still vote correct outputs.
-	cfg := emr.DefaultConfig()
-	cfg.Watch = w
-	rt, err := emr.New(cfg)
-	if err != nil {
-		return tr, err
-	}
-	spec, err := watchdogSpec(rt, c)
-	if err != nil {
-		return tr, err
-	}
-	spec.Hook = func(hp *emr.HookPoint) {
-		if hp.Phase == emr.PhaseAfterRead && hp.Executor == sp.executor {
-			if sp.cause == "hang" {
-				hp.Stall = c.Stall
-			} else {
-				hp.Fail = errInjectedCrash
-			}
-		}
-	}
-	res, err := rt.Run(spec)
+	res, err := c.runWorkload(guard.RedundancyTMR.Plan(), w, executor, cause)
 	if err != nil {
 		return tr, err
 	}
 	tr.Kills = w.Kills()
 	tr.Crashes = w.Crashes()
 	tr.Mode = w.Mode()
-	tr.TMROutputs = outputsMatch(res.Outputs, golden)
+	tr.TMROutputs = outputsMatch(res.Outputs, golden.Outputs)
 
 	// Stage 2: retry under the degraded plan after the deterministic
-	// backoff. A checksum-arbiter plan also runs the arbiter pass and
-	// requires it to agree.
+	// backoff. A checksum-arbiter plan also runs the arbiter pass, a
+	// checksum-guarded single run, and requires it to agree.
 	tr.Backoff, _ = w.Backoff(0)
 	plan := w.Plan()
-	cfg2 := emr.DefaultConfig()
-	cfg2.Scheme = plan.Scheme
-	cfg2.Executors = plan.Executors
-	cfg2.Watch = w
-	rt2, err := emr.New(cfg2)
-	if err != nil {
+	if res, err = c.runWorkload(plan, w, -1, ""); err != nil {
 		return tr, err
 	}
-	spec2, err := watchdogSpec(rt2, c)
-	if err != nil {
-		return tr, err
-	}
-	res2, err := rt2.Run(spec2)
-	if err != nil {
-		return tr, err
-	}
-	tr.Degraded = outputsMatch(res2.Outputs, golden)
+	tr.Degraded = outputsMatch(res.Outputs, golden.Outputs)
 	if plan.ChecksumArbiter && tr.Degraded {
-		ok, err := watchdogArbiter(c, golden)
-		if err != nil {
+		if res, err = c.runWorkload(guard.Plan{Scheme: fault.SchemeChecksum, Executors: 1}, nil, -1, ""); err != nil {
 			return tr, err
 		}
-		tr.Degraded = ok
+		tr.Degraded = outputsMatch(res.Outputs, golden.Outputs)
 	}
 	return tr, nil
 }
@@ -563,68 +476,43 @@ func watchdogJob(inputs [][]byte) ([]byte, error) {
 	return []byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)}, nil
 }
 
-// watchdogSpec stages the campaign's chunked datasets into rt.
-func watchdogSpec(rt *emr.Runtime, c WatchdogCampaignConfig) (emr.Spec, error) {
+// runWorkload runs the campaign's chunked digest workload on a fresh
+// runtime for plan, with watch attached. Cause "hang" stalls every
+// after-read visit of executor by Stall, "crash" fails it, and ""
+// injects nothing.
+func (c WatchdogCampaignConfig) runWorkload(plan guard.Plan, watch emr.Watcher, executor int, cause string) (*emr.Result, error) {
+	rt, err := emr.New(planConfig(plan, watch))
+	if err != nil {
+		return nil, err
+	}
 	data := make([]byte, c.Datasets*c.Chunk)
 	for i := range data {
 		data[i] = byte(int64(i)*7 + c.Seed)
 	}
 	ref, err := rt.LoadInput("wd", data)
 	if err != nil {
-		return emr.Spec{}, err
+		return nil, err
 	}
-	datasets := make([]emr.Dataset, c.Datasets)
-	for i := range datasets {
+	spec := emr.Spec{Name: "watchdog", Datasets: make([]emr.Dataset, c.Datasets), Job: watchdogJob, CyclesPerByte: 10}
+	for i := range spec.Datasets {
 		s, err := ref.Slice(uint64(i*c.Chunk), uint64(c.Chunk))
 		if err != nil {
-			return emr.Spec{}, err
+			return nil, err
 		}
-		datasets[i] = emr.Dataset{Inputs: []emr.InputRef{s}}
+		spec.Datasets[i] = emr.Dataset{Inputs: []emr.InputRef{s}}
 	}
-	return emr.Spec{Name: "watchdog", Datasets: datasets, Job: watchdogJob, CyclesPerByte: 10}, nil
-}
-
-// watchdogGolden computes the reference outputs with a single
-// unprotected run.
-func watchdogGolden(c WatchdogCampaignConfig) ([][]byte, error) {
-	cfg := emr.DefaultConfig()
-	cfg.Scheme = fault.SchemeNone
-	cfg.Executors = 1
-	rt, err := emr.New(cfg)
-	if err != nil {
-		return nil, err
+	if cause != "" {
+		spec.Hook = func(hp *emr.HookPoint) {
+			if hp.Phase == emr.PhaseAfterRead && hp.Executor == executor {
+				if cause == "hang" {
+					hp.Stall = c.Stall
+				} else {
+					hp.Fail = errInjectedCrash
+				}
+			}
+		}
 	}
-	spec, err := watchdogSpec(rt, c)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rt.Run(spec)
-	if err != nil {
-		return nil, err
-	}
-	return res.Outputs, nil
-}
-
-// watchdogArbiter runs the checksum-guarded pass a DMR plan pairs with
-// its two replicas and reports whether it agrees with the golden
-// outputs.
-func watchdogArbiter(c WatchdogCampaignConfig, golden [][]byte) (bool, error) {
-	cfg := emr.DefaultConfig()
-	cfg.Scheme = fault.SchemeChecksum
-	cfg.Executors = 1
-	rt, err := emr.New(cfg)
-	if err != nil {
-		return false, err
-	}
-	spec, err := watchdogSpec(rt, c)
-	if err != nil {
-		return false, err
-	}
-	res, err := rt.Run(spec)
-	if err != nil {
-		return false, err
-	}
-	return outputsMatch(res.Outputs, golden), nil
+	return rt.Run(spec)
 }
 
 // outputsMatch reports whether every dataset output equals the golden.

@@ -1,20 +1,17 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"time"
 
-	"radshield/internal/emr"
 	"radshield/internal/fault"
-	"radshield/internal/ild"
+	"radshield/internal/guard"
 	"radshield/internal/machine"
 	"radshield/internal/resultcache"
 	"radshield/internal/sched"
 	"radshield/internal/telemetry"
 	"radshield/internal/trace"
-	"radshield/internal/workloads"
 )
 
 // Mission-survival Monte Carlo: the deployment-level question the paper
@@ -98,7 +95,7 @@ func MissionSurvival(c MissionConfig) (protected, unprotected MissionTally, tbl 
 	// against; a fully warm cache skips it.
 	var golden [][]byte
 	if !cache.AllHit() {
-		golden, err = missionGolden()
+		golden, err = payloadGolden()
 		if err != nil {
 			return protected, unprotected, nil, err
 		}
@@ -111,17 +108,15 @@ func MissionSurvival(c MissionConfig) (protected, unprotected MissionTally, tbl 
 		return cache.CachedArm(i, func() (missionPair, error) {
 			seed := c.Seed + int64(i)*17
 			// One RNG stream builds the event schedule and the flight-software
-			// trace once per pair; both arms replay them read-only. (Each arm
-			// used to rebuild identical copies from the shared seed — the
-			// campaign's largest per-trial constructions, doubled for nothing.)
+			// trace once per pair; both arms replay them read-only.
 			rng := rand.New(rand.NewSource(seed))
 			events := env.Schedule(rng, c.Duration)
-			mission := trace.FlightSoftware(rng, c.Duration, machine.DefaultConfig().Cores)
-			p, err := flyOneMission(c, seed, true, golden, events, mission)
+			raw, bubbled := DefaultSELConfig().pairTrace(rng, c.Duration, 3*time.Minute)
+			p, err := flyOneMission(seed, true, golden, events, raw, bubbled)
 			if err != nil {
 				return missionPair{}, err
 			}
-			u, err := flyOneMission(c, seed, false, golden, events, mission)
+			u, err := flyOneMission(seed, false, golden, events, raw, bubbled)
 			if err != nil {
 				return missionPair{}, err
 			}
@@ -204,60 +199,30 @@ func accumulate(t *MissionTally, r missionResult) {
 	t.SEUsOutvoted += r.seusOutvoted
 }
 
-// missionGolden computes the reference payload outputs once.
-func missionGolden() ([][]byte, error) {
-	cfg := emr.DefaultConfig()
-	cfg.Scheme = fault.SchemeNone
-	rt, err := emr.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := workloads.ImageProcessing().Build(rt, 32<<10, 2026)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rt.Run(spec)
-	if err != nil {
-		return nil, err
-	}
-	return res.Outputs, nil
-}
-
-// flyOneMission simulates one mission arm. events and mission are the
-// pair-shared scaffolding, consumed read-only (the shielded arm derives
-// its own bubble-injected copy).
-func flyOneMission(c MissionConfig, seed int64, shielded bool, golden [][]byte, events []fault.Event, mission *trace.Trace) (missionResult, error) {
+// flyOneMission simulates one mission arm over the pair-shared events
+// and trace (the shielded arm flies the bubbled copy), both read-only.
+func flyOneMission(seed int64, shielded bool, golden [][]byte, events []fault.Event, raw, bubbled *trace.Trace) (missionResult, error) {
 	var out missionResult
-
 	selCfg := DefaultSELConfig()
 	selCfg.Seed = seed
-	var det *ild.Detector
+	m := machine.New(selCfg.machineConfig(seed + 1))
+
+	var prot *protection
+	flight, plan := raw, guard.Plan{Scheme: fault.SchemeUnprotectedParallel, Executors: 3}
 	if shielded {
-		var err error
-		det, err = TrainILD(selCfg)
+		det, err := TrainILD(selCfg)
 		if err != nil {
 			return out, err
 		}
-	}
-
-	mc := machine.DefaultConfig()
-	mc.SampleEvery = selCfg.SampleEvery
-	mc.SensorSeed = seed + 1
-	m := machine.New(mc)
-	if shielded {
-		mission = ild.InjectBubbles(mission, ild.BubblePolicy{BubbleLen: 4 * time.Second, Pause: 3 * time.Minute})
-	}
-
-	scheme := fault.SchemeUnprotectedParallel
-	if shielded {
-		scheme = fault.SchemeEMR
+		prot = &protection{m: m, det: det}
+		flight, plan = bubbled, guard.RedundancyTMR.Plan()
 	}
 
 	nextEvent := 0
 	pendingSEUs := 0
 	nextContact := 3 * time.Hour
 	var payloadErr error
-	m.RunTrace(mission, func(tel machine.Telemetry) {
+	m.RunTrace(flight, func(tel machine.Telemetry) {
 		for nextEvent < len(events) && events[nextEvent].T <= tel.T {
 			ev := events[nextEvent]
 			nextEvent++
@@ -267,23 +232,21 @@ func flyOneMission(c MissionConfig, seed int64, shielded bool, golden [][]byte, 
 				pendingSEUs++
 			}
 		}
-		if det != nil && det.Observe(tel) {
-			m.PowerCycle()
-			det.Reset()
-			out.latchupsCleared++
+		if prot != nil {
+			if _, cycled := prot.observe(tel); cycled {
+				out.latchupsCleared++
+			}
 		}
 		if tel.T >= nextContact && payloadErr == nil {
 			nextContact += 3 * time.Hour
-			ok, corrected, err := missionPayload(scheme, seed+int64(tel.T), pendingSEUs, golden)
+			res, err := payloadContact(plan, seed+int64(tel.T), pendingSEUs, golden)
 			if err != nil {
 				payloadErr = err
 				return
 			}
 			pendingSEUs = 0
-			out.seusOutvoted += corrected
-			if !ok {
-				out.sdc = true
-			}
+			out.seusOutvoted += res.corrected
+			out.sdc = out.sdc || res.sdc
 		}
 	})
 	if payloadErr != nil {
@@ -291,43 +254,4 @@ func flyOneMission(c MissionConfig, seed int64, shielded bool, golden [][]byte, 
 	}
 	out.damaged = m.Damaged()
 	return out, nil
-}
-
-// missionPayload runs the localization job under the scheme with the SEU
-// backlog striking the cache; detected failures are retried clean.
-func missionPayload(scheme fault.Scheme, seed int64, seus int, golden [][]byte) (ok bool, corrected int, err error) {
-	cfg := emr.DefaultConfig()
-	cfg.Scheme = scheme
-	rt, err := emr.New(cfg)
-	if err != nil {
-		return false, 0, err
-	}
-	spec, err := workloads.ImageProcessing().Build(rt, 32<<10, 2026)
-	if err != nil {
-		return false, 0, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	remaining := seus
-	spec.Hook = func(hp *emr.HookPoint) {
-		if remaining > 0 && hp.Phase == emr.PhaseAfterRead && rng.Float64() < 0.05 {
-			reg := hp.Regions[rng.Intn(len(hp.Regions))]
-			f := fault.RandomFlip(rng, reg.Len)
-			if rt.Cache().FlipBit(reg.Addr+f.Offset, f.Bit) {
-				remaining--
-			}
-		}
-	}
-	res, err := rt.Run(spec)
-	if err != nil {
-		return false, 0, err
-	}
-	for i := range golden {
-		if res.Outputs[i] == nil {
-			continue // detected → retried clean; not SDC
-		}
-		if !bytes.Equal(res.Outputs[i], golden[i]) {
-			return false, res.Report.Votes.Corrected, nil
-		}
-	}
-	return true, res.Report.Votes.Corrected, nil
 }

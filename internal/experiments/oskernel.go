@@ -11,7 +11,6 @@ import (
 	"radshield/internal/downlink"
 	"radshield/internal/emr"
 	"radshield/internal/guard"
-	"radshield/internal/ild"
 	"radshield/internal/linmodel"
 	"radshield/internal/machine"
 	"radshield/internal/resultcache"
@@ -295,10 +294,7 @@ func OSFaultCampaign(c OSFaultCampaignConfig) ([]OSFaultTrial, *Table, error) {
 			e.Duration(c.HousekeepEvery)
 			e.Int(int64(c.RecorderCap))
 			encSupervisorConfig(e, c.Supervisor)
-			e.Duration(c.Watchdog.Deadline)
-			e.Int(int64(c.Watchdog.MaxStrikes))
-			e.Int(int64(c.Watchdog.RetryLimit))
-			e.Duration(c.Watchdog.BackoffBase)
+			encWatchdogConfig(e, c.Watchdog)
 			e.Duration(c.Stall)
 			e.Int(int64(c.StallExecutor))
 			e.Int(int64(i))
@@ -318,11 +314,12 @@ func OSFaultCampaign(c OSFaultCampaignConfig) ([]OSFaultTrial, *Table, error) {
 		return cache.CachedArm(i, func() (OSFaultTrial, error) {
 			class, onset := gridPoint(i)
 			seed := c.SEL.Seed + 5000 + int64(i)*31
-			g, err := flyOSFaultArm(c, class, onset, model, seed, true)
+			_, flight := c.SEL.pairTrace(rand.New(rand.NewSource(seed+3)), c.SEL.Duration, 3*time.Minute)
+			g, err := flyOSFaultArm(c, class, onset, model, flight, seed, true)
 			if err != nil {
 				return OSFaultTrial{}, err
 			}
-			u, err := flyOSFaultArm(c, class, onset, model, seed, false)
+			u, err := flyOSFaultArm(c, class, onset, model, flight, seed, false)
 			if err != nil {
 				return OSFaultTrial{}, err
 			}
@@ -361,12 +358,6 @@ func OSFaultCampaign(c OSFaultCampaignConfig) ([]OSFaultTrial, *Table, error) {
 	for _, tr := range trials {
 		emrCol := "-"
 		if tr.Class == machine.OSFaultSchedulerStall {
-			verdict := func(ok bool) string {
-				if ok {
-					return "golden"
-				}
-				return "WRONG"
-			}
 			emrCol = fmt.Sprintf("kills=%d tmr=%s degraded=%s bare-overrun=%v",
 				tr.Kills, verdict(tr.TMRGolden), verdict(tr.DegradedGolden), tr.StallOverrun)
 		}
@@ -399,7 +390,7 @@ func latencyStr(d time.Duration) string {
 	return d.Round(10 * time.Millisecond).String()
 }
 
-// flyOSFaultArm flies one mission arm: flight software with bubbles,
+// flyOSFaultArm flies one mission arm over the pair's flight trace:
 // latchups on the campaign period, the scheduled OS fault, and the
 // flight recorder persisting NVRAM pages every SnapshotEvery. The
 // guarded arm has the hardware watchdog fitted, routes samples through
@@ -407,19 +398,8 @@ func latencyStr(d time.Duration) string {
 // before trusting it, and repairs a corrupt page at boot. The bare arm
 // flies the paper's baseline: no watchdog, a lone ILD detector, pages
 // written and restored blindly.
-func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset time.Duration, model *linmodel.Model, seed int64, guarded bool) (osArmResult, error) {
+func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset time.Duration, model *linmodel.Model, flight *trace.Trace, seed int64, guarded bool) (osArmResult, error) {
 	res := osArmResult{detectAt: -1, recoveredAt: -1, cleanReplay: true}
-	det, err := ild.NewDetector(model, c.SEL.ildConfig())
-	if err != nil {
-		return res, err
-	}
-	var sup *guard.Supervisor
-	if guarded {
-		if sup, err = guard.NewSupervisor(det, c.Supervisor); err != nil {
-			return res, err
-		}
-	}
-
 	mc := c.SEL.machineConfig(seed)
 	mc.Telemetry = nil // trials run in parallel; per-trial metrics stay local
 	if guarded {
@@ -438,13 +418,10 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 	if err := m.ScheduleOSFault(f); err != nil {
 		return res, err
 	}
-
-	rng := rand.New(rand.NewSource(seed + 3))
-	mission := trace.FlightSoftware(rng, c.SEL.Duration, mc.Cores)
-	mission = ild.InjectBubbles(mission, ild.BubblePolicy{
-		BubbleLen: c.SEL.ildConfig().SustainFor + time.Second,
-		Pause:     3 * time.Minute,
-	})
+	prot, err := newProtection(m, model, c.SEL.ildConfig(), c.Supervisor, guarded)
+	if err != nil {
+		return res, err
+	}
 
 	rec, err := downlink.NewRecorder(c.RecorderCap)
 	if err != nil {
@@ -512,43 +489,24 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 		page = written
 	}
 
-	nextSEL := c.SEL.SELEvery
+	firstSEL := c.SEL.SELEvery
 	if class == machine.OSFaultKernelPanic {
 		// Prime a latchup right before the panic: the recovery question
 		// for this class is whether the watchdog reset clears an SEL the
 		// dead board can no longer see, inside the detection window.
-		nextSEL = onset - c.SEL.SampleEvery
+		firstSEL = onset - c.SEL.SampleEvery
 	}
-	selSince := time.Duration(-1)
-	missedCounted := false
-	knownCycles := 0
+	sels := c.SEL.periodicSELs(firstSEL)
 	nextSave := c.SnapshotEvery
 	nextHousekeep := c.HousekeepEvery
 	faultSeen := false
 	var hkPayload [8]byte
 
-	m.RunTrace(mission, func(tel machine.Telemetry) {
-		// A power cycle is a reboot no matter who commanded it — the
-		// hardware watchdog and the supply trip fire inside the machine,
-		// so every callback starts by reconciling the cycle count.
-		if pc := m.PowerCycles(); pc > knownCycles {
-			knownCycles = pc
+	m.RunTrace(flight, func(tel machine.Telemetry) {
+		// A power cycle is a reboot no matter who commanded it, so every
+		// callback starts by reconciling the cycle count.
+		if prot.reconcile(tel.T) {
 			reboot(tel.T)
-			if guarded {
-				sup.NotePowerCycle(tel.T)
-			} else {
-				det.Reset()
-			}
-		}
-		cycleNow := func() {
-			m.PowerCycle()
-			knownCycles = m.PowerCycles()
-			reboot(tel.T)
-			if guarded {
-				sup.NotePowerCycle(tel.T)
-			} else {
-				det.Reset()
-			}
 		}
 
 		_, active := m.OSFaultActive(class)
@@ -559,21 +517,7 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 			res.recoveredAt = tel.T
 		}
 
-		// Latchup episode bookkeeping: one SEL at a time, the next one
-		// a period after the previous clears.
-		if selSince >= 0 && !m.SELActive() {
-			selSince = -1
-			nextSEL = tel.T + c.SEL.SELEvery
-		}
-		if selSince < 0 && tel.T >= nextSEL && !m.Damaged() {
-			injectSEL(m, c.SEL.SELAmps)
-			selSince = tel.T
-			missedCounted = false
-		}
-		if selSince >= 0 && !missedCounted && tel.T-selSince > c.SEL.Window {
-			res.missedSELs++
-			missedCounted = true
-		}
+		sels.observe(m, tel.T)
 
 		// Housekeeping: one telemetry record per period, plus the EMR
 		// frontier read the flight software does on the same tick (an
@@ -597,17 +541,7 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 			}
 		}
 
-		if !guarded {
-			if det.Observe(tel) && !m.KernelHung() {
-				// A software-commanded power cycle needs a live kernel to
-				// run the rail-control code; a hung board cannot save
-				// itself. (The guarded arm's supervisor drives an external
-				// hardware power switch instead.)
-				cycleNow()
-			}
-			return
-		}
-		d := sup.Observe(tel)
+		d, cycled := prot.observe(tel)
 		// Only the unambiguous OS-level signals count as detection:
 		// a heartbeat gap (the board went silent) or a hang cycle (the
 		// counter surface wedged). d.Fired is the SEL path doing its
@@ -615,24 +549,19 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 		if d.HangCycle || d.HeartbeatGap {
 			detect(tel.T)
 		}
-		if d.Fired || d.BlindCycle || d.HangCycle {
-			cycleNow()
+		if cycled {
+			reboot(tel.T)
 		}
 	})
+	sels.close(c.SEL.Duration)
 
-	// End-of-mission sweep: an SEL still burning when the trace ran out
-	// (a dead bare board stops sampling but keeps heating) is missed if
-	// it outlived the window.
-	if selSince >= 0 && !missedCounted && c.SEL.Duration-selSince > c.SEL.Window {
-		res.missedSELs++
-	}
-
+	res.missedSELs = sels.missed
 	res.lost = res.enqueued - rec.Len()
 	res.powerCycles = m.PowerCycles()
 	res.wdResets = m.WatchdogResets()
 	res.ioErrors = m.IOErrors()
 	if guarded {
-		res.hangCycles = sup.HangCycles()
+		res.hangCycles = prot.sup.HangCycles()
 	}
 	res.survived = !m.Damaged()
 	return res, nil
@@ -668,40 +597,14 @@ func stallEMRStage(c OSFaultCampaignConfig, seed int64, tr *OSFaultTrial) error 
 	// Bare runtime: same stalls, no watchdog. The run still completes —
 	// nothing kills the wedged visits — but the makespan absorbs every
 	// stall in full.
-	healthy, err := stallMakespan(wc, -1, 0)
+	healthy, err := wc.runWorkload(guard.RedundancyTMR.Plan(), nil, -1, "")
 	if err != nil {
 		return err
 	}
-	stalled, err := stallMakespan(wc, c.StallExecutor, c.Stall)
+	stalled, err := wc.runWorkload(guard.RedundancyTMR.Plan(), nil, c.StallExecutor, "hang")
 	if err != nil {
 		return err
 	}
-	tr.StallOverrun = stalled - healthy
+	tr.StallOverrun = stalled.Report.Makespan - healthy.Report.Makespan
 	return nil
-}
-
-// stallMakespan runs the watchdog campaign's workload on an unwatched
-// TMR runtime, stalling every visit of the given executor (-1: none),
-// and returns the virtual makespan.
-func stallMakespan(wc WatchdogCampaignConfig, executor int, stall time.Duration) (time.Duration, error) {
-	rt, err := emr.New(emr.DefaultConfig())
-	if err != nil {
-		return 0, err
-	}
-	spec, err := watchdogSpec(rt, wc)
-	if err != nil {
-		return 0, err
-	}
-	if executor >= 0 {
-		spec.Hook = func(hp *emr.HookPoint) {
-			if hp.Phase == emr.PhaseAfterRead && hp.Executor == executor {
-				hp.Stall = stall
-			}
-		}
-	}
-	res, err := rt.Run(spec)
-	if err != nil {
-		return 0, err
-	}
-	return res.Report.Makespan, nil
 }

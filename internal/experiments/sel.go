@@ -173,11 +173,7 @@ func recordTable2Campaign(c SELConfig) *table2Recording {
 	m := machine.New(c.machineConfig(c.Seed))
 	rng := rand.New(rand.NewSource(c.Seed + 1))
 	flight := trace.FlightSoftware(rng, c.Duration, 4)
-	// Bubbles one second longer than the sustain requirement: the sample
-	// straddling the workload→bubble boundary reads as busy and resets
-	// the averaging window, so a bare 3 s bubble never quite fills a 3 s
-	// window.
-	policy := ild.BubblePolicy{BubbleLen: c.ildConfig().SustainFor + time.Second, Pause: 3 * time.Minute, Instruments: ild.NewInstruments(c.Telemetry)}
+	policy := ild.BubblePolicy{BubbleLen: c.bubbleLen(), Pause: 3 * time.Minute, Instruments: ild.NewInstruments(c.Telemetry)}
 	flight = ild.InjectBubbles(flight, policy)
 
 	rec := &table2Recording{}

@@ -1,7 +1,10 @@
 package ild
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -91,4 +94,40 @@ func TestDecodeModelRejectsNonFinite(t *testing.T) {
 	if _, err := DecodeModel(inf); !errors.Is(err, ErrBadModelBlob) {
 		t.Fatalf("Inf model accepted: %v", err)
 	}
+}
+
+// FuzzDecodeModel feeds DecodeModel arbitrary uplink bytes. With sealed
+// set, the fuzzer's bytes get a valid CRC appended, so the parsing past
+// the checksum is explored too. DecodeModel must never panic; a
+// rejected blob must wrap ErrBadModelBlob; an accepted one must hold at
+// most 65,536 finite coefficients and re-encode to exactly its bytes.
+func FuzzDecodeModel(f *testing.F) {
+	f.Add(EncodeModel(&linmodel.Model{Weights: []float64{0.25, -1e-9, 3}, Intercept: 1.55}), false)
+	f.Add(EncodeModel(&linmodel.Model{Intercept: math.Copysign(0, -1)}), false)
+	f.Add([]byte(persistMagic+"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), true)
+	f.Add([]byte(persistMagic+"\x20\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), true)
+	f.Add([]byte(persistMagic+"\x00\x00\x00\x00\x00\x01\x00\x01\x7f\xf0\x00\x00\x00\x00\x00\x00"), true)
+	f.Fuzz(func(t *testing.T, blob []byte, sealed bool) {
+		if sealed {
+			blob = binary.BigEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
+		}
+		m, err := DecodeModel(blob)
+		if err != nil {
+			if !errors.Is(err, ErrBadModelBlob) {
+				t.Fatalf("rejection %v does not wrap ErrBadModelBlob", err)
+			}
+			return
+		}
+		if len(m.Weights) > 1<<16 {
+			t.Fatalf("accepted %d weights, over the 65,536 limit", len(m.Weights))
+		}
+		for _, v := range append([]float64{m.Intercept}, m.Weights...) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted non-finite coefficient %v", v)
+			}
+		}
+		if again := EncodeModel(m); !bytes.Equal(again, blob) {
+			t.Fatalf("re-encoded blob differs\n got %x\nwant %x", again, blob)
+		}
+	})
 }

@@ -1,5 +1,6 @@
 // Package profiling wires runtime/pprof's CPU and heap collectors into
-// the command-line harnesses (radbench, faultcamp). The profiling
+// the command-line harnesses (radbench for every campaign, faultcamp
+// for Table 7). The profiling
 // workflow — which campaigns to profile, how to read the output, and
 // what the flagship bottlenecks were — is documented in PERFORMANCE.md.
 package profiling
