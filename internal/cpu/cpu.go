@@ -116,8 +116,11 @@ func (c *Core) Counters() Counters { return c.counters }
 
 // Step advances the core by dt, accumulating counters according to the
 // current frequency and load.
-func (c *Core) Step(dt time.Duration) {
-	sec := dt.Seconds()
+func (c *Core) Step(dt time.Duration) { c.StepSeconds(dt.Seconds()) }
+
+// StepSeconds is Step for a step already converted to seconds, so a
+// board stepping every core by the same dt converts it once.
+func (c *Core) StepSeconds(sec float64) {
 	if sec <= 0 {
 		return
 	}

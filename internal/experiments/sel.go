@@ -159,24 +159,35 @@ type table2Episode struct {
 // paper's schedule, plus the episode windows derived from it. Episode
 // scheduling depends only on sample timestamps — never on detector
 // output — so every monitor can replay the identical stream in
-// parallel. Memory: one machine.Telemetry per sample (~220 B), ≈0.3 GB
-// for the paper-scale 4 h / 10 ms campaign; scale Duration accordingly.
+// parallel. Memory: one machine.Telemetry (64 B) plus four
+// CoreTelemetry (160 B) per sample, ≈0.3 GB for the paper-scale
+// 4 h / 10 ms campaign; scale Duration accordingly.
 type table2Recording struct {
 	samples  []machine.Telemetry
 	episodes []table2Episode
+	// perCore backs every sample's PerCore, back to back: RunTrace
+	// reuses one buffer for every sample, so each is copied here.
+	perCore []machine.CoreTelemetry
 }
 
 // recordTable2Campaign plays the Table 2 flight trace once, injecting
 // and clearing latchups exactly as the serial harness did, and records
 // the resulting telemetry stream.
 func recordTable2Campaign(c SELConfig) *table2Recording {
-	m := machine.New(c.machineConfig(c.Seed))
+	mc := c.machineConfig(c.Seed)
+	m := machine.New(mc)
 	rng := rand.New(rand.NewSource(c.Seed + 1))
 	flight := trace.FlightSoftware(rng, c.Duration, 4)
 	policy := ild.BubblePolicy{BubbleLen: c.bubbleLen(), Pause: 3 * time.Minute, Instruments: ild.NewInstruments(c.Telemetry)}
 	flight = ild.InjectBubbles(flight, policy)
 
-	rec := &table2Recording{}
+	// RunTrace samples once per SampleEvery of trace time, so the
+	// recording never outgrows these.
+	n := int(flight.Total() / mc.SampleEvery)
+	rec := &table2Recording{
+		samples: make([]machine.Telemetry, 0, n),
+		perCore: make([]machine.CoreTelemetry, 0, n*mc.Cores),
+	}
 	nextSEL := c.SELEvery
 	episodeEnd := time.Duration(-1)
 	k := 0
@@ -186,6 +197,9 @@ func recordTable2Campaign(c SELConfig) *table2Recording {
 			episodeEnd = tel.T + c.Window
 			rec.episodes = append(rec.episodes, table2Episode{start: tel.T, firstSample: k, lastSample: -1})
 		}
+		start := len(rec.perCore)
+		rec.perCore = append(rec.perCore, tel.PerCore...)
+		tel.PerCore = rec.perCore[start:len(rec.perCore):len(rec.perCore)]
 		rec.samples = append(rec.samples, tel)
 		if episodeEnd >= 0 && tel.T >= episodeEnd {
 			m.ClearSEL()

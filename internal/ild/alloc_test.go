@@ -86,3 +86,44 @@ func TestAllocsBaselineObserve(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsRecorderObserve pins ildmon's flight-log path: the recorder
+// computes each quiescent sample's prediction into a reused feature
+// buffer, so a record costs nothing beyond the preallocated ring.
+func TestAllocsRecorderObserve(t *testing.T) {
+	cores := 2
+	model := &linmodel.Model{Weights: make([]float64, FeatureDim(cores)), Intercept: 1.5}
+	det, err := NewDetector(model, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := NewRecorder(det, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet := machine.Telemetry{
+		CurrentA: 1.52,
+		PerCore: []machine.CoreTelemetry{
+			{InstrPerSec: 1e6, BusCyclesPerSec: 2e6, FreqHz: 6e8, CacheHitRate: 0.9},
+			{InstrPerSec: 1e6, BusCyclesPerSec: 2e6, FreqHz: 6e8, CacheHitRate: 0.9},
+		},
+	}
+	busy := quiet
+	busy.PerCore = []machine.CoreTelemetry{
+		{InstrPerSec: 4e8, BusCyclesPerSec: 8e8, FreqHz: 1.4e9, CacheHitRate: 0.95},
+		{InstrPerSec: 4e8, BusCyclesPerSec: 8e8, FreqHz: 1.4e9, CacheHitRate: 0.95},
+	}
+	rec.Observe(quiet) // first sample establishes the scratch buffers
+
+	tick := DefaultConfig().SampleEvery
+	now := time.Duration(0)
+	avg := testing.AllocsPerRun(1000, func() {
+		now += tick
+		quiet.T, busy.T = now, now
+		rec.Observe(quiet)
+		rec.Observe(busy)
+	})
+	if avg != 0 {
+		t.Errorf("Recorder.Observe allocates %.3f objects per sample pair, want 0", avg)
+	}
+}

@@ -29,6 +29,7 @@ type Recorder struct {
 	buf  []Record
 	head int
 	full bool
+	feat []float64 // feature scratch for Predicted, reused every sample
 }
 
 var _ Monitor = (*Recorder)(nil)
@@ -48,12 +49,14 @@ func NewRecorder(det *Detector, capacity int) (*Recorder, error) {
 func (r *Recorder) Detector() *Detector { return r.det }
 
 // Observe implements Monitor: it forwards to the detector and records
-// the observation.
+// the observation. A sample the detector rejects as NaN/Inf is recorded
+// as not quiescent, with no prediction: the detector never measured it.
 func (r *Recorder) Observe(tel machine.Telemetry) bool {
-	quiescent := r.det.Quiescent(tel)
+	quiescent := badSampleReason(tel) == "" && r.det.Quiescent(tel)
 	var predicted float64
 	if quiescent {
-		predicted = r.det.model.Predict(Features(tel))
+		r.feat = AppendFeatures(r.feat[:0], tel)
+		predicted = r.det.model.Predict(r.feat)
 	}
 	flagged := r.det.Observe(tel)
 	r.push(Record{

@@ -2,11 +2,13 @@ package ild
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"radshield/internal/linmodel"
 	"radshield/internal/machine"
 	"radshield/internal/trace"
 )
@@ -96,6 +98,55 @@ func TestRecorderDumpCSV(t *testing.T) {
 	}
 	if len(lines) != rec.Len()+1 {
 		t.Fatalf("%d lines for %d records", len(lines), rec.Len())
+	}
+}
+
+// TestRecorderRejectedSampleNotQuiescent pins the flight log to the
+// detector's view of a corrupt sample: a finite current with one NaN
+// counter rate is rejected by the detector, so the record must not
+// claim a quiescent measurement, and its Predicted must stay NaN-free
+// (the CSV dump once carried "NaN" there).
+func TestRecorderRejectedSampleNotQuiescent(t *testing.T) {
+	model := &linmodel.Model{Weights: make([]float64, FeatureDim(1)), Intercept: 1.5}
+	det, err := NewDetector(model, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := newRecorder(t, det, 10)
+	clean := machine.Telemetry{
+		T:        time.Millisecond,
+		CurrentA: 1.5,
+		PerCore:  []machine.CoreTelemetry{{InstrPerSec: 1e6, FreqHz: 6e8, CacheHitRate: 0.9}},
+	}
+	nanRate := clean
+	nanRate.T = 2 * time.Millisecond
+	nanRate.PerCore = []machine.CoreTelemetry{{InstrPerSec: 1e6, FreqHz: 6e8, BranchMissRate: math.NaN()}}
+	infCurrent := clean
+	infCurrent.T = 3 * time.Millisecond
+	infCurrent.CurrentA = math.Inf(1)
+	for _, tel := range []machine.Telemetry{clean, nanRate, infCurrent} {
+		rec.Observe(tel)
+	}
+	if got := det.BadSamples(); got != 2 {
+		t.Fatalf("detector rejected %d samples, want 2", got)
+	}
+	records := rec.Records()
+	if r := records[0]; !r.Quiescent || r.Predicted != 1.5 {
+		t.Fatalf("clean record = %+v, want quiescent with Predicted 1.5", r)
+	}
+	for _, r := range records[1:] {
+		if r.Quiescent || r.Predicted != 0 {
+			t.Fatalf("rejected record = %+v, want not quiescent with Predicted 0", r)
+		}
+	}
+	var buf bytes.Buffer
+	if err := rec.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] {
+		if field := strings.Split(line, ",")[2]; strings.Contains(field, "NaN") {
+			t.Fatalf("dump record %d predicted_a = %q", i, field)
+		}
 	}
 }
 

@@ -17,6 +17,13 @@
 // a callback per Telemetry sample; Telemetry carries per-core
 // CoreTelemetry counters plus raw and filtered current.
 //
+// Sample ownership: RunTrace samples every PerCore into one buffer the
+// machine owns and rewrites on the next sample, so the Telemetry its
+// callback receives is valid only until the callback returns. A
+// consumer that keeps samples copies PerCore (Table 2's record-once
+// replay copies each into its own arena). Sample, called directly,
+// returns a PerCore slice the caller owns.
+//
 // Invariants: a latched machine whose SEL is not cleared within
 // Config.SELDamageAfter of simulated time is permanently damaged (the
 // paper's ~5-minute thermal horizon); PowerCycle always clears the

@@ -127,12 +127,17 @@ type Machine struct {
 	state     power.BoardState
 	modelCurA float64
 
-	// telBuf chunk-allocates Telemetry.PerCore slices: samples are handed
-	// out as disjoint sub-slices of a shared block, so callbacks that
-	// retain samples (the Table 2 recorder) stay safe while per-sample
-	// allocation drops to one block per telChunkSamples samples.
-	telBuf []CoreTelemetry
-	telPos int
+	// runPerCore is the one PerCore buffer RunTrace samples into: its
+	// callback sees each sample only until it returns, so the loop reuses
+	// it instead of allocating. telBuf chunk-allocates the PerCore slices
+	// Sample hands its direct callers, who own them: disjoint sub-slices
+	// of a shared block, one block per telChunkSamples samples.
+	runPerCore []CoreTelemetry
+	telBuf     []CoreTelemetry
+	telPos     int
+
+	// tripNeed is Config.TripSustain in samples, at least 1.
+	tripNeed int
 
 	diskReadRate  float64 // sectors/s, from the current segment
 	diskWriteRate float64
@@ -201,6 +206,8 @@ func New(cfg Config) *Machine {
 		pmodel:       model,
 		lastCounters: make([]cpu.Counters, cfg.Cores),
 		glitchActive: make([]GlitchKind, cfg.Cores),
+		runPerCore:   make([]CoreTelemetry, cfg.Cores),
+		tripNeed:     max(int(cfg.TripSustain/cfg.SampleEvery), 1),
 		ins:          newInstruments(cfg.Telemetry),
 	}
 	for i := 0; i < cfg.Cores; i++ {
@@ -346,7 +353,7 @@ func (m *Machine) Step(dt time.Duration) {
 	sec := dt.Seconds()
 	if !m.osActive[OSFaultKernelPanic] {
 		for _, c := range m.cores {
-			c.Step(dt)
+			c.StepSeconds(sec)
 		}
 		m.cumDiskR += m.diskReadRate * sec
 		m.cumDiskW += m.diskWriteRate * sec
@@ -371,8 +378,13 @@ func (m *Machine) Step(dt time.Duration) {
 }
 
 // Sample produces a Telemetry observation over the interval since the
-// previous sample.
-func (m *Machine) Sample() Telemetry {
+// previous sample. Its PerCore slice belongs to the caller: later
+// samples never write to it.
+func (m *Machine) Sample() Telemetry { return m.sample(m.nextPerCore()) }
+
+// sample is the one sampling body behind Sample and RunTrace: it fills
+// pc, one entry per core, and returns the Telemetry carrying it.
+func (m *Machine) sample(pc []CoreTelemetry) Telemetry {
 	now := m.clock.Now()
 	interval := now - m.lastSample
 	sec := interval.Seconds()
@@ -380,7 +392,7 @@ func (m *Machine) Sample() Telemetry {
 		sec = m.cfg.SampleEvery.Seconds() // degenerate: avoid div-by-zero
 	}
 	hung := m.osActive[OSFaultKernelHang]
-	tel := Telemetry{T: now, PerCore: m.nextPerCore()}
+	tel := Telemetry{T: now, PerCore: pc}
 	for i, c := range m.cores {
 		cur := c.Counters()
 		g, glitching := m.activeGlitch(i)
@@ -456,11 +468,7 @@ func (m *Machine) Sample() Telemetry {
 		} else {
 			m.tripConsecutive = 0
 		}
-		need := int(m.cfg.TripSustain / m.cfg.SampleEvery)
-		if need < 1 {
-			need = 1
-		}
-		if m.tripConsecutive >= need {
+		if m.tripConsecutive >= m.tripNeed {
 			m.tripConsecutive = 0
 			m.supplyTrips++
 			m.ins.supplyTrip(now)
@@ -478,9 +486,8 @@ const telChunkSamples = 256
 
 // nextPerCore hands out the next per-sample CoreTelemetry slice from the
 // chunk buffer. Each returned slice is full-capacity-clipped and never
-// reused, so samples retained by callbacks (the Table 2 recorder keeps
-// every one) stay immutable; only the amortized chunk allocation is
-// shared.
+// reused, so a sample Sample returned stays immutable; only the
+// amortized chunk allocation is shared.
 func (m *Machine) nextPerCore() []CoreTelemetry {
 	n := len(m.cores)
 	if m.telPos+n > len(m.telBuf) {
@@ -499,6 +506,11 @@ func (m *Machine) SupplyTrips() int { return m.supplyTrips }
 // RunTrace plays a trace through the machine at the telemetry cadence,
 // invoking onSample for every sample. onSample may be nil. It returns the
 // number of samples taken.
+//
+// Every sample's PerCore is the same machine-owned buffer, rewritten by
+// the next sample: it is valid only until onSample returns. A callback
+// that keeps samples must copy PerCore (Sample, called directly,
+// returns a slice the caller owns).
 //
 // The callback may call PowerCycle or InjectSEL; segment activity
 // continues unchanged (a latchup does not stop the workload).
@@ -522,7 +534,7 @@ func (m *Machine) RunTrace(tr *trace.Trace, onSample func(Telemetry)) int {
 					continue // a panicked kernel runs no sampler
 				}
 				samples++
-				tel := m.Sample()
+				tel := m.sample(m.runPerCore)
 				if onSample != nil {
 					onSample(tel)
 				}

@@ -13,6 +13,15 @@
 // MatMulSteps, mission profiles) build seeded random timelines;
 // ild.InjectBubbles rewrites a trace to splice in measurement bubbles.
 //
+// Generators build each trace in place: nested stretches (a flight's
+// quiescent and burst phases) append straight into the one trace, and
+// every segment's Loads is a capacity-clipped window of a load slab the
+// trace owns, so a multi-thousand-segment trace costs a few dozen
+// allocations. Generated Loads are read-only: a copy of a segment
+// shares its window (ild.InjectBubbles splits workload segments into
+// copies, and both arms of a campaign pair fly one trace), so a write
+// would show through every copy.
+//
 // Invariants: generation is deterministic given the rand source; a
 // trace's Total equals the sum of its segment durations; segments are
 // strictly sequential with no gaps or overlap, so the machine can play

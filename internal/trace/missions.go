@@ -22,28 +22,28 @@ const MarsSolHours = 24.66
 // solar-powered and sleep through the night.
 func MarsSol(rng *rand.Rand, cores int) *Trace {
 	sol := time.Duration(MarsSolHours * float64(time.Hour))
-	t := &Trace{}
+	b := newBuilder()
 
 	// Overnight (≈40 % of the sol): deep quiescence, sparse housekeeping.
 	night := time.Duration(0.40 * float64(sol))
-	t.Append(Quiescent(rng, night/2, time.Minute).Segments...)
+	b.quiescent(rng, night/2, time.Minute)
 
 	// Morning uplink + planning burst.
-	t.Append(Burst(rng, 20*time.Minute, cores).Segments...)
+	b.burst(rng, 20*time.Minute, cores)
 
 	// Drive window: alternating localization compute and imaging pauses.
 	driveEnd := time.Duration(0.75 * float64(sol))
-	for t.Total() < driveEnd {
-		t.Append(Burst(rng, 5*time.Minute+time.Duration(rng.Int63n(int64(10*time.Minute))), cores).Segments...)
-		t.Append(Quiescent(rng, 2*time.Minute+time.Duration(rng.Int63n(int64(5*time.Minute))), 20*time.Second).Segments...)
+	for b.total < driveEnd {
+		b.burst(rng, 5*time.Minute+time.Duration(rng.Int63n(int64(10*time.Minute))), cores)
+		b.quiescent(rng, 2*time.Minute+time.Duration(rng.Int63n(int64(5*time.Minute))), 20*time.Second)
 	}
 
 	// Afternoon downlink burst, then the rest of the night.
-	t.Append(Burst(rng, 15*time.Minute, cores).Segments...)
-	if rem := sol - t.Total(); rem > 0 {
-		t.Append(Quiescent(rng, rem, time.Minute).Segments...)
+	b.burst(rng, 15*time.Minute, cores)
+	if rem := sol - b.total; rem > 0 {
+		b.quiescent(rng, rem, time.Minute)
 	}
-	return clip(t, sol)
+	return clip(b.t, sol)
 }
 
 // DeepSpaceCruise generates a long cruise-phase profile: overwhelmingly
@@ -51,29 +51,29 @@ func MarsSol(rng *rand.Rand, cores int) *Trace {
 // checkInterval — the quietest profile ILD sees, and the one with the
 // most natural detection opportunities.
 func DeepSpaceCruise(rng *rand.Rand, total, checkInterval time.Duration, cores int) *Trace {
-	t := &Trace{}
-	for t.Total() < total {
+	b := newBuilder()
+	for b.total < total {
 		quiet := checkInterval - 5*time.Minute + time.Duration(rng.Int63n(int64(4*time.Minute)))
 		if quiet < 0 {
 			quiet = checkInterval / 2
 		}
-		t.Append(Quiescent(rng, quiet, time.Minute).Segments...)
-		if t.Total() >= total {
+		b.quiescent(rng, quiet, time.Minute)
+		if b.total >= total {
 			break
 		}
-		t.Append(Burst(rng, 3*time.Minute+time.Duration(rng.Int63n(int64(4*time.Minute))), cores).Segments...)
+		b.burst(rng, 3*time.Minute+time.Duration(rng.Int63n(int64(4*time.Minute))), cores)
 	}
-	return clip(t, total)
+	return clip(b.t, total)
 }
 
 // GroundTestbed generates the paper's §4.1 bench profile: the
 // F´-style flight-software workload cycling continuously with induced
 // quiescence every three minutes — the trace the 960-hour campaign ran.
 func GroundTestbed(rng *rand.Rand, total time.Duration, cores int) *Trace {
-	t := &Trace{}
-	for t.Total() < total {
-		t.Append(Burst(rng, 3*time.Minute, cores).Segments...)
-		t.Append(Quiescent(rng, 20*time.Second, 10*time.Second).Segments...)
+	b := newBuilder()
+	for b.total < total {
+		b.burst(rng, 3*time.Minute, cores)
+		b.quiescent(rng, 20*time.Second, 10*time.Second)
 	}
-	return clip(t, total)
+	return clip(b.t, total)
 }

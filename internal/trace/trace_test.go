@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -124,6 +125,56 @@ func TestClipExactness(t *testing.T) {
 		tr := FlightSoftware(rng, total, 2)
 		if got := tr.Total(); got != total {
 			t.Fatalf("FlightSoftware(%v).Total() = %v", total, got)
+		}
+	}
+}
+
+// TestClipProperties checks in-place clip on random traces, zero-length
+// segments and exact boundaries included: the result totals exactly
+// the target, holds no zero-length segment, and keeps every segment
+// before the cut as it was, in order, with only the last one shortened.
+func TestClipProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 2000; trial++ {
+		tr := &Trace{}
+		for n := rng.Intn(8); n > 0; n-- {
+			s := Segment{Duration: time.Duration(rng.Intn(4)) * time.Second, Kind: Kind(rng.Intn(3))}
+			if rng.Intn(2) == 0 {
+				s.Loads = []cpu.Load{{Util: rng.Float64()}}
+			}
+			s.DiskReadPerSec = rng.Float64()
+			tr.Append(s)
+		}
+		full := tr.Total()
+		target := time.Duration(rng.Int63n(int64(full) + 1))
+		if rng.Intn(4) == 0 {
+			target = time.Duration(rng.Intn(int(full/time.Second)+1)) * time.Second // on a boundary
+		}
+		var kept []Segment // the non-empty input segments, in order
+		for _, s := range tr.Segments {
+			if s.Duration > 0 {
+				kept = append(kept, s)
+			}
+		}
+
+		got := clip(tr, target)
+		if got.Total() != target {
+			t.Fatalf("trial %d: clip to %v totals %v", trial, target, got.Total())
+		}
+		for i, s := range got.Segments {
+			if s.Duration <= 0 {
+				t.Fatalf("trial %d: segment %d has length %v", trial, i, s.Duration)
+			}
+			want := kept[i]
+			if i == len(got.Segments)-1 {
+				if s.Duration > want.Duration {
+					t.Fatalf("trial %d: last segment grew from %v to %v", trial, want.Duration, s.Duration)
+				}
+				want.Duration = s.Duration
+			}
+			if !reflect.DeepEqual(s, want) {
+				t.Fatalf("trial %d: segment %d = %+v, want %+v", trial, i, s, want)
+			}
 		}
 	}
 }
