@@ -4,7 +4,8 @@
 // surface for the aggregated mission state and groundstation_* metrics.
 //
 // Flight-side peers are the -downlink flags of ildmon, radbench and
-// faultcamp, or any client speaking the frame format in DOWNLINK.md.
+// examples/leomission, or any client speaking the frame format in
+// DOWNLINK.md.
 // radbench -exp oskernel ships the watchdog_reset / recorder_recovered
 // counts that /state tallies per link.
 //

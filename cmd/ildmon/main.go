@@ -92,7 +92,15 @@ func main() {
 	mc.Telemetry = reg
 	m := machine.New(mc)
 
-	var sup *guard.Supervisor
+	// The bare path observes through the recorder, which keeps a
+	// fine-grained telemetry ring for post-incident analysis (§5 of the
+	// paper: definitive SEL attribution from the ground). The guard
+	// supervisor drives the detector itself, so it gets no ring.
+	var (
+		sup  *guard.Supervisor
+		rec  *ild.Recorder
+		bare guard.Detector = det
+	)
 	if kind != power.FaultNone {
 		if err := m.Sensor().ScheduleFault(power.SensorFault{
 			Kind: kind, Start: *faultAt, Duration: *faultFor, OffsetA: *faultOfs,
@@ -110,17 +118,23 @@ func main() {
 			forStr = fmt.Sprintf("for %v", *faultFor)
 		}
 		fmt.Printf("sensor fault scheduled: %v at %v %s — guard supervisor engaged\n", kind, *faultAt, forStr)
+		if *dump != "" {
+			log.Fatal("-dump is unavailable with -sensor-fault: the guard supervisor owns the detector")
+		}
+	} else {
+		if rec, err = ild.NewRecorder(det, 60000); err != nil {
+			log.Fatalf("recorder: %v", err)
+		}
+		bare = rec
 	}
+	prot := guard.NewProtection(m, bare, sup)
 
 	// Downlink: mission events stream to a live ground station with full
 	// ARQ; the guard supervisor's mode changes drive beacon-mode
 	// degradation on the same transmitter.
 	var feed *downlink.Feed
 	if *dlAddr != "" {
-		if *dlLink < 1 || *dlLink > 0xFFFF {
-			log.Fatalf("-link-id %d out of range [1, 65535]", *dlLink)
-		}
-		if feed, err = downlink.DialFeed(*dlAddr, uint16(*dlLink)); err != nil {
+		if feed, err = downlink.DialFeed(*dlAddr, *dlLink); err != nil {
 			log.Fatal(err)
 		}
 		defer feed.Close()
@@ -148,19 +162,6 @@ func main() {
 	fmt.Printf("mission start: %v of flight software, SEL strike at %v (+%.3f A)\n",
 		mission.Total().Round(time.Second), *selAt, *selAmps)
 
-	// Fine-grained telemetry ring for post-incident analysis (§5 of the
-	// paper: definitive SEL attribution from the ground). The recorder
-	// drives the detector itself, so it only runs when the guard
-	// supervisor is not in the loop.
-	var rec *ild.Recorder
-	if sup == nil {
-		if rec, err = ild.NewRecorder(det, 60000); err != nil {
-			log.Fatalf("recorder: %v", err)
-		}
-	} else if *dump != "" {
-		log.Fatal("-dump is unavailable with -sensor-fault: the guard supervisor owns the detector")
-	}
-
 	var (
 		struck     bool
 		detectedAt = time.Duration(-1)
@@ -177,41 +178,31 @@ func main() {
 			enqueueEvent(tel.T, fmt.Sprintf("sel_strike t=%v amps=%.3f", tel.T, *selAmps))
 		}
 
-		fired := false
-		if sup != nil {
-			d := sup.Observe(tel)
-			if d.Demoted {
-				fmt.Printf("[%8s] --- guard demotes detector to %v (%s)\n",
-					tel.T.Round(time.Second), d.Mode, d.Reason)
-				enqueueEvent(tel.T, fmt.Sprintf("guard_demote t=%v mode=%v reason=%s", tel.T, d.Mode, d.Reason))
-			}
-			if d.Promoted {
-				fmt.Printf("[%8s] +++ sensor healthy again — guard promotes detector to %v\n",
-					tel.T.Round(time.Second), d.Mode)
-				enqueueEvent(tel.T, fmt.Sprintf("guard_promote t=%v mode=%v", tel.T, d.Mode))
-			}
-			if d.BlindCycle {
-				fmt.Printf("[%8s] ~~~ sensor blind — precautionary power cycle\n", tel.T.Round(time.Second))
-				m.PowerCycle()
-				sup.NotePowerCycle(tel.T)
-				enqueueEvent(tel.T, fmt.Sprintf("blind_cycle t=%v", tel.T))
-			}
-			fired = d.Fired
-			if fired {
-				fmt.Printf("[%8s] !!! %v flags an SEL — commanding power cycle\n",
-					tel.T.Round(time.Second), d.Mode)
-				m.PowerCycle()
-				sup.NotePowerCycle(tel.T)
-				enqueueEvent(tel.T, fmt.Sprintf("sel_detected t=%v mode=%v", tel.T, d.Mode))
-			}
-		} else if rec.Observe(tel) {
-			fired = true
-			residual := det.Residual() // Reset zeroes it
+		d, residual, cycled := prot.Observe(tel)
+		if d.Demoted {
+			fmt.Printf("[%8s] --- guard demotes detector to %v (%s)\n",
+				tel.T.Round(time.Second), d.Mode, d.Reason)
+			enqueueEvent(tel.T, fmt.Sprintf("guard_demote t=%v mode=%v reason=%s", tel.T, d.Mode, d.Reason))
+		}
+		if d.Promoted {
+			fmt.Printf("[%8s] +++ sensor healthy again — guard promotes detector to %v\n",
+				tel.T.Round(time.Second), d.Mode)
+			enqueueEvent(tel.T, fmt.Sprintf("guard_promote t=%v mode=%v", tel.T, d.Mode))
+		}
+		if d.BlindCycle {
+			fmt.Printf("[%8s] ~~~ sensor blind — precautionary power cycle\n", tel.T.Round(time.Second))
+			enqueueEvent(tel.T, fmt.Sprintf("blind_cycle t=%v", tel.T))
+		}
+		fired := d.Fired && cycled
+		switch {
+		case fired && sup == nil:
 			fmt.Printf("[%8s] !!! ILD flags an SEL (residual %.4f A) — commanding power cycle\n",
 				tel.T.Round(time.Second), residual)
-			m.PowerCycle()
-			det.Reset()
 			enqueueEvent(tel.T, fmt.Sprintf("sel_detected t=%v residual=%.4f", tel.T, residual))
+		case fired:
+			fmt.Printf("[%8s] !!! %v flags an SEL — commanding power cycle\n",
+				tel.T.Round(time.Second), d.Mode)
+			enqueueEvent(tel.T, fmt.Sprintf("sel_detected t=%v mode=%v", tel.T, d.Mode))
 		}
 		if fired && detectedAt < 0 {
 			detectedAt = tel.T

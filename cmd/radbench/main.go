@@ -8,15 +8,16 @@
 //	radbench -exp all
 //	radbench -exp tab2 -hours 24
 //	radbench -exp fig11,fig14 -size 1048576
+//	radbench -exp tab7 -runs 100
 //	radbench -exp tab2,fig11 -telemetry out.json
 //	radbench -exp guard,oskernel,adaptive,downlink
 //	radbench -exp oskernel -osfault panic,fscorrupt
 //	radbench -list
 //
-// The guard, oskernel and adaptive experiments end in safety verdicts:
-// a failed one ships a priority-0 protection_failure event down the
-// -downlink feed. Any failed experiment, the downlink ARQ verdict
-// included, drains the feed and exits non-zero.
+// The tab7, guard, oskernel and adaptive experiments end in safety
+// verdicts: a failed one ships a priority-0 protection_failure event
+// down the -downlink feed. Any failed experiment, the downlink ARQ
+// verdict included, drains the feed and exits non-zero.
 package main
 
 import (
@@ -32,11 +33,11 @@ import (
 	"radshield/internal/downlink"
 	"radshield/internal/emr"
 	"radshield/internal/experiments"
+	"radshield/internal/fault"
 	"radshield/internal/ild"
 	"radshield/internal/machine"
 	"radshield/internal/mission"
 	"radshield/internal/power"
-	"radshield/internal/profiling"
 	"radshield/internal/resultcache"
 	"radshield/internal/simclock"
 	"radshield/internal/telemetry"
@@ -44,11 +45,15 @@ import (
 
 type runner func(sel experiments.SELConfig, seu experiments.SEUConfig) error
 
-// osFaultFlag narrows the oskernel campaign's fault-class grid; it is
-// package-level because the registry closures are built before
-// flag.Parse runs. main validates it against the selected experiments.
-var osFaultFlag = flag.String("osfault", "",
-	"comma-separated OS fault classes for -exp oskernel (default all; valid: panic, hang, ioburst, schedstall, fscorrupt)")
+// osFaultFlag narrows the oskernel campaign's fault-class grid, and
+// runsFlag sets Table 7's depth; they are package-level because the
+// registry closures are built before flag.Parse runs. main validates
+// osFaultFlag against the selected experiments.
+var (
+	osFaultFlag = flag.String("osfault", "",
+		"comma-separated OS fault classes for -exp oskernel (default all; valid: panic, hang, ioburst, schedstall, fscorrupt)")
+	runsFlag = flag.Int("runs", experiments.DefaultTable7Config().Runs, "fault injections per scheme for -exp tab7 (paper: 20)")
+)
 
 // spanFn reports how much simulated mission time an experiment covers, so
 // the default (simulated) timing mode can advance the campaign clock by
@@ -145,18 +150,13 @@ var registry = map[string]struct {
 		fmt.Println(tbl)
 		return nil
 	}},
-	"tab7": {desc: "fault-injection outcomes per scheme", run: func(_ experiments.SELConfig, seu experiments.SEUConfig) error {
-		cfg := experiments.DefaultTable7Config()
-		cfg.Size = seu.Size / 2
-		cfg.Workers = seu.Workers
-		cfg.Telemetry = seu.Telemetry
-		cfg.Cache = seu.Cache
-		_, tbl, err := experiments.Table7(cfg)
+	"tab7": {desc: "fault-injection outcomes per scheme", run: func(sel experiments.SELConfig, seu experiments.SEUConfig) error {
+		tallies, tbl, err := experiments.Table7(tab7Config(sel, seu))
 		if err != nil {
 			return err
 		}
 		fmt.Println(tbl)
-		return nil
+		return tab7Gate(ship, tallies)
 	}},
 	"tab8": {desc: "developer overhead to adopt EMR", run: func(experiments.SELConfig, experiments.SEUConfig) error {
 		fmt.Println(experiments.Table8())
@@ -224,11 +224,7 @@ var registry = map[string]struct {
 		return nil
 	}},
 	"missions": {desc: "Monte-Carlo mission survival with vs without Radshield", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
-		cfg := experiments.DefaultMissionConfig()
-		cfg.Workers = sel.Workers
-		cfg.Telemetry = sel.Telemetry
-		cfg.Cache = sel.Cache
-		_, _, tbl, err := experiments.MissionSurvival(cfg)
+		_, _, tbl, err := experiments.MissionSurvival(missionConfig(sel))
 		if err != nil {
 			return err
 		}
@@ -333,6 +329,31 @@ var registry = map[string]struct {
 	}},
 }
 
+// tab7Config is Table 7 at -runs injections per scheme on half the
+// -size input. Its seed is -seed + 6, so the default seed 1 keeps the
+// package default 7.
+func tab7Config(sel experiments.SELConfig, seu experiments.SEUConfig) experiments.Table7Config {
+	cfg := experiments.DefaultTable7Config()
+	cfg.Runs = *runsFlag
+	cfg.Size = seu.Size / 2
+	cfg.Seed = sel.Seed + 6
+	cfg.Workers = seu.Workers
+	cfg.Telemetry = seu.Telemetry
+	cfg.Cache = seu.Cache
+	return cfg
+}
+
+// missionConfig is the mission-survival campaign at seed -seed + 2, so
+// the default seed 1 keeps the package default 3.
+func missionConfig(sel experiments.SELConfig) experiments.MissionConfig {
+	cfg := experiments.DefaultMissionConfig()
+	cfg.Seed = sel.Seed + 2
+	cfg.Workers = sel.Workers
+	cfg.Telemetry = sel.Telemetry
+	cfg.Cache = sel.Cache
+	return cfg
+}
+
 // The -downlink feed: each experiment's completion goes to the ground
 // station as housekeeping, verdicts as priority-0 events. The feed's
 // clock is the campaign event counter — radbench has no mission
@@ -381,6 +402,22 @@ type shipFunc func(vc uint8, msg string)
 func protectionFailure(ship shipFunc, fields, format string, args ...any) error {
 	ship(0, "protection_failure "+fields)
 	return fmt.Errorf("PROTECTION FAILURE: "+format, args...)
+}
+
+// tab7Gate applies Table 7's safety verdict: no silent corruption may
+// get past a redundancy scheme (3-MR, EMR, EMR + MBU).
+func tab7Gate(ship shipFunc, tallies map[string]*fault.Tally) error {
+	sdc := 0
+	for _, scheme := range []string{"3-MR", "EMR", "EMR + MBU"} {
+		sdc += tallies[scheme].Counts[fault.SDC]
+	}
+	if sdc > 0 {
+		return protectionFailure(ship, fmt.Sprintf("campaign=table7 sdc=%d", sdc),
+			"%d silent corruptions escaped a redundancy scheme", sdc)
+	}
+	fmt.Printf("redundancy held: no silent corruption under 3-MR, EMR or EMR + MBU (%d unprotected, %d under the checksum guard)\n",
+		tallies["None"].Counts[fault.SDC], tallies["Checksum"].Counts[fault.SDC])
+	return nil
 }
 
 // guardGate applies the guard layer's safety verdicts: a guarded
@@ -521,7 +558,7 @@ func main() {
 		return
 	}
 
-	stopProf, err := profiling.Start(*cpuProf, *memProf)
+	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "radbench: %v\n", err)
 		os.Exit(1)
@@ -553,7 +590,7 @@ func main() {
 
 	if *dlAddr != "" {
 		var err error
-		if feed, err = downlink.DialFeed(*dlAddr, uint16(*dlLink)); err != nil {
+		if feed, err = downlink.DialFeed(*dlAddr, *dlLink); err != nil {
 			fmt.Fprintf(os.Stderr, "radbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -590,9 +627,13 @@ func main() {
 	} else {
 		targets = strings.Split(*exp, ",")
 	}
-	// Fail fast on bad OS-fault flag combinations instead of silently
-	// ignoring them: an invalid class id, or -osfault without the one
-	// experiment that reads it.
+	// Fail fast on bad flag values instead of running into them: a
+	// Table 7 with no runs, an invalid OS-fault class id, or -osfault
+	// without the one experiment that reads it.
+	if *runsFlag < 1 {
+		fmt.Fprintf(os.Stderr, "radbench: -runs %d, want at least 1\n", *runsFlag)
+		os.Exit(2)
+	}
 	if *osFaultFlag != "" {
 		if _, err := experiments.ParseOSFaultClasses(*osFaultFlag); err != nil {
 			fmt.Fprintf(os.Stderr, "radbench: %v\n", err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"radshield/internal/experiments"
+	"radshield/internal/fault"
 	"radshield/internal/machine"
 	"radshield/internal/power"
 )
@@ -36,6 +37,59 @@ func checkGate(t *testing.T, want string, gate func(shipFunc) error) {
 	}
 	if len(p0) != 1 || !strings.HasPrefix(p0[0], want) {
 		t.Fatalf("p0 = %q, want one event starting %q", p0, want)
+	}
+}
+
+func TestTab7Gate(t *testing.T) {
+	// good is a passing table: silent corruption only where no
+	// redundancy scheme runs.
+	good := func() map[string]*fault.Tally {
+		return map[string]*fault.Tally{
+			"None":      {Counts: [4]int{fault.SDC: 10, fault.NoEffect: 10}},
+			"3-MR":      {Counts: [4]int{fault.Corrected: 15, fault.NoEffect: 5}},
+			"EMR":       {Counts: [4]int{fault.Corrected: 15, fault.NoEffect: 5}},
+			"EMR + MBU": {Counts: [4]int{fault.Corrected: 14, fault.NoEffect: 5, fault.DetectedError: 1}},
+			"Checksum":  {Counts: [4]int{fault.SDC: 2, fault.DetectedError: 18}},
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		scheme string // "": the passing table
+		want   string
+	}{
+		{"pass", "", ""},
+		{"SDC under 3-MR", "3-MR", "protection_failure campaign=table7 sdc=2"},
+		{"SDC under EMR", "EMR", "protection_failure campaign=table7 sdc=2"},
+		{"SDC under EMR + MBU", "EMR + MBU", "protection_failure campaign=table7 sdc=2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tallies := good()
+			if tc.scheme != "" {
+				tallies[tc.scheme].Counts[fault.SDC] = 2
+			}
+			checkGate(t, tc.want, func(ship shipFunc) error { return tab7Gate(ship, tallies) })
+		})
+	}
+}
+
+// The seed-derived campaigns follow -seed, and the default seed 1
+// keeps their package defaults.
+func TestCampaignSeedsFollowSeed(t *testing.T) {
+	for _, tc := range []struct {
+		seed, tab7, missions int64
+	}{
+		{1, experiments.DefaultTable7Config().Seed, experiments.DefaultMissionConfig().Seed},
+		{5, 11, 7},
+	} {
+		sel := experiments.DefaultSELConfig()
+		sel.Seed = tc.seed
+		seu := experiments.SEUConfig{Size: 256 << 10, Seed: tc.seed + 41}
+		if got := tab7Config(sel, seu).Seed; got != tc.tab7 {
+			t.Errorf("-seed %d: Table 7 seed = %d, want %d", tc.seed, got, tc.tab7)
+		}
+		if got := missionConfig(sel).Seed; got != tc.missions {
+			t.Errorf("-seed %d: mission seed = %d, want %d", tc.seed, got, tc.missions)
+		}
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"radshield/internal/emr"
 	"radshield/internal/experiments"
 	"radshield/internal/fault"
+	"radshield/internal/guard"
 	"radshield/internal/ild"
 	"radshield/internal/machine"
 	"radshield/internal/mission"
@@ -92,6 +93,7 @@ func main() {
 	mc.SampleEvery = selCfg.SampleEvery
 	mc.SensorSeed = *seed + 1
 	m := machine.New(mc)
+	prot := guard.NewProtection(m, dets[ctrl.Level()], nil)
 	flight := trace.FlightSoftware(rng, dur, mc.Cores)
 	flight = ild.InjectBubbles(flight, ild.BubblePolicy{BubbleLen: 4 * time.Second, Pause: 3 * time.Minute})
 
@@ -156,13 +158,10 @@ func main() {
 		}
 
 		// ILD watches continuously at the posture's threshold.
-		level := ctrl.Level()
-		if det := dets[level]; det.Observe(tel) {
+		if _, residual, cycled := prot.Observe(tel); cycled {
 			fmt.Printf("[%10s] ILD: latchup detected (residual %.3f A) — power cycling\n",
-				tel.T.Round(time.Second), det.Residual())
-			ship(0, tel.T, fmt.Sprintf("sel_detected t=%v residual=%.3f", tel.T, det.Residual()))
-			m.PowerCycle()
-			det.Reset()
+				tel.T.Round(time.Second), residual)
+			ship(0, tel.T, fmt.Sprintf("sel_detected t=%v residual=%.3f", tel.T, residual))
 			selsSurvived++
 			ctrl.Note(tel.T, adapt.SignalILDDetect)
 		}
@@ -172,7 +171,7 @@ func main() {
 		if d := ctrl.Observe(tel.T); d.Changed {
 			fmt.Printf("[%10s] adapt: posture → %s\n", tel.T.Round(time.Second), d.Level)
 			ship(0, tel.T, fmt.Sprintf("adapt_level %s t=%v", d.Level, tel.T))
-			dets[d.Level].Reset()
+			prot.Use(dets[d.Level])
 		}
 
 		// Ground contact: run the payload job at the posture's

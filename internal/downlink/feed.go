@@ -26,8 +26,14 @@ type Feed struct {
 }
 
 // DialFeed connects to a ground station and builds the flight pipeline
-// for the given link id.
-func DialFeed(addr string, link uint16) (*Feed, error) {
+// for the given link id. The id is checked here, before it is narrowed
+// to the frame's 16 bits, so every CLI's -link-id flag shares one
+// check: an out-of-range id would otherwise wrap onto another
+// spacecraft's link (65537 streams as link 1).
+func DialFeed(addr string, link int) (*Feed, error) {
+	if link < 1 || link > 0xFFFF {
+		return nil, fmt.Errorf("downlink: link id %d out of range [1, 65535]", link)
+	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("downlink: dialing ground station: %w", err)
@@ -40,7 +46,7 @@ func DialFeed(addr string, link uint16) (*Feed, error) {
 		conn.Close()
 		return nil, err
 	}
-	tx, err := NewTransmitter(l, DefaultTxConfig(link))
+	tx, err := NewTransmitter(l, DefaultTxConfig(uint16(link)))
 	if err != nil {
 		conn.Close()
 		return nil, err

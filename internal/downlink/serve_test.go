@@ -102,6 +102,37 @@ func TestServerConcurrentLinks(t *testing.T) {
 	}
 }
 
+// DialFeed checks a command-line link id before narrowing it to the
+// frame's 16 bits: 65537 would otherwise stream as link 1 and merge
+// with another spacecraft at the ground station.
+func TestDialFeedLinkID(t *testing.T) {
+	st := NewStation(DefaultStationConfig())
+	addr, _, shutdown := startServer(t, st, 1)
+	defer shutdown()
+	for _, bad := range []int{-1, 0, 0x10000, 0x10001} {
+		if f, err := DialFeed(addr, bad); err == nil || !strings.Contains(err.Error(), "out of range") {
+			if f != nil {
+				f.Close()
+			}
+			t.Errorf("link id %d: err = %v, want out of range", bad, err)
+		}
+	}
+	f, err := DialFeed(addr, 0xFFFF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Enqueue(0, []byte("hello"), time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Drain(time.Millisecond, time.Second, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Delivered(0xFFFF, 0); got != 1 {
+		t.Fatalf("link 65535 delivered %d frames, want 1", got)
+	}
+}
+
 // TestServerResyncsAfterGarbage interleaves line noise with valid
 // frames on one stream; ReadFrame must skip the noise and recover every
 // real frame.

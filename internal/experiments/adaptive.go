@@ -8,6 +8,7 @@ import (
 	"radshield/internal/adapt"
 	"radshield/internal/downlink"
 	"radshield/internal/fault"
+	"radshield/internal/guard"
 	"radshield/internal/ild"
 	"radshield/internal/linmodel"
 	"radshield/internal/machine"
@@ -383,7 +384,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 	mc := c.SEL.machineConfig(seed + 1)
 	mc.Telemetry = nil // trials run in parallel; per-trial metrics stay local
 	m := machine.New(mc)
-	prot := &protection{m: m, det: dets[level]}
+	prot := guard.NewProtection(m, dets[level], nil)
 	tracker := mission.NewTracker(prof, nil)
 
 	// Downlink leg: both arms fly the same impaired link (seeds shared).
@@ -446,14 +447,14 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 		// hardware watchdog catches it, at reset cost.
 		if sels.observe(m, tel.T) {
 			arm.WDResets++
-			prot.cycle(tel.T)
+			prot.Cycle(tel.T)
 			sels.cleared(tel.T)
 			lastCycle = tel.T
 			note(tel.T, adapt.SignalWatchdogReset)
 			event("watchdog_reset", "", tel.T)
 		}
 
-		if _, cycled := prot.observe(tel); cycled {
+		if _, _, cycled := prot.Observe(tel); cycled {
 			arm.Detections++
 			sig := adapt.SignalILDDetect
 			if tel.T-lastCycle <= refireWindow {
@@ -469,8 +470,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 			if d := ctrl.Observe(tel.T); d.Changed {
 				level = d.Level
 				posture = adapt.PostureFor(level)
-				prot.det = dets[level]
-				prot.det.Reset()
+				prot.Use(dets[level])
 				if cm.tx.Beacon() != posture.Beacon {
 					cm.tx.SetBeacon(posture.Beacon, tel.T, "posture "+level.String())
 				}

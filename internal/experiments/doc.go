@@ -26,10 +26,12 @@
 //
 // The flight campaigns (mission survival, guard, watchdog, OS fault,
 // adaptive, downlink) take every onboard-loop decision they share —
-// bubble length, flight trace, latchup ledger, protection path, payload
-// contact, comms link, watchdog workload — from flight.go, and keep only
-// their own per-sample order. TestPinnedFlightCampaigns holds their
-// rendered tables fixed across commits (testdata/pinned_*.txt).
+// bubble length, flight trace, latchup ledger, payload contact, comms
+// link, watchdog workload — from flight.go, and keep only their own
+// per-sample order. They act on a latchup through guard.Protection, the
+// same path cmd/ildmon and examples/leomission fly.
+// TestPinnedFlightCampaigns holds their rendered tables fixed across
+// commits (testdata/pinned_*.txt).
 //
 // Invariants: every harness is deterministic given its config (seeded
 // RNGs, simulated clocks, virtual cost models); scaled-down defaults

@@ -91,71 +91,21 @@ func (l *selLedger) close(end time.Duration) {
 	}
 }
 
-// protection is one arm's latchup protection: the paper's bare ILD
-// detector, or the guard supervisor wrapped around it.
-type protection struct {
-	m     *machine.Machine
-	det   *ild.Detector
-	sup   *guard.Supervisor // nil: the bare detector
-	known int               // power cycles reconciled so far
-}
-
-// newProtection builds a detector over the trained model and, when
-// guarded, the supervisor around it.
-func newProtection(m *machine.Machine, model *linmodel.Model, ic ild.Config, sc guard.SupervisorConfig, guarded bool) (*protection, error) {
+// newProtection builds one arm's latchup protection: a detector over
+// the trained model and, when guarded, the supervisor around it, which
+// it also returns for its counters (nil on a bare arm).
+func newProtection(m *machine.Machine, model *linmodel.Model, ic ild.Config, sc guard.SupervisorConfig, guarded bool) (*guard.Protection, *guard.Supervisor, error) {
 	det, err := ild.NewDetector(model, ic)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	p := &protection{m: m, det: det}
+	var sup *guard.Supervisor
 	if guarded {
-		if p.sup, err = guard.NewSupervisor(det, sc); err != nil {
-			return nil, err
+		if sup, err = guard.NewSupervisor(det, sc); err != nil {
+			return nil, nil, err
 		}
 	}
-	return p, nil
-}
-
-// reconcile reports whether the board power cycled since the last call,
-// whoever commanded it (the hardware watchdog and the supply trip fire
-// inside the machine), and restarts the detector or tells the
-// supervisor.
-func (p *protection) reconcile(t time.Duration) bool {
-	pc := p.m.PowerCycles()
-	if pc == p.known {
-		return false
-	}
-	p.known = pc
-	if p.sup != nil {
-		p.sup.NotePowerCycle(t)
-	} else {
-		p.det.Reset()
-	}
-	return true
-}
-
-// cycle power cycles the board on the protection's command.
-func (p *protection) cycle(t time.Duration) {
-	p.m.PowerCycle()
-	p.reconcile(t)
-}
-
-// observe feeds one sample through the protection and power cycles the
-// board when it calls for one. The bare detector's cycle is
-// software-commanded and needs a live kernel to run the rail-control
-// code, so a hung board cannot save itself; the supervisor drives an
-// external hardware power switch. A bare arm's Decision is zero.
-func (p *protection) observe(tel machine.Telemetry) (d guard.Decision, cycled bool) {
-	if p.sup == nil {
-		cycled = p.det.Observe(tel) && !p.m.KernelHung()
-	} else {
-		d = p.sup.Observe(tel)
-		cycled = d.Fired || d.BlindCycle || d.HangCycle
-	}
-	if cycled {
-		p.cycle(tel.T)
-	}
-	return d, cycled
+	return guard.NewProtection(m, det, sup), sup, nil
 }
 
 // planConfig is the EMR runtime configuration a redundancy plan runs on.

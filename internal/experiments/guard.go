@@ -256,7 +256,7 @@ func flyGuardArm(c GuardCampaignConfig, sp guardTrialSpec, model *linmodel.Model
 	}); err != nil {
 		return res, err
 	}
-	prot, err := newProtection(m, model, c.SEL.ildConfig(), c.Supervisor, guarded)
+	prot, sup, err := newProtection(m, model, c.SEL.ildConfig(), c.Supervisor, guarded)
 	if err != nil {
 		return res, err
 	}
@@ -270,7 +270,7 @@ func flyGuardArm(c GuardCampaignConfig, sp guardTrialSpec, model *linmodel.Model
 		if faultActive {
 			faultSamples++
 		}
-		d, _ := prot.observe(tel)
+		d, _, _ := prot.Observe(tel)
 		if !guarded {
 			return
 		}
@@ -286,8 +286,8 @@ func flyGuardArm(c GuardCampaignConfig, sp guardTrialSpec, model *linmodel.Model
 	})
 
 	if guarded {
-		res.blindCycles = prot.sup.BlindCycles()
-		res.finalMode = prot.sup.Mode()
+		res.blindCycles = sup.BlindCycles()
+		res.finalMode = sup.Mode()
 	}
 	res.missedSELs = sels.missed
 	res.powerCycles = m.PowerCycles()

@@ -207,14 +207,14 @@ func flyOneMission(seed int64, shielded bool, golden [][]byte, events []fault.Ev
 	selCfg.Seed = seed
 	m := machine.New(selCfg.machineConfig(seed + 1))
 
-	var prot *protection
+	var prot *guard.Protection
 	flight, plan := raw, guard.Plan{Scheme: fault.SchemeUnprotectedParallel, Executors: 3}
 	if shielded {
 		det, err := TrainILD(selCfg)
 		if err != nil {
 			return out, err
 		}
-		prot = &protection{m: m, det: det}
+		prot = guard.NewProtection(m, det, nil)
 		flight, plan = bubbled, guard.RedundancyTMR.Plan()
 	}
 
@@ -233,7 +233,7 @@ func flyOneMission(seed int64, shielded bool, golden [][]byte, events []fault.Ev
 			}
 		}
 		if prot != nil {
-			if _, cycled := prot.observe(tel); cycled {
+			if _, _, cycled := prot.Observe(tel); cycled {
 				out.latchupsCleared++
 			}
 		}

@@ -418,7 +418,7 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 	if err := m.ScheduleOSFault(f); err != nil {
 		return res, err
 	}
-	prot, err := newProtection(m, model, c.SEL.ildConfig(), c.Supervisor, guarded)
+	prot, sup, err := newProtection(m, model, c.SEL.ildConfig(), c.Supervisor, guarded)
 	if err != nil {
 		return res, err
 	}
@@ -505,7 +505,7 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 	m.RunTrace(flight, func(tel machine.Telemetry) {
 		// A power cycle is a reboot no matter who commanded it, so every
 		// callback starts by reconciling the cycle count.
-		if prot.reconcile(tel.T) {
+		if prot.Reconcile(tel.T) {
 			reboot(tel.T)
 		}
 
@@ -541,7 +541,7 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 			}
 		}
 
-		d, cycled := prot.observe(tel)
+		d, _, cycled := prot.Observe(tel)
 		// Only the unambiguous OS-level signals count as detection:
 		// a heartbeat gap (the board went silent) or a hang cycle (the
 		// counter surface wedged). d.Fired is the SEL path doing its
@@ -561,7 +561,7 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 	res.wdResets = m.WatchdogResets()
 	res.ioErrors = m.IOErrors()
 	if guarded {
-		res.hangCycles = prot.sup.HangCycles()
+		res.hangCycles = sup.HangCycles()
 	}
 	res.survived = !m.Damaged()
 	return res, nil

@@ -28,6 +28,15 @@
 //     arbiter → serial 3-MR as cores go persistently bad. Retry pacing
 //     is deterministic (shifted backoff, bounded attempts).
 //
+// Protection is the one place a flight loop acts on a latchup: it feeds
+// each sample to the bare ILD detector or to the Supervisor, power
+// cycles the board when they call for it (a bare cycle is
+// software-commanded, so a hung kernel blocks it; the Supervisor's
+// external switch does not), and restarts the detector after any
+// cycle, including one the machine commanded itself. The campaigns,
+// cmd/ildmon and examples/leomission all fly it, and only narrate the
+// Decision it returns.
+//
 // Every decision is deterministic: no wall clock, no unseeded
 // randomness, state advanced only by the telemetry/visits fed in. Mode
 // changes surface as guard_mode / guard_redundancy_mode gauges and

@@ -74,14 +74,16 @@ type Decision struct {
 	// Mode is the ladder rung in effect for this sample.
 	Mode Mode
 	// SensorOK is this sample's health verdict; Reason explains a
-	// failure ("nan", "range", "stuck", "stale").
+	// failure ("nan", "range", "stuck", "stale"), or a demotion the
+	// refire check took on a healthy sample ("refire").
 	SensorOK bool
 	Reason   string
 	// Demoted / Promoted flag a ladder move taken on this sample.
 	Demoted  bool
 	Promoted bool
 	// Fired reports the active monitor declaring an SEL. The caller
-	// should power cycle and then call NotePowerCycle.
+	// should power cycle and then call NotePowerCycle, as Protection
+	// does.
 	Fired bool
 	// BlindCycle commands a precautionary power cycle: the board has
 	// been blind long enough that an unseen latchup could be
@@ -261,6 +263,7 @@ func (s *Supervisor) Observe(tel machine.Telemetry) Decision {
 		if s.noteDetection(tel.T) {
 			d.Demoted = true
 			d.Mode = s.mode
+			d.Reason = "refire"
 		}
 	}
 	s.prevFired = d.Fired

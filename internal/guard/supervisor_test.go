@@ -221,8 +221,8 @@ func TestBiasRefireDemotes(t *testing.T) {
 		}
 		if d.Demoted {
 			demoted = true
-			if d.Mode != ModeStaticThreshold {
-				t.Fatalf("refire demotion landed on %v", d.Mode)
+			if d.Mode != ModeStaticThreshold || d.Reason != "refire" {
+				t.Fatalf("refire demotion landed on %v with reason %q, want %v with \"refire\"", d.Mode, d.Reason, ModeStaticThreshold)
 			}
 		}
 		now += time.Millisecond

@@ -48,6 +48,12 @@ func NewRecorder(det *Detector, capacity int) (*Recorder, error) {
 // Detector returns the wrapped detector.
 func (r *Recorder) Detector() *Detector { return r.det }
 
+// Residual and Reset forward to the wrapped detector, so a Recorder
+// also drops in where a caller restarts the detector after a power
+// cycle.
+func (r *Recorder) Residual() float64 { return r.det.Residual() }
+func (r *Recorder) Reset()            { r.det.Reset() }
+
 // Observe implements Monitor: it forwards to the detector and records
 // the observation. A sample the detector rejects as NaN/Inf is recorded
 // as not quiescent, with no prediction: the detector never measured it.
