@@ -68,6 +68,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if *dump != "" && kind != power.FaultNone {
+		log.Fatal("-dump is unavailable with -sensor-fault: the guard supervisor owns the detector")
+	}
+	// Output files are created before the mission flies, so an
+	// unwritable path fails here instead of after it.
+	var dumpFile *os.File
+	if *dump != "" {
+		if dumpFile, err = os.Create(*dump); err != nil {
+			log.Fatal(err)
+		}
+	}
+	telFile := os.Stdout
+	if *telOut != "" && *telOut != "-" {
+		if telFile, err = os.Create(*telOut); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	cfg := experiments.DefaultSELConfig()
 	cfg.Seed = *seed
@@ -118,9 +135,6 @@ func main() {
 			forStr = fmt.Sprintf("for %v", *faultFor)
 		}
 		fmt.Printf("sensor fault scheduled: %v at %v %s — guard supervisor engaged\n", kind, *faultAt, forStr)
-		if *dump != "" {
-			log.Fatal("-dump is unavailable with -sensor-fault: the guard supervisor owns the detector")
-		}
 	} else {
 		if rec, err = ild.NewRecorder(det, 60000); err != nil {
 			log.Fatalf("recorder: %v", err)
@@ -256,34 +270,24 @@ func main() {
 			drainedAt.Round(time.Second), ds.Sent, ds.Acked, ds.Retransmits, ds.Beacons)
 	}
 
-	if *dump != "" && rec != nil {
-		f, err := os.Create(*dump)
-		if err != nil {
+	if dumpFile != nil {
+		if err := rec.Dump(dumpFile); err != nil {
 			log.Fatal(err)
 		}
-		if err := rec.Dump(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := dumpFile.Close(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("telemetry ring (%d records) written to %s\n", rec.Len(), *dump)
 	}
 
 	if *telOut != "" {
-		out := os.Stdout
-		if *telOut != "-" {
-			f, err := os.Create(*telOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := reg.Snapshot().WriteJSON(out); err != nil {
+		if err := reg.Snapshot().WriteJSON(telFile); err != nil {
 			log.Fatal(err)
 		}
-		if *telOut != "-" {
+		if telFile != os.Stdout {
+			if err := telFile.Close(); err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("metrics snapshot written to %s\n", *telOut)
 		}
 	}

@@ -24,8 +24,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -526,6 +528,39 @@ func summarize(f *experiments.Figure, n int) string {
 	return out.String()
 }
 
+// checkFlags rejects flag values radbench cannot run, before any
+// output file is created or experiment starts: a campaign length that
+// is not a positive number of hours a time.Duration can hold, an input
+// size under one byte, a Table 7 with no runs, an unknown experiment
+// id, an invalid OS-fault class, or -osfault without the one experiment
+// that reads it.
+func checkFlags(hours float64, size, runs int, osFault string, targets []string) error {
+	if !(hours > 0 && hours*float64(time.Hour) < math.MaxInt64) {
+		return fmt.Errorf("-hours %v, want above 0 and below %.0f", hours, time.Duration(math.MaxInt64).Hours())
+	}
+	if size < 1 {
+		return fmt.Errorf("-size %d, want at least 1 byte", size)
+	}
+	if runs < 1 {
+		return fmt.Errorf("-runs %d, want at least 1", runs)
+	}
+	for _, name := range targets {
+		if _, ok := registry[name]; !ok {
+			return fmt.Errorf("unknown experiment %q (use -list)", name)
+		}
+	}
+	if osFault == "" {
+		return nil
+	}
+	if _, err := experiments.ParseOSFaultClasses(osFault); err != nil {
+		return err
+	}
+	if !slices.Contains(targets, "oskernel") {
+		return errors.New("-osfault only applies to -exp oskernel (valid classes: panic, hang, ioburst, schedstall, fscorrupt)")
+	}
+	return nil
+}
+
 func main() {
 	var (
 		exp     = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
@@ -558,6 +593,29 @@ func main() {
 		return
 	}
 
+	targets := names
+	if *exp != "all" {
+		targets = strings.Split(*exp, ",")
+		for i := range targets {
+			targets[i] = strings.TrimSpace(targets[i])
+		}
+	}
+	if err := checkFlags(*hours, *size, *runsFlag, *osFaultFlag, targets); err != nil {
+		fmt.Fprintf(os.Stderr, "radbench: %v\n", err)
+		os.Exit(2)
+	}
+
+	// Output files are created before the run, so an unwritable path
+	// fails here instead of after the campaigns.
+	telFile := os.Stdout
+	if *telOut != "" && *telOut != "-" {
+		f, err := os.Create(*telOut)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "radbench: %v\n", err)
+			os.Exit(1)
+		}
+		telFile = f
+	}
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "radbench: %v\n", err)
@@ -621,47 +679,13 @@ func main() {
 	sel.Cache = store
 	seu := experiments.SEUConfig{Size: *size, Seed: *seed + 41, Workers: *workers, Telemetry: reg, Cache: store}
 
-	var targets []string
-	if *exp == "all" {
-		targets = names
-	} else {
-		targets = strings.Split(*exp, ",")
-	}
-	// Fail fast on bad flag values instead of running into them: a
-	// Table 7 with no runs, an invalid OS-fault class id, or -osfault
-	// without the one experiment that reads it.
-	if *runsFlag < 1 {
-		fmt.Fprintf(os.Stderr, "radbench: -runs %d, want at least 1\n", *runsFlag)
-		os.Exit(2)
-	}
-	if *osFaultFlag != "" {
-		if _, err := experiments.ParseOSFaultClasses(*osFaultFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "radbench: %v\n", err)
-			os.Exit(2)
-		}
-		runsOSKernel := false
-		for _, t := range targets {
-			if strings.TrimSpace(t) == "oskernel" {
-				runsOSKernel = true
-			}
-		}
-		if !runsOSKernel {
-			fmt.Fprintf(os.Stderr, "radbench: -osfault only applies to -exp oskernel (valid classes: panic, hang, ioburst, schedstall, fscorrupt)\n")
-			os.Exit(2)
-		}
-	}
 	// Experiments run against simulated hardware, so by default radbench
 	// reports simulated mission time from its own campaign clock — a rerun
 	// prints identical durations, keeping logs diffable. -wallclock
 	// switches to host time for profiling real-hardware runs.
 	campaign := simclock.New()
 	for _, name := range targets {
-		name = strings.TrimSpace(name)
-		entry, ok := registry[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "radbench: unknown experiment %q (use -list)\n", name)
-			os.Exit(2)
-		}
+		entry := registry[name]
 		fmt.Printf("### %s — %s\n", name, entry.desc)
 		var start time.Time
 		if *wall {
@@ -697,21 +721,15 @@ func main() {
 	drainFeed()
 
 	if *telOut != "" {
-		out := os.Stdout
-		if *telOut != "-" {
-			f, err := os.Create(*telOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "radbench: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := reg.Snapshot().WriteJSON(out); err != nil {
+		if err := reg.Snapshot().WriteJSON(telFile); err != nil {
 			fmt.Fprintf(os.Stderr, "radbench: writing telemetry: %v\n", err)
 			os.Exit(1)
 		}
-		if *telOut != "-" {
+		if telFile != os.Stdout {
+			if err := telFile.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "radbench: writing telemetry: %v\n", err)
+				os.Exit(1)
+			}
 			fmt.Printf("telemetry snapshot written to %s\n", *telOut)
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -90,6 +91,46 @@ func TestCampaignSeedsFollowSeed(t *testing.T) {
 		if got := missionConfig(sel).Seed; got != tc.missions {
 			t.Errorf("-seed %d: mission seed = %d, want %d", tc.seed, got, tc.missions)
 		}
+	}
+}
+
+// checkFlags rejects every value radbench cannot run; an empty want
+// means the flags pass.
+func TestCheckFlags(t *testing.T) {
+	tab2 := []string{"tab2"}
+	for _, tc := range []struct {
+		name    string
+		hours   float64
+		size    int
+		runs    int
+		osFault string
+		targets []string
+		want    string
+	}{
+		{"defaults", 4, 256 << 10, 20, "", tab2, ""},
+		{"smallest values", 1e-9, 1, 1, "", []string{"fig11", "tab7"}, ""},
+		{"osfault with oskernel", 4, 1, 1, "panic,hang", []string{"tab2", "oskernel"}, ""},
+		{"zero hours", 0, 1, 1, "", tab2, "-hours 0,"},
+		{"negative hours", -1, 1, 1, "", tab2, "-hours -1,"},
+		{"NaN hours", math.NaN(), 1, 1, "", tab2, "-hours NaN,"},
+		{"infinite hours", math.Inf(1), 1, 1, "", tab2, "-hours +Inf,"},
+		{"hours past time.Duration", 3e6, 1, 1, "", tab2, "-hours 3e+06,"},
+		{"zero size", 4, 0, 1, "", tab2, "-size 0,"},
+		{"negative size", 4, -5, 1, "", tab2, "-size -5,"},
+		{"zero runs", 4, 1, 0, "", tab2, "-runs 0,"},
+		{"unknown experiment", 4, 1, 1, "", []string{"tab2", "tab99"}, `unknown experiment "tab99"`},
+		{"bad osfault class", 4, 1, 1, "reboot", []string{"oskernel"}, "reboot"},
+		{"osfault without oskernel", 4, 1, 1, "panic", tab2, "-osfault only applies"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := checkFlags(tc.hours, tc.size, tc.runs, tc.osFault, tc.targets)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("err = %v, want none", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

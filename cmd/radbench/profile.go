@@ -7,24 +7,34 @@ import (
 	"runtime/pprof"
 )
 
-// startProfiles begins CPU profiling into cpuPath (when non-empty) and
-// returns a stop function that finishes the CPU profile and writes a
-// heap profile to memPath (when non-empty). PERFORMANCE.md documents
+// startProfiles creates the heap profile file memPath and begins CPU
+// profiling into cpuPath (each when non-empty), so an unwritable path
+// fails before the run. It returns a stop function that finishes the
+// CPU profile and writes the heap profile. PERFORMANCE.md documents
 // which campaigns to profile and how to read the output.
 //
 // Call stop exactly once, at the end of the run's success path. Error
 // exits lose the profiles, which is acceptable for a measurement run —
 // a campaign that fails is not the one being measured.
 func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
+	var cpuFile, memFile *os.File
+	if memPath != "" {
+		if memFile, err = os.Create(memPath); err != nil {
 			return nil, err
 		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, fmt.Errorf("profiling: start CPU profile: %w", err)
+	}
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err == nil {
+			if err = pprof.StartCPUProfile(cpuFile); err != nil {
+				cpuFile.Close()
+				err = fmt.Errorf("profiling: start CPU profile: %w", err)
+			}
+		}
+		if err != nil {
+			if memFile != nil {
+				memFile.Close()
+			}
+			return nil, err
 		}
 	}
 	return func() error {
@@ -34,21 +44,17 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 				return err
 			}
 		}
-		if memPath == "" {
+		if memFile == nil {
 			return nil
 		}
-		f, err := os.Create(memPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
 		// Collect before snapshotting so the heap profile shows what
 		// the campaign retains, not whatever garbage the last trial
 		// left behind.
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
+		if err := pprof.WriteHeapProfile(memFile); err != nil {
+			memFile.Close()
 			return fmt.Errorf("profiling: write heap profile: %w", err)
 		}
-		return nil
+		return memFile.Close()
 	}, nil
 }

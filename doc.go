@@ -6,8 +6,9 @@
 // workloads, and experiment harnesses that regenerate every table and
 // figure of the paper's evaluation.
 //
-// The root package carries the repository-level benchmarks
-// (bench_test.go, one per paper table/figure) and the end-to-end mission
-// integration tests; the implementation lives under internal/ — see
-// README.md for the map and DESIGN.md for the design document.
+// The root package carries the end-to-end mission integration tests;
+// the implementation lives under internal/, the command-line tools
+// under cmd/ (radbench regenerates every table and figure) and the
+// benchmark under bench/ — see README.md for the map and DESIGN.md for
+// the design document.
 package radshield

@@ -77,7 +77,7 @@ func TestCachedArmSitesAreProven(t *testing.T) {
 	}
 }
 
-func openCacheStore(t *testing.T, dir string) *resultcache.Store {
+func openCacheStore(t testing.TB, dir string) *resultcache.Store {
 	t.Helper()
 	s, err := resultcache.Open(dir)
 	if err != nil {
@@ -86,7 +86,7 @@ func openCacheStore(t *testing.T, dir string) *resultcache.Store {
 	return s
 }
 
-func closeCacheStore(t *testing.T, s *resultcache.Store) resultcache.Stats {
+func closeCacheStore(t testing.TB, s *resultcache.Store) resultcache.Stats {
 	t.Helper()
 	st := s.Stats()
 	if err := s.Close(); err != nil {
@@ -260,6 +260,47 @@ func TestCacheEquivalence(t *testing.T) {
 				t.Error("warm run replayed nothing")
 			}
 		})
+	}
+}
+
+// minWarmSpeedup floors cold time over warm time for a mission campaign
+// replayed from the result cache. Replay measures hundreds of times
+// faster, so a slow disk cannot flake the floor, while a store that
+// silently recomputes (speedup ≈ 1) is still caught.
+const minWarmSpeedup = 10
+
+// BenchmarkMissionSurvivalWarmCache measures the result cache's replay
+// speedup: one cold pass fills an isolated store, then each timed
+// iteration re-runs the identical campaign from it. The warm rendering
+// must equal the cold one, and the speedup must reach minWarmSpeedup.
+// CI runs it once per commit (-benchtime 1x).
+func BenchmarkMissionSurvivalWarmCache(b *testing.B) {
+	cfg := DefaultMissionConfig()
+	cfg.Missions = 4
+	cfg.Duration = 4 * time.Hour
+	dir := b.TempDir()
+	run := func() string {
+		cfg.Cache = openCacheStore(b, dir)
+		_, _, tbl, err := MissionSurvival(cfg)
+		closeCacheStore(b, cfg.Cache)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return tbl.String()
+	}
+
+	golden := run()
+	cold := b.Elapsed()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if run() != golden {
+			b.Fatal("warm-cache rendering differs from the cold run")
+		}
+	}
+	speedup := float64(cold) / float64(b.Elapsed()/time.Duration(b.N))
+	b.ReportMetric(speedup, "warm-speedup")
+	if speedup < minWarmSpeedup {
+		b.Errorf("warm-speedup %.1f, want at least %d", speedup, minWarmSpeedup)
 	}
 }
 

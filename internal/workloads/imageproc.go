@@ -46,6 +46,9 @@ func ImageProcessing() Builder {
 				}
 			}
 			plantY := (height / 2 / imgStride) * imgStride
+			if plantY+imgTemplate > height {
+				plantY = 0 // maps under 48 rows: keep the template inside
+			}
 			plantX := 96
 			for y := 0; y < imgTemplate; y++ {
 				copy(global[(plantY+y)*width+plantX:], template[y*imgTemplate:(y+1)*imgTemplate])

@@ -3,6 +3,7 @@ package workloads
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"radshield/internal/emr"
@@ -201,19 +202,25 @@ func TestIDSFindsPlantedPatterns(t *testing.T) {
 }
 
 func TestImageProcessingFindsPlantedTemplate(t *testing.T) {
-	_, res := runWorkload(t, ImageProcessing(), fault.SchemeEMR, 64<<10)
-	sad, y, x, err := BestMatch(res.Outputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sad != 0 {
-		t.Fatalf("best SAD = %d, want 0 at the planted location", sad)
-	}
-	if x != 96 {
-		t.Fatalf("best x = %d, want 96", x)
-	}
-	if y%16 != 0 {
-		t.Fatalf("best strip y = %d, want a stride multiple", y)
+	// The map is 256 bytes wide and at least 32 rows tall. The template
+	// sits at the stride-aligned middle row, or at row 0 on maps under
+	// 48 rows (12,288 B), where the middle would overrun the map.
+	for _, tc := range []struct {
+		size int
+		y    uint64
+	}{
+		{0, 0}, {1, 0}, {8192, 0}, {12287, 0}, {12288, 16}, {64 << 10, 128},
+	} {
+		t.Run(fmt.Sprintf("size=%d", tc.size), func(t *testing.T) {
+			_, res := runWorkload(t, ImageProcessing(), fault.SchemeEMR, tc.size)
+			sad, y, x, err := BestMatch(res.Outputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sad != 0 || y != tc.y || x != 96 {
+				t.Fatalf("best match SAD %d at (y %d, x %d), want SAD 0 at (%d, 96)", sad, y, x, tc.y)
+			}
+		})
 	}
 }
 
