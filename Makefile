@@ -48,10 +48,11 @@ race:
 # recorder, forest prediction, cache reads, telemetry), the shared
 # latchup-protection path, the downlink comms tick, frame codec and
 # recorder restore, and the campaigns' payload formatting at zero
-# allocations, a 4 h flight-software trace
-# under 40 objects, and EMR runtime construction under 2 MB (see
-# PERFORMANCE.md). They are tagged
-# !race — race instrumentation allocates on its own — so the race suite
-# skips them and check runs them here without the detector.
+# allocations, a 4 h flight-software trace under 40 objects, EMR
+# runtime construction under 2 MB, and an EMR Run's growth with its
+# dataset count: a handful of objects under every scheme, plus at most
+# one per dataset for EMR's conflict plan (see PERFORMANCE.md). They
+# are tagged !race — race instrumentation allocates on its own — so the
+# race suite skips them and check runs them here without the detector.
 allocs:
 	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/trace ./internal/ild ./internal/telemetry ./internal/emr ./internal/forest ./internal/cache ./internal/guard ./internal/downlink ./internal/experiments

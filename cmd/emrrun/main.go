@@ -6,6 +6,7 @@
 //
 //	emrrun -workload encryption -scheme emr -frontier dram -size 1048576
 //	emrrun -workload image-processing -scheme 3mr
+//	emrrun -workload dnn -scheme checksum
 package main
 
 import (
@@ -29,8 +30,10 @@ func parseScheme(s string) (fault.Scheme, error) {
 		return fault.SchemeUnprotectedParallel, nil
 	case "none":
 		return fault.SchemeNone, nil
+	case "checksum":
+		return fault.SchemeChecksum, nil
 	default:
-		return 0, fmt.Errorf("unknown scheme %q (emr|3mr|unprotected|none)", s)
+		return 0, fmt.Errorf("unknown scheme %q (emr|3mr|unprotected|none|checksum)", s)
 	}
 }
 
@@ -48,7 +51,7 @@ func parseFrontier(s string) (emr.Frontier, error) {
 func main() {
 	var (
 		workload  = flag.String("workload", "encryption", "encryption|compression|intrusion-detection|image-processing|dnn")
-		scheme    = flag.String("scheme", "emr", "emr|3mr|unprotected|none")
+		scheme    = flag.String("scheme", "emr", "emr|3mr|unprotected|none|checksum")
 		frontier  = flag.String("frontier", "dram", "dram|storage")
 		size      = flag.Int("size", 256<<10, "input size in bytes")
 		seed      = flag.Int64("seed", 42, "synthetic data seed")

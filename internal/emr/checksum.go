@@ -3,19 +3,7 @@ package emr
 import (
 	"fmt"
 	"hash/crc32"
-
-	"radshield/internal/mem"
 )
-
-// regionsOf returns a dataset's raw input regions (no replica
-// resolution: the checksum scheme never replicates).
-func regionsOf(ds Dataset) []mem.Region {
-	regions := make([]mem.Region, len(ds.Inputs))
-	for i, in := range ds.Inputs {
-		regions[i] = in.Region
-	}
-	return regions
-}
 
 // This file implements the checksum-guard baseline the paper discusses
 // in §2.2: "storing checksums of critical memory values, which are
@@ -29,9 +17,9 @@ func regionsOf(ds Dataset) []mem.Region {
 // every memory checksum and reaches the output silently. The Table 7
 // extension campaign demonstrates exactly that gap.
 
-// checksums records the CRC of every loaded input region at staging
-// time. Region granularity matches LoadInput calls; Slice()d datasets
-// verify against the parent region.
+// checksumStore records the CRC of every distinct input region at run
+// start, keyed by exact region: a Slice()d dataset verifies against the
+// CRC of its own bytes, not its parent LoadInput region's.
 type checksumStore struct {
 	crcs map[regionKey]uint32
 }
@@ -45,7 +33,7 @@ var ErrChecksumMismatch = fmt.Errorf("emr: input checksum mismatch")
 func (r *Runtime) runChecksummed(spec *Spec) (*Result, error) {
 	n := len(spec.Datasets)
 	acct := r.newAccounting(spec, nil)
-	outputs := make([][][]byte, n)
+	outputs := make([][]byte, n)
 	errs := make([]error, n)
 
 	// Baseline CRCs come from the pristine frontier contents at run
@@ -56,11 +44,11 @@ func (r *Runtime) runChecksummed(spec *Spec) (*Result, error) {
 	}
 
 	for d := 0; d < n; d++ {
-		out, io, err := r.visitChecksummed(spec, store, d)
+		out, io, err := r.visit(spec, nil, store, -1, d, 0)
 		v := r.parts(spec, io.total, io.fetched, 0)
 		v.compute += io.stall
 		v, err = r.watchVisit(0, d, v, err)
-		outputs[d] = [][]byte{out}
+		outputs[d] = out
 		errs[d] = err
 		// Checksum maintenance costs one extra pass over the bytes at
 		// memory bandwidth.
@@ -69,7 +57,7 @@ func (r *Runtime) runChecksummed(spec *Spec) (*Result, error) {
 		acct.makespan += v.total() + verify
 		acct.busy += v.total() + verify
 	}
-	return r.vote(spec, outputs, errs, acct), nil
+	return r.vote(outputs, errs, 1, acct), nil
 }
 
 // checksumDatasets snapshots the CRC of each dataset input region from
@@ -97,73 +85,23 @@ func (r *Runtime) checksumDatasets(spec *Spec) (*checksumStore, error) {
 	return store, nil
 }
 
-// visitChecksummed is the single-execution visit with read-time CRC
-// verification.
-func (r *Runtime) visitChecksummed(spec *Spec, store *checksumStore, dsIdx int) (out []byte, io visitIO, err error) {
-	ds := spec.Datasets[dsIdx]
-	if spec.Hook != nil {
-		hp := &HookPoint{Phase: PhaseBeforeRead, Jobset: -1, Dataset: dsIdx, Executor: 0, Regions: regionsOf(ds)}
-		spec.Hook(hp)
-		io.stall += hp.Stall
-		if hp.Fail != nil {
-			r.ins.hookAbort()
-			return nil, io, hp.Fail
-		}
+// verifyChecksums checks the bytes a visit consumed against the stored
+// CRCs: this is the guard's read-path check, and it sees exactly what
+// the job sees. A nil store verifies nothing; only the checksum scheme
+// keeps one.
+func (r *Runtime) verifyChecksums(store *checksumStore, ds Dataset, dsIdx int, inputs [][]byte) error {
+	if store == nil {
+		return nil
 	}
-	missesBefore := r.cache.Stats().Misses
-	inputs := make([][]byte, len(ds.Inputs))
 	for i, in := range ds.Inputs {
-		buf := make([]byte, in.Region.Len)
-		if err := r.cache.Read(in.Region.Addr, buf); err != nil {
-			return nil, io, fmt.Errorf("emr: reading %q: %w", in.Name, err)
-		}
-		inputs[i] = buf
-		io.total += in.Region.Len
-	}
-	io.fetched = (r.cache.Stats().Misses - missesBefore) * cacheLineSize
-	r.ins.visit(io.fetched)
-	if spec.Hook != nil {
-		hp := &HookPoint{Phase: PhaseAfterRead, Jobset: -1, Dataset: dsIdx, Executor: 0, Regions: regionsOf(ds)}
-		spec.Hook(hp)
-		io.stall += hp.Stall
-		if hp.Fail != nil {
-			r.ins.hookAbort()
-			return nil, io, hp.Fail
-		}
-		// Re-read so injected cache upsets reach the consumed bytes (the
-		// same compute-window modelling as visit()).
-		for i, in := range ds.Inputs {
-			if err := r.cache.Read(in.Region.Addr, inputs[i]); err != nil {
-				return nil, io, err
-			}
-		}
-	}
-	// Verify the consumed bytes against the stored CRCs: this is the
-	// guard's read-path check, and it sees exactly what the job sees.
-	for i, in := range ds.Inputs {
-		k := regionKey{in.Region.Addr, in.Region.Len}
-		want, ok := store.crcs[k]
+		want, ok := store.crcs[regionKey{in.Region.Addr, in.Region.Len}]
 		if !ok {
-			return nil, io, fmt.Errorf("emr: no checksum for %q", in.Name)
+			return fmt.Errorf("emr: no checksum for %q", in.Name)
 		}
-		if got := crc32.ChecksumIEEE(inputs[i]); got != want {
+		if crc32.ChecksumIEEE(inputs[i]) != want {
 			r.ins.checksumMiss(dsIdx, in.Name)
-			return nil, io, fmt.Errorf("%w: %q", ErrChecksumMismatch, in.Name)
+			return fmt.Errorf("%w: %q", ErrChecksumMismatch, in.Name)
 		}
 	}
-	out, err = spec.Job(inputs)
-	if err != nil {
-		return nil, io, err
-	}
-	if spec.Hook != nil {
-		hp := &HookPoint{Phase: PhaseAfterJob, Jobset: -1, Dataset: dsIdx, Executor: 0, Regions: regionsOf(ds), Output: out}
-		spec.Hook(hp)
-		io.stall += hp.Stall
-		if hp.Fail != nil {
-			r.ins.hookAbort()
-			return nil, io, hp.Fail
-		}
-		out = hp.Output
-	}
-	return out, io, nil
+	return nil
 }

@@ -35,6 +35,14 @@
 // telemetry.Registry; every Run then feeds the emr_* metrics documented
 // in TELEMETRY.md.
 //
+// Lifetimes follow the rule of machine.RunTrace's samples and
+// downlink.Link.RecvDown's frames: a JobFunc's inputs are valid only
+// until the job returns, and a hook's *HookPoint, Regions included, only
+// during the hook call. Each executor owns one set of visit buffers that
+// the runtime refills for its next visit, so a job returns bytes it
+// owns, never a sub-slice of its inputs, and a hook copies out whatever
+// it keeps.
+//
 // Invariants: datasets in one jobset never share a cache line (the
 // conflict graph is computed over replica-resolved regions); each
 // executor's visit flushes the dataset's lines before the next redundant

@@ -138,7 +138,8 @@ type Runtime struct {
 	inputBytes uint64 // bytes staged through LoadInput
 	diskLoaded uint64 // bytes pulled from disk during staging
 
-	ins *instruments
+	ins     *instruments
+	scratch []visitScratch // one per executor; see visit
 }
 
 // New validates the config and builds a runtime.
@@ -174,9 +175,11 @@ func New(cfg Config) (*Runtime, error) {
 }
 
 // build constructs a runtime for a validated config: empty storage and
-// DRAM mapped behind one bus, a cold shared cache, and instruments on
-// the config's registry. Memory is backed only as it is written, so a
-// build costs the cache array, not the devices' nominal sizes.
+// DRAM mapped behind one bus, a cold shared cache, instruments on the
+// config's registry, and one visit scratch per executor, made here
+// before any parallel round can fan visits out to goroutines. Memory is
+// backed only as it is written, so a build costs the cache array, not
+// the devices' nominal sizes.
 func build(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:     cfg,
@@ -184,6 +187,7 @@ func build(cfg Config) *Runtime {
 		storage: mem.NewStorage(cfg.StorageSize),
 		dram:    mem.NewDRAM(cfg.DRAMSize, cfg.DRAMECC),
 		ins:     newEMRInstruments(cfg.Telemetry),
+		scratch: make([]visitScratch, cfg.Executors),
 	}
 	rt.storageBase = rt.bus.Map(rt.storage)
 	rt.dramBase = rt.bus.Map(rt.dram)

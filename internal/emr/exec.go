@@ -35,7 +35,10 @@ const (
 	PhaseAfterJob
 )
 
-// HookPoint is the context handed to a fault-injection hook.
+// HookPoint is the context handed to a fault-injection hook. It belongs
+// to the runtime and is valid only during the hook call: each executor
+// reuses one hook point, Regions included, for every phase of every
+// visit, so a hook copies out whatever it keeps.
 type HookPoint struct {
 	Phase    Phase
 	Jobset   int // -1 for schemes without jobsets
@@ -59,7 +62,8 @@ type HookPoint struct {
 }
 
 // Hook observes and perturbs execution at defined points. A nil hook is
-// a no-op. Hooks run synchronously; execution is deterministic.
+// a no-op. Hooks run synchronously; execution is deterministic. The
+// *HookPoint is valid only until the hook returns.
 type Hook func(*HookPoint)
 
 // Spec describes one computation: the datasets, the job function, and
@@ -176,6 +180,18 @@ func (r *Runtime) watchVisit(executor, dataset int, v visitParts, visitErr error
 	return v, err
 }
 
+// visitScratch is one executor's reusable visit state: the dataset's
+// resolved regions, the job's input headers, one byte buffer per input
+// slot, and the hook point. build sizes the runtime's scratch to
+// cfg.Executors before any visit runs, so the goroutines of a parallel
+// EMR round each touch only their own executor's entry.
+type visitScratch struct {
+	regions []mem.Region
+	inputs  [][]byte
+	bufs    [][]byte
+	hp      HookPoint
+}
+
 // visit performs one executor's processing of one dataset: resolve
 // regions, fire the pre-read hook, fetch bytes through the shared cache,
 // run the job, fire the post-job hook. It returns the output, the IO
@@ -183,25 +199,34 @@ func (r *Runtime) watchVisit(executor, dataset int, v visitParts, visitErr error
 // cache's real miss count, so schemes that keep data resident
 // (unprotected sharing, per-pass reuse, replicas) are charged less than
 // EMR's deliberate flush-and-refetch — exactly the trade the paper
-// measures.
-func (r *Runtime) visit(spec *Spec, a *analysis, jobset, dsIdx, executor int) (out []byte, io visitIO, err error) {
+// measures. A nil plan reads every input at its frontier region; a
+// non-nil checksum store verifies the consumed bytes before the job
+// runs (the checksum scheme's read-path guard).
+func (r *Runtime) visit(spec *Spec, a *analysis, sums *checksumStore, jobset, dsIdx, executor int) (out []byte, io visitIO, err error) {
 	ds := spec.Datasets[dsIdx]
-	regions := make([]mem.Region, len(ds.Inputs))
-	for i, in := range ds.Inputs {
+	s := &r.scratch[executor]
+	s.regions = s.regions[:0]
+	for _, in := range ds.Inputs {
 		if a != nil {
-			regions[i] = a.executorRegion(executor, in)
+			s.regions = append(s.regions, a.executorRegion(executor, in))
 		} else {
-			regions[i] = in.Region
+			s.regions = append(s.regions, in.Region)
 		}
 	}
-	if spec.Hook != nil {
-		hp := &HookPoint{Phase: PhaseBeforeRead, Jobset: jobset, Dataset: dsIdx, Executor: executor, Regions: regions}
-		spec.Hook(hp)
-		io.stall += hp.Stall
-		if hp.Fail != nil {
+	// fire runs the hook at one phase on the executor's hook point and
+	// reports whether the visit may go on.
+	fire := func(phase Phase) bool {
+		s.hp = HookPoint{Phase: phase, Jobset: jobset, Dataset: dsIdx, Executor: executor, Regions: s.regions, Output: out}
+		spec.Hook(&s.hp)
+		io.stall += s.hp.Stall
+		if s.hp.Fail != nil {
 			r.ins.hookAbort()
-			return nil, io, hp.Fail
+			return false
 		}
+		return true
+	}
+	if spec.Hook != nil && !fire(PhaseBeforeRead) {
+		return nil, io, s.hp.Fail
 	}
 	// First pass: fetch the input lines into the shared cache. This
 	// establishes residency; the bytes the job actually consumes are read
@@ -209,48 +234,49 @@ func (r *Runtime) visit(spec *Spec, a *analysis, jobset, dsIdx, executor int) (o
 	// between (PhaseAfterRead) corrupts what this executor computes on —
 	// the realistic compute-time vulnerability window.
 	missesBefore := r.cache.Stats().Misses
-	inputs := make([][]byte, len(regions))
-	for i, reg := range regions {
-		buf := make([]byte, reg.Len)
+	s.inputs = s.inputs[:0]
+	for i, reg := range s.regions {
+		if i == len(s.bufs) {
+			s.bufs = append(s.bufs, nil)
+		}
+		if uint64(cap(s.bufs[i])) < reg.Len {
+			s.bufs[i] = make([]byte, reg.Len)
+		}
+		buf := s.bufs[i][:reg.Len:reg.Len]
 		if err := r.cache.Read(reg.Addr, buf); err != nil {
 			// An uncorrectable ECC machine check is a detected error.
 			return nil, io, fmt.Errorf("emr: executor %d reading %q: %w", executor, ds.Inputs[i].Name, err)
 		}
-		inputs[i] = buf
+		s.inputs = append(s.inputs, buf)
 		io.total += reg.Len
 	}
 	io.fetched = (r.cache.Stats().Misses - missesBefore) * cacheLineSize
 	r.ins.visit(io.fetched)
 	if spec.Hook != nil {
-		hp := &HookPoint{Phase: PhaseAfterRead, Jobset: jobset, Dataset: dsIdx, Executor: executor, Regions: regions}
-		spec.Hook(hp)
-		io.stall += hp.Stall
-		if hp.Fail != nil {
-			r.ins.hookAbort()
-			return nil, io, hp.Fail
+		if !fire(PhaseAfterRead) {
+			return nil, io, s.hp.Fail
 		}
 		// Second pass: re-read through the cache so injected line upsets
 		// reach the job. Skipped when no hook is installed — the reread
 		// is observationally identical then.
-		for i, reg := range regions {
-			if err := r.cache.Read(reg.Addr, inputs[i]); err != nil {
+		for i, reg := range s.regions {
+			if err := r.cache.Read(reg.Addr, s.inputs[i]); err != nil {
 				return nil, io, fmt.Errorf("emr: executor %d re-reading %q: %w", executor, ds.Inputs[i].Name, err)
 			}
 		}
 	}
-	out, err = spec.Job(inputs)
+	if err := r.verifyChecksums(sums, ds, dsIdx, s.inputs); err != nil {
+		return nil, io, err
+	}
+	out, err = spec.Job(s.inputs)
 	if err != nil {
 		return nil, io, err
 	}
 	if spec.Hook != nil {
-		hp := &HookPoint{Phase: PhaseAfterJob, Jobset: jobset, Dataset: dsIdx, Executor: executor, Regions: regions, Output: out}
-		spec.Hook(hp)
-		io.stall += hp.Stall
-		if hp.Fail != nil {
-			r.ins.hookAbort()
-			return nil, io, hp.Fail
+		if !fire(PhaseAfterJob) {
+			return nil, io, s.hp.Fail
 		}
-		out = hp.Output
+		out = s.hp.Output
 	}
 	return out, io, nil
 }
@@ -277,32 +303,31 @@ func (r *Runtime) runEMR(spec *Spec) (*Result, error) {
 	n := len(spec.Datasets)
 	ex := r.cfg.Executors
 	acct := r.newAccounting(spec, a)
-	outputs := make([][][]byte, n) // dataset → executor → output
+	outputs := make([][]byte, n*ex) // dataset-major: outputs[d*ex+e]
 	errs := make([]error, n*ex)
-	for i := range outputs {
-		outputs[i] = make([][]byte, ex)
+	type visitResult struct {
+		out   []byte
+		io    visitIO
+		lines int
+		err   error
 	}
+	results := make([]visitResult, ex)
+	// runOne runs executor e's visit of dataset d in jobset js into the
+	// executor's result slot.
+	runOne := func(js, d, e int) {
+		out, io, err := r.visit(spec, a, nil, js, d, e)
+		lines := r.flushShared(a, d)
+		results[e] = visitResult{out: out, io: io, lines: lines, err: err}
+	}
+	var visits []visitParts
 
 	parallel := r.cfg.ParallelExecution && spec.Hook == nil && ex > 1
 	for js, set := range a.jobsets {
 		k := len(set)
+		visits = visits[:0]
 		// Stagger starting positions so executors occupy distinct
 		// datasets each round (for k ≥ ex the offsets are distinct).
-		var visits []visitParts
 		for t := 0; t < k; t++ {
-			type visitResult struct {
-				out   []byte
-				io    visitIO
-				lines int
-				err   error
-			}
-			results := make([]visitResult, ex)
-			runOne := func(e int) {
-				d := set[(t+e*k/ex)%k]
-				out, io, err := r.visit(spec, a, js, d, e)
-				lines := r.flushShared(a, d)
-				results[e] = visitResult{out: out, io: io, lines: lines, err: err}
-			}
 			if parallel && k >= ex {
 				// Each executor is on a distinct dataset this round, so
 				// real goroutines are safe: the shared cache is locked
@@ -311,15 +336,15 @@ func (r *Runtime) runEMR(spec *Spec) (*Result, error) {
 				for e := 0; e < ex; e++ {
 					wg.Add(1)
 					//radlint:allow schedonly executors write disjoint position-indexed result slots and join at the WaitGroup barrier before any read, so collection order is defined
-					go func(e int) {
+					go func(js, d, e int) {
 						defer wg.Done()
-						runOne(e)
-					}(e)
+						runOne(js, d, e)
+					}(js, set[(t+e*k/ex)%k], e)
 				}
 				wg.Wait()
 			} else {
 				for e := 0; e < ex; e++ {
-					runOne(e)
+					runOne(js, set[(t+e*k/ex)%k], e)
 				}
 			}
 			for e := 0; e < ex; e++ {
@@ -329,14 +354,14 @@ func (r *Runtime) runEMR(spec *Spec) (*Result, error) {
 				v.compute += res.io.stall
 				v, verr := r.watchVisit(e, d, v, res.err)
 				visits = append(visits, v)
-				outputs[d][e] = res.out
+				outputs[d*ex+e] = res.out
 				errs[d*ex+e] = verr
 			}
 		}
 		acct.addJobsetMakespan(visits, k, ex)
 	}
 
-	res := r.vote(spec, outputs, errs, acct)
+	res := r.vote(outputs, errs, ex, acct)
 	res.Report.Jobsets = len(a.jobsets)
 	res.Report.ConflictPairs = a.conflictPairs
 	return res, nil
@@ -349,16 +374,13 @@ func (r *Runtime) runUnprotected(spec *Spec) (*Result, error) {
 	n := len(spec.Datasets)
 	ex := r.cfg.Executors
 	acct := r.newAccounting(spec, nil)
-	outputs := make([][][]byte, n)
+	outputs := make([][]byte, n*ex)
 	errs := make([]error, n*ex)
-	for i := range outputs {
-		outputs[i] = make([][]byte, ex)
-	}
 	for d := 0; d < n; d++ {
 		var total, fetched uint64
 		var extra time.Duration // lockstep: the slowest copy gates the round
 		for e := 0; e < ex; e++ {
-			out, io, err := r.visit(spec, nil, -1, d, e)
+			out, io, err := r.visit(spec, nil, nil, -1, d, e)
 			base := r.parts(spec, io.total, io.fetched, 0)
 			ve := base
 			ve.compute += io.stall
@@ -366,7 +388,7 @@ func (r *Runtime) runUnprotected(spec *Spec) (*Result, error) {
 			if adj := ve.total() - base.total(); adj > extra {
 				extra = adj
 			}
-			outputs[d][e] = out
+			outputs[d*ex+e] = out
 			errs[d*ex+e] = err
 			total = io.total
 			fetched += io.fetched // later copies mostly hit the shared lines
@@ -379,7 +401,7 @@ func (r *Runtime) runUnprotected(spec *Spec) (*Result, error) {
 		acct.makespan += v.total()
 		acct.busy += time.Duration(ex)*v.compute + v.fetch
 	}
-	return r.vote(spec, outputs, errs, acct), nil
+	return r.vote(outputs, errs, ex, acct), nil
 }
 
 // runSerial executes classic sequential 3-MR: three full passes over all
@@ -391,18 +413,15 @@ func (r *Runtime) runSerial(spec *Spec) (*Result, error) {
 	// Each pass re-stages inputs from disk (the paper's Table 6 charges
 	// serial 3-MR three disk reads).
 	acct.diskRead = time.Duration(float64(ex) * float64(r.diskLoaded) / r.cfg.Cost.DiskBytesPerSec * float64(time.Second))
-	outputs := make([][][]byte, n)
+	outputs := make([][]byte, n*ex)
 	errs := make([]error, n*ex)
-	for i := range outputs {
-		outputs[i] = make([][]byte, ex)
-	}
 	for pass := 0; pass < ex; pass++ {
 		for d := 0; d < n; d++ {
-			out, io, err := r.visit(spec, nil, -1, d, pass)
+			out, io, err := r.visit(spec, nil, nil, -1, d, pass)
 			v := r.parts(spec, io.total, io.fetched, 0)
 			v.compute += io.stall
 			v, err = r.watchVisit(pass, d, v, err)
-			outputs[d][pass] = out
+			outputs[d*ex+pass] = out
 			errs[d*ex+pass] = err
 			acct.addVisit(v)
 			acct.makespan += v.total()
@@ -414,59 +433,58 @@ func (r *Runtime) runSerial(spec *Spec) (*Result, error) {
 		acct.flush += flushDur
 		acct.busy += flushDur
 	}
-	return r.vote(spec, outputs, errs, acct), nil
+	return r.vote(outputs, errs, ex, acct), nil
 }
 
 // runNone executes once with no redundancy.
 func (r *Runtime) runNone(spec *Spec) (*Result, error) {
 	n := len(spec.Datasets)
 	acct := r.newAccounting(spec, nil)
-	outputs := make([][][]byte, n)
+	outputs := make([][]byte, n)
 	errs := make([]error, n)
 	for d := 0; d < n; d++ {
-		out, io, err := r.visit(spec, nil, -1, d, 0)
+		out, io, err := r.visit(spec, nil, nil, -1, d, 0)
 		v := r.parts(spec, io.total, io.fetched, 0)
 		v.compute += io.stall
 		v, err = r.watchVisit(0, d, v, err)
-		outputs[d] = [][]byte{out}
+		outputs[d] = out
 		errs[d] = err
 		acct.addVisit(v)
 		acct.makespan += v.total()
 		acct.busy += v.total()
 	}
-	return r.vote(spec, outputs, errs, acct), nil
+	return r.vote(outputs, errs, 1, acct), nil
 }
 
 // vote tallies executor outputs into per-dataset results and writes the
-// winning outputs back inside the reliability frontier.
-func (r *Runtime) vote(spec *Spec, outputs [][][]byte, errs []error, acct *accounting) *Result {
-	n := len(outputs)
+// winning outputs back inside the reliability frontier. outputs and errs
+// hold ex entries per dataset, dataset-major; ex is 1 for the
+// single-execution schemes.
+func (r *Runtime) vote(outputs [][]byte, errs []error, ex int, acct *accounting) *Result {
+	n := len(outputs) / ex
 	res := &Result{
 		Outputs:    make([][]byte, n),
 		PerDataset: make([]DatasetResult, n),
 	}
 	res.Report.Datasets = n
-	ex := len(outputs[0])
+	// One dataset's valid outputs, kept on the stack for up to eight
+	// executors.
+	var stack [8][]byte
+	valid := stack[:0]
 	for d := 0; d < n; d++ {
-		var valid [][]byte
+		valid = valid[:0]
 		var hadError bool
 		for e := 0; e < ex; e++ {
-			var err error
-			if r.cfg.Scheme == fault.SchemeNone {
-				err = errs[d]
-			} else {
-				err = errs[d*ex+e]
-			}
-			if err != nil {
+			if errs[d*ex+e] != nil {
 				hadError = true
 				res.Report.ExecErrors++
 				continue
 			}
-			valid = append(valid, outputs[d][e])
+			valid = append(valid, outputs[d*ex+e])
 		}
 		dr := &res.PerDataset[d]
 		switch {
-		case ex == 1: // SchemeNone
+		case ex == 1: // SchemeNone and SchemeChecksum
 			if hadError {
 				dr.Err = errs[d]
 			} else {

@@ -2,6 +2,7 @@ package emr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -9,9 +10,10 @@ import (
 )
 
 // Fuzz targets for the two arbitration primitives everything above them
-// trusts: the majority vote (exec.go) and the checksum guard
-// (checksum.go). Both are invariant checks, not golden tests — any
-// input the fuzzer invents must keep the safety properties.
+// trusts, the majority vote (exec.go) and the checksum guard
+// (checksum.go), and for the executors' reused visit buffers (exec.go).
+// All are invariant checks, not golden tests — any input the fuzzer
+// invents must keep the safety properties.
 //
 // CI runs these as a short smoke (-fuzz -fuzztime 10s); the committed
 // seed corpora below keep the deterministic `go test` pass meaningful.
@@ -155,6 +157,120 @@ func FuzzChecksum(f *testing.F) {
 		}
 		if !bytes.Equal(res.Outputs[0], want) {
 			t.Fatalf("clean output %x, want %x", res.Outputs[0], want)
+		}
+	})
+}
+
+// shapeJob folds the input count, each input's length and its bytes
+// into an FNV-1a digest, so an input served from a reused buffer at the
+// wrong length, with stale bytes, or in the wrong slot changes the
+// output.
+func shapeJob(inputs [][]byte) ([]byte, error) {
+	h := uint64(14695981039346656037)
+	mix := func(b byte) { h = (h ^ uint64(b)) * 1099511628211 }
+	mix(byte(len(inputs)))
+	for _, in := range inputs {
+		for s := 0; s < 32; s += 8 {
+			mix(byte(len(in) >> s))
+		}
+		for _, b := range in {
+			mix(b)
+		}
+	}
+	return binary.BigEndian.AppendUint64(nil, h), nil
+}
+
+// shapeDatasets cuts up to 12 datasets out of ref as shape directs.
+// Each takes 1–4 inputs, and each input is either a fresh slice of
+// 1 B–2 KiB at any offset (slices overlap freely) or an exact repeat of
+// an earlier one (a shared region, which EMR replicates).
+func shapeDatasets(ref InputRef, shape []byte) []Dataset {
+	next := func() uint64 {
+		if len(shape) == 0 {
+			return 0
+		}
+		b := shape[0]
+		shape = shape[1:]
+		return uint64(b)
+	}
+	var cut []InputRef
+	var datasets []Dataset
+	for len(shape) > 0 && len(datasets) < 12 {
+		var inputs []InputRef
+		for n := 1 + next()%4; n > 0; n-- {
+			if c := next(); c >= 0xc0 && len(cut) > 0 {
+				inputs = append(inputs, cut[int(c)%len(cut)])
+				continue
+			}
+			off := (next()<<8 | next()) % ref.Region.Len
+			size := 1 + (next()<<8|next())%min(2<<10, ref.Region.Len-off)
+			in := mustSlice(ref, off, size)
+			cut = append(cut, in)
+			inputs = append(inputs, in)
+		}
+		datasets = append(datasets, Dataset{Inputs: inputs})
+	}
+	return datasets
+}
+
+// FuzzRunShapes checks the executors' reused visit buffers: whatever
+// mix of input counts and region sizes the datasets have, every scheme,
+// hooked or not, must hand each job exactly the bytes of its regions.
+// Each output is compared with shapeJob applied to bytes read straight
+// from the bus.
+func FuzzRunShapes(f *testing.F) {
+	f.Add(bytes.Repeat([]byte("radshield"), 100), []byte{0, 0, 0, 0, 0, 16})
+	f.Add([]byte("0123456789abcdef"), []byte{1, 0, 0, 0, 0, 7, 0, 0, 8, 0, 7, 0, 0xc0, 0xc1})
+
+	f.Fuzz(func(t *testing.T, data, shape []byte) {
+		if len(data) == 0 {
+			t.Skip()
+		}
+		if len(data) > 8<<10 {
+			data = data[:8<<10]
+		}
+		for _, scheme := range []fault.Scheme{fault.SchemeEMR, fault.SchemeUnprotectedParallel, fault.SchemeSerial3MR, fault.SchemeNone, fault.SchemeChecksum} {
+			cfg := DefaultConfig()
+			cfg.Scheme = scheme
+			cfg.CacheSets = 64 // a small cache also exercises refetch after eviction
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := rt.LoadInput("fuzz", data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := Spec{Name: "shapes", Datasets: shapeDatasets(ref, shape), Job: shapeJob, CyclesPerByte: 1}
+			if len(spec.Datasets) == 0 {
+				t.Skip()
+			}
+			want := make([][]byte, len(spec.Datasets))
+			for d, ds := range spec.Datasets {
+				inputs := make([][]byte, len(ds.Inputs))
+				for i, in := range ds.Inputs {
+					inputs[i] = make([]byte, in.Region.Len)
+					if err := rt.bus.Read(in.Region.Addr, inputs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want[d], _ = shapeJob(inputs)
+			}
+			for _, hook := range []Hook{nil, func(*HookPoint) {}} {
+				spec.Hook = hook
+				res, err := rt.Run(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d := range want {
+					if err := res.PerDataset[d].Err; err != nil {
+						t.Fatalf("%v hooked=%v: dataset %d: %v", scheme, hook != nil, d, err)
+					}
+					if !bytes.Equal(res.Outputs[d], want[d]) {
+						t.Fatalf("%v hooked=%v: dataset %d output %x, want %x", scheme, hook != nil, d, res.Outputs[d], want[d])
+					}
+				}
+			}
 		}
 	})
 }

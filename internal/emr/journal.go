@@ -154,13 +154,15 @@ func (r *Runtime) RunJournaled(spec Spec, j *Journal) (*Result, error) {
 		sub.ExtraConflict = func(a, b int) bool { return orig(pendingIdx[a], pendingIdx[b]) }
 	}
 	if spec.Hook != nil {
+		// The hook sees the spec's own dataset index and acts on the
+		// runtime's hook point itself, so every field it sets (Output,
+		// Fail, Stall) reaches the visit.
 		orig := spec.Hook
 		sub.Hook = func(hp *HookPoint) {
-			mapped := *hp
-			mapped.Dataset = pendingIdx[hp.Dataset]
-			orig(&mapped)
-			hp.Output = mapped.Output
-			hp.Fail = mapped.Fail
+			si := hp.Dataset
+			hp.Dataset = pendingIdx[si]
+			orig(hp)
+			hp.Dataset = si
 		}
 	}
 	res, err := r.Run(sub)

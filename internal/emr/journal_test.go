@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
+	"time"
 
 	"radshield/internal/fault"
 )
@@ -183,6 +184,44 @@ func TestRunJournaledHookIndexMapping(t *testing.T) {
 	}
 	if len(seen) == 0 {
 		t.Fatal("hook never fired on resume")
+	}
+}
+
+// A hook's Stall must bill a journaled run as it bills a plain one: the
+// resume wrapper once passed back only Output and Fail, so a hung
+// replica cost a journaled run nothing and no Watcher saw it.
+func TestRunJournaledKeepsHookStall(t *testing.T) {
+	stall := func(hp *HookPoint) {
+		if hp.Phase == PhaseAfterRead && hp.Executor == 1 {
+			hp.Stall = time.Second
+		}
+	}
+	run := func(journaled bool) time.Duration {
+		rt := newRuntime(t, fault.SchemeEMR)
+		spec := chunkedSpec(t, rt, 8, 256, false)
+		spec.Hook = stall
+		var res *Result
+		var err error
+		if journaled {
+			j, jerr := rt.NewJournal(1 << 16)
+			if jerr != nil {
+				t.Fatal(jerr)
+			}
+			res, err = rt.RunJournaled(spec, j)
+		} else {
+			res, err = rt.Run(spec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Report.Makespan
+	}
+	plain, journaled := run(false), run(true)
+	if plain < time.Second {
+		t.Fatalf("Run makespan %v does not include the 1s stalls", plain)
+	}
+	if journaled != plain {
+		t.Fatalf("RunJournaled makespan %v, Run makespan %v: the journaled run dropped the hook's Stall", journaled, plain)
 	}
 }
 

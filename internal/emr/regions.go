@@ -38,7 +38,10 @@ type Dataset struct {
 // JobFunc computes one job: it receives the dataset's bytes in
 // declaration order and returns the output. The bytes come from the
 // simulated memory hierarchy, so upsets that reached the executor are
-// visible in the slices.
+// visible in the slices. The inputs are valid only until the job
+// returns: the runtime refills the same buffers for the executor's next
+// visit. A job therefore keeps no reference to them and returns bytes it
+// owns, never a sub-slice of its inputs.
 type JobFunc func(inputs [][]byte) ([]byte, error)
 
 // regionKey identifies an exact region (identical pointer and offset, as
@@ -188,15 +191,23 @@ func (r *Runtime) plan(spec *Spec) (*analysis, error) {
 		}
 	}
 
-	// Conflict graph over non-replicated regions only.
+	// Conflict graph over non-replicated regions only, every dataset's
+	// list cut from one backing array.
+	inputs := 0
+	for _, d := range spec.Datasets {
+		inputs += len(d.Inputs)
+	}
+	shared := make([]mem.Region, 0, inputs)
 	a.conflictRegions = make([][]mem.Region, len(spec.Datasets))
 	for i, d := range spec.Datasets {
+		start := len(shared)
 		for _, in := range d.Inputs {
 			k := regionKey{in.Region.Addr, in.Region.Len}
 			if !a.replicated[k] {
-				a.conflictRegions[i] = append(a.conflictRegions[i], in.Region)
+				shared = append(shared, in.Region)
 			}
 		}
+		a.conflictRegions[i] = shared[start:len(shared):len(shared)]
 	}
 	a.jobsets, a.conflictPairs = buildJobsets(a.conflictRegions, spec.ExtraConflict)
 	return a, nil

@@ -81,16 +81,6 @@ func (r *Runtime) parts(spec *Spec, totalBytes, fetchedBytes uint64, lines int) 
 	}
 }
 
-// visitTime is the scalar convenience over parts.
-func (r *Runtime) visitTime(spec *Spec, totalBytes, fetchedBytes uint64, lines int) time.Duration {
-	return r.parts(spec, totalBytes, fetchedBytes, lines).total()
-}
-
-// computeTime returns only the compute component for a byte count.
-func (r *Runtime) computeTime(spec *Spec, bytes uint64) time.Duration {
-	return time.Duration(float64(bytes) * spec.CyclesPerByte / r.cfg.Cost.CoreFreqHz * float64(time.Second))
-}
-
 // accounting accumulates virtual time and outcome counters during a run.
 type accounting struct {
 	diskRead time.Duration

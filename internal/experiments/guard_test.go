@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -132,6 +133,35 @@ func TestWatchdogCampaignDegradesAndRecovers(t *testing.T) {
 	}
 	if tbl.String() == "" {
 		t.Fatal("empty table rendering")
+	}
+}
+
+// watchdogJob must meet the EMR input contract: its inputs are valid
+// only until it returns, so its output may not be a view of them.
+func TestWatchdogJobDoesNotRetainInputs(t *testing.T) {
+	inputs := func() [][]byte {
+		return [][]byte{[]byte("watchdog chunk zero"), {0, 1, 2, 3, 0xff}}
+	}
+	in := inputs()
+	out, err := watchdogJob(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := bytes.Clone(out)
+	for _, buf := range in {
+		for i := range buf {
+			buf[i] ^= 0xff
+		}
+	}
+	if !bytes.Equal(out, kept) {
+		t.Fatal("overwriting the inputs changed the output")
+	}
+	again, err := watchdogJob(inputs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, again) {
+		t.Fatalf("output %x, but a second call on fresh copies gave %x", out, again)
 	}
 }
 

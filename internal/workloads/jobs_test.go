@@ -1,9 +1,12 @@
 package workloads
 
 import (
+	"bytes"
 	"encoding/binary"
 	"strings"
 	"testing"
+
+	"radshield/internal/emr"
 )
 
 // Error-path tests for the job functions: corrupted metadata must fail
@@ -143,5 +146,58 @@ func TestAESJobDeterministicPerKey(t *testing.T) {
 	}
 	if string(a) == string(c) {
 		t.Fatal("different keys produced equal ciphertext")
+	}
+}
+
+// TestJobsDoNotRetainInputs checks every job against the EMR input
+// contract: inputs are valid only until the job returns (the runtime
+// refills the same buffers for the executor's next visit), so an output
+// must be the job's own bytes, never a view of its inputs.
+func TestJobsDoNotRetainInputs(t *testing.T) {
+	for _, b := range append(All(), ImageProcessingNCC()) {
+		t.Run(b.Name, func(t *testing.T) {
+			rt, err := emr.New(emr.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := b.Build(rt, 32<<10, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d, ds := range spec.Datasets {
+				// inputs returns fresh copies of the dataset's bytes.
+				inputs := func() [][]byte {
+					bufs := make([][]byte, len(ds.Inputs))
+					for i, in := range ds.Inputs {
+						bufs[i] = make([]byte, in.Region.Len)
+						if err := rt.Cache().Read(in.Region.Addr, bufs[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return bufs
+				}
+				in := inputs()
+				out, err := spec.Job(in)
+				if err != nil {
+					t.Fatalf("dataset %d: %v", d, err)
+				}
+				kept := bytes.Clone(out)
+				for _, buf := range in {
+					for i := range buf {
+						buf[i] ^= 0xff
+					}
+				}
+				if !bytes.Equal(out, kept) {
+					t.Fatalf("dataset %d: overwriting the inputs changed the output", d)
+				}
+				again, err := spec.Job(inputs())
+				if err != nil {
+					t.Fatalf("dataset %d: %v", d, err)
+				}
+				if !bytes.Equal(out, again) {
+					t.Fatalf("dataset %d: output %x, but a second call on fresh copies gave %x", d, out, again)
+				}
+			}
+		})
 	}
 }
