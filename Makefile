@@ -45,7 +45,8 @@ race:
 
 # Allocation-regression tests pin the per-sample hot paths (machine
 # Step/Sample and the RunTrace loop, detectors and the flight-log
-# recorder, forest prediction, cache reads, telemetry), the shared
+# recorder, forest prediction, cache reads, telemetry), a result-cache
+# replay's in-place decode of a fixed-width struct, the shared
 # latchup-protection path, the downlink comms tick, frame codec and
 # recorder restore, and the campaigns' payload formatting at zero
 # allocations, a 4 h flight-software trace under 40 objects, EMR
@@ -55,4 +56,4 @@ race:
 # are tagged !race — race instrumentation allocates on its own — so the
 # race suite skips them and check runs them here without the detector.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/trace ./internal/ild ./internal/telemetry ./internal/emr ./internal/forest ./internal/cache ./internal/guard ./internal/downlink ./internal/experiments
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/trace ./internal/ild ./internal/telemetry ./internal/emr ./internal/forest ./internal/cache ./internal/guard ./internal/downlink ./internal/experiments ./internal/resultcache

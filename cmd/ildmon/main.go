@@ -12,12 +12,16 @@
 //
 //	ildmon -hours 2 -sel-at 45m -sel-amps 0.07
 //	ildmon -hours 2 -sensor-fault stuck -fault-at 30m -fault-for 20m
+//
+// Flags are checked before the detector trains: a bad one exits 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 	"time"
@@ -44,6 +48,47 @@ func parseFaultKind(s string) (power.FaultKind, error) {
 	return power.FaultNone, fmt.Errorf("unknown sensor fault %q (dropout, stuck, offset, garbage)", s)
 }
 
+// missionFlags are the flags checkFlags vets.
+type missionFlags struct {
+	hours, selAmps                   float64
+	selAt, report, faultAt, faultFor time.Duration
+	sensorFault, dump                string
+}
+
+// checkFlags rejects flag values ildmon cannot fly, before the detector
+// trains: a mission length radbench would refuse too (see
+// experiments.CheckHours), a latchup current that is not a finite value
+// above 0, a report interval not above 0, a negative strike time,
+// fault start or fault length, an unknown sensor fault, or -dump beside
+// one. It returns the sensor fault to fly.
+func checkFlags(f missionFlags) (power.FaultKind, error) {
+	if err := experiments.CheckHours(f.hours); err != nil {
+		return power.FaultNone, err
+	}
+	if !(f.selAmps > 0) || math.IsInf(f.selAmps, 1) {
+		return power.FaultNone, fmt.Errorf("-sel-amps %v, want a finite value above 0", f.selAmps)
+	}
+	if f.report <= 0 {
+		return power.FaultNone, fmt.Errorf("-report %v, want above 0", f.report)
+	}
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{{"-sel-at", f.selAt}, {"-fault-at", f.faultAt}, {"-fault-for", f.faultFor}} {
+		if d.v < 0 {
+			return power.FaultNone, fmt.Errorf("%s %v, want at least 0", d.name, d.v)
+		}
+	}
+	kind, err := parseFaultKind(f.sensorFault)
+	if err != nil {
+		return power.FaultNone, err
+	}
+	if f.dump != "" && kind != power.FaultNone {
+		return power.FaultNone, errors.New("-dump is unavailable with -sensor-fault: the guard supervisor owns the detector")
+	}
+	return kind, nil
+}
+
 func main() {
 	var (
 		hours     = flag.Float64("hours", 2, "mission length in simulated hours")
@@ -64,12 +109,14 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ildmon: ")
 
-	kind, err := parseFaultKind(*faultKind)
+	kind, err := checkFlags(missionFlags{
+		hours: *hours, selAmps: *selAmps,
+		selAt: *selAt, report: *report, faultAt: *faultAt, faultFor: *faultFor,
+		sensorFault: *faultKind, dump: *dump,
+	})
 	if err != nil {
-		log.Fatal(err)
-	}
-	if *dump != "" && kind != power.FaultNone {
-		log.Fatal("-dump is unavailable with -sensor-fault: the guard supervisor owns the detector")
+		log.Print(err)
+		os.Exit(2)
 	}
 	// Output files are created before the mission flies, so an
 	// unwritable path fails here instead of after it.

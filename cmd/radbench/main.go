@@ -24,7 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"net/http"
 	"os"
 	"slices"
@@ -529,14 +529,13 @@ func summarize(f *experiments.Figure, n int) string {
 }
 
 // checkFlags rejects flag values radbench cannot run, before any
-// output file is created or experiment starts: a campaign length that
-// is not a positive number of hours a time.Duration can hold, an input
-// size under one byte, a Table 7 with no runs, an unknown experiment
-// id, an invalid OS-fault class, or -osfault without the one experiment
-// that reads it.
+// output file is created or experiment starts: a campaign length
+// experiments.CheckHours refuses, an input size under one byte, a
+// Table 7 with no runs, an unknown experiment id, an invalid OS-fault
+// class, or -osfault without the one experiment that reads it.
 func checkFlags(hours float64, size, runs int, osFault string, targets []string) error {
-	if !(hours > 0 && hours*float64(time.Hour) < math.MaxInt64) {
-		return fmt.Errorf("-hours %v, want above 0 and below %.0f", hours, time.Duration(math.MaxInt64).Hours())
+	if err := experiments.CheckHours(hours); err != nil {
+		return err
 	}
 	if size < 1 {
 		return fmt.Errorf("-size %d, want at least 1 byte", size)
@@ -559,6 +558,18 @@ func checkFlags(hours float64, size, runs int, osFault string, targets []string)
 		return errors.New("-osfault only applies to -exp oskernel (valid classes: panic, hang, ioburst, schedstall, fscorrupt)")
 	}
 	return nil
+}
+
+// printCacheSummary prints the result cache's closing line. A store
+// stops writing after its first append failure (Store.Err), so that
+// error goes to stderr beside the line: the run's results are still
+// right, but the misses after it were not stored for the next run.
+func printCacheSummary(stdout, stderr io.Writer, st resultcache.Stats, putErr error, dir string) {
+	fmt.Fprintf(stdout, "resultcache: %d hits, %d misses (%.1f%% hit rate), %d entries, %d bytes in %s\n",
+		st.Hits, st.Misses, 100*st.HitRate(), st.Entries, st.Bytes, dir)
+	if putErr != nil {
+		fmt.Fprintf(stderr, "radbench: result cache stopped storing arms: %v\n", putErr)
+	}
 }
 
 func main() {
@@ -709,13 +720,12 @@ func main() {
 		ship(1, fmt.Sprintf("experiment=%s status=ok campaign_t=%v", name, campaign.Now()))
 	}
 	if store != nil {
-		st := store.Stats()
+		st, putErr := store.Stats(), store.Err()
 		if err := store.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "radbench: result cache: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("resultcache: %d hits, %d misses (%.1f%% hit rate), %d entries, %d bytes in %s\n",
-			st.Hits, st.Misses, 100*st.HitRate(), st.Entries, st.Bytes, *rcDir)
+		printCacheSummary(os.Stdout, os.Stderr, st, putErr, *rcDir)
 	}
 	ship(0, fmt.Sprintf("campaign_complete experiments=%d simulated=%v", len(targets), campaign.Now()))
 	drainFeed()

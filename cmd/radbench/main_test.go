@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"radshield/internal/fault"
 	"radshield/internal/machine"
 	"radshield/internal/power"
+	"radshield/internal/resultcache"
 )
 
 // shipped records what a verdict gate sends down the feed.
@@ -245,6 +248,33 @@ func TestAdaptiveGate(t *testing.T) {
 			a := good()
 			tc.mutate(&a[0])
 			checkGate(t, tc.want, func(ship shipFunc) error { return adaptiveGate(ship, a) })
+		})
+	}
+}
+
+// A store that stopped writing still prints its summary, and the
+// append error goes to stderr beside it.
+func TestPrintCacheSummary(t *testing.T) {
+	st := resultcache.Stats{Hits: 3, Misses: 1, Entries: 4, Bytes: 512}
+	const line = "resultcache: 3 hits, 1 misses (75.0% hit rate), 4 entries, 512 bytes in rc\n"
+	for _, tc := range []struct {
+		name    string
+		putErr  error
+		wantErr string
+	}{
+		{"every miss stored", nil, ""},
+		{"writes disabled", errors.New("write cache.data: no space left on device"),
+			"radbench: result cache stopped storing arms: write cache.data: no space left on device\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			printCacheSummary(&stdout, &stderr, st, tc.putErr, "rc")
+			if stdout.String() != line {
+				t.Errorf("stdout = %q, want %q", stdout.String(), line)
+			}
+			if stderr.String() != tc.wantErr {
+				t.Errorf("stderr = %q, want %q", stderr.String(), tc.wantErr)
+			}
 		})
 	}
 }

@@ -116,118 +116,6 @@ type AdaptiveTrial struct {
 	Moves    []adapt.Move
 }
 
-func encAdaptiveArm(e *resultcache.Enc, a AdaptiveArm) {
-	e.Bool(a.Survived)
-	e.Bool(a.SDC)
-	e.Int(int64(a.MissedSELs))
-	e.Int(int64(a.Detections))
-	e.Int(int64(a.WDResets))
-	e.Int(int64(a.Corrected))
-	e.Int(int64(a.Vetoed))
-	e.Duration(a.QuietBubble)
-	e.Duration(a.ActiveBubble)
-	e.Float(a.QuietJ)
-	e.Float(a.ActiveJ)
-	e.Uint(a.P0Enqueued)
-	e.Uint(a.P0Delivered)
-	e.Uint(a.AllEnqueued)
-	e.Uint(a.AllDelivered)
-	e.Duration(a.DrainedAt)
-	e.Int(int64(a.FinalLevel))
-	for _, d := range a.Dwell {
-		e.Duration(d)
-	}
-}
-
-func decAdaptiveArm(d *resultcache.Dec) AdaptiveArm {
-	a := AdaptiveArm{
-		Survived:     d.Bool(),
-		SDC:          d.Bool(),
-		MissedSELs:   int(d.Int()),
-		Detections:   int(d.Int()),
-		WDResets:     int(d.Int()),
-		Corrected:    int(d.Int()),
-		Vetoed:       int(d.Int()),
-		QuietBubble:  d.Duration(),
-		ActiveBubble: d.Duration(),
-		QuietJ:       d.Float(),
-		ActiveJ:      d.Float(),
-		P0Enqueued:   d.Uint(),
-		P0Delivered:  d.Uint(),
-		AllEnqueued:  d.Uint(),
-		AllDelivered: d.Uint(),
-		DrainedAt:    d.Duration(),
-		FinalLevel:   adapt.Level(d.Int()),
-	}
-	for i := range a.Dwell {
-		a.Dwell[i] = d.Duration()
-	}
-	return a
-}
-
-func encAdaptiveTrial(e *resultcache.Enc, t AdaptiveTrial) {
-	e.Str(t.Profile)
-	encAdaptiveArm(e, t.Static)
-	encAdaptiveArm(e, t.Adaptive)
-	e.Int(int64(len(t.Moves)))
-	for _, m := range t.Moves {
-		e.Duration(m.T)
-		e.Int(int64(m.From))
-		e.Int(int64(m.To))
-		e.Float(m.Score)
-		e.Str(m.Reason)
-	}
-}
-
-func decAdaptiveTrial(d *resultcache.Dec) AdaptiveTrial {
-	t := AdaptiveTrial{
-		Profile:  d.Str(),
-		Static:   decAdaptiveArm(d),
-		Adaptive: decAdaptiveArm(d),
-	}
-	for n := d.Int(); n > 0; n-- {
-		t.Moves = append(t.Moves, adapt.Move{
-			T:      d.Duration(),
-			From:   adapt.Level(d.Int()),
-			To:     adapt.Level(d.Int()),
-			Score:  d.Float(),
-			Reason: d.Str(),
-		})
-		if d.Err() != nil {
-			return t // malformed length; sticky error ends the decode
-		}
-	}
-	return t
-}
-
-// encAdaptConfig canonically encodes the controller tuning.
-func encAdaptConfig(e *resultcache.Enc, c adapt.Config) {
-	e.Duration(c.Window)
-	e.Float(c.EscalateAt)
-	e.Float(c.PanicAt)
-	e.Float(c.RelaxBelow)
-	e.Duration(c.HoldFor)
-	for _, w := range c.Weights {
-		e.Float(w)
-	}
-	e.Int(int64(c.Start))
-}
-
-// encProfile canonically encodes a mission profile: name, base
-// environment, and every phase's kind, duration, and multipliers.
-func encProfile(e *resultcache.Enc, p mission.Profile) {
-	e.Str(p.Name)
-	encEnvironment(e, p.Base)
-	e.Int(int64(len(p.Phase)))
-	for _, ph := range p.Phase {
-		e.Int(int64(ph.Kind))
-		e.Duration(ph.Duration)
-		e.Float(ph.SEU)
-		e.Float(ph.MBU)
-		e.Float(ph.SEL)
-	}
-}
-
 // AdaptiveCampaign flies every profile with paired static/adaptive arms
 // and renders the comparison table. Trials fan out across the campaign
 // scheduler; output is byte-identical at any worker width.
@@ -256,20 +144,19 @@ func AdaptiveCampaign(c AdaptiveCampaignConfig) ([]AdaptiveTrial, *Table, error)
 	// the shared SEL parameters, the boost, the controller tuning, the
 	// downlink knobs, the profile itself, and the trial index (the seed
 	// derives from it). Workers/Telemetry/Cache are deliberately absent.
-	cache := cacheArms(c.SEL.Cache, "adaptive/v1", len(c.Profiles),
+	cache := cacheArms[AdaptiveTrial](c.SEL.Cache, "adaptive/v1", len(c.Profiles),
 		func(i int, e *resultcache.Enc) {
 			encSELConfig(e, c.SEL)
 			e.Float(c.RateBoost)
 			e.Duration(c.ContactEvery)
-			encAdaptConfig(e, c.Controller)
+			e.Value(c.Controller)
 			e.Float(c.LinkLoss)
 			e.Duration(c.Blackout)
 			e.Duration(c.BulkEvery)
 			e.Duration(c.Drain)
-			encProfile(e, c.Profiles[i])
+			e.Value(c.Profiles[i])
 			e.Int(int64(i))
-		},
-		armCodec[AdaptiveTrial]{enc: encAdaptiveTrial, dec: decAdaptiveTrial})
+		})
 
 	// Detector training and the golden payload run feed only computed
 	// arms; a fully warm cache skips both.

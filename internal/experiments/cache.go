@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"radshield/internal/fault"
-	"radshield/internal/guard"
-	"radshield/internal/resultcache"
-)
+import "radshield/internal/resultcache"
 
 // Campaign result caching: the seam between the campaigns and
 // internal/resultcache.
@@ -38,33 +34,38 @@ import (
 // Results still stream back through internal/sched's order-preserving
 // collector, so campaign output is byte-identical warm or cold at any
 // -workers width.
-type armCodec[T any] struct {
-	enc func(*resultcache.Enc, T)
-	dec func(*resultcache.Dec) T
-}
+//
+// # Encoding
+//
+// A result type's declaration is its payload encoding: CachedArm stores
+// a result with resultcache's Enc.Value, and cacheArms decodes a hit in
+// place with Dec.Value, so cached types keep exported fields. Keys
+// encode a config struct whole the same way when every field shapes
+// the result; encSELConfig and encDownlinkCampaignConfig pick fields.
+// TestCacheWireFormat pins both. Changing a cached type's fields, or a
+// struct a key encodes whole, changes the bytes: bump the domain.
 
 // armCache holds the per-trial keys and pre-decoded hits for one
 // campaign. A cache built over a nil store never hits and never
 // stores — campaigns run exactly as before.
 type armCache[T any] struct {
 	store *resultcache.Store
-	codec armCodec[T]
 	keys  []resultcache.Key
 	vals  []T
 	hit   []bool
 }
 
 // cacheArms probes the store for all n arms of domain. encArm must
-// write the canonical encoding of arm i's inputs; codec round-trips the
-// result type. A decode failure (format drift, torn entry) counts as a
-// miss — the arm recomputes and overwrites nothing (first write wins,
-// but its key changed with the format version anyway; bump the domain
-// suffix on any codec change).
+// write the canonical encoding of arm i's inputs. A hit decodes
+// straight into its slot of vals; a decode failure (format drift, torn
+// entry) zeroes the slot and counts as a miss — the arm recomputes and
+// overwrites nothing (first write wins, but its key changed with the
+// format version anyway; bump the domain suffix whenever T's fields
+// change).
 func cacheArms[T any](store *resultcache.Store, domain string, n int,
-	encArm func(int, *resultcache.Enc), codec armCodec[T]) *armCache[T] {
+	encArm func(int, *resultcache.Enc)) *armCache[T] {
 	c := &armCache[T]{
 		store: store,
-		codec: codec,
 		keys:  make([]resultcache.Key, n),
 		vals:  make([]T, n),
 		hit:   make([]bool, n),
@@ -81,11 +82,12 @@ func cacheArms[T any](store *resultcache.Store, domain string, n int,
 			continue
 		}
 		d := resultcache.NewDec(payload)
-		v := codec.dec(d)
+		d.Value(&c.vals[i])
 		if d.Close() != nil {
+			var zero T
+			c.vals[i] = zero
 			continue
 		}
-		c.vals[i] = v
 		c.hit[i] = true
 	}
 	return c
@@ -118,7 +120,7 @@ func (c *armCache[T]) CachedArm(i int, compute func() (T, error)) (T, error) {
 	}
 	if c.store != nil {
 		var e resultcache.Enc
-		c.codec.enc(&e, v)
+		e.Value(v)
 		c.store.Put(c.keys[i], e.Bytes())
 	}
 	return v, nil
@@ -136,39 +138,4 @@ func encSELConfig(e *resultcache.Enc, c SELConfig) {
 	e.Float(c.SELAmps)
 	e.Duration(c.Window)
 	e.Int(c.Seed)
-}
-
-// encSupervisorConfig canonically encodes the guard ladder tuning.
-func encSupervisorConfig(e *resultcache.Enc, sc guard.SupervisorConfig) {
-	e.Float(sc.Health.MinPlausibleA)
-	e.Float(sc.Health.MaxPlausibleA)
-	e.Int(int64(sc.Health.StuckAfter))
-	e.Duration(sc.Health.MaxSampleGap)
-	e.Int(int64(sc.BadAfter))
-	e.Int(int64(sc.GoodAfter))
-	e.Duration(sc.RefireWindow)
-	e.Int(int64(sc.RefireLimit))
-	e.Duration(sc.BlindCycleEvery)
-	e.Float(sc.StaticLevelA)
-	e.Int(int64(sc.HangAfter))
-	e.Duration(sc.HeartbeatTimeout)
-}
-
-// encWatchdogConfig canonically encodes the EMR watchdog tuning.
-func encWatchdogConfig(e *resultcache.Enc, wc guard.WatchdogConfig) {
-	e.Duration(wc.Deadline)
-	e.Int(int64(wc.MaxStrikes))
-	e.Int(int64(wc.RetryLimit))
-	e.Duration(wc.BackoffBase)
-}
-
-// encEnvironment canonically encodes a radiation environment for key
-// derivation. Every field participates: changing any rate is a new arm.
-func encEnvironment(e *resultcache.Enc, env fault.Environment) {
-	e.Str(env.Name)
-	e.Float(env.SEUPerDay)
-	e.Float(env.MBUFrac)
-	e.Float(env.SELPerYear)
-	e.Float(env.SELAmpsMin)
-	e.Float(env.SELAmpsMax)
 }

@@ -160,7 +160,7 @@ func DownlinkCampaign(c DownlinkCampaignConfig) ([]DownlinkTrial, *Table, error)
 
 	// The trial seed derives from the grid index, so the index is part
 	// of each arm's identity: reordering the grid recomputes, by design.
-	cache := cacheArms(c.Cache, "downlink/v1", len(specs),
+	cache := cacheArms[DownlinkTrial](c.Cache, "downlink/v1", len(specs),
 		func(i int, e *resultcache.Enc) {
 			encDownlinkCampaignConfig(e, c)
 			sp := specs[i]
@@ -168,8 +168,7 @@ func DownlinkCampaign(c DownlinkCampaignConfig) ([]DownlinkTrial, *Table, error)
 			e.Duration(sp.blackout)
 			e.Int(int64(sp.policy))
 			e.Int(int64(i))
-		},
-		armCodec[DownlinkTrial]{enc: encDownlinkTrial, dec: decDownlinkTrial})
+		})
 
 	trials, err := sched.Map(len(specs), c.Workers, func(i int) (DownlinkTrial, error) {
 		return cache.CachedArm(i, func() (DownlinkTrial, error) {
@@ -251,46 +250,6 @@ func encDownlinkCampaignConfig(e *resultcache.Enc, c DownlinkCampaignConfig) {
 	e.Duration(c.BeaconFrom)
 	e.Duration(c.BeaconFor)
 	e.Int(c.Seed)
-}
-
-func encDownlinkTrial(e *resultcache.Enc, t DownlinkTrial) {
-	e.Float(t.Loss)
-	e.Duration(t.Blackout)
-	e.Int(int64(t.Policy))
-	e.Uint(t.P0Enqueued)
-	e.Uint(t.P0Delivered)
-	e.Uint(t.Enqueued)
-	e.Uint(t.Delivered)
-	e.Uint(t.Retransmits)
-	e.Uint(t.Timeouts)
-	e.Uint(t.Evicted)
-	e.Uint(t.Skipped)
-	e.Uint(t.Beacons)
-	e.Duration(t.DrainedAt)
-	e.Uint(t.CleanDelivered)
-	e.Duration(t.CleanDrainedAt)
-	e.Bool(t.P0Recovered)
-}
-
-func decDownlinkTrial(d *resultcache.Dec) DownlinkTrial {
-	return DownlinkTrial{
-		Loss:           d.Float(),
-		Blackout:       d.Duration(),
-		Policy:         downlink.Policy(d.Int()),
-		P0Enqueued:     d.Uint(),
-		P0Delivered:    d.Uint(),
-		Enqueued:       d.Uint(),
-		Delivered:      d.Uint(),
-		Retransmits:    d.Uint(),
-		Timeouts:       d.Uint(),
-		Evicted:        d.Uint(),
-		Skipped:        d.Uint(),
-		Beacons:        d.Uint(),
-		DrainedAt:      d.Duration(),
-		CleanDelivered: d.Uint(),
-		CleanDrainedAt: d.Duration(),
-		P0Recovered:    d.Bool(),
-	}
 }
 
 // flyDownlinkArm flies one arm: the flight side enqueues the three

@@ -91,42 +91,6 @@ type GuardTrial struct {
 	UnguardedSurvived   bool
 }
 
-func encGuardTrial(e *resultcache.Enc, t GuardTrial) {
-	e.Int(int64(t.Kind))
-	e.Duration(t.Onset)
-	e.Duration(t.FaultDuration)
-	e.Int(int64(t.DetectSamples))
-	e.Duration(t.FalseHealthy)
-	e.Duration(t.DegradedDwell)
-	e.Int(int64(t.BlindCycles))
-	e.Int(int64(t.FinalMode))
-	e.Int(int64(t.MissedSELs))
-	e.Int(int64(t.UnguardedMissedSELs))
-	e.Int(int64(t.PowerCycles))
-	e.Int(int64(t.UnguardedCycles))
-	e.Bool(t.Survived)
-	e.Bool(t.UnguardedSurvived)
-}
-
-func decGuardTrial(d *resultcache.Dec) GuardTrial {
-	return GuardTrial{
-		Kind:                power.FaultKind(d.Int()),
-		Onset:               d.Duration(),
-		FaultDuration:       d.Duration(),
-		DetectSamples:       int(d.Int()),
-		FalseHealthy:        d.Duration(),
-		DegradedDwell:       d.Duration(),
-		BlindCycles:         int(d.Int()),
-		FinalMode:           guard.Mode(d.Int()),
-		MissedSELs:          int(d.Int()),
-		UnguardedMissedSELs: int(d.Int()),
-		PowerCycles:         int(d.Int()),
-		UnguardedCycles:     int(d.Int()),
-		Survived:            d.Bool(),
-		UnguardedSurvived:   d.Bool(),
-	}
-}
-
 // guardArmResult is one arm's raw tallies.
 type guardArmResult struct {
 	detectSamples       int
@@ -164,18 +128,17 @@ func GuardCampaign(c GuardCampaignConfig) ([]GuardTrial, *Table, error) {
 
 	// The trial index participates in the key (the trial seed derives
 	// from it), so reordering the sweep grid recomputes — by design.
-	cache := cacheArms(c.SEL.Cache, "guard/v1", len(specs),
+	cache := cacheArms[GuardTrial](c.SEL.Cache, "guard/v1", len(specs),
 		func(i int, e *resultcache.Enc) {
 			encSELConfig(e, c.SEL)
 			e.Float(c.OffsetA)
-			encSupervisorConfig(e, c.Supervisor)
+			e.Value(c.Supervisor)
 			sp := specs[i]
 			e.Int(int64(sp.kind))
 			e.Duration(sp.onset)
 			e.Duration(sp.dur)
 			e.Int(int64(i))
-		},
-		armCodec[GuardTrial]{enc: encGuardTrial, dec: decGuardTrial})
+		})
 
 	var model *linmodel.Model
 	if !cache.AllHit() {
@@ -346,30 +309,6 @@ type WatchdogTrial struct {
 // visits for "crash" trials.
 var errInjectedCrash = fmt.Errorf("experiments: injected replica crash")
 
-func encWatchdogTrial(e *resultcache.Enc, t WatchdogTrial) {
-	e.Int(int64(t.Executor))
-	e.Str(t.Cause)
-	e.Int(int64(t.Kills))
-	e.Int(int64(t.Crashes))
-	e.Int(int64(t.Mode))
-	e.Duration(t.Backoff)
-	e.Bool(t.TMROutputs)
-	e.Bool(t.Degraded)
-}
-
-func decWatchdogTrial(d *resultcache.Dec) WatchdogTrial {
-	return WatchdogTrial{
-		Executor:   int(d.Int()),
-		Cause:      d.Str(),
-		Kills:      int(d.Int()),
-		Crashes:    int(d.Int()),
-		Mode:       guard.RedundancyMode(d.Int()),
-		Backoff:    d.Duration(),
-		TMROutputs: d.Bool(),
-		Degraded:   d.Bool(),
-	}
-}
-
 // WatchdogCampaign sweeps persistent per-executor faults against the
 // EMR watchdog and renders the table. Output is byte-identical at any
 // worker width.
@@ -391,17 +330,16 @@ func WatchdogCampaign(c WatchdogCampaignConfig) ([]WatchdogTrial, *Table, error)
 		}
 	}
 
-	cache := cacheArms(c.Cache, "watchdog/v1", len(specs),
+	cache := cacheArms[WatchdogTrial](c.Cache, "watchdog/v1", len(specs),
 		func(i int, e *resultcache.Enc) {
 			e.Int(int64(c.Datasets))
 			e.Int(int64(c.Chunk))
 			e.Int(c.Seed)
-			encWatchdogConfig(e, c.Watchdog)
+			e.Value(c.Watchdog)
 			e.Duration(c.Stall)
 			e.Int(int64(specs[i].executor))
 			e.Str(specs[i].cause)
-		},
-		armCodec[WatchdogTrial]{enc: encWatchdogTrial, dec: decWatchdogTrial})
+		})
 
 	trials, err := sched.Map(len(specs), c.Workers, func(i int) (WatchdogTrial, error) {
 		return cache.CachedArm(i, func() (WatchdogTrial, error) {

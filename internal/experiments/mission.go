@@ -81,15 +81,14 @@ func MissionSurvival(c MissionConfig) (protected, unprotected MissionTally, tbl 
 	// un-boosted environment, the boost, the mission length, and the
 	// trial-derived seed. Missions count is deliberately absent —
 	// growing the sweep replays the arms already flown.
-	cache := cacheArms(c.Cache, "mission/v1", c.Missions,
+	cache := cacheArms[missionPair](c.Cache, "mission/v1", c.Missions,
 		func(i int, e *resultcache.Enc) {
-			encEnvironment(e, c.Environment)
+			e.Value(c.Environment)
 			e.Float(c.RateBoost)
 			e.Duration(c.Duration)
 			e.Int(c.Seed)
 			e.Int(int64(i))
-		},
-		armCodec[missionPair]{enc: encMissionPair, dec: decMissionPair})
+		})
 
 	// The golden payload run exists only to compare computed arms
 	// against; a fully warm cache skips it.
@@ -120,15 +119,15 @@ func MissionSurvival(c MissionConfig) (protected, unprotected MissionTally, tbl 
 			if err != nil {
 				return missionPair{}, err
 			}
-			return missionPair{protected: p, unprotected: u}, nil
+			return missionPair{Protected: p, Unprotected: u}, nil
 		})
 	}, sched.WithTelemetry(c.Telemetry))
 	if err != nil {
 		return protected, unprotected, nil, err
 	}
 	for _, pr := range pairs {
-		accumulate(&protected, pr.protected)
-		accumulate(&unprotected, pr.unprotected)
+		accumulate(&protected, pr.Protected)
+		accumulate(&unprotected, pr.Unprotected)
 	}
 
 	tbl = &Table{
@@ -146,57 +145,33 @@ func MissionSurvival(c MissionConfig) (protected, unprotected MissionTally, tbl 
 	return protected, unprotected, tbl, nil
 }
 
+// missionResult is one arm's outcome (cached; see cache.go).
 type missionResult struct {
-	damaged         bool
-	sdc             bool
-	latchupsCleared int
-	seusOutvoted    int
+	Damaged         bool
+	SDC             bool
+	LatchupsCleared int
+	SEUsOutvoted    int
 }
 
 // missionPair carries both arms of one mission trial through the
 // scheduler (and the result cache) together, preserving the paired
 // comparison.
 type missionPair struct {
-	protected   missionResult
-	unprotected missionResult
-}
-
-func encMissionResult(e *resultcache.Enc, r missionResult) {
-	e.Bool(r.damaged)
-	e.Bool(r.sdc)
-	e.Int(int64(r.latchupsCleared))
-	e.Int(int64(r.seusOutvoted))
-}
-
-func decMissionResult(d *resultcache.Dec) missionResult {
-	return missionResult{
-		damaged:         d.Bool(),
-		sdc:             d.Bool(),
-		latchupsCleared: int(d.Int()),
-		seusOutvoted:    int(d.Int()),
-	}
-}
-
-func encMissionPair(e *resultcache.Enc, p missionPair) {
-	encMissionResult(e, p.protected)
-	encMissionResult(e, p.unprotected)
-}
-
-func decMissionPair(d *resultcache.Dec) missionPair {
-	return missionPair{protected: decMissionResult(d), unprotected: decMissionResult(d)}
+	Protected   missionResult
+	Unprotected missionResult
 }
 
 func accumulate(t *MissionTally, r missionResult) {
 	switch {
-	case r.damaged:
+	case r.Damaged:
 		t.LostToLatchup++
-	case r.sdc:
+	case r.SDC:
 		t.LostToSDC++
 	default:
 		t.Survived++
 	}
-	t.LatchupsCleared += r.latchupsCleared
-	t.SEUsOutvoted += r.seusOutvoted
+	t.LatchupsCleared += r.LatchupsCleared
+	t.SEUsOutvoted += r.SEUsOutvoted
 }
 
 // flyOneMission simulates one mission arm over the pair-shared events
@@ -234,7 +209,7 @@ func flyOneMission(seed int64, shielded bool, golden [][]byte, events []fault.Ev
 		}
 		if prot != nil {
 			if _, _, cycled := prot.Observe(tel); cycled {
-				out.latchupsCleared++
+				out.LatchupsCleared++
 			}
 		}
 		if tel.T >= nextContact && payloadErr == nil {
@@ -245,13 +220,13 @@ func flyOneMission(seed int64, shielded bool, golden [][]byte, events []fault.Ev
 				return
 			}
 			pendingSEUs = 0
-			out.seusOutvoted += res.corrected
-			out.sdc = out.sdc || res.sdc
+			out.SEUsOutvoted += res.corrected
+			out.SDC = out.SDC || res.sdc
 		}
 	})
 	if payloadErr != nil {
 		return out, payloadErr
 	}
-	out.damaged = m.Damaged()
+	out.Damaged = m.Damaged()
 	return out, nil
 }

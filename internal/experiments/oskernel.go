@@ -159,62 +159,6 @@ type OSFaultTrial struct {
 	StallOverrun   time.Duration
 }
 
-func encOSFaultTrial(e *resultcache.Enc, t OSFaultTrial) {
-	e.Int(int64(t.Class))
-	e.Duration(t.Onset)
-	e.Duration(t.DetectLatency)
-	e.Duration(t.RecoveryTime)
-	e.Int(int64(t.WatchdogResets))
-	e.Int(int64(t.HangCycles))
-	e.Int(int64(t.IOErrors))
-	e.Int(int64(t.Recoveries))
-	e.Int(int64(t.EventsEnqueued))
-	e.Int(int64(t.UnguardedEnqueued))
-	e.Int(int64(t.EventsLost))
-	e.Int(int64(t.UnguardedLost))
-	e.Int(int64(t.MissedSELs))
-	e.Int(int64(t.UnguardedMissedSELs))
-	e.Int(int64(t.PowerCycles))
-	e.Int(int64(t.UnguardedCycles))
-	e.Bool(t.CleanReplay)
-	e.Bool(t.UnguardedCleanReplay)
-	e.Bool(t.Survived)
-	e.Bool(t.UnguardedSurvived)
-	e.Int(int64(t.Kills))
-	e.Bool(t.TMRGolden)
-	e.Bool(t.DegradedGolden)
-	e.Duration(t.StallOverrun)
-}
-
-func decOSFaultTrial(d *resultcache.Dec) OSFaultTrial {
-	return OSFaultTrial{
-		Class:                machine.OSFaultKind(d.Int()),
-		Onset:                d.Duration(),
-		DetectLatency:        d.Duration(),
-		RecoveryTime:         d.Duration(),
-		WatchdogResets:       int(d.Int()),
-		HangCycles:           int(d.Int()),
-		IOErrors:             int(d.Int()),
-		Recoveries:           int(d.Int()),
-		EventsEnqueued:       int(d.Int()),
-		UnguardedEnqueued:    int(d.Int()),
-		EventsLost:           int(d.Int()),
-		UnguardedLost:        int(d.Int()),
-		MissedSELs:           int(d.Int()),
-		UnguardedMissedSELs:  int(d.Int()),
-		PowerCycles:          int(d.Int()),
-		UnguardedCycles:      int(d.Int()),
-		CleanReplay:          d.Bool(),
-		UnguardedCleanReplay: d.Bool(),
-		Survived:             d.Bool(),
-		UnguardedSurvived:    d.Bool(),
-		Kills:                int(d.Int()),
-		TMRGolden:            d.Bool(),
-		DegradedGolden:       d.Bool(),
-		StallOverrun:         d.Duration(),
-	}
-}
-
 // osArmResult is one arm's raw tallies.
 type osArmResult struct {
 	detectAt    time.Duration // absolute mission time, -1 never
@@ -281,7 +225,7 @@ func OSFaultCampaign(c OSFaultCampaignConfig) ([]OSFaultTrial, *Table, error) {
 	gridPoint := func(i int) (machine.OSFaultKind, time.Duration) {
 		return c.Classes[i/len(c.Onsets)], c.Onsets[i%len(c.Onsets)]
 	}
-	cache := cacheArms(c.SEL.Cache, "oskernel/v2", grid,
+	cache := cacheArms[OSFaultTrial](c.SEL.Cache, "oskernel/v2", grid,
 		func(i int, e *resultcache.Enc) {
 			class, onset := gridPoint(i)
 			encSELConfig(e, c.SEL)
@@ -293,13 +237,12 @@ func OSFaultCampaign(c OSFaultCampaignConfig) ([]OSFaultTrial, *Table, error) {
 			e.Duration(c.SnapshotEvery)
 			e.Duration(c.HousekeepEvery)
 			e.Int(int64(c.RecorderCap))
-			encSupervisorConfig(e, c.Supervisor)
-			encWatchdogConfig(e, c.Watchdog)
+			e.Value(c.Supervisor)
+			e.Value(c.Watchdog)
 			e.Duration(c.Stall)
 			e.Int(int64(c.StallExecutor))
 			e.Int(int64(i))
-		},
-		armCodec[OSFaultTrial]{enc: encOSFaultTrial, dec: decOSFaultTrial})
+		})
 
 	var model *linmodel.Model
 	if !cache.AllHit() {

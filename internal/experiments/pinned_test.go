@@ -18,7 +18,7 @@ import (
 //
 // only for a change that is meant to move the numbers, and say so in
 // the change description.
-var updatePinned = flag.Bool("update", false, "rewrite the pinned campaign tables under testdata/")
+var updatePinned = flag.Bool("update", false, "rewrite the pinned campaign tables and result-cache wire golden under testdata/")
 
 // pinnedMission flies missions long enough to reach the first payload
 // contact (every 3 h), at a rate boost that also lands latchups in

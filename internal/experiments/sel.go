@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -56,6 +57,15 @@ func DefaultSELConfig() SELConfig {
 		Window:      3 * time.Minute,
 		Seed:        1,
 	}
+}
+
+// CheckHours vets an -hours flag value, the flight length of radbench
+// and ildmon: a positive number of hours that a time.Duration can hold.
+func CheckHours(hours float64) error {
+	if !(hours > 0 && hours*float64(time.Hour) < math.MaxInt64) {
+		return fmt.Errorf("-hours %v, want above 0 and below %.0f", hours, time.Duration(math.MaxInt64).Hours())
+	}
+	return nil
 }
 
 // machineConfig builds the testbed board at the experiment cadence.
@@ -212,44 +222,13 @@ func recordTable2Campaign(c SELConfig) *table2Recording {
 	return rec
 }
 
-// table2State is one monitor's accumulated campaign statistics.
+// table2State is one monitor's accumulated campaign statistics, cached
+// per monitor (see cache.go for why its fields are exported).
 type table2State struct {
-	episodeHit []bool // per episode: fired within window
-	latencies  []time.Duration
-	fpSamples  int
-	negSamples int
-}
-
-func encTable2State(e *resultcache.Enc, st table2State) {
-	e.Int(int64(len(st.episodeHit)))
-	for _, h := range st.episodeHit {
-		e.Bool(h)
-	}
-	e.Int(int64(len(st.latencies)))
-	for _, l := range st.latencies {
-		e.Duration(l)
-	}
-	e.Int(int64(st.fpSamples))
-	e.Int(int64(st.negSamples))
-}
-
-func decTable2State(d *resultcache.Dec) table2State {
-	var st table2State
-	for n := d.Int(); n > 0; n-- {
-		st.episodeHit = append(st.episodeHit, d.Bool())
-		if d.Err() != nil {
-			return st // malformed length; sticky error ends the decode
-		}
-	}
-	for n := d.Int(); n > 0; n-- {
-		st.latencies = append(st.latencies, d.Duration())
-		if d.Err() != nil {
-			return st
-		}
-	}
-	st.fpSamples = int(d.Int())
-	st.negSamples = int(d.Int())
-	return st
+	EpisodeHit []bool // per episode: fired within window
+	Latencies  []time.Duration
+	FPSamples  int
+	NegSamples int
 }
 
 // replayTable2 walks a monitor over the recorded stream, reproducing the
@@ -265,15 +244,15 @@ func replayTable2(rec *table2Recording, mon ild.Monitor, ins *ild.Instruments, e
 			if e := &rec.episodes[ep]; k >= e.firstSample && (e.lastSample < 0 || k <= e.lastSample) {
 				cur = e
 				if k == e.firstSample {
-					st.episodeHit = append(st.episodeHit, false)
+					st.EpisodeHit = append(st.EpisodeHit, false)
 				}
 			}
 		}
 		fired := mon.Observe(tel)
 		if cur != nil {
-			if fired && !st.episodeHit[len(st.episodeHit)-1] {
-				st.episodeHit[len(st.episodeHit)-1] = true
-				st.latencies = append(st.latencies, tel.T-cur.start)
+			if fired && !st.EpisodeHit[len(st.EpisodeHit)-1] {
+				st.EpisodeHit[len(st.EpisodeHit)-1] = true
+				st.Latencies = append(st.Latencies, tel.T-cur.start)
 				if ins != nil {
 					ins.ObserveLatency(tel.T - cur.start)
 				}
@@ -281,16 +260,16 @@ func replayTable2(rec *table2Recording, mon ild.Monitor, ins *ild.Instruments, e
 			if k == cur.lastSample {
 				if ins != nil {
 					episodesCtr.Inc()
-					if !st.episodeHit[len(st.episodeHit)-1] {
+					if !st.EpisodeHit[len(st.EpisodeHit)-1] {
 						missedCtr.Inc()
 					}
 				}
 				ep++
 			}
 		} else {
-			st.negSamples++
+			st.NegSamples++
 			if fired {
-				st.fpSamples++
+				st.FPSamples++
 				if ins != nil {
 					ins.CountFalseTrip()
 				}
@@ -342,12 +321,11 @@ func Table2(c SELConfig) ([]DetectorAccuracyResult, *Table, error) {
 		}})
 	}
 
-	cache := cacheArms(c.Cache, "table2/v1", len(specs),
+	cache := cacheArms[table2State](c.Cache, "table2/v1", len(specs),
 		func(i int, e *resultcache.Enc) {
 			encSELConfig(e, c)
 			e.Str(specs[i].name)
-		},
-		armCodec[table2State]{enc: encTable2State, dec: decTable2State})
+		})
 
 	// The recorded campaign stream is monitor-independent input for the
 	// replay arms; a fully warm cache never replays, so skip recording.
@@ -380,35 +358,35 @@ func Table2(c SELConfig) ([]DetectorAccuracyResult, *Table, error) {
 	for i, mon := range specs {
 		st := states[i]
 		missed := 0
-		for _, hit := range st.episodeHit {
+		for _, hit := range st.EpisodeHit {
 			if !hit {
 				missed++
 			}
 		}
 		fnr := 0.0
-		if len(st.episodeHit) > 0 {
-			fnr = float64(missed) / float64(len(st.episodeHit))
+		if len(st.EpisodeHit) > 0 {
+			fnr = float64(missed) / float64(len(st.EpisodeHit))
 		}
 		fpr := 0.0
-		if st.negSamples > 0 {
-			fpr = float64(st.fpSamples) / float64(st.negSamples)
+		if st.NegSamples > 0 {
+			fpr = float64(st.FPSamples) / float64(st.NegSamples)
 		}
 		var mean, max time.Duration
-		for _, l := range st.latencies {
+		for _, l := range st.Latencies {
 			mean += l
 			if l > max {
 				max = l
 			}
 		}
-		if len(st.latencies) > 0 {
-			mean /= time.Duration(len(st.latencies))
+		if len(st.Latencies) > 0 {
+			mean /= time.Duration(len(st.Latencies))
 		}
 		results[i] = DetectorAccuracyResult{
-			Name: mon.name, Episodes: len(st.episodeHit),
+			Name: mon.name, Episodes: len(st.EpisodeHit),
 			FalseNegativeRate: fnr, FalsePositiveRate: fpr,
 			MeanLatency: mean, MaxLatency: max,
 		}
-		tbl.AddRow(mon.name, fmt.Sprint(len(st.episodeHit)), pct(fnr), pct(fpr),
+		tbl.AddRow(mon.name, fmt.Sprint(len(st.EpisodeHit)), pct(fnr), pct(fpr),
 			mean.Round(time.Millisecond).String(), max.Round(time.Millisecond).String())
 	}
 	return results, tbl, nil
@@ -426,15 +404,11 @@ func Fig10(c SELConfig, episodesPer int) (*Figure, error) {
 	// exact. Each level is one scheduler trial with its own detector
 	// instance (same trained model) and its own seeded RNG.
 	const levels = 10
-	cache := cacheArms(c.Cache, "fig10/v1", levels,
+	cache := cacheArms[float64](c.Cache, "fig10/v1", levels,
 		func(li int, e *resultcache.Enc) {
 			encSELConfig(e, c)
 			e.Int(int64(episodesPer))
 			e.Int(int64(li + 1)) // centiamp level
-		},
-		armCodec[float64]{
-			enc: func(e *resultcache.Enc, v float64) { e.Float(v) },
-			dec: func(d *resultcache.Dec) float64 { return d.Float() },
 		})
 
 	// Detector training feeds only computed arms; skip it when warm.

@@ -82,27 +82,11 @@ func Fig11(c SEUConfig) ([]Fig11Row, *Table, error) {
 	// One trial per workload; the three scheme runs inside a trial stay
 	// serial so the normalization denominator rides in the same work item.
 	wls := workloads.All()
-	cache := cacheArms(c.Cache, "fig11/v1", len(wls),
+	cache := cacheArms[Fig11Row](c.Cache, "fig11/v1", len(wls),
 		func(i int, e *resultcache.Enc) {
 			e.Int(int64(c.Size))
 			e.Int(c.Seed)
 			e.Str(wls[i].Name)
-		},
-		armCodec[Fig11Row]{
-			enc: func(e *resultcache.Enc, r Fig11Row) {
-				e.Str(r.Workload)
-				e.Float(r.Serial3MRRel)
-				e.Float(r.EMRRel)
-				e.Float(r.EMRSlowdownPct)
-			},
-			dec: func(d *resultcache.Dec) Fig11Row {
-				return Fig11Row{
-					Workload:       d.Str(),
-					Serial3MRRel:   d.Float(),
-					EMRRel:         d.Float(),
-					EMRSlowdownPct: d.Float(),
-				}
-			},
 		})
 	rows, err := sched.Map(len(wls), c.Workers, func(i int) (Fig11Row, error) {
 		return cache.CachedArm(i, func() (Fig11Row, error) {
@@ -386,7 +370,7 @@ func Table7(c Table7Config) (map[string]*fault.Tally, *Table, error) {
 	// Each injection run's key is (workload size, seed, scheme, mbu,
 	// run index); Runs is deliberately absent so a deeper campaign
 	// replays the runs already classified.
-	cache := cacheArms(c.Cache, "table7/v1", len(schemes)*c.Runs,
+	cache := cacheArms[fault.Outcome](c.Cache, "table7/v1", len(schemes)*c.Runs,
 		func(k int, e *resultcache.Enc) {
 			sc, run := schemes[k/c.Runs], k%c.Runs
 			e.Int(int64(c.Size))
@@ -394,10 +378,6 @@ func Table7(c Table7Config) (map[string]*fault.Tally, *Table, error) {
 			e.Str(sc.name)
 			e.Bool(sc.mbu)
 			e.Int(int64(run))
-		},
-		armCodec[fault.Outcome]{
-			enc: func(e *resultcache.Enc, o fault.Outcome) { e.Int(int64(o)) },
-			dec: func(d *resultcache.Dec) fault.Outcome { return fault.Outcome(d.Int()) },
 		})
 
 	// The golden outputs only classify computed runs; skip the golden

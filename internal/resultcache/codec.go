@@ -29,7 +29,9 @@ var ErrCodec = errors.New("resultcache: malformed payload")
 
 // Enc builds a canonical binary encoding. The zero value is ready to
 // use; values append in call order, and the order is part of the
-// format — encoder and decoder must agree field for field.
+// format. Enc.Value takes that order from a type's declaration, so it
+// and Dec.Value agree by construction; single appends must be read
+// back in the same sequence.
 type Enc struct {
 	buf []byte
 }

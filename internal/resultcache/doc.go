@@ -24,6 +24,15 @@
 // see RESULTCACHE.md for the full argument and the contract test that
 // enforces cached ⊆ proven.
 //
+// # Payload encoding
+//
+// Keys and results share one tagged codec ([Enc], [Dec]). [Enc.Value]
+// walks a value's type with reflect and writes a struct's fields in
+// declaration order; [Dec.Value] reads the same walk back in place. A
+// type's declaration is thus its encoding: changing a cached type's
+// fields changes the bytes, so bump the domain. The walk runs once per
+// arm; the record layer below it moves raw bytes.
+//
 // # On-disk format
 //
 // A cache directory holds three files:
