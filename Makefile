@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race allocs staticcheck vulncheck
+.PHONY: check fmt vet lint build test race allocs nofma staticcheck vulncheck
 
 # check is the CI gate: formatting, static analysis (vet + the project's
 # own radlint suite), build, the full test suite under the race
-# detector, and the allocation-regression tests.
-check: fmt vet lint build race allocs
+# detector, the allocation-regression tests, and the fused-multiply-add
+# gate.
+check: fmt vet lint build race allocs nofma
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -56,4 +57,21 @@ race:
 # are tagged !race — race instrumentation allocates on its own — so the
 # race suite skips them and check runs them here without the detector.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/trace ./internal/ild ./internal/telemetry ./internal/emr ./internal/forest ./internal/cache ./internal/guard ./internal/downlink ./internal/experiments ./internal/resultcache
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/trace ./internal/ild ./internal/telemetry ./internal/emr ./internal/forest ./internal/cache ./internal/guard ./internal/downlink ./internal/experiments ./internal/resultcache ./internal/alfg
+
+# nofma keeps the per-sample packages on one arithmetic (DESIGN.md §9).
+# The arm64 compiler fuses x*y + z into one multiply-add instruction,
+# which rounds once instead of twice, unless the product is converted
+# explicitly (float64(x*y)); amd64 never fuses. The target cross-compiles
+# radbench for arm64 and fails on a fused instruction in any function of
+# the packages below, and also if it finds none of their functions.
+NOFMA_PKGS = alfg|cpu|machine|power
+nofma:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	GOARCH=arm64 $(GO) build -o "$$tmp/radbench" ./cmd/radbench && \
+	$(GO) tool objdump "$$tmp/radbench" > "$$tmp/radbench.s" && \
+	awk -v pkgs='^radshield/internal/($(NOFMA_PKGS))\\.' ' \
+		/^TEXT / { fn = $$2; if (fn ~ pkgs) seen++; next } \
+		fn ~ pkgs && $$4 ~ /^(FMADD|FMSUB|FNMADD|FNMSUB)/ { print "fused multiply-add in " fn ": " $$1 " " $$4; bad = 1 } \
+		END { if (!seen) { print "nofma: no function of the checked packages found"; exit 1 } \
+			if (!bad) print "nofma: " seen " functions checked, none fused"; exit bad }' "$$tmp/radbench.s"

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -16,30 +17,32 @@ type Load struct {
 	MemBytesPerSec float64 // DRAM traffic generated (drives bus cycles and DRAM power)
 }
 
-// clamp constrains the load to physically meaningful ranges.
+// clamp constrains the load to physically meaningful ranges: Util,
+// BranchMissRate and CacheHitRate to [0, 1], the other rates to
+// [0, MaxFloat64]. A non-finite field (NaN, +Inf or -Inf) describes no
+// activity and clamps to 0. So every per-step counter increment is
+// finite and non-negative, and a core's counters never depend on how the
+// host converts a non-finite float to an integer, which the Go spec
+// leaves to the implementation.
 func (l Load) clamp() Load {
-	clamp01 := func(x float64) float64 {
-		if x < 0 {
-			return 0
-		}
-		if x > 1 {
-			return 1
-		}
-		return x
-	}
-	l.Util = clamp01(l.Util)
-	l.BranchMissRate = clamp01(l.BranchMissRate)
-	l.CacheHitRate = clamp01(l.CacheHitRate)
-	if l.IPC < 0 {
-		l.IPC = 0
-	}
-	if l.CacheRefRate < 0 {
-		l.CacheRefRate = 0
-	}
-	if l.MemBytesPerSec < 0 {
-		l.MemBytesPerSec = 0
-	}
+	l.Util = clampRange(l.Util, 1)
+	l.IPC = clampRange(l.IPC, math.MaxFloat64)
+	l.BranchMissRate = clampRange(l.BranchMissRate, 1)
+	l.CacheRefRate = clampRange(l.CacheRefRate, math.MaxFloat64)
+	l.CacheHitRate = clampRange(l.CacheHitRate, 1)
+	l.MemBytesPerSec = clampRange(l.MemBytesPerSec, math.MaxFloat64)
 	return l
+}
+
+// clampRange limits x to [0, hi]; a non-finite x becomes 0.
+func clampRange(x, hi float64) float64 {
+	switch {
+	case math.IsNaN(x) || math.IsInf(x, 0) || x < 0:
+		return 0
+	case x > hi:
+		return hi
+	}
+	return x
 }
 
 // Counters are the cumulative per-core hardware counters (the paper's
@@ -79,13 +82,22 @@ type Core struct {
 	counters Counters
 	// residuals carry sub-integer counter fractions across steps.
 	resCycles, resInstr, resBus, resMiss, resRefs, resHits float64
+
+	// incSec is the step length, in seconds, of the increments below;
+	// 0 marks them stale. They depend only on the step length, the load
+	// and the frequency, so a board stepping at a fixed cadence computes
+	// them once per trace segment, not once per step.
+	incSec float64
+
+	incCycles, incInstr, incBus, incMiss, incRefs, incHits float64
 }
 
-// NewCore returns a core running at the given frequency, idle.
+// NewCore returns a core running at the given frequency, idle. The
+// frequency must be positive and finite.
 func NewCore(id int, freqHz float64) *Core {
-	if freqHz <= 0 {
+	if !validFreq(freqHz) {
 		//radlint:allow nopanic core frequency comes from trusted simulator config; zero Hz is a build bug
-		panic(fmt.Sprintf("cpu: NewCore(%d): frequency must be positive, got %v", id, freqHz))
+		panic(fmt.Sprintf("cpu: NewCore(%d): frequency must be positive and finite, got %v", id, freqHz))
 	}
 	return &Core{id: id, freqHz: freqHz}
 }
@@ -96,23 +108,50 @@ func (c *Core) ID() int { return c.id }
 // FreqHz returns the current DVFS frequency.
 func (c *Core) FreqHz() float64 { return c.freqHz }
 
-// SetFreqHz changes the DVFS operating point.
+// SetFreqHz changes the DVFS operating point. The frequency must be
+// positive and finite.
 func (c *Core) SetFreqHz(hz float64) {
-	if hz <= 0 {
+	if !validFreq(hz) {
 		//radlint:allow nopanic core frequency comes from trusted simulator config; zero Hz is a build bug
-		panic(fmt.Sprintf("cpu: SetFreqHz(%v): frequency must be positive", hz))
+		panic(fmt.Sprintf("cpu: SetFreqHz(%v): frequency must be positive and finite", hz))
 	}
 	c.freqHz = hz
+	c.incSec = 0
 }
+
+// validFreq reports whether hz is a usable core frequency: positive and
+// finite (NaN fails the comparison).
+func validFreq(hz float64) bool { return hz > 0 && hz <= math.MaxFloat64 }
 
 // Load returns the activity the core is currently executing.
 func (c *Core) Load() Load { return c.load }
 
-// SetLoad installs a new activity description.
-func (c *Core) SetLoad(l Load) { c.load = l.clamp() }
+// SetLoad installs a new activity description, clamped to physical
+// ranges (non-finite fields become 0; see Load).
+func (c *Core) SetLoad(l Load) {
+	c.load = l.clamp()
+	c.incSec = 0
+}
 
 // Counters returns the cumulative counter values.
 func (c *Core) Counters() Counters { return c.counters }
+
+// ReadSince returns how much each counter has grown since last, the
+// values of an earlier read, and stores the current values in *last. It
+// is Counters().Sub(*last) followed by *last = Counters(), done field by
+// field: a sampler calls it for every core on every sample, and copying
+// the six-counter struct through the stack there cost more than the
+// subtractions.
+func (c *Core) ReadSince(last *Counters) (cycles, instr, bus, misses, refs, hits uint64) {
+	cur := &c.counters
+	cycles, last.Cycles = cur.Cycles-last.Cycles, cur.Cycles
+	instr, last.Instructions = cur.Instructions-last.Instructions, cur.Instructions
+	bus, last.BusCycles = cur.BusCycles-last.BusCycles, cur.BusCycles
+	misses, last.BranchMisses = cur.BranchMisses-last.BranchMisses, cur.BranchMisses
+	refs, last.CacheRefs = cur.CacheRefs-last.CacheRefs, cur.CacheRefs
+	hits, last.CacheHits = cur.CacheHits-last.CacheHits, cur.CacheHits
+	return
+}
 
 // Step advances the core by dt, accumulating counters according to the
 // current frequency and load.
@@ -120,32 +159,55 @@ func (c *Core) Step(dt time.Duration) { c.StepSeconds(dt.Seconds()) }
 
 // StepSeconds is Step for a step already converted to seconds, so a
 // board stepping every core by the same dt converts it once.
+//
+// The per-step increments are recomputed only when the step length
+// differs from the last one or SetLoad or SetFreqHz ran since. They are
+// the same operations in the same order either way, so the counters are
+// bit-identical to computing them on every step.
 func (c *Core) StepSeconds(sec float64) {
 	if sec <= 0 {
 		return
 	}
-	cycles := c.freqHz * sec
-	active := cycles * c.load.Util
-	instr := active * c.load.IPC
-	bus := c.load.MemBytesPerSec * sec / BusBytesPerCycle
-	miss := instr * c.load.BranchMissRate
-	refs := instr * c.load.CacheRefRate
-	hits := refs * c.load.CacheHitRate
-
-	c.counters.Cycles += take(&c.resCycles, cycles)
-	c.counters.Instructions += take(&c.resInstr, instr)
-	c.counters.BusCycles += take(&c.resBus, bus)
-	c.counters.BranchMisses += take(&c.resMiss, miss)
-	c.counters.CacheRefs += take(&c.resRefs, refs)
-	c.counters.CacheHits += take(&c.resHits, hits)
+	if sec != c.incSec {
+		c.setIncrements(sec)
+	}
+	c.counters.Cycles += take(&c.resCycles, c.incCycles)
+	c.counters.Instructions += take(&c.resInstr, c.incInstr)
+	c.counters.BusCycles += take(&c.resBus, c.incBus)
+	c.counters.BranchMisses += take(&c.resMiss, c.incMiss)
+	c.counters.CacheRefs += take(&c.resRefs, c.incRefs)
+	c.counters.CacheHits += take(&c.resHits, c.incHits)
 }
 
-// take adds x to the residual and extracts the integer part.
+// setIncrements computes the counter increments of one sec-long step at
+// the current frequency and load. Each product is converted explicitly
+// (float64(...)), so no compiler fuses it into take's addition.
+func (c *Core) setIncrements(sec float64) {
+	cycles := float64(c.freqHz * sec)
+	active := float64(cycles * c.load.Util)
+	instr := float64(active * c.load.IPC)
+	refs := float64(instr * c.load.CacheRefRate)
+	c.incSec = sec
+	c.incCycles = cycles
+	c.incInstr = instr
+	c.incBus = float64(c.load.MemBytesPerSec * sec / BusBytesPerCycle)
+	c.incMiss = float64(instr * c.load.BranchMissRate)
+	c.incRefs = refs
+	c.incHits = float64(refs * c.load.CacheHitRate)
+}
+
+// take adds x to the residual and extracts the integer part. It converts
+// through int64, which compiles to one truncating instruction where the
+// uint64 conversion needs a range check and two branches; the two agree
+// on [0, 2^63). The residual is in [0, 1) and x is finite and
+// non-negative (see Load and SetFreqHz), so the sum is in range unless
+// one step counts 2^63 ≈ 9.2e18 events: a 1.4 GHz core takes about 200
+// years to count that many cycles.
 func take(res *float64, x float64) uint64 {
-	*res += x
-	n := uint64(*res)
-	*res -= float64(n)
-	return n
+	r := *res + x
+	n := int64(r)
+	*res = r - float64(n)
+	return uint64(n)
 }
 
 // Package-level load presets used by traces and tests. Values are typical

@@ -18,7 +18,8 @@ const (
 	ModeLinearModel Mode = iota
 	// ModeStaticThreshold: the sensor is still read but only compared
 	// against a fixed level (paper §2.1's classic protection) — no model
-	// features needed, so counter glitches cannot blind it.
+	// features needed, so corrupt performance-counter reads cannot
+	// blind it.
 	ModeStaticThreshold
 	// ModeHardwareTrip: the digital sensor path is not trusted at all;
 	// only the supply's analog over-current comparator protects the

@@ -96,6 +96,11 @@ func (d *Detector) ClearSignal() { d.appSignal = false }
 // validation failures are returned as errors: detector construction
 // happens on orbit after retraining, where a bad config (possibly from
 // an upset parameter store) must be rejected, not crash the monitor.
+//
+// A detector with AdaptRate > 0 rewrites its model's intercept as it
+// observes, so it adapts a copy of model and never the caller's; other
+// detectors built on the same model keep their own baseline. A fixed
+// detector only reads the model and shares it.
 func NewDetector(model *linmodel.Model, cfg Config) (*Detector, error) {
 	if cfg.ThresholdA <= 0 {
 		return nil, fmt.Errorf("ild: ThresholdA = %v, want > 0", cfg.ThresholdA)
@@ -106,6 +111,10 @@ func NewDetector(model *linmodel.Model, cfg Config) (*Detector, error) {
 	n := int(cfg.SustainFor / cfg.SampleEvery)
 	if n < 1 {
 		n = 1
+	}
+	if cfg.AdaptRate > 0 {
+		own := *model
+		model = &own
 	}
 	return &Detector{cfg: cfg, model: model, window: stats.NewWindowMean(n)}, nil
 }
@@ -135,7 +144,19 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // filtered current reading ("current") or a NaN/Inf counter-derived
 // feature ("features"). It returns "" for a clean sample. Only the
 // values the detector actually consumes are checked.
+//
+// It runs on every sample, so it first sums v*0 over those values in one
+// pass: v*0 is ±0 for a finite v and NaN for NaN or ±Inf, so the sum is
+// zero exactly when every value is finite. Only a rejected sample pays
+// for the per-field classification.
 func badSampleReason(tel machine.Telemetry) string {
+	z := tel.CurrentA*0 + tel.DiskReadPerSec*0 + tel.DiskWritePerSec*0
+	for _, c := range tel.PerCore {
+		z += c.InstrPerSec*0 + c.BusCyclesPerSec*0 + c.FreqHz*0 + c.BranchMissRate*0 + c.CacheHitRate*0
+	}
+	if z == 0 {
+		return ""
+	}
 	if !finite(tel.CurrentA) {
 		return "current"
 	}

@@ -195,3 +195,31 @@ func TestFeatureVectorShape(t *testing.T) {
 		t.Fatalf("unexpected names: %v", names)
 	}
 }
+
+// TestAdaptingDetectorKeepsSharedModel pins that drift adaptation stays
+// inside its own detector: an adapting detector built on a model that a
+// fixed detector also uses must not move the fixed detector's baseline.
+func TestAdaptingDetectorKeepsSharedModel(t *testing.T) {
+	fixed := fitTrivialDetector(t)
+	model := fixed.Model()
+	before := model.Intercept
+
+	cfg := fixed.Config()
+	cfg.AdaptRate = 5e-4
+	adapting, err := NewDetector(model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 10 s of quiescent samples 10 mA above the model's prediction,
+	// inside the adaptation band (|diff| < ThresholdA/2).
+	current := model.Predict(Features(quiescentTel(0, 0))) + 0.01
+	for i := 0; i < 10000; i++ {
+		adapting.Observe(quiescentTel(time.Duration(i)*time.Millisecond, current))
+	}
+	if adapting.Model().Intercept == before {
+		t.Fatal("adapting detector never moved its intercept")
+	}
+	if model.Intercept != before || fixed.Model().Intercept != before {
+		t.Fatalf("fixed detector's intercept moved from %v to %v", before, fixed.Model().Intercept)
+	}
+}

@@ -65,7 +65,7 @@ func TestObserveRejectsNaNCurrent(t *testing.T) {
 func TestObserveRejectsNaNFeatures(t *testing.T) {
 	det := fitTrivialDetector(t)
 	tel := quiescentTel(0, 1.55)
-	tel.PerCore[0].InstrPerSec = math.NaN() // glitched counter
+	tel.PerCore[0].InstrPerSec = math.NaN() // corrupt counter read
 	if det.Observe(tel) {
 		t.Fatal("declared on NaN features")
 	}
@@ -131,5 +131,78 @@ func TestTrainerRejectsMixedCoreCounts(t *testing.T) {
 	}
 	if _, err := tr.Fit(); err == nil {
 		t.Fatal("Fit succeeded on samples mixing core counts")
+	}
+}
+
+// refBadSampleReason is the per-field classification alone, without
+// badSampleReason's one-pass finiteness sum in front of it.
+func refBadSampleReason(tel machine.Telemetry) string {
+	if !finite(tel.CurrentA) {
+		return "current"
+	}
+	for _, c := range tel.PerCore {
+		if !finite(c.InstrPerSec) || !finite(c.BusCyclesPerSec) || !finite(c.FreqHz) ||
+			!finite(c.BranchMissRate) || !finite(c.CacheHitRate) {
+			return "features"
+		}
+	}
+	if !finite(tel.DiskReadPerSec) || !finite(tel.DiskWritePerSec) {
+		return "features"
+	}
+	return ""
+}
+
+// TestBadSampleFastPathMatchesClassification pins the one-pass
+// finiteness sum: for NaN, ±Inf, ±0, subnormals and ±MaxFloat64 in any
+// one or two fields of a sample, badSampleReason returns what the
+// per-field classification returns.
+func TestBadSampleFastPathMatchesClassification(t *testing.T) {
+	values := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030,
+		math.MaxFloat64, -math.MaxFloat64, 1.55}
+	base := machine.Telemetry{
+		T: time.Second, CurrentA: 1.55, RawA: 1.6, DiskReadPerSec: 3, DiskWritePerSec: 4,
+		PerCore: []machine.CoreTelemetry{
+			{InstrPerSec: 1e8, BusCyclesPerSec: 2e6, FreqHz: 600e6, BranchMissRate: 0.02, CacheHitRate: 0.9},
+			{InstrPerSec: 2e8, BusCyclesPerSec: 3e6, FreqHz: 1.4e9, BranchMissRate: 0.01, CacheHitRate: 0.8},
+		},
+	}
+	// fields returns pointers to every float in tel, the unchecked RawA
+	// included.
+	fields := func(tel *machine.Telemetry) []*float64 {
+		f := []*float64{&tel.CurrentA, &tel.RawA, &tel.DiskReadPerSec, &tel.DiskWritePerSec}
+		for i := range tel.PerCore {
+			c := &tel.PerCore[i]
+			f = append(f, &c.InstrPerSec, &c.BusCyclesPerSec, &c.FreqHz, &c.BranchMissRate, &c.CacheHitRate)
+		}
+		return f
+	}
+	clone := func() machine.Telemetry {
+		tel := base
+		tel.PerCore = append([]machine.CoreTelemetry(nil), base.PerCore...)
+		return tel
+	}
+	n := len(fields(&base))
+	checked := 0
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			for _, vi := range values {
+				for _, vj := range values {
+					tel := clone()
+					f := fields(&tel)
+					*f[i], *f[j] = vi, vj
+					if got, want := badSampleReason(tel), refBadSampleReason(tel); got != want {
+						t.Fatalf("fields %d=%v, %d=%v: badSampleReason = %q, classification %q", i, vi, j, vj, got, want)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if got := badSampleReason(machine.Telemetry{CurrentA: math.NaN()}); got != "current" {
+		t.Fatalf("core-less NaN sample = %q, want current", got)
+	}
+	if checked == 0 {
+		t.Fatal("no cases checked")
 	}
 }

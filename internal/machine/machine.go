@@ -112,7 +112,7 @@ func (t Telemetry) TotalInstrPerSec() float64 {
 // Machine is the simulated board.
 type Machine struct {
 	cfg    Config
-	clock  *simclock.Clock
+	clock  simclock.Clock
 	cores  []*cpu.Core
 	sensor *power.Sensor
 	pmodel *power.Model
@@ -138,6 +138,10 @@ type Machine struct {
 
 	// tripNeed is Config.TripSustain in samples, at least 1.
 	tripNeed int
+	// sampleSec is Config.SampleEvery in seconds. Step and sample use it
+	// whenever their interval is one sampling period, as nearly all are,
+	// instead of converting the interval again.
+	sampleSec float64
 
 	diskReadRate  float64 // sectors/s, from the current segment
 	diskWriteRate float64
@@ -157,10 +161,7 @@ type Machine struct {
 	damaged     bool
 	powerCycles int
 
-	glitches     []CounterGlitch
-	grng         *rand.Rand // garbage-rate stream, lazily seeded
-	faultActive  power.FaultKind
-	glitchActive []GlitchKind // per core, for onset/clear events
+	faultActive power.FaultKind
 
 	// OS-level fault state (see osfault.go).
 	osFaults       []OSFault
@@ -201,13 +202,12 @@ func New(cfg Config) *Machine {
 	model := power.NewModel(cfg.Power)
 	m := &Machine{
 		cfg:          cfg,
-		clock:        simclock.New(),
 		sensor:       power.NewSensor(model, cfg.SensorSeed),
 		pmodel:       model,
 		lastCounters: make([]cpu.Counters, cfg.Cores),
-		glitchActive: make([]GlitchKind, cfg.Cores),
 		runPerCore:   make([]CoreTelemetry, cfg.Cores),
 		tripNeed:     max(int(cfg.TripSustain/cfg.SampleEvery), 1),
+		sampleSec:    cfg.SampleEvery.Seconds(),
 		ins:          newInstruments(cfg.Telemetry),
 	}
 	for i := 0; i < cfg.Cores; i++ {
@@ -231,8 +231,9 @@ func (m *Machine) refreshElectricalState() {
 	m.modelCurA = m.pmodel.TrueCurrent(m.state)
 }
 
-// Clock returns the machine's simulated time source.
-func (m *Machine) Clock() *simclock.Clock { return m.clock }
+// Clock returns the machine's simulated time source. Like the machine,
+// it belongs to the goroutine that flies the board.
+func (m *Machine) Clock() *simclock.Clock { return &m.clock }
 
 // Config returns the board configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -321,13 +322,16 @@ func (m *Machine) ApplySegment(s trace.Segment) {
 			load = s.Loads[i]
 		}
 		c.SetLoad(load)
+		// The governor and the DRAM rate see the load the core runs:
+		// clamped to physical ranges, with non-finite fields at 0.
+		load = c.Load()
 		m.dramRate += load.MemBytesPerSec
 		switch {
 		case s.FreqHz > 0:
 			c.SetFreqHz(clampF(s.FreqHz, m.cfg.MinFreqHz, m.cfg.MaxFreqHz))
 		case m.cfg.Governor:
 			// ondemand: frequency tracks utilisation.
-			c.SetFreqHz(m.cfg.MinFreqHz + load.Util*(m.cfg.MaxFreqHz-m.cfg.MinFreqHz))
+			c.SetFreqHz(m.cfg.MinFreqHz + float64(load.Util*(m.cfg.MaxFreqHz-m.cfg.MinFreqHz)))
 		}
 	}
 	m.diskReadRate = s.DiskReadPerSec
@@ -346,27 +350,32 @@ func (m *Machine) BoardState() power.BoardState {
 
 // Step advances the machine by dt: core counters, disk IO accumulation,
 // energy integration, thermal damage tracking, and the simulated clock.
+// Products that feed a sum are converted explicitly (float64(...)), so
+// no compiler fuses them into a multiply-add (DESIGN.md §9).
 func (m *Machine) Step(dt time.Duration) {
 	if dt <= 0 {
 		return
 	}
-	sec := dt.Seconds()
+	sec := m.sampleSec
+	if dt != m.cfg.SampleEvery {
+		sec = dt.Seconds()
+	}
 	if !m.osActive[OSFaultKernelPanic] {
 		for _, c := range m.cores {
 			c.StepSeconds(sec)
 		}
-		m.cumDiskR += m.diskReadRate * sec
-		m.cumDiskW += m.diskWriteRate * sec
+		m.cumDiskR += float64(m.diskReadRate * sec)
+		m.cumDiskW += float64(m.diskWriteRate * sec)
 	}
 	// The rail stays powered through a panic: energy keeps integrating
 	// and an uncleared latchup keeps heating toward the damage horizon.
-	m.energyJ += m.sensor.TrueCurrentFrom(m.modelCurA) * m.cfg.SupplyVoltage * sec
+	m.energyJ += float64(m.sensor.TrueCurrentFrom(m.modelCurA) * m.cfg.SupplyVoltage * sec)
 	now := m.clock.Advance(dt)
 	m.sensor.AdvanceTo(now) // activate scheduled sensor faults
 	m.updateOSFaults(now)
 	// Orbital thermal cycle: the current baseline drifts sinusoidally
 	// with board temperature, invisibly to the performance counters.
-	if p := m.cfg.Power; p.ThermalDriftA > 0 && p.ThermalDriftPeriodSec > 0 {
+	if p := &m.cfg.Power; p.ThermalDriftA > 0 && p.ThermalDriftPeriodSec > 0 {
 		phase := 2 * math.Pi * now.Seconds() / p.ThermalDriftPeriodSec
 		m.sensor.SetBaselineOffset(p.ThermalDriftA * math.Sin(phase))
 	}
@@ -384,68 +393,67 @@ func (m *Machine) Sample() Telemetry { return m.sample(m.nextPerCore()) }
 
 // sample is the one sampling body behind Sample and RunTrace: it fills
 // pc, one entry per core, and returns the Telemetry carrying it.
+//
+// It runs once per simulated millisecond, so it copies no struct: each
+// counter delta is a scalar, each rate is stored into pc field by field,
+// and the Telemetry is assembled from scalars only at the return. A
+// struct copy goes through the stack with 16-byte moves, which stall
+// when they read the 8-byte stores that just filled the struct.
 func (m *Machine) sample(pc []CoreTelemetry) Telemetry {
 	now := m.clock.Now()
 	interval := now - m.lastSample
-	sec := interval.Seconds()
-	if sec <= 0 {
-		sec = m.cfg.SampleEvery.Seconds() // degenerate: avoid div-by-zero
+	sec := m.sampleSec
+	if interval != m.cfg.SampleEvery {
+		sec = interval.Seconds()
+		if sec <= 0 {
+			sec = m.sampleSec // degenerate: avoid div-by-zero
+		}
 	}
 	hung := m.osActive[OSFaultKernelHang]
-	tel := Telemetry{T: now, PerCore: pc}
 	for i, c := range m.cores {
-		cur := c.Counters()
-		g, glitching := m.activeGlitch(i)
-		if (glitching && g.Kind == GlitchFreeze) || hung {
-			cur = m.lastCounters[i] // wedged register latches the old value
+		ct := &pc[i]
+		ct.FreqHz = c.FreqHz()
+		if hung {
+			// A wedged kernel's counter reads latch the old values, so
+			// every delta is zero and the cursor stays put: the first
+			// sample after the hang catches up at once.
+			ct.InstrPerSec, ct.BusCyclesPerSec, ct.BranchMissRate, ct.CacheHitRate = 0, 0, 0, 0
+			continue
 		}
-		d := cur.Sub(m.lastCounters[i])
-		m.lastCounters[i] = cur
-		ct := CoreTelemetry{
-			InstrPerSec:     float64(d.Instructions) / sec,
-			BusCyclesPerSec: float64(d.BusCycles) / sec,
-			FreqHz:          c.FreqHz(),
+		_, instr, bus, misses, refs, hits := c.ReadSince(&m.lastCounters[i])
+		ct.InstrPerSec = float64(instr) / sec
+		ct.BusCyclesPerSec = float64(bus) / sec
+		ct.BranchMissRate = 0
+		if instr > 0 {
+			ct.BranchMissRate = float64(misses) / float64(instr)
 		}
-		if d.Instructions > 0 {
-			ct.BranchMissRate = float64(d.BranchMisses) / float64(d.Instructions)
+		ct.CacheHitRate = 0
+		if refs > 0 {
+			ct.CacheHitRate = float64(hits) / float64(refs)
 		}
-		if d.CacheRefs > 0 {
-			ct.CacheHitRate = float64(d.CacheHits) / float64(d.CacheRefs)
-		}
-		if glitching && g.Kind != GlitchFreeze && !hung {
-			ct = m.glitchRates(ct, g)
-		}
-		kind := GlitchNone
-		if glitching {
-			kind = g.Kind
-		}
-		if kind != m.glitchActive[i] {
-			m.ins.counterGlitch(now, m.glitchActive[i], kind, i)
-			m.glitchActive[i] = kind
-		}
-		tel.PerCore[i] = ct
 	}
+	var diskR, diskW float64
 	if hung {
 		// /proc/diskstats reads stall too: rates latch, and the counter
 		// cursor stays put so the post-hang sample catches up at once.
-		tel.DiskReadPerSec, tel.DiskWritePerSec = m.lastDiskRateR, m.lastDiskRateW
+		diskR, diskW = m.lastDiskRateR, m.lastDiskRateW
 	} else {
-		tel.DiskReadPerSec = (m.cumDiskR - m.lastDiskR) / sec
-		tel.DiskWritePerSec = (m.cumDiskW - m.lastDiskW) / sec
+		diskR = (m.cumDiskR - m.lastDiskR) / sec
+		diskW = (m.cumDiskW - m.lastDiskW) / sec
 		m.lastDiskR, m.lastDiskW = m.cumDiskR, m.cumDiskW
-		m.lastDiskRateR, m.lastDiskRateW = tel.DiskReadPerSec, tel.DiskWritePerSec
+		m.lastDiskRateR, m.lastDiskRateW = diskR, diskW
 	}
 	m.lastSample = now
 
-	tel.RawA = m.sensor.SampleFrom(m.modelCurA)
-	tel.CurrentA = m.sensor.SampleFilteredFrom(m.modelCurA, m.cfg.FilterK)
+	rawA := m.sensor.SampleFrom(m.modelCurA)
+	currentA := m.sensor.SampleFilteredFrom(m.modelCurA, m.cfg.FilterK)
 	if hung {
 		// A hung kernel's I2C transactions stall: reads return the last
 		// latched register values. The draws above still burn so the
 		// noise stream stays aligned with the healthy timeline.
-		tel.RawA, tel.CurrentA = m.lastRawA, m.lastCurA
+		rawA, currentA = m.lastRawA, m.lastCurA
 	} else {
-		m.lastRawA, m.lastCurA = tel.RawA, tel.CurrentA
+		m.lastRawA, m.lastCurA = rawA, currentA
 	}
 
 	fk := power.FaultNone
@@ -475,8 +483,9 @@ func (m *Machine) sample(pc []CoreTelemetry) Telemetry {
 			m.PowerCycle()
 		}
 	}
-	m.ins.sample(tel.CurrentA, m.energyJ)
-	return tel
+	m.ins.sample(currentA, m.energyJ)
+	return Telemetry{T: now, CurrentA: currentA, RawA: rawA, PerCore: pc,
+		DiskReadPerSec: diskR, DiskWritePerSec: diskW}
 }
 
 // telChunkSamples is how many samples' worth of per-core telemetry one

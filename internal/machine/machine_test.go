@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"radshield/internal/cpu"
+	"radshield/internal/power"
 	"radshield/internal/stats"
 	"radshield/internal/trace"
 )
@@ -239,5 +241,76 @@ func TestSampleDegenerateInterval(t *testing.T) {
 	tel := m.Sample() // zero elapsed time must not divide by zero
 	if len(tel.PerCore) != 4 {
 		t.Fatalf("PerCore len = %d", len(tel.PerCore))
+	}
+}
+
+func TestInjectSELRejectsBadAmps(t *testing.T) {
+	m := New(quietConfig())
+	for _, amps := range []float64{0, -0.07, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := m.InjectSEL(amps); err == nil {
+			t.Errorf("InjectSEL(%v) accepted, want error", amps)
+		}
+	}
+	if m.SELActive() {
+		t.Fatal("rejected injection left an SEL active")
+	}
+	if err := m.InjectSEL(0.07); err != nil {
+		t.Fatalf("valid injection rejected: %v", err)
+	}
+}
+
+func TestSensorFaultFlowsThroughMachineTelemetry(t *testing.T) {
+	m := New(quietConfig())
+	if err := m.Sensor().ScheduleFault(power.SensorFault{
+		Kind: power.FaultDropout, Start: 2 * time.Millisecond,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m.Step(time.Millisecond)
+	tel := m.Sample()
+	if math.IsNaN(tel.RawA) || math.IsNaN(tel.CurrentA) {
+		t.Fatal("NaN before fault onset")
+	}
+	m.Step(2 * time.Millisecond)
+	tel = m.Sample()
+	if !math.IsNaN(tel.RawA) || !math.IsNaN(tel.CurrentA) {
+		t.Fatalf("RawA=%v CurrentA=%v under dropout, want NaN", tel.RawA, tel.CurrentA)
+	}
+}
+
+// TestNonFiniteSegmentLoadReadsAsZero pins that a trace segment's
+// non-finite load field acts as 0 everywhere the machine uses it: the
+// core's counters, the ondemand governor's frequency and the DRAM
+// traffic behind the current model, so a NaN utilisation never becomes
+// a NaN core frequency.
+func TestNonFiniteSegmentLoadReadsAsZero(t *testing.T) {
+	fields := []func(*cpu.Load) *float64{
+		func(l *cpu.Load) *float64 { return &l.Util },
+		func(l *cpu.Load) *float64 { return &l.IPC },
+		func(l *cpu.Load) *float64 { return &l.MemBytesPerSec },
+	}
+	run := func(l cpu.Load) []Telemetry {
+		m := New(DefaultConfig())
+		m.ApplySegment(trace.Segment{Duration: 5 * time.Millisecond, Loads: []cpu.Load{l, l}})
+		var out []Telemetry
+		for i := 0; i < 5; i++ {
+			m.Step(time.Millisecond)
+			out = append(out, m.Sample())
+		}
+		return out
+	}
+	for fi, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad, zero := cpu.ComputeLoad, cpu.ComputeLoad
+			*field(&bad) = v
+			*field(&zero) = 0
+			got, want := run(bad), run(zero)
+			for i := range want {
+				g, w := got[i], want[i]
+				if g.CurrentA != w.CurrentA || g.RawA != w.RawA || g.PerCore[0] != w.PerCore[0] || g.PerCore[1] != w.PerCore[1] {
+					t.Fatalf("field %d = %v, sample %d: %+v, want %+v", fi, v, i, g, w)
+				}
+			}
+		}
 	}
 }

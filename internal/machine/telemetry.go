@@ -17,7 +17,6 @@ type instruments struct {
 	supplyTrips  *telemetry.Counter // machine_supply_trips_total
 	damaged      *telemetry.Counter // machine_damage_total
 	sensorFaults *telemetry.Counter // machine_sensor_faults_total
-	ctrGlitches  *telemetry.Counter // machine_counter_glitches_total
 	wdResets     *telemetry.Counter // machine_watchdog_resets_total
 	osFaults     *telemetry.Counter // os_fault_injected_total
 	osIOErrors   *telemetry.Counter // os_fault_io_errors_total
@@ -36,7 +35,6 @@ func newInstruments(reg *telemetry.Registry) *instruments {
 		supplyTrips:  reg.Counter("machine_supply_trips_total", "trips"),
 		damaged:      reg.Counter("machine_damage_total", "chips"),
 		sensorFaults: reg.Counter("machine_sensor_faults_total", "faults"),
-		ctrGlitches:  reg.Counter("machine_counter_glitches_total", "glitches"),
 		wdResets:     reg.Counter("machine_watchdog_resets_total", "resets"),
 		osFaults:     reg.Counter("os_fault_injected_total", "faults"),
 		osIOErrors:   reg.Counter("os_fault_io_errors_total", "errors"),
@@ -102,23 +100,6 @@ func (ins *instruments) sensorFault(t time.Duration, prev, next power.FaultKind)
 		ins.sensorFaults.Inc()
 		ins.reg.Emit(telemetry.Event{T: t, Kind: telemetry.KindSensorFault,
 			Fields: map[string]any{"fault": next.String(), "phase": "onset"}})
-	}
-}
-
-// counterGlitch emits the onset/clear edges of a counter-glitch window
-// on one core.
-func (ins *instruments) counterGlitch(t time.Duration, prev, next GlitchKind, core int) {
-	if ins == nil {
-		return
-	}
-	if prev != GlitchNone {
-		ins.reg.Emit(telemetry.Event{T: t, Kind: telemetry.KindCounterGlitch,
-			Fields: map[string]any{"glitch": prev.String(), "core": core, "phase": "clear"}})
-	}
-	if next != GlitchNone {
-		ins.ctrGlitches.Inc()
-		ins.reg.Emit(telemetry.Event{T: t, Kind: telemetry.KindCounterGlitch,
-			Fields: map[string]any{"glitch": next.String(), "core": core, "phase": "onset"}})
 	}
 }
 

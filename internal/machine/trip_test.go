@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"radshield/internal/power"
 	"radshield/internal/trace"
 )
 
@@ -71,5 +72,67 @@ func TestSupplyTripDisabled(t *testing.T) {
 	m.RunTrace(trace.Quiescent(rng, time.Second, time.Second), nil)
 	if m.SupplyTrips() != 0 || !m.SELActive() {
 		t.Fatal("disabled supply trip still acted")
+	}
+}
+
+// TestSupplyTripSurvivesSensorDropout pins the analog-comparator model:
+// the supply's over-current circuit reads the shunt directly, so a dead
+// digital sensor cannot blind it and a classic ampere-scale latchup is
+// still cleared.
+func TestSupplyTripSurvivesSensorDropout(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SensorSeed = 61
+	m := New(cfg)
+	if err := m.Sensor().ScheduleFault(power.SensorFault{Kind: power.FaultDropout}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.InjectSEL(5.0); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(62))
+	m.RunTrace(trace.Quiescent(rng, 2*time.Second, time.Second), nil)
+	if m.SupplyTrips() == 0 {
+		t.Fatal("supply never tripped: analog path blinded by digital sensor fault")
+	}
+	if m.SELActive() {
+		t.Fatal("trip did not clear the latchup")
+	}
+}
+
+// TestPowerCycleDuringActiveTripClearsBothStates is the regression test
+// for the trip-integrator reset: a commanded power cycle arriving while
+// the supply comparator is mid-accumulation must clear both the latchup
+// and the partial trip count, so the fresh boot does not inherit a
+// nearly-fired trip.
+func TestPowerCycleDuringActiveTripClearsBothStates(t *testing.T) {
+	cfg := quietConfig()
+	cfg.SupplyTripA = 4.0
+	cfg.TripSustain = 50 * time.Millisecond // 50 samples at 1 ms
+	m := New(cfg)
+	if err := m.InjectSEL(5.0); err != nil {
+		t.Fatal(err)
+	}
+	// Accumulate most of a trip, then power cycle from software.
+	for i := 0; i < 40; i++ {
+		m.Step(time.Millisecond)
+		m.Sample()
+	}
+	if m.tripConsecutive == 0 {
+		t.Fatal("comparator never started accumulating")
+	}
+	m.PowerCycle()
+	if m.SELActive() {
+		t.Fatal("power cycle did not clear the SEL")
+	}
+	if m.tripConsecutive != 0 {
+		t.Fatalf("tripConsecutive = %d after power cycle, want 0", m.tripConsecutive)
+	}
+	// The cleared board must run a full sustain period without tripping.
+	for i := 0; i < 60; i++ {
+		m.Step(time.Millisecond)
+		m.Sample()
+	}
+	if m.SupplyTrips() != 0 {
+		t.Fatalf("supply tripped %d times after the latchup was cleared", m.SupplyTrips())
 	}
 }

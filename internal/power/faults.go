@@ -158,6 +158,6 @@ func (s *Sensor) garbageValue() float64 {
 	case 1:
 		return -s.frng.Float64() * 100
 	default:
-		return 100 + s.frng.Float64()*1e6
+		return 100 + float64(s.frng.Float64()*1e6)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"radshield/internal/alfg"
 )
 
 // Params are the coefficients of the board current model and sensor.
@@ -89,23 +91,26 @@ func NewModel(p Params) *Model { return &Model{p: p} }
 func (m *Model) Params() Params { return m.p }
 
 // TrueCurrent returns the physical current draw in amps for the state.
+// Every product that feeds a sum is converted explicitly, so no compiler
+// fuses it into a multiply-add (DESIGN.md §9).
 func (m *Model) TrueCurrent(s BoardState) float64 {
 	cur := m.p.IdleCurrentA
 	for _, c := range s.Cores {
 		ghz := c.FreqHz / 1e9
-		cur += c.Util * ghz * (m.p.CoreAPerGHz + m.p.IPCAPerGHz*c.IPC)
+		cur += float64(c.Util * ghz * (m.p.CoreAPerGHz + float64(m.p.IPCAPerGHz*c.IPC)))
 	}
-	cur += s.DRAMBytesPerSec / 1e9 * m.p.DRAMAPerGBps
-	cur += s.DiskSectorsPerSec / 1e3 * m.p.DiskAPerKSectors
+	cur += float64(s.DRAMBytesPerSec / 1e9 * m.p.DRAMAPerGBps)
+	cur += float64(s.DiskSectorsPerSec / 1e3 * m.p.DiskAPerKSectors)
 	return cur
 }
 
 // Sensor is the current-measurement device (INA3221-class). It adds the
 // SEL offset injected by the fault layer, Gaussian noise, and transient
-// spikes. A deterministic seed keeps experiments reproducible.
+// spikes. A deterministic seed keeps experiments reproducible: the noise
+// stream is math/rand's stream for the seed, drawn through alfg.Source.
 type Sensor struct {
 	model      *Model
-	rng        *rand.Rand
+	rng        *alfg.Source
 	seed       int64
 	selOffset  float64
 	baseOffset float64 // thermal-drift offset, updated by the machine
@@ -132,7 +137,7 @@ func (s *Sensor) BaselineOffset() float64 { return s.baseOffset }
 
 // NewSensor returns a sensor over the model with a deterministic RNG.
 func NewSensor(model *Model, seed int64) *Sensor {
-	return &Sensor{model: model, rng: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Sensor{model: model, rng: alfg.New(seed), seed: seed}
 }
 
 // SetSELOffset installs a persistent additional current draw, the
@@ -167,19 +172,20 @@ func (s *Sensor) Sample(state BoardState) float64 {
 
 // SampleFrom is Sample with the board-model current precomputed.
 func (s *Sensor) SampleFrom(modelCur float64) float64 {
-	h := s.healthySampleFrom(modelCur)
+	h := s.healthySample(s.TrueCurrentFrom(modelCur))
 	s.analogRaw = h
 	return s.applyFault(h)
 }
 
-// healthySampleFrom draws one fault-free raw reading from a precomputed
-// model current. The RNG consumption order (one normal draw, one uniform
-// draw, plus one more uniform on a spike) is part of the repository's
-// determinism contract: experiment goldens replay these exact streams.
-func (s *Sensor) healthySampleFrom(modelCur float64) float64 {
-	cur := s.TrueCurrentFrom(modelCur) + s.rng.NormFloat64()*s.model.p.NoiseSigmaA
+// healthySample draws one fault-free raw reading around the noise-free
+// current trueCur (TrueCurrentFrom). The RNG consumption order (one
+// normal draw, one uniform draw, plus one more uniform on a spike) is
+// part of the repository's determinism contract: experiment goldens
+// replay these exact streams.
+func (s *Sensor) healthySample(trueCur float64) float64 {
+	cur := trueCur + float64(s.rng.NormFloat64()*s.model.p.NoiseSigmaA)
 	if s.rng.Float64() < s.model.p.SpikeProb {
-		cur += 0.05 + s.rng.Float64()*(s.model.p.SpikeMaxA-0.05)
+		cur += 0.05 + float64(s.rng.Float64()*(s.model.p.SpikeMaxA-0.05))
 	}
 	if cur < 0 {
 		cur = 0
@@ -205,14 +211,16 @@ func (s *Sensor) SampleFiltered(state BoardState, k int) float64 {
 }
 
 // SampleFilteredFrom is SampleFiltered with the board-model current
-// precomputed.
+// precomputed. The noise-free current is the same for all k draws, so
+// it is evaluated once.
 func (s *Sensor) SampleFilteredFrom(modelCur float64, k int) float64 {
 	if k < 1 {
 		k = 1
 	}
+	trueCur := s.TrueCurrentFrom(modelCur)
 	min := math.Inf(1)
 	for i := 0; i < k; i++ {
-		if v := s.healthySampleFrom(modelCur); v < min {
+		if v := s.healthySample(trueCur); v < min {
 			min = v
 		}
 	}

@@ -2,32 +2,18 @@ package simclock
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Clock is a manually-advanced time source. The zero value is ready to use
-// and starts at instant zero. Clock is safe for concurrent use.
+// Clock is a manually-advanced time source: the simulated offset since
+// run start. The zero value is ready to use and starts at instant zero.
 //
-// Now is a single atomic load: the machine simulation reads the clock
-// several times per telemetry sample, and a mutex there was one of the
-// campaign scheduler's measured hot spots (see PERFORMANCE.md). Advance
-// takes the waiter lock only when callbacks are actually scheduled, so
-// the common waiter-free simulation loop advances with one atomic add.
+// A Clock is not safe for concurrent use. It belongs to the one
+// goroutine that runs its simulation: each machine holds its own clock,
+// and parallel campaign arms each fly their own machine. The race
+// detector run (make race) checks that no clock is shared.
 type Clock struct {
-	now atomic.Int64 // simulated offset in nanoseconds
-
-	// mu guards waiters; nwaiters mirrors len(waiters) so Advance can
-	// skip the lock entirely while no callbacks are scheduled.
-	mu       sync.Mutex
-	waiters  []waiter
-	nwaiters atomic.Int32
-}
-
-type waiter struct {
-	deadline time.Duration
-	fn       func(now time.Duration)
+	now time.Duration
 }
 
 // New returns a Clock starting at instant zero.
@@ -35,12 +21,9 @@ func New() *Clock { return &Clock{} }
 
 // Now reports the current simulated instant as an offset from simulation
 // start.
-func (c *Clock) Now() time.Duration {
-	return time.Duration(c.now.Load())
-}
+func (c *Clock) Now() time.Duration { return c.now }
 
-// Advance moves simulated time forward by d, fires, in deadline order,
-// every callback whose deadline has been reached, and returns the new
+// Advance moves simulated time forward by d and returns the new
 // simulated instant. Advance panics if d is negative: the simulation may
 // never move backwards.
 func (c *Clock) Advance(d time.Duration) time.Duration {
@@ -48,94 +31,6 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 		//radlint:allow nopanic simulated time may never move backwards; continuing would corrupt every run
 		panic(fmt.Sprintf("simclock: Advance(%v): negative duration", d))
 	}
-	if c.nwaiters.Load() == 0 {
-		// Waiter-free fast path: the simulation driver's per-step cost.
-		return time.Duration(c.now.Add(int64(d)))
-	}
-	c.mu.Lock()
-	now := time.Duration(c.now.Add(int64(d)))
-	fired := c.takeExpiredLocked(now)
-	c.mu.Unlock()
-	for _, w := range fired {
-		w.fn(now)
-	}
-	return now
-}
-
-// AdvanceTo moves simulated time to the absolute instant t. It panics if t
-// is in the past.
-func (c *Clock) AdvanceTo(t time.Duration) {
-	cur := c.Now()
-	if t < cur {
-		//radlint:allow nopanic simulated time may never move backwards; continuing would corrupt every run
-		panic(fmt.Sprintf("simclock: AdvanceTo(%v): before current time %v", t, cur))
-	}
-	c.Advance(t - cur)
-}
-
-// After schedules fn to run when simulated time reaches now+d. Callbacks
-// run synchronously inside the Advance call that crosses their deadline.
-func (c *Clock) After(d time.Duration, fn func(now time.Duration)) {
-	if d < 0 {
-		d = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.waiters = append(c.waiters, waiter{deadline: c.Now() + d, fn: fn})
-	c.nwaiters.Store(int32(len(c.waiters)))
-}
-
-// takeExpiredLocked removes and returns all waiters whose deadline has
-// passed, sorted by deadline so callbacks observe a monotone order.
-func (c *Clock) takeExpiredLocked(now time.Duration) []waiter {
-	var fired, keep []waiter
-	for _, w := range c.waiters {
-		if w.deadline <= now {
-			fired = append(fired, w)
-		} else {
-			keep = append(keep, w)
-		}
-	}
-	c.waiters = keep
-	c.nwaiters.Store(int32(len(c.waiters)))
-	// Insertion sort: waiter counts are tiny and usually already ordered.
-	for i := 1; i < len(fired); i++ {
-		for j := i; j > 0 && fired[j].deadline < fired[j-1].deadline; j-- {
-			fired[j], fired[j-1] = fired[j-1], fired[j]
-		}
-	}
-	return fired
-}
-
-// Ticker iterates fixed steps of simulated time. It is the main driver
-// loop helper used by the machine simulation.
-type Ticker struct {
-	clock *Clock
-	step  time.Duration
-	until time.Duration
-}
-
-// NewTicker returns a Ticker that advances clock by step on each Tick until
-// the absolute instant `until` is reached. step must be positive.
-func NewTicker(clock *Clock, step, until time.Duration) *Ticker {
-	if step <= 0 {
-		//radlint:allow nopanic a non-positive tick step would hang the simulation driver
-		panic("simclock: NewTicker: step must be positive")
-	}
-	return &Ticker{clock: clock, step: step, until: until}
-}
-
-// Tick advances the clock one step and reports whether the ticker is still
-// within its horizon. Callers loop `for t.Tick() { ... }`.
-func (t *Ticker) Tick() bool {
-	if t.clock.Now() >= t.until {
-		return false
-	}
-	remaining := t.until - t.clock.Now()
-	step := t.step
-	if remaining < step {
-		step = remaining
-	}
-	t.clock.Advance(step)
-	return true
+	c.now += d
+	return c.now
 }

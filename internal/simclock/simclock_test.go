@@ -15,7 +15,9 @@ func TestZeroValueStartsAtZero(t *testing.T) {
 func TestAdvanceAccumulates(t *testing.T) {
 	c := New()
 	c.Advance(3 * time.Second)
-	c.Advance(250 * time.Millisecond)
+	if got := c.Advance(250 * time.Millisecond); got != 3250*time.Millisecond {
+		t.Fatalf("Advance returned %v, want 3.25s", got)
+	}
 	if got, want := c.Now(), 3250*time.Millisecond; got != want {
 		t.Fatalf("Now() = %v, want %v", got, want)
 	}
@@ -28,101 +30,4 @@ func TestAdvanceNegativePanics(t *testing.T) {
 		}
 	}()
 	New().Advance(-time.Second)
-}
-
-func TestAdvanceTo(t *testing.T) {
-	c := New()
-	c.AdvanceTo(5 * time.Second)
-	if got := c.Now(); got != 5*time.Second {
-		t.Fatalf("Now() = %v, want 5s", got)
-	}
-}
-
-func TestAdvanceToPastPanics(t *testing.T) {
-	c := New()
-	c.Advance(10 * time.Second)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AdvanceTo(past) did not panic")
-		}
-	}()
-	c.AdvanceTo(time.Second)
-}
-
-func TestAfterFiresAtDeadline(t *testing.T) {
-	c := New()
-	var firedAt time.Duration = -1
-	c.After(2*time.Second, func(now time.Duration) { firedAt = now })
-	c.Advance(time.Second)
-	if firedAt != -1 {
-		t.Fatalf("callback fired early at %v", firedAt)
-	}
-	c.Advance(time.Second)
-	if firedAt != 2*time.Second {
-		t.Fatalf("callback fired at %v, want 2s", firedAt)
-	}
-}
-
-func TestAfterFiresInDeadlineOrder(t *testing.T) {
-	c := New()
-	var order []int
-	c.After(3*time.Second, func(time.Duration) { order = append(order, 3) })
-	c.After(1*time.Second, func(time.Duration) { order = append(order, 1) })
-	c.After(2*time.Second, func(time.Duration) { order = append(order, 2) })
-	c.Advance(10 * time.Second)
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("fire order = %v, want [1 2 3]", order)
-	}
-}
-
-func TestAfterNegativeDelayFiresOnNextAdvance(t *testing.T) {
-	c := New()
-	fired := false
-	c.After(-time.Second, func(time.Duration) { fired = true })
-	c.Advance(time.Nanosecond)
-	if !fired {
-		t.Fatal("callback with negative delay did not fire on next Advance")
-	}
-}
-
-func TestTickerCoversHorizonExactly(t *testing.T) {
-	c := New()
-	tk := NewTicker(c, 300*time.Millisecond, time.Second)
-	n := 0
-	for tk.Tick() {
-		n++
-	}
-	if got := c.Now(); got != time.Second {
-		t.Fatalf("clock ended at %v, want exactly 1s", got)
-	}
-	if n != 4 { // 300+300+300+100
-		t.Fatalf("ticks = %d, want 4", n)
-	}
-}
-
-func TestTickerZeroStepPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewTicker(step=0) did not panic")
-		}
-	}()
-	NewTicker(New(), 0, time.Second)
-}
-
-func TestConcurrentAdvanceAndNow(t *testing.T) {
-	c := New()
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 1000; i++ {
-			c.Advance(time.Microsecond)
-		}
-		close(done)
-	}()
-	for i := 0; i < 1000; i++ {
-		_ = c.Now()
-	}
-	<-done
-	if got := c.Now(); got != time.Millisecond {
-		t.Fatalf("Now() = %v, want 1ms", got)
-	}
 }

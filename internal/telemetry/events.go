@@ -51,9 +51,6 @@ const (
 	// opened or closed (see internal/power faults). Fields: fault, phase
 	// ("onset" or "clear").
 	KindSensorFault Kind = "sensor_fault"
-	// KindCounterGlitch: a scheduled perf-counter glitch window opened or
-	// closed. Fields: glitch, core, phase ("onset" or "clear").
-	KindCounterGlitch Kind = "counter_glitch"
 	// KindGuardMode: the guard supervisor moved ILD along its degradation
 	// ladder (see internal/guard). Fields: from, to, reason.
 	KindGuardMode Kind = "guard_mode_change"
