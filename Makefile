@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race allocs nofma staticcheck vulncheck
+.PHONY: check fmt vet lint build test race allocs nofma linkcheck staticcheck vulncheck
 
 # check is the CI gate: formatting, static analysis (vet + the project's
 # own radlint suite), build, the full test suite under the race
-# detector, the allocation-regression tests, and the fused-multiply-add
-# gate.
-check: fmt vet lint build race allocs nofma
+# detector, the allocation-regression tests, the fused-multiply-add
+# gate, and the gate against code no program links.
+check: fmt vet lint build race allocs nofma linkcheck
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -45,7 +45,7 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # Allocation-regression tests pin the per-sample hot paths (machine
-# Step/Sample and the RunTrace loop, detectors and the flight-log
+# Step and the RunTrace loop, detectors and the flight-log
 # recorder, forest prediction, cache reads, telemetry), a result-cache
 # replay's in-place decode of a fixed-width struct, the shared
 # latchup-protection path, the downlink comms tick, frame codec and
@@ -59,13 +59,14 @@ race:
 allocs:
 	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/trace ./internal/ild ./internal/telemetry ./internal/emr ./internal/forest ./internal/cache ./internal/guard ./internal/downlink ./internal/experiments ./internal/resultcache ./internal/alfg
 
-# nofma keeps the per-sample packages on one arithmetic (DESIGN.md §9).
+# nofma keeps the per-sample packages, the trace builder and ILD with its
+# linear model on one arithmetic (DESIGN.md §9).
 # The arm64 compiler fuses x*y + z into one multiply-add instruction,
 # which rounds once instead of twice, unless the product is converted
 # explicitly (float64(x*y)); amd64 never fuses. The target cross-compiles
 # radbench for arm64 and fails on a fused instruction in any function of
 # the packages below, and also if it finds none of their functions.
-NOFMA_PKGS = alfg|cpu|machine|power
+NOFMA_PKGS = alfg|cpu|ild|linmodel|machine|power|trace
 nofma:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	GOARCH=arm64 $(GO) build -o "$$tmp/radbench" ./cmd/radbench && \
@@ -75,3 +76,48 @@ nofma:
 		fn ~ pkgs && $$4 ~ /^(FMADD|FMSUB|FNMADD|FNMSUB)/ { print "fused multiply-add in " fn ": " $$1 " " $$4; bad = 1 } \
 		END { if (!seen) { print "nofma: no function of the checked packages found"; exit 1 } \
 			if (!bad) print "nofma: " seen " functions checked, none fused"; exit bad }' "$$tmp/radbench.s"
+
+# linkcheck keeps internal/ free of code that no program runs. It builds
+# every main under cmd/ and examples/, and bench/ (its own module), with
+# inlining off (-l), so that a function inlined at every call site still
+# shows in the symbol table, and lists their symbols with go tool nm. It
+# fails on any top-level func declared in a non-test, host-platform file
+# of an internal/ package that no program links, unless linkcheck.allow
+# names it with a reason ("symbol reason", one per line). Generic
+# functions link under instantiated names and are compared with their
+# [...] stripped. It also fails on an allowlist line without a reason or
+# whose symbol is linked or not declared, and if it finds no declared or
+# no linked function at all.
+linkcheck:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/bin" && \
+	$(GO) build -gcflags=all=-l -o "$$tmp/bin/" ./cmd/... ./examples/... && \
+	(cd bench && $(GO) build -gcflags=all=-l -o "$$tmp/bin/bench" .) && \
+	for f in "$$tmp"/bin/*; do $(GO) tool nm "$$f" || exit 1; done > "$$tmp/nm" && \
+	$(GO) list -f '{{$$p := .ImportPath}}{{range .GoFiles}}{{$$p}} {{$$.Dir}}/{{.}}{{"\n"}}{{end}}' ./internal/... > "$$tmp/files" && \
+	awk '{ pkg = $$1; file = substr($$0, length(pkg) + 2); \
+		while ((n = (getline s < file)) > 0) { \
+			if (s !~ /^func /) continue; \
+			s = substr(s, 6); recv = ""; \
+			if (s ~ /^\(/) { \
+				i = index(s, ")"); r = substr(s, 2, i - 2); s = substr(s, i + 2); \
+				gsub(/\[[^]]*\]/, "", r); k = split(r, a, " "); \
+				recv = a[k] ~ /^\*/ ? "(" a[k] ")." : a[k] "."; \
+			} \
+			match(s, /^[A-Za-z0-9_]+/); name = substr(s, 1, RLENGTH); \
+			if (name != "_" && (recv != "" || name != "init")) print pkg "." recv name; \
+		} \
+		if (n < 0) { print "linkcheck: cannot read " file; exit 1 } close(file) }' "$$tmp/files" > "$$tmp/declared" && \
+	awk '$$2 ~ /^[Tt]$$/ { s = $$0; sub(/^ *[0-9a-f]* +[Tt] +/, "", s); \
+		while (gsub(/\[[^][]*\]/, "", s)); print s }' "$$tmp/nm" > "$$tmp/linked" && \
+	awk 'FILENAME == ARGV[1] { linked[$$0] = 1; nlinked++; next } \
+		FILENAME == ARGV[2] { if ($$0 !~ /^(#|[[:space:]]*$$)/) { allow[$$1] = NF > 1; line[$$1] = FNR; order[++nallow] = $$1 } next } \
+		{ declared[$$0] = 1; ndeclared++; \
+			if (!($$0 in linked) && !($$0 in allow)) { print "linkcheck: " $$0 " is linked into no program"; bad = 1 } } \
+		END { if (!nlinked || !ndeclared) { print "linkcheck: found no linked or no declared function"; exit 1 } \
+			for (i = 1; i <= nallow; i++) { s = order[i]; \
+				if (!allow[s]) { print "linkcheck: linkcheck.allow:" line[s] ": " s " has no reason"; bad = 1 } \
+				else if (!(s in declared)) { print "linkcheck: linkcheck.allow:" line[s] ": " s " is not declared"; bad = 1 } \
+				else if (s in linked) { print "linkcheck: linkcheck.allow:" line[s] ": " s " is linked; drop it from the list"; bad = 1 } } \
+			if (!bad) print "linkcheck: " ndeclared " functions checked, all linked or allowed"; exit bad }' \
+		"$$tmp/linked" linkcheck.allow "$$tmp/declared"

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"radshield/internal/emr"
@@ -48,6 +49,39 @@ func parseFrontier(s string) (emr.Frontier, error) {
 	}
 }
 
+// runFlags are the flags checkFlags vets.
+type runFlags struct {
+	workload, scheme, frontier string
+	size                       int
+	threshold                  float64
+}
+
+// checkFlags rejects flag values emrrun cannot run, before it builds a
+// runtime: an unknown workload, scheme or frontier, an input size below
+// one byte, or a replication threshold that is NaN or below 0. It
+// returns the workload, scheme and frontier to run.
+func checkFlags(f runFlags) (workloads.Builder, fault.Scheme, emr.Frontier, error) {
+	b, err := workloads.ByName(f.workload)
+	if err != nil {
+		return workloads.Builder{}, 0, 0, err
+	}
+	sch, err := parseScheme(f.scheme)
+	if err != nil {
+		return workloads.Builder{}, 0, 0, err
+	}
+	fr, err := parseFrontier(f.frontier)
+	if err != nil {
+		return workloads.Builder{}, 0, 0, err
+	}
+	if f.size < 1 {
+		return workloads.Builder{}, 0, 0, fmt.Errorf("-size %d, want at least 1", f.size)
+	}
+	if !(f.threshold >= 0) {
+		return workloads.Builder{}, 0, 0, fmt.Errorf("-replication-threshold %v, want at least 0", f.threshold)
+	}
+	return b, sch, fr, nil
+}
+
 func main() {
 	var (
 		workload  = flag.String("workload", "encryption", "encryption|compression|intrusion-detection|image-processing|dnn")
@@ -61,17 +95,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("emrrun: ")
 
-	b, err := workloads.ByName(*workload)
+	b, sch, fr, err := checkFlags(runFlags{
+		workload: *workload, scheme: *scheme, frontier: *frontier,
+		size: *size, threshold: *threshold,
+	})
 	if err != nil {
-		log.Fatal(err)
-	}
-	sch, err := parseScheme(*scheme)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fr, err := parseFrontier(*frontier)
-	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		os.Exit(2)
 	}
 
 	cfg := emr.DefaultConfig()

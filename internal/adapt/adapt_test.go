@@ -208,7 +208,7 @@ func TestInstrumentsRecordMoves(t *testing.T) {
 	c.Note(time.Minute, SignalILDRefire)
 	c.Observe(time.Minute)
 	var events int
-	for _, ev := range reg.Events() {
+	for _, ev := range reg.Snapshot().Events {
 		if ev.Kind == telemetry.KindAdaptLevel {
 			events++
 			if ev.Fields["reason"] != "escalate" {

@@ -18,9 +18,9 @@
 //   - printing/encoding (the fmt family, json/binary encoders);
 //   - writes to builders, buffers, and io.Writers (Write* methods);
 //   - channel sends;
-//   - order-sensitive telemetry (gauge Set/Add last-write-wins,
-//     event-ring Append) — counters and histograms are commutative
-//     and stay exempt.
+//   - order-sensitive telemetry (gauge Set last-write-wins, event-ring
+//     Append) — counters and histograms are commutative and stay
+//     exempt.
 //
 // Commutative loop bodies — counting, integer accumulation, building
 // another map or set — are clean: they cannot observe the order.
@@ -223,7 +223,7 @@ const telemetryPkgPath = "radshield/internal/telemetry"
 // methods. Counter.Inc/Add and Histogram.Observe are commutative and
 // deliberately absent.
 var telemetrySinks = map[string]map[string]bool{
-	"Gauge": {"Set": true, "Add": true},
+	"Gauge": {"Set": true},
 	"Ring":  {"Append": true},
 }
 

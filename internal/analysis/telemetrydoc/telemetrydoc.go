@@ -41,7 +41,6 @@ var Analyzer = &radlint.Analyzer{
 var registryMethods = map[string]bool{
 	"Counter":   true,
 	"Gauge":     true,
-	"GaugeFunc": true,
 	"Histogram": true,
 }
 

@@ -9,7 +9,7 @@
 // complete, and snapshot schemas stop being stable across runs) and
 // ad-hoc spellings (CamelCase or dotted names that split one family
 // across incompatible keys). The analyzer therefore requires the name
-// argument of Registry.Counter/Gauge/GaugeFunc/Histogram to be a
+// argument of Registry.Counter/Gauge/Histogram to be a
 // compile-time constant matching ^[a-z][a-z0-9]*(_[a-z0-9]+)*$.
 package telemetryname
 
@@ -38,7 +38,6 @@ var namePattern = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 var registryMethods = map[string]bool{
 	"Counter":   true,
 	"Gauge":     true,
-	"GaugeFunc": true,
 	"Histogram": true,
 }
 

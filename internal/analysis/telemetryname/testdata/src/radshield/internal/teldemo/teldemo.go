@@ -15,13 +15,12 @@ func Register(reg *telemetry.Registry, kind string) {
 	reg.Counter("demo_"+"joined_total", "joins") // constant folding is fine
 	reg.Gauge("demo_current_amps", "amps")
 	reg.Histogram("demo_latency_seconds", "seconds", telemetry.LatencyBuckets())
-	reg.GaugeFunc("demo_energy_joules", "joules", func() float64 { return 0 })
 
 	reg.Counter("DemoHits", "hits")            // want `metric name "DemoHits" violates the TELEMETRY\.md convention`
 	reg.Counter("demo.dotted.total", "hits")   // want `metric name "demo\.dotted\.total" violates the TELEMETRY\.md convention`
 	reg.Gauge("demo__double", "x")             // want `metric name "demo__double" violates the TELEMETRY\.md convention`
 	reg.Counter("demo_"+kind+"_total", "hits") // want `dynamic metric name passed to Registry\.Counter`
-	reg.GaugeFunc(kind, "x", nil)              // want `dynamic metric name passed to Registry\.GaugeFunc`
+	reg.Gauge(kind, "x")                       // want `dynamic metric name passed to Registry\.Gauge`
 }
 
 // lookalike has methods shadowing the registry's names; they are not

@@ -110,6 +110,3 @@ func (c *Classifier) logPosterior(k int, x []float64) float64 {
 	}
 	return s
 }
-
-// Classes returns the number of classes the model was trained with.
-func (c *Classifier) Classes() int { return c.classes }

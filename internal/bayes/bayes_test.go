@@ -70,13 +70,6 @@ func TestZeroVarianceFeatureHandled(t *testing.T) {
 	}
 }
 
-func TestClasses(t *testing.T) {
-	c := Train([][]float64{{0}, {1}, {2}}, []int{0, 1, 2})
-	if got := c.Classes(); got != 3 {
-		t.Fatalf("Classes = %d, want 3", got)
-	}
-}
-
 func TestTrainPanicsOnMalformedInput(t *testing.T) {
 	cases := []func(){
 		func() { Train(nil, nil) },

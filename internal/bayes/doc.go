@@ -4,9 +4,9 @@
 // such as naive bayes and random forest ... but these proved to be
 // computationally expensive and imprecise" before settling on a linear
 // model. This package exists to reproduce that rejected-alternative
-// comparison: the ablate-classifier experiment trains a BayesDetector
-// (package ild) on the same quiescent ground data as the linear model
-// and shows why the paper discarded it.
+// comparison: the ablate-classifier experiment trains a Classifier on the
+// same labelled ground data as the random forest and shows why the paper
+// discarded it.
 //
 // The only type is Classifier: Train estimates a per-class mean and
 // variance for every feature (with variance smoothing so constant

@@ -10,8 +10,7 @@ import (
 // LineSize is the cache line size in bytes.
 const LineSize = 64
 
-// Stats counts cache events. Hit rate feeds the ILD feature vector; flush
-// counts feed the EMR cost model.
+// Stats counts cache events. Flush counts feed the EMR cost model.
 type Stats struct {
 	Hits          uint64
 	Misses        uint64
@@ -23,15 +22,6 @@ type Stats struct {
 	FlipsAbsorbed uint64
 }
 
-// HitRate returns hits / (hits + misses), or 0 before any access.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 type line struct {
 	valid   bool
 	tag     uint64 // line number (addr / LineSize)
@@ -39,8 +29,10 @@ type line struct {
 	lastUse uint64
 }
 
-// Cache is a set-associative, write-through cache over a backing Memory.
-// It is safe for concurrent use by the parallel EMR executors.
+// Cache is a set-associative read cache over a backing Memory: stores go
+// to the backing device directly, so a line holds a clean copy until an
+// upset strikes it. It is safe for concurrent use by the parallel EMR
+// executors.
 type Cache struct {
 	mu      sync.Mutex
 	backing mem.Memory
@@ -85,9 +77,6 @@ func New(backing mem.Memory, sets, ways int) *Cache {
 	}
 }
 
-// SizeBytes returns the cache capacity.
-func (c *Cache) SizeBytes() int { return c.sets * c.ways * LineSize }
-
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
@@ -122,34 +111,10 @@ func (c *Cache) Read(addr uint64, dst []byte) error {
 	return nil
 }
 
-// Write stores src to backing memory (write-through) and updates any
-// cached copies so subsequent reads observe the new data.
-func (c *Cache) Write(addr uint64, src []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.backing.Write(addr, src); err != nil {
-		return err
-	}
-	n := uint64(len(src))
-	for off := uint64(0); off < n; {
-		lineNo := (addr + off) / LineSize
-		inLine := (addr + off) % LineSize
-		chunk := LineSize - inLine
-		if chunk > n-off {
-			chunk = n - off
-		}
-		if ln := c.peek(lineNo); ln != nil {
-			copy(ln.data[inLine:inLine+chunk], src[off:off+chunk])
-		}
-		off += chunk
-	}
-	return nil
-}
-
 // FlushRange invalidates every cached line overlapping [addr, addr+n) and
 // returns the number of lines flushed (the EMR cost model charges per
-// line). The backing copy is authoritative (write-through), so flushing
-// discards any upsets the cached copies had absorbed.
+// line). The backing copy is authoritative, so flushing discards any
+// upsets the cached copies had absorbed.
 func (c *Cache) FlushRange(addr, n uint64) int {
 	if n == 0 {
 		return 0
@@ -205,26 +170,6 @@ func (c *Cache) FlipBit(addr uint64, bit uint) bool {
 	ln.data[addr%LineSize] ^= 1 << (bit & 7)
 	c.stats.FlipsInjected++
 	return true
-}
-
-// Contains reports whether the line holding addr is resident.
-func (c *Cache) Contains(addr uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.peek(addr/LineSize) != nil
-}
-
-// ResidentLines returns the number of currently valid lines.
-func (c *Cache) ResidentLines() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
-	}
-	return n
 }
 
 // set returns the slice of ways for the set holding lineNo.
@@ -288,10 +233,3 @@ func (c *Cache) lookupOrFetch(lineNo uint64) (*line, error) {
 	victim.lastUse = c.useTick
 	return victim, nil
 }
-
-var _ mem.Memory = (*Cache)(nil)
-
-// Size implements mem.Memory by delegating to the backing device, so a
-// Cache can stand wherever a Memory is expected (executors read inputs
-// through it transparently).
-func (c *Cache) Size() uint64 { return c.backing.Size() }

@@ -9,17 +9,17 @@
 // the remaining correct executor... or at best ties it. The cache is
 // therefore the centrepiece of the SEU experiments (paper Table 7).
 //
-// Cache is a write-through, set-associative cache over a backing
-// mem.Memory; all traffic moves in LineSize (64-byte) lines. Stats
+// Cache is a set-associative read cache over a backing mem.Memory; all
+// traffic moves in LineSize (64-byte) lines. Stats
 // counts hits, misses, evictions, flushed lines, and the two
 // fault-injection outcomes the experiments classify: FlipsInjected (an
 // upset landed in a resident, unprotected line) and FlipsAbsorbed (the
 // line was ECC-protected via SetECCProtected, so hardware corrected the
 // strike — the ablate-cacheecc comparison).
 //
-// Invariants: writes always reach the backing store (write-through, so
-// a flush never loses data — it only discards the cache copy and
-// whatever corruption resides there); FlipBit mutates only the cached
+// Invariants: stores go to the backing device, never through the cache,
+// so a flush never loses data — it only discards the cache copy and
+// whatever corruption resides there; FlipBit mutates only the cached
 // copy, never the backing store, mirroring a cache-cell strike;
 // FlushAll and FlushRange drop lines without writeback, which is EMR's
 // "cache clear" discipline between redundant executions.

@@ -3,7 +3,6 @@ package cpu
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Load describes the activity a core is executing, in rates a real
@@ -56,18 +55,6 @@ type Counters struct {
 	CacheHits    uint64
 }
 
-// Sub returns the counter deltas c - prev.
-func (c Counters) Sub(prev Counters) Counters {
-	return Counters{
-		Cycles:       c.Cycles - prev.Cycles,
-		Instructions: c.Instructions - prev.Instructions,
-		BusCycles:    c.BusCycles - prev.BusCycles,
-		BranchMisses: c.BranchMisses - prev.BranchMisses,
-		CacheRefs:    c.CacheRefs - prev.CacheRefs,
-		CacheHits:    c.CacheHits - prev.CacheHits,
-	}
-}
-
 // BusBytesPerCycle converts DRAM traffic to bus cycles: a 64-bit bus
 // moves 8 bytes per bus cycle.
 const BusBytesPerCycle = 8
@@ -75,7 +62,6 @@ const BusBytesPerCycle = 8
 // Core is one CPU core. Counters accumulate with fractional residue so
 // that arbitrarily small Step intervals still integrate exactly.
 type Core struct {
-	id     int
 	freqHz float64
 	load   Load
 
@@ -99,11 +85,8 @@ func NewCore(id int, freqHz float64) *Core {
 		//radlint:allow nopanic core frequency comes from trusted simulator config; zero Hz is a build bug
 		panic(fmt.Sprintf("cpu: NewCore(%d): frequency must be positive and finite, got %v", id, freqHz))
 	}
-	return &Core{id: id, freqHz: freqHz}
+	return &Core{freqHz: freqHz}
 }
-
-// ID returns the core index.
-func (c *Core) ID() int { return c.id }
 
 // FreqHz returns the current DVFS frequency.
 func (c *Core) FreqHz() float64 { return c.freqHz }
@@ -138,10 +121,9 @@ func (c *Core) Counters() Counters { return c.counters }
 
 // ReadSince returns how much each counter has grown since last, the
 // values of an earlier read, and stores the current values in *last. It
-// is Counters().Sub(*last) followed by *last = Counters(), done field by
-// field: a sampler calls it for every core on every sample, and copying
-// the six-counter struct through the stack there cost more than the
-// subtractions.
+// works field by field: a sampler calls it for every core on every
+// sample, and copying the six-counter struct through the stack there
+// cost more than the subtractions.
 func (c *Core) ReadSince(last *Counters) (cycles, instr, bus, misses, refs, hits uint64) {
 	cur := &c.counters
 	cycles, last.Cycles = cur.Cycles-last.Cycles, cur.Cycles
@@ -153,12 +135,8 @@ func (c *Core) ReadSince(last *Counters) (cycles, instr, bus, misses, refs, hits
 	return
 }
 
-// Step advances the core by dt, accumulating counters according to the
-// current frequency and load.
-func (c *Core) Step(dt time.Duration) { c.StepSeconds(dt.Seconds()) }
-
-// StepSeconds is Step for a step already converted to seconds, so a
-// board stepping every core by the same dt converts it once.
+// StepSeconds advances the core by sec seconds, accumulating counters
+// according to the current frequency and load.
 //
 // The per-step increments are recomputed only when the step length
 // differs from the last one or SetLoad or SetFreqHz ran since. They are

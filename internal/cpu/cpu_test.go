@@ -3,12 +3,11 @@ package cpu
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestIdleCoreAccumulatesOnlyCycles(t *testing.T) {
 	c := NewCore(0, 1e9)
-	c.Step(time.Second)
+	c.StepSeconds(1)
 	got := c.Counters()
 	if got.Cycles != 1e9 {
 		t.Errorf("Cycles = %d, want 1e9", got.Cycles)
@@ -21,7 +20,7 @@ func TestIdleCoreAccumulatesOnlyCycles(t *testing.T) {
 func TestBusyCoreCounters(t *testing.T) {
 	c := NewCore(1, 1e9)
 	c.SetLoad(Load{Util: 0.5, IPC: 2, BranchMissRate: 0.01, CacheRefRate: 0.4, CacheHitRate: 0.9, MemBytesPerSec: 8e8})
-	c.Step(time.Second)
+	c.StepSeconds(1)
 	got := c.Counters()
 	if got.Instructions != 1e9 { // 1e9 cycles × 0.5 util × 2 IPC
 		t.Errorf("Instructions = %d, want 1e9", got.Instructions)
@@ -48,9 +47,9 @@ func TestStepResidualsIntegrateExactly(t *testing.T) {
 	a.SetLoad(load)
 	b.SetLoad(load)
 	for i := 0; i < 1000; i++ {
-		a.Step(time.Millisecond)
+		a.StepSeconds(1e-3)
 	}
-	b.Step(time.Second)
+	b.StepSeconds(1)
 	ca, cb := a.Counters(), b.Counters()
 	near := func(x, y uint64) bool {
 		d := int64(x) - int64(y)
@@ -60,16 +59,6 @@ func TestStepResidualsIntegrateExactly(t *testing.T) {
 		!near(ca.BusCycles, cb.BusCycles) || !near(ca.BranchMisses, cb.BranchMisses) ||
 		!near(ca.CacheRefs, cb.CacheRefs) || !near(ca.CacheHits, cb.CacheHits) {
 		t.Fatalf("fine steps %+v != coarse step %+v", ca, cb)
-	}
-}
-
-func TestCountersSub(t *testing.T) {
-	a := Counters{Cycles: 100, Instructions: 50, BusCycles: 10, BranchMisses: 2, CacheRefs: 20, CacheHits: 18}
-	b := Counters{Cycles: 150, Instructions: 80, BusCycles: 15, BranchMisses: 3, CacheRefs: 30, CacheHits: 27}
-	d := b.Sub(a)
-	want := Counters{Cycles: 50, Instructions: 30, BusCycles: 5, BranchMisses: 1, CacheRefs: 10, CacheHits: 9}
-	if d != want {
-		t.Fatalf("Sub = %+v, want %+v", d, want)
 	}
 }
 
@@ -88,7 +77,7 @@ func TestFreqChange(t *testing.T) {
 	if c.FreqHz() != 2e9 {
 		t.Fatalf("FreqHz = %v", c.FreqHz())
 	}
-	c.Step(time.Second)
+	c.StepSeconds(1)
 	if got := c.Counters().Cycles; got != 2e9 {
 		t.Fatalf("Cycles = %d, want 2e9", got)
 	}
@@ -114,8 +103,8 @@ func TestInvalidFreqPanics(t *testing.T) {
 func TestZeroAndNegativeStepIgnored(t *testing.T) {
 	c := NewCore(0, 1e9)
 	c.SetLoad(ComputeLoad)
-	c.Step(0)
-	c.Step(-time.Second)
+	c.StepSeconds(0)
+	c.StepSeconds(-1)
 	if got := c.Counters(); got != (Counters{}) {
 		t.Fatalf("zero/negative step accumulated: %+v", got)
 	}
@@ -132,7 +121,7 @@ func TestPropertyCounterInvariants(t *testing.T) {
 		})
 		prev := c.Counters()
 		for i := 0; i < int(steps%50)+1; i++ {
-			c.Step(time.Millisecond)
+			c.StepSeconds(1e-3)
 			cur := c.Counters()
 			if cur.Cycles < prev.Cycles || cur.Instructions < prev.Instructions ||
 				cur.CacheHits < prev.CacheHits || cur.CacheRefs < prev.CacheRefs {

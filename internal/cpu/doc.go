@@ -9,9 +9,9 @@
 //
 // Core holds one core's frequency and Load; Load describes the active
 // workload as fractions (utilization, memory intensity); Counters is the
-// per-sample counter delta (instructions, cycles, cache references,
-// bus accesses) that machine.Telemetry surfaces and ild.Features
-// consumes.
+// cumulative counter set (instructions, cycles, cache references, bus
+// accesses) whose per-sample deltas (ReadSince) machine.Telemetry
+// surfaces and ILD's features consume.
 //
 // Invariants: counters are cumulative and monotone within a simulation
 // run — samples report deltas over the sampling interval; a core with

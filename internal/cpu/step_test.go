@@ -81,11 +81,11 @@ func checkStepsMatchReference(t testing.TB, seed int64, ops int) {
 			ref.freqHz = hz
 		case op < 7:
 			d := steps[rng.Intn(len(steps))]
-			c.Step(d)
+			c.StepSeconds(d.Seconds())
 			ref.stepSeconds(d.Seconds())
 		default:
 			d := time.Duration(rng.Int63n(int64(2 * time.Second)))
-			c.Step(d)
+			c.StepSeconds(d.Seconds())
 			ref.stepSeconds(d.Seconds())
 		}
 		res := [6]float64{c.resCycles, c.resInstr, c.resBus, c.resMiss, c.resRefs, c.resHits}
@@ -144,8 +144,8 @@ func TestNonFiniteLoadClampsToZero(t *testing.T) {
 				t.Errorf("%s = %v clamps to %v, want 0", f.name, v, *f.ptr(&l))
 			}
 			for i := 0; i < 3; i++ {
-				got.Step(time.Millisecond)
-				want.Step(time.Millisecond)
+				got.StepSeconds(1e-3)
+				want.StepSeconds(1e-3)
 			}
 			if got.Counters() != want.Counters() {
 				t.Errorf("%s = %v: counters %+v, want %+v", f.name, v, got.Counters(), want.Counters())
@@ -176,18 +176,22 @@ func TestNonFiniteFreqPanics(t *testing.T) {
 }
 
 // TestReadSince pins the sampler's counter read: it returns each
-// counter's growth since the last read, as Counters().Sub would, and
-// moves the read cursor to the current values.
+// counter's growth since the last read and moves the read cursor to the
+// current values.
 func TestReadSince(t *testing.T) {
 	c := NewCore(0, 1e9)
 	c.SetLoad(ComputeLoad)
 	var last Counters
 	for i := 0; i < 3; i++ {
 		before := last
-		c.Step(time.Millisecond)
+		c.StepSeconds(1e-3)
 		cycles, instr, bus, misses, refs, hits := c.ReadSince(&last)
 		got := Counters{Cycles: cycles, Instructions: instr, BusCycles: bus, BranchMisses: misses, CacheRefs: refs, CacheHits: hits}
-		if want := c.Counters().Sub(before); got != want || want.Instructions == 0 {
+		cur := c.Counters()
+		want := Counters{Cycles: cur.Cycles - before.Cycles, Instructions: cur.Instructions - before.Instructions,
+			BusCycles: cur.BusCycles - before.BusCycles, BranchMisses: cur.BranchMisses - before.BranchMisses,
+			CacheRefs: cur.CacheRefs - before.CacheRefs, CacheHits: cur.CacheHits - before.CacheHits}
+		if got != want || want.Instructions == 0 {
 			t.Fatalf("read %d: ReadSince = %+v, want %+v", i, got, want)
 		}
 		if last != c.Counters() {

@@ -67,9 +67,6 @@ func (f *Feed) SetBeacon(on bool, now time.Duration, reason string) {
 // Stats exposes the transmitter's counters.
 func (f *Feed) Stats() TxStats { return f.tx.Stats() }
 
-// Pending reports frames not yet acknowledged by the ground.
-func (f *Feed) Pending() int { return f.tx.Pending() }
-
 // Tick advances the ARQ machine one step at simulated time now: frames
 // the transmitter releases go out over the socket, and each data
 // frame's ACK is read back synchronously and fed to the transmitter.

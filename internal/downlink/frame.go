@@ -192,12 +192,6 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 // 4-byte cumulative acknowledgement, and the CRC trailer.
 const AckFrameLen = HeaderLen + 4 + TrailerLen
 
-// EncodeAck builds the cumulative acknowledgement for vc into a fresh
-// slice; see AppendAck.
-func EncodeAck(link uint16, vc uint8, nextExpected uint32) ([]byte, error) {
-	return AppendAck(nil, link, vc, nextExpected)
-}
-
 // AppendAck appends the cumulative acknowledgement for vc to dst:
 // nextExpected is the lowest sequence number the station has not yet
 // delivered. It appends exactly AckFrameLen bytes.
@@ -217,12 +211,6 @@ func AckValue(f Frame) (uint32, error) {
 		return 0, fmt.Errorf("%w: ack payload %d bytes", ErrBadLength, len(f.Payload))
 	}
 	return binary.LittleEndian.Uint32(f.Payload), nil
-}
-
-// EncodeBeacon builds the degraded-mode heartbeat into a fresh slice;
-// see AppendBeacon.
-func EncodeBeacon(link uint16, seq uint32, degraded bool, pending uint32) ([]byte, error) {
-	return AppendBeacon(nil, link, seq, degraded, pending)
 }
 
 // AppendBeacon appends the degraded-mode heartbeat to dst: seq is the

@@ -116,7 +116,7 @@ func TestDecodeFrameRejects(t *testing.T) {
 }
 
 func TestAckRoundTrip(t *testing.T) {
-	raw, err := EncodeAck(5, 2, 1234)
+	raw, err := AppendAck(nil, 5, 2, 1234)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestAckRoundTrip(t *testing.T) {
 }
 
 func TestBeaconRoundTrip(t *testing.T) {
-	raw, err := EncodeBeacon(8, 3, true, 77)
+	raw, err := AppendBeacon(nil, 8, 3, true, 77)
 	if err != nil {
 		t.Fatal(err)
 	}

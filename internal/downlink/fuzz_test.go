@@ -100,7 +100,7 @@ func FuzzFrameDecode(f *testing.F) {
 func FuzzStationIngest(f *testing.F) {
 	a, _ := EncodeFrame(Frame{Type: FrameData, Link: 1, VC: 0, Seq: 0, Payload: []byte("evt seq=0 t=10s")})
 	b, _ := EncodeFrame(Frame{Type: FrameData, Link: 2, VC: 3, Flags: FlagBase, Seq: 4, Payload: []byte("bulk")})
-	beacon, _ := EncodeBeacon(1, 0, true, 9)
+	beacon, _ := AppendBeacon(nil, 1, 0, true, 9)
 	f.Add(append(append(append([]byte(nil), a...), b...), beacon...))
 	f.Add(a[:len(a)-1])
 	f.Add([]byte("line noise"))

@@ -190,7 +190,7 @@ func TestLinkBlackoutLosesBothDirections(t *testing.T) {
 		t.Fatal("InBlackout true at the window's end")
 	}
 	raw := mustFrame(t, 0, 0, "x")
-	ack, _ := EncodeAck(1, 0, 1)
+	ack, _ := AppendAck(nil, 1, 0, 1)
 	if !l.SendDown(raw, 500*time.Millisecond) || !l.SendUp(ack, 500*time.Millisecond) {
 		t.Fatal("blackout sends should consume the frame")
 	}
@@ -274,7 +274,7 @@ func TestLinkWindowEvents(t *testing.T) {
 		l.SendDown(mustFrame(t, 0, uint32(i), "probe"), at)
 	}
 	var got []string
-	for _, ev := range reg.EventsSince(0) {
+	for _, ev := range reg.Snapshot().Events {
 		if ev.Kind != telemetry.KindLinkFault {
 			continue
 		}

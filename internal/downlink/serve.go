@@ -57,9 +57,6 @@ func NewServer(st *Station, workers int, reg *telemetry.Registry) (*Server, erro
 	}, nil
 }
 
-// Station returns the wrapped station.
-func (s *Server) Station() *Station { return s.st }
-
 // Serve accepts link connections on ln until Close. It blocks; run it
 // in a goroutine and call Close to stop.
 func (s *Server) Serve(ln net.Listener) error {

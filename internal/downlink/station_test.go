@@ -100,11 +100,11 @@ func TestStationBaseFlagSkipsUnrecoverableGap(t *testing.T) {
 
 func TestStationIgnoresAcksAndReadsBeacons(t *testing.T) {
 	st := NewStation(DefaultStationConfig())
-	ack, _ := EncodeAck(1, 0, 7)
+	ack, _ := AppendAck(nil, 1, 0, 7)
 	if got := st.Ingest(ack, 0); got != nil {
 		t.Fatal("station ACKed an ACK")
 	}
-	b, _ := EncodeBeacon(1, 0, true, 42)
+	b, _ := AppendBeacon(nil, 1, 0, true, 42)
 	if got := st.Ingest(b, 0); got != nil {
 		t.Fatal("station ACKed a beacon")
 	}

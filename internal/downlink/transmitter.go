@@ -102,17 +102,14 @@ type Transmitter struct {
 	link *Link
 	vc   [NumVC]vcState
 
-	beacon      bool
-	beaconSince time.Duration
-	beaconDwell time.Duration
-	nextBeacon  time.Duration
-	beaconSeq   uint32
-	rr          int // round-robin position, persists across ticks
-	stats       TxStats
-	ins         *Instruments
-	lastTick    time.Duration
-	powerCycles int
-	frame       []byte // MaxFrameLen encode scratch; the link copies what it accepts
+	beacon     bool
+	nextBeacon time.Duration
+	beaconSeq  uint32
+	rr         int // round-robin position, persists across ticks
+	stats      TxStats
+	ins        *Instruments
+	lastTick   time.Duration
+	frame      []byte // MaxFrameLen encode scratch; the link copies what it accepts
 }
 
 // NewTransmitter validates cfg and binds the transmitter to its link.
@@ -165,26 +162,13 @@ func (t *Transmitter) SetBeacon(on bool, now time.Duration, reason string) {
 	}
 	t.beacon = on
 	if on {
-		t.beaconSince = now
 		t.nextBeacon = now
-	} else {
-		t.beaconDwell += now - t.beaconSince
 	}
 	t.ins.beaconModeChange(now, on, reason)
 }
 
 // Beacon reports whether beacon mode is engaged.
 func (t *Transmitter) Beacon() bool { return t.beacon }
-
-// BeaconDwell returns the total simulated time spent in beacon mode up
-// to instant now.
-func (t *Transmitter) BeaconDwell(now time.Duration) time.Duration {
-	d := t.beaconDwell
-	if t.beacon {
-		d += now - t.beaconSince
-	}
-	return d
-}
 
 // PowerCycle models a board reboot at instant now: all volatile ARQ
 // state (windows, timers, beacon engagement) is lost; the flight
@@ -198,22 +182,14 @@ func (t *Transmitter) PowerCycle(now time.Duration) {
 	}
 	t.rr = 0
 	if t.beacon {
-		t.beaconDwell += now - t.beaconSince
 		t.beacon = false
 		t.ins.beaconModeChange(now, false, "power_cycle")
 	}
-	t.powerCycles++
 }
-
-// PowerCycles returns how many reboots the transmitter has survived.
-func (t *Transmitter) PowerCycles() int { return t.powerCycles }
 
 // Pending returns the flight-recorder backlog (unacknowledged
 // records).
 func (t *Transmitter) Pending() int { return t.rec.Len() }
-
-// PendingVC returns one channel's unacknowledged record count.
-func (t *Transmitter) PendingVC(vc uint8) int { return len(t.rec.Pending(vc)) }
 
 // Evicted returns how many records the recorder overwrote.
 func (t *Transmitter) Evicted() uint64 { return t.rec.Evicted() }

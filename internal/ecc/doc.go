@@ -8,16 +8,14 @@
 // software — the paper's "reliability frontier" is drawn exactly at the
 // boundary where SECDED protection ends.
 //
-// Word is one stored (data, check-bits) pair; Encode computes the check
-// byte for a data word; Word.Read decodes the pair, returning the data
-// (repaired when possible) and a Result classifying the word as clean,
-// corrected (single-bit), or detected-uncorrectable (double-bit). The
-// FlipDataBit/FlipCheckBit helpers are the injection surface package
-// mem uses.
+// Encode computes the check byte for a data word; Decode verifies a
+// (data, check-bits) pair, returning the data (repaired when possible)
+// and a Result classifying the word as clean, corrected (single-bit), or
+// detected-uncorrectable (double-bit). Package mem stores one check byte
+// per 64-bit word and injects upsets by flipping the stored bits.
 //
 // Invariants: any single bit flip — in the data or the check bits — is
 // corrected and reported; any two flips are detected but not corrected;
 // three or more flips are outside the code's guarantees (as in real
-// SECDED hardware, they may alias). Word is a value type and Read never
-// mutates the stored pair.
+// SECDED hardware, they may alias). Decode never mutates its inputs.
 package ecc

@@ -18,22 +18,6 @@ const (
 	Detected
 )
 
-// String returns a short human-readable name for the result.
-func (r Result) String() string {
-	switch r {
-	case OK:
-		return "ok"
-	case CorrectedData:
-		return "corrected-data"
-	case CorrectedCheck:
-		return "corrected-check"
-	case Detected:
-		return "detected-uncorrectable"
-	default:
-		return "unknown"
-	}
-}
-
 // codeword layout: positions 1..71 hold the classic Hamming(71,64)
 // codeword — parity bits at the seven power-of-two positions (1, 2, 4, 8,
 // 16, 32, 64) and the 64 data bits at the remaining positions in
@@ -147,31 +131,4 @@ func dataBitAt(pos uint8) (int, bool) {
 		}
 	}
 	return i, true
-}
-
-// Word is a convenience pairing of a data word with its check bits, the
-// unit stored by ECC-protected simulated memory.
-type Word struct {
-	Data  uint64
-	Check uint8
-}
-
-// NewWord encodes data into a protected Word.
-func NewWord(data uint64) Word { return Word{Data: data, Check: Encode(data)} }
-
-// Read decodes the word, returning corrected data and the decode result.
-func (w Word) Read() (uint64, Result) { return Decode(w.Data, w.Check) }
-
-// FlipDataBit returns a copy of w with data bit i (0..63) inverted,
-// simulating an SEU striking the stored data.
-func (w Word) FlipDataBit(i int) Word {
-	w.Data ^= 1 << uint(i&63)
-	return w
-}
-
-// FlipCheckBit returns a copy of w with check bit i (0..7) inverted,
-// simulating an SEU striking the stored ECC metadata.
-func (w Word) FlipCheckBit(i int) Word {
-	w.Check ^= 1 << uint(i&7)
-	return w
 }

@@ -121,21 +121,6 @@ func TestWordHelpers(t *testing.T) {
 	}
 }
 
-func TestResultString(t *testing.T) {
-	cases := map[Result]string{
-		OK:             "ok",
-		CorrectedData:  "corrected-data",
-		CorrectedCheck: "corrected-check",
-		Detected:       "detected-uncorrectable",
-		Result(99):     "unknown",
-	}
-	for r, want := range cases {
-		if got := r.String(); got != want {
-			t.Errorf("Result(%d).String() = %q, want %q", int(r), got, want)
-		}
-	}
-}
-
 // Property: every single-bit corruption of (data, check) decodes back to
 // the original data.
 func TestPropertySingleFlipAlwaysRecoverable(t *testing.T) {

@@ -2,6 +2,7 @@ package emr
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"radshield/internal/cache"
@@ -163,12 +164,13 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.CacheSets <= 0 || cfg.CacheWays <= 0 {
 		return nil, fmt.Errorf("emr: invalid cache geometry %d×%d", cfg.CacheSets, cfg.CacheWays)
 	}
-	if cfg.ReplicationThreshold < 0 {
-		return nil, fmt.Errorf("emr: negative replication threshold %v", cfg.ReplicationThreshold)
+	if !(cfg.ReplicationThreshold >= 0) {
+		return nil, fmt.Errorf("emr: replication threshold %v, want ≥ 0", cfg.ReplicationThreshold)
 	}
-	if cfg.Cost.CoreFreqHz <= 0 || cfg.Cost.DiskBytesPerSec <= 0 ||
-		cfg.Cost.DRAMBytesPerSec <= 0 || cfg.Cost.AllocBytesPerSec <= 0 {
-		return nil, fmt.Errorf("emr: cost model rates must be positive")
+	for _, rate := range [...]float64{cfg.Cost.CoreFreqHz, cfg.Cost.DiskBytesPerSec, cfg.Cost.DRAMBytesPerSec, cfg.Cost.AllocBytesPerSec} {
+		if !(rate > 0) || math.IsInf(rate, 1) {
+			return nil, fmt.Errorf("emr: cost model rates must be positive and finite")
+		}
 	}
 
 	return build(cfg), nil
@@ -203,9 +205,6 @@ func build(cfg Config) *Runtime {
 // and Specs made before a Reset belong to the old device and must not
 // be reused.
 func (r *Runtime) Reset() { *r = *build(r.cfg) }
-
-// Config returns the runtime configuration.
-func (r *Runtime) Config() Config { return r.cfg }
 
 // Cache exposes the shared cache for fault-injection campaigns.
 func (r *Runtime) Cache() *cache.Cache { return r.cache }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"radshield/internal/fault"
@@ -316,7 +317,10 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.DRAMSize = 0 },
 		func(c *Config) { c.CacheSets = 0 },
 		func(c *Config) { c.ReplicationThreshold = -1 },
+		func(c *Config) { c.ReplicationThreshold = math.NaN() },
 		func(c *Config) { c.Cost.CoreFreqHz = 0 },
+		func(c *Config) { c.Cost.DiskBytesPerSec = math.NaN() },
+		func(c *Config) { c.Cost.DRAMBytesPerSec = math.Inf(1) },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig()

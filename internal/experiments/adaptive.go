@@ -144,7 +144,7 @@ func AdaptiveCampaign(c AdaptiveCampaignConfig) ([]AdaptiveTrial, *Table, error)
 	// the shared SEL parameters, the boost, the controller tuning, the
 	// downlink knobs, the profile itself, and the trial index (the seed
 	// derives from it). Workers/Telemetry/Cache are deliberately absent.
-	cache := cacheArms[AdaptiveTrial](c.SEL.Cache, "adaptive/v1", len(c.Profiles),
+	cache := cacheArms[AdaptiveTrial](c.SEL.Cache, "adaptive", len(c.Profiles),
 		func(i int, e *resultcache.Enc) {
 			encSELConfig(e, c.SEL)
 			e.Float(c.RateBoost)

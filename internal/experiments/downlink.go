@@ -160,7 +160,7 @@ func DownlinkCampaign(c DownlinkCampaignConfig) ([]DownlinkTrial, *Table, error)
 
 	// The trial seed derives from the grid index, so the index is part
 	// of each arm's identity: reordering the grid recomputes, by design.
-	cache := cacheArms[DownlinkTrial](c.Cache, "downlink/v1", len(specs),
+	cache := cacheArms[DownlinkTrial](c.Cache, "downlink", len(specs),
 		func(i int, e *resultcache.Enc) {
 			encDownlinkCampaignConfig(e, c)
 			sp := specs[i]

@@ -128,7 +128,7 @@ func GuardCampaign(c GuardCampaignConfig) ([]GuardTrial, *Table, error) {
 
 	// The trial index participates in the key (the trial seed derives
 	// from it), so reordering the sweep grid recomputes — by design.
-	cache := cacheArms[GuardTrial](c.SEL.Cache, "guard/v1", len(specs),
+	cache := cacheArms[GuardTrial](c.SEL.Cache, "guard", len(specs),
 		func(i int, e *resultcache.Enc) {
 			encSELConfig(e, c.SEL)
 			e.Float(c.OffsetA)
@@ -330,7 +330,7 @@ func WatchdogCampaign(c WatchdogCampaignConfig) ([]WatchdogTrial, *Table, error)
 		}
 	}
 
-	cache := cacheArms[WatchdogTrial](c.Cache, "watchdog/v1", len(specs),
+	cache := cacheArms[WatchdogTrial](c.Cache, "watchdog", len(specs),
 		func(i int, e *resultcache.Enc) {
 			e.Int(int64(c.Datasets))
 			e.Int(int64(c.Chunk))

@@ -81,7 +81,7 @@ func MissionSurvival(c MissionConfig) (protected, unprotected MissionTally, tbl 
 	// un-boosted environment, the boost, the mission length, and the
 	// trial-derived seed. Missions count is deliberately absent —
 	// growing the sweep replays the arms already flown.
-	cache := cacheArms[missionPair](c.Cache, "mission/v1", c.Missions,
+	cache := cacheArms[missionPair](c.Cache, "mission", c.Missions,
 		func(i int, e *resultcache.Enc) {
 			e.Value(c.Environment)
 			e.Float(c.RateBoost)

@@ -225,7 +225,7 @@ func OSFaultCampaign(c OSFaultCampaignConfig) ([]OSFaultTrial, *Table, error) {
 	gridPoint := func(i int) (machine.OSFaultKind, time.Duration) {
 		return c.Classes[i/len(c.Onsets)], c.Onsets[i%len(c.Onsets)]
 	}
-	cache := cacheArms[OSFaultTrial](c.SEL.Cache, "oskernel/v2", grid,
+	cache := cacheArms[OSFaultTrial](c.SEL.Cache, "oskernel", grid,
 		func(i int, e *resultcache.Enc) {
 			class, onset := gridPoint(i)
 			encSELConfig(e, c.SEL)

@@ -321,7 +321,7 @@ func Table2(c SELConfig) ([]DetectorAccuracyResult, *Table, error) {
 		}})
 	}
 
-	cache := cacheArms[table2State](c.Cache, "table2/v1", len(specs),
+	cache := cacheArms[table2State](c.Cache, "table2", len(specs),
 		func(i int, e *resultcache.Enc) {
 			encSELConfig(e, c)
 			e.Str(specs[i].name)
@@ -404,7 +404,7 @@ func Fig10(c SELConfig, episodesPer int) (*Figure, error) {
 	// exact. Each level is one scheduler trial with its own detector
 	// instance (same trained model) and its own seeded RNG.
 	const levels = 10
-	cache := cacheArms[float64](c.Cache, "fig10/v1", levels,
+	cache := cacheArms[float64](c.Cache, "fig10", levels,
 		func(li int, e *resultcache.Enc) {
 			encSELConfig(e, c)
 			e.Int(int64(episodesPer))

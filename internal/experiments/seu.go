@@ -36,9 +36,6 @@ type SEUConfig struct {
 	Cache *resultcache.Store
 }
 
-// DefaultSEUConfig returns the default workload sizing.
-func DefaultSEUConfig() SEUConfig { return SEUConfig{Size: 256 << 10, Seed: 42} }
-
 // runScheme executes a workload under the given scheme/frontier and
 // returns the report.
 func runScheme(b workloads.Builder, scheme fault.Scheme, frontier emr.Frontier, c SEUConfig, hook emr.Hook, threshold *float64) (*emr.Result, error) {
@@ -82,7 +79,7 @@ func Fig11(c SEUConfig) ([]Fig11Row, *Table, error) {
 	// One trial per workload; the three scheme runs inside a trial stay
 	// serial so the normalization denominator rides in the same work item.
 	wls := workloads.All()
-	cache := cacheArms[Fig11Row](c.Cache, "fig11/v1", len(wls),
+	cache := cacheArms[Fig11Row](c.Cache, "fig11", len(wls),
 		func(i int, e *resultcache.Enc) {
 			e.Int(int64(c.Size))
 			e.Int(c.Seed)
@@ -370,7 +367,7 @@ func Table7(c Table7Config) (map[string]*fault.Tally, *Table, error) {
 	// Each injection run's key is (workload size, seed, scheme, mbu,
 	// run index); Runs is deliberately absent so a deeper campaign
 	// replays the runs already classified.
-	cache := cacheArms[fault.Outcome](c.Cache, "table7/v1", len(schemes)*c.Runs,
+	cache := cacheArms[fault.Outcome](c.Cache, "table7", len(schemes)*c.Runs,
 		func(k int, e *resultcache.Enc) {
 			sc, run := schemes[k/c.Runs], k%c.Runs
 			e.Int(int64(c.Size))

@@ -34,7 +34,7 @@ func ThresholdSweep(c SELConfig, episodes int) ([]ThresholdPoint, *Table, error)
 	// shared read-only model, so levels are independent scheduler trials.
 	thresholds := []float64{0.040, 0.045, 0.050, 0.055, 0.060, 0.065, 0.070, 0.075, 0.080}
 
-	cache := cacheArms[ThresholdPoint](c.Cache, "threshold/v1", len(thresholds),
+	cache := cacheArms[ThresholdPoint](c.Cache, "threshold", len(thresholds),
 		func(ti int, e *resultcache.Enc) {
 			encSELConfig(e, c)
 			e.Int(int64(episodes))

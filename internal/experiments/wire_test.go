@@ -24,9 +24,10 @@ import (
 // one literal here with each field set to a distinct value, and every
 // struct that a cache key encodes appears at its defaults. Their hex
 // encodings live in testdata/cache_wire.txt. A byte that moves there
-// means a domain's stored payloads or keys moved, so the change must
-// bump that domain's version (see RESULTCACHE.md) and rewrite the
-// golden with
+// means a domain's stored payloads or keys moved. Every key starts with
+// the code fingerprint (see RESULTCACHE.md), so a store written by other
+// code never replays them; once the move is meant, rewrite the golden
+// with
 //
 //	go test ./internal/experiments -run TestCacheWireFormat -update
 //
@@ -39,17 +40,17 @@ var wireResults = []struct {
 	name string
 	v    any
 }{
-	{"table2/v1", table2State{
+	{"table2", table2State{
 		EpisodeHit: []bool{true, false},
 		Latencies:  []time.Duration{-1500 * time.Millisecond, 42 * time.Second},
 		FPSamples:  17,
 		NegSamples: 90210,
 	}},
-	{"fig10/v1", 0.375},
-	{"threshold/v1", ThresholdPoint{ThresholdA: 0.055, FalseNegativeRate: 0.125, FalsePositiveRate: 0.0025}},
-	{"table7/v1", fault.DetectedError},
-	{"fig11/v1", Fig11Row{Workload: "sha256", Serial3MRRel: 3.02, EMRRel: 1.17, EMRSlowdownPct: 17.5}},
-	{"guard/v1", GuardTrial{
+	{"fig10", 0.375},
+	{"threshold", ThresholdPoint{ThresholdA: 0.055, FalseNegativeRate: 0.125, FalsePositiveRate: 0.0025}},
+	{"table7", fault.DetectedError},
+	{"fig11", Fig11Row{Workload: "sha256", Serial3MRRel: 3.02, EMRRel: 1.17, EMRSlowdownPct: 17.5}},
+	{"guard", GuardTrial{
 		Kind:                power.FaultOffset,
 		Onset:               30 * time.Minute,
 		FaultDuration:       20 * time.Minute,
@@ -65,7 +66,7 @@ var wireResults = []struct {
 		Survived:            true,
 		UnguardedSurvived:   false,
 	}},
-	{"watchdog/v1", WatchdogTrial{
+	{"watchdog", WatchdogTrial{
 		Executor:   2,
 		Cause:      "crash",
 		Kills:      4,
@@ -75,7 +76,7 @@ var wireResults = []struct {
 		TMROutputs: true,
 		Degraded:   false,
 	}},
-	{"downlink/v1", DownlinkTrial{
+	{"downlink", DownlinkTrial{
 		Loss:           0.2,
 		Blackout:       2 * time.Minute,
 		Policy:         downlink.PolicyFIFO,
@@ -93,7 +94,7 @@ var wireResults = []struct {
 		CleanDrainedAt: 95 * time.Minute,
 		P0Recovered:    true,
 	}},
-	{"oskernel/v2", OSFaultTrial{
+	{"oskernel", OSFaultTrial{
 		Class:                machine.OSFaultSchedulerStall,
 		Onset:                40 * time.Minute,
 		DetectLatency:        -time.Second,
@@ -119,7 +120,7 @@ var wireResults = []struct {
 		DegradedGolden:       true,
 		StallOverrun:         1500 * time.Millisecond,
 	}},
-	{"adaptive/v1", AdaptiveTrial{
+	{"adaptive", AdaptiveTrial{
 		Profile: "leo-saa",
 		Static: AdaptiveArm{
 			Survived: true, SDC: false,
@@ -146,7 +147,7 @@ var wireResults = []struct {
 			{T: 41 * time.Minute, From: adapt.LevelElevated, To: adapt.LevelRelaxed, Score: 0.5, Reason: "relax"},
 		},
 	}},
-	{"mission/v1", missionPair{
+	{"mission", missionPair{
 		Protected:   missionResult{Damaged: false, SDC: true, LatchupsCleared: 3, SEUsOutvoted: 11},
 		Unprotected: missionResult{Damaged: true, SDC: false, LatchupsCleared: 4, SEUsOutvoted: 12},
 	}},
@@ -182,7 +183,7 @@ func renderCacheWire() string {
 	var b strings.Builder
 	b.WriteString("# Result-cache wire format: one line per cached result type (named by\n")
 	b.WriteString("# its domain) and per struct a cache key encodes, as \"name hex\".\n")
-	b.WriteString("# A changed line moves stored payloads or keys: bump the domain.\n")
+	b.WriteString("# A changed line moves stored payloads or keys.\n")
 	line := func(name string, enc func(*resultcache.Enc)) {
 		var e resultcache.Enc
 		enc(&e)

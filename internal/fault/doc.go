@@ -12,8 +12,8 @@
 //     small as +0.07 A.
 //
 // Key types: Environment holds per-orbit SEU/SEL rates (LEO, GEO, deep
-// space presets) and draws Poisson event schedules; BitFlip/Flipper/
-// Inject place a single flip into anything that can flip a bit; Scheme
+// space presets) and draws Poisson event schedules; BitFlip places one
+// flip at an offset into a region (RandomFlip draws one); Scheme
 // enumerates the protection schemes the evaluation compares (none,
 // unprotected parallel, serial 3-MR, EMR, checksum guard); Outcome and
 // Tally classify injection results into the paper's Table 7 columns

@@ -125,25 +125,6 @@ func RandomFlip(rng *rand.Rand, size uint64) BitFlip {
 	}
 }
 
-// MBUFlips draws two adjacent-bit flips (same byte where possible),
-// modelling a multi-bit upset from a single particle track.
-func MBUFlips(rng *rand.Rand, size uint64) [2]BitFlip {
-	f := RandomFlip(rng, size)
-	second := BitFlip{Offset: f.Offset, Bit: (f.Bit + 1) % 8}
-	return [2]BitFlip{f, second}
-}
-
-// Flipper is anything whose stored bits a particle can strike.
-// mem.DRAM and mem.Storage satisfy it directly.
-type Flipper interface {
-	FlipBit(addr uint64, bit uint) error
-}
-
-// Inject applies a flip to a target at the given base address.
-func Inject(target Flipper, base uint64, f BitFlip) error {
-	return target.FlipBit(base+f.Offset, f.Bit)
-}
-
 // Outcome classifies the end state of one fault-injection run, the
 // categories of the paper's Table 7.
 type Outcome int
@@ -191,19 +172,4 @@ func (t *Tally) Add(o Outcome) {
 		panic(fmt.Sprintf("fault: invalid outcome %d", o))
 	}
 	t.Counts[o]++
-}
-
-// Total returns the number of runs recorded.
-func (t *Tally) Total() int {
-	sum := 0
-	for _, c := range t.Counts {
-		sum += c
-	}
-	return sum
-}
-
-// String formats the tally as a Table 7 row fragment.
-func (t *Tally) String() string {
-	return fmt.Sprintf("Corrected=%d NoEffect=%d Error=%d SDC=%d",
-		t.Counts[Corrected], t.Counts[NoEffect], t.Counts[DetectedError], t.Counts[SDC])
 }

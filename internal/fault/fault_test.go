@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"radshield/internal/mem"
 )
 
 func TestKindAndOutcomeStrings(t *testing.T) {
@@ -97,46 +95,14 @@ func TestRandomFlipEmptyPanics(t *testing.T) {
 	RandomFlip(rand.New(rand.NewSource(1)), 0)
 }
 
-func TestMBUFlipsAdjacent(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 100; i++ {
-		fs := MBUFlips(rng, 64)
-		if fs[0].Offset != fs[1].Offset {
-			t.Fatal("MBU flips not in same byte")
-		}
-		if fs[0].Bit == fs[1].Bit {
-			t.Fatal("MBU flips identical")
-		}
-	}
-}
-
-func TestInjectIntoDRAM(t *testing.T) {
-	d := mem.NewDRAM(256, false)
-	d.Write(64, []byte{0})
-	if err := Inject(d, 64, BitFlip{Offset: 0, Bit: 1}); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1)
-	d.Read(64, buf)
-	if buf[0] != 2 {
-		t.Fatalf("injected byte = %#x, want 0x02", buf[0])
-	}
-}
-
 func TestTally(t *testing.T) {
 	var tl Tally
 	tl.Add(Corrected)
 	tl.Add(NoEffect)
 	tl.Add(NoEffect)
 	tl.Add(SDC)
-	if tl.Total() != 4 {
-		t.Fatalf("Total = %d", tl.Total())
-	}
-	if tl.Counts[NoEffect] != 2 || tl.Counts[SDC] != 1 || tl.Counts[DetectedError] != 0 {
+	if tl.Counts[Corrected] != 1 || tl.Counts[NoEffect] != 2 || tl.Counts[SDC] != 1 || tl.Counts[DetectedError] != 0 {
 		t.Fatalf("counts = %+v", tl.Counts)
-	}
-	if tl.String() == "" {
-		t.Error("empty String")
 	}
 }
 

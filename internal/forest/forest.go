@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 )
 
 // Config controls forest training.
@@ -312,21 +311,6 @@ func (f *Forest) Predict(x []float64) int {
 	return cls
 }
 
-// PredictProb returns the fraction of trees voting for class 1 — useful
-// for threshold sweeps in detector comparisons.
-func (f *Forest) PredictProb(x []float64) float64 {
-	if f.classes < 2 {
-		return 0
-	}
-	ones := 0
-	for _, root := range f.roots {
-		if f.classify(root, x) == 1 {
-			ones++
-		}
-	}
-	return float64(ones) / float64(len(f.roots))
-}
-
 // classify walks one tree from nodes[i] down to a leaf.
 func (f *Forest) classify(i int32, x []float64) int {
 	for {
@@ -346,18 +330,4 @@ func (f *Forest) classify(i int32, x []float64) int {
 // when the forest made any split).
 func (f *Forest) Importance() []float64 {
 	return append([]float64(nil), f.importance...)
-}
-
-// TopFeatures returns the indices of the k most important features in
-// descending importance order — the paper's feature-selection step.
-func (f *Forest) TopFeatures(k int) []int {
-	idx := make([]int, f.features)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return f.importance[idx[a]] > f.importance[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
 }

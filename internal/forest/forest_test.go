@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -57,31 +56,6 @@ func TestImportanceIdentifiesSignalFeature(t *testing.T) {
 	}
 	if sum < 0.999 || sum > 1.001 {
 		t.Fatalf("importance sum = %v, want 1", sum)
-	}
-	top := f.TopFeatures(1)
-	if len(top) != 1 || top[0] != 0 {
-		t.Fatalf("TopFeatures = %v, want [0]", top)
-	}
-}
-
-func TestTopFeaturesClampsK(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	X, y := separableDataset(rng, 100)
-	f := Train(X, y, Config{Trees: 5, Seed: 6})
-	if got := f.TopFeatures(10); len(got) != 2 {
-		t.Fatalf("TopFeatures(10) len = %d, want 2", len(got))
-	}
-}
-
-func TestPredictProb(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	X, y := separableDataset(rng, 400)
-	f := Train(X, y, Config{Trees: 21, Seed: 8})
-	if p := f.PredictProb([]float64{9.5, 5}); p < 0.8 {
-		t.Errorf("PredictProb(clear positive) = %v, want high", p)
-	}
-	if p := f.PredictProb([]float64{0.5, 5}); p > 0.2 {
-		t.Errorf("PredictProb(clear negative) = %v, want low", p)
 	}
 }
 
@@ -265,19 +239,11 @@ func checkMatchesReference(t *testing.T, c refCase) {
 		if g, w := got.Predict(q), want.Predict(q); g != w {
 			t.Fatalf("Predict(%v) = %d, want %d", q, g, w)
 		}
-		if g, w := got.PredictProb(q), want.PredictProb(q); math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("PredictProb(%v) = %v, want %v", q, g, w)
-		}
 	}
 	gi, wi := got.Importance(), want.Importance()
 	for j := range wi {
 		if math.Float64bits(gi[j]) != math.Float64bits(wi[j]) {
 			t.Fatalf("Importance = %v, want %v", gi, wi)
-		}
-	}
-	for k := 0; k <= c.features+1; k++ {
-		if g, w := got.TopFeatures(k), want.TopFeatures(k); !slices.Equal(g, w) {
-			t.Fatalf("TopFeatures(%d) = %v, want %v", k, g, w)
 		}
 	}
 }

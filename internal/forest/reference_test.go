@@ -218,19 +218,6 @@ func (f *refForest) Predict(x []float64) int {
 	return cls
 }
 
-func (f *refForest) PredictProb(x []float64) float64 {
-	if f.classes < 2 {
-		return 0
-	}
-	ones := 0
-	for _, t := range f.trees {
-		if refClassify(t, x) == 1 {
-			ones++
-		}
-	}
-	return float64(ones) / float64(len(f.trees))
-}
-
 func refClassify(n *refNode, x []float64) int {
 	for n.feature >= 0 {
 		if x[n.feature] <= n.thresh {
@@ -244,16 +231,4 @@ func refClassify(n *refNode, x []float64) int {
 
 func (f *refForest) Importance() []float64 {
 	return append([]float64(nil), f.importance...)
-}
-
-func (f *refForest) TopFeatures(k int) []int {
-	idx := make([]int, f.features)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return f.importance[idx[a]] > f.importance[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
 }

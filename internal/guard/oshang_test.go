@@ -109,9 +109,6 @@ func TestSupervisorHeartbeatGap(t *testing.T) {
 	if d := s.Observe(liveTel(now, 0)); !d.HeartbeatGap {
 		t.Fatal("50ms sample gap not flagged")
 	}
-	if s.HeartbeatGaps() != 1 {
-		t.Fatalf("HeartbeatGaps = %d, want 1", s.HeartbeatGaps())
-	}
 	now += time.Millisecond
 	if d := s.Observe(liveTel(now, 1)); d.HeartbeatGap {
 		t.Fatal("gap flag stuck after cadence resumed")

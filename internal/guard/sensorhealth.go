@@ -144,7 +144,3 @@ func (h *SensorHealth) Observe(tel machine.Telemetry) Verdict {
 	}
 	return Verdict{OK: true}
 }
-
-// StuckRun returns the current count of consecutive identical raw
-// readings (diagnostics/telemetry).
-func (h *SensorHealth) StuckRun() int { return h.run }

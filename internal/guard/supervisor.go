@@ -127,8 +127,7 @@ type Supervisor struct {
 	haveSample   bool
 	wedgedStreak int
 
-	demotions, promotions, blindCycles int
-	hangCycles, heartbeatGaps          int
+	demotions, promotions, blindCycles, hangCycles int
 
 	ins        *Instruments
 	modeChange func(t time.Duration, from, to Mode, reason string)
@@ -188,14 +187,8 @@ func (s *Supervisor) Promotions() int  { return s.promotions }
 func (s *Supervisor) BlindCycles() int { return s.blindCycles }
 
 // HangCycles counts power cycles commanded for a wedged counter
-// surface; HeartbeatGaps counts samples that arrived after a silent gap
-// longer than HeartbeatTimeout.
-func (s *Supervisor) HangCycles() int    { return s.hangCycles }
-func (s *Supervisor) HeartbeatGaps() int { return s.heartbeatGaps }
-
-// Detector exposes the wrapped ILD instance (ablation harnesses reach
-// through for residuals).
-func (s *Supervisor) Detector() *ild.Detector { return s.det }
+// surface.
+func (s *Supervisor) HangCycles() int { return s.hangCycles }
 
 // Observe consumes one telemetry sample: classify sensor health, move
 // the ladder if warranted, run the active monitor, and pace blind
@@ -206,7 +199,6 @@ func (s *Supervisor) Observe(tel machine.Telemetry) Decision {
 	gap := s.cfg.HeartbeatTimeout > 0 && s.haveSample &&
 		tel.T-s.lastSampleT > s.cfg.HeartbeatTimeout
 	if gap {
-		s.heartbeatGaps++
 		s.ins.heartbeatGap(tel.T, tel.T-s.lastSampleT)
 	}
 	// A wedged kernel latches every syscall-backed reading: zero counter

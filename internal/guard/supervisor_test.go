@@ -256,13 +256,13 @@ func TestSupervisorTelemetry(t *testing.T) {
 		t.Fatal("guard_bad_sensor_samples_total never incremented")
 	}
 	var found bool
-	for _, ev := range reg.Events() {
+	for _, ev := range reg.Snapshot().Events {
 		if ev.Kind == telemetry.KindGuardMode &&
 			ev.Fields["from"] == "linear_model" && ev.Fields["to"] == "static_threshold" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no guard_mode_change event; events: %v", reg.Events())
+		t.Fatalf("no guard_mode_change event; events: %v", reg.Snapshot().Events)
 	}
 }

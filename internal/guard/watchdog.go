@@ -2,7 +2,6 @@ package guard
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"radshield/internal/fault"
@@ -179,20 +178,6 @@ func (w *Watchdog) Mode() RedundancyMode { return w.mode }
 
 // Plan returns the EMR configuration the current mode calls for.
 func (w *Watchdog) Plan() Plan { return w.mode.Plan() }
-
-// BadExecutors returns the persistently-bad executor indices in
-// ascending order.
-func (w *Watchdog) BadExecutors() []int {
-	out := make([]int, 0, len(w.bad))
-	for e := range w.bad {
-		out = append(out, e)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Strikes returns an executor's current consecutive-failure streak.
-func (w *Watchdog) Strikes(executor int) int { return w.strikes[executor] }
 
 // Kills and Crashes count hung visits killed at the deadline and
 // crashed visits observed, respectively.

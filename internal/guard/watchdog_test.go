@@ -48,8 +48,8 @@ func TestWatchdogKillsHungVisit(t *testing.T) {
 	if charged != cfg.Deadline {
 		t.Fatalf("charged %v, want the deadline %v", charged, cfg.Deadline)
 	}
-	if w.Kills() != 1 || w.Strikes(1) != 1 {
-		t.Fatalf("kills = %d strikes = %d, want 1/1", w.Kills(), w.Strikes(1))
+	if w.Kills() != 1 || w.strikes[1] != 1 {
+		t.Fatalf("kills = %d strikes = %d, want 1/1", w.Kills(), w.strikes[1])
 	}
 	// A visit inside the deadline passes through untouched.
 	charged, err = w.VisitDone(0, 0, 5*time.Millisecond, nil)
@@ -65,12 +65,12 @@ func TestCleanVisitClearsStreak(t *testing.T) {
 	w := newWatchdog(t, cfg)
 	w.VisitDone(2, 0, time.Second, nil)
 	w.VisitDone(2, 1, time.Second, nil)
-	if w.Strikes(2) != 2 {
-		t.Fatalf("strikes = %d, want 2", w.Strikes(2))
+	if w.strikes[2] != 2 {
+		t.Fatalf("strikes = %d, want 2", w.strikes[2])
 	}
 	w.VisitDone(2, 2, time.Millisecond, nil)
-	if w.Strikes(2) != 0 {
-		t.Fatalf("clean visit left strikes = %d", w.Strikes(2))
+	if w.strikes[2] != 0 {
+		t.Fatalf("clean visit left strikes = %d", w.strikes[2])
 	}
 	if w.Mode() != RedundancyTMR {
 		t.Fatalf("sporadic hangs demoted the mode to %v", w.Mode())
@@ -93,8 +93,8 @@ func TestPersistentFailureDegradesTMRToDMRToSerial(t *testing.T) {
 	if plan.Scheme != fault.SchemeEMR || plan.Executors != 2 || !plan.ChecksumArbiter {
 		t.Fatalf("DMR plan = %+v", plan)
 	}
-	if got := w.BadExecutors(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("BadExecutors = %v, want [2]", got)
+	if len(w.bad) != 1 || !w.bad[2] {
+		t.Fatalf("bad executors = %v, want only 2", w.bad)
 	}
 
 	kill := bytes.ErrTooLarge // any sentinel error: a crashing replica
@@ -150,7 +150,7 @@ func TestWatchdogTelemetry(t *testing.T) {
 		t.Fatalf("guard_redundancy_mode = %v, want %v", got, float64(RedundancyDMRChecksum))
 	}
 	var kills, modes int
-	for _, ev := range reg.Events() {
+	for _, ev := range reg.Snapshot().Events {
 		switch ev.Kind {
 		case telemetry.KindReplicaKill:
 			kills++

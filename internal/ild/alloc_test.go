@@ -58,8 +58,8 @@ func TestAllocsObserve(t *testing.T) {
 }
 
 // TestAllocsBaselineObserve pins the Table 2 baselines, which replay the
-// same flight stream as ILD: the current-only forest, naive Bayes and the
-// static threshold.
+// same flight stream as ILD: the current-only forest and the static
+// threshold.
 func TestAllocsBaselineObserve(t *testing.T) {
 	currents := []float64{1.50, 1.51, 1.52, 1.53, 1.58, 1.59, 1.60, 1.61}
 	labels := []int{0, 0, 0, 0, 1, 1, 1, 1}
@@ -72,7 +72,6 @@ func TestAllocsBaselineObserve(t *testing.T) {
 		m    Monitor
 	}{
 		{"forest", TrainForestDetector(currents, labels, forest.Config{Trees: 5, MinLeaf: 1, Seed: 1})},
-		{"bayes", TrainBayesDetector(currents, labels)},
 		{"static", static},
 	}
 	quiet := machine.Telemetry{CurrentA: 1.51, RawA: 1.51}

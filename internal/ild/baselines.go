@@ -3,7 +3,6 @@ package ild
 import (
 	"fmt"
 
-	"radshield/internal/bayes"
 	"radshield/internal/forest"
 	"radshield/internal/machine"
 )
@@ -20,7 +19,6 @@ var (
 	_ Monitor = (*Detector)(nil)
 	_ Monitor = (*StaticThreshold)(nil)
 	_ Monitor = (*ForestDetector)(nil)
-	_ Monitor = (*BayesDetector)(nil)
 )
 
 // StaticThreshold is the classic black-box SEL protection (paper §2.1):
@@ -93,20 +91,4 @@ func currentRows(currents []float64) [][]float64 {
 // Observe implements Monitor.
 func (d *ForestDetector) Observe(tel machine.Telemetry) bool {
 	return d.f.Predict([]float64{tel.CurrentA}) == 1
-}
-
-// BayesDetector is the naive-Bayes variant the paper tried and rejected
-// (§3.1); it exists for the ablation comparison.
-type BayesDetector struct {
-	c *bayes.Classifier
-}
-
-// TrainBayesDetector fits naive Bayes on labelled current samples.
-func TrainBayesDetector(currents []float64, labels []int) *BayesDetector {
-	return &BayesDetector{c: bayes.Train(currentRows(currents), labels)}
-}
-
-// Observe implements Monitor.
-func (d *BayesDetector) Observe(tel machine.Telemetry) bool {
-	return d.c.Predict([]float64{tel.CurrentA}) == 1
 }

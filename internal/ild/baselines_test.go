@@ -2,9 +2,11 @@ package ild
 
 import (
 	"testing"
+	"time"
 
 	"radshield/internal/forest"
 	"radshield/internal/machine"
+	"radshield/internal/trace"
 )
 
 // telAt builds a minimal telemetry sample with the given currents.
@@ -94,35 +96,11 @@ func TestForestDetectorSeparatesBands(t *testing.T) {
 	}
 }
 
-func TestBayesDetectorSeparatesBands(t *testing.T) {
-	var currents []float64
-	var labels []int
-	for i := 0; i < 200; i++ {
-		currents = append(currents, 1.5, 1.65)
-		labels = append(labels, 0, 1)
-	}
-	d := TrainBayesDetector(currents, labels)
-	if d.Observe(telAt(1.5, 1.5)) {
-		t.Error("nominal flagged")
-	}
-	if !d.Observe(telAt(1.65, 1.65)) {
-		t.Error("SEL missed")
-	}
-}
-
 func TestDetectorModelAccessor(t *testing.T) {
 	_, det := trainedDetector(t, 61)
 	m := det.Model()
 	if m == nil || len(m.Weights) != FeatureDim(4) {
 		t.Fatalf("Model() = %+v", m)
-	}
-}
-
-func TestRecorderDetectorAccessor(t *testing.T) {
-	_, det := trainedDetector(t, 62)
-	rec := newRecorder(t, det, 4)
-	if rec.Detector() != det {
-		t.Fatal("Detector accessor")
 	}
 }
 
@@ -134,17 +112,16 @@ func TestOverheadFractionZeroPause(t *testing.T) {
 }
 
 func BenchmarkDetectorObserve(b *testing.B) {
-	cfg := machine.DefaultConfig()
-	m := machine.New(cfg)
+	m := machine.New(machine.DefaultConfig())
 	trainer := NewTrainer(DefaultConfig())
-	m.Step(10 * 1e6)
-	tel := m.Sample()
-	trainer.Add(tel)
-	// Train on a handful of idle samples.
-	for i := 0; i < 100; i++ {
-		m.Step(1e6)
-		trainer.Add(m.Sample())
-	}
+	// Train on a handful of idle samples and time the last one.
+	var tel machine.Telemetry
+	m.RunTrace(&trace.Trace{Segments: []trace.Segment{{Duration: 110 * time.Millisecond, Kind: trace.Idle}}},
+		func(s machine.Telemetry) {
+			trainer.Add(s)
+			tel = s
+		})
+	tel.PerCore = append([]machine.CoreTelemetry(nil), tel.PerCore...)
 	det, err := trainer.Fit()
 	if err != nil {
 		b.Fatal(err)

@@ -55,20 +55,10 @@ type Detector struct {
 	cfg    Config
 	model  *linmodel.Model
 	window *stats.WindowMean
-	// appSignal is the application's explicit quiescence declaration
-	// (paper §3.1: "applications may also signal to ILD when they are no
-	// longer processing data"): unset → infer from CPU load; set → trust
-	// the application.
-	appSignal    bool
-	appQuiescent bool
 	// ins receives per-decision metrics when attached; firing tracks the
 	// declared state so only rising edges count as new detections.
 	ins    *Instruments
 	firing bool
-	// badSamples counts rejected NaN/Inf telemetry samples. A faulted
-	// sensor (see internal/power) must not poison the averaging window:
-	// one NaN in a running mean sticks forever.
-	badSamples int
 	// feat is the reusable feature-vector scratch buffer; Observe runs
 	// once per telemetry sample for entire missions, so it must not
 	// allocate (see the allocation-regression tests in alloc_test.go).
@@ -77,19 +67,6 @@ type Detector struct {
 
 // SetInstruments attaches telemetry instruments (nil detaches them).
 func (d *Detector) SetInstruments(ins *Instruments) { d.ins = ins }
-
-// SignalQuiescent lets the running application declare whether it is
-// processing data. While a signal is asserted it overrides the CPU-load
-// heuristic: a `true` lets ILD measure immediately after the app parks
-// (even if background activity muddies the load estimate), a `false`
-// keeps measurements gated during phases the heuristic might misread.
-func (d *Detector) SignalQuiescent(quiescent bool) {
-	d.appSignal = true
-	d.appQuiescent = quiescent
-}
-
-// ClearSignal reverts to CPU-load-based quiescence inference.
-func (d *Detector) ClearSignal() { d.appSignal = false }
 
 // NewDetector builds a detector from a trained current model. The config
 // must use the same telemetry cadence the model was trained at. Config
@@ -119,21 +96,14 @@ func NewDetector(model *linmodel.Model, cfg Config) (*Detector, error) {
 	return &Detector{cfg: cfg, model: model, window: stats.NewWindowMean(n)}, nil
 }
 
-// Config returns the detector's configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 // Model exposes the fitted current model (telemetry downlink includes
 // its coefficients; ablations rebuild detectors around it).
 func (d *Detector) Model() *linmodel.Model { return d.model }
 
 // Quiescent reports whether the sample shows a quiescent system — the
 // only state ILD trusts for detection (paper: workload current variance
-// is two orders of magnitude above a micro-SEL). An asserted application
-// signal takes precedence over the CPU-load heuristic.
+// is two orders of magnitude above a micro-SEL).
 func (d *Detector) Quiescent(tel machine.Telemetry) bool {
-	if d.appSignal {
-		return d.appQuiescent
-	}
 	return tel.TotalInstrPerSec() < d.cfg.QuiescentInstrPerSec
 }
 
@@ -150,9 +120,10 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // zero exactly when every value is finite. Only a rejected sample pays
 // for the per-field classification.
 func badSampleReason(tel machine.Telemetry) string {
-	z := tel.CurrentA*0 + tel.DiskReadPerSec*0 + tel.DiskWritePerSec*0
+	z := float64(tel.CurrentA*0) + float64(tel.DiskReadPerSec*0) + float64(tel.DiskWritePerSec*0)
 	for _, c := range tel.PerCore {
-		z += c.InstrPerSec*0 + c.BusCyclesPerSec*0 + c.FreqHz*0 + c.BranchMissRate*0 + c.CacheHitRate*0
+		z += float64(c.InstrPerSec*0) + float64(c.BusCyclesPerSec*0) + float64(c.FreqHz*0) +
+			float64(c.BranchMissRate*0) + float64(c.CacheHitRate*0)
 	}
 	if z == 0 {
 		return ""
@@ -172,11 +143,6 @@ func badSampleReason(tel machine.Telemetry) string {
 	return ""
 }
 
-// BadSamples returns how many telemetry samples the detector rejected
-// as NaN/Inf. The guard layer reads this as one of its sensor-health
-// signals.
-func (d *Detector) BadSamples() int { return d.badSamples }
-
 // Observe consumes one telemetry sample and reports whether an SEL is
 // declared at this instant. Non-quiescent samples reset the averaging
 // window: measurements taken under load are never used. Samples
@@ -186,7 +152,6 @@ func (d *Detector) BadSamples() int { return d.badSamples }
 // folded into a running mean would wedge the detector permanently.
 func (d *Detector) Observe(tel machine.Telemetry) bool {
 	if reason := badSampleReason(tel); reason != "" {
-		d.badSamples++
 		d.ins.badSample(tel.T, reason)
 		return false
 	}
@@ -202,7 +167,7 @@ func (d *Detector) Observe(tel machine.Telemetry) bool {
 	// Drift adaptation: only small residuals train the intercept, so a
 	// latchup's step change is never learned away.
 	if d.cfg.AdaptRate > 0 && diff < d.cfg.ThresholdA/2 && diff > -d.cfg.ThresholdA/2 {
-		d.model.Intercept += d.cfg.AdaptRate * diff
+		d.model.Intercept += float64(d.cfg.AdaptRate * diff)
 		if d.ins != nil {
 			d.ins.AdaptNudges.Inc()
 		}
@@ -261,9 +226,6 @@ func (t *Trainer) Add(tel machine.Telemetry) bool {
 	t.y = append(t.y, tel.CurrentA)
 	return true
 }
-
-// Samples returns how many training samples were collected.
-func (t *Trainer) Samples() int { return len(t.y) }
 
 // Fit trains the current model. A small ridge keeps the system solvable
 // when some counters are constant during quiescence (e.g. idle cores

@@ -20,8 +20,8 @@ func trainedDetector(t *testing.T, seed int64) (*machine.Machine, *Detector) {
 	rng := rand.New(rand.NewSource(seed))
 	tr := trace.Quiescent(rng, 30*time.Second, 5*time.Second)
 	m.RunTrace(tr, func(tel machine.Telemetry) { trainer.Add(tel) })
-	if trainer.Samples() < 1000 {
-		t.Fatalf("only %d training samples", trainer.Samples())
+	if len(trainer.y) < 1000 {
+		t.Fatalf("only %d training samples", len(trainer.y))
 	}
 	det, err := trainer.Fit()
 	if err != nil {
@@ -62,8 +62,8 @@ func TestDetectsMicroSELWithinSustainWindow(t *testing.T) {
 	}
 	// Window must fill (3 s) before a flag; detection should follow
 	// almost immediately after.
-	if firstAlarm < det.Config().SustainFor || firstAlarm > det.Config().SustainFor+5*time.Second {
-		t.Fatalf("first alarm at %v, want shortly after %v", firstAlarm, det.Config().SustainFor)
+	if firstAlarm < det.cfg.SustainFor || firstAlarm > det.cfg.SustainFor+5*time.Second {
+		t.Fatalf("first alarm at %v, want shortly after %v", firstAlarm, det.cfg.SustainFor)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestNewDetectorValidation(t *testing.T) {
 
 func TestFeatureVectorShape(t *testing.T) {
 	tel := machine.Telemetry{PerCore: make([]machine.CoreTelemetry, 4)}
-	f := Features(tel)
+	f := AppendFeatures(nil, tel)
 	if len(f) != FeatureDim(4) {
 		t.Fatalf("feature dim = %d, want %d", len(f), FeatureDim(4))
 	}
@@ -204,7 +204,7 @@ func TestAdaptingDetectorKeepsSharedModel(t *testing.T) {
 	model := fixed.Model()
 	before := model.Intercept
 
-	cfg := fixed.Config()
+	cfg := fixed.cfg
 	cfg.AdaptRate = 5e-4
 	adapting, err := NewDetector(model, cfg)
 	if err != nil {
@@ -212,7 +212,7 @@ func TestAdaptingDetectorKeepsSharedModel(t *testing.T) {
 	}
 	// 10 s of quiescent samples 10 mA above the model's prediction,
 	// inside the adaptation band (|diff| < ThresholdA/2).
-	current := model.Predict(Features(quiescentTel(0, 0))) + 0.01
+	current := model.Predict(AppendFeatures(nil, quiescentTel(0, 0))) + 0.01
 	for i := 0; i < 10000; i++ {
 		adapting.Observe(quiescentTel(time.Duration(i)*time.Millisecond, current))
 	}

@@ -18,17 +18,19 @@
 // machine.Telemetry sample and reports whether an SEL is declared;
 // BubblePolicy injects measurement bubbles into a trace
 // (InjectBubbles) and bounds the overhead (WorstCaseOverheadPerHour);
-// ForestDetector, BayesDetector, and StaticThreshold are the baselines
-// behind the shared Monitor interface; Recorder keeps the fine-grained
-// flight ring cmd/ildmon dumps; EncodeModel/DecodeModel round-trip the
-// fitted model as an uplink-friendly blob.
+// ForestDetector and StaticThreshold are the Table 2 baselines behind
+// the shared Monitor interface; Recorder keeps the fine-grained flight
+// ring cmd/ildmon dumps.
 //
 // Invariants: the detector only accumulates residuals while the
 // quiescence gate holds — busy samples reset the averaging window, so a
 // declaration always reflects DetectionWindow seconds of sustained
 // quiescent excess; baseline adaptation nudges the intercept only while
 // quiescent and not firing (thermal drift tracking cannot learn away a
-// real latchup); Observe is deterministic for a given telemetry stream.
+// real latchup); Observe is deterministic for a given telemetry stream,
+// and its products that feed a sum are converted explicitly
+// (float64(x*y)), so no compiler fuses them into a multiply-add
+// (DESIGN.md §9).
 // Instruments (NewInstruments, Detector.SetInstruments,
 // BubblePolicy.Instruments) attach the ild_* metrics of TELEMETRY.md;
 // a nil *Instruments disables all of it at one branch of cost.

@@ -31,17 +31,6 @@ const extraFeatures = 2
 // FeatureDim returns the feature-vector length for a core count.
 func FeatureDim(cores int) int { return cores*FeaturesPerCore + extraFeatures }
 
-// Features converts one telemetry sample into the model input vector —
-// the paper's Table 1 metric set: per-core instruction completion rate,
-// bus cycle rate, CPU frequency, branch miss rate and cache hit rate,
-// plus disk read/write IO counts.
-//
-// Rates are scaled to keep the normal-equation system well conditioned
-// (instruction rates are ~1e9 while ratios are ~1e-2).
-func Features(tel machine.Telemetry) []float64 {
-	return AppendFeatures(make([]float64, 0, FeatureDim(len(tel.PerCore))), tel)
-}
-
 // AppendFeatures appends the feature vector for tel to dst and returns
 // the extended slice. The detector's per-sample hot path reuses one
 // scratch buffer through this (`d.feat = AppendFeatures(d.feat[:0], tel)`)

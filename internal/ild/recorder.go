@@ -45,9 +45,6 @@ func NewRecorder(det *Detector, capacity int) (*Recorder, error) {
 	return &Recorder{det: det, buf: make([]Record, capacity)}, nil
 }
 
-// Detector returns the wrapped detector.
-func (r *Recorder) Detector() *Detector { return r.det }
-
 // Residual and Reset forward to the wrapped detector, so a Recorder
 // also drops in where a caller restarts the detector after a power
 // cycle.

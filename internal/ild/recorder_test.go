@@ -113,6 +113,7 @@ func TestRecorderRejectedSampleNotQuiescent(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := newRecorder(t, det, 10)
+	bad := countBadSamples(det)
 	clean := machine.Telemetry{
 		T:        time.Millisecond,
 		CurrentA: 1.5,
@@ -127,7 +128,7 @@ func TestRecorderRejectedSampleNotQuiescent(t *testing.T) {
 	for _, tel := range []machine.Telemetry{clean, nanRate, infCurrent} {
 		rec.Observe(tel)
 	}
-	if got := det.BadSamples(); got != 2 {
+	if got := bad.Value(); got != 2 {
 		t.Fatalf("detector rejected %d samples, want 2", got)
 	}
 	records := rec.Records()
@@ -156,48 +157,6 @@ func TestRecorderCapacityValidation(t *testing.T) {
 			t.Fatalf("NewRecorder(nil, %d) accepted a non-positive capacity", capacity)
 		}
 	}
-}
-
-func TestAppQuiescenceSignal(t *testing.T) {
-	m, det := trainedDetector(t, 37)
-	m.InjectSEL(0.08)
-	rng := rand.New(rand.NewSource(38))
-
-	// The app declares BUSY: even during machine quiescence, ILD must
-	// not measure (the app knows better — e.g. it is about to resume).
-	det.SignalQuiescent(false)
-	alarms := 0
-	m.RunTrace(trace.Quiescent(rng, 10*time.Second, 5*time.Second), func(tel machine.Telemetry) {
-		if det.Observe(tel) {
-			alarms++
-		}
-	})
-	if alarms != 0 {
-		t.Fatalf("alarms despite app-busy signal: %d", alarms)
-	}
-
-	// The app declares QUIESCENT: detection proceeds.
-	det.SignalQuiescent(true)
-	detected := false
-	m.RunTrace(trace.Quiescent(rng, 10*time.Second, 5*time.Second), func(tel machine.Telemetry) {
-		if det.Observe(tel) {
-			detected = true
-		}
-	})
-	if !detected {
-		t.Fatal("SEL not detected with app-quiescent signal")
-	}
-
-	// ClearSignal reverts to the heuristic.
-	det.ClearSignal()
-	det.Reset()
-	m.ClearSEL()
-	busy := trace.Burst(rng, 2*time.Second, 4)
-	m.RunTrace(busy, func(tel machine.Telemetry) {
-		if det.Quiescent(tel) {
-			t.Fatal("heuristic not restored: busy trace judged quiescent")
-		}
-	})
 }
 
 func TestAdaptiveInterceptTracksDrift(t *testing.T) {

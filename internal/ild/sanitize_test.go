@@ -37,8 +37,17 @@ func fitTrivialDetector(t *testing.T) *Detector {
 	return det
 }
 
+// countBadSamples attaches fresh instruments to det and returns the
+// counter its rejected samples land in.
+func countBadSamples(det *Detector) *telemetry.Counter {
+	ins := NewInstruments(telemetry.NewRegistry(64))
+	det.SetInstruments(ins)
+	return ins.BadSamples
+}
+
 func TestObserveRejectsNaNCurrent(t *testing.T) {
 	det := fitTrivialDetector(t)
+	bad := countBadSamples(det)
 	// Prime the window with a latchup-sized excess, one sample short of
 	// declaring.
 	det.Observe(quiescentTel(0, 1.65))
@@ -49,8 +58,8 @@ func TestObserveRejectsNaNCurrent(t *testing.T) {
 			t.Fatalf("detector declared on a non-finite sample %v", bad)
 		}
 	}
-	if det.BadSamples() != 3 {
-		t.Fatalf("BadSamples = %d, want 3", det.BadSamples())
+	if bad.Value() != 3 {
+		t.Fatalf("rejected %d samples, want 3", bad.Value())
 	}
 	if r := det.Residual(); math.IsNaN(r) {
 		t.Fatal("NaN reached the averaging window")
@@ -64,19 +73,20 @@ func TestObserveRejectsNaNCurrent(t *testing.T) {
 
 func TestObserveRejectsNaNFeatures(t *testing.T) {
 	det := fitTrivialDetector(t)
+	bad := countBadSamples(det)
 	tel := quiescentTel(0, 1.55)
 	tel.PerCore[0].InstrPerSec = math.NaN() // corrupt counter read
 	if det.Observe(tel) {
 		t.Fatal("declared on NaN features")
 	}
-	if det.BadSamples() != 1 {
-		t.Fatalf("BadSamples = %d, want 1", det.BadSamples())
+	if bad.Value() != 1 {
+		t.Fatalf("rejected %d samples, want 1", bad.Value())
 	}
 	tel2 := quiescentTel(time.Millisecond, 1.55)
 	tel2.DiskWritePerSec = math.Inf(1)
 	det.Observe(tel2)
-	if det.BadSamples() != 2 {
-		t.Fatalf("BadSamples = %d, want 2", det.BadSamples())
+	if bad.Value() != 2 {
+		t.Fatalf("rejected %d samples, want 2", bad.Value())
 	}
 }
 
@@ -89,7 +99,7 @@ func TestBadSamplesCountedInTelemetry(t *testing.T) {
 	if got := ins.BadSamples.Value(); got != 1 {
 		t.Fatalf("ild_bad_samples_total = %v, want 1", got)
 	}
-	events := reg.Events()
+	events := reg.Snapshot().Events
 	found := false
 	for _, ev := range events {
 		if ev.Kind == telemetry.KindBadSample && ev.Fields["reason"] == "current" {
@@ -111,8 +121,8 @@ func TestTrainerRejectsNaNSamples(t *testing.T) {
 	if tr.Add(bad) {
 		t.Fatal("trainer accepted an Inf feature")
 	}
-	if tr.Samples() != 0 {
-		t.Fatalf("Samples = %d, want 0", tr.Samples())
+	if len(tr.y) != 0 {
+		t.Fatalf("kept %d samples, want 0", len(tr.y))
 	}
 }
 
@@ -126,8 +136,8 @@ func TestTrainerRejectsMixedCoreCounts(t *testing.T) {
 	if tr.Add(twoCores) {
 		t.Fatal("trainer accepted a two-core sample after a one-core one")
 	}
-	if tr.Samples() != 1 {
-		t.Fatalf("Samples = %d, want 1", tr.Samples())
+	if len(tr.y) != 1 {
+		t.Fatalf("kept %d samples, want 1", len(tr.y))
 	}
 	if _, err := tr.Fit(); err == nil {
 		t.Fatal("Fit succeeded on samples mixing core counts")

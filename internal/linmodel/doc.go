@@ -13,6 +13,8 @@
 //
 // Invariants: Fit returns ErrSingular rather than producing garbage
 // when the normal equations are rank-deficient and unregularized;
-// fitting is deterministic (no stochastic optimizer); a fitted Model is
-// immutable, so concurrent Predict calls are safe.
+// fitting is deterministic (no stochastic optimizer), and every product
+// that feeds a sum is converted explicitly (float64(x*y)), so no
+// compiler fuses it into a multiply-add (DESIGN.md §9); a fitted Model
+// is immutable, so concurrent Predict calls are safe.
 package linmodel

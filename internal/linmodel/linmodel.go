@@ -48,13 +48,13 @@ func Fit(X [][]float64, y []float64, ridge float64) (*Model, error) {
 			if i < d {
 				xi = X[r][i]
 			}
-			aty[i] += xi * y[r]
+			aty[i] += float64(xi * y[r])
 			for j := i; j < k; j++ {
 				xj := 1.0
 				if j < d {
 					xj = X[r][j]
 				}
-				ata[i][j] += xi * xj
+				ata[i][j] += float64(xi * xj)
 			}
 		}
 	}
@@ -83,31 +83,9 @@ func (m *Model) Predict(x []float64) float64 {
 	}
 	sum := m.Intercept
 	for i, w := range m.Weights {
-		sum += w * x[i]
+		sum += float64(w * x[i])
 	}
 	return sum
-}
-
-// PredictBatch evaluates the model over many rows.
-func (m *Model) PredictBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, row := range X {
-		out[i] = m.Predict(row)
-	}
-	return out
-}
-
-// RMSE returns the root-mean-square prediction error over a dataset.
-func (m *Model) RMSE(X [][]float64, y []float64) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	var sum float64
-	for i, row := range X {
-		e := m.Predict(row) - y[i]
-		sum += e * e
-	}
-	return math.Sqrt(sum / float64(len(X)))
 }
 
 // solve performs Gaussian elimination with partial pivoting on a copy of
@@ -140,15 +118,15 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 				continue
 			}
 			for c := col; c < n; c++ {
-				m[r][c] -= f * m[col][c]
+				m[r][c] -= float64(f * m[col][c])
 			}
-			x[r] -= f * x[col]
+			x[r] -= float64(f * x[col])
 		}
 	}
 	for col := n - 1; col >= 0; col-- {
 		sum := x[col]
 		for c := col + 1; c < n; c++ {
-			sum -= m[col][c] * x[c]
+			sum -= float64(m[col][c] * x[c])
 		}
 		x[col] = sum / m[col][col]
 	}

@@ -51,7 +51,12 @@ func TestFitMultivariate(t *testing.T) {
 	if math.Abs(m.Intercept-4) > 0.05 {
 		t.Errorf("intercept = %v, want 4", m.Intercept)
 	}
-	if rmse := m.RMSE(X, y); rmse > 0.05 {
+	var sq float64
+	for i, x := range X {
+		d := m.Predict(x) - y[i]
+		sq += d * d
+	}
+	if rmse := math.Sqrt(sq / float64(len(X))); rmse > 0.05 {
 		t.Errorf("RMSE = %v, want tiny", rmse)
 	}
 }
@@ -95,24 +100,6 @@ func TestPredictDimensionMismatchPanics(t *testing.T) {
 		}
 	}()
 	m.Predict([]float64{1})
-}
-
-func TestPredictBatch(t *testing.T) {
-	m := &Model{Weights: []float64{2}, Intercept: 1}
-	got := m.PredictBatch([][]float64{{0}, {1}, {2}})
-	want := []float64{1, 3, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PredictBatch = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRMSEEmpty(t *testing.T) {
-	m := &Model{Weights: []float64{1}}
-	if got := m.RMSE(nil, nil); got != 0 {
-		t.Fatalf("RMSE(empty) = %v", got)
-	}
 }
 
 // Property: fitting recovers a random linear function exactly (no noise,

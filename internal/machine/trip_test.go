@@ -6,8 +6,16 @@ import (
 	"time"
 
 	"radshield/internal/power"
+	"radshield/internal/telemetry"
 	"radshield/internal/trace"
 )
+
+// newTripCounted builds a machine with a telemetry registry attached, so
+// that a test reads the supply's trips from machine_supply_trips_total.
+func newTripCounted(cfg Config) *Machine {
+	cfg.Telemetry = telemetry.NewRegistry(64)
+	return New(cfg)
+}
 
 func TestSupplyTripCatchesClassicSEL(t *testing.T) {
 	// A classic, ampere-scale latchup pushes quiescent current past the
@@ -15,11 +23,11 @@ func TestSupplyTripCatchesClassicSEL(t *testing.T) {
 	// software help.
 	cfg := DefaultConfig()
 	cfg.SensorSeed = 51
-	m := New(cfg)
+	m := newTripCounted(cfg)
 	m.InjectSEL(5.0) // 1.55 + 5.0 = 6.55 A sustained: a classic destructive latchup
 	rng := rand.New(rand.NewSource(52))
 	m.RunTrace(trace.Quiescent(rng, 2*time.Second, time.Second), nil)
-	if m.SupplyTrips() == 0 {
+	if m.ins.supplyTrips.Value() == 0 {
 		t.Fatal("supply never tripped on a +5 A latchup")
 	}
 	if m.SELActive() {
@@ -35,12 +43,12 @@ func TestSupplyTripBlindToMicroSEL(t *testing.T) {
 	// the hardware trip line — only ILD can see it.
 	cfg := DefaultConfig()
 	cfg.SensorSeed = 53
-	m := New(cfg)
+	m := newTripCounted(cfg)
 	m.InjectSEL(0.07)
 	rng := rand.New(rand.NewSource(54))
 	m.RunTrace(trace.Quiescent(rng, 10*time.Second, 2*time.Second), nil)
-	if m.SupplyTrips() != 0 {
-		t.Fatalf("supply tripped %d times on a micro-SEL", m.SupplyTrips())
+	if m.ins.supplyTrips.Value() != 0 {
+		t.Fatalf("supply tripped %d times on a micro-SEL", m.ins.supplyTrips.Value())
 	}
 	if !m.SELActive() {
 		t.Fatal("micro-SEL cleared by something other than ILD")
@@ -54,11 +62,11 @@ func TestSupplyTripIgnoresTransientSpikes(t *testing.T) {
 	cfg.SensorSeed = 55
 	cfg.Power.SpikeProb = 0.2 // very spiky board
 	cfg.Power.SpikeMaxA = 3.0
-	m := New(cfg)
+	m := newTripCounted(cfg)
 	rng := rand.New(rand.NewSource(56))
 	m.RunTrace(trace.Quiescent(rng, 5*time.Second, time.Second), nil)
-	if m.SupplyTrips() != 0 {
-		t.Fatalf("supply tripped %d times on transient spikes", m.SupplyTrips())
+	if m.ins.supplyTrips.Value() != 0 {
+		t.Fatalf("supply tripped %d times on transient spikes", m.ins.supplyTrips.Value())
 	}
 }
 
@@ -66,11 +74,11 @@ func TestSupplyTripDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AutoSupplyTrip = false
 	cfg.SensorSeed = 57
-	m := New(cfg)
+	m := newTripCounted(cfg)
 	m.InjectSEL(5.0)
 	rng := rand.New(rand.NewSource(58))
 	m.RunTrace(trace.Quiescent(rng, time.Second, time.Second), nil)
-	if m.SupplyTrips() != 0 || !m.SELActive() {
+	if m.ins.supplyTrips.Value() != 0 || !m.SELActive() {
 		t.Fatal("disabled supply trip still acted")
 	}
 }
@@ -82,7 +90,7 @@ func TestSupplyTripDisabled(t *testing.T) {
 func TestSupplyTripSurvivesSensorDropout(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SensorSeed = 61
-	m := New(cfg)
+	m := newTripCounted(cfg)
 	if err := m.Sensor().ScheduleFault(power.SensorFault{Kind: power.FaultDropout}); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +99,7 @@ func TestSupplyTripSurvivesSensorDropout(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(62))
 	m.RunTrace(trace.Quiescent(rng, 2*time.Second, time.Second), nil)
-	if m.SupplyTrips() == 0 {
+	if m.ins.supplyTrips.Value() == 0 {
 		t.Fatal("supply never tripped: analog path blinded by digital sensor fault")
 	}
 	if m.SELActive() {
@@ -108,14 +116,14 @@ func TestPowerCycleDuringActiveTripClearsBothStates(t *testing.T) {
 	cfg := quietConfig()
 	cfg.SupplyTripA = 4.0
 	cfg.TripSustain = 50 * time.Millisecond // 50 samples at 1 ms
-	m := New(cfg)
+	m := newTripCounted(cfg)
 	if err := m.InjectSEL(5.0); err != nil {
 		t.Fatal(err)
 	}
 	// Accumulate most of a trip, then power cycle from software.
 	for i := 0; i < 40; i++ {
 		m.Step(time.Millisecond)
-		m.Sample()
+		m.sampleNow()
 	}
 	if m.tripConsecutive == 0 {
 		t.Fatal("comparator never started accumulating")
@@ -130,9 +138,9 @@ func TestPowerCycleDuringActiveTripClearsBothStates(t *testing.T) {
 	// The cleared board must run a full sustain period without tripping.
 	for i := 0; i < 60; i++ {
 		m.Step(time.Millisecond)
-		m.Sample()
+		m.sampleNow()
 	}
-	if m.SupplyTrips() != 0 {
-		t.Fatalf("supply tripped %d times after the latchup was cleared", m.SupplyTrips())
+	if m.ins.supplyTrips.Value() != 0 {
+		t.Fatalf("supply tripped %d times after the latchup was cleared", m.ins.supplyTrips.Value())
 	}
 }

@@ -11,26 +11,22 @@ func TestStorageAllocators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := s.AllocBytes([]byte("persisted"))
+	a2, err := s.Alloc(9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a2 <= a1 {
+	if a2 < a1+100 {
 		t.Fatalf("allocations overlap: %d then %d", a1, a2)
+	}
+	if err := s.Write(a2, []byte("persisted")); err != nil {
+		t.Fatal(err)
 	}
 	buf := make([]byte, 9)
 	if err := s.Read(a2, buf); err != nil || string(buf) != "persisted" {
-		t.Fatalf("AllocBytes round trip = %q, %v", buf, err)
+		t.Fatalf("round trip = %q, %v", buf, err)
 	}
 	if _, err := s.Alloc(1 << 20); err == nil {
 		t.Fatal("oversized storage Alloc succeeded")
-	}
-}
-
-func TestAllocBytesPropagatesAllocFailure(t *testing.T) {
-	d := NewDRAM(64, false)
-	if _, err := d.AllocBytes(make([]byte, 1024)); err == nil {
-		t.Fatal("oversized AllocBytes succeeded")
 	}
 }
 
@@ -59,16 +55,6 @@ func TestStorageBoundsErrors(t *testing.T) {
 	}
 	if err := s.Write(60, make([]byte, 16)); err == nil {
 		t.Fatal("out-of-bounds storage Write succeeded")
-	}
-	// Failed IO must not count sectors.
-	if s.ReadSectors() != 0 || s.WriteSectors() != 0 {
-		t.Fatal("failed IO counted sectors")
-	}
-}
-
-func TestSectorsZeroLength(t *testing.T) {
-	if got := sectors(100, 0); got != 0 {
-		t.Fatalf("sectors(_, 0) = %d", got)
 	}
 }
 

@@ -11,8 +11,7 @@
 // Key types: DRAM and Storage implement the Memory interface (bounded
 // Read/Write plus FlipBit for fault injection); Bus routes addresses to
 // the devices behind one flat physical address space; Region names an
-// address range; Scrubber implements background patrol scrubbing over
-// an ECC DRAM; Stats counts reads, writes, injected flips, ECC
+// address range; Stats counts reads, writes, injected flips, ECC
 // corrections, and uncorrectable words; UncorrectableError and
 // BoundsError are the two failure modes a read can surface.
 //

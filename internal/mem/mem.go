@@ -80,9 +80,6 @@ func NewDRAM(size uint64, withECC bool) *DRAM {
 	return &DRAM{size: (size + wordSize - 1) / wordSize * wordSize, ecc: withECC}
 }
 
-// HasECC reports whether the device verifies SECDED codes on read.
-func (d *DRAM) HasECC() bool { return d.ecc }
-
 // Size returns the capacity in bytes.
 func (d *DRAM) Size() uint64 { return d.size }
 
@@ -100,19 +97,6 @@ func (d *DRAM) Alloc(n uint64) (uint64, error) {
 	}
 	d.next = base + n
 	return base, nil
-}
-
-// AllocBytes allocates space for src, copies it in, and returns the base
-// address.
-func (d *DRAM) AllocBytes(src []byte) (uint64, error) {
-	addr, err := d.Alloc(uint64(len(src)))
-	if err != nil {
-		return 0, err
-	}
-	if err := d.Write(addr, src); err != nil {
-		return 0, err
-	}
-	return addr, nil
 }
 
 // grow extends the backed prefix to cover [0, end), rounded up to a

@@ -68,28 +68,3 @@ func TestBackedPrefix(t *testing.T) {
 		})
 	}
 }
-
-// TestScrubberPassOverMostlyUnbackedDevice: a patrol pass visits every
-// word of the nominal device, corrects strikes inside the backed prefix,
-// and finds nothing wrong past it.
-func TestScrubberPassOverMostlyUnbackedDevice(t *testing.T) {
-	d := NewDRAM(1<<20, true)
-	if err := d.Write(0, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	d.FlipBit(2, 1)
-	d.FlipBit(4096, 6) // grows the prefix past a run of zero words
-	s := NewScrubber(d)
-	if bad := s.Step(int(d.Size() / wordSize)); bad != 0 {
-		t.Fatalf("scrub found %d uncorrectable words, want 0", bad)
-	}
-	if s.Passes() != 1 || s.Visited() != d.Size()/wordSize {
-		t.Fatalf("Passes = %d, Visited = %d; want 1, %d", s.Passes(), s.Visited(), d.Size()/wordSize)
-	}
-	if got := d.Stats().Corrected; got != 2 {
-		t.Fatalf("Corrected = %d, want 2", got)
-	}
-	if got := uint64(len(d.data)); got != 4104 {
-		t.Errorf("backed prefix = %d bytes after the pass, want 4104", got)
-	}
-}

@@ -129,7 +129,7 @@ func TestTrackerEmitsPhaseTransitions(t *testing.T) {
 		t.Errorf("saw %d transitions, want %d", transitions, want)
 	}
 	var phaseEvents int
-	for _, ev := range reg.Events() {
+	for _, ev := range reg.Snapshot().Events {
 		if ev.Kind == telemetry.KindMissionPhase {
 			phaseEvents++
 		}
@@ -145,7 +145,7 @@ func TestTrackerEmitsPhaseTransitions(t *testing.T) {
 		t.Fatal("jump to final phase reported no change")
 	}
 	var jumped int
-	for _, ev := range reg2.Events() {
+	for _, ev := range reg2.Snapshot().Events {
 		if ev.Kind == telemetry.KindMissionPhase {
 			jumped++
 		}

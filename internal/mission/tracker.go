@@ -87,6 +87,3 @@ func (tr *Tracker) Observe(t time.Duration) (Phase, bool) {
 
 // Phase returns the tracker's current phase without advancing it.
 func (tr *Tracker) Phase() Phase { return tr.p.Phase[tr.idx] }
-
-// Index returns the current phase index.
-func (tr *Tracker) Index() int { return tr.idx }

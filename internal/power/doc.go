@@ -1,8 +1,7 @@
 // Package power models the electrical side of the simulated spacecraft
 // computer: the board's true current draw as a function of compute
-// activity, the INA3221-class sensor the flight power supply exposes
-// (complete with measurement noise and microsecond transient spikes), and
-// the supply's coarse over-current trip circuit.
+// activity, and the INA3221-class sensor the flight power supply exposes
+// (complete with measurement noise and microsecond transient spikes).
 //
 // Calibration follows the paper's measurements on a commodity ARM SoC:
 // quiescent draw ≈ 1.55 A with σ ≈ 0.14 A raw (σ ≈ 0.02 A after the
@@ -21,6 +20,7 @@
 // sensor noise is deterministic given the seed; the rolling-minimum
 // filter never reports below the true floor — it suppresses upward
 // noise and transients, which is why a persistent +0.07 A latchup
-// survives filtering while spikes do not; the trip circuit fires only
-// above Params.TripThresholdA (≈4 A), far beyond any micro-SEL.
+// survives filtering while spikes do not. The supply's own over-current
+// trip lives in package machine, which reads the sensor's healthy analog
+// value (AnalogRaw).
 package power

@@ -94,9 +94,6 @@ func (s *Sensor) ScheduleFault(f SensorFault) error {
 	return nil
 }
 
-// Faults returns the scheduled fault windows.
-func (s *Sensor) Faults() []SensorFault { return append([]SensorFault(nil), s.faults...) }
-
 // AdvanceTo installs the current simulated instant; the machine calls it
 // every step so the fault schedule activates at the right time.
 func (s *Sensor) AdvanceTo(now time.Duration) { s.now = now }

@@ -30,8 +30,8 @@ func TestScheduleFaultValidation(t *testing.T) {
 			t.Errorf("case %d: ScheduleFault(%+v) accepted, want error", i, f)
 		}
 	}
-	if len(s.Faults()) != 0 {
-		t.Fatalf("rejected faults were recorded: %v", s.Faults())
+	if len(s.faults) != 0 {
+		t.Fatalf("rejected faults were recorded: %v", s.faults)
 	}
 	if err := s.ScheduleFault(SensorFault{Kind: FaultDropout, Start: time.Second, Duration: time.Second}); err != nil {
 		t.Fatalf("valid fault rejected: %v", err)
@@ -43,15 +43,15 @@ func TestFaultDropoutReturnsNaN(t *testing.T) {
 	if err := s.ScheduleFault(SensorFault{Kind: FaultDropout, Start: time.Second, Duration: time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	if v := s.Sample(idleState()); math.IsNaN(v) {
+	if v := s.SampleFrom(s.model.TrueCurrent(idleState())); math.IsNaN(v) {
 		t.Fatal("healthy sample is NaN before fault onset")
 	}
 	s.AdvanceTo(1500 * time.Millisecond)
-	if v := s.Sample(idleState()); !math.IsNaN(v) {
+	if v := s.SampleFrom(s.model.TrueCurrent(idleState())); !math.IsNaN(v) {
 		t.Fatalf("dropout sample = %v, want NaN", v)
 	}
 	s.AdvanceTo(2500 * time.Millisecond)
-	if v := s.Sample(idleState()); math.IsNaN(v) {
+	if v := s.SampleFrom(s.model.TrueCurrent(idleState())); math.IsNaN(v) {
 		t.Fatal("sample still NaN after fault window closed")
 	}
 }
@@ -61,13 +61,13 @@ func TestFaultStuckFreezesLastHealthy(t *testing.T) {
 	if err := s.ScheduleFault(SensorFault{Kind: FaultStuck, Start: time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	healthy := s.Sample(idleState())
+	healthy := s.SampleFrom(s.model.TrueCurrent(idleState()))
 	s.AdvanceTo(2 * time.Second)
 	// The frozen value must track the last healthy reading even as the
 	// true current changes underneath.
 	busy := BoardState{Cores: []CoreState{{FreqHz: 1.4e9, Util: 1, IPC: 2}}}
 	for i := 0; i < 3; i++ {
-		if v := s.Sample(busy); v != healthy {
+		if v := s.SampleFrom(s.model.TrueCurrent(busy)); v != healthy {
 			t.Fatalf("stuck sample %d = %v, want frozen %v", i, v, healthy)
 		}
 	}
@@ -78,19 +78,19 @@ func TestFaultStuckBeforeAnyHealthyReadIsZero(t *testing.T) {
 	if err := s.ScheduleFault(SensorFault{Kind: FaultStuck}); err != nil {
 		t.Fatal(err)
 	}
-	if v := s.Sample(idleState()); v != 0 {
+	if v := s.SampleFrom(s.model.TrueCurrent(idleState())); v != 0 {
 		t.Fatalf("stuck-from-boot sample = %v, want 0", v)
 	}
 }
 
 func TestFaultOffsetAddsBias(t *testing.T) {
 	s := quietSensor(5)
-	base := s.Sample(idleState())
+	base := s.SampleFrom(s.model.TrueCurrent(idleState()))
 	if err := s.ScheduleFault(SensorFault{Kind: FaultOffset, OffsetA: 0.25}); err != nil {
 		t.Fatal(err)
 	}
 	s.AdvanceTo(time.Millisecond)
-	if v := s.Sample(idleState()); v != base+0.25 {
+	if v := s.SampleFrom(s.model.TrueCurrent(idleState())); v != base+0.25 {
 		t.Fatalf("offset sample = %v, want %v", v, base+0.25)
 	}
 }
@@ -103,7 +103,7 @@ func TestFaultGarbageIsDeterministicAndWild(t *testing.T) {
 		}
 		out := make([]float64, 20)
 		for i := range out {
-			out[i] = s.Sample(idleState())
+			out[i] = s.SampleFrom(s.model.TrueCurrent(idleState()))
 		}
 		return out
 	}
@@ -142,7 +142,7 @@ func TestFaultScheduleDoesNotPerturbHealthyStream(t *testing.T) {
 		var out []float64
 		for i := 0; i < 40; i++ {
 			s.AdvanceTo(time.Duration(i) * time.Millisecond)
-			out = append(out, s.Sample(idleState()))
+			out = append(out, s.SampleFrom(s.model.TrueCurrent(idleState())))
 		}
 		return out
 	}
@@ -160,11 +160,11 @@ func TestFaultScheduleDoesNotPerturbHealthyStream(t *testing.T) {
 
 func TestAnalogRawUnaffectedByFault(t *testing.T) {
 	s := quietSensor(8)
-	healthy := s.Sample(idleState())
+	healthy := s.SampleFrom(s.model.TrueCurrent(idleState()))
 	if err := s.ScheduleFault(SensorFault{Kind: FaultDropout}); err != nil {
 		t.Fatal(err)
 	}
-	if v := s.Sample(idleState()); !math.IsNaN(v) {
+	if v := s.SampleFrom(s.model.TrueCurrent(idleState())); !math.IsNaN(v) {
 		t.Fatalf("digital sample = %v, want NaN under dropout", v)
 	}
 	if got := s.AnalogRaw(); got != healthy {
@@ -174,12 +174,12 @@ func TestAnalogRawUnaffectedByFault(t *testing.T) {
 
 func TestSampleFilteredFaultedOnce(t *testing.T) {
 	s := quietSensor(9)
-	base := s.SampleFiltered(idleState(), 5)
+	base := s.SampleFilteredFrom(s.model.TrueCurrent(idleState()), 5)
 	if err := s.ScheduleFault(SensorFault{Kind: FaultOffset, OffsetA: 0.1}); err != nil {
 		t.Fatal(err)
 	}
 	// The bias applies to the filtered result exactly once, not per draw.
-	if v := s.SampleFiltered(idleState(), 5); math.Abs(v-(base+0.1)) > 1e-12 {
+	if v := s.SampleFilteredFrom(s.model.TrueCurrent(idleState()), 5); math.Abs(v-(base+0.1)) > 1e-12 {
 		t.Fatalf("filtered offset sample = %v, want %v", v, base+0.1)
 	}
 }

@@ -87,9 +87,6 @@ type Model struct {
 // NewModel returns a Model with the given coefficients.
 func NewModel(p Params) *Model { return &Model{p: p} }
 
-// Params returns the model coefficients.
-func (m *Model) Params() Params { return m.p }
-
 // TrueCurrent returns the physical current draw in amps for the state.
 // Every product that feeds a sum is converted explicitly, so no compiler
 // fuses it into a multiply-add (DESIGN.md §9).
@@ -132,9 +129,6 @@ type Sensor struct {
 // machine recomputes it from simulated time each step.
 func (s *Sensor) SetBaselineOffset(amps float64) { s.baseOffset = amps }
 
-// BaselineOffset returns the present drift offset.
-func (s *Sensor) BaselineOffset() float64 { return s.baseOffset }
-
 // NewSensor returns a sensor over the model with a deterministic RNG.
 func NewSensor(model *Model, seed int64) *Sensor {
 	return &Sensor{model: model, rng: alfg.New(seed), seed: seed}
@@ -144,33 +138,21 @@ func NewSensor(model *Model, seed int64) *Sensor {
 // signature of a (micro-)latchup. A power cycle clears it (see machine).
 func (s *Sensor) SetSELOffset(amps float64) { s.selOffset = amps }
 
-// SELOffset returns the currently injected latchup current.
-func (s *Sensor) SELOffset() float64 { return s.selOffset }
-
-// TrueCurrent returns the noise-free current including any SEL offset
-// and the present thermal-drift offset.
-func (s *Sensor) TrueCurrent(state BoardState) float64 {
-	return s.TrueCurrentFrom(s.model.TrueCurrent(state))
-}
-
-// TrueCurrentFrom is TrueCurrent with the board-model current already
-// evaluated. The machine's sampling loop computes the model term once per
-// electrical state change (it only moves when a trace segment or DVFS
-// point changes) instead of re-walking the core array on every draw —
-// the measured per-sample hot spot the campaign scheduler work removed
-// (see PERFORMANCE.md).
+// TrueCurrentFrom returns the noise-free current: modelCur, the board
+// model's current (Model.TrueCurrent), plus any SEL offset and the
+// present thermal-drift offset. The machine's sampling loop computes the
+// model term once per electrical state change (it only moves when a
+// trace segment or DVFS point changes) instead of re-walking the core
+// array on every draw — the measured per-sample hot spot the campaign
+// scheduler work removed (see PERFORMANCE.md).
 func (s *Sensor) TrueCurrentFrom(modelCur float64) float64 {
 	return modelCur + s.selOffset + s.baseOffset
 }
 
-// Sample returns one raw sensor reading: true current + SEL offset +
-// Gaussian noise, possibly landing on a transient spike, then passed
-// through the active sensor-fault model (identity when healthy).
-func (s *Sensor) Sample(state BoardState) float64 {
-	return s.SampleFrom(s.model.TrueCurrent(state))
-}
-
-// SampleFrom is Sample with the board-model current precomputed.
+// SampleFrom returns one raw sensor reading around modelCur, the board
+// model's current: true current + SEL offset + Gaussian noise, possibly
+// landing on a transient spike, then passed through the active
+// sensor-fault model (identity when healthy).
 func (s *Sensor) SampleFrom(modelCur float64) float64 {
 	h := s.healthySample(s.TrueCurrentFrom(modelCur))
 	s.analogRaw = h
@@ -193,26 +175,20 @@ func (s *Sensor) healthySample(trueCur float64) float64 {
 	return cur
 }
 
-// AnalogRaw returns the healthy raw value behind the most recent Sample
-// call. The power supply's own over-current comparator is an analog
+// AnalogRaw returns the healthy raw value behind the most recent
+// SampleFrom call. The power supply's own over-current comparator is an analog
 // circuit wired to the shunt directly — a digital sensor fault (stuck
 // register, dead I2C bus) does not blind it — so the machine's supply
 // trip path reads this instead of the possibly-faulted sample.
 func (s *Sensor) AnalogRaw() float64 { return s.analogRaw }
 
-// SampleFiltered returns the minimum of k raw draws, modelling ILD's
-// ±250 µs rolling-minimum filter: transient spikes are positive
-// excursions, so the windowed minimum tracks the true baseline with far
-// lower variance (paper: σ 0.14 A → 0.02 A during quiescence). The
-// fault model transforms the filtered result: a stuck or dead ADC
-// corrupts every draw in the window identically.
-func (s *Sensor) SampleFiltered(state BoardState, k int) float64 {
-	return s.SampleFilteredFrom(s.model.TrueCurrent(state), k)
-}
-
-// SampleFilteredFrom is SampleFiltered with the board-model current
-// precomputed. The noise-free current is the same for all k draws, so
-// it is evaluated once.
+// SampleFilteredFrom returns the minimum of k raw draws around modelCur,
+// modelling ILD's ±250 µs rolling-minimum filter: transient spikes are
+// positive excursions, so the windowed minimum tracks the true baseline
+// with far lower variance (paper: σ 0.14 A → 0.02 A during quiescence).
+// The fault model transforms the filtered result: a stuck or dead ADC
+// corrupts every draw in the window identically. The noise-free current
+// is the same for all k draws, so it is evaluated once.
 func (s *Sensor) SampleFilteredFrom(modelCur float64, k int) float64 {
 	if k < 1 {
 		k = 1
@@ -225,10 +201,4 @@ func (s *Sensor) SampleFilteredFrom(modelCur float64, k int) float64 {
 		}
 	}
 	return s.applyFault(min)
-}
-
-// Tripped reports whether a reading exceeds the supply's hardware
-// over-current threshold.
-func (s *Sensor) Tripped(reading float64) bool {
-	return reading > s.model.p.TripThresholdA
 }

@@ -59,11 +59,11 @@ func TestSELOffsetVisibleInSamples(t *testing.T) {
 	s := NewSensor(NewModel(DefaultParams()), 1)
 	state := BoardState{Cores: make([]CoreState, 4)}
 	s.SetSELOffset(0.07)
-	if got := s.SELOffset(); got != 0.07 {
+	if got := s.selOffset; got != 0.07 {
 		t.Fatalf("SELOffset = %v", got)
 	}
 	want := DefaultParams().IdleCurrentA + 0.07
-	if got := s.TrueCurrent(state); got != want {
+	if got := s.TrueCurrentFrom(s.model.TrueCurrent(state)); got != want {
 		t.Fatalf("TrueCurrent with SEL = %v, want %v", got, want)
 	}
 }
@@ -78,8 +78,8 @@ func TestQuiescentSigmaCalibration(t *testing.T) {
 	raw := make([]float64, n)
 	filtered := make([]float64, n)
 	for i := 0; i < n; i++ {
-		raw[i] = s.Sample(state)
-		filtered[i] = s.SampleFiltered(state, 5)
+		raw[i] = s.SampleFrom(s.model.TrueCurrent(state))
+		filtered[i] = s.SampleFilteredFrom(s.model.TrueCurrent(state), 5)
 	}
 	rawSigma := stats.StdDev(raw)
 	filtSigma := stats.StdDev(filtered)
@@ -102,12 +102,12 @@ func TestFilteredSampleResolvesMicroSEL(t *testing.T) {
 	const n = 3000
 	baseline := make([]float64, n)
 	for i := range baseline {
-		baseline[i] = s.SampleFiltered(state, 5)
+		baseline[i] = s.SampleFilteredFrom(s.model.TrueCurrent(state), 5)
 	}
 	s.SetSELOffset(0.07)
 	latched := make([]float64, n)
 	for i := range latched {
-		latched[i] = s.SampleFiltered(state, 5)
+		latched[i] = s.SampleFilteredFrom(s.model.TrueCurrent(state), 5)
 	}
 	gap := stats.Mean(latched) - stats.Mean(baseline)
 	if gap < 0.05 || gap > 0.09 {
@@ -120,7 +120,7 @@ func TestSampleNeverNegative(t *testing.T) {
 	p.NoiseSigmaA = 5 // absurd noise to force negative excursions
 	s := NewSensor(NewModel(p), 3)
 	for i := 0; i < 1000; i++ {
-		if v := s.Sample(BoardState{}); v < 0 {
+		if v := s.SampleFrom(s.model.TrueCurrent(BoardState{})); v < 0 {
 			t.Fatalf("negative sample: %v", v)
 		}
 	}
@@ -128,18 +128,8 @@ func TestSampleNeverNegative(t *testing.T) {
 
 func TestSampleFilteredDegenerateK(t *testing.T) {
 	s := NewSensor(NewModel(DefaultParams()), 9)
-	if v := s.SampleFiltered(BoardState{}, 0); v < 0 {
+	if v := s.SampleFilteredFrom(s.model.TrueCurrent(BoardState{}), 0); v < 0 {
 		t.Fatalf("k=0 sample invalid: %v", v)
-	}
-}
-
-func TestTripThreshold(t *testing.T) {
-	s := NewSensor(NewModel(DefaultParams()), 1)
-	if s.Tripped(3.9) {
-		t.Error("3.9 A tripped a 4 A supply")
-	}
-	if !s.Tripped(4.1) {
-		t.Error("4.1 A did not trip a 4 A supply")
 	}
 }
 
@@ -148,7 +138,7 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 	b := NewSensor(NewModel(DefaultParams()), 123)
 	state := fullLoadState()
 	for i := 0; i < 100; i++ {
-		if a.Sample(state) != b.Sample(state) {
+		if a.SampleFrom(a.model.TrueCurrent(state)) != b.SampleFrom(b.model.TrueCurrent(state)) {
 			t.Fatal("same-seed sensors diverged")
 		}
 	}

@@ -44,9 +44,6 @@ func (e *Enc) Bytes() []byte { return e.buf }
 // returned by Bytes before the Reset is overwritten by later appends.
 func (e *Enc) Reset() { e.buf = e.buf[:0] }
 
-// Len returns the number of encoded bytes so far.
-func (e *Enc) Len() int { return len(e.buf) }
-
 // Bool appends a boolean.
 func (e *Enc) Bool(v bool) {
 	b := byte(0)
@@ -196,17 +193,6 @@ func (d *Dec) Str() string {
 		return ""
 	}
 	return string(p)
-}
-
-// Blob reads a length-prefixed byte slice. The result is a copy.
-func (d *Dec) Blob() []byte {
-	p := d.BlobView()
-	if p == nil {
-		return nil
-	}
-	out := make([]byte, len(p))
-	copy(out, p)
-	return out
 }
 
 // BlobView reads a length-prefixed byte slice without copying it: the

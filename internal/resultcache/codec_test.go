@@ -57,10 +57,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	if got := d.Str(); got != "EMR+MBU" {
 		t.Errorf("Str #2 = %q", got)
 	}
-	if got := d.Blob(); len(got) != 0 {
+	if got := d.BlobView(); len(got) != 0 {
 		t.Errorf("Blob #1 = %v", got)
 	}
-	if got := d.Blob(); !bytes.Equal(got, []byte{0, 1, 2, 255}) {
+	if got := d.BlobView(); !bytes.Equal(got, []byte{0, 1, 2, 255}) {
 		t.Errorf("Blob #2 = %v", got)
 	}
 	if err := d.Close(); err != nil {
@@ -74,7 +74,7 @@ func TestCodecDeterministic(t *testing.T) {
 		e.Int(7)
 		e.Str("mission")
 		e.Float(1.5)
-		out := make([]byte, e.Len())
+		out := make([]byte, len(e.Bytes()))
 		copy(out, e.Bytes())
 		return out
 	}

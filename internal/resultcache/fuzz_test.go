@@ -24,7 +24,7 @@ func FuzzEntryRoundTrip(f *testing.F) {
 		}
 		var e Enc
 		e.Blob(payload)
-		k := s.Key("fuzz/v1", &e)
+		k := s.Key("fuzz", &e)
 		s.Put(k, payload)
 		if err := s.Err(); err != nil {
 			t.Fatalf("Put: %v", err)
@@ -69,7 +69,7 @@ func FuzzIndexDecode(f *testing.F) {
 		for i := int64(0); i < 3; i++ {
 			var e Enc
 			e.Int(i)
-			k := s.Key("fuzz/v1", &e)
+			k := s.Key("fuzz", &e)
 			s.Put(k, payloadFor(i))
 			keys = append(keys, k)
 		}

@@ -99,13 +99,6 @@ func WithTelemetry(r *telemetry.Registry) Option {
 	return func(o *options) { o.tel = r }
 }
 
-// WithFingerprint overrides the code-version fingerprint normally
-// derived by Fingerprint. Tests use it to simulate a code change
-// without rebuilding the binary.
-func WithFingerprint(fp string) Option {
-	return func(o *options) { o.fp = fp }
-}
-
 // Open opens (creating if needed) the cache directory at dir, takes its
 // exclusive advisory lock, and loads the index — falling back to a full
 // scan of the data file when the index is missing or fails its
@@ -292,8 +285,8 @@ func (s *Store) truncateAt(off int64) error {
 }
 
 // Key derives the cache key for one arm: SHA-256 over the store's
-// code-version fingerprint, the domain (campaign name + encoding
-// version, e.g. "mission/v1"), and the canonical encoding of the arm's
+// code-version fingerprint, the domain (the campaign name, e.g.
+// "mission"), and the canonical encoding of the arm's
 // inputs. Keys from stores with different fingerprints never collide in
 // practice, which is the whole invalidation story — see RESULTCACHE.md.
 func (s *Store) Key(domain string, enc *Enc) Key {
@@ -496,13 +489,4 @@ func (s *Store) Stats() Stats {
 		Entries: len(s.index),
 		Bytes:   s.size,
 	}
-}
-
-// FingerprintID returns the code-version fingerprint this store keys
-// on.
-func (s *Store) FingerprintID() string {
-	if s == nil {
-		return ""
-	}
-	return s.fp
 }

@@ -23,7 +23,7 @@ func openTest(t *testing.T, dir, fp string) *Store {
 func testKey(s *Store, trial int64) Key {
 	var e Enc
 	e.Int(trial)
-	return s.Key("test/v1", &e)
+	return s.Key("test", &e)
 }
 
 func payloadFor(trial int64) []byte {
@@ -256,21 +256,21 @@ func TestKeySensitivity(t *testing.T) {
 		e.Str("leo-6") // environment
 		return &e
 	}
-	k0 := s.Key("mission/v1", base())
+	k0 := s.Key("mission", base())
 
 	e := base()
 	e.Int(0) // extra field
-	if s.Key("mission/v1", e) == k0 {
+	if s.Key("mission", e) == k0 {
 		t.Fatal("extra field did not change the key")
 	}
 	var e2 Enc
 	e2.Int(43)
 	e2.Float(1.5)
 	e2.Str("leo-6")
-	if s.Key("mission/v1", &e2) == k0 {
+	if s.Key("mission", &e2) == k0 {
 		t.Fatal("changed seed did not change the key")
 	}
-	if s.Key("table7/v1", base()) == k0 {
+	if s.Key("table7", base()) == k0 {
 		t.Fatal("changed domain did not change the key")
 	}
 }
@@ -292,9 +292,6 @@ func TestNilStoreIsDisabled(t *testing.T) {
 	}
 	if st := s.Stats(); st != (Stats{}) {
 		t.Fatalf("nil Stats = %+v", st)
-	}
-	if s.FingerprintID() != "" {
-		t.Fatal("nil FingerprintID non-empty")
 	}
 }
 

@@ -1,17 +1,15 @@
 // Package stats provides the small set of statistics primitives the
 // Radshield experiments need: summary statistics, Pearson correlation,
-// rolling-window aggregates, and binary-classification confusion counts.
+// a sliding-window mean, and binary-classification confusion counts.
 //
-// The free functions (Mean, Variance, StdDev, Min, Max, Quantile,
-// Correlation, RollingMin) operate on float64 slices; RollingMin is the
-// paper's current-sensor noise filter. RunningMean and WindowMean are
-// the streaming aggregates the detector hot path uses: RunningMean is
-// O(1) cumulative, WindowMean maintains a fixed-width window with O(1)
+// The free functions (Mean, Variance, StdDev, Quantile, Correlation)
+// operate on float64 slices. WindowMean is the streaming aggregate the
+// detector hot path uses: it maintains a fixed-width window with O(1)
 // insert (ILD's 3-second residual average). Confusion tallies
 // true/false positives/negatives for the Table 2 accuracy columns.
 //
 // Invariants: all functions are deterministic and allocation-conscious
-// (the streaming types never allocate after construction); edge cases
+// (WindowMean never allocates after construction); edge cases
 // are explicit — Mean of no samples is 0, Quantile panics on an empty
 // slice or an argument outside [0,1] rather than guessing;
 // WindowMean.Full reports whether a full window backs the current

@@ -35,36 +35,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the smallest element of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		//radlint:allow nopanic empty input is a caller bug; documented panic contract
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		//radlint:allow nopanic empty input is a caller bug; documented panic contract
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics. It panics on an empty slice.
 func Quantile(xs []float64, q float64) float64 {
@@ -116,46 +86,6 @@ func Correlation(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// RollingMin computes, for each index i, the minimum of
-// xs[max(0,i-before) : min(len,i+after+1)]. This is the transient-spike
-// filter ILD applies to current samples (±250 µs in the paper).
-func RollingMin(xs []float64, before, after int) []float64 {
-	if before < 0 || after < 0 {
-		//radlint:allow nopanic a negative window is a caller bug; documented panic contract
-		panic("stats: RollingMin: negative window")
-	}
-	out := make([]float64, len(xs))
-	// Monotone deque over window [i-before, i+after].
-	type entry struct {
-		idx int
-		val float64
-	}
-	var deque []entry
-	push := func(i int) {
-		v := xs[i]
-		for len(deque) > 0 && deque[len(deque)-1].val >= v {
-			deque = deque[:len(deque)-1]
-		}
-		deque = append(deque, entry{i, v})
-	}
-	next := 0 // next element to push
-	for i := range xs {
-		hi := i + after
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		for ; next <= hi; next++ {
-			push(next)
-		}
-		lo := i - before
-		for len(deque) > 0 && deque[0].idx < lo {
-			deque = deque[1:]
-		}
-		out[i] = deque[0].val
-	}
-	return out
-}
-
 // Confusion accumulates binary-classification outcomes for detector
 // accuracy experiments (paper Table 2 and Figure 10).
 type Confusion struct {
@@ -196,41 +126,6 @@ func (c *Confusion) FalsePositiveRate() float64 {
 	}
 	return float64(c.FalsePositive) / float64(total)
 }
-
-// Total returns the number of recorded observations.
-func (c *Confusion) Total() int {
-	return c.TruePositive + c.TrueNegative + c.FalsePositive + c.FalseNegative
-}
-
-// String formats the confusion counts and rates for experiment reports.
-func (c *Confusion) String() string {
-	return fmt.Sprintf("TP=%d TN=%d FP=%d FN=%d (FNR=%.4f FPR=%.4f)",
-		c.TruePositive, c.TrueNegative, c.FalsePositive, c.FalseNegative,
-		c.FalseNegativeRate(), c.FalsePositiveRate())
-}
-
-// RunningMean maintains an O(1)-update mean over an unbounded stream.
-type RunningMean struct {
-	n   int
-	sum float64
-}
-
-// Add incorporates x into the mean.
-func (r *RunningMean) Add(x float64) { r.n++; r.sum += x }
-
-// Mean returns the current mean, or 0 before any samples.
-func (r *RunningMean) Mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.sum / float64(r.n)
-}
-
-// Count returns the number of samples added.
-func (r *RunningMean) Count() int { return r.n }
-
-// Reset discards all accumulated samples.
-func (r *RunningMean) Reset() { r.n, r.sum = 0, 0 }
 
 // WindowMean maintains a mean over the most recent capacity samples.
 // ILD uses it for the "running average difference" between measured and

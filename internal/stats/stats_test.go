@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -29,25 +28,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	if got := Variance([]float64{5}); got != 0 {
 		t.Errorf("Variance(single) = %v, want 0", got)
 	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 0}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %v, want -1", got)
-	}
-	if got := Max(xs); got != 7 {
-		t.Errorf("Max = %v, want 7", got)
-	}
-}
-
-func TestMinEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Min(empty) did not panic")
-		}
-	}()
-	Min(nil)
 }
 
 func TestQuantile(t *testing.T) {
@@ -89,80 +69,6 @@ func TestCorrelation(t *testing.T) {
 	}
 }
 
-func TestRollingMinBasic(t *testing.T) {
-	xs := []float64{5, 1, 4, 4, 9, 2}
-	got := RollingMin(xs, 1, 1)
-	want := []float64{1, 1, 1, 4, 2, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RollingMin[%d] = %v, want %v (full: %v)", i, got[i], want[i], got)
-		}
-	}
-}
-
-func TestRollingMinZeroWindowIsIdentity(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5}
-	got := RollingMin(xs, 0, 0)
-	for i := range xs {
-		if got[i] != xs[i] {
-			t.Fatalf("RollingMin(0,0)[%d] = %v, want %v", i, got[i], xs[i])
-		}
-	}
-}
-
-func TestRollingMinSuppressesSpikes(t *testing.T) {
-	// A quiescent 1.5A baseline with µs transient spikes: rolling min must
-	// flatten the spikes back to baseline (§3.1 of the paper).
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = 1.5
-	}
-	xs[20], xs[50], xs[51], xs[80] = 2.6, 3.0, 2.9, 2.2
-	got := RollingMin(xs, 2, 2)
-	for i, v := range got {
-		if v != 1.5 {
-			t.Fatalf("RollingMin[%d] = %v, spikes not suppressed", i, v)
-		}
-	}
-}
-
-// Property: RollingMin output is pointwise ≤ input and matches the naive
-// implementation.
-func TestPropertyRollingMinMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := func(n uint8, before, after uint8) bool {
-		size := int(n%50) + 1
-		b, a := int(before%5), int(after%5)
-		xs := make([]float64, size)
-		for i := range xs {
-			xs[i] = rng.Float64() * 10
-		}
-		got := RollingMin(xs, b, a)
-		for i := range xs {
-			lo, hi := i-b, i+a
-			if lo < 0 {
-				lo = 0
-			}
-			if hi >= size {
-				hi = size - 1
-			}
-			want := xs[lo]
-			for j := lo + 1; j <= hi; j++ {
-				if xs[j] < want {
-					want = xs[j]
-				}
-			}
-			if got[i] != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConfusion(t *testing.T) {
 	var c Confusion
 	c.Record(true, true)   // TP
@@ -179,38 +85,12 @@ func TestConfusion(t *testing.T) {
 	if got := c.FalsePositiveRate(); !almostEqual(got, 1.0/3.0, 1e-12) {
 		t.Errorf("FPR = %v, want 1/3", got)
 	}
-	if got := c.Total(); got != 5 {
-		t.Errorf("Total = %d, want 5", got)
-	}
-	if c.String() == "" {
-		t.Error("String() empty")
-	}
 }
 
 func TestConfusionEmptyRates(t *testing.T) {
 	var c Confusion
 	if c.FalseNegativeRate() != 0 || c.FalsePositiveRate() != 0 {
 		t.Fatal("empty confusion rates should be 0")
-	}
-}
-
-func TestRunningMean(t *testing.T) {
-	var r RunningMean
-	if r.Mean() != 0 {
-		t.Fatal("empty RunningMean.Mean != 0")
-	}
-	r.Add(1)
-	r.Add(2)
-	r.Add(6)
-	if got := r.Mean(); got != 3 {
-		t.Errorf("Mean = %v, want 3", got)
-	}
-	if r.Count() != 3 {
-		t.Errorf("Count = %d, want 3", r.Count())
-	}
-	r.Reset()
-	if r.Count() != 0 || r.Mean() != 0 {
-		t.Error("Reset did not clear state")
 	}
 }
 

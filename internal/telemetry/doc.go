@@ -2,9 +2,9 @@
 // dependency-free, concurrency-safe metrics registry plus a bounded
 // structured event ring. Every quantity the paper's evaluation reports —
 // ILD detection latency and false trips (Table 2), EMR vote outcomes and
-// flush traffic (Tables 6/7, Figures 11–14), scrub and ECC correction
-// counts — is surfaced here, so a flight build can downlink the same
-// numbers the ground evaluation measures.
+// flush traffic (Tables 6/7, Figures 11–14), ECC correction counts — is
+// surfaced here, so a flight build can downlink the same numbers the
+// ground evaluation measures.
 //
 // # Key types
 //
@@ -13,16 +13,13 @@
 //     methods are no-ops, so instrumented hot paths pay one nil check
 //     when telemetry is off.
 //   - Counter, Gauge, Histogram: lock-free atomic instruments. Histogram
-//     buckets are fixed at creation (LatencyBuckets, SizeBuckets provide
-//     the standard layouts) and updated with atomic adds, keeping
+//     buckets are fixed at creation (LatencyBuckets provides the
+//     standard latency layout) and updated with atomic adds, keeping
 //     instrumentation under the 2% overhead budget on the EMR
 //     benchmarks.
-//   - GaugeFunc: pull-style gauges evaluated at snapshot time, for
-//     components that already keep internal counters (cache stats, the
-//     machine's energy integral).
 //   - Ring / Event: a bounded buffer of typed events (SEL onset/detect/
-//     clear, EMR vote mismatches, checksum misses, scrub errors, bubble
-//     injections) that overwrites oldest-first, like a flight recorder.
+//     clear, EMR vote mismatches, checksum misses, bubble injections)
+//     that overwrites oldest-first, like a flight recorder.
 //
 // # Invariants
 //
@@ -30,8 +27,8 @@
 //     sequence number, and event timestamps are simulated time (package
 //     simclock), never wall clock — two runs of the same seeded
 //     experiment serialize byte-for-byte identically.
-//   - Counters are monotonic within a process; gauges and histograms
-//     never lose writes (atomic CAS on the float fields).
+//   - Counters are monotonic within a process; histograms never lose
+//     writes (atomic CAS on the float sum).
 //   - The registry never allocates on the observation path; allocation
 //     happens only at metric creation and snapshot time.
 //

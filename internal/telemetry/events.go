@@ -34,9 +34,6 @@ const (
 	// KindChecksumMiss: the checksum-guard baseline caught a corrupted
 	// input region at read time. Fields: dataset, region.
 	KindChecksumMiss Kind = "checksum_miss"
-	// KindScrubError: the DRAM patrol scrubber hit an uncorrectable
-	// word. Fields: error.
-	KindScrubError Kind = "scrub_error"
 	// KindBubbleInjected: ILD split a workload segment to create a
 	// quiescent measurement bubble (paper §3.1). Fields: len_s.
 	KindBubbleInjected Kind = "bubble_injected"
@@ -167,30 +164,6 @@ func (r *Ring) Events() []Event {
 		return out
 	}
 	return append(out, r.buf...)
-}
-
-// Since returns the buffered events with sequence number ≥ seq,
-// oldest-first. It is the incremental-drain primitive the downlink
-// transmitter uses: a caller remembering the last sequence it framed
-// gets exactly the new events on the next pass, and can detect ring
-// overwrite by comparing the first returned sequence against its
-// cursor. Pass 0 for everything buffered.
-func (r *Ring) Since(seq uint64) []Event {
-	all := r.Events()
-	// Events are sequence-ordered; binary search for the cursor.
-	lo, hi := 0, len(all)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if all[mid].Seq < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(all) {
-		return nil
-	}
-	return all[lo:]
 }
 
 // Len returns how many events are currently buffered.

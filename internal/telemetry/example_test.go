@@ -45,7 +45,7 @@ func ExampleRegistry_disabled() {
 	reg.Emit(telemetry.Event{Kind: telemetry.KindVoteMismatch})
 
 	fmt.Println("value:", c.Value())
-	fmt.Println("events:", len(reg.Events()))
+	fmt.Println("events:", len(reg.Snapshot().Events))
 	// Output:
 	// value: 0
 	// events: 0

@@ -67,20 +67,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add increments the gauge by delta using a CAS loop.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current reading (0 on a nil receiver).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -196,14 +182,4 @@ func LatencyBuckets() []float64 {
 		0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
 		1, 2, 5, 10, 20, 30, 60, 120, 180, 300, 600, 1000,
 	}
-}
-
-// SizeBuckets is the standard layout for byte volumes: 64 B lines to
-// 1 GiB in 4× steps.
-func SizeBuckets() []float64 {
-	out := make([]float64, 0, 13)
-	for b := 64.0; b <= 1<<30; b *= 4 {
-		out = append(out, b)
-	}
-	return out
 }

@@ -17,17 +17,11 @@ import (
 // that already exists as a different metric type panics — that is a
 // programming error, not an operational condition.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	gaugeFuncs map[string]gaugeFunc
-	hists      map[string]*Histogram
-	events     *Ring
-}
-
-type gaugeFunc struct {
-	unit string
-	fn   func() float64
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
+	events   *Ring
 }
 
 // DefaultEventCap is the event-ring capacity NewRegistry uses.
@@ -40,11 +34,10 @@ func NewRegistry(eventCap int) *Registry {
 		eventCap = DefaultEventCap
 	}
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		gaugeFuncs: make(map[string]gaugeFunc),
-		hists:      make(map[string]*Histogram),
-		events:     NewRing(eventCap),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
+		events:   NewRing(eventCap),
 	}
 }
 
@@ -82,23 +75,6 @@ func (r *Registry) Gauge(name, unit string) *Gauge {
 	return g
 }
 
-// GaugeFunc registers a pull-style gauge: fn is evaluated at snapshot
-// time. It suits components that already keep their own counters (the
-// cache's Stats, the machine's energy integral) — no per-event cost, and
-// the snapshot stays consistent with the component's view. Re-registering
-// a name replaces the previous function. No-op on a nil registry.
-func (r *Registry) GaugeFunc(name, unit string, fn func() float64) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.gaugeFuncs[name]; !ok {
-		r.checkFreeLocked(name, "gauge-func")
-	}
-	r.gaugeFuncs[name] = gaugeFunc{unit: unit, fn: fn}
-}
-
 // Histogram returns the histogram registered under name, creating it
 // with the given bucket bounds on first use. Later calls ignore bounds
 // and return the existing layout. Returns nil on a nil registry.
@@ -125,23 +101,6 @@ func (r *Registry) Emit(ev Event) {
 	r.events.Append(ev)
 }
 
-// Events returns the ring contents in order (nil on a nil registry).
-func (r *Registry) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	return r.events.Events()
-}
-
-// EventsSince returns the buffered events with sequence ≥ seq (nil on
-// a nil registry). See Ring.Since for the incremental-drain contract.
-func (r *Registry) EventsSince(seq uint64) []Event {
-	if r == nil {
-		return nil
-	}
-	return r.events.Since(seq)
-}
-
 // checkFreeLocked panics when name is already taken by another metric
 // type. r.mu must be held.
 func (r *Registry) checkFreeLocked(name, kind string) {
@@ -152,10 +111,6 @@ func (r *Registry) checkFreeLocked(name, kind string) {
 	if _, ok := r.gauges[name]; ok {
 		//radlint:allow nopanic a metric name/type collision is a registration-time programming error
 		panic(fmt.Sprintf("telemetry: %q already registered as a gauge, requested as %s", name, kind))
-	}
-	if _, ok := r.gaugeFuncs[name]; ok {
-		//radlint:allow nopanic a metric name/type collision is a registration-time programming error
-		panic(fmt.Sprintf("telemetry: %q already registered as a gauge-func, requested as %s", name, kind))
 	}
 	if _, ok := r.hists[name]; ok {
 		//radlint:allow nopanic a metric name/type collision is a registration-time programming error

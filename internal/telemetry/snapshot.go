@@ -13,7 +13,7 @@ type CounterSnapshot struct {
 	Value uint64 `json:"value"`
 }
 
-// GaugeSnapshot is one gauge's (or gauge-func's) value at snapshot time.
+// GaugeSnapshot is one gauge's value at snapshot time.
 type GaugeSnapshot struct {
 	Name  string  `json:"name"`
 	Unit  string  `json:"unit,omitempty"`
@@ -65,10 +65,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for _, g := range r.gauges {
 		gauges = append(gauges, g)
 	}
-	funcs := make(map[string]gaugeFunc, len(r.gaugeFuncs))
-	for name, gf := range r.gaugeFuncs {
-		funcs[name] = gf
-	}
 	hists := make([]*Histogram, 0, len(r.hists))
 	for _, h := range r.hists {
 		hists = append(hists, h)
@@ -89,11 +85,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for _, g := range gauges {
 		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: g.name, Unit: g.unit, Value: g.Value()})
 	}
-	// Gauge funcs run outside the registry lock: they may call back into
-	// component locks (cache stats) that must not nest under ours.
-	for name, gf := range funcs {
-		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: name, Unit: gf.unit, Value: gf.fn()})
-	}
 	for _, h := range hists {
 		s.Histograms = append(s.Histograms, HistogramSnapshot{
 			Name: h.name, Unit: h.unit,
@@ -101,10 +92,6 @@ func (r *Registry) Snapshot() *Snapshot {
 			Bounds: h.Bounds(), Buckets: h.BucketCounts(),
 		})
 	}
-	// Counters and histograms were rendered from sorted slices; gauges
-	// merge the locked registry gauges with the gauge funcs, so the
-	// combined slice needs one more pass.
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	s.Events = ring.Events()
 	s.EventsDropped = ring.Dropped()
 	return s

@@ -25,5 +25,7 @@
 // Invariants: generation is deterministic given the rand source; a
 // trace's Total equals the sum of its segment durations; segments are
 // strictly sequential with no gaps or overlap, so the machine can play
-// them back against simulated time without interpretation.
+// them back against simulated time without interpretation; every product
+// that feeds a sum is converted explicitly (float64(x*y)), so no
+// compiler fuses it into a multiply-add (DESIGN.md §9).
 package trace

@@ -107,3 +107,17 @@ func TestGeneratorsGolden(t *testing.T) {
 	}
 	t.Fatalf("%s differs in length: got %d lines, want %d", path, len(gl), len(wl))
 }
+
+// String names a segment kind in the golden listing.
+func (k Kind) String() string {
+	switch k {
+	case Idle:
+		return "idle"
+	case Housekeeping:
+		return "housekeeping"
+	case Workload:
+		return "workload"
+	default:
+		return "unknown"
+	}
+}

@@ -22,20 +22,6 @@ const (
 	Workload
 )
 
-// String returns the segment kind name.
-func (k Kind) String() string {
-	switch k {
-	case Idle:
-		return "idle"
-	case Housekeeping:
-		return "housekeeping"
-	case Workload:
-		return "workload"
-	default:
-		return "unknown"
-	}
-}
-
 // Segment is a span of constant activity.
 type Segment struct {
 	Duration time.Duration
@@ -155,8 +141,8 @@ func (b *builder) quiescent(rng *rand.Rand, total, blipEvery time.Duration) {
 			Duration:        blip,
 			Kind:            Housekeeping,
 			Loads:           b.spread(cpu.HousekeepingLoad, 1),
-			DiskReadPerSec:  200 + rng.Float64()*800,
-			DiskWritePerSec: 100 + rng.Float64()*400,
+			DiskReadPerSec:  200 + float64(rng.Float64()*800),
+			DiskWritePerSec: 100 + float64(rng.Float64()*400),
 		})
 		remaining -= blip
 	}
@@ -185,7 +171,7 @@ func (b *builder) burst(rng *rand.Rand, dur time.Duration, cores int) {
 			load = cpu.MemoryLoad
 		}
 		// Vary intensity phase to phase.
-		load.Util *= 0.7 + rng.Float64()*0.3
+		load.Util *= 0.7 + float64(rng.Float64()*0.3)
 		n := 1 + rng.Intn(cores)
 		b.add(Segment{
 			Duration:        phase,

@@ -99,15 +99,3 @@ func deflateJob(inputs [][]byte) ([]byte, error) {
 	}
 	return buf.Bytes(), nil
 }
-
-// InflateBlock decompresses one job output, used by tests to verify
-// round-trips.
-func InflateBlock(compressed, dict []byte) ([]byte, error) {
-	r := flate.NewReaderDict(bytes.NewReader(compressed), dict)
-	defer r.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}

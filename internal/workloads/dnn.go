@@ -134,11 +134,3 @@ func dnnJob(inputs [][]byte) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// DecodeClass returns the argmax class from a DNN job output.
-func DecodeClass(out []byte) (int, error) {
-	if len(out) < 4 {
-		return 0, fmt.Errorf("dnn: output too short")
-	}
-	return int(binary.BigEndian.Uint32(out)), nil
-}

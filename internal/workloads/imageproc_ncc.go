@@ -105,35 +105,3 @@ func nccJob(inputs [][]byte) ([]byte, error) {
 	// Fixed-point encode so voting compares exact bytes.
 	return putU64(uint64(int64((bestScore+1)*1e9)), originY, uint64(bestX)), nil
 }
-
-// DecodeNCC unpacks an NCC job output into (score in [-1,1], y, x).
-func DecodeNCC(out []byte) (score float64, y, x uint64, err error) {
-	if len(out) != 24 {
-		return 0, 0, 0, fmt.Errorf("ncc: output length %d, want 24", len(out))
-	}
-	raw := binary.BigEndian.Uint64(out[0:])
-	return float64(raw)/1e9 - 1,
-		binary.BigEndian.Uint64(out[8:]),
-		binary.BigEndian.Uint64(out[16:]), nil
-}
-
-// BestNCC folds dataset outputs into the global best match.
-func BestNCC(outputs [][]byte) (score float64, y, x uint64, err error) {
-	score = math.Inf(-1)
-	for _, out := range outputs {
-		if out == nil {
-			continue
-		}
-		s, oy, ox, derr := DecodeNCC(out)
-		if derr != nil {
-			return 0, 0, 0, derr
-		}
-		if s > score {
-			score, y, x = s, oy, ox
-		}
-	}
-	if math.IsInf(score, -1) {
-		return 0, 0, 0, fmt.Errorf("ncc: no valid outputs")
-	}
-	return score, y, x, nil
-}
