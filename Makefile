@@ -51,22 +51,24 @@ race:
 # latchup-protection path, the downlink comms tick, frame codec and
 # recorder restore, and the campaigns' payload formatting at zero
 # allocations, a 4 h flight-software trace under 40 objects, EMR
-# runtime construction under 2 MB, and an EMR Run's growth with its
+# runtime construction under 2 MB, an EMR Run's growth with its
 # dataset count: a handful of objects under every scheme, plus at most
-# one per dataset for EMR's conflict plan (see PERFORMANCE.md). They
+# one per dataset for EMR's conflict plan, and the intrusion-detection
+# job on its canonical pattern at 3 objects (see PERFORMANCE.md). They
 # are tagged !race — race instrumentation allocates on its own — so the
 # race suite skips them and check runs them here without the detector.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/trace ./internal/ild ./internal/telemetry ./internal/emr ./internal/forest ./internal/cache ./internal/guard ./internal/downlink ./internal/experiments ./internal/resultcache ./internal/alfg
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/trace ./internal/ild ./internal/telemetry ./internal/emr ./internal/forest ./internal/cache ./internal/guard ./internal/downlink ./internal/experiments ./internal/resultcache ./internal/alfg ./internal/workloads
 
-# nofma keeps the per-sample packages, the trace builder and ILD with its
-# linear model on one arithmetic (DESIGN.md §9).
+# nofma keeps the per-sample packages, the trace builder, ILD with its
+# linear model, and the EMR path (the runtime's report, the fault
+# environment and the workloads' jobs) on one arithmetic (DESIGN.md §9).
 # The arm64 compiler fuses x*y + z into one multiply-add instruction,
 # which rounds once instead of twice, unless the product is converted
 # explicitly (float64(x*y)); amd64 never fuses. The target cross-compiles
 # radbench for arm64 and fails on a fused instruction in any function of
 # the packages below, and also if it finds none of their functions.
-NOFMA_PKGS = alfg|cpu|ild|linmodel|machine|power|trace
+NOFMA_PKGS = alfg|cpu|emr|fault|ild|linmodel|machine|power|trace|workloads
 nofma:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	GOARCH=arm64 $(GO) build -o "$$tmp/radbench" ./cmd/radbench && \

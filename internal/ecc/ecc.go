@@ -22,51 +22,43 @@ const (
 // codeword — parity bits at the seven power-of-two positions (1, 2, 4, 8,
 // 16, 32, 64) and the 64 data bits at the remaining positions in
 // ascending order. Bit 0 of the check byte is the overall (extension)
-// parity across all 72 bits, giving double-error detection.
+// parity across all 72 bits, giving double-error detection; bit k+1
+// holds the Hamming parity bit at position 1<<k.
 
-// dataPositions[i] is the codeword position of data bit i.
-var dataPositions = func() [64]uint8 {
-	var pos [64]uint8
-	i := 0
-	for p := uint8(1); p <= 71; p++ {
-		if p&(p-1) == 0 { // power of two: parity position
-			continue
-		}
-		pos[i] = p
-		i++
-	}
-	return pos
-}()
-
-// parityIndex maps a power-of-two position to its check-byte bit (1..7).
-func parityIndex(pos uint8) uint { return uint(bits.TrailingZeros8(pos)) + 1 }
+// mask<k> selects the data bits whose codeword position has bit k set:
+// the data bits the Hamming parity bit at position 1<<k covers (see
+// doc.go for how they are derived).
+const (
+	mask0 = 0xab55555556aaad5b
+	mask1 = 0xcd9999999b33366d
+	mask2 = 0xf1e1e1e1e3c3c78e
+	mask3 = 0x01fe01fe03fc07f0
+	mask4 = 0x01fffe0003fff800
+	mask5 = 0x01fffffffc000000
+	mask6 = 0xfe00000000000000
+)
 
 // syndrome computes the XOR of the codeword positions of all set data
-// bits. Parity bits are chosen so that the full-codeword syndrome is zero.
+// bits: bit k of that XOR is the parity of the data bits under mask<k>.
+// Parity bits are chosen so that the full-codeword syndrome is zero.
 func syndrome(data uint64) uint8 {
-	var s uint8
-	for data != 0 {
-		i := bits.TrailingZeros64(data)
-		s ^= dataPositions[i]
-		data &= data - 1
-	}
-	return s
+	return uint8(bits.OnesCount64(data&mask0)&1 |
+		bits.OnesCount64(data&mask1)&1<<1 |
+		bits.OnesCount64(data&mask2)&1<<2 |
+		bits.OnesCount64(data&mask3)&1<<3 |
+		bits.OnesCount64(data&mask4)&1<<4 |
+		bits.OnesCount64(data&mask5)&1<<5 |
+		bits.OnesCount64(data&mask6)&1<<6)
 }
 
 // Encode computes the 8 SECDED check bits for a 64-bit data word.
 func Encode(data uint64) uint8 {
-	s := syndrome(data)
-	var check uint8
-	// Parity bit at position p covers all positions whose index has bit p
-	// set; setting it to the matching syndrome bit zeroes the syndrome.
-	for _, p := range [...]uint8{1, 2, 4, 8, 16, 32, 64} {
-		if s&p != 0 {
-			check |= 1 << parityIndex(p)
-		}
-	}
+	// Parity bit at position 1<<k covers all positions whose index has
+	// bit k set; setting it to the matching syndrome bit zeroes the
+	// syndrome.
+	check := syndrome(data) << 1
 	// Overall parity across data and the seven Hamming parity bits.
-	total := uint(bits.OnesCount64(data)) + uint(bits.OnesCount8(check>>1))
-	if total%2 == 1 {
+	if parityOverall(data, check) {
 		check |= 1
 	}
 	return check
@@ -77,17 +69,9 @@ func Encode(data uint64) uint8 {
 // data and a Result describing what happened. When Result is Detected the
 // returned data is the raw, untrusted input.
 func Decode(data uint64, check uint8) (uint64, Result) {
-	expected := Encode(data)
-	diff := expected ^ check
-
 	// Syndrome: XOR of parity-position values whose stored parity
-	// disagrees with the recomputed one.
-	var s uint8
-	for _, p := range [...]uint8{1, 2, 4, 8, 16, 32, 64} {
-		if diff&(1<<parityIndex(p)) != 0 {
-			s ^= p
-		}
-	}
+	// disagrees with the recomputed one, (Encode(data) ^ check) >> 1.
+	s := syndrome(data) ^ check>>1
 	overallOdd := parityOverall(data, check)
 
 	switch {

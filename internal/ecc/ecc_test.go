@@ -89,22 +89,6 @@ func TestDataPlusCheckBitFlipHandled(t *testing.T) {
 	}
 }
 
-func TestDataPositionsAreUniqueNonPowers(t *testing.T) {
-	seen := map[uint8]bool{}
-	for i, p := range dataPositions {
-		if p == 0 || p > 71 {
-			t.Fatalf("dataPositions[%d] = %d out of range", i, p)
-		}
-		if p&(p-1) == 0 {
-			t.Fatalf("dataPositions[%d] = %d is a parity position", i, p)
-		}
-		if seen[p] {
-			t.Fatalf("dataPositions[%d] = %d duplicated", i, p)
-		}
-		seen[p] = true
-	}
-}
-
 func TestWordHelpers(t *testing.T) {
 	w := NewWord(0x0123456789ABCDEF)
 	if d, res := w.Read(); res != OK || d != 0x0123456789ABCDEF {

@@ -24,7 +24,7 @@
 // unprotected parallel 3-MR — as alternative schemes over the same
 // machinery, so the Figure 11–14 comparisons are apples to apples.
 //
-// Key types: Runtime owns the simulated devices (frontier Storage or
+// Key types: Runtime owns the simulated devices (frontier storage or
 // ECC DRAM, plain DRAM, the shared Cache) and executes Specs; a Spec
 // names Datasets (each a list of InputRefs into frontier memory) and a
 // JobFunc; Run returns a Result whose Report carries the Table 6-style

@@ -130,7 +130,7 @@ func DefaultConfig() Config {
 type Runtime struct {
 	cfg         Config
 	bus         *mem.Bus
-	storage     *mem.Storage
+	storage     *mem.DRAM
 	dram        *mem.DRAM
 	storageBase uint64
 	dramBase    uint64

@@ -196,7 +196,7 @@ func (a *accounting) finish(r *Runtime, base Report) Report {
 	// a.makespan.
 	rep.Makespan = a.makespan + a.diskRead + rep.AllocTime
 	rep.CoreBusy = a.busy
-	rep.EnergyJ = c.IdleWatts*rep.Makespan.Seconds() + c.CoreWatts*a.busy.Seconds()
+	rep.EnergyJ = float64(c.IdleWatts*rep.Makespan.Seconds()) + float64(c.CoreWatts*a.busy.Seconds())
 	rep.CacheStats = r.cache.Stats()
 	rep.Datasets = base.Datasets
 	r.ins.finishRun(r, rep)

@@ -97,7 +97,7 @@ func (e Environment) Schedule(rng *rand.Rand, dur time.Duration) []Event {
 	appendArrivals(e.SELPerYear/year, func() Event {
 		amps := e.SELAmpsMin
 		if e.SELAmpsMax > e.SELAmpsMin {
-			amps += rng.Float64() * (e.SELAmpsMax - e.SELAmpsMin)
+			amps += float64(rng.Float64() * (e.SELAmpsMax - e.SELAmpsMin))
 		}
 		return Event{Kind: SEL, Amps: amps}
 	})

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -82,3 +83,25 @@ type noFlipMem struct{ size uint64 }
 func (m *noFlipMem) Read(addr uint64, dst []byte) error  { return nil }
 func (m *noFlipMem) Write(addr uint64, src []byte) error { return nil }
 func (m *noFlipMem) Size() uint64                        { return m.size }
+
+// TestStorageErrorsNameStorage checks that flash errors name the flash
+// device, not the DRAM machinery under it.
+func TestStorageErrorsNameStorage(t *testing.T) {
+	s := NewStorage(64)
+	var be *BoundsError
+	if err := s.Read(60, make([]byte, 16)); !errors.As(err, &be) || be.Device != "storage" {
+		t.Errorf("out-of-bounds storage Read error = %v, want a storage BoundsError", err)
+	}
+	if err := s.Write(0, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	s.FlipBit(0, 0)
+	s.FlipBit(1, 5)
+	var ue *UncorrectableError
+	if err := s.Read(0, make([]byte, 8)); !errors.As(err, &ue) || ue.Device != "storage" || ue.Addr != 0 {
+		t.Errorf("double-flip storage Read error = %v, want a storage UncorrectableError at 0x0", err)
+	}
+	if _, err := s.Alloc(128); err == nil || !strings.Contains(err.Error(), "storage exhausted") {
+		t.Errorf("oversized storage Alloc error = %v, want storage exhausted", err)
+	}
+}

@@ -8,8 +8,9 @@
 // cache and pipeline — does not. Package emr draws its replication and
 // scheduling decisions from exactly this boundary.
 //
-// Key types: DRAM and Storage implement the Memory interface (bounded
-// Read/Write plus FlipBit for fault injection); Bus routes addresses to
+// Key types: DRAM implements the Memory interface (bounded Read/Write
+// plus FlipBit for fault injection), and NewStorage builds the flash
+// device as an ECC DRAM named "storage"; Bus routes addresses to
 // the devices behind one flat physical address space; Region names an
 // address range; Stats counts reads, writes, injected flips, ECC
 // corrections, and uncorrectable words; UncorrectableError and

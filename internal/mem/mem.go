@@ -1,14 +1,15 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"radshield/internal/ecc"
 )
 
-// Memory is the raw byte-addressed device interface shared by DRAM and
-// Storage. Reads and writes are bounds-checked; ECC devices verify and
-// scrub on read.
+// Memory is the raw byte-addressed device interface shared by DRAM
+// (flash included) and the Bus. Reads and writes are bounds-checked; ECC
+// devices verify and scrub on read.
 type Memory interface {
 	// Read fills dst with len(dst) bytes starting at addr.
 	Read(addr uint64, dst []byte) error
@@ -64,7 +65,11 @@ const wordSize = 8 // SECDED granule: 64-bit word + 8 check bits
 // and their check bytes are valid zeros (Encode(0) == 0), so a device of
 // any nominal Size costs only what its users write. Alloc hands out
 // addresses from 0 upward, so allocated data forms exactly that prefix.
+//
+// NewStorage builds flash on the same machinery; the device's name
+// ("dram" or "storage") labels its errors.
 type DRAM struct {
+	name  string
 	size  uint64 // nominal capacity in bytes
 	ecc   bool
 	data  []byte // backed prefix, a whole number of words
@@ -77,7 +82,7 @@ type DRAM struct {
 // 8 bytes) with or without SECDED ECC. Construction allocates no backing
 // memory.
 func NewDRAM(size uint64, withECC bool) *DRAM {
-	return &DRAM{size: (size + wordSize - 1) / wordSize * wordSize, ecc: withECC}
+	return &DRAM{name: "dram", size: (size + wordSize - 1) / wordSize * wordSize, ecc: withECC}
 }
 
 // Size returns the capacity in bytes.
@@ -93,7 +98,7 @@ func (d *DRAM) Alloc(n uint64) (uint64, error) {
 	const align = 64
 	base := (d.next + align - 1) / align * align
 	if base > d.size || n > d.size-base {
-		return 0, fmt.Errorf("mem: DRAM exhausted: need %d bytes at %#x, size %d", n, base, d.size)
+		return 0, fmt.Errorf("mem: %s exhausted: need %d bytes at %#x, size %d", d.name, n, base, d.size)
 	}
 	d.next = base + n
 	return base, nil
@@ -188,21 +193,13 @@ func (d *DRAM) FlipBit(addr uint64, bit uint) error {
 	return nil
 }
 
-// word assembles the 64-bit little-endian word at index w.
+// word reads the 64-bit little-endian word at index w.
 func (d *DRAM) word(w uint64) uint64 {
-	off := w * wordSize
-	var v uint64
-	for i := 0; i < wordSize; i++ {
-		v |= uint64(d.data[off+uint64(i)]) << (8 * uint(i))
-	}
-	return v
+	return binary.LittleEndian.Uint64(d.data[w*wordSize:])
 }
 
 func (d *DRAM) setWord(w, v uint64) {
-	off := w * wordSize
-	for i := 0; i < wordSize; i++ {
-		d.data[off+uint64(i)] = byte(v >> (8 * uint(i)))
-	}
+	binary.LittleEndian.PutUint64(d.data[w*wordSize:], v)
 }
 
 // verifyWord decodes word w, scrubbing single-bit errors. Words past the
@@ -225,13 +222,13 @@ func (d *DRAM) verifyWord(w uint64) error {
 		return nil
 	default:
 		d.stats.Uncorrectable++
-		return &UncorrectableError{Device: "dram", Addr: w * wordSize}
+		return &UncorrectableError{Device: d.name, Addr: w * wordSize}
 	}
 }
 
 func (d *DRAM) bounds(addr uint64, n int) error {
 	if n < 0 || addr+uint64(n) > d.size || addr+uint64(n) < addr {
-		return &BoundsError{Device: "dram", Addr: addr, Len: n, Size: d.size}
+		return &BoundsError{Device: d.name, Addr: addr, Len: n, Size: d.size}
 	}
 	return nil
 }

@@ -190,8 +190,8 @@ func TestStorageECCAlwaysOn(t *testing.T) {
 	if dst[3] != 4 {
 		t.Fatalf("storage flip not corrected: %v", dst)
 	}
-	if s.dram.Stats().Corrected != 1 {
-		t.Errorf("Corrected = %d, want 1", s.dram.Stats().Corrected)
+	if s.Stats().Corrected != 1 {
+		t.Errorf("Corrected = %d, want 1", s.Stats().Corrected)
 	}
 }
 

@@ -105,7 +105,7 @@ func dnnJob(inputs [][]byte) ([]byte, error) {
 	for h := 0; h < dnnHidden; h++ {
 		sum := f32(weights, b1+h)
 		for i := 0; i < dnnIn; i++ {
-			sum += f32(weights, w1+h*dnnIn+i) * f32(sample, i)
+			sum += float32(f32(weights, w1+h*dnnIn+i) * f32(sample, i))
 		}
 		if sum < 0 {
 			sum = 0
@@ -117,7 +117,7 @@ func dnnJob(inputs [][]byte) ([]byte, error) {
 	for o := 0; o < dnnOut; o++ {
 		sum := f32(weights, b2+o)
 		for h := 0; h < dnnHidden; h++ {
-			sum += f32(weights, w2+o*dnnHidden+h) * hidden[h]
+			sum += float32(f32(weights, w2+o*dnnHidden+h) * hidden[h])
 		}
 		logits[o] = sum
 	}

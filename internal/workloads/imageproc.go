@@ -129,21 +129,46 @@ func imageJob(inputs [][]byte) ([]byte, error) {
 		var sad uint64
 		for ty := 0; ty < imgTemplate && sad < bestSAD; ty++ {
 			rowOff := ty*width + x
-			trow := tmpl[ty*imgTemplate : (ty+1)*imgTemplate]
-			srow := strip[rowOff : rowOff+imgTemplate]
-			for tx := 0; tx < imgTemplate; tx++ {
-				d := int(srow[tx]) - int(trow[tx])
-				if d < 0 {
-					d = -d
-				}
-				sad += uint64(d)
-			}
+			sad += rowSAD((*[imgTemplate]byte)(strip[rowOff:]), (*[imgTemplate]byte)(tmpl[ty*imgTemplate:]))
 		}
 		if sad < bestSAD {
 			bestSAD, bestX = sad, x
 		}
 	}
 	return putU64(bestSAD, originY, uint64(bestX)), nil
+}
+
+// SWAR constants for rowSAD: each uint64 holds four 16-bit lanes.
+const (
+	laneLow  = 0x00ff00ff00ff00ff // the low byte of every lane
+	laneBias = 0x0100010001000100 // 256 in every lane
+	laneOne  = 0x0001000100010001 // 1 in every lane
+)
+
+// rowSAD returns the sum of absolute differences of two template-wide
+// pixel rows, eight pixels per uint64: the even and the odd bytes of a
+// word each widen to four 16-bit lanes. A row adds at most 8×255 to a
+// lane, and the four lanes sum to at most 32×255, so nothing carries out
+// of a lane.
+func rowSAD(s, t *[imgTemplate]byte) uint64 {
+	var acc uint64
+	for i := 0; i < imgTemplate; i += 8 {
+		a := binary.LittleEndian.Uint64(s[i:])
+		b := binary.LittleEndian.Uint64(t[i:])
+		acc += laneAbsDiff(a&laneLow, b&laneLow) + laneAbsDiff(a>>8&laneLow, b>>8&laneLow)
+	}
+	return acc * laneOne >> 48 // the four lanes' sum lands in the top lane
+}
+
+// laneAbsDiff returns |a−b| in each 16-bit lane of two words whose
+// lanes hold one byte each. Every lane of (a|bias)−b is 256 + a − b in
+// [1, 511], so no lane borrows from the next; bit 8 of a lane is set
+// exactly when a ≥ b. Lanes with a < b hold 256 − |a−b| in their low
+// byte, which the sign mask turns into |a−b| = (low ^ 0xff) + 1.
+func laneAbsDiff(a, b uint64) uint64 {
+	d := (a | laneBias) - b
+	neg := d>>8&laneOne ^ laneOne
+	return (d&laneLow ^ neg*0xff) + neg
 }
 
 // DecodeMatch unpacks an image-processing job output.

@@ -65,11 +65,11 @@ func nccJob(inputs [][]byte) ([]byte, error) {
 	for _, p := range tmpl {
 		v := float64(p)
 		tSum += v
-		tSumSq += v * v
+		tSumSq += float64(v * v)
 	}
 	n := float64(imgTemplate * imgTemplate)
 	tMean := tSum / n
-	tVar := tSumSq - n*tMean*tMean
+	tVar := tSumSq - float64(n*tMean*tMean)
 	if tVar <= 0 {
 		return nil, fmt.Errorf("ncc: degenerate (flat) template")
 	}
@@ -85,16 +85,16 @@ func nccJob(inputs [][]byte) ([]byte, error) {
 			for tx := 0; tx < imgTemplate; tx++ {
 				sv := float64(srow[tx])
 				sSum += sv
-				sSumSq += sv * sv
-				cross += sv * float64(trow[tx])
+				sSumSq += float64(sv * sv)
+				cross += float64(sv * float64(trow[tx]))
 			}
 		}
 		sMean := sSum / n
-		sVar := sSumSq - n*sMean*sMean
+		sVar := sSumSq - float64(n*sMean*sMean)
 		if sVar <= 0 {
 			continue // flat window: correlation undefined
 		}
-		score := (cross - n*sMean*tMean) / math.Sqrt(sVar*tVar)
+		score := (cross - float64(n*sMean*tMean)) / math.Sqrt(sVar*tVar)
 		if score > bestScore {
 			bestScore, bestX = score, x
 		}

@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"regexp"
+	"sync"
 
 	"radshield/internal/emr"
 )
@@ -59,16 +60,26 @@ func IntrusionDetection() Builder {
 	}
 }
 
-// idsJob compiles the pattern bytes and counts matches in the packet.
-// Compiling from the delivered bytes matters: a corrupted pattern replica
-// produces different counts (or a compile error), which the vote catches.
+// idsRegexp is idsPattern compiled, once, on first use.
+var idsRegexp = sync.OnceValue(func() *regexp.Regexp { return regexp.MustCompile(idsPattern) })
+
+// idsJob counts the matches in the packet of the regexp its pattern
+// bytes compile to. A compiled regexp is a function of the bytes alone,
+// so bytes equal to idsPattern reuse idsRegexp and any other bytes
+// compile as delivered: a corrupted pattern replica still produces
+// different counts (or a compile error), which the vote catches.
 func idsJob(inputs [][]byte) ([]byte, error) {
 	if len(inputs) != 2 {
 		return nil, fmt.Errorf("ids: want [packet, pattern], got %d inputs", len(inputs))
 	}
-	re, err := regexp.Compile(string(inputs[1]))
-	if err != nil {
-		return nil, fmt.Errorf("ids: corrupt pattern: %w", err)
+	var re *regexp.Regexp
+	if string(inputs[1]) == idsPattern {
+		re = idsRegexp()
+	} else {
+		var err error
+		if re, err = regexp.Compile(string(inputs[1])); err != nil {
+			return nil, fmt.Errorf("ids: corrupt pattern: %w", err)
+		}
 	}
 	matches := re.FindAllIndex(inputs[0], -1)
 	return putU32(uint32(len(matches))), nil
