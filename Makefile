@@ -53,31 +53,40 @@ race:
 # allocations, a 4 h flight-software trace under 40 objects, EMR
 # runtime construction under 2 MB, an EMR Run's growth with its
 # dataset count: a handful of objects under every scheme, plus at most
-# one per dataset for EMR's conflict plan, and the intrusion-detection
-# job on its canonical pattern at 3 objects (see PERFORMANCE.md). They
-# are tagged !race — race instrumentation allocates on its own — so the
-# race suite skips them and check runs them here without the detector.
+# one per dataset for EMR's conflict plan, the intrusion-detection job
+# on its canonical pattern at 3 objects, the scheduler's Map at 8
+# objects or fewer whatever its trial count, and a result-cache
+# Open+Close of a 190-entry store at 32 or fewer (see PERFORMANCE.md).
+# They are tagged !race — race instrumentation allocates on its own — so
+# the race suite skips them and check runs them here without the
+# detector.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/trace ./internal/ild ./internal/telemetry ./internal/emr ./internal/forest ./internal/cache ./internal/guard ./internal/downlink ./internal/experiments ./internal/resultcache ./internal/alfg ./internal/workloads
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/trace ./internal/ild ./internal/telemetry ./internal/emr ./internal/forest ./internal/cache ./internal/guard ./internal/downlink ./internal/experiments ./internal/resultcache ./internal/alfg ./internal/workloads ./internal/sched
 
 # nofma keeps the per-sample packages, the trace builder, ILD with its
-# linear model, and the EMR path (the runtime's report, the fault
-# environment and the workloads' jobs) on one arithmetic (DESIGN.md §9).
-# The arm64 compiler fuses x*y + z into one multiply-add instruction,
-# which rounds once instead of twice, unless the product is converted
-# explicitly (float64(x*y)); amd64 never fuses. The target cross-compiles
-# radbench for arm64 and fails on a fused instruction in any function of
-# the packages below, and also if it finds none of their functions.
-NOFMA_PKGS = alfg|cpu|emr|fault|ild|linmodel|machine|power|trace|workloads
+# linear model, the EMR path (the runtime's report, the fault
+# environment and the workloads' jobs), the classifiers and statistics
+# behind Table 2 and the ablations, and the campaigns themselves on one
+# arithmetic (DESIGN.md §9). The arm64, ppc64le and riscv64 compilers
+# fuse x*y + z into one multiply-add instruction, which rounds once
+# instead of twice, unless the product is converted explicitly
+# (float64(x*y)); amd64 never fuses. The target cross-compiles radbench
+# for each of the three and fails on a fused instruction (the FMADD,
+# FMSUB, FNMADD and FNMSUB families, which all three name alike) in any
+# function of the packages below, and also if it finds none of their
+# functions.
+NOFMA_PKGS = alfg|bayes|cpu|emr|experiments|fault|forest|ild|linmodel|machine|power|stats|trace|workloads
 nofma:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	GOARCH=arm64 $(GO) build -o "$$tmp/radbench" ./cmd/radbench && \
-	$(GO) tool objdump "$$tmp/radbench" > "$$tmp/radbench.s" && \
-	awk -v pkgs='^radshield/internal/($(NOFMA_PKGS))\\.' ' \
-		/^TEXT / { fn = $$2; if (fn ~ pkgs) seen++; next } \
-		fn ~ pkgs && $$4 ~ /^(FMADD|FMSUB|FNMADD|FNMSUB)/ { print "fused multiply-add in " fn ": " $$1 " " $$4; bad = 1 } \
-		END { if (!seen) { print "nofma: no function of the checked packages found"; exit 1 } \
-			if (!bad) print "nofma: " seen " functions checked, none fused"; exit bad }' "$$tmp/radbench.s"
+	for arch in arm64 ppc64le riscv64; do \
+		GOARCH=$$arch $(GO) build -o "$$tmp/radbench" ./cmd/radbench && \
+		$(GO) tool objdump "$$tmp/radbench" > "$$tmp/radbench.s" && \
+		awk -v arch=$$arch -v pkgs='^radshield/internal/($(NOFMA_PKGS))\\.' ' \
+			/^TEXT / { fn = $$2; if (fn ~ pkgs) seen++; next } \
+			fn ~ pkgs && $$4 ~ /^(FMADD|FMSUB|FNMADD|FNMSUB)/ { print "fused multiply-add on " arch " in " fn ": " $$1 " " $$4; bad = 1 } \
+			END { if (!seen) { print "nofma: no function of the checked packages found on " arch; exit 1 } \
+				if (!bad) print "nofma: " arch ": " seen " functions checked, none fused"; exit bad }' "$$tmp/radbench.s" || exit 1; \
+	done
 
 # linkcheck keeps internal/ free of code that no program runs. It builds
 # every main under cmd/ and examples/, and bench/ (its own module), with

@@ -14,7 +14,7 @@
 //     reads/writes of mutable package-level state — through every
 //     callee in the module, across package boundaries;
 //   - every job function submitted to the deterministic scheduler
-//     (sched.Map, sched.Stream) must satisfy the same contract, plus
+//     (sched.Map) must satisfy the same contract, plus
 //     never write variables captured from the enclosing scope (trials
 //     run concurrently; a captured write is a race and an ordering
 //     dependence at once);
@@ -44,7 +44,7 @@ import (
 var Analyzer = &radlint.Analyzer{
 	Name: "armpurity",
 	Doc: "campaign entry points (experiments.*Campaign) and scheduler jobs " +
-		"(sched.Map/Stream) must be transitively deterministic: no wall clock, " +
+		"(sched.Map) must be transitively deterministic: no wall clock, " +
 		"no global rand, no mutable package-level state — the (config, seed) → " +
 		"result contract the campaign result cache keys on",
 	Run: run,
@@ -86,8 +86,7 @@ func run(pass *radlint.Pass) error {
 		}
 	}
 
-	// Scheduler jobs: the fn argument of sched.Map / sched.Stream,
-	// wherever submitted.
+	// Scheduler jobs: the fn argument of sched.Map, wherever submitted.
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -139,9 +138,9 @@ func isCampaignEntry(name string) bool {
 	return ast.IsExported(name) && strings.HasSuffix(name, "Campaign")
 }
 
-// schedJobArg recognizes sched.Map / sched.Stream calls and returns the
-// scheduler function name and the index of the job argument; "" when
-// the call is not a scheduler submission.
+// schedJobArg recognizes sched.Map calls and returns the scheduler
+// function name and the index of the job argument; "" when the call is
+// not a scheduler submission.
 func schedJobArg(pass *radlint.Pass, call *ast.CallExpr) (string, int) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -151,12 +150,8 @@ func schedJobArg(pass *radlint.Pass, call *ast.CallExpr) (string, int) {
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != schedPkgPath {
 		return "", 0
 	}
-	switch fn.Name() {
-	case "Map", "Stream":
-		// Map[T](n, workers, fn, opts...) / Stream[T](n, workers, fn, emit, opts...):
-		// the trial function is argument 2. Stream's emit callback runs
-		// serially in the caller's goroutine in trial order, so it may
-		// touch caller state freely.
+	if fn.Name() == "Map" {
+		// Map[T](n, workers, fn, opts...): the trial function is argument 2.
 		return fn.Name(), 2
 	}
 	return "", 0

@@ -68,7 +68,7 @@ func Train(X [][]float64, y []int) *Classifier {
 		k := y[i]
 		for j, v := range row {
 			dlt := v - c.mean[k][j]
-			c.variance[k][j] += dlt * dlt
+			c.variance[k][j] += float64(dlt * dlt)
 		}
 	}
 	c.prior = make([]float64, classes)
@@ -106,7 +106,7 @@ func (c *Classifier) logPosterior(k int, x []float64) float64 {
 	for j, v := range x {
 		va := c.variance[k][j]
 		dlt := v - c.mean[k][j]
-		s += -0.5*math.Log(2*math.Pi*va) - dlt*dlt/(2*va)
+		s += float64(-0.5*math.Log(2*math.Pi*va)) - dlt*dlt/(2*va)
 	}
 	return s
 }

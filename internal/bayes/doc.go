@@ -17,5 +17,7 @@
 // labels in 0..classes-1; Predict must be called with the same
 // dimensionality as training. The classifier is deterministic — no
 // randomness is used at train or predict time — and immutable after
-// Train, so concurrent prediction is safe.
+// Train, so concurrent prediction is safe. Every product that feeds a
+// sum is converted explicitly (float64(x*y)), so no compiler fuses it
+// into a multiply-add (DESIGN.md §9).
 package bayes

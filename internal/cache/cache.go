@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"sync"
 
 	"radshield/internal/mem"
 )
@@ -31,10 +30,10 @@ type line struct {
 
 // Cache is a set-associative read cache over a backing Memory: stores go
 // to the backing device directly, so a line holds a clean copy until an
-// upset strikes it. It is safe for concurrent use by the parallel EMR
-// executors.
+// upset strikes it. A Cache belongs to one EMR runtime, which is built
+// and run inside one trial, so it takes no lock: calls must not
+// overlap.
 type Cache struct {
-	mu      sync.Mutex
 	backing mem.Memory
 	sets    int
 	ways    int
@@ -52,8 +51,6 @@ type Cache struct {
 // paper §3.2). On a protected cache, injected single-bit strikes are
 // corrected in hardware and never reach readers.
 func (c *Cache) SetECCProtected(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.ecc = on
 }
 
@@ -79,8 +76,6 @@ func New(backing mem.Memory, sets, ways int) *Cache {
 
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.stats
 }
 
@@ -88,8 +83,6 @@ func (c *Cache) Stats() Stats {
 // present are served from the (unprotected, possibly upset) cached copy;
 // missing lines are fetched from backing memory and installed.
 func (c *Cache) Read(addr uint64, dst []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := uint64(len(dst))
 	if n == 0 {
 		return nil
@@ -119,8 +112,6 @@ func (c *Cache) FlushRange(addr, n uint64) int {
 	if n == 0 {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	first := addr / LineSize
 	last := (addr + n - 1) / LineSize
 	flushed := 0
@@ -137,8 +128,6 @@ func (c *Cache) FlushRange(addr, n uint64) int {
 // FlushAll invalidates the whole cache and returns the number of valid
 // lines discarded.
 func (c *Cache) FlushAll() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	flushed := 0
 	for i := range c.lines {
 		if c.lines[i].valid {
@@ -155,8 +144,6 @@ func (c *Cache) FlushAll() int {
 // The backing memory is untouched: this models an upset in the cache
 // array itself.
 func (c *Cache) FlipBit(addr uint64, bit uint) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ln := c.peek(addr / LineSize)
 	if ln == nil {
 		return false

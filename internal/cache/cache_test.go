@@ -186,36 +186,6 @@ func TestInvalidGeometryPanics(t *testing.T) {
 	}
 }
 
-func TestConcurrentReaders(t *testing.T) {
-	d, c := newBacked(t, 1<<16, 16, 4)
-	src := make([]byte, 1<<16)
-	rand.New(rand.NewSource(5)).Read(src)
-	d.Write(0, src)
-	done := make(chan error, 4)
-	for g := 0; g < 4; g++ {
-		go func(g int) {
-			buf := make([]byte, 256)
-			for i := 0; i < 200; i++ {
-				off := uint64((g*13 + i*97) % (1<<16 - 256))
-				if err := c.Read(off, buf); err != nil {
-					done <- err
-					return
-				}
-				if !bytes.Equal(buf, src[off:off+256]) {
-					done <- &mem.BoundsError{Device: "mismatch"}
-					return
-				}
-			}
-			done <- nil
-		}(g)
-	}
-	for g := 0; g < 4; g++ {
-		if err := <-done; err != nil {
-			t.Fatalf("concurrent reader failed: %v", err)
-		}
-	}
-}
-
 // Property: reading any range through the cache equals reading it from
 // clean backing memory, regardless of access order.
 func TestPropertyCacheTransparency(t *testing.T) {

@@ -81,13 +81,6 @@ type Config struct {
 	// EMR scheme executes as plain parallel 3-MR while remaining fully
 	// protected (single-bit cache upsets are absorbed in hardware).
 	CacheECC bool
-	// ParallelExecution runs each EMR round's executor visits on real
-	// goroutines (the flight implementation pins executors to cores).
-	// Outputs are identical to sequential execution — jobs are pure and
-	// the cache is coherent — but the virtual cost accounting can vary by
-	// a few cache evictions between runs, and fault-injection hooks force
-	// sequential execution so campaigns stay exactly reproducible.
-	ParallelExecution bool
 	// ReplicationThreshold is the fraction of datasets that must share an
 	// identical region before it is replicated per-executor (paper
 	// default 0.01). Values > 1 disable replication; 0 replicates any
@@ -97,8 +90,8 @@ type Config struct {
 	// Watch, when non-nil, observes every executor visit's virtual
 	// elapsed time and error, and may kill or re-bill the visit — the
 	// guard watchdog's attachment point (see internal/guard). Watchers
-	// run on the deterministic sequential collection path regardless of
-	// ParallelExecution.
+	// run in (jobset, round, executor) order on the runtime's one
+	// goroutine.
 	Watch Watcher
 	// Telemetry, when non-nil, receives the runtime's vote/flush/fetch
 	// counters, the per-run makespan histogram, and vote-mismatch /
@@ -178,8 +171,7 @@ func New(cfg Config) (*Runtime, error) {
 
 // build constructs a runtime for a validated config: empty storage and
 // DRAM mapped behind one bus, a cold shared cache, instruments on the
-// config's registry, and one visit scratch per executor, made here
-// before any parallel round can fan visits out to goroutines. Memory is
+// config's registry, and one visit scratch per executor. Memory is
 // backed only as it is written, so a build costs the cache array, not
 // the devices' nominal sizes.
 func build(cfg Config) *Runtime {

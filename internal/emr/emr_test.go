@@ -464,6 +464,31 @@ func TestPeakMemoryAccounting(t *testing.T) {
 	}
 }
 
+func TestHookForcesSequential(t *testing.T) {
+	// Hooks see every round's visits in strict (t, e) order, so
+	// injection campaigns are exactly reproducible.
+	rt := newRuntime(t, fault.SchemeEMR)
+	spec := chunkedSpec(t, rt, 6, 128, false)
+	lastExec := -1
+	ordered := true
+	spec.Hook = func(hp *HookPoint) {
+		if hp.Phase != PhaseBeforeRead {
+			return
+		}
+		next := (lastExec + 1) % 3
+		if hp.Executor != next {
+			ordered = false
+		}
+		lastExec = hp.Executor
+	}
+	if _, err := rt.Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	if !ordered {
+		t.Fatal("hooked run did not visit executors in sequential order")
+	}
+}
+
 func ExampleRuntime_Run() {
 	cfg := DefaultConfig()
 	rt, err := New(cfg)
@@ -495,4 +520,25 @@ func ExampleRuntime_Run() {
 	}
 	fmt.Println(len(res.Outputs), res.Report.Votes.Unanimous)
 	// Output: 2 2
+}
+
+func BenchmarkEMRRun(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		rt, err := New(DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		data := make([]byte, 64*4096)
+		ref, err := rt.LoadInput("d", data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		datasets := make([]Dataset, 64)
+		for j := range datasets {
+			datasets[j] = Dataset{Inputs: []InputRef{mustSlice(ref, uint64(j*4096), 4096)}}
+		}
+		if _, err := rt.Run(Spec{Name: "bench", Datasets: datasets, Job: sumJob, CyclesPerByte: 5}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -3,7 +3,6 @@ package emr
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"time"
 
 	"radshield/internal/cache"
@@ -159,9 +158,8 @@ type visitIO struct {
 // hook-injected stall) and the visit's error; it returns the duration
 // to charge to the accounting (a killed hung visit is billed only up to
 // its deadline) and the error to record in the vote (non-nil
-// invalidates the visit's output). Watchers are always invoked from the
-// sequential, deterministic collection path, in (jobset, round,
-// executor) order, regardless of ParallelExecution.
+// invalidates the visit's output). Watchers are invoked once a round's
+// visits are done, in (jobset, round, executor) order.
 type Watcher interface {
 	VisitDone(executor, dataset int, elapsed time.Duration, visitErr error) (time.Duration, error)
 }
@@ -183,8 +181,8 @@ func (r *Runtime) watchVisit(executor, dataset int, v visitParts, visitErr error
 // visitScratch is one executor's reusable visit state: the dataset's
 // resolved regions, the job's input headers, one byte buffer per input
 // slot, and the hook point. build sizes the runtime's scratch to
-// cfg.Executors before any visit runs, so the goroutines of a parallel
-// EMR round each touch only their own executor's entry.
+// cfg.Executors, so each executor keeps buffers sized to the inputs it
+// reads.
 type visitScratch struct {
 	regions []mem.Region
 	inputs  [][]byte
@@ -312,40 +310,17 @@ func (r *Runtime) runEMR(spec *Spec) (*Result, error) {
 		err   error
 	}
 	results := make([]visitResult, ex)
-	// runOne runs executor e's visit of dataset d in jobset js into the
-	// executor's result slot.
-	runOne := func(js, d, e int) {
-		out, io, err := r.visit(spec, a, nil, js, d, e)
-		lines := r.flushShared(a, d)
-		results[e] = visitResult{out: out, io: io, lines: lines, err: err}
-	}
 	var visits []visitParts
-
-	parallel := r.cfg.ParallelExecution && spec.Hook == nil && ex > 1
 	for js, set := range a.jobsets {
 		k := len(set)
 		visits = visits[:0]
 		// Stagger starting positions so executors occupy distinct
 		// datasets each round (for k ≥ ex the offsets are distinct).
 		for t := 0; t < k; t++ {
-			if parallel && k >= ex {
-				// Each executor is on a distinct dataset this round, so
-				// real goroutines are safe: the shared cache is locked
-				// per access and flush ranges are disjoint.
-				var wg sync.WaitGroup
-				for e := 0; e < ex; e++ {
-					wg.Add(1)
-					//radlint:allow schedonly executors write disjoint position-indexed result slots and join at the WaitGroup barrier before any read, so collection order is defined
-					go func(js, d, e int) {
-						defer wg.Done()
-						runOne(js, d, e)
-					}(js, set[(t+e*k/ex)%k], e)
-				}
-				wg.Wait()
-			} else {
-				for e := 0; e < ex; e++ {
-					runOne(js, set[(t+e*k/ex)%k], e)
-				}
+			for e := 0; e < ex; e++ {
+				d := set[(t+e*k/ex)%k]
+				out, io, err := r.visit(spec, a, nil, js, d, e)
+				results[e] = visitResult{out: out, io: io, lines: r.flushShared(a, d), err: err}
 			}
 			for e := 0; e < ex; e++ {
 				d := set[(t+e*k/ex)%k]

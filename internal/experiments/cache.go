@@ -12,8 +12,8 @@ import "radshield/internal/resultcache"
 // exactly the determinism contract of DESIGN.md §9, machine-checked by
 // radlint's armpurity analyzer. The rule, enforced by
 // TestCachedArmSitesAreProven: every CachedArm call site must sit
-// either inside a sched.Map/sched.Stream job function or inside an
-// exported *Campaign entry point — the two shapes armpurity proves
+// either inside a sched.Map job function or inside an exported
+// *Campaign entry point — the two shapes armpurity proves
 // transitively deterministic. Code outside the proven set gets no
 // caching seam; add the proof first.
 //
@@ -31,9 +31,8 @@ import "radshield/internal/resultcache"
 //     computes-and-stores, without ever touching the decoder again — a
 //     corrupt entry is already a miss by the time jobs run.
 //
-// Results still stream back through internal/sched's order-preserving
-// collector, so campaign output is byte-identical warm or cold at any
-// -workers width.
+// Results still land in internal/sched's per-trial slots, so campaign
+// output is byte-identical warm or cold at any -workers width.
 //
 // # Encoding
 //
@@ -43,7 +42,9 @@ import "radshield/internal/resultcache"
 // encode a config struct whole the same way when every field shapes
 // the result; encSELConfig and encDownlinkCampaignConfig pick fields.
 // TestCacheWireFormat pins both. Changing a cached type's fields, or a
-// struct a key encodes whole, changes the bytes: bump the domain.
+// struct a key encodes whole, changes the bytes and so the binary; the
+// code fingerprint that starts every key moves every key with it, so
+// the domain stays.
 
 // armCache holds the per-trial keys and pre-decoded hits for one
 // campaign. A cache built over a nil store never hits and never
@@ -59,9 +60,9 @@ type armCache[T any] struct {
 // write the canonical encoding of arm i's inputs. A hit decodes
 // straight into its slot of vals; a decode failure (format drift, torn
 // entry) zeroes the slot and counts as a miss — the arm recomputes and
-// overwrites nothing (first write wins, but its key changed with the
-// format version anyway; bump the domain suffix whenever T's fields
-// change).
+// overwrites nothing (first write wins). A change to T's fields is a
+// change to the binary, whose fingerprint already moved every key, so
+// the domain stays.
 func cacheArms[T any](store *resultcache.Store, domain string, n int,
 	encArm func(int, *resultcache.Enc)) *armCache[T] {
 	c := &armCache[T]{

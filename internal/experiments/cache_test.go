@@ -16,8 +16,8 @@ import (
 // TestCachedArmSitesAreProven enforces the cached ⊆ proven contract
 // from cache.go: every CachedArm call site in this package must sit
 // inside a region radlint's armpurity analyzer proves deterministic —
-// either a func literal passed as the job argument to sched.Map /
-// sched.Stream, or the body of an exported *Campaign entry point.
+// either a func literal passed as the job argument to sched.Map, or the
+// body of an exported *Campaign entry point.
 // Caching an unproven arm would replay results the determinism checker
 // never vouched for; add the proof first.
 func TestCachedArmSitesAreProven(t *testing.T) {
@@ -45,7 +45,7 @@ func TestCachedArmSitesAreProven(t *testing.T) {
 						return true
 					}
 					if id, ok := sel.X.(*ast.Ident); ok && id.Name == "sched" &&
-						(sel.Sel.Name == "Map" || sel.Sel.Name == "Stream") && len(v.Args) > 2 {
+						sel.Sel.Name == "Map" && len(v.Args) > 2 {
 						if fl, ok := v.Args[2].(*ast.FuncLit); ok {
 							proven = append(proven, fl)
 						}
@@ -71,7 +71,7 @@ func TestCachedArmSitesAreProven(t *testing.T) {
 		}
 		if !covered {
 			t.Errorf("%s: CachedArm call site outside the armpurity-proven set "+
-				"(must be inside a sched.Map/sched.Stream job or an exported *Campaign body)",
+				"(must be inside a sched.Map job or an exported *Campaign body)",
 				fset.Position(site.Pos()))
 		}
 	}

@@ -298,7 +298,7 @@ func Fig14(c SEUConfig) ([]Fig14Row, *Table, error) {
 		}
 		// ILD adds its bubble fraction of the makespan at idle power plus
 		// the negligible sampling compute.
-		ildExtraJ := policy.OverheadFraction() * em.Report.Makespan.Seconds() * idleW
+		ildExtraJ := float64(policy.OverheadFraction() * em.Report.Makespan.Seconds() * idleW)
 		den := base.Report.EnergyJ
 		return Fig14Row{
 			Workload:     b.Name,

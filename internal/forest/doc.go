@@ -38,5 +38,7 @@
 // order, and so the same trees, predictions and importances
 // (TestMatchesReference, FuzzMatchesReference). Table 2, the classifier
 // ablation and feature selection depend on this: their tables, and the
-// result-cache entries holding them, must not move.
+// result-cache entries holding them, must not move. Every product that
+// feeds a sum is converted explicitly (float64(x*y)), so no compiler
+// fuses it into a multiply-add (DESIGN.md §9).
 package forest

@@ -174,7 +174,7 @@ func (t *trainer) build(idx []int, depth int) {
 		return
 	}
 	ln := t.partition(idx, feature, thresh)
-	t.importance[feature] += gain * float64(len(idx))
+	t.importance[feature] += float64(gain * float64(len(idx)))
 	t.nodes[at] = node{thresh: thresh, feature: int32(feature)}
 	t.build(idx[:ln], depth+1)
 	t.nodes[at].right = int32(len(t.nodes))
@@ -235,7 +235,7 @@ func (t *trainer) split(idx []int) (feature int, thresh, gain float64) {
 				t.rc[c] = k - t.lc[c]
 			}
 			g := parent -
-				(float64(ln)*gini(t.lc, ln)+float64(rn)*gini(t.rc, rn))/float64(n)
+				(float64(float64(ln)*gini(t.lc, ln))+float64(float64(rn)*gini(t.rc, rn)))/float64(n)
 			if g > gain {
 				gain, feature, thresh = g, feat, th
 			}
@@ -281,7 +281,7 @@ func gini(counts []int, n int) float64 {
 	g := 1.0
 	for _, k := range counts {
 		p := float64(k) / float64(n)
-		g -= p * p
+		g -= float64(p * p)
 	}
 	return g
 }

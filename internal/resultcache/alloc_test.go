@@ -1,8 +1,9 @@
 //go:build !race
 
-// Allocation-regression test for replaying a cached arm: a warm
-// campaign decodes every arm's result in place. Excluded under -race:
-// race instrumentation allocates on its own.
+// Allocation-regression tests for replaying a cached arm: a warm
+// campaign opens the store, whose scan indexes every record without
+// allocating per record, and decodes every arm's result in place.
+// Excluded under -race: race instrumentation allocates on its own.
 
 package resultcache
 
@@ -40,5 +41,30 @@ func TestAllocsValueDecode(t *testing.T) {
 	}
 	if v.Kills != 3 || v.Dwell[3] != 4 {
 		t.Fatalf("decoded %+v", v)
+	}
+}
+
+func TestAllocsStoreOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, "fp1")
+	for i := int64(0); i < 190; i++ {
+		s.Put(testKey(s, i), payloadFor(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(50, func() {
+		s := openTest(t, dir, "fp1")
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 32 {
+		t.Errorf("Open+Close of a 190-entry store allocates %.1f objects, want at most 32", avg)
+	}
+	s = openTest(t, dir, "fp1")
+	defer s.Close()
+	if st := s.Stats(); st.Entries != 190 {
+		t.Fatalf("reopened store indexes %d entries, want 190", st.Entries)
 	}
 }

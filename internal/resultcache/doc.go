@@ -30,15 +30,15 @@
 // walks a value's type with reflect and writes a struct's fields in
 // declaration order; [Dec.Value] reads the same walk back in place. A
 // type's declaration is thus its encoding: changing a cached type's
-// fields changes the bytes, so bump the domain. The walk runs once per
-// arm; the record layer below it moves raw bytes.
+// fields changes the bytes and so the binary, and the fingerprint moves
+// every key with it, so the domain stays. The walk runs once per arm;
+// the record layer below it moves raw bytes.
 //
 // # On-disk format
 //
-// A cache directory holds three files:
+// A cache directory holds two files:
 //
 //	cache.data   append-only record log
-//	cache.index  key → (offset, length) table, atomically replaced
 //	cache.lock   advisory flock target (empty)
 //
 // The data file opens with an 8-byte magic header and then holds
@@ -46,13 +46,13 @@
 //
 //	key[32] | payloadLen uint32 LE | crc32(payload) uint32 LE | payload
 //
-// The index file is a sorted table with a trailing CRC-32 over its
-// entire contents, committed by write-to-temp + atomic rename. The
-// index is strictly an optimization: if it is missing, stale, or fails
-// its checksum, [Open] rebuilds it by scanning the data file. Records
-// appended after the last index commit (a crash before [Store.Flush])
-// are recovered by the same tail scan; trailing garbage from a torn
-// write is truncated.
+// The log is its own index: [Open] reads the file in one buffer and
+// maps each key to the first of its records whose CRC checks. A record
+// whose CRC fails is skipped; a record that runs past the end of the
+// file is a torn append and is truncated. [Store.Close] syncs the log;
+// there is nothing else to commit, so a crash loses at most the
+// records the kernel had not yet written. A cache.index file left by
+// an older build is ignored.
 //
 // Corruption anywhere degrades to a miss, never to a wrong replay:
 // [Store.Get] re-verifies the stored key and per-record CRC on every

@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzEntryRoundTrip drives arbitrary payloads through the full record
-// path — Put, in-memory Get, index commit, reopen, tail-scan Get — and
-// asserts byte-identical replay. Any divergence would be a wrong-replay
+// path — Put, in-memory Get, Close, reopen, scanned Get — and asserts
+// byte-identical replay. Any divergence would be a wrong-replay
 // bug, the one failure mode the cache must never have.
 func FuzzEntryRoundTrip(f *testing.F) {
 	f.Add([]byte{})
@@ -49,45 +49,54 @@ func FuzzEntryRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzIndexDecode feeds arbitrary bytes to the index loader (and, via
-// Open, the tail scanner) over a small valid data file. Whatever the
-// bytes, Open must neither panic nor produce a store that replays wrong
-// data — a hostile index degrades to a rescan, a hostile data tail to a
-// truncation.
-func FuzzIndexDecode(f *testing.F) {
+// FuzzLogScan appends arbitrary bytes after three valid records in the
+// data file and reopens the store. Whatever the bytes, Open must
+// neither fail nor panic, the three records must replay byte for byte,
+// and keys that were never stored must miss: a hostile tail costs the
+// tail, never a wrong replay.
+func FuzzLogScan(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte(indexMagic))
-	f.Add([]byte("RSIX\x00\x00\x00\x01\xff\xff\xff\xff\xff\xff\xff\xff"))
-	f.Add(bytes.Repeat([]byte{0x00}, headerLen+8+indexEntryLen+4))
-	f.Fuzz(func(t *testing.T, idx []byte) {
+	f.Fuzz(func(t *testing.T, tail []byte) {
 		dir := t.TempDir()
 		s, err := Open(dir, WithFingerprint("fuzz"))
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		var keys []Key
-		for i := int64(0); i < 3; i++ {
+		key := func(i int64) Key {
 			var e Enc
 			e.Int(i)
-			k := s.Key("fuzz", &e)
-			s.Put(k, payloadFor(i))
-			keys = append(keys, k)
+			return s.Key("fuzz", &e)
+		}
+		for i := int64(0); i < 3; i++ {
+			s.Put(key(i), payloadFor(i))
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, indexFileName), idx, 0o644); err != nil {
+		data, err := os.OpenFile(filepath.Join(dir, dataFileName), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := data.Write(tail); err != nil {
+			t.Fatal(err)
+		}
+		if err := data.Close(); err != nil {
 			t.Fatal(err)
 		}
 
 		s, err = Open(dir, WithFingerprint("fuzz"))
 		if err != nil {
-			t.Fatalf("Open with fuzzed index: %v", err)
+			t.Fatalf("Open with a fuzzed tail: %v", err)
 		}
 		defer s.Close()
-		for i, k := range keys {
-			if got, ok := s.Get(k); ok && !bytes.Equal(got, payloadFor(int64(i))) {
-				t.Fatalf("wrong replay for trial %d: %q", i, got)
+		for i := int64(0); i < 3; i++ {
+			if got, ok := s.Get(key(i)); !ok || !bytes.Equal(got, payloadFor(i)) {
+				t.Fatalf("trial %d after a fuzzed tail: %q, %v", i, got, ok)
+			}
+		}
+		for i := int64(3); i < 6; i++ {
+			if got, ok := s.Get(key(i)); ok {
+				t.Fatalf("never-stored trial %d replayed as %q", i, got)
 			}
 		}
 	})

@@ -9,8 +9,8 @@ import (
 )
 
 // Key addresses one cached arm result: a SHA-256 over the code-version
-// fingerprint, a domain string naming the campaign and its encoding
-// version, and the canonical encoding of the arm's inputs.
+// fingerprint, a domain string naming the campaign, and the canonical
+// encoding of the arm's inputs.
 type Key [sha256.Size]byte
 
 // String renders the key as hex for logs and diagnostics.

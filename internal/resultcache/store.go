@@ -8,30 +8,24 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"radshield/internal/telemetry"
 )
 
 const (
-	dataFileName  = "cache.data"
-	indexFileName = "cache.index"
-	lockFileName  = "cache.lock"
+	dataFileName = "cache.data"
+	lockFileName = "cache.lock"
 
-	// Magic headers version the on-disk format; bump the trailing byte
-	// on any layout change so old stores are discarded, not misread.
-	dataMagic  = "RSRC\x00\x00\x00\x01"
-	indexMagic = "RSIX\x00\x00\x00\x01"
+	// The magic header versions the on-disk format; bump the trailing
+	// byte on any layout change so old stores are discarded, not misread.
+	dataMagic = "RSRC\x00\x00\x00\x01"
 
 	headerLen = 8
 	// Record layout: key[32] | payloadLen uint32 | crc32(payload) uint32.
 	recHeaderLen = KeySize + 8
-	// indexEntryLen is key[32] | offset uint64 | payloadLen uint32.
-	indexEntryLen = KeySize + 12
 
-	// maxPayload bounds a single record so a corrupted length field
-	// cannot drive a giant allocation during recovery scans.
+	// maxPayload bounds a single record.
 	maxPayload = 1 << 30
 )
 
@@ -66,16 +60,14 @@ type entryRef struct {
 
 // Store is an open cache directory. See the package documentation for
 // the on-disk format and concurrency contract. A nil *Store disables
-// caching: Get misses, Put and Flush are no-ops.
+// caching: Get misses and Put is a no-op.
 type Store struct {
 	mu       sync.Mutex
-	dir      string
 	fp       string
 	data     *os.File
 	lockFile *os.File
 	index    map[Key]entryRef
 	size     int64 // data file length
-	appended bool  // records appended since the last index commit
 	putErr   error // first append failure; writes disable, reads continue
 
 	hits, misses uint64
@@ -100,10 +92,8 @@ func WithTelemetry(r *telemetry.Registry) Option {
 }
 
 // Open opens (creating if needed) the cache directory at dir, takes its
-// exclusive advisory lock, and loads the index — falling back to a full
-// scan of the data file when the index is missing or fails its
-// checksum, and recovering any records appended after the last index
-// commit. Returns ErrLocked when another process holds the directory.
+// exclusive advisory lock, and indexes the records of its data file.
+// Returns ErrLocked when another process holds the directory.
 func Open(dir string, opts ...Option) (*Store, error) {
 	var o options
 	for _, opt := range opts {
@@ -133,11 +123,9 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:      dir,
 		fp:       o.fp,
 		data:     data,
 		lockFile: lockFile,
-		index:    make(map[Key]entryRef),
 		hitsC:    o.tel.Counter("resultcache_hits_total", "lookups"),
 		missesC:  o.tel.Counter("resultcache_misses_total", "lookups"),
 		bytesG:   o.tel.Gauge("resultcache_bytes", "bytes"),
@@ -151,40 +139,63 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// load initializes the in-memory index from disk: verify the data
-// header (resetting a foreign or corrupted file — it is only a cache),
-// adopt the committed index if it checks out, then scan the tail for
-// records appended after the last commit, truncating torn trailing
-// bytes.
+// load indexes the data file. It reads the whole file in one ReadAt and
+// indexes every record whose CRC checks; the first valid record of a
+// key wins, as in Put. A file without the magic header is foreign or
+// corrupted and is reset (it is only a cache). A record whose CRC fails
+// is skipped, so damage costs that record alone. A record that runs
+// past the end of the file is a torn append: the file is truncated
+// there so future appends start from a clean boundary.
 func (s *Store) load() error {
 	fi, err := s.data.Stat()
 	if err != nil {
 		return err
 	}
-	size := fi.Size()
-	if size < headerLen || !s.headerOK() {
-		if err := s.reset(); err != nil {
-			return err
+	buf := make([]byte, fi.Size())
+	if _, err := s.data.ReadAt(buf, 0); err != nil || len(buf) < headerLen || string(buf[:headerLen]) != dataMagic {
+		s.index = make(map[Key]entryRef)
+		s.size = headerLen
+		return s.reset()
+	}
+	// One walk finds the records and the torn tail, so the index is
+	// made at its size before the second walk checks and adds them.
+	records, end := 0, headerLen
+	for {
+		next, ok := recordEnd(buf, end)
+		if !ok {
+			break
 		}
-		size = headerLen
+		records++
+		end = next
 	}
-	s.size = size
-
-	scanFrom := int64(headerLen)
-	if refs, covered, ok := s.loadIndex(); ok {
-		s.index = refs
-		scanFrom = covered
+	s.index = make(map[Key]entryRef, records)
+	for off := headerLen; off < end; {
+		next, _ := recordEnd(buf, off)
+		rec := buf[off:next]
+		k := Key(rec[:KeySize])
+		if _, dup := s.index[k]; !dup && crc32.ChecksumIEEE(rec[recHeaderLen:]) == binary.LittleEndian.Uint32(rec[KeySize+4:]) {
+			s.index[k] = entryRef{off: int64(off), n: uint32(len(rec) - recHeaderLen)}
+		}
+		off = next
 	}
-	return s.scanTail(scanFrom)
+	if end < len(buf) {
+		return s.truncateAt(int64(end))
+	}
+	s.size = int64(end)
+	return nil
 }
 
-// headerOK reports whether the data file starts with our magic.
-func (s *Store) headerOK() bool {
-	var hdr [headerLen]byte
-	if _, err := s.data.ReadAt(hdr[:], 0); err != nil {
-		return false
+// recordEnd returns the end offset of the record that starts at off in
+// buf, and false when its header or payload runs past the end of buf.
+func recordEnd(buf []byte, off int) (int, bool) {
+	if len(buf)-off < recHeaderLen {
+		return 0, false
 	}
-	return string(hdr[:]) == dataMagic
+	n := int64(binary.LittleEndian.Uint32(buf[off+KeySize:]))
+	if n > int64(len(buf)-off-recHeaderLen) {
+		return 0, false
+	}
+	return off + recHeaderLen + int(n), true
 }
 
 // reset truncates the data file to a fresh header. Cached results are
@@ -196,80 +207,6 @@ func (s *Store) reset() error {
 	}
 	if _, err := s.data.WriteAt([]byte(dataMagic), 0); err != nil {
 		return err
-	}
-	return nil
-}
-
-// loadIndex reads the committed index file. It returns the decoded
-// references, the data-file offset the index covers up to, and whether
-// the index was usable. Any defect — bad magic, short file, checksum
-// mismatch, out-of-bounds entry — discards the index in favor of a
-// scan; the index is an optimization, never the source of truth.
-func (s *Store) loadIndex() (map[Key]entryRef, int64, bool) {
-	raw, err := os.ReadFile(filepath.Join(s.dir, indexFileName))
-	if err != nil {
-		return nil, 0, false
-	}
-	if len(raw) < headerLen+8+4 || string(raw[:headerLen]) != indexMagic {
-		return nil, 0, false
-	}
-	body, sum := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, 0, false
-	}
-	count := binary.LittleEndian.Uint64(body[headerLen:])
-	entries := body[headerLen+8:]
-	if uint64(len(entries)) != count*indexEntryLen {
-		return nil, 0, false
-	}
-	refs := make(map[Key]entryRef, count)
-	covered := int64(headerLen)
-	for i := uint64(0); i < count; i++ {
-		e := entries[i*indexEntryLen:]
-		var k Key
-		copy(k[:], e[:KeySize])
-		off := int64(binary.LittleEndian.Uint64(e[KeySize:]))
-		n := binary.LittleEndian.Uint32(e[KeySize+8:])
-		end := off + recHeaderLen + int64(n)
-		if off < headerLen || n > maxPayload || end > s.size {
-			return nil, 0, false
-		}
-		refs[k] = entryRef{off: off, n: n}
-		if end > covered {
-			covered = end
-		}
-	}
-	return refs, covered, true
-}
-
-// scanTail walks records from off to the end of the data file, adding
-// each valid record to the index. The first invalid record marks a torn
-// or corrupted tail; the file is truncated there so future appends
-// start from a clean boundary.
-func (s *Store) scanTail(off int64) error {
-	for off < s.size {
-		var hdr [recHeaderLen]byte
-		if _, err := s.data.ReadAt(hdr[:], off); err != nil {
-			return s.truncateAt(off)
-		}
-		n := binary.LittleEndian.Uint32(hdr[KeySize:])
-		sum := binary.LittleEndian.Uint32(hdr[KeySize+4:])
-		end := off + recHeaderLen + int64(n)
-		if n > maxPayload || end > s.size {
-			return s.truncateAt(off)
-		}
-		payload := make([]byte, n)
-		if _, err := s.data.ReadAt(payload, off+recHeaderLen); err != nil {
-			return s.truncateAt(off)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return s.truncateAt(off)
-		}
-		var k Key
-		copy(k[:], hdr[:KeySize])
-		s.index[k] = entryRef{off: off, n: n}
-		s.appended = true // recovered records are not yet in the committed index
-		off = end
 	}
 	return nil
 }
@@ -376,7 +313,6 @@ func (s *Store) Put(k Key, payload []byte) {
 	}
 	s.index[k] = entryRef{off: s.size, n: uint32(len(payload))}
 	s.size += int64(len(rec))
-	s.appended = true
 	s.bytesG.Set(float64(s.size))
 }
 
@@ -390,84 +326,19 @@ func (s *Store) Err() error {
 	return s.putErr
 }
 
-// Flush commits the in-memory index: entries are serialized sorted by
-// key with a trailing CRC-32, written to a temporary file in the cache
-// directory, synced, and atomically renamed over cache.index. A crash
-// at any point leaves either the old or the new index, never a torn
-// one. No-op when nothing was appended, and on a nil receiver.
-func (s *Store) Flush() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.appended {
-		return nil
-	}
-	keys := make([]Key, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
-	body := make([]byte, 0, headerLen+8+len(keys)*indexEntryLen+4)
-	body = append(body, indexMagic...)
-	body = binary.LittleEndian.AppendUint64(body, uint64(len(keys)))
-	for _, k := range keys {
-		ref := s.index[k]
-		body = append(body, k[:]...)
-		body = binary.LittleEndian.AppendUint64(body, uint64(ref.off))
-		body = binary.LittleEndian.AppendUint32(body, ref.n)
-	}
-	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
-
-	tmp, err := os.CreateTemp(s.dir, indexFileName+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(body); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, indexFileName)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	s.appended = false
-	return nil
-}
-
-// Close flushes the index, releases the directory lock, and closes the
-// files. The store is unusable afterwards. Safe on a nil receiver.
+// Close syncs the data file, releases the directory lock, and closes
+// the files. The store is unusable afterwards. Safe on a nil receiver.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
-	flushErr := s.Flush()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	syncErr := s.data.Sync()
 	closeErr := s.data.Close()
 	_ = flockRelease(s.lockFile)
 	lockErr := s.lockFile.Close()
-	for _, err := range []error{flushErr, syncErr, closeErr, lockErr} {
+	for _, err := range []error{syncErr, closeErr, lockErr} {
 		if err != nil {
 			return err
 		}

@@ -64,11 +64,8 @@ func TestStoreReopenWithIndex(t *testing.T) {
 	for i := int64(0); i < 20; i++ {
 		s.Put(testKey(s, i), payloadFor(i))
 	}
-	if err := s.Close(); err != nil { // commits the index
+	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, indexFileName)); err != nil {
-		t.Fatalf("index not committed: %v", err)
 	}
 
 	s = openTest(t, dir, "fp1")
@@ -85,12 +82,8 @@ func TestStoreRecoversUncommittedTail(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, "fp1")
 	s.Put(testKey(s, 1), payloadFor(1))
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	// Appended after the last index commit — simulates a crash before
-	// Flush: release the lock without committing.
 	s.Put(testKey(s, 2), payloadFor(2))
+	// Simulate a crash: drop the files and the lock without Close.
 	s.mu.Lock()
 	s.data.Close()
 	flockRelease(s.lockFile)
@@ -107,32 +100,37 @@ func TestStoreRecoversUncommittedTail(t *testing.T) {
 	}
 }
 
-func TestStoreCorruptIndexFallsBackToScan(t *testing.T) {
+func TestStoreMidLogCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, "fp1")
-	for i := int64(0); i < 5; i++ {
+	for i := int64(0); i < 3; i++ {
 		s.Put(testKey(s, i), payloadFor(i))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	idx := filepath.Join(dir, indexFileName)
-	raw, err := os.ReadFile(idx)
+	// Flip one payload byte of the first record: that record alone is
+	// lost, and the two after it still replay.
+	data := filepath.Join(dir, dataFileName)
+	raw, err := os.ReadFile(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x40 // break the index checksum
-	if err := os.WriteFile(idx, raw, 0o644); err != nil {
+	raw[headerLen+recHeaderLen] ^= 0x01
+	if err := os.WriteFile(data, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s = openTest(t, dir, "fp1")
 	defer s.Close()
-	for i := int64(0); i < 5; i++ {
+	if got, ok := s.Get(testKey(s, 0)); ok {
+		t.Fatalf("corrupted record replayed as %q", got)
+	}
+	for i := int64(1); i < 3; i++ {
 		got, ok := s.Get(testKey(s, i))
 		if !ok || !bytes.Equal(got, payloadFor(i)) {
-			t.Fatalf("trial %d after index corruption: %q, %v", i, got, ok)
+			t.Fatalf("trial %d after a corrupted first record: %q, %v", i, got, ok)
 		}
 	}
 }
@@ -281,9 +279,6 @@ func TestNilStoreIsDisabled(t *testing.T) {
 		t.Fatal("nil store hit")
 	}
 	s.Put(Key{}, []byte("x"))
-	if err := s.Flush(); err != nil {
-		t.Fatalf("nil Flush: %v", err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("nil Close: %v", err)
 	}

@@ -7,10 +7,10 @@
 // parallel — each trial (a mission, an injection run, a sweep level, a
 // detector under test) draws from its own seeded *rand.Rand and shares
 // only read-only inputs (golden outputs, trained models, recorded
-// telemetry streams). Map and Stream exploit that: trials execute
-// concurrently on up to `workers` goroutines, but results are collected
-// and delivered strictly in trial order, so accumulation, table
-// rendering, and error selection cannot observe scheduling jitter. The
+// telemetry streams). Map exploits that: trials execute concurrently on
+// up to `workers` goroutines, and each writes its result into its own
+// slot of the returned slice, so accumulation, table rendering, and
+// error selection cannot observe scheduling jitter. The
 // golden-equivalence tests in internal/experiments diff parallel output
 // against workers=1 byte for byte.
 //
@@ -18,34 +18,23 @@
 //
 //   - workers <= 0 normalizes to runtime.GOMAXPROCS(0); workers > n is
 //     clamped to n.
-//   - The first error in trial order wins. Dispatch stops once any trial
-//     fails, but trials already in flight drain before Map/Stream
-//     returns, so no goroutine outlives the call.
+//   - The first error in trial order wins. Workers claim trials in
+//     index order and stop claiming once any trial fails, but trials
+//     already claimed run to the end before Map returns, so no goroutine
+//     outlives the call.
 //   - A panicking trial is drained the same way, then the panic is
 //     re-raised in the caller's goroutine as a *TrialPanic carrying the
 //     trial index, original value, and worker stack.
 //
-// # Batched dispatch
-//
-// Trials travel to workers as contiguous index spans and results come
-// back one batch per channel message (see batchSpan), so per-trial
-// channel traffic stays flat as campaigns grow to thousands of trials.
-// Batching is pure transport: delivery order, first-error selection, and
-// panic propagation are identical at any batch size, and small campaigns
-// degenerate to one trial per message so failure granularity is
-// unchanged where trials are expensive. A failure abandons the rest of
-// its batch exactly like indices that were never dispatched.
-//
-// The scheduler itself holds no locks around trials and allocates only
-// per batch; what made parallel campaigns slow was allocation inside the
-// trials (GC pressure is shared even when no data is), which is why the
+// The scheduler holds no locks around trials, and a call allocates a
+// fixed handful of objects whatever its trial count (TestAllocsSchedMap);
+// what made parallel campaigns slow was allocation inside the trials
+// (GC pressure is shared even when no data is), which is why the
 // per-trial hot paths in machine, power, and ild are pinned by
 // allocation-regression tests — see PERFORMANCE.md for the measured
 // account.
 //
-// With WithTelemetry the pool reports sched_trials_total (completed
-// trials), sched_workers (width of the most recent pool),
-// sched_batch_size (trials per dispatch span), and
-// sched_queue_wait_events (results that arrived ahead of turn and had to
-// be buffered for in-order delivery) — see TELEMETRY.md.
+// With WithTelemetry the pool reports sched_trials_total (trials that
+// ran) and sched_workers (width of the most recent pool) — see
+// TELEMETRY.md.
 package sched

@@ -21,22 +21,3 @@ func ExampleMap() {
 	fmt.Println(squares)
 	// Output: [0 1 4 9 16 25]
 }
-
-// ExampleStream delivers results in trial order as soon as every earlier
-// trial has finished, without holding the whole campaign in memory.
-func ExampleStream() {
-	err := sched.Stream(4, 2, func(i int) (string, error) {
-		return fmt.Sprintf("trial %d", i), nil
-	}, func(i int, v string) error {
-		fmt.Println(v)
-		return nil
-	})
-	if err != nil {
-		fmt.Println("campaign failed:", err)
-	}
-	// Output:
-	// trial 0
-	// trial 1
-	// trial 2
-	// trial 3
-}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"radshield/internal/telemetry"
 )
@@ -44,12 +45,12 @@ func (p *TrialPanic) String() string {
 	return fmt.Sprintf("sched: trial %d panicked: %v\n%s", p.Trial, p.Value, p.Stack)
 }
 
-// result carries one trial's outcome from a worker to the collector.
-type result[T any] struct {
-	i   int
-	v   T
-	err error
-	pan *TrialPanic
+// failure is a worker's failed trial. A worker stops at its first
+// failure, so it records at most one; trial is n while it has none.
+type failure struct {
+	trial int
+	err   error
+	pan   *TrialPanic
 }
 
 // Map runs fn(0..n-1) on up to `workers` goroutines and returns the
@@ -57,51 +58,16 @@ type result[T any] struct {
 // `for i := 0; i < n; i++` loop regardless of worker count. On error the
 // first failure in trial order is returned (and the remaining in-flight
 // trials drain first); a panicking trial re-panics here as *TrialPanic.
+//
+// Workers claim trial indices in order from one counter and write each
+// result straight into its slot. A failure moves the counter past the
+// last trial, so no index is claimed after it, while every index
+// already claimed still runs. Indices are claimed in order, so the
+// lowest failing trial is always among those that ran.
 func Map[T any](n, workers int, fn func(i int) (T, error), opts ...Option) ([]T, error) {
 	out := make([]T, n)
-	err := Stream(n, workers, fn, func(i int, v T) error {
-		out[i] = v
-		return nil
-	}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// span is a half-open range of trial indices dispatched as one unit.
-type span struct{ lo, hi int }
-
-// batchSpan picks the dispatch granularity: small campaigns stay at one
-// trial per message (latency and failure granularity matter more than
-// channel traffic), large campaigns batch so the per-trial channel cost
-// amortizes. Eight batches per worker keeps the pool load-balanced even
-// when trial costs are skewed.
-func batchSpan(n, w int) int {
-	b := n / (w * 8)
-	if b < 1 {
-		b = 1
-	}
-	if b > 64 {
-		b = 64
-	}
-	return b
-}
-
-// Stream is the streaming variant of Map: emit(i, v) is called exactly
-// once per successful trial, strictly in trial order, as soon as every
-// earlier trial has been delivered — trial k+1 may finish first, but its
-// result is buffered until trial k emits. An error from emit stops the
-// campaign like a trial error.
-//
-// Trials are dispatched to workers in contiguous batches (see batchSpan)
-// and results travel back one batch per channel message, so scheduling
-// overhead stays flat as campaigns grow to thousands of trials. Batching
-// is invisible to callers: delivery order, error selection, and panic
-// propagation are identical at any batch size.
-func Stream[T any](n, workers int, fn func(i int) (T, error), emit func(i int, v T) error, opts ...Option) error {
-	if n <= 0 {
-		return nil
+	if n == 0 {
+		return out, nil
 	}
 	var o options
 	for _, opt := range opts {
@@ -111,141 +77,59 @@ func Stream[T any](n, workers int, fn func(i int) (T, error), emit func(i int, v
 	if w > n {
 		w = n
 	}
-	batch := batchSpan(n, w)
-	var trialsCtr, waitCtr *telemetry.Counter
-	if o.reg != nil {
-		o.reg.Gauge("sched_workers", "workers").Set(float64(w))
-		o.reg.Gauge("sched_batch_size", "trials").Set(float64(batch))
-		trialsCtr = o.reg.Counter("sched_trials_total", "trials")
-		waitCtr = o.reg.Counter("sched_queue_wait_events", "events")
-	}
+	o.reg.Gauge("sched_workers", "workers").Set(float64(w))
+	trials := o.reg.Counter("sched_trials_total", "trials")
 
-	spans := make(chan span)
-	results := make(chan []result[T], w)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-
-	// Dispatcher: feed trial-index batches until done or a failure halts
-	// the campaign. Unfinished indices are simply never dispatched.
-	go func() {
-		defer close(spans)
-		for lo := 0; lo < n; lo += batch {
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			select {
-			case spans <- span{lo, hi}:
-			case <-stop:
-				return
-			}
-		}
-	}()
-
+	var next atomic.Int64 // the lowest unclaimed trial
 	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
+	fails := make([]failure, w)
+	wg.Add(w)
+	for k := range fails {
+		f := &fails[k]
 		go func() {
 			defer wg.Done()
-			for sp := range spans {
-				buf := make([]result[T], 0, sp.hi-sp.lo)
-				for i := sp.lo; i < sp.hi; i++ {
-					if i > sp.lo {
-						// A failure elsewhere abandons the rest of the
-						// batch, like indices that were never dispatched.
-						select {
-						case <-stop:
-							i = sp.hi
-							continue
-						default:
-						}
-					}
-					res := result[T]{i: i}
-					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								res.pan = &TrialPanic{Trial: i, Value: r, Stack: debug.Stack()}
-							}
-						}()
-						res.v, res.err = fn(i)
-					}()
-					buf = append(buf, res)
-					if res.err != nil || res.pan != nil {
-						halt()
-						break
-					}
+			f.trial = n
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
 				}
-				results <- buf
+				pan, err := try(fn, i, &out[i])
+				trials.Inc()
+				if err != nil || pan != nil {
+					*f = failure{trial: i, err: err, pan: pan}
+					next.Store(int64(n))
+					return
+				}
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
+	wg.Wait()
 
-	// In-order collector: buffer out-of-order arrivals, deliver the
-	// contiguous prefix. The emitted sequence is always 0,1,2,…, so the
-	// first failure seen here is deterministically the lowest-index
-	// failure among the trials that ran.
-	pending := make(map[int]result[T], w*batch)
-	next := 0
-	var firstErr error
-	var firstPan *TrialPanic
-	drain := func() {
-		for {
-			r, ok := pending[next]
-			if !ok {
-				return
-			}
-			delete(pending, next)
-			next++
-			switch {
-			case firstErr != nil || firstPan != nil:
-				// Already failing: drain without delivering.
-			case r.pan != nil:
-				firstPan = r.pan
-			case r.err != nil:
-				firstErr = fmt.Errorf("trial %d: %w", r.i, r.err)
-			default:
-				if err := emit(r.i, r.v); err != nil {
-					firstErr = err
-					halt()
-				}
-			}
+	first := failure{trial: n}
+	for _, f := range fails {
+		if f.trial < first.trial {
+			first = f
 		}
 	}
-	for buf := range results {
-		trialsCtr.Add(uint64(len(buf)))
-		for _, res := range buf {
-			if res.i != next {
-				waitCtr.Inc()
-			}
-			pending[res.i] = res
-			drain()
-		}
-	}
-	// A failure can be stranded behind a gap of never-dispatched indices
-	// (dispatch halted before them). Sweep what remains in index order so
-	// the failure is still surfaced deterministically.
-	if firstErr == nil && firstPan == nil {
-		for i := next; i < n && firstErr == nil && firstPan == nil; i++ {
-			r, ok := pending[i]
-			if !ok {
-				continue
-			}
-			switch {
-			case r.pan != nil:
-				firstPan = r.pan
-			case r.err != nil:
-				firstErr = fmt.Errorf("trial %d: %w", r.i, r.err)
-			}
-		}
-	}
-	if firstPan != nil {
+	if first.pan != nil {
 		//radlint:allow nopanic re-raising a trial panic in the caller's goroutine; swallowing it would hide the crash
-		panic(firstPan)
+		panic(first.pan)
 	}
-	return firstErr
+	if first.err != nil {
+		return nil, fmt.Errorf("trial %d: %w", first.trial, first.err)
+	}
+	return out, nil
+}
+
+// try runs trial i into its slot and catches a panic as a *TrialPanic
+// carrying the worker's stack.
+func try[T any](fn func(i int) (T, error), i int, slot *T) (pan *TrialPanic, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			pan = &TrialPanic{Trial: i, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	*slot, err = fn(i)
+	return nil, err
 }

@@ -13,5 +13,7 @@
 // are explicit — Mean of no samples is 0, Quantile panics on an empty
 // slice or an argument outside [0,1] rather than guessing;
 // WindowMean.Full reports whether a full window backs the current
-// average, which ILD's declaration logic requires before trusting it.
+// average, which ILD's declaration logic requires before trusting it;
+// every product that feeds a sum is converted explicitly (float64(x*y)),
+// so no compiler fuses it into a multiply-add (DESIGN.md §9).
 package stats

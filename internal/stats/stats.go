@@ -27,7 +27,7 @@ func Variance(xs []float64) float64 {
 	var sum float64
 	for _, x := range xs {
 		d := x - m
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(xs))
 }
@@ -57,8 +57,8 @@ func Quantile(xs []float64, q float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	frac := float64(pos) - float64(lo) // pos is a product: keep it unfused
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Correlation returns the Pearson correlation coefficient between xs and
@@ -76,9 +76,9 @@ func Correlation(xs, ys []float64) float64 {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0
