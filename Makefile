@@ -45,10 +45,10 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # Allocation-regression tests pin the per-sample hot paths (machine
-# Step and the RunTrace loop, detectors and the flight-log
-# recorder, forest prediction, cache reads, telemetry), a result-cache
-# replay's in-place decode of a fixed-width struct, the shared
-# latchup-protection path, the downlink comms tick, frame codec and
+# Step and the RunTrace loop, the sensor's reads, detectors and the
+# flight-log recorder, forest prediction, cache reads, telemetry), a
+# result-cache replay's in-place decode of a fixed-width struct, the
+# shared latchup-protection path, the downlink comms tick, frame codec and
 # recorder restore, and the campaigns' payload formatting at zero
 # allocations, a 4 h flight-software trace under 40 objects, EMR
 # runtime construction under 2 MB, an EMR Run's growth with its
@@ -61,11 +61,12 @@ race:
 # the race suite skips them and check runs them here without the
 # detector.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/trace ./internal/ild ./internal/telemetry ./internal/emr ./internal/forest ./internal/cache ./internal/guard ./internal/downlink ./internal/experiments ./internal/resultcache ./internal/alfg ./internal/workloads ./internal/sched
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/trace ./internal/ild ./internal/telemetry ./internal/emr ./internal/forest ./internal/cache ./internal/guard ./internal/downlink ./internal/experiments ./internal/resultcache ./internal/alfg ./internal/workloads ./internal/sched ./internal/power
 
-# nofma keeps the per-sample packages, the trace builder, ILD with its
-# linear model, the EMR path (the runtime's report, the fault
-# environment and the workloads' jobs), the classifiers and statistics
+# nofma keeps the per-sample packages (the thermal drift's in-repo
+# sine, machine.sin, included), the trace builder, ILD with its linear
+# model, the EMR path (the runtime's report, the fault environment and
+# the workloads' jobs), the classifiers and statistics
 # behind Table 2 and the ablations, and the campaigns themselves on one
 # arithmetic (DESIGN.md §9). The arm64, ppc64le and riscv64 compilers
 # fuse x*y + z into one multiply-add instruction, which rounds once

@@ -83,39 +83,126 @@ func New(seed int64) *Source {
 	return s
 }
 
-// Uint64 returns a pseudo-random 64-bit value as a uint64.
-func (s *Source) Uint64() uint64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += rngLen
+// next takes one step of the register from the cursor (tap, feed):
+// it returns output = vec[feed'] + vec[tap'], which it stores in
+// vec[feed'], and the moved cursor (tap', feed'). It is math/rand's
+// Uint64 with the cursor passed in registers, so a loop that inlines it
+// keeps tap and feed in locals instead of reloading and storing them
+// through the Source on every draw.
+func next(vec *[rngLen]int64, tap, feed int) (x int64, tap2, feed2 int) {
+	tap--
+	if tap < 0 {
+		tap += rngLen
 	}
-
-	s.feed--
-	if s.feed < 0 {
-		s.feed += rngLen
+	feed--
+	if feed < 0 {
+		feed += rngLen
 	}
-
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
-	return uint64(x)
+	x = vec[feed] + vec[tap]
+	vec[feed] = x
+	return x, tap, feed
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer as an int64.
-func (s *Source) Int63() int64 { return int64(s.Uint64() & rngMask) }
-
-// Uint32 returns a pseudo-random 32-bit value as a uint32.
-func (s *Source) Uint32() uint32 { return uint32(s.Int63() >> 31) }
-
-// Float64 returns, as a float64, a pseudo-random number in the half-open
-// interval [0.0,1.0). Like math/rand, it draws again in the rare case
-// the division rounds up to 1.
-func (s *Source) Float64() float64 {
-again:
-	f := float64(s.Int63()) / (1 << 63)
-	if f == 1 {
-		goto again // resample; this branch is taken O(never)
+// uniformAt is math/rand's Float64 from the cursor (tap, feed): the low
+// 63 bits of an output over 2^63, drawn again in the rare case the
+// division rounds up to 1. It returns the value and the moved cursor.
+func uniformAt(vec *[rngLen]int64, tap, feed int) (f float64, tap2, feed2 int) {
+	for {
+		var x int64
+		x, tap, feed = next(vec, tap, feed)
+		if f = float64(x&rngMask) / (1 << 63); f != 1 {
+			return f, tap, feed
+		}
 	}
+}
+
+// uniform is math/rand's Float64 through the Source's own cursor.
+func (s *Source) uniform() (f float64) {
+	f, s.tap, s.feed = uniformAt(&s.vec, s.tap, s.feed)
 	return f
+}
+
+// Noise is the current sensor's reading model, in amps: Gaussian noise
+// of standard deviation Sigma, and with probability SpikeProb a
+// transient spike of SpikeLo + U·SpikeSpan, U uniform on [0, 1).
+type Noise struct {
+	Sigma     float64
+	SpikeProb float64
+	SpikeLo   float64
+	SpikeSpan float64
+}
+
+// MinReading returns the least of k ≥ 1 readings around the noise-free
+// current cur, or +Inf when k < 1. Reading by reading, it draws exactly
+// what this loop draws from r = rand.New(rand.NewSource(seed)), and
+// returns the same bits:
+//
+//	min := math.Inf(1)
+//	for i := 0; i < k; i++ {
+//		v := cur + float64(r.NormFloat64()*n.Sigma)
+//		if r.Float64() < n.SpikeProb {
+//			v += n.SpikeLo + float64(r.Float64()*n.SpikeSpan)
+//		}
+//		if v < 0 {
+//			v = 0
+//		}
+//		if v < min {
+//			min = v
+//		}
+//	}
+//
+// It is that loop with the generator inlined: the cursor stays in
+// locals, the normal draw's ziggurat strip test (accepted more than 99%
+// of the time) runs inline and its rejection branch out of line
+// (normTail), and a positive reading enters the minimum through the
+// branch-free min builtin. A positive reading cannot be NaN, and of two
+// equal positive readings both have the same bits, so min picks what
+// the strict less-than above keeps; a reading that is not positive
+// takes the loop's own clamp and comparison.
+//
+// The products that feed a sum are converted explicitly, so no
+// compiler fuses them into a multiply-add: the result is the same on
+// every architecture.
+func (s *Source) MinReading(cur float64, n Noise, k int) float64 {
+	sigma, prob, lo, span := n.Sigma, n.SpikeProb, n.SpikeLo, n.SpikeSpan
+	vec, tap, feed := &s.vec, s.tap, s.feed
+	m := math.Inf(1)
+	for ; k > 0; k-- {
+		// NormFloat64: the high 32 of the output's low 63 bits, as an
+		// int32, pick a strip and a signed position in it.
+		var x int64
+		x, tap, feed = next(vec, tap, feed)
+		j := int32(x >> 31)
+		i := j & 0x7F
+		z := float64(j) * float64(wn[i])
+		if absInt32(j) >= kn[i] {
+			s.tap, s.feed = tap, feed
+			z = s.normTail(j)
+			tap, feed = s.tap, s.feed
+		}
+		v := cur + float64(z*sigma)
+
+		// Float64 for the spike test, and one more on a spike.
+		var u float64
+		u, tap, feed = uniformAt(vec, tap, feed)
+		if u < prob {
+			u, tap, feed = uniformAt(vec, tap, feed)
+			v += lo + float64(u*span)
+		}
+
+		if v > 0 {
+			m = min(m, v)
+			continue
+		}
+		if v < 0 {
+			v = 0
+		}
+		if v < m {
+			m = v
+		}
+	}
+	s.tap, s.feed = tap, feed
+	return m
 }
 
 const rn = 3.442619855899
@@ -127,30 +214,28 @@ func absInt32(i int32) uint32 {
 	return uint32(i)
 }
 
-// NormFloat64 returns a normally distributed float64 in the range
-// -math.MaxFloat64 through +math.MaxFloat64 inclusive, with standard
-// normal distribution (mean = 0, stddev = 1). It is the ziggurat method
-// of Marsaglia and Tsang (2000), as math/rand implements it.
+// normTail finishes a NormFloat64 draw whose strip test rejected j, as
+// the rest of math/rand's ziggurat loop (Marsaglia and Tsang, 2000):
+// the base strip's tail, the wedge test, and a fresh j on rejection.
+// It draws through the Source's own cursor.
 //
 // The two products that feed an addition, the base strip's x and the
 // float32 rejection term, are converted explicitly, so no compiler fuses
 // them into a multiply-add: the result is the same on every
 // architecture.
-func (s *Source) NormFloat64() float64 {
+func (s *Source) normTail(j int32) float64 {
 	for {
-		j := int32(s.Uint32()) // Possibly negative
 		i := j & 0x7F
 		x := float64(j) * float64(wn[i])
 		if absInt32(j) < kn[i] {
-			// This case should be hit better than 99% of the time.
 			return x
 		}
 
 		if i == 0 {
 			// This extra work is only required for the base strip.
 			for {
-				x = float64(-math.Log(s.Float64()) * (1.0 / rn))
-				y := -math.Log(s.Float64())
+				x = float64(-math.Log(s.uniform()) * (1.0 / rn))
+				y := -math.Log(s.uniform())
 				if y+y >= x*x {
 					break
 				}
@@ -160,9 +245,12 @@ func (s *Source) NormFloat64() float64 {
 			}
 			return -rn - x
 		}
-		if fn[i]+float32(float32(s.Float64())*(fn[i-1]-fn[i])) < float32(math.Exp(-.5*x*x)) {
+		if fn[i]+float32(float32(s.uniform())*(fn[i-1]-fn[i])) < float32(math.Exp(-.5*x*x)) {
 			return x
 		}
+		var r int64
+		r, s.tap, s.feed = next(&s.vec, s.tap, s.feed)
+		j = int32(r >> 31)
 	}
 }
 

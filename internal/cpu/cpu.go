@@ -45,9 +45,9 @@ func clampRange(x, hi float64) float64 {
 }
 
 // Counters are the cumulative per-core hardware counters (the paper's
-// Table 1 inputs, minus disk IO which the storage device provides).
+// Table 1 inputs, minus disk IO which the storage device provides). No
+// feature reads a core-cycle count, so the core keeps none.
 type Counters struct {
-	Cycles       uint64
 	Instructions uint64
 	BusCycles    uint64
 	BranchMisses uint64
@@ -67,7 +67,7 @@ type Core struct {
 
 	counters Counters
 	// residuals carry sub-integer counter fractions across steps.
-	resCycles, resInstr, resBus, resMiss, resRefs, resHits float64
+	resInstr, resBus, resMiss, resRefs, resHits float64
 
 	// incSec is the step length, in seconds, of the increments below;
 	// 0 marks them stale. They depend only on the step length, the load
@@ -75,7 +75,11 @@ type Core struct {
 	// them once per trace segment, not once per step.
 	incSec float64
 
-	incCycles, incInstr, incBus, incMiss, incRefs, incHits float64
+	incInstr, incBus, incMiss, incRefs, incHits float64
+	// idle marks increments that are all zero: adding zero leaves every
+	// counter and residual as it is, so a step of an idle core is a
+	// no-op.
+	idle bool
 }
 
 // NewCore returns a core running at the given frequency, idle. The
@@ -122,11 +126,10 @@ func (c *Core) Counters() Counters { return c.counters }
 // ReadSince returns how much each counter has grown since last, the
 // values of an earlier read, and stores the current values in *last. It
 // works field by field: a sampler calls it for every core on every
-// sample, and copying the six-counter struct through the stack there
-// cost more than the subtractions.
-func (c *Core) ReadSince(last *Counters) (cycles, instr, bus, misses, refs, hits uint64) {
+// sample, and copying the counter struct through the stack there cost
+// more than the subtractions.
+func (c *Core) ReadSince(last *Counters) (instr, bus, misses, refs, hits uint64) {
 	cur := &c.counters
-	cycles, last.Cycles = cur.Cycles-last.Cycles, cur.Cycles
 	instr, last.Instructions = cur.Instructions-last.Instructions, cur.Instructions
 	bus, last.BusCycles = cur.BusCycles-last.BusCycles, cur.BusCycles
 	misses, last.BranchMisses = cur.BranchMisses-last.BranchMisses, cur.BranchMisses
@@ -141,7 +144,10 @@ func (c *Core) ReadSince(last *Counters) (cycles, instr, bus, misses, refs, hits
 // The per-step increments are recomputed only when the step length
 // differs from the last one or SetLoad or SetFreqHz ran since. They are
 // the same operations in the same order either way, so the counters are
-// bit-identical to computing them on every step.
+// bit-identical to computing them on every step. A core whose
+// increments are all zero (±0: no instructions and no memory traffic,
+// as IdleLoad) skips the step: take adds zero to a residual in [0, 1),
+// which changes no bit, and extracts 0.
 func (c *Core) StepSeconds(sec float64) {
 	if sec <= 0 {
 		return
@@ -149,7 +155,9 @@ func (c *Core) StepSeconds(sec float64) {
 	if sec != c.incSec {
 		c.setIncrements(sec)
 	}
-	c.counters.Cycles += take(&c.resCycles, c.incCycles)
+	if c.idle {
+		return
+	}
 	c.counters.Instructions += take(&c.resInstr, c.incInstr)
 	c.counters.BusCycles += take(&c.resBus, c.incBus)
 	c.counters.BranchMisses += take(&c.resMiss, c.incMiss)
@@ -166,12 +174,12 @@ func (c *Core) setIncrements(sec float64) {
 	instr := float64(active * c.load.IPC)
 	refs := float64(instr * c.load.CacheRefRate)
 	c.incSec = sec
-	c.incCycles = cycles
 	c.incInstr = instr
 	c.incBus = float64(c.load.MemBytesPerSec * sec / BusBytesPerCycle)
 	c.incMiss = float64(instr * c.load.BranchMissRate)
 	c.incRefs = refs
 	c.incHits = float64(refs * c.load.CacheHitRate)
+	c.idle = instr == 0 && c.incBus == 0
 }
 
 // take adds x to the residual and extracts the integer part. It converts

@@ -9,12 +9,14 @@
 //
 // Core holds one core's frequency and Load; Load describes the active
 // workload as fractions (utilization, memory intensity); Counters is the
-// cumulative counter set (instructions, cycles, cache references, bus
-// accesses) whose per-sample deltas (ReadSince) machine.Telemetry
-// surfaces and ILD's features consume.
+// cumulative counter set (instructions, bus cycles, branch misses, cache
+// references and hits) whose per-sample deltas (ReadSince)
+// machine.Telemetry surfaces and ILD's features consume. No feature
+// reads a core-cycle count, so a core keeps none.
 //
 // Invariants: counters are cumulative and monotone within a simulation
 // run — samples report deltas over the sampling interval; a core with
-// IdleLoad retires only the background OS tick (quiescence is low, not
-// zero, activity); counter noise is deterministic given the seed.
+// IdleLoad counts nothing (the OS's background work is HousekeepingLoad,
+// which the quiescent traces schedule); counter noise is deterministic
+// given the seed.
 package cpu

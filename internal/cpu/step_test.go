@@ -8,7 +8,7 @@ import (
 )
 
 // refCore is the direct form of Core's stepping, which Core must match
-// bit for bit: it recomputes the six increments on every step, and
+// bit for bit: it recomputes the five increments on every step, and
 // refTake converts through uint64. Its products are converted
 // explicitly, as Core's are, so the reference rounds the same on every
 // architecture.
@@ -16,7 +16,7 @@ type refCore struct {
 	freqHz   float64
 	load     Load
 	counters Counters
-	res      [6]float64 // cycles, instr, bus, miss, refs, hits
+	res      [5]float64 // instr, bus, miss, refs, hits
 }
 
 func (c *refCore) stepSeconds(sec float64) {
@@ -31,12 +31,11 @@ func (c *refCore) stepSeconds(sec float64) {
 	refs := float64(instr * c.load.CacheRefRate)
 	hits := float64(refs * c.load.CacheHitRate)
 
-	c.counters.Cycles += refTake(&c.res[0], cycles)
-	c.counters.Instructions += refTake(&c.res[1], instr)
-	c.counters.BusCycles += refTake(&c.res[2], bus)
-	c.counters.BranchMisses += refTake(&c.res[3], miss)
-	c.counters.CacheRefs += refTake(&c.res[4], refs)
-	c.counters.CacheHits += refTake(&c.res[5], hits)
+	c.counters.Instructions += refTake(&c.res[0], instr)
+	c.counters.BusCycles += refTake(&c.res[1], bus)
+	c.counters.BranchMisses += refTake(&c.res[2], miss)
+	c.counters.CacheRefs += refTake(&c.res[3], refs)
+	c.counters.CacheHits += refTake(&c.res[4], hits)
 }
 
 func refTake(res *float64, x float64) uint64 {
@@ -63,6 +62,8 @@ func checkStepsMatchReference(t testing.TB, seed int64, ops int) {
 			return -rng.Float64() * scale // clamped to 0
 		case 2:
 			return math.NaN() // clamped to 0
+		case 3:
+			return math.Copysign(0, -1) // kept: -0 is not below 0
 		default:
 			return rng.Float64() * scale
 		}
@@ -88,7 +89,7 @@ func checkStepsMatchReference(t testing.TB, seed int64, ops int) {
 			c.StepSeconds(d.Seconds())
 			ref.stepSeconds(d.Seconds())
 		}
-		res := [6]float64{c.resCycles, c.resInstr, c.resBus, c.resMiss, c.resRefs, c.resHits}
+		res := [5]float64{c.resInstr, c.resBus, c.resMiss, c.resRefs, c.resHits}
 		if c.counters != ref.counters {
 			t.Fatalf("seed %d op %d: counters %+v, reference %+v", seed, i, c.counters, ref.counters)
 		}
@@ -100,9 +101,12 @@ func checkStepsMatchReference(t testing.TB, seed int64, ops int) {
 	}
 }
 
-// TestStepMatchesReference pins the cached increments and the int64
-// conversion in take: counters and residuals stay bit-identical to
-// recomputing every step through the uint64 conversion.
+// TestStepMatchesReference pins the cached increments, the int64
+// conversion in take and the idle core's skipped step: counters and
+// residuals stay bit-identical to recomputing and adding every
+// increment on every step through the uint64 conversion. About one load
+// in six is idle (no instructions and no memory traffic, some through a
+// -0 field), many after busy steps have left residuals behind.
 func TestStepMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 32; seed++ {
 		checkStepsMatchReference(t, seed, 5000)
@@ -185,10 +189,10 @@ func TestReadSince(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		before := last
 		c.StepSeconds(1e-3)
-		cycles, instr, bus, misses, refs, hits := c.ReadSince(&last)
-		got := Counters{Cycles: cycles, Instructions: instr, BusCycles: bus, BranchMisses: misses, CacheRefs: refs, CacheHits: hits}
+		instr, bus, misses, refs, hits := c.ReadSince(&last)
+		got := Counters{Instructions: instr, BusCycles: bus, BranchMisses: misses, CacheRefs: refs, CacheHits: hits}
 		cur := c.Counters()
-		want := Counters{Cycles: cur.Cycles - before.Cycles, Instructions: cur.Instructions - before.Instructions,
+		want := Counters{Instructions: cur.Instructions - before.Instructions,
 			BusCycles: cur.BusCycles - before.BusCycles, BranchMisses: cur.BranchMisses - before.BranchMisses,
 			CacheRefs: cur.CacheRefs - before.CacheRefs, CacheHits: cur.CacheHits - before.CacheHits}
 		if got != want || want.Instructions == 0 {

@@ -3,6 +3,9 @@ package machine
 import (
 	"testing"
 	"time"
+
+	"radshield/internal/cpu"
+	"radshield/internal/trace"
 )
 
 func TestAccessors(t *testing.T) {
@@ -14,9 +17,13 @@ func TestAccessors(t *testing.T) {
 
 func TestClearSELLeavesCountersAlone(t *testing.T) {
 	m := New(DefaultConfig())
+	m.ApplySegment(trace.Segment{Duration: time.Second, Loads: []cpu.Load{cpu.ComputeLoad}})
 	m.InjectSEL(0.07)
 	m.Step(time.Second)
-	cyclesBefore := m.cores[0].Counters().Cycles
+	before := m.cores[0].Counters()
+	if before.Instructions == 0 {
+		t.Fatal("busy core counted no instructions")
+	}
 	m.ClearSEL()
 	if m.SELActive() {
 		t.Fatal("ClearSEL did not clear")
@@ -24,7 +31,7 @@ func TestClearSELLeavesCountersAlone(t *testing.T) {
 	if m.PowerCycles() != 0 {
 		t.Fatal("ClearSEL counted as a power cycle")
 	}
-	if got := m.cores[0].Counters().Cycles; got != cyclesBefore {
+	if got := m.cores[0].Counters(); got != before {
 		t.Fatal("ClearSEL disturbed counters")
 	}
 }

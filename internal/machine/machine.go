@@ -254,7 +254,7 @@ func (m *Machine) InjectSEL(amps float64) error {
 	return nil
 }
 
-// SELActive reports whether an uncleard latchup is present.
+// SELActive reports whether an uncleared latchup is present.
 func (m *Machine) SELActive() bool { return m.selAmps > 0 }
 
 // Damaged reports whether an SEL has persisted past the thermal damage
@@ -354,7 +354,7 @@ func (m *Machine) Step(dt time.Duration) {
 	// with board temperature, invisibly to the performance counters.
 	if p := &m.cfg.Power; p.ThermalDriftA > 0 && p.ThermalDriftPeriodSec > 0 {
 		phase := 2 * math.Pi * now.Seconds() / p.ThermalDriftPeriodSec
-		m.sensor.SetBaselineOffset(p.ThermalDriftA * math.Sin(phase))
+		m.sensor.SetBaselineOffset(p.ThermalDriftA * sin(phase))
 	}
 	if m.selAmps > 0 && m.cfg.SELDamageAfter > 0 &&
 		now-m.selSince >= m.cfg.SELDamageAfter && !m.damaged {
@@ -392,7 +392,7 @@ func (m *Machine) sample(pc []CoreTelemetry) Telemetry {
 			ct.InstrPerSec, ct.BusCyclesPerSec, ct.BranchMissRate, ct.CacheHitRate = 0, 0, 0, 0
 			continue
 		}
-		_, instr, bus, misses, refs, hits := c.ReadSince(&m.lastCounters[i])
+		instr, bus, misses, refs, hits := c.ReadSince(&m.lastCounters[i])
 		ct.InstrPerSec = float64(instr) / sec
 		ct.BusCyclesPerSec = float64(bus) / sec
 		ct.BranchMissRate = 0

@@ -14,10 +14,14 @@
 // BoardState (per-core CoreState activity plus any latchup current) to
 // true amps; Sensor wraps the model with seeded measurement noise,
 // transient spikes, and the rolling-minimum filter the paper uses to
-// tame both.
+// tame both. A raw reading and a filtered window each run as one
+// alfg.MinReading loop over the sensor's noise stream, and the active
+// sensor fault (faults.go), if any, is applied to the result.
 //
 // Invariants: true current is a deterministic function of BoardState;
-// sensor noise is deterministic given the seed; the rolling-minimum
+// sensor noise is deterministic given the seed, and draws exactly the
+// values of the per-draw loop over math/rand it replaced
+// (TestSensorMatchesReference); the rolling-minimum
 // filter never reports below the true floor — it suppresses upward
 // noise and transients, which is why a persistent +0.07 A latchup
 // survives filtering while spikes do not. The supply's own over-current

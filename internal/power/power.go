@@ -1,7 +1,6 @@
 package power
 
 import (
-	"math"
 	"math/rand"
 	"time"
 
@@ -108,6 +107,7 @@ func (m *Model) TrueCurrent(s BoardState) float64 {
 type Sensor struct {
 	model      *Model
 	rng        *alfg.Source
+	noise      alfg.Noise // the model's noise parameters, for rng.MinReading
 	seed       int64
 	selOffset  float64
 	baseOffset float64 // thermal-drift offset, updated by the machine
@@ -125,13 +125,23 @@ type Sensor struct {
 	frng        *rand.Rand
 }
 
+// spikeMinA is the smallest transient spike: spikes are uniform in
+// [spikeMinA, Params.SpikeMaxA).
+const spikeMinA = 0.05
+
 // SetBaselineOffset installs the current thermal-drift offset. The
 // machine recomputes it from simulated time each step.
 func (s *Sensor) SetBaselineOffset(amps float64) { s.baseOffset = amps }
 
 // NewSensor returns a sensor over the model with a deterministic RNG.
 func NewSensor(model *Model, seed int64) *Sensor {
-	return &Sensor{model: model, rng: alfg.New(seed), seed: seed}
+	p := &model.p
+	return &Sensor{model: model, rng: alfg.New(seed), seed: seed, noise: alfg.Noise{
+		Sigma:     p.NoiseSigmaA,
+		SpikeProb: p.SpikeProb,
+		SpikeLo:   spikeMinA,
+		SpikeSpan: p.SpikeMaxA - spikeMinA,
+	}}
 }
 
 // SetSELOffset installs a persistent additional current draw, the
@@ -151,28 +161,18 @@ func (s *Sensor) TrueCurrentFrom(modelCur float64) float64 {
 
 // SampleFrom returns one raw sensor reading around modelCur, the board
 // model's current: true current + SEL offset + Gaussian noise, possibly
-// landing on a transient spike, then passed through the active
-// sensor-fault model (identity when healthy).
+// landing on a transient spike, clamped at zero, then passed through the
+// active sensor-fault model (identity when healthy).
+//
+// A reading draws one normal value, one uniform value for the spike
+// test, and one more uniform on a spike, in that order (alfg.Noise and
+// MinReading spell it out). That consumption order is part of the
+// repository's determinism contract: experiment goldens replay these
+// exact streams.
 func (s *Sensor) SampleFrom(modelCur float64) float64 {
-	h := s.healthySample(s.TrueCurrentFrom(modelCur))
+	h := s.rng.MinReading(s.TrueCurrentFrom(modelCur), s.noise, 1)
 	s.analogRaw = h
 	return s.applyFault(h)
-}
-
-// healthySample draws one fault-free raw reading around the noise-free
-// current trueCur (TrueCurrentFrom). The RNG consumption order (one
-// normal draw, one uniform draw, plus one more uniform on a spike) is
-// part of the repository's determinism contract: experiment goldens
-// replay these exact streams.
-func (s *Sensor) healthySample(trueCur float64) float64 {
-	cur := trueCur + float64(s.rng.NormFloat64()*s.model.p.NoiseSigmaA)
-	if s.rng.Float64() < s.model.p.SpikeProb {
-		cur += 0.05 + float64(s.rng.Float64()*(s.model.p.SpikeMaxA-0.05))
-	}
-	if cur < 0 {
-		cur = 0
-	}
-	return cur
 }
 
 // AnalogRaw returns the healthy raw value behind the most recent
@@ -182,23 +182,14 @@ func (s *Sensor) healthySample(trueCur float64) float64 {
 // trip path reads this instead of the possibly-faulted sample.
 func (s *Sensor) AnalogRaw() float64 { return s.analogRaw }
 
-// SampleFilteredFrom returns the minimum of k raw draws around modelCur,
-// modelling ILD's ±250 µs rolling-minimum filter: transient spikes are
-// positive excursions, so the windowed minimum tracks the true baseline
-// with far lower variance (paper: σ 0.14 A → 0.02 A during quiescence).
-// The fault model transforms the filtered result: a stuck or dead ADC
-// corrupts every draw in the window identically. The noise-free current
-// is the same for all k draws, so it is evaluated once.
+// SampleFilteredFrom returns the minimum of k raw readings around
+// modelCur (k < 1 counts as 1), modelling ILD's ±250 µs rolling-minimum
+// filter: transient spikes are positive excursions, so the windowed
+// minimum tracks the true baseline with far lower variance (paper: σ
+// 0.14 A → 0.02 A during quiescence). The fault model transforms the
+// filtered result: a stuck or dead ADC corrupts every draw in the window
+// identically. The noise-free current is the same for all k readings, so
+// it is evaluated once, and the k readings run in one MinReading loop.
 func (s *Sensor) SampleFilteredFrom(modelCur float64, k int) float64 {
-	if k < 1 {
-		k = 1
-	}
-	trueCur := s.TrueCurrentFrom(modelCur)
-	min := math.Inf(1)
-	for i := 0; i < k; i++ {
-		if v := s.healthySample(trueCur); v < min {
-			min = v
-		}
-	}
-	return s.applyFault(min)
+	return s.applyFault(s.rng.MinReading(s.TrueCurrentFrom(modelCur), s.noise, max(k, 1)))
 }
