@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race allocs nofma linkcheck staticcheck vulncheck
+.PHONY: check fmt vet lint build test race allocs nofma linkcheck cli-golden staticcheck vulncheck
 
 # check is the CI gate: formatting, static analysis (vet + the project's
 # own radlint suite), build, the full test suite under the race
 # detector, the allocation-regression tests, the fused-multiply-add
-# gate, and the gate against code no program links.
-check: fmt vet lint build race allocs nofma linkcheck
+# gate, the gate against code no program links, and the CLIs' pinned
+# output.
+check: fmt vet lint build race allocs nofma linkcheck cli-golden
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -133,3 +134,45 @@ linkcheck:
 				else if (s in linked) { print "linkcheck: linkcheck.allow:" line[s] ": " s " is linked; drop it from the list"; bad = 1 } } \
 			if (!bad) print "linkcheck: " ndeclared " functions checked, all linked or allowed"; exit bad }' \
 		"$$tmp/linked" linkcheck.allow "$$tmp/declared"
+
+# cli-golden pins what ildmon and examples/leomission print. It builds
+# both once and runs each line of testdata/cli/cases ("name program
+# flags...") in an empty directory of its own. It fails unless every run
+# exits 0, its stdout equals testdata/cli/<name>.txt, and the SHA-256 of
+# every file it leaves behind (ildmon -dump's 3 MB CSV) equals
+# testdata/cli/<name>.sha256, and also if a golden names no case.
+# `make cli-golden UPDATE=1` rewrites the goldens instead.
+cli-golden:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/ildmon" ./cmd/ildmon && \
+	$(GO) build -o "$$tmp/leomission" ./examples/leomission || exit 1; \
+	bad=0; n=0; \
+	while read -r name prog flags; do \
+		case "$$name" in ''|'#'*) continue;; esac; \
+		n=$$((n + 1)); g=testdata/cli/$$name; \
+		rm -rf "$$tmp/run"; mkdir "$$tmp/run"; \
+		if ! (cd "$$tmp/run" && "../$$prog" $$flags > ../out 2> ../err); then \
+			echo "cli-golden: $$name: $$prog $$flags failed:"; cat "$$tmp/err"; bad=1; continue; fi; \
+		(cd "$$tmp/run" && find . -type f | sort | xargs -r sha256sum) > "$$tmp/sums"; \
+		if [ -n "$(UPDATE)" ]; then \
+			cp "$$tmp/out" "$$g.txt"; rm -f "$$g.sha256"; \
+			if [ -s "$$tmp/sums" ]; then cp "$$tmp/sums" "$$g.sha256"; fi; \
+			continue; fi; \
+		if ! cmp -s "$$tmp/out" "$$g.txt"; then \
+			echo "cli-golden: $$name: $$prog $$flags prints other than $$g.txt:"; \
+			diff "$$g.txt" "$$tmp/out" | head -20; bad=1; fi; \
+		if [ -s "$$tmp/sums" ] || [ -e "$$g.sha256" ]; then \
+			if ! cmp -s "$$tmp/sums" "$$g.sha256"; then \
+				echo "cli-golden: $$name: the files $$prog $$flags writes differ from $$g.sha256:"; \
+				cat "$$tmp/sums"; bad=1; fi; fi; \
+	done < testdata/cli/cases; \
+	if [ $$n -eq 0 ]; then echo "cli-golden: testdata/cli/cases lists no run"; exit 1; fi; \
+	for f in testdata/cli/*.txt testdata/cli/*.sha256; do \
+		[ -e "$$f" ] || continue; name=$$(basename "$$f"); name=$${name%.*}; \
+		if ! grep -q "^$$name " testdata/cli/cases; then \
+			echo "cli-golden: $$f names no run in testdata/cli/cases"; bad=1; fi; \
+	done; \
+	if [ $$bad -eq 0 ]; then \
+		if [ -n "$(UPDATE)" ]; then echo "cli-golden: $$n goldens rewritten"; \
+		else echo "cli-golden: $$n runs match their goldens"; fi; fi; \
+	exit $$bad

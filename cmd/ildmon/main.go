@@ -52,15 +52,17 @@ func parseFaultKind(s string) (power.FaultKind, error) {
 type missionFlags struct {
 	hours, selAmps                   float64
 	selAt, report, faultAt, faultFor time.Duration
-	sensorFault, dump                string
+	sensorFault, dump, downlink      string
+	linkID                           int
 }
 
 // checkFlags rejects flag values ildmon cannot fly, before the detector
 // trains: a mission length radbench would refuse too (see
 // experiments.CheckHours), a latchup current that is not a finite value
 // above 0, a report interval not above 0, a negative strike time,
-// fault start or fault length, an unknown sensor fault, or -dump beside
-// one. It returns the sensor fault to fly.
+// fault start or fault length, an unknown sensor fault, -dump beside
+// one, or a -link-id downlink.CheckLinkID refuses when -downlink is set.
+// It returns the sensor fault to fly.
 func checkFlags(f missionFlags) (power.FaultKind, error) {
 	if err := experiments.CheckHours(f.hours); err != nil {
 		return power.FaultNone, err
@@ -85,6 +87,11 @@ func checkFlags(f missionFlags) (power.FaultKind, error) {
 	}
 	if f.dump != "" && kind != power.FaultNone {
 		return power.FaultNone, errors.New("-dump is unavailable with -sensor-fault: the guard supervisor owns the detector")
+	}
+	if f.downlink != "" {
+		if err := downlink.CheckLinkID(f.linkID); err != nil {
+			return power.FaultNone, err
+		}
 	}
 	return kind, nil
 }
@@ -112,7 +119,7 @@ func main() {
 	kind, err := checkFlags(missionFlags{
 		hours: *hours, selAmps: *selAmps,
 		selAt: *selAt, report: *report, faultAt: *faultAt, faultFor: *faultFor,
-		sensorFault: *faultKind, dump: *dump,
+		sensorFault: *faultKind, dump: *dump, downlink: *dlAddr, linkID: *dlLink,
 	})
 	if err != nil {
 		log.Print(err)
@@ -156,14 +163,13 @@ func main() {
 	mc.Telemetry = reg
 	m := machine.New(mc)
 
-	// The bare path observes through the recorder, which keeps a
+	// On the bare path a recorder attached to the detector keeps a
 	// fine-grained telemetry ring for post-incident analysis (§5 of the
-	// paper: definitive SEL attribution from the ground). The guard
-	// supervisor drives the detector itself, so it gets no ring.
+	// paper: definitive SEL attribution from the ground). Under a sensor
+	// fault the guard supervisor drives the detector, with no ring.
 	var (
-		sup  *guard.Supervisor
-		rec  *ild.Recorder
-		bare guard.Detector = det
+		sup *guard.Supervisor
+		rec *ild.Recorder
 	)
 	if kind != power.FaultNone {
 		if err := m.Sensor().ScheduleFault(power.SensorFault{
@@ -186,9 +192,8 @@ func main() {
 		if rec, err = ild.NewRecorder(det, 60000); err != nil {
 			log.Fatalf("recorder: %v", err)
 		}
-		bare = rec
 	}
-	prot := guard.NewProtection(m, bare, sup)
+	prot := guard.NewProtection(m, det, sup)
 
 	// Downlink: mission events stream to a live ground station with full
 	// ARQ; the guard supervisor's mode changes drive beacon-mode
@@ -350,7 +355,7 @@ func main() {
 	case detectedAt >= 0:
 		latency := detectedAt - *selAt
 		fmt.Printf("latchup detected %v after the strike (thermal damage horizon: %v)\n",
-			latency.Round(time.Second), mc.SELDamageAfter)
+			latency.Round(time.Second), machine.SELDamageAfter)
 		fmt.Printf("power cycles: %d, chip damaged: %v\n", m.PowerCycles(), m.Damaged())
 		if m.Damaged() {
 			os.Exit(1)

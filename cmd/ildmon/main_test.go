@@ -16,7 +16,7 @@ func TestCheckFlags(t *testing.T) {
 		return missionFlags{
 			hours: 2, selAmps: 0.07,
 			selAt: 45 * time.Minute, report: 5 * time.Minute, faultAt: 30 * time.Minute,
-			sensorFault: "none",
+			sensorFault: "none", linkID: 1,
 		}
 	}
 	for _, tc := range []struct {
@@ -44,6 +44,14 @@ func TestCheckFlags(t *testing.T) {
 		{"unknown sensor fault", func(f *missionFlags) { f.sensorFault = "melted" }, `unknown sensor fault "melted"`},
 		{"dump with a sensor fault", func(f *missionFlags) { f.sensorFault, f.dump = "stuck", "ring.csv" },
 			"-dump is unavailable with -sensor-fault"},
+		{"link id 0 without downlink", func(f *missionFlags) { f.linkID = 0 }, ""},
+		{"link id with downlink", func(f *missionFlags) { f.downlink, f.linkID = "127.0.0.1:7007", 65535 }, ""},
+		{"link id 0 with downlink", func(f *missionFlags) { f.downlink, f.linkID = "127.0.0.1:7007", 0 },
+			"downlink: link id 0 out of range"},
+		{"link id -1 with downlink", func(f *missionFlags) { f.downlink, f.linkID = "127.0.0.1:7007", -1 },
+			"downlink: link id -1 out of range"},
+		{"link id 65536 with downlink", func(f *missionFlags) { f.downlink, f.linkID = "127.0.0.1:7007", 65536 },
+			"downlink: link id 65536 out of range"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := good()

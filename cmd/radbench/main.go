@@ -451,12 +451,12 @@ func guardGate(ship shipFunc, trials []experiments.GuardTrial, wd []experiments.
 // fault class must be detected, the guarded mission must keep the board
 // and miss no latchup, the recorder must never replay corrupt state,
 // and a stalled EMR run must still produce golden outputs. On a pass it
-// ships the recovery counts the ground station's /state tallies.
+// ships one "watchdog_reset" housekeeping payload per watchdog reset and
+// one "recorder_recovered" per recovered recorder page, each naming its
+// trial's fault class and onset: the ground station's /state counts
+// these payloads, so it tallies what the campaign counted.
 func osKernelGate(ship shipFunc, trials []experiments.OSFaultTrial) error {
-	var wdResets, recoveries int
 	for _, tr := range trials {
-		wdResets += tr.WatchdogResets
-		recoveries += tr.Recoveries
 		switch {
 		case tr.DetectLatency < 0:
 			return protectionFailure(ship, fmt.Sprintf("campaign=oskernel class=%v cause=undetected", tr.Class),
@@ -476,8 +476,14 @@ func osKernelGate(ship shipFunc, trials []experiments.OSFaultTrial) error {
 		}
 	}
 	fmt.Println("recovery layer held: every OS fault detected, board kept, no corrupt replay")
-	ship(1, fmt.Sprintf("watchdog_reset count=%d classes=%d", wdResets, len(trials)))
-	ship(1, fmt.Sprintf("recorder_recovered count=%d classes=%d", recoveries, len(trials)))
+	for _, tr := range trials {
+		for range tr.WatchdogResets {
+			ship(1, fmt.Sprintf("watchdog_reset class=%v onset=%v", tr.Class, tr.Onset))
+		}
+		for range tr.Recoveries {
+			ship(1, fmt.Sprintf("recorder_recovered class=%v onset=%v", tr.Class, tr.Onset))
+		}
+	}
 	return nil
 }
 
@@ -531,9 +537,10 @@ func summarize(f *experiments.Figure, n int) string {
 // checkFlags rejects flag values radbench cannot run, before any
 // output file is created or experiment starts: a campaign length
 // experiments.CheckHours refuses, an input size under one byte, a
-// Table 7 with no runs, an unknown experiment id, an invalid OS-fault
-// class, or -osfault without the one experiment that reads it.
-func checkFlags(hours float64, size, runs int, osFault string, targets []string) error {
+// Table 7 with no runs, an unknown experiment id, a -link-id
+// downlink.CheckLinkID refuses when -downlink is set, an invalid
+// OS-fault class, or -osfault without the one experiment that reads it.
+func checkFlags(hours float64, size, runs int, osFault string, targets []string, dlAddr string, linkID int) error {
 	if err := experiments.CheckHours(hours); err != nil {
 		return err
 	}
@@ -546,6 +553,11 @@ func checkFlags(hours float64, size, runs int, osFault string, targets []string)
 	for _, name := range targets {
 		if _, ok := registry[name]; !ok {
 			return fmt.Errorf("unknown experiment %q (use -list)", name)
+		}
+	}
+	if dlAddr != "" {
+		if err := downlink.CheckLinkID(linkID); err != nil {
+			return err
 		}
 	}
 	if osFault == "" {
@@ -611,7 +623,7 @@ func main() {
 			targets[i] = strings.TrimSpace(targets[i])
 		}
 	}
-	if err := checkFlags(*hours, *size, *runsFlag, *osFaultFlag, targets); err != nil {
+	if err := checkFlags(*hours, *size, *runsFlag, *osFaultFlag, targets, *dlAddr, *dlLink); err != nil {
 		fmt.Fprintf(os.Stderr, "radbench: %v\n", err)
 		os.Exit(2)
 	}

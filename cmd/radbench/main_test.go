@@ -6,7 +6,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"radshield/internal/downlink"
 	"radshield/internal/experiments"
 	"radshield/internal/fault"
 	"radshield/internal/machine"
@@ -108,25 +110,32 @@ func TestCheckFlags(t *testing.T) {
 		runs    int
 		osFault string
 		targets []string
+		dlAddr  string
+		linkID  int
 		want    string
 	}{
-		{"defaults", 4, 256 << 10, 20, "", tab2, ""},
-		{"smallest values", 1e-9, 1, 1, "", []string{"fig11", "tab7"}, ""},
-		{"osfault with oskernel", 4, 1, 1, "panic,hang", []string{"tab2", "oskernel"}, ""},
-		{"zero hours", 0, 1, 1, "", tab2, "-hours 0,"},
-		{"negative hours", -1, 1, 1, "", tab2, "-hours -1,"},
-		{"NaN hours", math.NaN(), 1, 1, "", tab2, "-hours NaN,"},
-		{"infinite hours", math.Inf(1), 1, 1, "", tab2, "-hours +Inf,"},
-		{"hours past time.Duration", 3e6, 1, 1, "", tab2, "-hours 3e+06,"},
-		{"zero size", 4, 0, 1, "", tab2, "-size 0,"},
-		{"negative size", 4, -5, 1, "", tab2, "-size -5,"},
-		{"zero runs", 4, 1, 0, "", tab2, "-runs 0,"},
-		{"unknown experiment", 4, 1, 1, "", []string{"tab2", "tab99"}, `unknown experiment "tab99"`},
-		{"bad osfault class", 4, 1, 1, "reboot", []string{"oskernel"}, "reboot"},
-		{"osfault without oskernel", 4, 1, 1, "panic", tab2, "-osfault only applies"},
+		{"defaults", 4, 256 << 10, 20, "", tab2, "", 0, ""},
+		{"smallest values", 1e-9, 1, 1, "", []string{"fig11", "tab7"}, "", 0, ""},
+		{"osfault with oskernel", 4, 1, 1, "panic,hang", []string{"tab2", "oskernel"}, "", 0, ""},
+		{"zero hours", 0, 1, 1, "", tab2, "", 0, "-hours 0,"},
+		{"negative hours", -1, 1, 1, "", tab2, "", 0, "-hours -1,"},
+		{"NaN hours", math.NaN(), 1, 1, "", tab2, "", 0, "-hours NaN,"},
+		{"infinite hours", math.Inf(1), 1, 1, "", tab2, "", 0, "-hours +Inf,"},
+		{"hours past time.Duration", 3e6, 1, 1, "", tab2, "", 0, "-hours 3e+06,"},
+		{"zero size", 4, 0, 1, "", tab2, "", 0, "-size 0,"},
+		{"negative size", 4, -5, 1, "", tab2, "", 0, "-size -5,"},
+		{"zero runs", 4, 1, 0, "", tab2, "", 0, "-runs 0,"},
+		{"unknown experiment", 4, 1, 1, "", []string{"tab2", "tab99"}, "", 0, `unknown experiment "tab99"`},
+		{"bad osfault class", 4, 1, 1, "reboot", []string{"oskernel"}, "", 0, "reboot"},
+		{"osfault without oskernel", 4, 1, 1, "panic", tab2, "", 0, "-osfault only applies"},
+		{"link id 0 without downlink", 4, 1, 1, "", tab2, "", 0, ""},
+		{"link id with downlink", 4, 1, 1, "", tab2, "127.0.0.1:7007", 65535, ""},
+		{"link id 0 with downlink", 4, 1, 1, "", tab2, "127.0.0.1:7007", 0, "link id 0 out of range"},
+		{"link id -1 with downlink", 4, 1, 1, "", tab2, "127.0.0.1:7007", -1, "link id -1 out of range"},
+		{"link id 65536 with downlink", 4, 1, 1, "", tab2, "127.0.0.1:7007", 65536, "link id 65536 out of range"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkFlags(tc.hours, tc.size, tc.runs, tc.osFault, tc.targets)
+			err := checkFlags(tc.hours, tc.size, tc.runs, tc.osFault, tc.targets, tc.dlAddr, tc.linkID)
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("err = %v, want none", err)
@@ -205,18 +214,61 @@ func TestOSKernelGate(t *testing.T) {
 
 // A passing oskernel gate ships the recovery counts the ground
 // station's /state tallies from their message prefixes.
+// recoveryTrials is a passing oskernel campaign with watchdog resets
+// and recorder recoveries in more than one trial.
+func recoveryTrials() []experiments.OSFaultTrial {
+	return []experiments.OSFaultTrial{
+		{Class: machine.OSFaultKernelPanic, Onset: 20 * time.Minute, Survived: true, CleanReplay: true, WatchdogResets: 2},
+		{Class: machine.OSFaultKernelHang, Onset: 30 * time.Minute, Survived: true, CleanReplay: true, WatchdogResets: 1, Recoveries: 1},
+		{Class: machine.OSFaultFSCorruption, Onset: 20 * time.Minute, Survived: true, CleanReplay: true, Recoveries: 3},
+	}
+}
+
 func TestOSKernelGateShipsRecoveryCounts(t *testing.T) {
 	var hk []string
-	trials := []experiments.OSFaultTrial{
-		{Class: machine.OSFaultKernelPanic, Survived: true, CleanReplay: true, WatchdogResets: 1},
-		{Class: machine.OSFaultFSCorruption, Survived: true, CleanReplay: true, Recoveries: 6},
-	}
-	if err := osKernelGate(func(vc uint8, msg string) { hk = append(hk, msg) }, trials); err != nil {
+	if err := osKernelGate(func(vc uint8, msg string) { hk = append(hk, msg) }, recoveryTrials()); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"watchdog_reset count=1 classes=2", "recorder_recovered count=6 classes=2"}
+	want := []string{
+		"watchdog_reset class=kernel_panic onset=20m0s",
+		"watchdog_reset class=kernel_panic onset=20m0s",
+		"watchdog_reset class=kernel_hang onset=30m0s",
+		"recorder_recovered class=kernel_hang onset=30m0s",
+		"recorder_recovered class=fs_corruption onset=20m0s",
+		"recorder_recovered class=fs_corruption onset=20m0s",
+		"recorder_recovered class=fs_corruption onset=20m0s",
+	}
 	if strings.Join(hk, "|") != strings.Join(want, "|") {
 		t.Fatalf("shipped %q, want %q", hk, want)
+	}
+}
+
+// TestOSKernelGateTalliesAtStation delivers what the gate ships, in
+// order on its channel, to a ground station: the station's watchdog
+// reset and recorder recovery counts must equal the campaign's.
+func TestOSKernelGateTalliesAtStation(t *testing.T) {
+	trials := recoveryTrials()
+	st := downlink.NewStation(downlink.DefaultStationConfig())
+	var seq [downlink.NumVC]uint32
+	ship := func(vc uint8, msg string) {
+		raw, err := downlink.EncodeFrame(downlink.Frame{Type: downlink.FrameData, Link: 2, VC: vc, Seq: seq[vc], Payload: []byte(msg)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq[vc]++
+		st.Ingest(raw, 0)
+	}
+	if err := osKernelGate(ship, trials); err != nil {
+		t.Fatal(err)
+	}
+	var resets, recoveries uint64
+	for _, tr := range trials {
+		resets += uint64(tr.WatchdogResets)
+		recoveries += uint64(tr.Recoveries)
+	}
+	rep := st.Report()
+	if len(rep) != 1 || rep[0].WatchdogResets != resets || rep[0].RecorderRecoveries != recoveries {
+		t.Fatalf("station report %+v, want %d watchdog resets and %d recorder recoveries", rep, resets, recoveries)
 	}
 }
 

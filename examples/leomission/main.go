@@ -61,29 +61,21 @@ func main() {
 	fmt.Printf("mission: %q, %v across %d phases → %d scheduled radiation events\n",
 		prof.Name, dur, len(prof.Phase), len(events))
 
-	// Ground segment: train ILD before launch. One detector per rung of
-	// the adaptive ladder — the threshold is fixed at construction, so
-	// switching posture means switching detectors over the same model.
+	// Ground segment: train ILD before launch. The one detector flies at
+	// the posture's threshold, retuned whenever the posture moves.
 	selCfg := experiments.DefaultSELConfig()
 	selCfg.Seed = *seed
-	base, err := experiments.TrainILD(selCfg)
+	det, err := experiments.TrainILD(selCfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	var dets [adapt.NumLevels]*ild.Detector
-	for l := adapt.LevelRelaxed; l <= adapt.LevelMax; l++ {
-		cfg := ild.DefaultConfig()
-		cfg.SampleEvery = selCfg.SampleEvery
-		cfg.DetectionWindow = selCfg.Window
-		cfg.ThresholdA = adapt.PostureFor(l).ILDThresholdA
-		if dets[l], err = ild.NewDetector(base.Model(), cfg); err != nil {
-			log.Fatal(err)
-		}
 	}
 
 	// The closed loop.
 	ctrl, err := adapt.New(adapt.DefaultConfig(), nil)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := det.SetThreshold(adapt.PostureFor(ctrl.Level()).ILDThresholdA); err != nil {
 		log.Fatal(err)
 	}
 	tracker := mission.NewTracker(prof, nil)
@@ -93,7 +85,7 @@ func main() {
 	mc.SampleEvery = selCfg.SampleEvery
 	mc.SensorSeed = *seed + 1
 	m := machine.New(mc)
-	prot := guard.NewProtection(m, dets[ctrl.Level()], nil)
+	prot := guard.NewProtection(m, det, nil)
 	flight := trace.FlightSoftware(rng, dur, mc.Cores)
 	flight = ild.InjectBubbles(flight, ild.BubblePolicy{BubbleLen: 4 * time.Second, Pause: 3 * time.Minute})
 
@@ -171,7 +163,9 @@ func main() {
 		if d := ctrl.Observe(tel.T); d.Changed {
 			fmt.Printf("[%10s] adapt: posture → %s\n", tel.T.Round(time.Second), d.Level)
 			ship(0, tel.T, fmt.Sprintf("adapt_level %s t=%v", d.Level, tel.T))
-			prot.Use(dets[d.Level])
+			if err := det.SetThreshold(adapt.PostureFor(d.Level).ILDThresholdA); err != nil {
+				log.Fatal(err)
+			}
 		}
 
 		// Ground contact: run the payload job at the posture's

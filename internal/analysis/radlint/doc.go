@@ -4,7 +4,7 @@
 // Diagnostic) plus a package loader and a suppression mechanism.
 //
 // Why not x/tools? The repository is deliberately dependency-free (see
-// DESIGN.md), and everything the five Radshield analyzers need —
+// DESIGN.md), and everything the nine Radshield analyzers need —
 // parsed ASTs, full type information, and export data for imported
 // packages — is available from the standard library: go/parser and
 // go/types do the analysis, and `go list -export` supplies compiled
@@ -13,8 +13,10 @@
 //
 // The analyzers themselves live in sibling packages
 // (internal/analysis/simclocktime, seededrand, telemetryname,
-// emrpurity, nopanic) and are registered by cmd/radlint. Each enforces
-// one reproducibility or robustness invariant that Radshield's
+// telemetrydoc, emrpurity, armpurity, maporder, schedonly, nopanic),
+// the two purity analyzers over the shared whole-program engine in
+// internal/analysis/purity, and are registered by cmd/radlint. Each
+// enforces one reproducibility or robustness invariant that Radshield's
 // evaluation depends on; LINTING.md is the user-facing catalog.
 //
 // # Suppression

@@ -25,14 +25,23 @@ type Feed struct {
 	ack  []byte // ACK read buffer; the link copies what it accepts
 }
 
-// DialFeed connects to a ground station and builds the flight pipeline
-// for the given link id. The id is checked here, before it is narrowed
-// to the frame's 16 bits, so every CLI's -link-id flag shares one
-// check: an out-of-range id would otherwise wrap onto another
-// spacecraft's link (65537 streams as link 1).
-func DialFeed(addr string, link int) (*Feed, error) {
+// CheckLinkID rejects a link id that does not fit a frame's 16 bits or
+// is 0. DialFeed checks its id with it before narrowing it, and the
+// CLIs check their -link-id flag with it before any work: an
+// out-of-range id would otherwise wrap onto another spacecraft's link
+// (65537 streams as link 1).
+func CheckLinkID(link int) error {
 	if link < 1 || link > 0xFFFF {
-		return nil, fmt.Errorf("downlink: link id %d out of range [1, 65535]", link)
+		return fmt.Errorf("downlink: link id %d out of range [1, 65535]", link)
+	}
+	return nil
+}
+
+// DialFeed connects to a ground station and builds the flight pipeline
+// for the given link id, which must pass CheckLinkID.
+func DialFeed(addr string, link int) (*Feed, error) {
+	if err := CheckLinkID(link); err != nil {
+		return nil, err
 	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -434,17 +434,30 @@ func TestReportString(t *testing.T) {
 	}
 }
 
+// TestSpecThresholdOverride pins the one way to set a run's
+// replication threshold, the runtime's config: a spec whose shared key
+// the default threshold (0.01) replicates gets no replica on a runtime
+// configured above 1.
 func TestSpecThresholdOverride(t *testing.T) {
-	rt := newRuntime(t, fault.SchemeEMR) // config threshold 0.01 would replicate
-	spec := chunkedSpec(t, rt, 8, 128, true)
-	off := 2.0 // disable
-	spec.ReplicationThreshold = &off
-	res, err := rt.Run(spec)
+	rt := newRuntime(t, fault.SchemeEMR)
+	res, err := rt.Run(chunkedSpec(t, rt, 8, 128, true))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Report.ReplicatedRegions == 0 {
+		t.Fatal("default threshold replicated nothing")
+	}
+	cfg := DefaultConfig()
+	cfg.Scheme = fault.SchemeEMR
+	cfg.ReplicationThreshold = 2 // disable
+	if rt, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = rt.Run(chunkedSpec(t, rt, 8, 128, true)); err != nil {
+		t.Fatal(err)
+	}
 	if res.Report.ReplicatedRegions != 0 {
-		t.Fatal("spec override ignored")
+		t.Fatal("config threshold ignored")
 	}
 }
 

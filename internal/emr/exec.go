@@ -78,9 +78,6 @@ type Spec struct {
 	// ExtraConflict lets developers declare algorithm-specific conflicts
 	// EMR cannot see in the memory regions (paper §3.2).
 	ExtraConflict func(i, j int) bool
-	// ReplicationThreshold overrides the runtime's threshold when
-	// non-nil (used by the Figure 13 sweep).
-	ReplicationThreshold *float64
 	// Hook receives fault-injection callbacks.
 	Hook Hook
 }

@@ -149,7 +149,7 @@ func buildJobsets(regions [][]mem.Region, extra func(i, j int) bool) (jobsets []
 // construction for a spec.
 func (r *Runtime) plan(spec *Spec) (*analysis, error) {
 	a := &analysis{
-		replicated: detectCommon(spec.Datasets, r.effectiveThreshold(spec)),
+		replicated: detectCommon(spec.Datasets, r.cfg.ReplicationThreshold),
 		replicas:   make([]map[regionKey]uint64, r.cfg.Executors),
 	}
 
@@ -211,15 +211,6 @@ func (r *Runtime) plan(spec *Spec) (*analysis, error) {
 	}
 	a.jobsets, a.conflictPairs = buildJobsets(a.conflictRegions, spec.ExtraConflict)
 	return a, nil
-}
-
-// effectiveThreshold resolves the replication threshold for a spec: the
-// spec may override the runtime default; zero means "use config".
-func (r *Runtime) effectiveThreshold(spec *Spec) float64 {
-	if spec.ReplicationThreshold != nil {
-		return *spec.ReplicationThreshold
-	}
-	return r.cfg.ReplicationThreshold
 }
 
 // executorRegion resolves the region executor e actually reads for an

@@ -227,14 +227,14 @@ func AblationScheduling(c SEUConfig) (*Table, error) {
 		Header: []string{"Variant", "Jobsets", "Runtime(s)", "Protected"},
 	}
 	// Unprotected parallel (lower bound, leaves shared cache exposed).
-	unprot, err := runScheme(b, fault.SchemeUnprotectedParallel, emr.FrontierDRAM, c, nil, nil)
+	unprot, err := runScheme(b, fault.SchemeUnprotectedParallel, emr.FrontierDRAM, c, nil)
 	if err != nil {
 		return nil, err
 	}
 	tbl.AddRow("unprotected parallel", "-", fmt.Sprintf("%.4f", unprot.Report.Makespan.Seconds()), "no")
 
 	// EMR greedy jobsets.
-	emrRes, err := runScheme(b, fault.SchemeEMR, emr.FrontierDRAM, c, nil, nil)
+	emrRes, err := runScheme(b, fault.SchemeEMR, emr.FrontierDRAM, c, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -247,20 +247,6 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 	ctrl *adapt.Controller) (AdaptiveArm, error) {
 	arm := AdaptiveArm{DrainedAt: -1}
 
-	// One detector per rung, all sharing the trained model: ThresholdA
-	// is fixed at construction, so a level switch swaps detectors (and
-	// resets the incoming one) instead of rebuilding.
-	var dets [adapt.NumLevels]*ild.Detector
-	for l := 0; l < adapt.NumLevels; l++ {
-		cfg := c.SEL.ildConfig()
-		cfg.ThresholdA = adapt.PostureFor(adapt.Level(l)).ILDThresholdA
-		det, err := ild.NewDetector(model, cfg)
-		if err != nil {
-			return arm, err
-		}
-		dets[l] = det
-	}
-
 	level := adapt.LevelMax
 	if ctrl != nil {
 		level = ctrl.Level()
@@ -268,10 +254,19 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 	posture := adapt.PostureFor(level)
 	bubbleLen := c.SEL.bubbleLen()
 
+	// One detector on the trained model, retuned to the posture's
+	// threshold whenever the posture moves.
+	icfg := c.SEL.ildConfig()
+	icfg.ThresholdA = posture.ILDThresholdA
+	det, err := ild.NewDetector(model, icfg)
+	if err != nil {
+		return arm, err
+	}
+
 	mc := c.SEL.machineConfig(seed + 1)
 	mc.Telemetry = nil // trials run in parallel; per-trial metrics stay local
 	m := machine.New(mc)
-	prot := guard.NewProtection(m, dets[level], nil)
+	prot := guard.NewProtection(m, det, nil)
 	tracker := mission.NewTracker(prof, nil)
 
 	// Downlink leg: both arms fly the same impaired link (seeds shared).
@@ -357,7 +352,9 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 			if d := ctrl.Observe(tel.T); d.Changed {
 				level = d.Level
 				posture = adapt.PostureFor(level)
-				prot.Use(dets[level])
+				if loopErr = det.SetThreshold(posture.ILDThresholdA); loopErr != nil {
+					return
+				}
 				if cm.tx.Beacon() != posture.Beacon {
 					cm.tx.SetBeacon(posture.Beacon, tel.T, "posture "+level.String())
 				}

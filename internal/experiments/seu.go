@@ -36,13 +36,17 @@ type SEUConfig struct {
 	Cache *resultcache.Store
 }
 
-// runScheme executes a workload under the given scheme/frontier and
-// returns the report.
-func runScheme(b workloads.Builder, scheme fault.Scheme, frontier emr.Frontier, c SEUConfig, hook emr.Hook, threshold *float64) (*emr.Result, error) {
+// runScheme executes a workload under the given scheme/frontier on a
+// fresh runtime, at the given replication threshold or, when threshold
+// is nil, the default one, and returns the report.
+func runScheme(b workloads.Builder, scheme fault.Scheme, frontier emr.Frontier, c SEUConfig, threshold *float64) (*emr.Result, error) {
 	cfg := emr.DefaultConfig()
 	cfg.Scheme = scheme
 	cfg.Frontier = frontier
 	cfg.Telemetry = c.Telemetry
+	if threshold != nil {
+		cfg.ReplicationThreshold = *threshold
+	}
 	if frontier == emr.FrontierStorage {
 		cfg.DRAMECC = false
 	}
@@ -56,8 +60,6 @@ func runScheme(b workloads.Builder, scheme fault.Scheme, frontier emr.Frontier, 
 	if err != nil {
 		return nil, err
 	}
-	spec.Hook = hook
-	spec.ReplicationThreshold = threshold
 	return rt.Run(spec)
 }
 
@@ -88,15 +90,15 @@ func Fig11(c SEUConfig) ([]Fig11Row, *Table, error) {
 	rows, err := sched.Map(len(wls), c.Workers, func(i int) (Fig11Row, error) {
 		return cache.CachedArm(i, func() (Fig11Row, error) {
 			b := wls[i]
-			base, err := runScheme(b, fault.SchemeUnprotectedParallel, emr.FrontierDRAM, c, nil, nil)
+			base, err := runScheme(b, fault.SchemeUnprotectedParallel, emr.FrontierDRAM, c, nil)
 			if err != nil {
 				return Fig11Row{}, fmt.Errorf("%s/unprotected: %w", b.Name, err)
 			}
-			emrRes, err := runScheme(b, fault.SchemeEMR, emr.FrontierDRAM, c, nil, nil)
+			emrRes, err := runScheme(b, fault.SchemeEMR, emr.FrontierDRAM, c, nil)
 			if err != nil {
 				return Fig11Row{}, fmt.Errorf("%s/emr: %w", b.Name, err)
 			}
-			ser, err := runScheme(b, fault.SchemeSerial3MR, emr.FrontierDRAM, c, nil, nil)
+			ser, err := runScheme(b, fault.SchemeSerial3MR, emr.FrontierDRAM, c, nil)
 			if err != nil {
 				return Fig11Row{}, fmt.Errorf("%s/serial: %w", b.Name, err)
 			}
@@ -144,7 +146,7 @@ func Fig12(seed int64, workers int, sizes []int) (*Figure, error) {
 	}
 	secs, err := sched.Map(len(combos)*len(sizes), workers, func(k int) (float64, error) {
 		combo, size := combos[k/len(sizes)], sizes[k%len(sizes)]
-		res, err := runScheme(b, combo.scheme, combo.frontier, SEUConfig{Size: size, Seed: seed}, nil, nil)
+		res, err := runScheme(b, combo.scheme, combo.frontier, SEUConfig{Size: size, Seed: seed}, nil)
 		if err != nil {
 			return 0, fmt.Errorf("%s size %d: %w", combo.name, size, err)
 		}
@@ -191,7 +193,7 @@ func Fig13(c SEUConfig) ([]Fig13Point, *Table, error) {
 		if err != nil {
 			return Fig13Point{}, err
 		}
-		res, err := runScheme(b, fault.SchemeEMR, emr.FrontierDRAM, c, nil, &th)
+		res, err := runScheme(b, fault.SchemeEMR, emr.FrontierDRAM, c, &th)
 		if err != nil {
 			return Fig13Point{}, fmt.Errorf("%s thr %v: %w", name, th, err)
 		}
@@ -239,11 +241,11 @@ type Table6Result struct {
 // processing workload on the DRAM frontier (paper Table 6).
 func Table6(c SEUConfig) (*Table6Result, error) {
 	b := workloads.ImageProcessing()
-	ser, err := runScheme(b, fault.SchemeSerial3MR, emr.FrontierDRAM, c, nil, nil)
+	ser, err := runScheme(b, fault.SchemeSerial3MR, emr.FrontierDRAM, c, nil)
 	if err != nil {
 		return nil, err
 	}
-	em, err := runScheme(b, fault.SchemeEMR, emr.FrontierDRAM, c, nil, nil)
+	em, err := runScheme(b, fault.SchemeEMR, emr.FrontierDRAM, c, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -284,15 +286,15 @@ func Fig14(c SEUConfig) ([]Fig14Row, *Table, error) {
 	wls := workloads.All()
 	rows, err := sched.Map(len(wls), c.Workers, func(i int) (Fig14Row, error) {
 		b := wls[i]
-		base, err := runScheme(b, fault.SchemeUnprotectedParallel, emr.FrontierDRAM, c, nil, nil)
+		base, err := runScheme(b, fault.SchemeUnprotectedParallel, emr.FrontierDRAM, c, nil)
 		if err != nil {
 			return Fig14Row{}, err
 		}
-		ser, err := runScheme(b, fault.SchemeSerial3MR, emr.FrontierDRAM, c, nil, nil)
+		ser, err := runScheme(b, fault.SchemeSerial3MR, emr.FrontierDRAM, c, nil)
 		if err != nil {
 			return Fig14Row{}, err
 		}
-		em, err := runScheme(b, fault.SchemeEMR, emr.FrontierDRAM, c, nil, nil)
+		em, err := runScheme(b, fault.SchemeEMR, emr.FrontierDRAM, c, nil)
 		if err != nil {
 			return Fig14Row{}, err
 		}
@@ -381,7 +383,7 @@ func Table7(c Table7Config) (map[string]*fault.Tally, *Table, error) {
 	// run itself when every arm replays.
 	var golden [][]byte
 	if !cache.AllHit() {
-		goldenRes, err := runScheme(b, fault.SchemeNone, emr.FrontierDRAM, SEUConfig{Size: c.Size, Seed: c.Seed}, nil, nil)
+		goldenRes, err := runScheme(b, fault.SchemeNone, emr.FrontierDRAM, SEUConfig{Size: c.Size, Seed: c.Seed}, nil)
 		if err != nil {
 			return nil, nil, err
 		}

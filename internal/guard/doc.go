@@ -33,9 +33,11 @@
 // cycles the board when they call for it (a bare cycle is
 // software-commanded, so a hung kernel blocks it; the Supervisor's
 // external switch does not), and restarts the detector after any
-// cycle, including one the machine commanded itself. The campaigns,
-// cmd/ildmon and examples/leomission all fly it, and only narrate the
-// Decision it returns.
+// cycle, including one the machine commanded itself. It holds one
+// *ild.Detector for the board: an adaptive posture retunes it in place
+// (ild.Detector.SetThreshold), and a flight log is a Recorder attached
+// to it. The campaigns, cmd/ildmon and examples/leomission all fly it,
+// and only narrate the Decision it returns.
 //
 // Every decision is deterministic: no wall clock, no unseeded
 // randomness, state advanced only by the telemetry/visits fed in. Mode

@@ -7,37 +7,21 @@ import (
 	"radshield/internal/machine"
 )
 
-// Detector is the latchup detector a Protection reads its residual
-// from and restarts after a power cycle: an *ild.Detector, or an
-// *ild.Recorder that also logs every sample the detector sees.
-type Detector interface {
-	ild.Monitor
-	Residual() float64
-	Reset()
-}
-
 // Protection is one board's latchup protection: the paper's bare ILD
 // detector, or the Supervisor wrapped around it. It owns the decision
 // every flight loop makes on a detection — power cycle the board, then
 // restart the detector — so callers only narrate what it returns.
 type Protection struct {
 	m     *machine.Machine
-	det   Detector
+	det   *ild.Detector
 	sup   *Supervisor // nil: the bare detector
 	known int         // power cycles reconciled so far
 }
 
 // NewProtection puts det in charge of m's latchups or, when sup is
 // non-nil, the supervisor wrapped around det.
-func NewProtection(m *machine.Machine, det Detector, sup *Supervisor) *Protection {
+func NewProtection(m *machine.Machine, det *ild.Detector, sup *Supervisor) *Protection {
 	return &Protection{m: m, det: det, sup: sup, known: m.PowerCycles()}
-}
-
-// Use hands the bare path to det, restarted clean: the swap an adaptive
-// posture makes between detectors built at different thresholds.
-func (p *Protection) Use(det Detector) {
-	p.det = det
-	det.Reset()
 }
 
 // Reconcile reports whether the board power cycled since the last call,

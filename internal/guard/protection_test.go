@@ -157,31 +157,14 @@ func TestProtectionBlindCycleAndFiredCycleOnce(t *testing.T) {
 	t.Fatal("no sample carried both a blind cycle and a detection")
 }
 
-// Use hands the bare path to another detector, restarted clean.
-func TestProtectionUse(t *testing.T) {
-	m := machine.New(machine.DefaultConfig())
-	first, next := trainedDetector(t), trainedDetector(t)
-	next.Observe(biasedTel(0, 0))
-	p := NewProtection(m, first, nil)
-	p.Use(next)
-	if next.Residual() != 0 {
-		t.Fatalf("Use left residual %v, want a restarted window", next.Residual())
-	}
-	p.Observe(biasedTel(time.Millisecond, 1))
-	if first.Residual() != 0 || next.Residual() == 0 {
-		t.Fatalf("after Use the old detector reads %v, the new one %v; want only the new one observing",
-			first.Residual(), next.Residual())
-	}
-}
-
-// A Recorder drops in for the bare detector and logs what it sees.
+// A Recorder attached to the bare detector logs what it sees.
 func TestProtectionRecorder(t *testing.T) {
 	det := trainedDetector(t)
 	rec, err := ild.NewRecorder(det, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewProtection(machine.New(machine.DefaultConfig()), rec, nil)
+	p := NewProtection(machine.New(machine.DefaultConfig()), det, nil)
 	if _, residual, cycled := observeUntilFired(t, p); !cycled || residual <= 0 {
 		t.Fatalf("recorded detection: cycled = %v, residual = %v", cycled, residual)
 	}

@@ -86,9 +86,9 @@ func TestAllocsBaselineObserve(t *testing.T) {
 	}
 }
 
-// TestAllocsRecorderObserve pins ildmon's flight-log path: the recorder
-// computes each quiescent sample's prediction into a reused feature
-// buffer, so a record costs nothing beyond the preallocated ring.
+// TestAllocsRecorderObserve pins ildmon's flight-log path: a detector
+// with a recorder attached writes each sample's record into the
+// preallocated ring, so a record costs nothing.
 func TestAllocsRecorderObserve(t *testing.T) {
 	cores := 2
 	model := &linmodel.Model{Weights: make([]float64, FeatureDim(cores)), Intercept: 1.5}
@@ -96,8 +96,7 @@ func TestAllocsRecorderObserve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := NewRecorder(det, 64)
-	if err != nil {
+	if _, err := NewRecorder(det, 64); err != nil {
 		t.Fatal(err)
 	}
 	quiet := machine.Telemetry{
@@ -112,17 +111,17 @@ func TestAllocsRecorderObserve(t *testing.T) {
 		{InstrPerSec: 4e8, BusCyclesPerSec: 8e8, FreqHz: 1.4e9, CacheHitRate: 0.95},
 		{InstrPerSec: 4e8, BusCyclesPerSec: 8e8, FreqHz: 1.4e9, CacheHitRate: 0.95},
 	}
-	rec.Observe(quiet) // first sample establishes the scratch buffers
+	det.Observe(quiet) // first sample establishes the scratch buffers
 
 	tick := DefaultConfig().SampleEvery
 	now := time.Duration(0)
 	avg := testing.AllocsPerRun(1000, func() {
 		now += tick
 		quiet.T, busy.T = now, now
-		rec.Observe(quiet)
-		rec.Observe(busy)
+		det.Observe(quiet)
+		det.Observe(busy)
 	})
 	if avg != 0 {
-		t.Errorf("Recorder.Observe allocates %.3f objects per sample pair, want 0", avg)
+		t.Errorf("a recording detector's Observe allocates %.3f objects per sample pair, want 0", avg)
 	}
 }

@@ -29,13 +29,6 @@ type Config struct {
 	// DetectionWindow is the required detection latency (paper: 3 min,
 	// against a ~5 min thermal damage horizon).
 	DetectionWindow time.Duration
-	// AdaptRate, when positive, lets the detector track slow baseline
-	// drift (thermal cycles, component aging) by nudging the model
-	// intercept toward small residuals: intercept += AdaptRate × diff per
-	// quiescent sample, but only while |diff| < ThresholdA/2 so a genuine
-	// latchup step is never absorbed. Zero disables adaptation (the
-	// paper's fixed ground-trained model).
-	AdaptRate float64
 }
 
 // DefaultConfig returns the paper's operating point.
@@ -59,6 +52,8 @@ type Detector struct {
 	// declared state so only rising edges count as new detections.
 	ins    *Instruments
 	firing bool
+	// rec, when attached (NewRecorder), logs every observed sample.
+	rec *Recorder
 	// feat is the reusable feature-vector scratch buffer; Observe runs
 	// once per telemetry sample for entire missions, so it must not
 	// allocate (see the allocation-regression tests in alloc_test.go).
@@ -68,19 +63,15 @@ type Detector struct {
 // SetInstruments attaches telemetry instruments (nil detaches them).
 func (d *Detector) SetInstruments(ins *Instruments) { d.ins = ins }
 
-// NewDetector builds a detector from a trained current model. The config
-// must use the same telemetry cadence the model was trained at. Config
-// validation failures are returned as errors: detector construction
-// happens on orbit after retraining, where a bad config (possibly from
-// an upset parameter store) must be rejected, not crash the monitor.
-//
-// A detector with AdaptRate > 0 rewrites its model's intercept as it
-// observes, so it adapts a copy of model and never the caller's; other
-// detectors built on the same model keep their own baseline. A fixed
-// detector only reads the model and shares it.
+// NewDetector builds a detector from a trained current model, which it
+// only reads, so detectors may share one. The config must use the same
+// telemetry cadence the model was trained at. Config validation
+// failures are returned as errors: detector construction happens on
+// orbit after retraining, where a bad config (possibly from an upset
+// parameter store) must be rejected, not crash the monitor.
 func NewDetector(model *linmodel.Model, cfg Config) (*Detector, error) {
-	if cfg.ThresholdA <= 0 {
-		return nil, fmt.Errorf("ild: ThresholdA = %v, want > 0", cfg.ThresholdA)
+	if err := checkThreshold(cfg.ThresholdA); err != nil {
+		return nil, err
 	}
 	if cfg.SustainFor <= 0 || cfg.SampleEvery <= 0 {
 		return nil, fmt.Errorf("ild: SustainFor = %v and SampleEvery = %v must be positive", cfg.SustainFor, cfg.SampleEvery)
@@ -89,11 +80,30 @@ func NewDetector(model *linmodel.Model, cfg Config) (*Detector, error) {
 	if n < 1 {
 		n = 1
 	}
-	if cfg.AdaptRate > 0 {
-		own := *model
-		model = &own
-	}
 	return &Detector{cfg: cfg, model: model, window: stats.NewWindowMean(n)}, nil
+}
+
+// SetThreshold retunes the detector to declare an SEL above a amps and
+// restarts it clean, as Reset does: the move an adaptive protection
+// posture makes. A threshold not above 0 is rejected and leaves the
+// detector as it was.
+func (d *Detector) SetThreshold(a float64) error {
+	if err := checkThreshold(a); err != nil {
+		return err
+	}
+	d.cfg.ThresholdA = a
+	d.Reset()
+	return nil
+}
+
+// checkThreshold rejects a detection threshold not above 0, NaN
+// included: a detector at such a threshold would fire on every full
+// window, or never.
+func checkThreshold(a float64) error {
+	if !(a > 0) {
+		return fmt.Errorf("ild: ThresholdA = %v, want > 0", a)
+	}
+	return nil
 }
 
 // Model exposes the fitted current model (telemetry downlink includes
@@ -149,32 +159,32 @@ func badSampleReason(tel machine.Telemetry) string {
 // carrying NaN/Inf current or features are rejected outright (counted
 // as ild_bad_samples_total) without touching the averaging window — a
 // corrupt reading carries no information either way, and a single NaN
-// folded into a running mean would wedge the detector permanently.
+// folded into a running mean would wedge the detector permanently. An
+// attached Recorder logs the sample with the window as it leaves it; a
+// rejected or busy sample is logged as not quiescent, with no
+// prediction.
 func (d *Detector) Observe(tel machine.Telemetry) bool {
+	var predicted float64
+	quiescent, declared := false, false
 	if reason := badSampleReason(tel); reason != "" {
 		d.ins.badSample(tel.T, reason)
-		return false
-	}
-	if !d.Quiescent(tel) {
+	} else if !d.Quiescent(tel) {
 		d.window.Reset()
 		d.firing = false
 		d.ins.observe(tel.T, false, 0, false)
-		return false
+	} else {
+		quiescent = true
+		d.feat = AppendFeatures(d.feat[:0], tel)
+		predicted = d.model.Predict(d.feat)
+		d.window.Add(tel.CurrentA - predicted)
+		declared = d.window.Full() && d.window.Mean() > d.cfg.ThresholdA
+		d.ins.observe(tel.T, true, d.window.Mean(), declared && !d.firing)
+		d.firing = declared
 	}
-	d.feat = AppendFeatures(d.feat[:0], tel)
-	diff := tel.CurrentA - d.model.Predict(d.feat)
-	d.window.Add(diff)
-	// Drift adaptation: only small residuals train the intercept, so a
-	// latchup's step change is never learned away.
-	if d.cfg.AdaptRate > 0 && diff < d.cfg.ThresholdA/2 && diff > -d.cfg.ThresholdA/2 {
-		d.model.Intercept += float64(d.cfg.AdaptRate * diff)
-		if d.ins != nil {
-			d.ins.AdaptNudges.Inc()
-		}
+	if d.rec != nil {
+		d.rec.push(Record{T: tel.T, CurrentA: tel.CurrentA, Predicted: predicted,
+			Residual: d.window.Mean(), Quiescent: quiescent, Flagged: declared})
 	}
-	declared := d.window.Full() && d.window.Mean() > d.cfg.ThresholdA
-	d.ins.observe(tel.T, true, d.window.Mean(), declared && !d.firing)
-	d.firing = declared
 	return declared
 }
 

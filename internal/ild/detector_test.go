@@ -1,6 +1,7 @@
 package ild
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -168,6 +169,7 @@ func TestTrainerRejectsBusySamples(t *testing.T) {
 func TestNewDetectorValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{ThresholdA: 0, SustainFor: time.Second, SampleEvery: time.Millisecond},
+		{ThresholdA: math.NaN(), SustainFor: time.Second, SampleEvery: time.Millisecond},
 		{ThresholdA: 0.05, SustainFor: 0, SampleEvery: time.Millisecond},
 		{ThresholdA: 0.05, SustainFor: time.Second, SampleEvery: 0},
 	} {
@@ -196,30 +198,63 @@ func TestFeatureVectorShape(t *testing.T) {
 	}
 }
 
-// TestAdaptingDetectorKeepsSharedModel pins that drift adaptation stays
-// inside its own detector: an adapting detector built on a model that a
-// fixed detector also uses must not move the fixed detector's baseline.
-func TestAdaptingDetectorKeepsSharedModel(t *testing.T) {
-	fixed := fitTrivialDetector(t)
-	model := fixed.Model()
-	before := model.Intercept
-
-	cfg := fixed.cfg
-	cfg.AdaptRate = 5e-4
-	adapting, err := NewDetector(model, cfg)
+// TestSetThresholdMatchesFreshDetector pins the retune an adaptive
+// posture makes: a detector retuned by SetThreshold partway through a
+// flight with a latchup and busy stretches observes the rest of it bit
+// for bit like a detector built fresh at the new threshold there, while
+// a threshold not above 0 is rejected and changes nothing.
+func TestSetThresholdMatchesFreshDetector(t *testing.T) {
+	m, base := trainedDetector(t, 51)
+	cfg := DefaultConfig()
+	cfg.ThresholdA = 0.04
+	retuned, err := NewDetector(base.Model(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 10 s of quiescent samples 10 mA above the model's prediction,
-	// inside the adaptation band (|diff| < ThresholdA/2).
-	current := model.Predict(AppendFeatures(nil, quiescentTel(0, 0))) + 0.01
-	for i := 0; i < 10000; i++ {
-		adapting.Observe(quiescentTel(time.Duration(i)*time.Millisecond, current))
+	start := m.Clock().Now()
+	if err := m.InjectSEL(0.08); err != nil {
+		t.Fatal(err)
 	}
-	if adapting.Model().Intercept == before {
-		t.Fatal("adapting detector never moved its intercept")
-	}
-	if model.Intercept != before || fixed.Model().Intercept != before {
-		t.Fatalf("fixed detector's intercept moved from %v to %v", before, fixed.Model().Intercept)
+	rng := rand.New(rand.NewSource(52))
+	var fresh *Detector
+	firedBefore, firedAfter := 0, 0
+	m.RunTrace(trace.Quiescent(rng, 30*time.Second, 7*time.Second), func(tel machine.Telemetry) {
+		if fresh == nil && tel.T >= start+12*time.Second && retuned.Residual() != 0 {
+			before := retuned.Residual()
+			for _, a := range []float64{0, -0.05, math.NaN()} {
+				if err := retuned.SetThreshold(a); err == nil {
+					t.Fatalf("SetThreshold(%v) accepted", a)
+				}
+			}
+			if retuned.Residual() != before || retuned.cfg.ThresholdA != 0.04 {
+				t.Fatal("a rejected SetThreshold changed the detector")
+			}
+			if err := retuned.SetThreshold(0.07); err != nil {
+				t.Fatal(err)
+			}
+			cfg.ThresholdA = 0.07
+			if fresh, err = NewDetector(base.Model(), cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := retuned.Observe(tel)
+		if fresh == nil {
+			if got {
+				firedBefore++
+			}
+			return
+		}
+		want := fresh.Observe(tel)
+		if got != want || math.Float64bits(retuned.Residual()) != math.Float64bits(fresh.Residual()) {
+			t.Fatalf("at %v: retuned Observe = %v, residual %v; fresh %v, residual %v",
+				tel.T, got, retuned.Residual(), want, fresh.Residual())
+		}
+		if got {
+			firedAfter++
+		}
+	})
+	if fresh == nil || firedBefore == 0 || firedAfter == 0 {
+		t.Fatalf("retuned: %v; fired %d times before the retune and %d after, want both > 0",
+			fresh != nil, firedBefore, firedAfter)
 	}
 }

@@ -19,15 +19,16 @@
 // BubblePolicy injects measurement bubbles into a trace
 // (InjectBubbles) and bounds the overhead (WorstCaseOverheadPerHour);
 // ForestDetector and StaticThreshold are the Table 2 baselines behind
-// the shared Monitor interface; Recorder keeps the fine-grained flight
-// ring cmd/ildmon dumps.
+// the shared Monitor interface; Detector.SetThreshold retunes a
+// detector when an adaptive posture moves; a Recorder attached to a
+// Detector (NewRecorder) keeps the fine-grained flight ring cmd/ildmon
+// dumps, written by the detector's own Observe.
 //
 // Invariants: the detector only accumulates residuals while the
 // quiescence gate holds — busy samples reset the averaging window, so a
 // declaration always reflects DetectionWindow seconds of sustained
-// quiescent excess; baseline adaptation nudges the intercept only while
-// quiescent and not firing (thermal drift tracking cannot learn away a
-// real latchup); Observe is deterministic for a given telemetry stream,
+// quiescent excess; the ground-trained model is fixed, and a detector
+// only reads it; Observe is deterministic for a given telemetry stream,
 // and its products that feed a sum are converted explicitly
 // (float64(x*y)), so no compiler fuses them into a multiply-add
 // (DESIGN.md §9).

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"radshield/internal/machine"
 )
 
 // Record is one entry of ILD's fine-grained telemetry log. The paper's
@@ -21,56 +19,26 @@ type Record struct {
 	Flagged   bool
 }
 
-// Recorder wraps a Detector, capturing a bounded ring of Records around
-// every observation. It satisfies Monitor, so it drops in anywhere a
-// Detector does.
+// Recorder is a bounded ring of the Records of every sample its
+// detector observes.
 type Recorder struct {
-	det  *Detector
 	buf  []Record
 	head int
 	full bool
-	feat []float64 // feature scratch for Predicted, reused every sample
 }
 
-var _ Monitor = (*Recorder)(nil)
-
-// NewRecorder wraps det with a ring of the given capacity. A
-// non-positive capacity is a configuration error, returned rather than
-// panicking so a monitor restart with a corrupt config degrades to an
-// error path instead of a crash loop.
+// NewRecorder attaches a ring of the given capacity to det, which from
+// then on records every sample it observes. A non-positive capacity is
+// a configuration error, returned rather than panicking so a monitor
+// restart with a corrupt config degrades to an error path instead of a
+// crash loop.
 func NewRecorder(det *Detector, capacity int) (*Recorder, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("ild: NewRecorder capacity %d, want > 0", capacity)
 	}
-	return &Recorder{det: det, buf: make([]Record, capacity)}, nil
-}
-
-// Residual and Reset forward to the wrapped detector, so a Recorder
-// also drops in where a caller restarts the detector after a power
-// cycle.
-func (r *Recorder) Residual() float64 { return r.det.Residual() }
-func (r *Recorder) Reset()            { r.det.Reset() }
-
-// Observe implements Monitor: it forwards to the detector and records
-// the observation. A sample the detector rejects as NaN/Inf is recorded
-// as not quiescent, with no prediction: the detector never measured it.
-func (r *Recorder) Observe(tel machine.Telemetry) bool {
-	quiescent := badSampleReason(tel) == "" && r.det.Quiescent(tel)
-	var predicted float64
-	if quiescent {
-		r.feat = AppendFeatures(r.feat[:0], tel)
-		predicted = r.det.model.Predict(r.feat)
-	}
-	flagged := r.det.Observe(tel)
-	r.push(Record{
-		T:         tel.T,
-		CurrentA:  tel.CurrentA,
-		Predicted: predicted,
-		Residual:  r.det.Residual(),
-		Quiescent: quiescent,
-		Flagged:   flagged,
-	})
-	return flagged
+	r := &Recorder{buf: make([]Record, capacity)}
+	det.rec = r
+	return r, nil
 }
 
 func (r *Recorder) push(rec Record) {

@@ -10,6 +10,7 @@ import (
 
 	"radshield/internal/linmodel"
 	"radshield/internal/machine"
+	"radshield/internal/power"
 	"radshield/internal/trace"
 )
 
@@ -31,7 +32,7 @@ func TestRecorderCapturesObservations(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	flagged := 0
 	m.RunTrace(trace.Quiescent(rng, 10*time.Second, 5*time.Second), func(tel machine.Telemetry) {
-		if rec.Observe(tel) {
+		if det.Observe(tel) {
 			flagged++
 		}
 	})
@@ -63,7 +64,7 @@ func TestRecorderRingWraps(t *testing.T) {
 	rec := newRecorder(t, det, 50)
 	rng := rand.New(rand.NewSource(34))
 	n := m.RunTrace(trace.Quiescent(rng, time.Second, time.Second), func(tel machine.Telemetry) {
-		rec.Observe(tel)
+		det.Observe(tel)
 	})
 	if n <= 50 {
 		t.Fatalf("trace too short to wrap: %d samples", n)
@@ -86,7 +87,7 @@ func TestRecorderDumpCSV(t *testing.T) {
 	rec := newRecorder(t, det, 10)
 	rng := rand.New(rand.NewSource(36))
 	m.RunTrace(trace.Quiescent(rng, 100*time.Millisecond, time.Second), func(tel machine.Telemetry) {
-		rec.Observe(tel)
+		det.Observe(tel)
 	})
 	var buf bytes.Buffer
 	if err := rec.Dump(&buf); err != nil {
@@ -126,7 +127,7 @@ func TestRecorderRejectedSampleNotQuiescent(t *testing.T) {
 	infCurrent.T = 3 * time.Millisecond
 	infCurrent.CurrentA = math.Inf(1)
 	for _, tel := range []machine.Telemetry{clean, nanRate, infCurrent} {
-		rec.Observe(tel)
+		det.Observe(tel)
 	}
 	if got := bad.Value(); got != 2 {
 		t.Fatalf("detector rejected %d samples, want 2", got)
@@ -159,67 +160,106 @@ func TestRecorderCapacityValidation(t *testing.T) {
 	}
 }
 
-func TestAdaptiveInterceptTracksDrift(t *testing.T) {
-	// Exaggerated thermal drift (±0.08 A) exceeds the 0.055 A threshold
-	// margin: a fixed model false-positives at drift peaks; the adaptive
-	// model tracks the drift and stays quiet — yet still catches a real
-	// SEL step.
-	mkDetector := func(adapt float64, seed int64) (*machine.Machine, *Detector) {
-		cfg := machine.DefaultConfig()
-		cfg.SensorSeed = seed
-		cfg.Power.ThermalDriftA = 0.08
-		cfg.Power.ThermalDriftPeriodSec = 120 // fast cycle for test brevity
-		m := machine.New(cfg)
-		ic := DefaultConfig()
-		ic.AdaptRate = adapt
-		trainer := NewTrainer(ic)
-		rng := rand.New(rand.NewSource(seed))
-		m.RunTrace(trace.Quiescent(rng, 10*time.Second, 5*time.Second), func(tel machine.Telemetry) {
-			trainer.Add(tel)
-		})
-		det, err := trainer.Fit()
-		if err != nil {
+// refRecorder is the flight log in the form it had as a wrapper around
+// its detector, kept as the oracle for the detector that records
+// itself: around the detector's own Observe it recomputes the sample's
+// quiescence and prediction, and it reads the residual afterwards.
+type refRecorder struct {
+	det  *Detector
+	feat []float64
+}
+
+func (r *refRecorder) observe(tel machine.Telemetry) (bool, Record) {
+	quiescent := badSampleReason(tel) == "" && r.det.Quiescent(tel)
+	var predicted float64
+	if quiescent {
+		r.feat = AppendFeatures(r.feat[:0], tel)
+		predicted = r.det.model.Predict(r.feat)
+	}
+	flagged := r.det.Observe(tel)
+	return flagged, Record{
+		T:         tel.T,
+		CurrentA:  tel.CurrentA,
+		Predicted: predicted,
+		Residual:  r.det.Residual(),
+		Quiescent: quiescent,
+		Flagged:   flagged,
+	}
+}
+
+// TestRecorderMatchesWrappingReference flies a latchup, sensor
+// dropout and garbage (NaN, negative and huge samples) and busy
+// stretches past two detectors on one model: one with a Recorder
+// attached, one wrapped by refRecorder. Every Observe must return the
+// same, and every record the attached ring holds must equal the
+// oracle's, bit for bit.
+func TestRecorderMatchesWrappingReference(t *testing.T) {
+	m, base := trainedDetector(t, 61)
+	recorded, err := NewDetector(base.Model(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewDetector(base.Model(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := &refRecorder{det: plain}
+	start := m.Clock().Now()
+	for _, f := range []power.SensorFault{
+		{Kind: power.FaultDropout, Start: start + 15*time.Second, Duration: 2 * time.Second},
+		{Kind: power.FaultGarbage, Start: start + 25*time.Second, Duration: 2 * time.Second},
+	} {
+		if err := m.Sensor().ScheduleFault(f); err != nil {
 			t.Fatal(err)
 		}
-		return m, det
 	}
-
-	countAlarms := func(adapt float64) int {
-		m, det := mkDetector(adapt, 40)
-		rng := rand.New(rand.NewSource(41))
-		alarms := 0
-		m.RunTrace(trace.Quiescent(rng, 4*time.Minute, 15*time.Second), func(tel machine.Telemetry) {
-			if det.Observe(tel) {
-				alarms++
+	rng := rand.New(rand.NewSource(62))
+	tr := trace.Quiescent(rng, 20*time.Second, 6*time.Second)
+	tr.Append(trace.Burst(rng, 3*time.Second, 4).Segments...)
+	tr.Append(trace.Quiescent(rng, 20*time.Second, 6*time.Second).Segments...)
+	rec := newRecorder(t, recorded, 100000)
+	var want []Record
+	struck := false
+	nan, busy, flagged := 0, 0, 0
+	m.RunTrace(tr, func(tel machine.Telemetry) {
+		if !struck && tel.T >= start+5*time.Second {
+			struck = true
+			if err := m.InjectSEL(0.08); err != nil {
+				t.Fatal(err)
 			}
-		})
-		return alarms
-	}
-
-	fixed := countAlarms(0)
-	adaptive := countAlarms(5e-4)
-	if fixed == 0 {
-		t.Fatal("fixed model produced no drift false-positives; drift too mild for this test")
-	}
-	if adaptive != 0 {
-		t.Fatalf("adaptive model still false-positived %d times", adaptive)
-	}
-
-	// The adaptive detector must still catch a real latchup: the step is
-	// excluded from adaptation by the |diff| < threshold/2 guard.
-	m, det := mkDetector(5e-4, 42)
-	rng := rand.New(rand.NewSource(43))
-	m.RunTrace(trace.Quiescent(rng, 30*time.Second, 15*time.Second), func(tel machine.Telemetry) {
-		det.Observe(tel) // settle adaptation
-	})
-	m.InjectSEL(0.08)
-	detected := false
-	m.RunTrace(trace.Quiescent(rng, 20*time.Second, 15*time.Second), func(tel machine.Telemetry) {
-		if det.Observe(tel) {
-			detected = true
+		}
+		got := recorded.Observe(tel)
+		ref, r := oracle.observe(tel)
+		if got != ref {
+			t.Fatalf("at %v: recording detector Observe = %v, wrapped one %v", tel.T, got, ref)
+		}
+		want = append(want, r)
+		switch {
+		case math.IsNaN(tel.CurrentA):
+			nan++
+		case !r.Quiescent:
+			busy++
+		}
+		if got {
+			flagged++
+			m.PowerCycle()
+			recorded.Reset()
+			plain.Reset()
 		}
 	})
-	if !detected {
-		t.Fatal("adaptive detector absorbed the SEL step")
+	if nan == 0 || busy == 0 || flagged == 0 {
+		t.Fatalf("flight saw %d NaN, %d busy and %d flagged samples, want each > 0", nan, busy, flagged)
+	}
+	records := rec.Records()
+	if len(records) != len(want) {
+		t.Fatalf("ring holds %d records, want %d", len(records), len(want))
+	}
+	bits := math.Float64bits
+	for i, g := range records {
+		w := want[i]
+		if g.T != w.T || bits(g.CurrentA) != bits(w.CurrentA) || bits(g.Predicted) != bits(w.Predicted) ||
+			bits(g.Residual) != bits(w.Residual) || g.Quiescent != w.Quiescent || g.Flagged != w.Flagged {
+			t.Fatalf("record %d = %+v, reference %+v", i, g, w)
+		}
 	}
 }

@@ -22,8 +22,6 @@ type Instruments struct {
 	WindowResets *telemetry.Counter
 	// Detections counts rising-edge SEL declarations.
 	Detections *telemetry.Counter
-	// AdaptNudges counts baseline-drift intercept adjustments.
-	AdaptNudges *telemetry.Counter
 	// BubblesInjected counts quiescent bubbles spliced into traces.
 	BubblesInjected *telemetry.Counter
 	// Residual tracks the running-average (measured − predicted) current.
@@ -52,7 +50,6 @@ func NewInstruments(reg *telemetry.Registry) *Instruments {
 		QuiescentSamples: reg.Counter("ild_quiescent_samples_total", "samples"),
 		WindowResets:     reg.Counter("ild_window_resets_total", "resets"),
 		Detections:       reg.Counter("ild_detections_total", "detections"),
-		AdaptNudges:      reg.Counter("ild_adapt_nudges_total", "nudges"),
 		BubblesInjected:  reg.Counter("ild_bubbles_injected_total", "bubbles"),
 		Residual:         reg.Gauge("ild_residual_amps", "amps"),
 		DetectionLatency: reg.Histogram("ild_detection_latency_seconds", "seconds", telemetry.LatencyBuckets()),

@@ -9,5 +9,4 @@ func (m *Machine) ClearSEL() {
 		m.ins.selClear(m.clock.Now(), "clear_sel")
 	}
 	m.selAmps = 0
-	m.sensor.SetSELOffset(0)
 }

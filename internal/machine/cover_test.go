@@ -39,13 +39,9 @@ func TestClearSELLeavesCountersAlone(t *testing.T) {
 func TestConfigDefaultsApplied(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FilterK = 0
-	cfg.SupplyVoltage = 0
 	m := New(cfg)
 	if m.cfg.FilterK != 1 {
 		t.Fatalf("FilterK default = %d, want 1", m.cfg.FilterK)
-	}
-	if m.cfg.SupplyVoltage != 5.0 {
-		t.Fatalf("SupplyVoltage default = %v, want 5.0", m.cfg.SupplyVoltage)
 	}
 }
 

@@ -10,12 +10,14 @@
 // ILD consumes. Time is simulated (package simclock), so the paper's
 // 960-hour campaign runs in seconds.
 //
-// Key types: Config sizes the board (cores, sampling cadence, sensor
-// seed, SEL damage horizon, optional telemetry registry); Machine is
-// the assembled board — InjectSEL/ClearSEL emulate the potentiometer,
-// PowerCycle is the recovery action, RunTrace steps a trace and invokes
-// a callback per Telemetry sample; Telemetry carries per-core
-// CoreTelemetry counters plus raw and filtered current.
+// Key types: Config sizes the board (cores, power model, sensor seed,
+// sampling cadence and filter, optional hardware watchdog and telemetry
+// registry); the DVFS range, supply and damage horizon are the fixed
+// design of the paper's board. Machine is the assembled board —
+// InjectSEL/ClearSEL emulate the potentiometer, PowerCycle is the
+// recovery action, RunTrace steps a trace and invokes a callback per
+// Telemetry sample; Telemetry carries per-core CoreTelemetry counters
+// plus raw and filtered current, one sensor Read per sample.
 //
 // Sample ownership: RunTrace samples every PerCore into one buffer the
 // machine owns and rewrites on the next sample, so the Telemetry its
@@ -24,8 +26,8 @@
 // replay copies each into its own arena).
 //
 // Invariants: a latched machine whose SEL is not cleared within
-// Config.SELDamageAfter of simulated time is permanently damaged (the
-// paper's ~5-minute thermal horizon); PowerCycle always clears the
+// SELDamageAfter of simulated time is permanently damaged (the paper's
+// ~5-minute thermal horizon); PowerCycle always clears the
 // latchup and costs the configured outage; sensor noise and transients
 // are deterministic given Config.SensorSeed; samples arrive strictly
 // every Config.SampleEvery of simulated time. When Config.Telemetry is

@@ -16,42 +16,16 @@ import (
 // Config describes the board.
 type Config struct {
 	Cores       int
-	MinFreqHz   float64 // DVFS floor
-	MaxFreqHz   float64 // DVFS ceiling
 	Power       power.Params
 	SensorSeed  int64
 	SampleEvery time.Duration // telemetry cadence (paper: 1 ms)
 	FilterK     int           // raw draws folded into the rolling-min filtered reading
-	// Governor enables ondemand-style DVFS: when a trace segment does not
-	// pin a frequency, the core frequency tracks its utilisation.
-	Governor bool
-	// SELDamageAfter is how long an uncleared latchup takes to destroy
-	// the chip (paper: ≈5 minutes of localized heating).
-	SELDamageAfter time.Duration
 	// WatchdogTimeout arms a hardware watchdog timer: when the kernel
 	// stops petting it for this long (a scheduled kernel panic or hang —
 	// see osfault.go), the timer power cycles the board on its own.
 	// Zero (the default) leaves the watchdog unfitted, the
 	// pre-Trikarenos COTS baseline.
 	WatchdogTimeout time.Duration
-	// SupplyVoltage is used for energy integration (W = V·I).
-	SupplyVoltage float64
-	// AutoSupplyTrip enables the power supply's own over-current
-	// protection (paper §3.1: "larger current spikes on the order of 1A
-	// are already addressed by additional thresholding circuitry"): when
-	// TripSustain of consecutive samples exceed the trip threshold, the
-	// supply power cycles the board on its own. It catches classic
-	// ampere-scale latchups; micro-SELs sail under it — that gap is
-	// ILD's whole reason to exist.
-	AutoSupplyTrip bool
-	// TripSustain is how long the excess must persist before the supply
-	// reacts (integrating comparators ignore microsecond transients).
-	TripSustain time.Duration
-	// SupplyTripA is the deployed trip level. It must sit above the
-	// workload envelope (unlike the naive 4 A example threshold of the
-	// paper's Figure 2, which full compute load crosses legitimately) or
-	// the supply reboots the board on every heavy burst.
-	SupplyTripA float64
 	// Telemetry, when non-nil, receives the machine's counters, gauges
 	// and SEL lifecycle events (see TELEMETRY.md). Nil disables
 	// instrumentation.
@@ -59,24 +33,44 @@ type Config struct {
 }
 
 // DefaultConfig returns the Pi-Zero-2W-class board of the paper's SEL
-// testbed: 4 cores, 0.6–1.4 GHz DVFS, 1 ms sampling, min-of-5 filter.
+// testbed: 4 cores, 1 ms sampling, min-of-5 filter.
 func DefaultConfig() Config {
 	return Config{
-		Cores:          4,
-		MinFreqHz:      600e6,
-		MaxFreqHz:      1.4e9,
-		Power:          power.DefaultParams(),
-		SensorSeed:     1,
-		SampleEvery:    time.Millisecond,
-		FilterK:        5,
-		Governor:       true,
-		SELDamageAfter: 5 * time.Minute,
-		SupplyVoltage:  5.0,
-		AutoSupplyTrip: true,
-		TripSustain:    50 * time.Millisecond,
-		SupplyTripA:    6.0, // above the ≈4.5 A full-load envelope
+		Cores:       4,
+		Power:       power.DefaultParams(),
+		SensorSeed:  1,
+		SampleEvery: time.Millisecond,
+		FilterK:     5,
 	}
 }
+
+// SELDamageAfter is how long an uncleared latchup takes to destroy the
+// chip (paper: ≈5 minutes of localized heating).
+const SELDamageAfter = 5 * time.Minute
+
+// The board's fixed electrical design.
+const (
+	// The cores' DVFS range. When a trace segment does not pin a
+	// frequency, an ondemand governor makes each core's frequency track
+	// its utilisation within it.
+	minFreqHz = 600e6
+	maxFreqHz = 1.4e9
+	// supplyVoltage is used for energy integration (W = V·I).
+	supplyVoltage = 5.0
+	// The power supply's own over-current protection (paper §3.1:
+	// "larger current spikes on the order of 1A are already addressed
+	// by additional thresholding circuitry"): when tripSustain of
+	// consecutive samples exceed supplyTripA, the supply power cycles
+	// the board on its own. It catches classic ampere-scale latchups;
+	// micro-SELs sail under it — that gap is ILD's whole reason to
+	// exist. The integrating comparator ignores microsecond transients,
+	// and the trip level sits above the ≈4.5 A full-load envelope
+	// (unlike the naive 4 A example threshold of the paper's Figure 2,
+	// which full compute load crosses legitimately), or the supply would
+	// reboot the board on every heavy burst.
+	supplyTripA = 6.0
+	tripSustain = 50 * time.Millisecond
+)
 
 // CoreTelemetry carries the per-core counter rates of one sample interval
 // — the paper's Table 1 feature set.
@@ -115,7 +109,6 @@ type Machine struct {
 	clock  simclock.Clock
 	cores  []*cpu.Core
 	sensor *power.Sensor
-	pmodel *power.Model
 
 	// state and modelCurA cache the electrical view of the board. The
 	// board's electrical state only moves when a trace segment or a DVFS
@@ -126,13 +119,16 @@ type Machine struct {
 	// scheduler perf work (see PERFORMANCE.md).
 	state     power.BoardState
 	modelCurA float64
+	// driftA is the thermal-drift offset of the board's current, which
+	// Step recomputes from simulated time.
+	driftA float64
 
 	// runPerCore is the one PerCore buffer RunTrace samples into: its
 	// callback sees each sample only until it returns, so the loop reuses
 	// it instead of allocating.
 	runPerCore []CoreTelemetry
 
-	// tripNeed is Config.TripSustain in samples, at least 1.
+	// tripNeed is tripSustain in samples, at least 1.
 	tripNeed int
 	// sampleSec is Config.SampleEvery in seconds. Step and sample use it
 	// whenever their interval is one sampling period, as nearly all are,
@@ -191,22 +187,17 @@ func New(cfg Config) *Machine {
 	if cfg.FilterK < 1 {
 		cfg.FilterK = 1
 	}
-	if cfg.SupplyVoltage <= 0 {
-		cfg.SupplyVoltage = 5.0
-	}
-	model := power.NewModel(cfg.Power)
 	m := &Machine{
 		cfg:          cfg,
-		sensor:       power.NewSensor(model, cfg.SensorSeed),
-		pmodel:       model,
+		sensor:       power.NewSensor(cfg.Power, cfg.SensorSeed),
 		lastCounters: make([]cpu.Counters, cfg.Cores),
 		runPerCore:   make([]CoreTelemetry, cfg.Cores),
-		tripNeed:     max(int(cfg.TripSustain/cfg.SampleEvery), 1),
+		tripNeed:     max(int(tripSustain/cfg.SampleEvery), 1),
 		sampleSec:    cfg.SampleEvery.Seconds(),
 		ins:          newInstruments(cfg.Telemetry),
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		m.cores = append(m.cores, cpu.NewCore(i, cfg.MinFreqHz))
+		m.cores = append(m.cores, cpu.NewCore(i, minFreqHz))
 	}
 	m.state.Cores = make([]power.CoreState, cfg.Cores)
 	m.refreshElectricalState()
@@ -223,15 +214,19 @@ func (m *Machine) refreshElectricalState() {
 	}
 	m.state.DRAMBytesPerSec = m.dramRate
 	m.state.DiskSectorsPerSec = m.diskReadRate + m.diskWriteRate
-	m.modelCurA = m.pmodel.TrueCurrent(m.state)
+	m.modelCurA = m.cfg.Power.TrueCurrent(m.state)
 }
+
+// trueCurrentA is the board's noise-free current: the model's, plus any
+// latchup and the thermal drift.
+func (m *Machine) trueCurrentA() float64 { return m.modelCurA + m.selAmps + m.driftA }
 
 // Clock returns the machine's simulated time source. Like the machine,
 // it belongs to the goroutine that flies the board.
 func (m *Machine) Clock() *simclock.Clock { return &m.clock }
 
-// Sensor exposes the current sensor (the fault layer injects SELs through
-// the machine, not the sensor, so most callers never need this).
+// Sensor exposes the current sensor, to schedule its faults (the fault
+// layer injects SELs through the machine, not the sensor).
 func (m *Machine) Sensor() *power.Sensor { return m.sensor }
 
 // InjectSEL adds a persistent latchup current of the given magnitude.
@@ -249,7 +244,6 @@ func (m *Machine) InjectSEL(amps float64) error {
 		m.selSince = m.clock.Now()
 	}
 	m.selAmps += amps
-	m.sensor.SetSELOffset(m.selAmps)
 	m.ins.selOnset(m.clock.Now(), amps)
 	return nil
 }
@@ -278,7 +272,6 @@ func (m *Machine) PowerCycle() {
 	}
 	m.selAmps = 0
 	m.tripConsecutive = 0
-	m.sensor.SetSELOffset(0)
 	// A fresh boot clears whatever kernel-dead state held the board:
 	// the panic/hang window is spent and cannot re-trigger, and the
 	// watchdog pets restart immediately.
@@ -312,12 +305,11 @@ func (m *Machine) ApplySegment(s trace.Segment) {
 		// clamped to physical ranges, with non-finite fields at 0.
 		load = c.Load()
 		m.dramRate += load.MemBytesPerSec
-		switch {
-		case s.FreqHz > 0:
-			c.SetFreqHz(clampF(s.FreqHz, m.cfg.MinFreqHz, m.cfg.MaxFreqHz))
-		case m.cfg.Governor:
+		if s.FreqHz > 0 {
+			c.SetFreqHz(clampF(s.FreqHz, minFreqHz, maxFreqHz))
+		} else {
 			// ondemand: frequency tracks utilisation.
-			c.SetFreqHz(m.cfg.MinFreqHz + float64(load.Util*(m.cfg.MaxFreqHz-m.cfg.MinFreqHz)))
+			c.SetFreqHz(minFreqHz + float64(load.Util*(maxFreqHz-minFreqHz)))
 		}
 	}
 	m.diskReadRate = s.DiskReadPerSec
@@ -346,18 +338,16 @@ func (m *Machine) Step(dt time.Duration) {
 	}
 	// The rail stays powered through a panic: energy keeps integrating
 	// and an uncleared latchup keeps heating toward the damage horizon.
-	m.energyJ += float64(m.sensor.TrueCurrentFrom(m.modelCurA) * m.cfg.SupplyVoltage * sec)
+	m.energyJ += float64(m.trueCurrentA() * supplyVoltage * sec)
 	now := m.clock.Advance(dt)
-	m.sensor.AdvanceTo(now) // activate scheduled sensor faults
 	m.updateOSFaults(now)
 	// Orbital thermal cycle: the current baseline drifts sinusoidally
 	// with board temperature, invisibly to the performance counters.
 	if p := &m.cfg.Power; p.ThermalDriftA > 0 && p.ThermalDriftPeriodSec > 0 {
 		phase := 2 * math.Pi * now.Seconds() / p.ThermalDriftPeriodSec
-		m.sensor.SetBaselineOffset(p.ThermalDriftA * sin(phase))
+		m.driftA = p.ThermalDriftA * sin(phase)
 	}
-	if m.selAmps > 0 && m.cfg.SELDamageAfter > 0 &&
-		now-m.selSince >= m.cfg.SELDamageAfter && !m.damaged {
+	if m.selAmps > 0 && now-m.selSince >= SELDamageAfter && !m.damaged {
 		m.damaged = true
 		m.ins.damage(now)
 	}
@@ -417,8 +407,8 @@ func (m *Machine) sample(pc []CoreTelemetry) Telemetry {
 	}
 	m.lastSample = now
 
-	rawA := m.sensor.SampleFrom(m.modelCurA)
-	currentA := m.sensor.SampleFilteredFrom(m.modelCurA, m.cfg.FilterK)
+	r := m.sensor.Read(m.trueCurrentA(), now, m.cfg.FilterK)
+	rawA, currentA := r.RawA, r.FilteredA
 	if hung {
 		// A hung kernel's I2C transactions stall: reads return the last
 		// latched register values. The draws above still burn so the
@@ -428,31 +418,25 @@ func (m *Machine) sample(pc []CoreTelemetry) Telemetry {
 		m.lastRawA, m.lastCurA = rawA, currentA
 	}
 
-	fk := power.FaultNone
-	if f, ok := m.sensor.ActiveFault(); ok {
-		fk = f.Kind
-	}
-	if fk != m.faultActive {
-		m.ins.sensorFault(now, m.faultActive, fk)
-		m.faultActive = fk
+	if r.Fault != m.faultActive {
+		m.ins.sensorFault(now, m.faultActive, r.Fault)
+		m.faultActive = r.Fault
 	}
 
 	// The supply's own over-current circuit is an analog comparator wired
 	// to the shunt directly, so it sees the healthy raw reading even when
 	// the digital sensor path is faulted; it power cycles the board after
-	// a sustained excess. With no sensor fault scheduled AnalogRaw equals
-	// RawA exactly.
-	if m.cfg.AutoSupplyTrip {
-		if m.sensor.AnalogRaw() > m.cfg.SupplyTripA {
-			m.tripConsecutive++
-		} else {
-			m.tripConsecutive = 0
-		}
-		if m.tripConsecutive >= m.tripNeed {
-			m.tripConsecutive = 0
-			m.ins.supplyTrip(now)
-			m.PowerCycle()
-		}
+	// a sustained excess. With no sensor fault active AnalogA equals RawA
+	// exactly.
+	if r.AnalogA > supplyTripA {
+		m.tripConsecutive++
+	} else {
+		m.tripConsecutive = 0
+	}
+	if m.tripConsecutive >= m.tripNeed {
+		m.tripConsecutive = 0
+		m.ins.supplyTrip(now)
+		m.PowerCycle()
 	}
 	m.ins.sample(currentA, m.energyJ)
 	return Telemetry{T: now, CurrentA: currentA, RawA: rawA, PerCore: pc,

@@ -64,11 +64,11 @@ func TestGovernorTracksUtil(t *testing.T) {
 	m.ApplySegment(trace.Segment{Loads: []cpu.Load{cpu.ComputeLoad}})
 	m.Step(time.Millisecond)
 	tel := m.sampleNow()
-	if tel.PerCore[0].FreqHz != m.cfg.MaxFreqHz {
-		t.Errorf("busy core freq = %g, want max %g", tel.PerCore[0].FreqHz, m.cfg.MaxFreqHz)
+	if tel.PerCore[0].FreqHz != maxFreqHz {
+		t.Errorf("busy core freq = %g, want max %g", tel.PerCore[0].FreqHz, maxFreqHz)
 	}
-	if tel.PerCore[1].FreqHz != m.cfg.MinFreqHz {
-		t.Errorf("idle core freq = %g, want min %g", tel.PerCore[1].FreqHz, m.cfg.MinFreqHz)
+	if tel.PerCore[1].FreqHz != minFreqHz {
+		t.Errorf("idle core freq = %g, want min %g", tel.PerCore[1].FreqHz, minFreqHz)
 	}
 }
 
@@ -85,19 +85,19 @@ func TestSegmentFreqOverrideWins(t *testing.T) {
 func TestFreqOverrideClamped(t *testing.T) {
 	m := New(quietConfig())
 	m.ApplySegment(trace.Segment{Loads: []cpu.Load{cpu.ComputeLoad}, FreqHz: 9e9})
-	if got := m.state.Cores[0].FreqHz; got != m.cfg.MaxFreqHz {
-		t.Errorf("freq = %g, want clamped to %g", got, m.cfg.MaxFreqHz)
+	if got := m.state.Cores[0].FreqHz; got != maxFreqHz {
+		t.Errorf("freq = %g, want clamped to %g", got, maxFreqHz)
 	}
 }
 
 func TestSELLifecycle(t *testing.T) {
 	m := New(quietConfig())
-	base := m.sensor.TrueCurrentFrom(m.modelCurA)
+	base := m.trueCurrentA()
 	m.InjectSEL(0.07)
 	if !m.SELActive() || m.selAmps != 0.07 {
 		t.Fatal("SEL not active after injection")
 	}
-	if got := m.sensor.TrueCurrentFrom(m.modelCurA); got != base+0.07 {
+	if got := m.trueCurrentA(); got != base+0.07 {
 		t.Fatalf("current with SEL = %v, want %v", got, base+0.07)
 	}
 	m.InjectSEL(0.05) // second strike stacks
@@ -105,7 +105,7 @@ func TestSELLifecycle(t *testing.T) {
 		t.Fatalf("stacked SEL = %v, want 0.12", m.selAmps)
 	}
 	m.PowerCycle()
-	if m.SELActive() || m.sensor.TrueCurrentFrom(m.modelCurA) != base {
+	if m.SELActive() || m.trueCurrentA() != base {
 		t.Fatal("power cycle did not clear SEL")
 	}
 	if m.PowerCycles() != 1 {
@@ -114,11 +114,9 @@ func TestSELLifecycle(t *testing.T) {
 }
 
 func TestSELDamageAfterHorizon(t *testing.T) {
-	cfg := quietConfig()
-	cfg.SELDamageAfter = time.Minute
-	m := New(cfg)
+	m := New(quietConfig())
 	m.InjectSEL(0.07)
-	m.Step(59 * time.Second)
+	m.Step(SELDamageAfter - time.Second)
 	if m.Damaged() {
 		t.Fatal("damaged before horizon")
 	}
@@ -134,13 +132,11 @@ func TestSELDamageAfterHorizon(t *testing.T) {
 }
 
 func TestPowerCycleBeforeHorizonPreventsDamage(t *testing.T) {
-	cfg := quietConfig()
-	cfg.SELDamageAfter = time.Minute
-	m := New(cfg)
+	m := New(quietConfig())
 	m.InjectSEL(0.07)
-	m.Step(30 * time.Second)
+	m.Step(SELDamageAfter / 2)
 	m.PowerCycle()
-	m.Step(10 * time.Minute)
+	m.Step(2 * SELDamageAfter)
 	if m.Damaged() {
 		t.Fatal("damaged despite timely power cycle")
 	}

@@ -70,19 +70,6 @@ func TestSupplyTripIgnoresTransientSpikes(t *testing.T) {
 	}
 }
 
-func TestSupplyTripDisabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AutoSupplyTrip = false
-	cfg.SensorSeed = 57
-	m := newTripCounted(cfg)
-	m.InjectSEL(5.0)
-	rng := rand.New(rand.NewSource(58))
-	m.RunTrace(trace.Quiescent(rng, time.Second, time.Second), nil)
-	if m.ins.supplyTrips.Value() != 0 || !m.SELActive() {
-		t.Fatal("disabled supply trip still acted")
-	}
-}
-
 // TestSupplyTripSurvivesSensorDropout pins the analog-comparator model:
 // the supply's over-current circuit reads the shunt directly, so a dead
 // digital sensor cannot blind it and a classic ampere-scale latchup is
@@ -113,14 +100,12 @@ func TestSupplyTripSurvivesSensorDropout(t *testing.T) {
 // and the partial trip count, so the fresh boot does not inherit a
 // nearly-fired trip.
 func TestPowerCycleDuringActiveTripClearsBothStates(t *testing.T) {
-	cfg := quietConfig()
-	cfg.SupplyTripA = 4.0
-	cfg.TripSustain = 50 * time.Millisecond // 50 samples at 1 ms
-	m := newTripCounted(cfg)
-	if err := m.InjectSEL(5.0); err != nil {
+	m := newTripCounted(quietConfig())
+	if err := m.InjectSEL(5.0); err != nil { // 6.55 A, above supplyTripA
 		t.Fatal(err)
 	}
-	// Accumulate most of a trip, then power cycle from software.
+	// Accumulate most of a trip (tripSustain is 50 samples at 1 ms),
+	// then power cycle from software.
 	for i := 0; i < 40; i++ {
 		m.Step(time.Millisecond)
 		m.sampleNow()

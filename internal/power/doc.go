@@ -9,14 +9,15 @@
 // little as +0.07 A — two orders of magnitude below workload variation,
 // which is why static thresholds fail (paper Figure 2).
 //
-// Key types: Params calibrates the board (idle draw, per-core dynamic
-// draw, DVFS exponent, sensor noise, trip threshold); Model maps a
-// BoardState (per-core CoreState activity plus any latchup current) to
-// true amps; Sensor wraps the model with seeded measurement noise,
-// transient spikes, and the rolling-minimum filter the paper uses to
-// tame both. A raw reading and a filtered window each run as one
-// alfg.MinReading loop over the sensor's noise stream, and the active
-// sensor fault (faults.go), if any, is applied to the result.
+// Key types: Params calibrates the board (idle draw, per-core dynamic,
+// memory and disk draw, sensor noise, trip threshold, thermal drift),
+// and its TrueCurrent maps a BoardState (per-core CoreState activity
+// and IO rates) to the board model's amps; Sensor adds seeded
+// measurement noise and transient spikes, and the rolling-minimum
+// filter the paper uses to tame both. Sensor.Read takes one sample of a
+// given true current: a raw reading and a filtered window, each one
+// alfg.MinReading loop over the sensor's noise stream, both passed
+// through the fault active at that instant (faults.go).
 //
 // Invariants: true current is a deterministic function of BoardState;
 // sensor noise is deterministic given the seed, and draws exactly the
@@ -25,6 +26,6 @@
 // filter never reports below the true floor — it suppresses upward
 // noise and transients, which is why a persistent +0.07 A latchup
 // survives filtering while spikes do not. The supply's own over-current
-// trip lives in package machine, which reads the sensor's healthy analog
-// value (AnalogRaw).
+// trip lives in package machine, which reads the healthy analog value
+// every Reading carries (Reading.AnalogA).
 package power

@@ -94,18 +94,14 @@ func (s *Sensor) ScheduleFault(f SensorFault) error {
 	return nil
 }
 
-// AdvanceTo installs the current simulated instant; the machine calls it
-// every step so the fault schedule activates at the right time.
-func (s *Sensor) AdvanceTo(now time.Duration) { s.now = now }
-
-// ActiveFault returns the fault covering the present instant, if any.
-func (s *Sensor) ActiveFault() (SensorFault, bool) {
-	for _, f := range s.faults {
-		if f.active(s.now) {
-			return f, true
+// activeFault returns the fault covering the instant now, or nil.
+func (s *Sensor) activeFault(now time.Duration) *SensorFault {
+	for i := range s.faults {
+		if s.faults[i].active(now) {
+			return &s.faults[i]
 		}
 	}
-	return SensorFault{}, false
+	return nil
 }
 
 // faultSeedSalt decorrelates the garbage-value stream from the nominal
@@ -114,18 +110,12 @@ func (s *Sensor) ActiveFault() (SensorFault, bool) {
 // own generator.
 const faultSeedSalt = 0x5eed
 
-// applyFault transforms one healthy reading through the active fault
-// model (identity when the sensor is healthy). The healthy value is
-// always computed first — the nominal noise stream burns the same RNG
-// draws whether or not a fault is scheduled, so the readings outside the
-// fault window are bit-identical to an unfaulted run with the same seed.
-func (s *Sensor) applyFault(healthy float64) float64 {
-	f, ok := s.ActiveFault()
-	if !ok {
-		s.lastHealthy = healthy
-		s.haveHealthy = true
-		return healthy
-	}
+// applyFault transforms one healthy reading through the active fault f.
+// The healthy value is always computed first — the nominal noise stream
+// burns the same RNG draws whether or not a fault is scheduled, so the
+// readings outside the fault window are bit-identical to an unfaulted
+// run with the same seed.
+func (s *Sensor) applyFault(f *SensorFault, healthy float64) float64 {
 	switch f.Kind {
 	case FaultDropout:
 		return math.NaN()

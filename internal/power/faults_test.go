@@ -10,10 +10,11 @@ func quietSensor(seed int64) *Sensor {
 	p := DefaultParams()
 	p.NoiseSigmaA = 0
 	p.SpikeProb = 0
-	return NewSensor(NewModel(p), seed)
+	return NewSensor(p, seed)
 }
 
-func idleState() BoardState { return BoardState{} }
+// idleA is the idle board's true current.
+var idleA = DefaultParams().TrueCurrent(BoardState{})
 
 func TestScheduleFaultValidation(t *testing.T) {
 	s := quietSensor(1)
@@ -43,15 +44,13 @@ func TestFaultDropoutReturnsNaN(t *testing.T) {
 	if err := s.ScheduleFault(SensorFault{Kind: FaultDropout, Start: time.Second, Duration: time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	if v := s.SampleFrom(s.model.TrueCurrent(idleState())); math.IsNaN(v) {
+	if r := s.Read(idleA, 0, 5); math.IsNaN(r.RawA) || math.IsNaN(r.FilteredA) {
 		t.Fatal("healthy sample is NaN before fault onset")
 	}
-	s.AdvanceTo(1500 * time.Millisecond)
-	if v := s.SampleFrom(s.model.TrueCurrent(idleState())); !math.IsNaN(v) {
-		t.Fatalf("dropout sample = %v, want NaN", v)
+	if r := s.Read(idleA, 1500*time.Millisecond, 5); !math.IsNaN(r.RawA) || !math.IsNaN(r.FilteredA) {
+		t.Fatalf("dropout sample = %+v, want NaN", r)
 	}
-	s.AdvanceTo(2500 * time.Millisecond)
-	if v := s.SampleFrom(s.model.TrueCurrent(idleState())); math.IsNaN(v) {
+	if r := s.Read(idleA, 2500*time.Millisecond, 5); math.IsNaN(r.RawA) || math.IsNaN(r.FilteredA) {
 		t.Fatal("sample still NaN after fault window closed")
 	}
 }
@@ -61,14 +60,13 @@ func TestFaultStuckFreezesLastHealthy(t *testing.T) {
 	if err := s.ScheduleFault(SensorFault{Kind: FaultStuck, Start: time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	healthy := s.SampleFrom(s.model.TrueCurrent(idleState()))
-	s.AdvanceTo(2 * time.Second)
+	healthy := s.Read(idleA, 0, 5).FilteredA
 	// The frozen value must track the last healthy reading even as the
 	// true current changes underneath.
-	busy := BoardState{Cores: []CoreState{{FreqHz: 1.4e9, Util: 1, IPC: 2}}}
+	busy := DefaultParams().TrueCurrent(BoardState{Cores: []CoreState{{FreqHz: 1.4e9, Util: 1, IPC: 2}}})
 	for i := 0; i < 3; i++ {
-		if v := s.SampleFrom(s.model.TrueCurrent(busy)); v != healthy {
-			t.Fatalf("stuck sample %d = %v, want frozen %v", i, v, healthy)
+		if r := s.Read(busy, 2*time.Second, 5); r.RawA != healthy || r.FilteredA != healthy {
+			t.Fatalf("stuck sample %d = %+v, want frozen %v", i, r, healthy)
 		}
 	}
 }
@@ -78,20 +76,19 @@ func TestFaultStuckBeforeAnyHealthyReadIsZero(t *testing.T) {
 	if err := s.ScheduleFault(SensorFault{Kind: FaultStuck}); err != nil {
 		t.Fatal(err)
 	}
-	if v := s.SampleFrom(s.model.TrueCurrent(idleState())); v != 0 {
-		t.Fatalf("stuck-from-boot sample = %v, want 0", v)
+	if r := s.Read(idleA, 0, 5); r.RawA != 0 || r.FilteredA != 0 {
+		t.Fatalf("stuck-from-boot sample = %+v, want 0", r)
 	}
 }
 
 func TestFaultOffsetAddsBias(t *testing.T) {
 	s := quietSensor(5)
-	base := s.SampleFrom(s.model.TrueCurrent(idleState()))
+	base := s.Read(idleA, 0, 5).RawA
 	if err := s.ScheduleFault(SensorFault{Kind: FaultOffset, OffsetA: 0.25}); err != nil {
 		t.Fatal(err)
 	}
-	s.AdvanceTo(time.Millisecond)
-	if v := s.SampleFrom(s.model.TrueCurrent(idleState())); v != base+0.25 {
-		t.Fatalf("offset sample = %v, want %v", v, base+0.25)
+	if r := s.Read(idleA, time.Millisecond, 5); r.RawA != base+0.25 || r.FilteredA != base+0.25 {
+		t.Fatalf("offset sample = %+v, want %v", r, base+0.25)
 	}
 }
 
@@ -101,9 +98,10 @@ func TestFaultGarbageIsDeterministicAndWild(t *testing.T) {
 		if err := s.ScheduleFault(SensorFault{Kind: FaultGarbage}); err != nil {
 			t.Fatal(err)
 		}
-		out := make([]float64, 20)
-		for i := range out {
-			out[i] = s.SampleFrom(s.model.TrueCurrent(idleState()))
+		out := make([]float64, 0, 40)
+		for range 20 {
+			r := s.Read(idleA, 0, 5)
+			out = append(out, r.RawA, r.FilteredA)
 		}
 		return out
 	}
@@ -133,7 +131,7 @@ func TestFaultGarbageIsDeterministicAndWild(t *testing.T) {
 // run with the same seed.
 func TestFaultScheduleDoesNotPerturbHealthyStream(t *testing.T) {
 	run := func(schedule bool) []float64 {
-		s := NewSensor(NewModel(DefaultParams()), 7) // noisy: exercises the RNG stream
+		s := NewSensor(DefaultParams(), 7) // noisy: exercises the RNG stream
 		if schedule {
 			if err := s.ScheduleFault(SensorFault{Kind: FaultGarbage, Start: 10 * time.Millisecond, Duration: 10 * time.Millisecond}); err != nil {
 				t.Fatal(err)
@@ -141,14 +139,14 @@ func TestFaultScheduleDoesNotPerturbHealthyStream(t *testing.T) {
 		}
 		var out []float64
 		for i := 0; i < 40; i++ {
-			s.AdvanceTo(time.Duration(i) * time.Millisecond)
-			out = append(out, s.SampleFrom(s.model.TrueCurrent(idleState())))
+			r := s.Read(idleA, time.Duration(i)*time.Millisecond, 5)
+			out = append(out, r.RawA, r.FilteredA)
 		}
 		return out
 	}
 	plain, faulted := run(false), run(true)
 	for i := range plain {
-		in := i >= 10 && i < 20
+		in := i/2 >= 10 && i/2 < 20
 		if !in && plain[i] != faulted[i] {
 			t.Fatalf("healthy sample %d perturbed by fault schedule: %v vs %v", i, plain[i], faulted[i])
 		}
@@ -160,26 +158,27 @@ func TestFaultScheduleDoesNotPerturbHealthyStream(t *testing.T) {
 
 func TestAnalogRawUnaffectedByFault(t *testing.T) {
 	s := quietSensor(8)
-	healthy := s.SampleFrom(s.model.TrueCurrent(idleState()))
+	healthy := s.Read(idleA, 0, 5).RawA
 	if err := s.ScheduleFault(SensorFault{Kind: FaultDropout}); err != nil {
 		t.Fatal(err)
 	}
-	if v := s.SampleFrom(s.model.TrueCurrent(idleState())); !math.IsNaN(v) {
-		t.Fatalf("digital sample = %v, want NaN under dropout", v)
+	r := s.Read(idleA, 0, 5)
+	if !math.IsNaN(r.RawA) {
+		t.Fatalf("digital sample = %v, want NaN under dropout", r.RawA)
 	}
-	if got := s.AnalogRaw(); got != healthy {
-		t.Fatalf("AnalogRaw = %v, want healthy %v", got, healthy)
+	if r.AnalogA != healthy {
+		t.Fatalf("AnalogA = %v, want healthy %v", r.AnalogA, healthy)
 	}
 }
 
 func TestSampleFilteredFaultedOnce(t *testing.T) {
 	s := quietSensor(9)
-	base := s.SampleFilteredFrom(s.model.TrueCurrent(idleState()), 5)
+	base := s.Read(idleA, 0, 5).FilteredA
 	if err := s.ScheduleFault(SensorFault{Kind: FaultOffset, OffsetA: 0.1}); err != nil {
 		t.Fatal(err)
 	}
 	// The bias applies to the filtered result exactly once, not per draw.
-	if v := s.SampleFilteredFrom(s.model.TrueCurrent(idleState()), 5); math.Abs(v-(base+0.1)) > 1e-12 {
+	if v := s.Read(idleA, 0, 5).FilteredA; math.Abs(v-(base+0.1)) > 1e-12 {
 		t.Fatalf("filtered offset sample = %v, want %v", v, base+0.1)
 	}
 }
@@ -192,8 +191,7 @@ func TestActiveFaultEarliestScheduledWins(t *testing.T) {
 	if err := s.ScheduleFault(SensorFault{Kind: FaultDropout, Start: 0}); err != nil {
 		t.Fatal(err)
 	}
-	f, ok := s.ActiveFault()
-	if !ok || f.Kind != FaultStuck {
-		t.Fatalf("ActiveFault = %+v/%v, want earliest-scheduled stuck", f, ok)
+	if r := s.Read(idleA, 0, 5); r.Fault != FaultStuck {
+		t.Fatalf("active fault = %v, want earliest-scheduled stuck", r.Fault)
 	}
 }

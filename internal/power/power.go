@@ -78,50 +78,36 @@ type BoardState struct {
 	DiskSectorsPerSec float64
 }
 
-// Model converts a BoardState into the board's true (noise-free) current.
-type Model struct {
-	p Params
-}
-
-// NewModel returns a Model with the given coefficients.
-func NewModel(p Params) *Model { return &Model{p: p} }
-
 // TrueCurrent returns the physical current draw in amps for the state.
 // Every product that feeds a sum is converted explicitly, so no compiler
 // fuses it into a multiply-add (DESIGN.md §9).
-func (m *Model) TrueCurrent(s BoardState) float64 {
-	cur := m.p.IdleCurrentA
+func (p Params) TrueCurrent(s BoardState) float64 {
+	cur := p.IdleCurrentA
 	for _, c := range s.Cores {
 		ghz := c.FreqHz / 1e9
-		cur += float64(c.Util * ghz * (m.p.CoreAPerGHz + float64(m.p.IPCAPerGHz*c.IPC)))
+		cur += float64(c.Util * ghz * (p.CoreAPerGHz + float64(p.IPCAPerGHz*c.IPC)))
 	}
-	cur += float64(s.DRAMBytesPerSec / 1e9 * m.p.DRAMAPerGBps)
-	cur += float64(s.DiskSectorsPerSec / 1e3 * m.p.DiskAPerKSectors)
+	cur += float64(s.DRAMBytesPerSec / 1e9 * p.DRAMAPerGBps)
+	cur += float64(s.DiskSectorsPerSec / 1e3 * p.DiskAPerKSectors)
 	return cur
 }
 
-// Sensor is the current-measurement device (INA3221-class). It adds the
-// SEL offset injected by the fault layer, Gaussian noise, and transient
-// spikes. A deterministic seed keeps experiments reproducible: the noise
-// stream is math/rand's stream for the seed, drawn through alfg.Source.
+// Sensor is the current-measurement device (INA3221-class). It adds
+// Gaussian noise and transient spikes to the board's true current and
+// passes each reading through its scheduled faults. A deterministic
+// seed keeps experiments reproducible: the noise stream is math/rand's
+// stream for the seed, drawn through alfg.Source.
 type Sensor struct {
-	model      *Model
-	rng        *alfg.Source
-	noise      alfg.Noise // the model's noise parameters, for rng.MinReading
-	seed       int64
-	selOffset  float64
-	baseOffset float64 // thermal-drift offset, updated by the machine
+	rng   *alfg.Source
+	noise alfg.Noise // the model's noise parameters, for rng.MinReading
+	seed  int64
 
-	// Sensor-fault state (see faults.go). now is the simulated instant,
-	// advanced by the machine; lastHealthy freezes the stuck-at value;
-	// analogRaw carries the most recent pre-fault raw reading for the
-	// supply's independent analog trip comparator; frng feeds garbage
-	// values without perturbing the nominal noise stream.
+	// Sensor-fault state (see faults.go). lastHealthy is the last
+	// healthy filtered reading, the value a stuck fault freezes; frng
+	// feeds garbage values without perturbing the nominal noise stream.
 	faults      []SensorFault
-	now         time.Duration
 	lastHealthy float64
 	haveHealthy bool
-	analogRaw   float64
 	frng        *rand.Rand
 }
 
@@ -129,14 +115,10 @@ type Sensor struct {
 // [spikeMinA, Params.SpikeMaxA).
 const spikeMinA = 0.05
 
-// SetBaselineOffset installs the current thermal-drift offset. The
-// machine recomputes it from simulated time each step.
-func (s *Sensor) SetBaselineOffset(amps float64) { s.baseOffset = amps }
-
-// NewSensor returns a sensor over the model with a deterministic RNG.
-func NewSensor(model *Model, seed int64) *Sensor {
-	p := &model.p
-	return &Sensor{model: model, rng: alfg.New(seed), seed: seed, noise: alfg.Noise{
+// NewSensor returns a sensor with p's noise model and a deterministic
+// RNG.
+func NewSensor(p Params, seed int64) *Sensor {
+	return &Sensor{rng: alfg.New(seed), seed: seed, noise: alfg.Noise{
 		Sigma:     p.NoiseSigmaA,
 		SpikeProb: p.SpikeProb,
 		SpikeLo:   spikeMinA,
@@ -144,52 +126,47 @@ func NewSensor(model *Model, seed int64) *Sensor {
 	}}
 }
 
-// SetSELOffset installs a persistent additional current draw, the
-// signature of a (micro-)latchup. A power cycle clears it (see machine).
-func (s *Sensor) SetSELOffset(amps float64) { s.selOffset = amps }
-
-// TrueCurrentFrom returns the noise-free current: modelCur, the board
-// model's current (Model.TrueCurrent), plus any SEL offset and the
-// present thermal-drift offset. The machine's sampling loop computes the
-// model term once per electrical state change (it only moves when a
-// trace segment or DVFS point changes) instead of re-walking the core
-// array on every draw — the measured per-sample hot spot the campaign
-// scheduler work removed (see PERFORMANCE.md).
-func (s *Sensor) TrueCurrentFrom(modelCur float64) float64 {
-	return modelCur + s.selOffset + s.baseOffset
+// Reading is one sample of the sensor.
+type Reading struct {
+	// RawA is a single unfiltered reading and FilteredA the rolling
+	// minimum; both have passed through the active fault.
+	RawA, FilteredA float64
+	// AnalogA is RawA before the fault. The power supply's own
+	// over-current comparator is an analog circuit wired to the shunt
+	// directly, so a digital sensor fault (stuck register, dead I2C bus)
+	// does not blind it: the machine's supply trip reads this.
+	AnalogA float64
+	// Fault is the kind of the fault active at the reading, FaultNone
+	// when the sensor is healthy.
+	Fault FaultKind
 }
 
-// SampleFrom returns one raw sensor reading around modelCur, the board
-// model's current: true current + SEL offset + Gaussian noise, possibly
-// landing on a transient spike, clamped at zero, then passed through the
-// active sensor-fault model (identity when healthy).
+// Read samples the sensor at simulated instant now on a board whose
+// noise-free current is trueA (the machine sums the board model's
+// current, any latchup and the thermal drift).
 //
-// A reading draws one normal value, one uniform value for the spike
-// test, and one more uniform on a spike, in that order (alfg.Noise and
-// MinReading spell it out). That consumption order is part of the
-// repository's determinism contract: experiment goldens replay these
-// exact streams.
-func (s *Sensor) SampleFrom(modelCur float64) float64 {
-	h := s.rng.MinReading(s.TrueCurrentFrom(modelCur), s.noise, 1)
-	s.analogRaw = h
-	return s.applyFault(h)
-}
-
-// AnalogRaw returns the healthy raw value behind the most recent
-// SampleFrom call. The power supply's own over-current comparator is an analog
-// circuit wired to the shunt directly — a digital sensor fault (stuck
-// register, dead I2C bus) does not blind it — so the machine's supply
-// trip path reads this instead of the possibly-faulted sample.
-func (s *Sensor) AnalogRaw() float64 { return s.analogRaw }
-
-// SampleFilteredFrom returns the minimum of k raw readings around
-// modelCur (k < 1 counts as 1), modelling ILD's ±250 µs rolling-minimum
-// filter: transient spikes are positive excursions, so the windowed
-// minimum tracks the true baseline with far lower variance (paper: σ
-// 0.14 A → 0.02 A during quiescence). The fault model transforms the
-// filtered result: a stuck or dead ADC corrupts every draw in the window
-// identically. The noise-free current is the same for all k readings, so
-// it is evaluated once, and the k readings run in one MinReading loop.
-func (s *Sensor) SampleFilteredFrom(modelCur float64, k int) float64 {
-	return s.applyFault(s.rng.MinReading(s.TrueCurrentFrom(modelCur), s.noise, max(k, 1)))
+// It takes one raw reading, then the minimum of k readings (k < 1 counts
+// as 1), which models ILD's ±250 µs rolling-minimum filter: transient
+// spikes are positive excursions, so the windowed minimum tracks the
+// true baseline with far lower variance (paper: σ 0.14 A → 0.02 A
+// during quiescence). A reading is true current plus Gaussian noise,
+// possibly landing on a transient spike, clamped at zero. It draws one
+// normal value, one uniform value for the spike test, and one more
+// uniform on a spike, in that order (alfg.Noise and MinReading spell it
+// out); the raw reading draws before the window, which runs as one
+// MinReading loop. That consumption order is part of the repository's
+// determinism contract: experiment goldens replay these exact streams.
+//
+// The fault active at now transforms the raw reading and then the
+// filtered one (a stuck or dead ADC corrupts every draw in the window
+// identically, so the window's result is faulted once).
+func (s *Sensor) Read(trueA float64, now time.Duration, k int) Reading {
+	raw := s.rng.MinReading(trueA, s.noise, 1)
+	filtered := s.rng.MinReading(trueA, s.noise, max(k, 1))
+	f := s.activeFault(now)
+	if f == nil {
+		s.lastHealthy, s.haveHealthy = filtered, true
+		return Reading{RawA: raw, FilteredA: filtered, AnalogA: raw}
+	}
+	return Reading{RawA: s.applyFault(f, raw), FilteredA: s.applyFault(f, filtered), AnalogA: raw, Fault: f.Kind}
 }

@@ -15,7 +15,7 @@ func fullLoadState() BoardState {
 }
 
 func TestIdleCurrentMatchesCalibration(t *testing.T) {
-	m := NewModel(DefaultParams())
+	m := DefaultParams()
 	idle := m.TrueCurrent(BoardState{Cores: make([]CoreState, 4)})
 	if idle != DefaultParams().IdleCurrentA {
 		t.Fatalf("idle current = %v, want %v", idle, DefaultParams().IdleCurrentA)
@@ -24,7 +24,7 @@ func TestIdleCurrentMatchesCalibration(t *testing.T) {
 
 func TestFullLoadWithinPaperEnvelope(t *testing.T) {
 	// Paper: commodity ARM SoC ranges 1.7–4.5 A under load.
-	m := NewModel(DefaultParams())
+	m := DefaultParams()
 	full := m.TrueCurrent(fullLoadState())
 	if full < 4.0 || full > 4.6 {
 		t.Fatalf("full-load current = %.3f A, want within [4.0, 4.6]", full)
@@ -32,7 +32,7 @@ func TestFullLoadWithinPaperEnvelope(t *testing.T) {
 }
 
 func TestCurrentMonotoneInActivity(t *testing.T) {
-	m := NewModel(DefaultParams())
+	m := DefaultParams()
 	low := m.TrueCurrent(BoardState{Cores: []CoreState{{FreqHz: 1e9, Util: 0.2, IPC: 1}}})
 	high := m.TrueCurrent(BoardState{Cores: []CoreState{{FreqHz: 1e9, Util: 0.9, IPC: 1}}})
 	if high <= low {
@@ -46,7 +46,7 @@ func TestCurrentMonotoneInActivity(t *testing.T) {
 }
 
 func TestDiskAndDRAMContribute(t *testing.T) {
-	m := NewModel(DefaultParams())
+	m := DefaultParams()
 	base := m.TrueCurrent(BoardState{})
 	dram := m.TrueCurrent(BoardState{DRAMBytesPerSec: 2e9})
 	disk := m.TrueCurrent(BoardState{DiskSectorsPerSec: 4000})
@@ -56,15 +56,13 @@ func TestDiskAndDRAMContribute(t *testing.T) {
 }
 
 func TestSELOffsetVisibleInSamples(t *testing.T) {
-	s := NewSensor(NewModel(DefaultParams()), 1)
-	state := BoardState{Cores: make([]CoreState, 4)}
-	s.SetSELOffset(0.07)
-	if got := s.selOffset; got != 0.07 {
-		t.Fatalf("SELOffset = %v", got)
-	}
+	p := DefaultParams()
+	p.NoiseSigmaA, p.SpikeProb = 0, 0
+	s := NewSensor(p, 1)
 	want := DefaultParams().IdleCurrentA + 0.07
-	if got := s.TrueCurrentFrom(s.model.TrueCurrent(state)); got != want {
-		t.Fatalf("TrueCurrent with SEL = %v, want %v", got, want)
+	r := s.Read(p.TrueCurrent(BoardState{Cores: make([]CoreState, 4)})+0.07, 0, 5)
+	if r.RawA != want || r.FilteredA != want {
+		t.Fatalf("readings with SEL = %v raw, %v filtered, want %v", r.RawA, r.FilteredA, want)
 	}
 }
 
@@ -72,14 +70,15 @@ func TestQuiescentSigmaCalibration(t *testing.T) {
 	// Raw quiescent samples should show σ in the ~0.1–0.2 A range (the
 	// paper reports 0.14 A); the min-of-5 filtered stream should drop to
 	// ≈0.02 A (paper value after rolling min).
-	s := NewSensor(NewModel(DefaultParams()), 42)
+	p := DefaultParams()
+	s := NewSensor(p, 42)
 	state := BoardState{Cores: make([]CoreState, 4)}
 	const n = 20000
 	raw := make([]float64, n)
 	filtered := make([]float64, n)
 	for i := 0; i < n; i++ {
-		raw[i] = s.SampleFrom(s.model.TrueCurrent(state))
-		filtered[i] = s.SampleFilteredFrom(s.model.TrueCurrent(state), 5)
+		r := s.Read(p.TrueCurrent(state), 0, 5)
+		raw[i], filtered[i] = r.RawA, r.FilteredA
 	}
 	rawSigma := stats.StdDev(raw)
 	filtSigma := stats.StdDev(filtered)
@@ -97,17 +96,17 @@ func TestQuiescentSigmaCalibration(t *testing.T) {
 func TestFilteredSampleResolvesMicroSEL(t *testing.T) {
 	// The acid test of ILD's premise: a +0.07 A SEL must be clearly
 	// separable from quiescent baseline in the filtered stream.
-	s := NewSensor(NewModel(DefaultParams()), 7)
-	state := BoardState{Cores: make([]CoreState, 4)}
+	p := DefaultParams()
+	s := NewSensor(p, 7)
+	idle := p.TrueCurrent(BoardState{Cores: make([]CoreState, 4)})
 	const n = 3000
 	baseline := make([]float64, n)
 	for i := range baseline {
-		baseline[i] = s.SampleFilteredFrom(s.model.TrueCurrent(state), 5)
+		baseline[i] = s.Read(idle, 0, 5).FilteredA
 	}
-	s.SetSELOffset(0.07)
 	latched := make([]float64, n)
 	for i := range latched {
-		latched[i] = s.SampleFilteredFrom(s.model.TrueCurrent(state), 5)
+		latched[i] = s.Read(idle+0.07, 0, 5).FilteredA
 	}
 	gap := stats.Mean(latched) - stats.Mean(baseline)
 	if gap < 0.05 || gap > 0.09 {
@@ -118,27 +117,28 @@ func TestFilteredSampleResolvesMicroSEL(t *testing.T) {
 func TestSampleNeverNegative(t *testing.T) {
 	p := DefaultParams()
 	p.NoiseSigmaA = 5 // absurd noise to force negative excursions
-	s := NewSensor(NewModel(p), 3)
+	s := NewSensor(p, 3)
 	for i := 0; i < 1000; i++ {
-		if v := s.SampleFrom(s.model.TrueCurrent(BoardState{})); v < 0 {
-			t.Fatalf("negative sample: %v", v)
+		if r := s.Read(p.TrueCurrent(BoardState{}), 0, 5); r.RawA < 0 || r.FilteredA < 0 {
+			t.Fatalf("negative sample: %+v", r)
 		}
 	}
 }
 
 func TestSampleFilteredDegenerateK(t *testing.T) {
-	s := NewSensor(NewModel(DefaultParams()), 9)
-	if v := s.SampleFilteredFrom(s.model.TrueCurrent(BoardState{}), 0); v < 0 {
+	p := DefaultParams()
+	s := NewSensor(p, 9)
+	if v := s.Read(p.TrueCurrent(BoardState{}), 0, 0).FilteredA; v < 0 {
 		t.Fatalf("k=0 sample invalid: %v", v)
 	}
 }
 
 func TestDeterministicWithSameSeed(t *testing.T) {
-	a := NewSensor(NewModel(DefaultParams()), 123)
-	b := NewSensor(NewModel(DefaultParams()), 123)
-	state := fullLoadState()
+	p := DefaultParams()
+	a, b := NewSensor(p, 123), NewSensor(p, 123)
+	full := p.TrueCurrent(fullLoadState())
 	for i := 0; i < 100; i++ {
-		if a.SampleFrom(a.model.TrueCurrent(state)) != b.SampleFrom(b.model.TrueCurrent(state)) {
+		if a.Read(full, 0, 5) != b.Read(full, 0, 5) {
 			t.Fatal("same-seed sensors diverged")
 		}
 	}
@@ -148,7 +148,7 @@ func TestFullLoadClearsQuiescentByPaperMargin(t *testing.T) {
 	// Paper: workload σ ≈ 0.96 A and the load/quiescent contrast spans
 	// the 1.7–4.5 A envelope. At minimum, full load must exceed idle by
 	// well over an ampere so static thresholds tuned near idle misfire.
-	m := NewModel(DefaultParams())
+	m := DefaultParams()
 	idle := m.TrueCurrent(BoardState{Cores: make([]CoreState, 4)})
 	full := m.TrueCurrent(fullLoadState())
 	if full-idle < 2 {

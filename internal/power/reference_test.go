@@ -130,16 +130,20 @@ func referenceParams() []struct {
 	}{{"default", def}, {"spiky", spiky}, {"zero-sigma", quiet}, {"clamp", clamp}}
 }
 
-// checkSensorMatchesReference plays ops random sensor calls on a Sensor
-// and on refSensor with the same parameters and seed, and fails on the
-// first result whose bits differ: raw, filtered (FilterK 0 to 8) and
-// AnalogRaw readings, the active fault, offsets that push the current
-// negative, and sensor faults scheduled, entered and left.
+// checkSensorMatchesReference plays ops random steps on a Sensor and on
+// refSensor with the same parameters and seed, and fails on the first
+// result whose bits differ. For each Sensor.Read the reference takes
+// its raw reading and then its filtered one, and all four outputs are
+// compared: raw, filtered (FilterK 0 to 8) and analog readings and the
+// active fault's kind. The steps move latchup offsets that push the
+// current negative and drift offsets, and schedule, enter and leave
+// sensor faults.
 func checkSensorMatchesReference(t testing.TB, name string, p Params, seed int64, ops int) {
 	t.Helper()
-	got, want := NewSensor(NewModel(p), seed), newRefSensor(p, seed)
+	got, want := NewSensor(p, seed), newRefSensor(p, seed)
 	script := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
 	now := time.Duration(0)
+	var selA, driftA float64
 	same := func(op int, what string, g, w float64) {
 		if math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("%s seed %d op %d: %s = %v, reference %v", name, seed, op, what, g, w)
@@ -149,13 +153,11 @@ func checkSensorMatchesReference(t testing.TB, name string, p Params, seed int64
 		modelCur := p.IdleCurrentA + script.Float64()*3
 		switch r := script.Intn(100); {
 		case r < 2:
-			a := script.NormFloat64() * 0.5 // negative offsets clamp readings at zero
-			got.SetSELOffset(a)
-			want.selOffset = a
+			selA = script.NormFloat64() * 0.5 // negative offsets clamp readings at zero
+			want.selOffset = selA
 		case r < 4:
-			a := script.NormFloat64() * 0.02
-			got.SetBaselineOffset(a)
-			want.baseOffset = a
+			driftA = script.NormFloat64() * 0.02
+			want.baseOffset = driftA
 		case r < 5:
 			f := SensorFault{
 				Kind:     FaultKind(1 + script.Intn(4)),
@@ -169,19 +171,22 @@ func checkSensorMatchesReference(t testing.TB, name string, p Params, seed int64
 			want.faults = append(want.faults, f)
 		case r < 40:
 			now += time.Millisecond
-			got.AdvanceTo(now)
 			want.now = now
-		case r < 65:
-			same(op, "SampleFrom", got.SampleFrom(modelCur), want.sampleFrom(modelCur))
-			same(op, "AnalogRaw", got.AnalogRaw(), want.analogRaw)
 		default:
 			k := script.Intn(9)
-			same(op, fmt.Sprintf("SampleFilteredFrom k=%d", k), got.SampleFilteredFrom(modelCur, k), want.sampleFilteredFrom(modelCur, k))
-		}
-		gf, gok := got.ActiveFault()
-		wf, wok := want.activeFault()
-		if gf != wf || gok != wok {
-			t.Fatalf("%s seed %d op %d: ActiveFault = %+v %v, reference %+v %v", name, seed, op, gf, gok, wf, wok)
+			g := got.Read(modelCur+selA+driftA, now, k)
+			raw := want.sampleFrom(modelCur)
+			filtered := want.sampleFilteredFrom(modelCur, k)
+			same(op, "RawA", g.RawA, raw)
+			same(op, fmt.Sprintf("FilteredA k=%d", k), g.FilteredA, filtered)
+			same(op, "AnalogA", g.AnalogA, want.analogRaw)
+			wk := FaultNone
+			if f, ok := want.activeFault(); ok {
+				wk = f.Kind
+			}
+			if g.Fault != wk {
+				t.Fatalf("%s seed %d op %d: Fault = %v, reference %v", name, seed, op, g.Fault, wk)
+			}
 		}
 	}
 }
