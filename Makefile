@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race allocs nofma linkcheck cli-golden staticcheck vulncheck
+.PHONY: check fmt vet lint build test race allocs nofma linkcheck nonet cli-golden staticcheck vulncheck
 
 # check is the CI gate: formatting, static analysis (vet + the project's
 # own radlint suite), build, the full test suite under the race
 # detector, the allocation-regression tests, the fused-multiply-add
-# gate, the gate against code no program links, and the CLIs' pinned
-# output.
-check: fmt vet lint build race allocs nofma linkcheck cli-golden
+# gate, the gate against code no program links, the gate against
+# sockets in the simulation, and the CLIs' pinned output.
+check: fmt vet lint build race allocs nofma linkcheck nonet cli-golden
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -49,10 +49,10 @@ race:
 # Step and the RunTrace loop, the sensor's reads, detectors and the
 # flight-log recorder, forest prediction, cache reads, telemetry), a
 # result-cache replay's in-place decode of a fixed-width struct, the
-# shared latchup-protection path, the downlink comms tick, frame codec and
-# recorder restore, and the campaigns' payload formatting at zero
-# allocations, a 4 h flight-software trace under 40 objects, EMR
-# runtime construction under 2 MB, an EMR Run's growth with its
+# shared latchup-protection path, the downlink comms tick, frame codec,
+# stream frame reader and recorder restore, and the campaigns' payload
+# formatting at zero allocations, a 4 h flight-software trace under 40
+# objects, EMR runtime construction under 2 MB, an EMR Run's growth with its
 # dataset count: a handful of objects under every scheme, plus at most
 # one per dataset for EMR's conflict plan, the intrusion-detection job
 # on its canonical pattern at 3 objects, the scheduler's Map at 8
@@ -134,6 +134,36 @@ linkcheck:
 				else if (s in linked) { print "linkcheck: linkcheck.allow:" line[s] ": " s " is linked; drop it from the list"; bad = 1 } } \
 			if (!bad) print "linkcheck: " ndeclared " functions checked, all linked or allowed"; exit bad }' \
 		"$$tmp/linked" linkcheck.allow "$$tmp/declared"
+
+# nonet keeps the network stack out of the simulation. Four programs
+# link it, through internal/groundlink, the one internal package that
+# opens sockets: cmd/groundstation serves spacecraft links over TCP and
+# the mission state over HTTP; cmd/ildmon and examples/leomission dial
+# a ground station with -downlink; cmd/radbench dials one with
+# -downlink and serves its live snapshot and expvar with
+# -telemetry-http. Every other program (the benchmark, emrrun, the
+# other examples) and every other internal package links no network
+# stack, so with cgo on the programs stay static binaries with no
+# program interpreter, and start without the dynamic loader and the
+# network packages' initialisers (PERFORMANCE.md bottleneck 15). The
+# target lists the `go list -deps` closure of every internal/, cmd/ and
+# examples/ package and of the bench module, and fails when net,
+# net/http, crypto/tls or expvar is in the closure of any but the five
+# packages above, and also if it lists no package.
+NONET_DEPS = net|net/http|crypto/tls|expvar
+NONET_ALLOWED = radshield/internal/groundlink radshield/cmd/groundstation radshield/cmd/ildmon radshield/cmd/radbench radshield/examples/leomission
+nonet:
+	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
+	deps='{{.ImportPath}}{{range .Deps}} {{.}}{{end}}'; \
+	$(GO) list -f "$$deps" ./internal/... ./cmd/... ./examples/... > "$$tmp" && \
+	(cd bench && $(GO) list -f "$$deps" .) >> "$$tmp" && \
+	awk -v allowed='$(NONET_ALLOWED)' -v net='^($(NONET_DEPS))$$' ' \
+		BEGIN { n = split(allowed, a, " "); for (i = 1; i <= n; i++) ok[a[i]] = 1 } \
+		{ seen++; if ($$1 in ok) next; found = ""; \
+			for (i = 2; i <= NF; i++) if ($$i ~ net) found = found " " $$i; \
+			if (found != "") { print "nonet: " $$1 " links" found; bad = 1 } } \
+		END { if (!seen) { print "nonet: listed no package"; exit 1 } \
+			if (!bad) print "nonet: " seen " packages checked, none but the " n " allowed links the network"; exit bad }' "$$tmp"
 
 # cli-golden pins what ildmon and examples/leomission print. It builds
 # both once and runs each line of testdata/cli/cases ("name program

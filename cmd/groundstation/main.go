@@ -30,6 +30,7 @@ import (
 	"syscall"
 
 	"radshield/internal/downlink"
+	"radshield/internal/groundlink"
 	"radshield/internal/telemetry"
 )
 
@@ -49,7 +50,7 @@ func main() {
 	scfg.KeepPayloads = *keep
 	scfg.Instruments = downlink.NewStationInstruments(reg)
 	st := downlink.NewStation(scfg)
-	srv, err := downlink.NewServer(st, *workers, reg)
+	srv, err := groundlink.NewServer(st, *workers, reg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,6 +28,7 @@ import (
 
 	"radshield/internal/downlink"
 	"radshield/internal/experiments"
+	"radshield/internal/groundlink"
 	"radshield/internal/guard"
 	"radshield/internal/ild"
 	"radshield/internal/machine"
@@ -198,9 +199,9 @@ func main() {
 	// Downlink: mission events stream to a live ground station with full
 	// ARQ; the guard supervisor's mode changes drive beacon-mode
 	// degradation on the same transmitter.
-	var feed *downlink.Feed
+	var feed *groundlink.Feed
 	if *dlAddr != "" {
-		if feed, err = downlink.DialFeed(*dlAddr, *dlLink); err != nil {
+		if feed, err = groundlink.DialFeed(*dlAddr, *dlLink); err != nil {
 			log.Fatal(err)
 		}
 		defer feed.Close()

@@ -22,6 +22,7 @@ package main
 
 import (
 	"errors"
+	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -36,6 +37,7 @@ import (
 	"radshield/internal/emr"
 	"radshield/internal/experiments"
 	"radshield/internal/fault"
+	"radshield/internal/groundlink"
 	"radshield/internal/ild"
 	"radshield/internal/machine"
 	"radshield/internal/mission"
@@ -361,7 +363,7 @@ func missionConfig(sel experiments.SELConfig) experiments.MissionConfig {
 // clock is the campaign event counter — radbench has no mission
 // timeline of its own.
 var (
-	feed  *downlink.Feed
+	feed  *groundlink.Feed
 	dlNow time.Duration
 )
 
@@ -584,6 +586,18 @@ func printCacheSummary(stdout, stderr io.Writer, st resultcache.Stats, putErr er
 	}
 }
 
+// telemetryMux is the -telemetry-http surface: reg's live snapshot on
+// /telemetry, and the expvar variables on /debug/vars, where reg's
+// snapshot is published as "radshield". expvar panics on a second
+// Publish of one name, so a process builds the mux once.
+func telemetryMux(reg *telemetry.Registry) *http.ServeMux {
+	expvar.Publish("radshield", expvar.Func(func() any { return reg.Snapshot() }))
+	mux := http.NewServeMux()
+	mux.Handle("/telemetry", groundlink.SnapshotHandler(reg))
+	mux.Handle("/debug/vars", expvar.Handler())
+	return mux
+}
+
 func main() {
 	var (
 		exp     = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
@@ -656,10 +670,7 @@ func main() {
 		emr.PreRegister(reg)
 	}
 	if *telHTTP != "" {
-		reg.Publish("radshield")
-		mux := http.NewServeMux()
-		mux.Handle("/telemetry", reg.Handler())
-		mux.Handle("/debug/vars", http.DefaultServeMux)
+		mux := telemetryMux(reg)
 		//radlint:allow schedonly telemetry HTTP server serves external observers over real sockets and never touches campaign state or output
 		go func() {
 			if err := http.ListenAndServe(*telHTTP, mux); err != nil {
@@ -671,7 +682,7 @@ func main() {
 
 	if *dlAddr != "" {
 		var err error
-		if feed, err = downlink.DialFeed(*dlAddr, *dlLink); err != nil {
+		if feed, err = groundlink.DialFeed(*dlAddr, *dlLink); err != nil {
 			fmt.Fprintf(os.Stderr, "radbench: %v\n", err)
 			os.Exit(1)
 		}

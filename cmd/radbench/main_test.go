@@ -2,18 +2,24 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"radshield/internal/downlink"
+	"radshield/internal/emr"
 	"radshield/internal/experiments"
 	"radshield/internal/fault"
+	"radshield/internal/ild"
 	"radshield/internal/machine"
 	"radshield/internal/power"
 	"radshield/internal/resultcache"
+	"radshield/internal/telemetry"
 )
 
 // shipped records what a verdict gate sends down the feed.
@@ -328,5 +334,51 @@ func TestPrintCacheSummary(t *testing.T) {
 				t.Errorf("stderr = %q, want %q", stderr.String(), tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestTelemetryMux checks the -telemetry-http surface: /telemetry serves
+// the registry's snapshot JSON, and /debug/vars carries the same
+// snapshot as the expvar "radshield".
+func TestTelemetryMux(t *testing.T) {
+	reg := telemetry.NewRegistry(telemetry.DefaultEventCap)
+	ild.NewInstruments(reg)
+	emr.PreRegister(reg)
+	mux := telemetryMux(reg)
+	get := func(path string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, rec.Code)
+		}
+		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Fatalf("GET %s: Content-Type %q", path, ct)
+		}
+		return rec.Body.Bytes()
+	}
+
+	var want bytes.Buffer
+	if err := reg.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got := get("/telemetry"); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("GET /telemetry served\n%s\nwant the registry's snapshot\n%s", got, want.Bytes())
+	}
+
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal(get("/debug/vars"), &vars); err != nil {
+		t.Fatalf("GET /debug/vars: %v", err)
+	}
+	published, ok := vars["radshield"]
+	if !ok {
+		t.Fatal(`GET /debug/vars carries no "radshield"`)
+	}
+	wantSnap, err := json.Marshal(reg.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(published, wantSnap) {
+		t.Fatalf(`/debug/vars "radshield" is %s, want the registry's snapshot %s`, published, wantSnap)
 	}
 }

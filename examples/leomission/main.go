@@ -30,10 +30,10 @@ import (
 	"time"
 
 	"radshield/internal/adapt"
-	"radshield/internal/downlink"
 	"radshield/internal/emr"
 	"radshield/internal/experiments"
 	"radshield/internal/fault"
+	"radshield/internal/groundlink"
 	"radshield/internal/guard"
 	"radshield/internal/ild"
 	"radshield/internal/machine"
@@ -93,10 +93,10 @@ func main() {
 	// ILD verdicts go to the ground as priority-0 frames, product
 	// summaries as housekeeping; the same ARQ path the downlink campaign
 	// stresses, pointed at a real server.
-	var feed *downlink.Feed
+	var feed *groundlink.Feed
 	if *dlAddr != "" {
 		var ferr error
-		if feed, ferr = downlink.DialFeed(*dlAddr, 1); ferr != nil {
+		if feed, ferr = groundlink.DialFeed(*dlAddr, 1); ferr != nil {
 			log.Fatal(ferr)
 		}
 		defer feed.Close()

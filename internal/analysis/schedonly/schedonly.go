@@ -12,10 +12,9 @@
 // `cmd/...` outside the sanctioned boundaries:
 //
 //   - internal/sched — the deterministic pool itself;
-//   - internal/downlink — real-I/O ground link (its concurrency is
-//     against sockets, not campaign state, and its delivery order is
-//     sequenced by the protocol);
-//   - internal/telemetry — the HTTP snapshot endpoint;
+//   - internal/groundlink — the downlink over real sockets (its
+//     concurrency is against TCP links, not campaign state, and its
+//     delivery order is sequenced by the protocol);
 //   - cmd/groundstation — the concurrent ground segment server.
 //
 // Code elsewhere that genuinely needs a goroutine and can argue
@@ -33,19 +32,17 @@ import (
 var Analyzer = &radlint.Analyzer{
 	Name: "schedonly",
 	Doc: "raw go statements are confined to the sanctioned concurrency " +
-		"boundaries (internal/sched, internal/downlink, internal/telemetry, " +
-		"cmd/groundstation): campaign concurrency must flow through the " +
-		"deterministic pool",
+		"boundaries (internal/sched, internal/groundlink, cmd/groundstation): " +
+		"campaign concurrency must flow through the deterministic pool",
 	Run: run,
 }
 
 // sanctioned are the packages whose goroutines are part of the
 // concurrency design rather than a leak around it.
 var sanctioned = map[string]bool{
-	"radshield/internal/sched":     true,
-	"radshield/internal/downlink":  true,
-	"radshield/internal/telemetry": true,
-	"radshield/cmd/groundstation":  true,
+	"radshield/internal/sched":      true,
+	"radshield/internal/groundlink": true,
+	"radshield/cmd/groundstation":   true,
 }
 
 func run(pass *radlint.Pass) error {

@@ -10,6 +10,8 @@ import (
 func TestSchedOnly(t *testing.T) {
 	radlinttest.Run(t, radlinttest.TestData(t), schedonly.Analyzer,
 		"radshield/internal/godemo",
+		"radshield/internal/downlink",
+		"radshield/internal/telemetry",
 		"radshield/cmd/gotool",
 	)
 }
@@ -19,6 +21,7 @@ func TestSchedOnly(t *testing.T) {
 func TestSanctionedPackagesClean(t *testing.T) {
 	radlinttest.Run(t, radlinttest.TestData(t), schedonly.Analyzer,
 		"radshield/internal/sched",
+		"radshield/internal/groundlink",
 		"radshield/cmd/groundstation",
 	)
 }

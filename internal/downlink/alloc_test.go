@@ -9,6 +9,8 @@
 package downlink
 
 import (
+	"bufio"
+	"bytes"
 	"strconv"
 	"testing"
 	"time"
@@ -127,6 +129,40 @@ func TestAllocsFrameCodec(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("AppendFrame+DecodeFrame allocate %.3f objects, want 0", avg)
+	}
+}
+
+// TestAllocsReadFrame pins the stream reader the TCP transports use: a
+// reader that passes its MaxFrameLen buffer back in allocates nothing
+// per frame, line noise and a corrupt length field included.
+func TestAllocsReadFrame(t *testing.T) {
+	var stream []byte
+	for seq := uint32(0); seq < 4; seq++ {
+		stream = append(stream, "\xFF\x00noise"...)
+		stream = append(stream, 0x5A, 0xD5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF) // length past MaxPayload
+		var err error
+		if stream, err = AppendFrame(stream, Frame{Type: FrameData, Link: 2, Seq: seq, Payload: []byte("housekeeping")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := bytes.NewReader(stream)
+	br := bufio.NewReaderSize(src, 4*MaxFrameLen)
+	buf := make([]byte, 0, MaxFrameLen)
+	avg := testing.AllocsPerRun(100, func() {
+		src.Reset(stream)
+		br.Reset(src)
+		for seq := uint32(0); seq < 4; seq++ {
+			var err error
+			if buf, err = ReadFrame(br, buf); err != nil {
+				t.Fatal(err)
+			}
+			if f, _, err := DecodeFrame(buf); err != nil || f.Seq != seq {
+				t.Fatalf("frame %d: got seq %d, %v", seq, f.Seq, err)
+			}
+		}
+	})
+	if avg != 0 {
+		t.Errorf("ReadFrame into a reused buffer allocates %.3f objects per 4 frames, want 0", avg)
 	}
 }
 

@@ -33,11 +33,16 @@
 //     (see internal/guard) the transmitter degrades to a low-rate
 //     beacon mode that keeps only channel 0 flowing.
 //
-//   - Station (station.go, serve.go): the ground side — reassembles
-//     and deduplicates frames from many spacecraft concurrently,
-//     generates cumulative ACKs, aggregates per-link mission state,
-//     and serves it over TCP (frame transport) and HTTP (state +
-//     telemetry). cmd/groundstation is the thin binary wrapper.
+//   - Station (station.go): the ground side — reassembles and
+//     deduplicates frames from many spacecraft concurrently, generates
+//     cumulative ACKs, and aggregates per-link mission state.
+//
+// The package opens no socket. ReadFrame pulls frames off any byte
+// stream, and package groundlink carries the stack over real TCP: its
+// Feed is a Transmitter whose radio is a connection to a ground
+// station, and its Server runs a Station behind a TCP listener with an
+// HTTP surface (cmd/groundstation is the thin binary wrapper). Programs
+// that only simulate the link therefore link no network stack.
 //
 // The comms path reuses its buffers, so a steady-state round trip
 // allocates nothing. Some byte slices are therefore lent, not given:

@@ -1,10 +1,12 @@
 package downlink
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"slices"
 )
 
@@ -186,6 +188,57 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 		f.Payload = b[HeaderLen : HeaderLen+plen : HeaderLen+plen]
 	}
 	return f, total, nil
+}
+
+// ReadFrame reads the next frame's raw bytes from a stream into buf's
+// storage, resynchronizing on the magic bytes after line noise, and
+// returns them. A buffer of MaxFrameLen capacity always fits, so a
+// reader that passes the returned slice back in allocates nothing; a
+// nil buf reads into a fresh slice. The returned slice still carries
+// the CRC trailer: validation stays in DecodeFrame and
+// Station.AppendAcks.
+func ReadFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
+	for {
+		hdr, err := br.Peek(HeaderLen)
+		if err != nil {
+			return buf[:0], err
+		}
+		if hdr[0] != magic0 || hdr[1] != magic1 {
+			if _, err := br.Discard(1); err != nil {
+				return buf[:0], err
+			}
+			continue
+		}
+		plen := int(binary.LittleEndian.Uint16(hdr[12:]))
+		if plen > MaxPayload {
+			// Corrupt length field: skip the magic and rescan.
+			if _, err := br.Discard(2); err != nil {
+				return buf[:0], err
+			}
+			continue
+		}
+		n := HeaderLen + plen + TrailerLen
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
+		if _, err := io.ReadFull(br, buf); err != nil {
+			return buf[:0], err
+		}
+		return buf, nil
+	}
+}
+
+// CheckLinkID rejects a link id that does not fit a frame's 16 bits or
+// is 0. groundlink.DialFeed checks its id with it before narrowing it,
+// and the CLIs check their -link-id flag with it before any work: an
+// out-of-range id would otherwise wrap onto another spacecraft's link
+// (65537 streams as link 1).
+func CheckLinkID(link int) error {
+	if link < 1 || link > 0xFFFF {
+		return fmt.Errorf("downlink: link id %d out of range [1, 65535]", link)
+	}
+	return nil
 }
 
 // AckFrameLen is the encoded size of every ACK frame: a header, the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"radshield/internal/downlink"
+	"radshield/internal/groundlink"
 )
 
 // equivDownlink is a short sweep, still covering loss, a blackout, a
@@ -92,7 +93,7 @@ func TestParallelEquivalenceDownlinkCampaign(t *testing.T) {
 // same socket back.
 func TestDownlinkEndToEndGroundstation(t *testing.T) {
 	st := downlink.NewStation(downlink.DefaultStationConfig())
-	srv, err := downlink.NewServer(st, 2, nil)
+	srv, err := groundlink.NewServer(st, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestDownlinkEndToEndGroundstation(t *testing.T) {
 	go func() {
 		br := bufio.NewReader(conn)
 		for {
-			raw, err := downlink.ReadFrame(br)
+			raw, err := downlink.ReadFrame(br, nil)
 			if err != nil {
 				return
 			}

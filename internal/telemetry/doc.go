@@ -32,6 +32,12 @@
 //   - The registry never allocates on the observation path; allocation
 //     happens only at metric creation and snapshot time.
 //
+// The package serves nothing itself: a snapshot reaches a reader as JSON
+// (Registry.WriteJSON, Snapshot.WriteJSON), and the live HTTP endpoints
+// are package groundlink's SnapshotHandler and radbench's expvar
+// publication, so a program that links only the registry links no
+// network stack.
+//
 // TELEMETRY.md at the repository root documents every metric and event
 // name, its unit, and the paper table or figure it corresponds to.
 package telemetry
