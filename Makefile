@@ -165,9 +165,9 @@ nonet:
 		END { if (!seen) { print "nonet: listed no package"; exit 1 } \
 			if (!bad) print "nonet: " seen " packages checked, none but the " n " allowed links the network"; exit bad }' "$$tmp"
 
-# cli-golden pins what ildmon and examples/leomission print. It builds
-# both once and runs each line of testdata/cli/cases ("name program
-# flags...") in an empty directory of its own. It fails unless every run
+# cli-golden pins what ildmon, examples/leomission and radbench print.
+# It builds the three once and runs each line of testdata/cli/cases
+# ("name program flags...") in an empty directory of its own. It fails unless every run
 # exits 0, its stdout equals testdata/cli/<name>.txt, and the SHA-256 of
 # every file it leaves behind (ildmon -dump's 3 MB CSV) equals
 # testdata/cli/<name>.sha256, and also if a golden names no case.
@@ -175,7 +175,8 @@ nonet:
 cli-golden:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/ildmon" ./cmd/ildmon && \
-	$(GO) build -o "$$tmp/leomission" ./examples/leomission || exit 1; \
+	$(GO) build -o "$$tmp/leomission" ./examples/leomission && \
+	$(GO) build -o "$$tmp/radbench" ./cmd/radbench || exit 1; \
 	bad=0; n=0; \
 	while read -r name prog flags; do \
 		case "$$name" in ''|'#'*) continue;; esac; \

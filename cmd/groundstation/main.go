@@ -1,7 +1,7 @@
 // Command groundstation runs the ground segment of the downlink
 // subsystem: a TCP server concurrently ingesting spacecraft frame
-// streams (one pipeline per link through the sched pool), with an HTTP
-// surface for the aggregated mission state and groundstation_* metrics.
+// streams (one pipeline per connected link), with an HTTP surface for
+// the aggregated mission state and groundstation_* metrics.
 //
 // Flight-side peers are the -downlink flags of ildmon, radbench and
 // examples/leomission, or any client speaking the frame format in
@@ -36,10 +36,9 @@ import (
 
 func main() {
 	var (
-		listen  = flag.String("listen", ":7007", "TCP address for spacecraft frame streams")
-		httpAt  = flag.String("http", "", "HTTP address for /state and /telemetry (empty: no HTTP surface)")
-		workers = flag.Int("workers", 0, "concurrent link pipelines; 0 = one per CPU")
-		keep    = flag.Int("keep", 64, "priority-0 payloads retained per link for /state")
+		listen = flag.String("listen", ":7007", "TCP address for spacecraft frame streams")
+		httpAt = flag.String("http", "", "HTTP address for /state and /telemetry (empty: no HTTP surface)")
+		keep   = flag.Int("keep", 64, "priority-0 payloads retained per link for /state")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -50,7 +49,7 @@ func main() {
 	scfg.KeepPayloads = *keep
 	scfg.Instruments = downlink.NewStationInstruments(reg)
 	st := downlink.NewStation(scfg)
-	srv, err := groundlink.NewServer(st, *workers, reg)
+	srv, err := groundlink.NewServer(st, reg)
 	if err != nil {
 		log.Fatal(err)
 	}

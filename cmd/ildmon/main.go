@@ -34,7 +34,6 @@ import (
 	"radshield/internal/machine"
 	"radshield/internal/power"
 	"radshield/internal/telemetry"
-	"radshield/internal/trace"
 )
 
 // parseFaultKind maps the -sensor-fault flag onto the fault model.
@@ -157,12 +156,8 @@ func main() {
 	}
 	ins := ild.NewInstruments(reg)
 	det.SetInstruments(ins)
-
-	mc := machine.DefaultConfig()
-	mc.SampleEvery = cfg.SampleEvery
-	mc.SensorSeed = *seed + 1
-	mc.Telemetry = reg
-	m := machine.New(mc)
+	cfg.Telemetry = reg
+	m := machine.New(cfg.MachineConfig(*seed + 1))
 
 	// On the bare path a recorder attached to the detector keeps a
 	// fine-grained telemetry ring for post-incident analysis (§5 of the
@@ -222,9 +217,7 @@ func main() {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(*seed + 2))
-	mission := trace.FlightSoftware(rng, time.Duration(*hours*float64(time.Hour)), mc.Cores)
-	mission = ild.InjectBubbles(mission, ild.BubblePolicy{BubbleLen: 4 * time.Second, Pause: 3 * time.Minute, Instruments: ins})
+	_, mission := cfg.PairTrace(rand.New(rand.NewSource(*seed+2)), time.Duration(*hours*float64(time.Hour)), 3*time.Minute, ins)
 
 	fmt.Printf("mission start: %v of flight software, SEL strike at %v (+%.3f A)\n",
 		mission.Total().Round(time.Second), *selAt, *selAmps)

@@ -40,10 +40,8 @@ import (
 	"radshield/internal/groundlink"
 	"radshield/internal/ild"
 	"radshield/internal/machine"
-	"radshield/internal/mission"
 	"radshield/internal/power"
 	"radshield/internal/resultcache"
-	"radshield/internal/simclock"
 	"radshield/internal/telemetry"
 )
 
@@ -59,38 +57,24 @@ var (
 	runsFlag = flag.Int("runs", experiments.DefaultTable7Config().Runs, "fault injections per scheme for -exp tab7 (paper: 20)")
 )
 
-// spanFn reports how much simulated mission time an experiment covers, so
-// the default (simulated) timing mode can advance the campaign clock by
-// it. Entries without a span (static tables, SEU campaigns whose length is
-// measured in datasets, not hours) leave it nil and print no duration.
-type spanFn func(sel experiments.SELConfig) time.Duration
-
-// selSpan covers experiments that play n full SEL campaign traces.
-func selSpan(n int) spanFn {
-	return func(sel experiments.SELConfig) time.Duration {
-		return time.Duration(n) * sel.Duration
-	}
-}
-
 var registry = map[string]struct {
 	desc string
 	run  runner
-	span spanFn
 }{
-	"fig2": {desc: "current trace of a navigation workload before/after SEL", span: selSpan(1), run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"fig2": {desc: "current trace of a navigation workload before/after SEL", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		res := experiments.Fig2(sel)
 		fmt.Printf("max nominal current: %.3f A (crosses %.1f A trip: %v)\n", res.MaxNominalA, res.ThresholdA, res.CrossesNominal)
 		fmt.Printf("max latched quiescent current: %.3f A (crosses trip: %v)\n", res.MaxLatchedA, res.CrossesLatched)
 		fmt.Println(summarize(res.Fig, 12))
 		return nil
 	}},
-	"fig5": {desc: "current vs CPU-activity correlation under stepped matmul", span: selSpan(1), run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"fig5": {desc: "current vs CPU-activity correlation under stepped matmul", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		res := experiments.Fig5(sel)
 		fmt.Printf("correlation(current, instruction rate) = %.4f (paper: 0.997)\n", res.Correlation)
 		fmt.Println(summarize(res.Fig, 12))
 		return nil
 	}},
-	"tab2": {desc: "SEL detector accuracy: ILD vs random forest vs static thresholds", span: selSpan(1), run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"tab2": {desc: "SEL detector accuracy: ILD vs random forest vs static thresholds", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		_, tbl, err := experiments.Table2(sel)
 		if err != nil {
 			return err
@@ -98,7 +82,7 @@ var registry = map[string]struct {
 		fmt.Println(tbl)
 		return nil
 	}},
-	"fig10": {desc: "ILD misdetection rate vs latchup current", span: selSpan(10), run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"fig10": {desc: "ILD misdetection rate vs latchup current", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		fig, err := experiments.Fig10(sel, 10)
 		if err != nil {
 			return err
@@ -174,11 +158,11 @@ var registry = map[string]struct {
 		fmt.Printf("EMR relative strike probability vs serial 3-MR: %.2f (paper: 0.80)\n", wov)
 		return nil
 	}},
-	"ablate-rollingmin": {desc: "rolling-minimum filter ablation", span: selSpan(1), run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"ablate-rollingmin": {desc: "rolling-minimum filter ablation", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		fmt.Println(experiments.AblationRollingMin(sel))
 		return nil
 	}},
-	"ablate-gate": {desc: "quiescence-gate ablation", span: selSpan(1), run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"ablate-gate": {desc: "quiescence-gate ablation", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		tbl, err := experiments.AblationQuiescenceGate(sel)
 		if err != nil {
 			return err
@@ -190,7 +174,7 @@ var registry = map[string]struct {
 		fmt.Println(experiments.AblationBubbleCadence())
 		return nil
 	}},
-	"ablate-classifier": {desc: "ILD model-choice ablation (linear vs forest vs bayes)", span: selSpan(1), run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"ablate-classifier": {desc: "ILD model-choice ablation (linear vs forest vs bayes)", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		tbl, err := experiments.AblationClassifier(sel)
 		if err != nil {
 			return err
@@ -214,12 +198,12 @@ var registry = map[string]struct {
 		fmt.Println(tbl)
 		return nil
 	}},
-	"profiles": {desc: "mission-profile quiescence & detection opportunities (§3.1)", span: selSpan(1), run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"profiles": {desc: "mission-profile quiescence & detection opportunities (§3.1)", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		_, tbl := experiments.MissionProfiles(sel.Seed, sel.Workers)
 		fmt.Println(tbl)
 		return nil
 	}},
-	"threshold": {desc: "decision-threshold sweep 0.04–0.08 A (§3.1: 0.055 chosen)", span: selSpan(10), run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"threshold": {desc: "decision-threshold sweep 0.04–0.08 A (§3.1: 0.055 chosen)", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		_, tbl, err := experiments.ThresholdSweep(sel, 10)
 		if err != nil {
 			return err
@@ -235,10 +219,7 @@ var registry = map[string]struct {
 		fmt.Println(tbl)
 		return nil
 	}},
-	"guard": {desc: "guard-layer campaign: sensor faults vs the degradation ladder, replica faults vs the watchdog", span: func(experiments.SELConfig) time.Duration {
-		// 8 grid points × 2 arms × 30-minute missions.
-		return 16 * 30 * time.Minute
-	}, run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"guard": {desc: "guard-layer campaign: sensor faults vs the degradation ladder, replica faults vs the watchdog", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		gc := experiments.DefaultGuardCampaignConfig()
 		gc.SEL.Seed = sel.Seed
 		gc.SEL.Workers = sel.Workers
@@ -261,10 +242,7 @@ var registry = map[string]struct {
 		fmt.Println(wdTbl)
 		return guardGate(ship, trials, wdTrials)
 	}},
-	"oskernel": {desc: "OS-fault campaign: kernel panics, hangs, IO bursts, scheduler stalls, NVRAM corruption vs watchdog recovery", span: func(experiments.SELConfig) time.Duration {
-		// 5 fault classes × 2 onsets × 2 arms × 30-minute missions.
-		return 20 * 30 * time.Minute
-	}, run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"oskernel": {desc: "OS-fault campaign: kernel panics, hangs, IO bursts, scheduler stalls, NVRAM corruption vs watchdog recovery", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		oc := experiments.DefaultOSFaultCampaignConfig()
 		classes, err := experiments.ParseOSFaultClasses(*osFaultFlag)
 		if err != nil {
@@ -282,14 +260,7 @@ var registry = map[string]struct {
 		fmt.Println(tbl)
 		return osKernelGate(ship, trials)
 	}},
-	"adaptive": {desc: "closed-loop adaptive protection vs always-max static posture across mission profiles", span: func(experiments.SELConfig) time.Duration {
-		// Every catalog profile flies twice: one static arm, one adaptive.
-		var d time.Duration
-		for _, p := range mission.Catalog() {
-			d += 2 * p.Total()
-		}
-		return d
-	}, run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"adaptive": {desc: "closed-loop adaptive protection vs always-max static posture across mission profiles", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		ac := experiments.DefaultAdaptiveCampaignConfig()
 		ac.SEL.Seed = sel.Seed
 		ac.SEL.Workers = sel.Workers
@@ -302,16 +273,13 @@ var registry = map[string]struct {
 		fmt.Println(tbl)
 		return adaptiveGate(ship, trials)
 	}},
-	"featsel": {desc: "random-forest feature selection for ILD's metric set (§3.1)", span: selSpan(1), run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"featsel": {desc: "random-forest feature selection for ILD's metric set (§3.1)", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		res := experiments.FeatureSelection(sel)
 		fmt.Println(res.Tbl)
 		fmt.Printf("importance mass: genuine counters %.3f, distractors %.3f\n", res.TopCounters, res.DistractorMass)
 		return nil
 	}},
-	"downlink": {desc: "downlink campaign: loss × blackout × service policy, paired lossy/clean arms", span: func(experiments.SELConfig) time.Duration {
-		// 27 grid points × 2 arms × 20-minute flights.
-		return 54 * 20 * time.Minute
-	}, run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
+	"downlink": {desc: "downlink campaign: loss × blackout × service policy, paired lossy/clean arms", run: func(sel experiments.SELConfig, _ experiments.SEUConfig) error {
 		dc := experiments.DefaultDownlinkCampaignConfig()
 		dc.Seed = sel.Seed + 23
 		dc.Workers = sel.Workers
@@ -512,8 +480,8 @@ func adaptiveGate(ship shipFunc, trials []experiments.AdaptiveTrial) error {
 }
 
 // wallNow is the one sanctioned host-clock read in radbench: -wallclock
-// mode exists to profile real-hardware runs, where simulated mission time
-// is meaningless.
+// mode exists to profile real-hardware runs, and its times are the one
+// output that differs between reruns.
 //
 //radlint:allow simclocktime -wallclock mode deliberately reads the host clock
 func wallNow() time.Time { return time.Now() }
@@ -608,7 +576,7 @@ func main() {
 		workers = flag.Int("workers", 0, "campaign scheduler width; 0 = one worker per CPU (output is identical at any width)")
 		telOut  = flag.String("telemetry", "", "write a JSON telemetry snapshot to this file at exit ('-' for stdout)")
 		telHTTP = flag.String("telemetry-http", "", "serve the telemetry snapshot (and expvar) on this address while running")
-		wall    = flag.Bool("wallclock", false, "time experiments with the host clock (real-hardware mode) instead of reporting simulated mission time")
+		wall    = flag.Bool("wallclock", false, "print each experiment's host wall time (real-hardware mode)")
 		dlAddr  = flag.String("downlink", "", "stream experiment completions to a groundstation at this TCP address (see cmd/groundstation)")
 		rcDir   = flag.String("resultcache", "", "replay unchanged campaign arms from this content-addressed cache directory, created if absent (see RESULTCACHE.md)")
 		dlLink  = flag.Int("link-id", 2, "spacecraft link id for -downlink")
@@ -713,11 +681,8 @@ func main() {
 	sel.Cache = store
 	seu := experiments.SEUConfig{Size: *size, Seed: *seed + 41, Workers: *workers, Telemetry: reg, Cache: store}
 
-	// Experiments run against simulated hardware, so by default radbench
-	// reports simulated mission time from its own campaign clock — a rerun
-	// prints identical durations, keeping logs diffable. -wallclock
-	// switches to host time for profiling real-hardware runs.
-	campaign := simclock.New()
+	// A rerun prints the same bytes, so logs stay diffable; -wallclock
+	// adds each experiment's host time.
 	for _, name := range targets {
 		entry := registry[name]
 		fmt.Printf("### %s — %s\n", name, entry.desc)
@@ -730,17 +695,11 @@ func main() {
 			drainFeed()
 			os.Exit(1)
 		}
-		switch {
-		case *wall:
-			fmt.Printf("(%s in %v wall time)\n\n", name, wallNow().Sub(start).Round(time.Millisecond))
-		case entry.span != nil:
-			d := entry.span(sel)
-			campaign.Advance(d)
-			fmt.Printf("(%s covered %v of simulated mission time, campaign total %v)\n\n", name, d, campaign.Now())
-		default:
-			fmt.Printf("\n")
+		if *wall {
+			fmt.Printf("(%s in %v wall time)\n", name, wallNow().Sub(start).Round(time.Millisecond))
 		}
-		ship(1, fmt.Sprintf("experiment=%s status=ok campaign_t=%v", name, campaign.Now()))
+		fmt.Println()
+		ship(1, fmt.Sprintf("experiment=%s status=ok", name))
 	}
 	if store != nil {
 		st, putErr := store.Stats(), store.Err()
@@ -750,7 +709,7 @@ func main() {
 		}
 		printCacheSummary(os.Stdout, os.Stderr, st, putErr, *rcDir)
 	}
-	ship(0, fmt.Sprintf("campaign_complete experiments=%d simulated=%v", len(targets), campaign.Now()))
+	ship(0, fmt.Sprintf("campaign_complete experiments=%d", len(targets)))
 	drainFeed()
 
 	if *telOut != "" {

@@ -35,10 +35,8 @@ import (
 	"radshield/internal/fault"
 	"radshield/internal/groundlink"
 	"radshield/internal/guard"
-	"radshield/internal/ild"
 	"radshield/internal/machine"
 	"radshield/internal/mission"
-	"radshield/internal/trace"
 	"radshield/internal/workloads"
 )
 
@@ -80,14 +78,10 @@ func main() {
 	}
 	tracker := mission.NewTracker(prof, nil)
 
-	// Flight segment.
-	mc := machine.DefaultConfig()
-	mc.SampleEvery = selCfg.SampleEvery
-	mc.SensorSeed = *seed + 1
-	m := machine.New(mc)
+	// Flight segment: the campaigns' board and bubbled flight trace.
+	m := machine.New(selCfg.MachineConfig(*seed + 1))
 	prot := guard.NewProtection(m, det, nil)
-	flight := trace.FlightSoftware(rng, dur, mc.Cores)
-	flight = ild.InjectBubbles(flight, ild.BubblePolicy{BubbleLen: 4 * time.Second, Pause: 3 * time.Minute})
+	_, flight := selCfg.PairTrace(rng, dur, 3*time.Minute, nil)
 
 	// Downlink: phase transitions, posture moves, radiation events and
 	// ILD verdicts go to the ground as priority-0 frames, product
@@ -176,13 +170,14 @@ func main() {
 		if tel.T >= nextContact {
 			nextContact += contactEvery
 			p := adapt.PostureFor(ctrl.Level())
-			ok, corrected := runPayload(p, *seed+int64(tel.T), pendingSEUs)
-			seusOutvoted += corrected
+			res := strikePayload(p.Plan(), *seed+int64(tel.T), pendingSEUs)
+			seusOutvoted += res.Report.Votes.Corrected
 			pendingSEUs = 0
+			ok := trusted(res)
 			if !ok {
 				retriedProducts++
 				ctrl.Note(tel.T, adapt.SignalEMRMismatch)
-				ok, _ = runPayload(p, *seed+int64(tel.T)+1, 0)
+				ok = trusted(strikePayload(p.Plan(), *seed+int64(tel.T)+1, 0))
 			}
 			downlinked++
 			if !ok {
@@ -230,39 +225,23 @@ func main() {
 	fmt.Println("  mission survives — shields up.")
 }
 
-// runPayload executes one localization job at the posture's redundancy
-// (serial+checksum, DMR or TMR), injecting the backlog of scheduled
-// SEUs into the shared cache mid-run. It reports whether the product is
-// trustworthy and how many votes were corrected.
-func runPayload(p adapt.Posture, seed int64, seus int) (ok bool, corrected int) {
-	plan := p.Plan()
-	cfg := emr.DefaultConfig()
-	cfg.Scheme, cfg.Executors = plan.Scheme, plan.Executors
-	rt, err := emr.New(cfg)
+// strikePayload runs one localization job at the posture's plan
+// (serial+checksum, DMR or TMR) on a 64 KiB map, with the backlog of
+// scheduled SEUs striking the shared cache mid-run, each read struck
+// with probability 0.02.
+func strikePayload(plan guard.Plan, seed int64, seus int) *emr.Result {
+	res, err := experiments.StrikePayload(plan, 64<<10, 0.02, seed, seus)
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec, err := workloads.ImageProcessing().Build(rt, 64<<10, 2026)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	remaining := seus
-	spec.Hook = func(hp *emr.HookPoint) {
-		if remaining > 0 && hp.Phase == emr.PhaseAfterRead && rng.Float64() < 0.02 {
-			reg := hp.Regions[rng.Intn(len(hp.Regions))]
-			f := fault.RandomFlip(rng, reg.Len)
-			if rt.Cache().FlipBit(reg.Addr+f.Offset, f.Bit) {
-				remaining--
-			}
-		}
-	}
-	res, err := rt.Run(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
+	return res
+}
+
+// trusted reports whether a product can be downlinked: every vote held
+// and the best match decodes.
+func trusted(res *emr.Result) bool {
 	if _, _, _, err := workloads.BestMatch(res.Outputs); err != nil {
-		return false, res.Report.Votes.Corrected
+		return false
 	}
-	return res.Report.Votes.Failed == 0, res.Report.Votes.Corrected
+	return res.Report.Votes.Failed == 0
 }

@@ -34,8 +34,7 @@ func main() {
 	}
 
 	// --- Flight segment. ---------------------------------------------
-	mc := machine.DefaultConfig()
-	mc.SampleEvery = selCfg.SampleEvery
+	mc := selCfg.MachineConfig(1)
 	m := machine.New(mc)
 
 	// The EMR runtime persists checkpoints on its flash device.
@@ -60,7 +59,7 @@ func main() {
 	const strikeAt = 70 * time.Second
 	rng := rand.New(rand.NewSource(9))
 	drive := trace.Navigation(rng, 5*time.Minute, mc.Cores)
-	drive = ild.InjectBubbles(drive, ild.BubblePolicy{BubbleLen: 4 * time.Second, Pause: 45 * time.Second})
+	drive = ild.InjectBubbles(drive, ild.BubblePolicy{BubbleLen: selCfg.BubbleLen(), Pause: 45 * time.Second})
 
 	var cycledAt time.Duration = -1
 	struck := false

@@ -44,7 +44,7 @@ func (r *Runtime) runChecksummed(spec *Spec) (*Result, error) {
 	}
 
 	for d := 0; d < n; d++ {
-		out, io, err := r.visit(spec, nil, store, -1, d, 0)
+		out, io, err := r.visit(spec, nil, store, d, 0)
 		v := r.parts(spec, io.total, io.fetched, 0)
 		v.compute += io.stall
 		v, err = r.watchVisit(0, d, v, err)

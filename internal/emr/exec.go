@@ -40,7 +40,6 @@ const (
 // visit, so a hook copies out whatever it keeps.
 type HookPoint struct {
 	Phase    Phase
-	Jobset   int // -1 for schemes without jobsets
 	Dataset  int
 	Executor int
 	// Regions are the input regions this executor will read / has read,
@@ -197,7 +196,7 @@ type visitScratch struct {
 // measures. A nil plan reads every input at its frontier region; a
 // non-nil checksum store verifies the consumed bytes before the job
 // runs (the checksum scheme's read-path guard).
-func (r *Runtime) visit(spec *Spec, a *analysis, sums *checksumStore, jobset, dsIdx, executor int) (out []byte, io visitIO, err error) {
+func (r *Runtime) visit(spec *Spec, a *analysis, sums *checksumStore, dsIdx, executor int) (out []byte, io visitIO, err error) {
 	ds := spec.Datasets[dsIdx]
 	s := &r.scratch[executor]
 	s.regions = s.regions[:0]
@@ -211,7 +210,7 @@ func (r *Runtime) visit(spec *Spec, a *analysis, sums *checksumStore, jobset, ds
 	// fire runs the hook at one phase on the executor's hook point and
 	// reports whether the visit may go on.
 	fire := func(phase Phase) bool {
-		s.hp = HookPoint{Phase: phase, Jobset: jobset, Dataset: dsIdx, Executor: executor, Regions: s.regions, Output: out}
+		s.hp = HookPoint{Phase: phase, Dataset: dsIdx, Executor: executor, Regions: s.regions, Output: out}
 		spec.Hook(&s.hp)
 		io.stall += s.hp.Stall
 		if s.hp.Fail != nil {
@@ -308,7 +307,7 @@ func (r *Runtime) runEMR(spec *Spec) (*Result, error) {
 	}
 	results := make([]visitResult, ex)
 	var visits []visitParts
-	for js, set := range a.jobsets {
+	for _, set := range a.jobsets {
 		k := len(set)
 		visits = visits[:0]
 		// Stagger starting positions so executors occupy distinct
@@ -316,7 +315,7 @@ func (r *Runtime) runEMR(spec *Spec) (*Result, error) {
 		for t := 0; t < k; t++ {
 			for e := 0; e < ex; e++ {
 				d := set[(t+e*k/ex)%k]
-				out, io, err := r.visit(spec, a, nil, js, d, e)
+				out, io, err := r.visit(spec, a, nil, d, e)
 				results[e] = visitResult{out: out, io: io, lines: r.flushShared(a, d), err: err}
 			}
 			for e := 0; e < ex; e++ {
@@ -352,7 +351,7 @@ func (r *Runtime) runUnprotected(spec *Spec) (*Result, error) {
 		var total, fetched uint64
 		var extra time.Duration // lockstep: the slowest copy gates the round
 		for e := 0; e < ex; e++ {
-			out, io, err := r.visit(spec, nil, nil, -1, d, e)
+			out, io, err := r.visit(spec, nil, nil, d, e)
 			base := r.parts(spec, io.total, io.fetched, 0)
 			ve := base
 			ve.compute += io.stall
@@ -389,7 +388,7 @@ func (r *Runtime) runSerial(spec *Spec) (*Result, error) {
 	errs := make([]error, n*ex)
 	for pass := 0; pass < ex; pass++ {
 		for d := 0; d < n; d++ {
-			out, io, err := r.visit(spec, nil, nil, -1, d, pass)
+			out, io, err := r.visit(spec, nil, nil, d, pass)
 			v := r.parts(spec, io.total, io.fetched, 0)
 			v.compute += io.stall
 			v, err = r.watchVisit(pass, d, v, err)
@@ -415,7 +414,7 @@ func (r *Runtime) runNone(spec *Spec) (*Result, error) {
 	outputs := make([][]byte, n)
 	errs := make([]error, n)
 	for d := 0; d < n; d++ {
-		out, io, err := r.visit(spec, nil, nil, -1, d, 0)
+		out, io, err := r.visit(spec, nil, nil, d, 0)
 		v := r.parts(spec, io.total, io.fetched, 0)
 		v.compute += io.stall
 		v, err = r.watchVisit(0, d, v, err)

@@ -33,7 +33,7 @@ func AblationRollingMin(c SELConfig) *Table {
 	// Each filter width is an independent trial (own machine, own RNG);
 	// σ estimation never fails so the error path is unreachable.
 	sigmas, _ := sched.Map(len(ks), c.Workers, func(i int) (float64, error) {
-		mc := c.machineConfig(c.Seed + int64(ks[i]))
+		mc := c.MachineConfig(c.Seed + int64(ks[i]))
 		mc.FilterK = ks[i]
 		m := machine.New(mc)
 		rng := rand.New(rand.NewSource(c.Seed))
@@ -80,7 +80,7 @@ func AblationQuiescenceGate(c SELConfig) (*Table, error) {
 	// its own machine, so the two trials are independent.
 	type gateCount struct{ fp, n int }
 	counts, _ := sched.Map(len(variants), c.Workers, func(i int) (gateCount, error) {
-		m := machine.New(c.machineConfig(c.Seed + 310))
+		m := machine.New(c.MachineConfig(c.Seed + 310))
 		rng := rand.New(rand.NewSource(c.Seed + 311))
 		var gc gateCount
 		m.RunTrace(trace.Burst(rng, 2*time.Minute, 4), func(tel machine.Telemetry) {
@@ -129,7 +129,7 @@ func AblationClassifier(c SELConfig) (*Table, error) {
 	var X [][]float64
 	var y []int
 	for pass, sel := range []float64{0, c.SELAmps} {
-		m := machine.New(c.machineConfig(c.Seed + 400 + int64(pass)))
+		m := machine.New(c.MachineConfig(c.Seed + 400 + int64(pass)))
 		if sel > 0 {
 			injectSEL(m, sel)
 		}
@@ -158,7 +158,7 @@ func AblationClassifier(c SELConfig) (*Table, error) {
 	evaluate := func(predict func(machine.Telemetry) bool) (fnr, fpr float64) {
 		var conf stats.Confusion
 		for pass, sel := range []float64{0, c.SELAmps} {
-			m := machine.New(c.machineConfig(c.Seed + 500 + int64(pass)))
+			m := machine.New(c.MachineConfig(c.Seed + 500 + int64(pass)))
 			if sel > 0 {
 				injectSEL(m, sel)
 			}

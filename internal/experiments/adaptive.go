@@ -187,7 +187,7 @@ func AdaptiveCampaign(c AdaptiveCampaignConfig) ([]AdaptiveTrial, *Table, error)
 			// Bubbles are injected once, at the max-posture cadence, so
 			// both arms fly the identical trace; each arm is charged for
 			// the bubble time its own posture schedules.
-			_, flight := c.SEL.pairTrace(rng, prof.Total(), adapt.PostureFor(adapt.LevelMax).BubbleEvery)
+			_, flight := c.SEL.PairTrace(rng, prof.Total(), adapt.PostureFor(adapt.LevelMax).BubbleEvery, nil)
 			st, err := flyAdaptiveArm(c, prof, model, golden, events, flight, seed, nil)
 			if err != nil {
 				return AdaptiveTrial{}, err
@@ -252,7 +252,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 		level = ctrl.Level()
 	}
 	posture := adapt.PostureFor(level)
-	bubbleLen := c.SEL.bubbleLen()
+	bubbleLen := c.SEL.BubbleLen()
 
 	// One detector on the trained model, retuned to the posture's
 	// threshold whenever the posture moves.
@@ -263,7 +263,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 		return arm, err
 	}
 
-	mc := c.SEL.machineConfig(seed + 1)
+	mc := c.SEL.MachineConfig(seed + 1)
 	mc.Telemetry = nil // trials run in parallel; per-trial metrics stay local
 	m := machine.New(mc)
 	prot := guard.NewProtection(m, det, nil)

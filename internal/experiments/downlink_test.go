@@ -93,7 +93,7 @@ func TestParallelEquivalenceDownlinkCampaign(t *testing.T) {
 // same socket back.
 func TestDownlinkEndToEndGroundstation(t *testing.T) {
 	st := downlink.NewStation(downlink.DefaultStationConfig())
-	srv, err := groundlink.NewServer(st, 2, nil)
+	srv, err := groundlink.NewServer(st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ const nDistractors = 3
 // FeatureSelection runs the selection experiment over a stepped compute
 // trace.
 func FeatureSelection(c SELConfig) *FeatureSelectionResult {
-	m := machine.New(c.machineConfig(c.Seed + 900))
+	m := machine.New(c.MachineConfig(c.Seed + 900))
 	rng := rand.New(rand.NewSource(c.Seed + 901))
 
 	var X [][]float64

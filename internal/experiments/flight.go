@@ -22,17 +22,19 @@ import (
 // per-sample order — which piece runs before which — because that order
 // is what its pinned output depends on.
 
-// bubbleLen is the measurement-bubble length: one second longer than
-// the sustain requirement, because the sample straddling the
+// BubbleLen is the flight measurement-bubble length: one second longer
+// than the sustain requirement, because the sample straddling the
 // workload→bubble boundary reads as busy and resets the averaging
 // window, so a bare SustainFor bubble never quite fills it.
-func (c SELConfig) bubbleLen() time.Duration { return c.ildConfig().SustainFor + time.Second }
+func (c SELConfig) BubbleLen() time.Duration { return c.ildConfig().SustainFor + time.Second }
 
-// pairTrace draws the flight-software trace both arms of a pair fly,
-// read-only: raw, and with a measurement bubble every pause.
-func (c SELConfig) pairTrace(rng *rand.Rand, dur, pause time.Duration) (raw, bubbled *trace.Trace) {
+// PairTrace draws the flight-software trace both arms of a pair fly,
+// read-only: raw, and with a measurement bubble every pause, each
+// bubble counted on ins (nil: uncounted). Table 2, ildmon and
+// examples/leomission fly the bubbled trace alone.
+func (c SELConfig) PairTrace(rng *rand.Rand, dur, pause time.Duration, ins *ild.Instruments) (raw, bubbled *trace.Trace) {
 	raw = trace.FlightSoftware(rng, dur, machine.DefaultConfig().Cores)
-	return raw, ild.InjectBubbles(raw, ild.BubblePolicy{BubbleLen: c.bubbleLen(), Pause: pause})
+	return raw, ild.InjectBubbles(raw, ild.BubblePolicy{BubbleLen: c.BubbleLen(), Pause: pause, Instruments: ins})
 }
 
 // selLedger is one arm's latchup-episode ledger, and the one definition
@@ -115,24 +117,49 @@ func planConfig(p guard.Plan, watch emr.Watcher) emr.Config {
 	return cfg
 }
 
-// payloadJob builds the flight payload, the localization job, on a
-// fresh runtime for plan.
-func payloadJob(p guard.Plan) (*emr.Runtime, emr.Spec, error) {
-	rt, err := emr.New(planConfig(p, nil))
-	if err != nil {
-		return nil, emr.Spec{}, err
-	}
-	spec, err := workloads.ImageProcessing().Build(rt, 32<<10, 2026)
-	return rt, spec, err
-}
+// campaignPayloadSize and campaignStrikeRate are the flight campaigns'
+// payload contact: a 32 KiB localization job, and the chance that a
+// pending upset strikes after each executor's read.
+const (
+	campaignPayloadSize = 32 << 10
+	campaignStrikeRate  = 0.05
+)
 
-// payloadGolden computes the reference payload outputs once.
-func payloadGolden() ([][]byte, error) {
-	rt, spec, err := payloadJob(guard.Plan{Scheme: fault.SchemeNone, Executors: 3})
+// StrikePayload runs the flight payload, the localization job over
+// size bytes of map, on a fresh runtime for plan, with a backlog of seus
+// upsets striking the cache: after each executor's read, while the
+// backlog lasts, one bit of a region it read flips with probability
+// strikeRate. seed draws the strikes; the map is the same at every
+// seed. Every flight program's payload contact is this run: the
+// campaigns compare its outputs with golden, examples/leomission checks
+// the best match.
+func StrikePayload(p guard.Plan, size int, strikeRate float64, seed int64, seus int) (*emr.Result, error) {
+	rt, err := emr.New(planConfig(p, nil))
 	if err != nil {
 		return nil, err
 	}
-	res, err := rt.Run(spec)
+	spec, err := workloads.ImageProcessing().Build(rt, size, 2026)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	remaining := seus
+	spec.Hook = func(hp *emr.HookPoint) {
+		if remaining > 0 && hp.Phase == emr.PhaseAfterRead && rng.Float64() < strikeRate {
+			reg := hp.Regions[rng.Intn(len(hp.Regions))]
+			f := fault.RandomFlip(rng, reg.Len)
+			if rt.Cache().FlipBit(reg.Addr+f.Offset, f.Bit) {
+				remaining--
+			}
+		}
+	}
+	return rt.Run(spec)
+}
+
+// payloadGolden computes the reference payload outputs once: the
+// campaigns' payload, unstruck and unprotected.
+func payloadGolden() ([][]byte, error) {
+	res, err := StrikePayload(guard.Plan{Scheme: fault.SchemeNone, Executors: 3}, campaignPayloadSize, 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -153,22 +180,7 @@ type contact struct {
 // comparison with golden is SDC.
 func payloadContact(p guard.Plan, seed int64, seus int, golden [][]byte) (contact, error) {
 	var out contact
-	rt, spec, err := payloadJob(p)
-	if err != nil {
-		return out, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	remaining := seus
-	spec.Hook = func(hp *emr.HookPoint) {
-		if remaining > 0 && hp.Phase == emr.PhaseAfterRead && rng.Float64() < 0.05 {
-			reg := hp.Regions[rng.Intn(len(hp.Regions))]
-			f := fault.RandomFlip(rng, reg.Len)
-			if rt.Cache().FlipBit(reg.Addr+f.Offset, f.Bit) {
-				remaining--
-			}
-		}
-	}
-	res, err := rt.Run(spec)
+	res, err := StrikePayload(p, campaignPayloadSize, campaignStrikeRate, seed, seus)
 	if err != nil {
 		return out, err
 	}

@@ -153,7 +153,7 @@ func GuardCampaign(c GuardCampaignConfig) ([]GuardTrial, *Table, error) {
 		return cache.CachedArm(i, func() (GuardTrial, error) {
 			sp := specs[i]
 			seed := c.SEL.Seed + 1000 + int64(i)*29
-			_, flight := c.SEL.pairTrace(rand.New(rand.NewSource(seed+3)), c.SEL.Duration, 3*time.Minute)
+			_, flight := c.SEL.PairTrace(rand.New(rand.NewSource(seed+3)), c.SEL.Duration, 3*time.Minute, nil)
 			g, err := flyGuardArm(c, sp, model, flight, seed, true)
 			if err != nil {
 				return GuardTrial{}, err
@@ -211,7 +211,7 @@ func GuardCampaign(c GuardCampaignConfig) ([]GuardTrial, *Table, error) {
 // its decisions; the unguarded arm runs the paper's bare detector.
 func flyGuardArm(c GuardCampaignConfig, sp guardTrialSpec, model *linmodel.Model, flight *trace.Trace, seed int64, guarded bool) (guardArmResult, error) {
 	res := guardArmResult{detectSamples: -1}
-	mc := c.SEL.machineConfig(seed)
+	mc := c.SEL.MachineConfig(seed)
 	mc.Telemetry = nil // trials run in parallel; per-trial metrics stay local
 	m := machine.New(mc)
 	if err := m.Sensor().ScheduleFault(power.SensorFault{

@@ -110,7 +110,7 @@ func MissionSurvival(c MissionConfig) (protected, unprotected MissionTally, tbl 
 			// trace once per pair; both arms replay them read-only.
 			rng := rand.New(rand.NewSource(seed))
 			events := env.Schedule(rng, c.Duration)
-			raw, bubbled := DefaultSELConfig().pairTrace(rng, c.Duration, 3*time.Minute)
+			raw, bubbled := DefaultSELConfig().PairTrace(rng, c.Duration, 3*time.Minute, nil)
 			p, err := flyOneMission(seed, true, golden, events, raw, bubbled)
 			if err != nil {
 				return missionPair{}, err
@@ -180,7 +180,7 @@ func flyOneMission(seed int64, shielded bool, golden [][]byte, events []fault.Ev
 	var out missionResult
 	selCfg := DefaultSELConfig()
 	selCfg.Seed = seed
-	m := machine.New(selCfg.machineConfig(seed + 1))
+	m := machine.New(selCfg.MachineConfig(seed + 1))
 
 	var prot *guard.Protection
 	flight, plan := raw, guard.Plan{Scheme: fault.SchemeUnprotectedParallel, Executors: 3}

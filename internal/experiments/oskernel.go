@@ -257,7 +257,7 @@ func OSFaultCampaign(c OSFaultCampaignConfig) ([]OSFaultTrial, *Table, error) {
 		return cache.CachedArm(i, func() (OSFaultTrial, error) {
 			class, onset := gridPoint(i)
 			seed := c.SEL.Seed + 5000 + int64(i)*31
-			_, flight := c.SEL.pairTrace(rand.New(rand.NewSource(seed+3)), c.SEL.Duration, 3*time.Minute)
+			_, flight := c.SEL.PairTrace(rand.New(rand.NewSource(seed+3)), c.SEL.Duration, 3*time.Minute, nil)
 			g, err := flyOSFaultArm(c, class, onset, model, flight, seed, true)
 			if err != nil {
 				return OSFaultTrial{}, err
@@ -343,7 +343,7 @@ func latencyStr(d time.Duration) string {
 // written and restored blindly.
 func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset time.Duration, model *linmodel.Model, flight *trace.Trace, seed int64, guarded bool) (osArmResult, error) {
 	res := osArmResult{detectAt: -1, recoveredAt: -1, cleanReplay: true}
-	mc := c.SEL.machineConfig(seed)
+	mc := c.SEL.MachineConfig(seed)
 	mc.Telemetry = nil // trials run in parallel; per-trial metrics stay local
 	if guarded {
 		mc.WatchdogTimeout = c.WatchdogTimeout

@@ -30,7 +30,9 @@ type ProfileStats struct {
 // seeded RNG; workers <= 0 means one per CPU.
 func MissionProfiles(seed int64, workers int) ([]ProfileStats, *Table) {
 	const cores = 4
-	minWindow := 4 * time.Second // sustain (3 s) + boundary margin
+	// A detection opportunity is a quiescent stretch one flight bubble
+	// long: ILD's sustain window plus the boundary margin.
+	minWindow := DefaultSELConfig().BubbleLen()
 	policy := ild.BubblePolicy{BubbleLen: minWindow, Pause: 3 * time.Minute}
 
 	profiles := []struct {

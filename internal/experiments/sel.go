@@ -68,8 +68,10 @@ func CheckHours(hours float64) error {
 	return nil
 }
 
-// machineConfig builds the testbed board at the experiment cadence.
-func (c SELConfig) machineConfig(seed int64) machine.Config {
+// MachineConfig builds the testbed board at the experiment cadence,
+// its sensor seeded with seed and its metrics on c.Telemetry: every
+// board the campaigns, ildmon and examples/leomission fly.
+func (c SELConfig) MachineConfig(seed int64) machine.Config {
 	mc := machine.DefaultConfig()
 	mc.SampleEvery = c.SampleEvery
 	mc.SensorSeed = seed
@@ -99,7 +101,7 @@ func injectSEL(m *machine.Machine, amps float64) {
 // quiescent trace and fit the linear current model.
 func TrainILD(c SELConfig) (*ild.Detector, error) {
 	c.Telemetry = nil // ground-twin training stays out of flight metrics
-	m := machine.New(c.machineConfig(c.Seed + 100))
+	m := machine.New(c.MachineConfig(c.Seed + 100))
 	trainer := ild.NewTrainer(c.ildConfig())
 	rng := rand.New(rand.NewSource(c.Seed + 101))
 	m.RunTrace(trace.Quiescent(rng, c.TrainFor, 10*time.Second), func(tel machine.Telemetry) {
@@ -120,7 +122,7 @@ func trainForestBaseline(c SELConfig) *ild.ForestDetector {
 	var currents []float64
 	var labels []int
 	for pass, sel := range []float64{0, c.SELAmps} {
-		m := machine.New(c.machineConfig(c.Seed + 200 + int64(pass)))
+		m := machine.New(c.MachineConfig(c.Seed + 200 + int64(pass)))
 		if sel > 0 {
 			injectSEL(m, sel)
 		}
@@ -184,12 +186,9 @@ type table2Recording struct {
 // and clearing latchups exactly as the serial harness did, and records
 // the resulting telemetry stream.
 func recordTable2Campaign(c SELConfig) *table2Recording {
-	mc := c.machineConfig(c.Seed)
+	mc := c.MachineConfig(c.Seed)
 	m := machine.New(mc)
-	rng := rand.New(rand.NewSource(c.Seed + 1))
-	flight := trace.FlightSoftware(rng, c.Duration, 4)
-	policy := ild.BubblePolicy{BubbleLen: c.bubbleLen(), Pause: 3 * time.Minute, Instruments: ild.NewInstruments(c.Telemetry)}
-	flight = ild.InjectBubbles(flight, policy)
+	_, flight := c.PairTrace(rand.New(rand.NewSource(c.Seed+1)), c.Duration, 3*time.Minute, ild.NewInstruments(c.Telemetry))
 
 	// RunTrace samples once per SampleEvery of trace time, so the
 	// recording never outgrows these.
@@ -449,7 +448,7 @@ func fig10Level(c SELConfig, model *linmodel.Model, li, episodesPer int) (float6
 	if err != nil {
 		return 0, err
 	}
-	m := machine.New(c.machineConfig(c.Seed + int64(ca)*10))
+	m := machine.New(c.MachineConfig(c.Seed + int64(ca)*10))
 	rng := rand.New(rand.NewSource(c.Seed + 2))
 	missed := 0
 	for ep := 0; ep < episodesPer; ep++ {
@@ -501,7 +500,7 @@ type Fig2Result struct {
 // trip line — demonstrating that the threshold fires on compute and
 // never on the latchup.
 func Fig2(c SELConfig) *Fig2Result {
-	mc := c.machineConfig(c.Seed + 7)
+	mc := c.MachineConfig(c.Seed + 7)
 	m := machine.New(mc)
 	rng := rand.New(rand.NewSource(c.Seed + 8))
 
@@ -543,7 +542,7 @@ type Fig5Result struct {
 // stepped across 0–4 cores and the DVFS range correlates ≈99.7 % with
 // measured current.
 func Fig5(c SELConfig) *Fig5Result {
-	m := machine.New(c.machineConfig(c.Seed + 9))
+	m := machine.New(c.MachineConfig(c.Seed + 9))
 	tr := trace.MatMulSteps(4, 600e6, 1.4e9, 100e6, 500*time.Millisecond)
 	fig := &Figure{
 		Title:  "Figure 5: current vs CPU activity under stepped matmul",

@@ -70,10 +70,10 @@ func TestTable2RecordingOwnsSamples(t *testing.T) {
 		t.Fatalf("episodes = %+v, want one that opens and clears", rec.episodes)
 	}
 
-	m := machine.New(c.machineConfig(c.Seed))
+	m := machine.New(c.MachineConfig(c.Seed))
 	rng := rand.New(rand.NewSource(c.Seed + 1))
 	flight := ild.InjectBubbles(trace.FlightSoftware(rng, c.Duration, 4),
-		ild.BubblePolicy{BubbleLen: c.bubbleLen(), Pause: 3 * time.Minute})
+		ild.BubblePolicy{BubbleLen: c.BubbleLen(), Pause: 3 * time.Minute})
 	k, ep, diffs := 0, 0, 0
 	m.RunTrace(flight, func(tel machine.Telemetry) {
 		if ep < len(rec.episodes) && k == rec.episodes[ep].firstSample {

@@ -78,7 +78,7 @@ func thresholdLevel(c SELConfig, model *linmodel.Model, th float64, episodes int
 	}
 
 	// Clean phase: long quiescence, no SEL — count FP samples.
-	m := machine.New(c.machineConfig(c.Seed + 700))
+	m := machine.New(c.MachineConfig(c.Seed + 700))
 	rng := rand.New(rand.NewSource(c.Seed + 701))
 	fp, clean := 0, 0
 	m.RunTrace(trace.Quiescent(rng, 4*time.Minute, 15*time.Second), func(tel machine.Telemetry) {

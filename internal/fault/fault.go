@@ -61,7 +61,6 @@ type Environment struct {
 var (
 	DeepSpace = Environment{Name: "deep-space", SEUPerDay: 1.6, MBUFrac: 0.1, SELPerYear: 2.0, SELAmpsMin: 0.07, SELAmpsMax: 0.25}
 	LEO       = Environment{Name: "leo", SEUPerDay: 0.4, MBUFrac: 0.08, SELPerYear: 0.8, SELAmpsMin: 0.07, SELAmpsMax: 0.25}
-	Mars      = Environment{Name: "mars-surface", SEUPerDay: 1.0, MBUFrac: 0.1, SELPerYear: 1.2, SELAmpsMin: 0.07, SELAmpsMax: 0.25}
 	SeaLevel  = Environment{Name: "sea-level", SEUPerDay: 1.6 / 700000, MBUFrac: 0.02, SELPerYear: 0, SELAmpsMin: 0, SELAmpsMax: 0}
 )
 

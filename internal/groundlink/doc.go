@@ -5,10 +5,11 @@
 //     radio is a TCP connection to a ground station. ildmon, radbench
 //     and examples/leomission dial one with their -downlink flag.
 //   - Server (serve.go) is the ground side: it accepts many spacecraft
-//     links over TCP, one goroutine pipeline per link into a shared
-//     downlink.Station, and serves the aggregated mission state on HTTP
-//     /state and the station's metrics on /telemetry.
-//     cmd/groundstation is the thin binary wrapper.
+//     links over TCP, one goroutine pipeline per connected link into a
+//     shared downlink.Station, so every connected link is read at once,
+//     and serves the aggregated mission state on HTTP /state and the
+//     station's metrics on /telemetry. cmd/groundstation is the thin
+//     binary wrapper.
 //   - SnapshotHandler serves a telemetry registry's JSON snapshot, for
 //     the ground station's /telemetry and radbench's -telemetry-http.
 //

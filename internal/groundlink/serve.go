@@ -11,21 +11,18 @@ import (
 	"time"
 
 	"radshield/internal/downlink"
-	"radshield/internal/sched"
 	"radshield/internal/telemetry"
 )
 
 // Server exposes a downlink.Station over TCP: each accepted connection
 // is one spacecraft link's frame stream, handled by its own goroutine
-// pipeline (read → ingest → ACK write-back), with total concurrency
-// bounded by the sched pool width. An HTTP handler serves the
-// aggregated mission state and the telemetry snapshot.
+// pipeline (read → ingest → ACK write-back) from accept to close. Every
+// connected link is served at once: a feed waits for each frame's ACK,
+// so a link left unread would block its spacecraft. An HTTP handler
+// serves the aggregated mission state and the telemetry snapshot.
 type Server struct {
 	st  *downlink.Station
 	reg *telemetry.Registry
-
-	// sem bounds concurrent link pipelines (sched.Workers sizing).
-	sem chan struct{}
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -41,19 +38,12 @@ type Server struct {
 	ingestSeq atomic.Int64
 }
 
-// NewServer wraps st. workers bounds the concurrent link pipelines
-// (<= 0: one per CPU, via sched.Workers). reg, when non-nil, is served
-// at /telemetry.
-func NewServer(st *downlink.Station, workers int, reg *telemetry.Registry) (*Server, error) {
+// NewServer wraps st. reg, when non-nil, is served at /telemetry.
+func NewServer(st *downlink.Station, reg *telemetry.Registry) (*Server, error) {
 	if st == nil {
 		return nil, fmt.Errorf("groundlink: nil station")
 	}
-	return &Server{
-		st:    st,
-		reg:   reg,
-		sem:   make(chan struct{}, sched.Workers(workers)),
-		conns: make(map[net.Conn]struct{}),
-	}, nil
+	return &Server{st: st, reg: reg, conns: make(map[net.Conn]struct{})}, nil
 }
 
 // Serve accepts link connections on ln until Close. It blocks; run it
@@ -90,8 +80,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
-			s.sem <- struct{}{} // pipeline slot
-			defer func() { <-s.sem }()
 			s.handle(conn)
 			s.mu.Lock()
 			delete(s.conns, conn)

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,9 +19,9 @@ import (
 
 // startServer spins up a Server on a loopback listener and returns the
 // dial address plus a shutdown func.
-func startServer(t *testing.T, st *downlink.Station, workers int) (string, *Server, func()) {
+func startServer(t *testing.T, st *downlink.Station) (string, *Server, func()) {
 	t.Helper()
-	srv, err := NewServer(st, workers, nil)
+	srv, err := NewServer(st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func startServer(t *testing.T, st *downlink.Station, workers int) (string, *Serv
 // this doubles as the station's concurrency test.
 func TestServerConcurrentLinks(t *testing.T) {
 	st := downlink.NewStation(downlink.DefaultStationConfig())
-	addr, _, shutdown := startServer(t, st, 4)
+	addr, _, shutdown := startServer(t, st)
 	defer shutdown()
 
 	const links, frames = 5, 40
@@ -107,12 +108,69 @@ func TestServerConcurrentLinks(t *testing.T) {
 	}
 }
 
+// TestServerServesEveryFeed keeps more feeds connected than the host
+// has CPUs, and every one must drain: a feed waits for each frame's
+// ACK, so a station that left one connected link unread would block
+// that spacecraft for good. Each feed sends one frame on every channel,
+// and each must be delivered exactly once.
+func TestServerServesEveryFeed(t *testing.T) {
+	st := downlink.NewStation(downlink.DefaultStationConfig())
+	addr, _, shutdown := startServer(t, st)
+	defer shutdown()
+
+	links := runtime.GOMAXPROCS(0) + 1
+	feeds := make([]*Feed, links)
+	for i := range feeds {
+		f, err := DialFeed(addr, i+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		feeds[i] = f
+	}
+	errs := make(chan error, links)
+	for i, f := range feeds {
+		go func() {
+			for vc := uint8(0); vc < downlink.NumVC; vc++ {
+				if err := f.Enqueue(vc, fmt.Appendf(nil, "link%d-vc%d", i+1, vc), time.Millisecond); err != nil {
+					errs <- err
+					return
+				}
+			}
+			_, err := f.Drain(time.Millisecond, time.Second, time.Millisecond)
+			errs <- err
+		}()
+	}
+	timeout := time.After(20 * time.Second)
+	for range feeds {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatalf("with %d feeds connected, a feed never drained: the station left its link unread", links)
+		}
+	}
+	for _, rep := range st.Report() {
+		for vc, c := range rep.VC {
+			if c.Delivered != 1 || c.Dups != 0 || c.Skipped != 0 {
+				t.Errorf("link %d vc %d: %d delivered, %d duplicates, %d skipped; want exactly one delivery",
+					rep.Link, vc, c.Delivered, c.Dups, c.Skipped)
+			}
+		}
+	}
+	if got := len(st.Report()); got != links {
+		t.Fatalf("station saw %d links, want %d", got, links)
+	}
+}
+
 // DialFeed checks a command-line link id before narrowing it to the
 // frame's 16 bits: 65537 would otherwise stream as link 1 and merge
 // with another spacecraft at the ground station.
 func TestDialFeedLinkID(t *testing.T) {
 	st := downlink.NewStation(downlink.DefaultStationConfig())
-	addr, _, shutdown := startServer(t, st, 1)
+	addr, _, shutdown := startServer(t, st)
 	defer shutdown()
 	for _, bad := range []int{-1, 0, 0x10000, 0x10001} {
 		if f, err := DialFeed(addr, bad); err == nil || !strings.Contains(err.Error(), "out of range") {
@@ -143,7 +201,7 @@ func TestDialFeedLinkID(t *testing.T) {
 // real frame.
 func TestServerResyncsAfterGarbage(t *testing.T) {
 	st := downlink.NewStation(downlink.DefaultStationConfig())
-	addr, _, shutdown := startServer(t, st, 1)
+	addr, _, shutdown := startServer(t, st)
 	defer shutdown()
 
 	conn, err := net.Dial("tcp", addr)
@@ -172,7 +230,7 @@ func TestServerHTTPState(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Ingest(raw, time.Second)
-	srv, err := NewServer(st, 1, nil)
+	srv, err := NewServer(st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +269,7 @@ func TestServerHTTPTelemetry(t *testing.T) {
 		reg  *telemetry.Registry
 		code int
 	}{{reg, http.StatusOK}, {nil, http.StatusNotFound}} {
-		srv, err := NewServer(st, 1, tc.reg)
+		srv, err := NewServer(st, tc.reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +293,7 @@ func TestServerHTTPTelemetry(t *testing.T) {
 
 func TestServerCloseIsIdempotent(t *testing.T) {
 	st := downlink.NewStation(downlink.DefaultStationConfig())
-	_, srv, shutdown := startServer(t, st, 2)
+	_, srv, shutdown := startServer(t, st)
 	shutdown()
 	if err := srv.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
@@ -246,7 +304,7 @@ func TestServerCloseIsIdempotent(t *testing.T) {
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(nil, 1, nil); err == nil {
+	if _, err := NewServer(nil, nil); err == nil {
 		t.Fatal("nil station accepted")
 	}
 }

@@ -26,12 +26,11 @@
 //
 // Invariants: the detector only accumulates residuals while the
 // quiescence gate holds — busy samples reset the averaging window, so a
-// declaration always reflects DetectionWindow seconds of sustained
-// quiescent excess; the ground-trained model is fixed, and a detector
-// only reads it; Observe is deterministic for a given telemetry stream,
-// and its products that feed a sum are converted explicitly
-// (float64(x*y)), so no compiler fuses them into a multiply-add
-// (DESIGN.md §9).
+// declaration always reflects SustainFor of sustained quiescent excess;
+// the ground-trained model is fixed, and a detector only reads it;
+// Observe is deterministic for a given telemetry stream, and its
+// products that feed a sum are converted explicitly (float64(x*y)), so
+// no compiler fuses them into a multiply-add (DESIGN.md §9).
 // Instruments (NewInstruments, Detector.SetInstruments,
 // BubblePolicy.Instruments) attach the ild_* metrics of TELEMETRY.md;
 // a nil *Instruments disables all of it at one branch of cost.

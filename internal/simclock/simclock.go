@@ -16,9 +16,6 @@ type Clock struct {
 	now time.Duration
 }
 
-// New returns a Clock starting at instant zero.
-func New() *Clock { return &Clock{} }
-
 // Now reports the current simulated instant as an offset from simulation
 // start.
 func (c *Clock) Now() time.Duration { return c.now }

@@ -13,7 +13,7 @@ func TestZeroValueStartsAtZero(t *testing.T) {
 }
 
 func TestAdvanceAccumulates(t *testing.T) {
-	c := New()
+	var c Clock
 	c.Advance(3 * time.Second)
 	if got := c.Advance(250 * time.Millisecond); got != 3250*time.Millisecond {
 		t.Fatalf("Advance returned %v, want 3.25s", got)
@@ -29,5 +29,5 @@ func TestAdvanceNegativePanics(t *testing.T) {
 			t.Fatal("Advance(-1) did not panic")
 		}
 	}()
-	New().Advance(-time.Second)
+	new(Clock).Advance(-time.Second)
 }

@@ -20,8 +20,7 @@ const aesKeySize = 32
 // shared, and replication removes that conflict entirely.
 func Encryption() Builder {
 	return Builder{
-		Name:          "encryption",
-		CyclesPerByte: 2.5, // hardware AES pipeline (NEON/AES-NI class, per the paper §3.2)
+		Name: "encryption",
 		Build: func(rt *emr.Runtime, size int, seed int64) (emr.Spec, error) {
 			n := size / aesChunk
 			if n < 1 {
@@ -47,7 +46,7 @@ func Encryption() Builder {
 				Name:          "encryption",
 				Datasets:      datasets,
 				Job:           aesJob,
-				CyclesPerByte: 2.5,
+				CyclesPerByte: 2.5, // hardware AES pipeline (NEON/AES-NI class, per the paper §3.2)
 			}, nil
 		},
 	}

@@ -26,8 +26,7 @@ const (
 // row).
 func Compression() Builder {
 	return Builder{
-		Name:          "compression",
-		CyclesPerByte: 45, // LZ77 match search dominates (not vectorizable)
+		Name: "compression",
 		Build: func(rt *emr.Runtime, size int, seed int64) (emr.Spec, error) {
 			n := size / deflateBlock
 			if n < 1 {
@@ -68,7 +67,7 @@ func Compression() Builder {
 				Name:          "compression",
 				Datasets:      datasets,
 				Job:           deflateJob,
-				CyclesPerByte: 45,
+				CyclesPerByte: 45, // LZ77 match search dominates (not vectorizable)
 			}, nil
 		},
 	}

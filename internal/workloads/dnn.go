@@ -36,8 +36,7 @@ const dnnStride = dnnSampleLen / 2
 // sliding window over a feature stream plus the shared weight blob.
 func NeuralNetwork() Builder {
 	return Builder{
-		Name:          "dnn",
-		CyclesPerByte: 30, // AVX2-class dense GEMV per byte of parameters
+		Name: "dnn",
 		Build: func(rt *emr.Runtime, size int, seed int64) (emr.Spec, error) {
 			n := size / dnnSampleLen
 			if n < 1 {
@@ -73,7 +72,7 @@ func NeuralNetwork() Builder {
 				Name:          "dnn",
 				Datasets:      datasets,
 				Job:           dnnJob,
-				CyclesPerByte: 30,
+				CyclesPerByte: 30, // AVX2-class dense GEMV per byte of parameters
 			}, nil
 		},
 	}

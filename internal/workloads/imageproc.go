@@ -28,8 +28,7 @@ const imgParamsLen = 16
 // with a fixed width.
 func ImageProcessing() Builder {
 	return Builder{
-		Name:          "image-processing",
-		CyclesPerByte: 26, // SSE2-class SAD over a 32×32 template per window column
+		Name: "image-processing",
 		Build: func(rt *emr.Runtime, size int, seed int64) (emr.Spec, error) {
 			const width = 256
 			height := size / width
@@ -94,7 +93,7 @@ func ImageProcessing() Builder {
 				Name:          "image-processing",
 				Datasets:      datasets,
 				Job:           imageJob,
-				CyclesPerByte: 26,
+				CyclesPerByte: 26, // SSE2-class SAD over a 32×32 template per window column
 			}, nil
 		},
 	}

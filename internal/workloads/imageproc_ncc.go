@@ -20,8 +20,7 @@ import (
 // that for identical instruction sequences, which the tests verify.
 func ImageProcessingNCC() Builder {
 	return Builder{
-		Name:          "image-processing-ncc",
-		CyclesPerByte: 60, // float MADDs + two running sums per pixel
+		Name: "image-processing-ncc",
 		Build: func(rt *emr.Runtime, size int, seed int64) (emr.Spec, error) {
 			spec, err := ImageProcessing().Build(rt, size, seed)
 			if err != nil {
@@ -30,7 +29,7 @@ func ImageProcessingNCC() Builder {
 			// Same datasets and staging; only the job and its cost differ.
 			spec.Name = "image-processing-ncc"
 			spec.Job = nccJob
-			spec.CyclesPerByte = 60
+			spec.CyclesPerByte = 60 // float MADDs + two running sums per pixel
 			return spec, nil
 		},
 	}

@@ -21,8 +21,7 @@ const idsPattern = `(?i)(cmd=(reboot|halt|dump))|x{4,}|\x00\x00\x7f`
 // per executor (the paper's "Replicate search pattern" row).
 func IntrusionDetection() Builder {
 	return Builder{
-		Name:          "intrusion-detection",
-		CyclesPerByte: 12, // DFA scan plus per-packet setup
+		Name: "intrusion-detection",
 		Build: func(rt *emr.Runtime, size int, seed int64) (emr.Spec, error) {
 			n := size / packetSize
 			if n < 1 {
@@ -54,7 +53,7 @@ func IntrusionDetection() Builder {
 				Name:          "intrusion-detection",
 				Datasets:      datasets,
 				Job:           idsJob,
-				CyclesPerByte: 12,
+				CyclesPerByte: 12, // DFA scan plus per-packet setup
 			}, nil
 		},
 	}

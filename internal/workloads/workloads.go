@@ -12,9 +12,6 @@ import (
 type Builder struct {
 	// Name matches the paper's Table 5 row.
 	Name string
-	// CyclesPerByte is the virtual compute intensity used by the cost
-	// model (not the Go execution time).
-	CyclesPerByte float64
 	// Build stages inputs into the runtime's frontier and returns the
 	// spec. size scales the total input volume in bytes (approximately);
 	// seed makes the synthetic data deterministic.

@@ -39,8 +39,16 @@ func TestAllReturnsFiveTable5Workloads(t *testing.T) {
 		if b.Name != want[i] {
 			t.Errorf("workload %d = %q, want %q", i, b.Name, want[i])
 		}
-		if b.CyclesPerByte <= 0 {
-			t.Errorf("%s: CyclesPerByte = %v", b.Name, b.CyclesPerByte)
+		rt, err := emr.New(emr.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := b.Build(rt, 32<<10, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Name != b.Name || spec.CyclesPerByte <= 0 {
+			t.Errorf("%s builds spec %q at %v cycles per byte, want its own name and a positive cost", b.Name, spec.Name, spec.CyclesPerByte)
 		}
 	}
 }
