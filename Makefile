@@ -51,9 +51,10 @@ race:
 # result-cache replay's in-place decode of a fixed-width struct, the
 # shared latchup-protection path, the downlink comms tick, frame codec,
 # stream frame reader and recorder restore, and the campaigns' payload
-# formatting at zero allocations, a 4 h flight-software trace under 40
-# objects, EMR runtime construction under 2 MB, an EMR Run's growth with its
-# dataset count: a handful of objects under every scheme, plus at most
+# path (build, enqueue and comms tick) at zero allocations, a 4 h
+# flight-software trace under 40 objects, EMR runtime construction
+# under 2 MB, an EMR Run's growth with its dataset count: a handful of
+# objects under every scheme, plus at most
 # one per dataset for EMR's conflict plan, the intrusion-detection job
 # on its canonical pattern at 3 objects, the scheduler's Map at 8
 # objects or fewer whatever its trial count, and a result-cache
@@ -165,8 +166,8 @@ nonet:
 		END { if (!seen) { print "nonet: listed no package"; exit 1 } \
 			if (!bad) print "nonet: " seen " packages checked, none but the " n " allowed links the network"; exit bad }' "$$tmp"
 
-# cli-golden pins what ildmon, examples/leomission and radbench print.
-# It builds the three once and runs each line of testdata/cli/cases
+# cli-golden pins what ildmon, examples/leomission, radbench and emrrun
+# print. It builds the four once and runs each line of testdata/cli/cases
 # ("name program flags...") in an empty directory of its own. It fails unless every run
 # exits 0, its stdout equals testdata/cli/<name>.txt, and the SHA-256 of
 # every file it leaves behind (ildmon -dump's 3 MB CSV) equals
@@ -176,7 +177,8 @@ cli-golden:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/ildmon" ./cmd/ildmon && \
 	$(GO) build -o "$$tmp/leomission" ./examples/leomission && \
-	$(GO) build -o "$$tmp/radbench" ./cmd/radbench || exit 1; \
+	$(GO) build -o "$$tmp/radbench" ./cmd/radbench && \
+	$(GO) build -o "$$tmp/emrrun" ./cmd/emrrun || exit 1; \
 	bad=0; n=0; \
 	while read -r name prog flags; do \
 		case "$$name" in ''|'#'*) continue;; esac; \

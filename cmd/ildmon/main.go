@@ -50,7 +50,7 @@ func parseFaultKind(s string) (power.FaultKind, error) {
 
 // missionFlags are the flags checkFlags vets.
 type missionFlags struct {
-	hours, selAmps                   float64
+	hours, selAmps, faultOffset      float64
 	selAt, report, faultAt, faultFor time.Duration
 	sensorFault, dump, downlink      string
 	linkID                           int
@@ -60,9 +60,10 @@ type missionFlags struct {
 // trains: a mission length radbench would refuse too (see
 // experiments.CheckHours), a latchup current that is not a finite value
 // above 0, a report interval not above 0, a negative strike time,
-// fault start or fault length, an unknown sensor fault, -dump beside
-// one, or a -link-id downlink.CheckLinkID refuses when -downlink is set.
-// It returns the sensor fault to fly.
+// fault start or fault length, an unknown sensor fault, an offset
+// fault's bias that is not finite, -dump beside a sensor fault, or a
+// -link-id downlink.CheckLinkID refuses when -downlink is set. It
+// returns the sensor fault to fly.
 func checkFlags(f missionFlags) (power.FaultKind, error) {
 	if err := experiments.CheckHours(f.hours); err != nil {
 		return power.FaultNone, err
@@ -84,6 +85,9 @@ func checkFlags(f missionFlags) (power.FaultKind, error) {
 	kind, err := parseFaultKind(f.sensorFault)
 	if err != nil {
 		return power.FaultNone, err
+	}
+	if kind == power.FaultOffset && (math.IsNaN(f.faultOffset) || math.IsInf(f.faultOffset, 0)) {
+		return power.FaultNone, fmt.Errorf("-fault-offset %v, want a finite value", f.faultOffset)
 	}
 	if f.dump != "" && kind != power.FaultNone {
 		return power.FaultNone, errors.New("-dump is unavailable with -sensor-fault: the guard supervisor owns the detector")
@@ -117,7 +121,7 @@ func main() {
 	log.SetPrefix("ildmon: ")
 
 	kind, err := checkFlags(missionFlags{
-		hours: *hours, selAmps: *selAmps,
+		hours: *hours, selAmps: *selAmps, faultOffset: *faultOfs,
 		selAt: *selAt, report: *report, faultAt: *faultAt, faultFor: *faultFor,
 		sensorFault: *faultKind, dump: *dump, downlink: *dlAddr, linkID: *dlLink,
 	})

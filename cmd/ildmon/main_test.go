@@ -42,6 +42,7 @@ func TestCheckFlags(t *testing.T) {
 		{"negative fault-at", func(f *missionFlags) { f.faultAt = -time.Second }, "-fault-at -1s,"},
 		{"negative fault-for", func(f *missionFlags) { f.faultFor = -5 * time.Minute }, "-fault-for -5m0s,"},
 		{"unknown sensor fault", func(f *missionFlags) { f.sensorFault = "melted" }, `unknown sensor fault "melted"`},
+		{"NaN offset fault", func(f *missionFlags) { f.sensorFault, f.faultOffset = "offset", math.NaN() }, "-fault-offset NaN,"},
 		{"dump with a sensor fault", func(f *missionFlags) { f.sensorFault, f.dump = "stuck", "ring.csv" },
 			"-dump is unavailable with -sensor-fault"},
 		{"link id 0 without downlink", func(f *missionFlags) { f.linkID = 0 }, ""},

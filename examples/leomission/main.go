@@ -26,7 +26,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
+	"os"
 	"time"
 
 	"radshield/internal/adapt"
@@ -40,6 +42,16 @@ import (
 	"radshield/internal/workloads"
 )
 
+// checkFlags rejects a -boost leomission cannot fly, before any work:
+// one that is not a finite value above 0 gives the radiation schedule
+// an arrival rate whose draw never reaches the end of the flight.
+func checkFlags(boost float64) error {
+	if !(boost > 0) || math.IsInf(boost, 1) {
+		return fmt.Errorf("-boost %v, want a finite value above 0", boost)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		seed   = flag.Int64("seed", 2026, "mission seed")
@@ -48,6 +60,10 @@ func main() {
 	)
 	flag.Parse()
 	log.SetFlags(0)
+	if err := checkFlags(*boost); err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
 
 	prof := mission.LEOWithSAA().Boosted(*boost)
 	rng := rand.New(rand.NewSource(*seed))
@@ -196,7 +212,7 @@ func main() {
 	})
 
 	if feed != nil {
-		end := m.Clock().Now()
+		end := m.Now()
 		if _, err := feed.Drain(end, end+10*time.Minute, time.Second); err != nil {
 			log.Fatalf("downlink: %v", err)
 		}
@@ -205,7 +221,7 @@ func main() {
 	}
 
 	fmt.Println()
-	fmt.Printf("mission complete: %v simulated\n", m.Clock().Now().Round(time.Minute))
+	fmt.Printf("mission complete: %v simulated\n", m.Now().Round(time.Minute))
 	fmt.Printf("  latchups cleared by ILD: %d, power cycles: %d, chip damaged: %v\n",
 		selsSurvived, m.PowerCycles(), m.Damaged())
 	fmt.Printf("  products downlinked: %d, upsets outvoted by EMR: %d, vote-failure retries: %d, corrupt products: %d\n",

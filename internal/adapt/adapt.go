@@ -98,8 +98,8 @@ func (s Signal) String() string {
 // a storm never bounces the posture straight back down (MISSIONS.md
 // records the rationale).
 type Config struct {
-	// Window is the sliding simclock span over which signal weights are
-	// summed into the score.
+	// Window is the sliding span of simulated time over which signal
+	// weights are summed into the score.
 	Window time.Duration
 	// EscalateAt escalates one rung when the windowed score reaches it.
 	EscalateAt float64

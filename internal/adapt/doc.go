@@ -1,8 +1,8 @@
 // Package adapt closes the protection loop: a deterministic controller
 // reads live error-rate telemetry — ILD detections and refires, EMR
 // vote disagreements, guard sensor verdicts, watchdog resets — over a
-// sliding simclock window and moves a four-rung protection posture
-// (relaxed → nominal → elevated → max) with hysteresis.
+// sliding window of simulated time and moves a four-rung protection
+// posture (relaxed → nominal → elevated → max) with hysteresis.
 //
 // Each rung maps, via PostureFor, onto knobs the existing layers
 // already expose: the ILD threshold profile, the measurement-bubble

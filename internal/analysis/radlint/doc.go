@@ -37,7 +37,6 @@
 // Test files (*_test.go) are never analyzed: campaigns replay
 // production code, not test scaffolding, and tests legitimately use
 // wall clocks, ad-hoc randomness, and panics. Individual analyzers
-// additionally exempt whole packages (for example internal/simclock is
-// exempt from simclocktime — it is the abstraction the rule points
-// users at).
+// additionally scope themselves to part of the tree (simclocktime and
+// schedonly to internal/ and cmd/, nopanic to internal/).
 package radlint

@@ -18,9 +18,9 @@ func PathIsCommand(path string) bool {
 }
 
 // bannedTimeFuncs are the package time functions that read or schedule
-// against the host clock. Deterministic simulation code must route time
-// through internal/simclock instead; time.Duration arithmetic and
-// formatting remain free.
+// against the host clock. Deterministic simulation code must read
+// simulated time instead (the machine's clock, machine.Now);
+// time.Duration arithmetic and formatting remain free.
 var bannedTimeFuncs = map[string]bool{
 	"Now":       true,
 	"Sleep":     true,

@@ -4,12 +4,12 @@
 // the lines where findings are expected with trailing comments of the
 // form
 //
-//	time.Now() // want `use simclock\.Clock`
+//	time.Now() // want `reads the host clock`
 //
 // Each string after "want" is a regular expression; the harness
 // requires a one-to-one match between expected and reported findings
 // per line. Lines without a want comment must produce no finding —
-// which is how the negative fixtures (internal/simclock exemption,
+// which is how the negative fixtures (code outside internal/ and cmd/,
 // *_test.go exemption, //radlint:allow suppression) assert silence.
 package radlinttest
 

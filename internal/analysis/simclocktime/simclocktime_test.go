@@ -13,7 +13,6 @@ func TestSimclockTime(t *testing.T) {
 		"radshield/internal/demo",
 		"radshield/internal/downlinkdemo",
 		"radshield/internal/guarddemo",
-		"radshield/internal/simclock",
 		"radshield/pkg/free",
 	)
 }

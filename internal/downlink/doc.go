@@ -52,7 +52,7 @@
 // ownership") lists every such contract.
 //
 // Everything on the flight side is driven by explicit simulated
-// timestamps (simclock time) — no host-clock reads — so a campaign
+// timestamps (simulated time) — no host-clock reads — so a campaign
 // replays byte-for-byte at any scheduler width. TELEMETRY.md catalogs
 // the downlink_* and groundstation_* metric families; DOWNLINK.md
 // documents the frame format and the ARQ state machine.

@@ -9,7 +9,8 @@ import (
 // in §2.2: "storing checksums of critical memory values, which are
 // recomputed every time memory is written to and verified every time the
 // memory location is read" (Borchert et al. style). It executes each job
-// ONCE, verifying input integrity by checksum at read time.
+// ONCE, on SchemeNone's pass (runPass), verifying input integrity by
+// checksum at read time.
 //
 // The scheme catches memory-resident corruption (frontier, cache) the
 // moment it is consumed, but — as the paper argues — it cannot catch
@@ -27,38 +28,6 @@ type checksumStore struct {
 // ErrChecksumMismatch is wrapped in the dataset error when a verified
 // read disagrees with the stored checksum (a detected error).
 var ErrChecksumMismatch = fmt.Errorf("emr: input checksum mismatch")
-
-// runChecksummed executes each dataset once, verifying every input
-// region's CRC over the bytes actually delivered through the cache.
-func (r *Runtime) runChecksummed(spec *Spec) (*Result, error) {
-	n := len(spec.Datasets)
-	acct := r.newAccounting(spec, nil)
-	outputs := make([][]byte, n)
-	errs := make([]error, n)
-
-	// Baseline CRCs come from the pristine frontier contents at run
-	// start: the guard's "recompute on write" bookkeeping.
-	store, err := r.checksumDatasets(spec)
-	if err != nil {
-		return nil, err
-	}
-
-	for d := 0; d < n; d++ {
-		out, io, err := r.visit(spec, nil, store, d, 0)
-		v := r.parts(spec, io.total, io.fetched, 0)
-		v.compute += io.stall
-		v, err = r.watchVisit(0, d, v, err)
-		outputs[d] = out
-		errs[d] = err
-		// Checksum maintenance costs one extra pass over the bytes at
-		// memory bandwidth.
-		verify := r.parts(spec, 0, io.total, 0).fetch
-		acct.addVisit(v)
-		acct.makespan += v.total() + verify
-		acct.busy += v.total() + verify
-	}
-	return r.vote(outputs, errs, 1, acct), nil
-}
 
 // checksumDatasets snapshots the CRC of each dataset input region from
 // the frontier, bypassing the cache (the guard's metadata lives inside

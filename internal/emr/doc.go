@@ -22,7 +22,17 @@
 //
 // The runtime also implements the paper's baselines — sequential 3-MR and
 // unprotected parallel 3-MR — as alternative schemes over the same
-// machinery, so the Figure 11–14 comparisons are apples to apples.
+// machinery, so the Figure 11–14 comparisons are apples to apples. The
+// single-execution schemes (none, and the §2.2 checksum guard) and each
+// of sequential 3-MR's passes are one pass over the datasets on one
+// executor.
+//
+// Time and energy are charged from the device's cost constants, not
+// measured: the core clock (coreFreqHz), the storage, DRAM and
+// allocation bandwidths (diskBytesPerSec, dramBytesPerSec,
+// allocBytesPerSec), the cost of one flushed cache line
+// (flushLineCost), and the power of a busy core (coreWatts) over the
+// idle board's (IdleWatts, which Fig 14 also charges ILD's bubbles at).
 //
 // Key types: Runtime owns the simulated devices (frontier storage or
 // ECC DRAM, plain DRAM, the shared Cache) and executes Specs; a Spec
@@ -47,6 +57,7 @@
 // conflict graph is computed over replica-resolved regions); each
 // executor's visit flushes the dataset's lines before the next redundant
 // copy may touch them; votes are majority-of-three byte comparisons, so
-// a single corrupted copy is always outvoted; all time is virtual
-// (CostModel), so reports are deterministic for a given seed and config.
+// a single corrupted copy is always outvoted; all time is virtual (the
+// cost constants), so reports are deterministic for a given seed and
+// config.
 package emr

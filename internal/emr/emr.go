@@ -2,7 +2,6 @@ package emr
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"radshield/internal/cache"
@@ -35,33 +34,22 @@ func (f Frontier) String() string {
 	}
 }
 
-// CostModel carries the virtual-time and energy coefficients used to
-// account runtime and energy for a run. The simulation executes real
-// computation over simulated memory but charges time analytically, so
-// results are deterministic and hardware-independent.
-type CostModel struct {
-	CoreFreqHz       float64       // executor core frequency
-	DiskBytesPerSec  float64       // storage streaming bandwidth
-	DRAMBytesPerSec  float64       // DRAM fetch bandwidth
-	AllocBytesPerSec float64       // allocator + memset bandwidth
-	FlushLineCost    time.Duration // per cache-line flush cost
-	IdleWatts        float64       // board baseline power
-	CoreWatts        float64       // one busy executor core
-}
+// The device's cost model. The simulation executes real computation
+// over simulated memory but charges time analytically from these
+// coefficients, so results are deterministic and hardware-independent.
+// They are calibrated to a flight-class embedded board: a 1.4 GHz core,
+// UFS-class storage, LPDDR4-class DRAM.
+const (
+	coreFreqHz       = 1.4e9                // executor core frequency
+	diskBytesPerSec  = 400e6                // storage streaming bandwidth
+	dramBytesPerSec  = 3.2e9                // DRAM fetch bandwidth
+	allocBytesPerSec = 6.4e9                // allocator + memset bandwidth
+	flushLineCost    = 40 * time.Nanosecond // per cache-line flush cost
+	coreWatts        = 3.4                  // one busy executor core
 
-// DefaultCostModel is calibrated to a flight-class embedded board: a
-// 1.4 GHz core, UFS-class storage, LPDDR4-class DRAM.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		CoreFreqHz:       1.4e9,
-		DiskBytesPerSec:  400e6,
-		DRAMBytesPerSec:  3.2e9,
-		AllocBytesPerSec: 6.4e9,
-		FlushLineCost:    40 * time.Nanosecond,
-		IdleWatts:        7.75, // 1.55 A × 5 V
-		CoreWatts:        3.4,
-	}
-}
+	// IdleWatts is the board's baseline power, 1.55 A × 5 V.
+	IdleWatts = 7.75
+)
 
 // Config describes the device and scheme a Runtime executes under.
 type Config struct {
@@ -86,7 +74,6 @@ type Config struct {
 	// default 0.01). Values > 1 disable replication; 0 replicates any
 	// region shared by at least two datasets.
 	ReplicationThreshold float64
-	Cost                 CostModel
 	// Watch, when non-nil, observes every executor visit's virtual
 	// elapsed time and error, and may kill or re-bill the visit — the
 	// guard watchdog's attachment point (see internal/guard). Watchers
@@ -114,7 +101,6 @@ func DefaultConfig() Config {
 		CacheWays:            16,
 		Executors:            3,
 		ReplicationThreshold: 0.01,
-		Cost:                 DefaultCostModel(),
 	}
 }
 
@@ -159,11 +145,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if !(cfg.ReplicationThreshold >= 0) {
 		return nil, fmt.Errorf("emr: replication threshold %v, want ≥ 0", cfg.ReplicationThreshold)
-	}
-	for _, rate := range [...]float64{cfg.Cost.CoreFreqHz, cfg.Cost.DiskBytesPerSec, cfg.Cost.DRAMBytesPerSec, cfg.Cost.AllocBytesPerSec} {
-		if !(rate > 0) || math.IsInf(rate, 1) {
-			return nil, fmt.Errorf("emr: cost model rates must be positive and finite")
-		}
 	}
 
 	return build(cfg), nil

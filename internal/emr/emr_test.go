@@ -318,9 +318,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.CacheSets = 0 },
 		func(c *Config) { c.ReplicationThreshold = -1 },
 		func(c *Config) { c.ReplicationThreshold = math.NaN() },
-		func(c *Config) { c.Cost.CoreFreqHz = 0 },
-		func(c *Config) { c.Cost.DiskBytesPerSec = math.NaN() },
-		func(c *Config) { c.Cost.DRAMBytesPerSec = math.Inf(1) },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig()

@@ -132,10 +132,8 @@ func (r *Runtime) Run(spec Spec) (*Result, error) {
 		return r.runUnprotected(&spec)
 	case fault.SchemeSerial3MR:
 		return r.runSerial(&spec)
-	case fault.SchemeNone:
-		return r.runNone(&spec)
-	case fault.SchemeChecksum:
-		return r.runChecksummed(&spec)
+	case fault.SchemeNone, fault.SchemeChecksum:
+		return r.runOnce(&spec)
 	default:
 		return nil, fmt.Errorf("emr: unknown scheme %v", r.cfg.Scheme)
 	}
@@ -375,31 +373,21 @@ func (r *Runtime) runUnprotected(spec *Spec) (*Result, error) {
 	return r.vote(outputs, errs, ex, acct), nil
 }
 
-// runSerial executes classic sequential 3-MR: three full passes over all
-// datasets on one core, with a full cache clear between passes.
+// runSerial executes classic sequential 3-MR: one full pass over all
+// datasets per executor on one core, with a full cache clear after
+// each pass.
 func (r *Runtime) runSerial(spec *Spec) (*Result, error) {
 	n := len(spec.Datasets)
 	ex := r.cfg.Executors
 	acct := r.newAccounting(spec, nil)
 	// Each pass re-stages inputs from disk (the paper's Table 6 charges
 	// serial 3-MR three disk reads).
-	acct.diskRead = time.Duration(float64(ex) * float64(r.diskLoaded) / r.cfg.Cost.DiskBytesPerSec * float64(time.Second))
+	acct.diskRead = time.Duration(float64(ex) * float64(r.diskLoaded) / diskBytesPerSec * float64(time.Second))
 	outputs := make([][]byte, n*ex)
 	errs := make([]error, n*ex)
-	for pass := 0; pass < ex; pass++ {
-		for d := 0; d < n; d++ {
-			out, io, err := r.visit(spec, nil, nil, d, pass)
-			v := r.parts(spec, io.total, io.fetched, 0)
-			v.compute += io.stall
-			v, err = r.watchVisit(pass, d, v, err)
-			outputs[d*ex+pass] = out
-			errs[d*ex+pass] = err
-			acct.addVisit(v)
-			acct.makespan += v.total()
-			acct.busy += v.total()
-		}
-		lines := r.cache.FlushAll()
-		flushDur := time.Duration(lines) * r.cfg.Cost.FlushLineCost
+	for e := 0; e < ex; e++ {
+		r.runPass(spec, nil, e, ex, acct, outputs, errs)
+		flushDur := time.Duration(r.cache.FlushAll()) * flushLineCost
 		acct.makespan += flushDur
 		acct.flush += flushDur
 		acct.busy += flushDur
@@ -407,24 +395,48 @@ func (r *Runtime) runSerial(spec *Spec) (*Result, error) {
 	return r.vote(outputs, errs, ex, acct), nil
 }
 
-// runNone executes once with no redundancy.
-func (r *Runtime) runNone(spec *Spec) (*Result, error) {
+// runOnce executes every dataset once with no redundancy: the bare
+// SchemeNone run, or, under SchemeChecksum, the same pass verifying
+// every input region's CRC over the bytes the cache delivers.
+func (r *Runtime) runOnce(spec *Spec) (*Result, error) {
+	var sums *checksumStore
+	if r.cfg.Scheme == fault.SchemeChecksum {
+		// Baseline CRCs come from the pristine frontier contents at run
+		// start: the guard's "recompute on write" bookkeeping.
+		var err error
+		if sums, err = r.checksumDatasets(spec); err != nil {
+			return nil, err
+		}
+	}
 	n := len(spec.Datasets)
 	acct := r.newAccounting(spec, nil)
 	outputs := make([][]byte, n)
 	errs := make([]error, n)
-	for d := 0; d < n; d++ {
-		out, io, err := r.visit(spec, nil, nil, d, 0)
+	r.runPass(spec, sums, 0, 1, acct, outputs, errs)
+	return r.vote(outputs, errs, 1, acct), nil
+}
+
+// runPass visits every dataset once, in order, on executor e, charging
+// each visit to acct back to back on one core and recording its output
+// and error at outputs[d*ex+e]. A non-nil checksum store verifies each
+// visit's inputs, and its maintenance is charged as one more pass over
+// the consumed bytes at memory bandwidth.
+func (r *Runtime) runPass(spec *Spec, sums *checksumStore, e, ex int, acct *accounting, outputs [][]byte, errs []error) {
+	for d := range spec.Datasets {
+		out, io, err := r.visit(spec, nil, sums, d, e)
 		v := r.parts(spec, io.total, io.fetched, 0)
 		v.compute += io.stall
-		v, err = r.watchVisit(0, d, v, err)
-		outputs[d] = out
-		errs[d] = err
+		v, err = r.watchVisit(e, d, v, err)
+		outputs[d*ex+e] = out
+		errs[d*ex+e] = err
 		acct.addVisit(v)
-		acct.makespan += v.total()
-		acct.busy += v.total()
+		elapsed := v.total()
+		if sums != nil {
+			elapsed += r.parts(spec, 0, io.total, 0).fetch
+		}
+		acct.makespan += elapsed
+		acct.busy += elapsed
 	}
-	return r.vote(outputs, errs, 1, acct), nil
 }
 
 // vote tallies executor outputs into per-dataset results and writes the

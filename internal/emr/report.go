@@ -69,15 +69,14 @@ func (v visitParts) total() time.Duration { return v.compute + v.fetch + v.flush
 // bytes, frontier fetch of the shared (non-replicated) bytes, and the
 // flush of the given line count.
 func (r *Runtime) parts(spec *Spec, totalBytes, fetchedBytes uint64, lines int) visitParts {
-	c := r.cfg.Cost
-	fetchBW := c.DRAMBytesPerSec
+	fetchBW := dramBytesPerSec
 	if r.cfg.Frontier == FrontierStorage {
-		fetchBW = c.DiskBytesPerSec
+		fetchBW = diskBytesPerSec
 	}
 	return visitParts{
-		compute: time.Duration(float64(totalBytes) * spec.CyclesPerByte / c.CoreFreqHz * float64(time.Second)),
+		compute: time.Duration(float64(totalBytes) * spec.CyclesPerByte / coreFreqHz * float64(time.Second)),
 		fetch:   time.Duration(float64(fetchedBytes) / fetchBW * float64(time.Second)),
-		flush:   time.Duration(lines) * c.FlushLineCost,
+		flush:   time.Duration(lines) * flushLineCost,
 	}
 }
 
@@ -99,13 +98,12 @@ type accounting struct {
 // newAccounting charges the setup phases: staging inputs from disk and
 // materializing replicas.
 func (r *Runtime) newAccounting(spec *Spec, a *analysis) *accounting {
-	c := r.cfg.Cost
 	acct := &accounting{analysis: a}
-	acct.diskRead = time.Duration(float64(r.diskLoaded) / c.DiskBytesPerSec * float64(time.Second))
+	acct.diskRead = time.Duration(float64(r.diskLoaded) / diskBytesPerSec * float64(time.Second))
 	if a != nil && a.replicaBytes > 0 {
 		// Replicas: read the canonical copy once and write E copies.
-		acct.alloc = time.Duration(float64(a.replicaBytes)/c.AllocBytesPerSec*float64(time.Second)) +
-			time.Duration(float64(a.replicaBytes)/float64(r.cfg.Executors)/c.DRAMBytesPerSec*float64(time.Second))
+		acct.alloc = time.Duration(float64(a.replicaBytes)/allocBytesPerSec*float64(time.Second)) +
+			time.Duration(float64(a.replicaBytes)/float64(r.cfg.Executors)/dramBytesPerSec*float64(time.Second))
 	}
 	// Output scratch allocation is charged per byte in finish (outputs
 	// are not known yet).
@@ -165,7 +163,6 @@ func (a *accounting) addVisit(v visitParts) {
 
 // finish assembles the Report.
 func (a *accounting) finish(r *Runtime, base Report) Report {
-	c := r.cfg.Cost
 	rep := base
 	rep.Scheme = r.cfg.Scheme
 	rep.Frontier = r.cfg.Frontier
@@ -179,7 +176,7 @@ func (a *accounting) finish(r *Runtime, base Report) Report {
 	rep.PeakMemoryBytes = r.inputBytes + rep.ReplicaBytes + a.outputBytes*uint64(r.cfg.Executors)
 
 	// Output scratch allocation cost.
-	scratch := time.Duration(float64(a.outputBytes) * float64(r.cfg.Executors) / c.AllocBytesPerSec * float64(time.Second))
+	scratch := time.Duration(float64(a.outputBytes) * float64(r.cfg.Executors) / allocBytesPerSec * float64(time.Second))
 	rep.AllocTime = a.alloc + scratch
 	rep.DiskReadTime = a.diskRead
 	rep.FlushTime = a.flush
@@ -196,7 +193,7 @@ func (a *accounting) finish(r *Runtime, base Report) Report {
 	// a.makespan.
 	rep.Makespan = a.makespan + a.diskRead + rep.AllocTime
 	rep.CoreBusy = a.busy
-	rep.EnergyJ = float64(c.IdleWatts*rep.Makespan.Seconds()) + float64(c.CoreWatts*a.busy.Seconds())
+	rep.EnergyJ = float64(IdleWatts*rep.Makespan.Seconds()) + float64(coreWatts*a.busy.Seconds())
 	rep.CacheStats = r.cache.Stats()
 	rep.Datasets = base.Datasets
 	r.ins.finishRun(r, rep)

@@ -242,14 +242,7 @@ func AblationScheduling(c SEUConfig) (*Table, error) {
 		fmt.Sprintf("%.4f", emrRes.Report.Makespan.Seconds()), "yes")
 
 	// Fully serialized: every pair conflicts.
-	cfg := emr.DefaultConfig()
-	cfg.DRAMSize = 256 << 20
-	cfg.StorageSize = 256 << 20
-	rt, err := emr.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := b.Build(rt, c.Size, c.Seed)
+	rt, spec, err := seuDevice(b, c.Size, c.Seed, fault.SchemeEMR, emr.FrontierDRAM, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -279,15 +272,8 @@ func AblationCacheECC(c SEUConfig) (*Table, error) {
 	variants := []bool{false, true}
 	rows, err := sched.Map(len(variants), c.Workers, func(i int) ([]string, error) {
 		ecc := variants[i]
-		cfg := emr.DefaultConfig()
-		cfg.CacheECC = ecc
-		cfg.DRAMSize = 256 << 20
-		cfg.StorageSize = 256 << 20
-		rt, err := emr.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		spec, err := b.Build(rt, c.Size, c.Seed)
+		rt, spec, err := seuDevice(b, c.Size, c.Seed, fault.SchemeEMR, emr.FrontierDRAM, nil,
+			func(cfg emr.Config) emr.Config { cfg.CacheECC = ecc; return cfg })
 		if err != nil {
 			return nil, err
 		}

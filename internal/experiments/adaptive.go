@@ -82,7 +82,7 @@ type AdaptiveArm struct {
 	MissedSELs int  // latchup episodes uncleared past the window
 	Detections int  // ILD firings (each one a power cycle)
 	WDResets   int  // watchdog catches of what ILD missed
-	Corrected  int  // SEU-corrupted replica outputs outvoted
+	Corrected  int  // payload datasets whose vote outvoted a replica
 	Vetoed     int  // detected payload failures, retried clean
 
 	// Protection overhead, bucketed by the phase's Quiet classification:
@@ -283,7 +283,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 	// event enqueues the priority-0 payload "<key><value> t=<now>".
 	event := func(key, value string, now time.Duration) {
 		cm.payload = append(append(cm.payload[:0], key...), value...)
-		cm.payload = appendDuration(append(cm.payload, " t="...), now)
+		cm.payload = append(append(cm.payload, " t="...), now.String()...)
 		cm.enqueue(0, now)
 	}
 	note := func(t time.Duration, s adapt.Signal) {
@@ -373,7 +373,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 		}
 
 		if tel.T >= nextHk {
-			cm.payload = appendDuration(append(cm.payload[:0], "hk t="...), tel.T)
+			cm.payload = append(append(cm.payload[:0], "hk t="...), tel.T.String()...)
 			cm.payload = append(append(cm.payload, " level="...), level.String()...)
 			cm.enqueue(1, tel.T)
 			nextHk = tel.T + posture.HousekeepEvery

@@ -293,12 +293,12 @@ func flyDownlinkArm(c DownlinkCampaignConfig, sp downlinkSpec, seed int64, lossy
 		if now <= c.Mission {
 			for c.EventEvery > 0 && nextEvent <= now {
 				cm.payload = strconv.AppendUint(append(cm.payload[:0], "evt seq="...), cm.p0Enq, 10)
-				cm.payload = appendDuration(append(cm.payload, " t="...), nextEvent)
+				cm.payload = append(append(cm.payload, " t="...), nextEvent.String()...)
 				cm.enqueue(0, now)
 				nextEvent += c.EventEvery
 			}
 			for c.HousekeepingEvery > 0 && nextHk <= now {
-				cm.payload = appendDuration(append(cm.payload[:0], "hk t="...), nextHk)
+				cm.payload = append(append(cm.payload[:0], "hk t="...), nextHk.String()...)
 				cm.payload = append(cm.payload, " mode=nominal"...)
 				cm.enqueue(1, now)
 				nextHk += c.HousekeepingEvery

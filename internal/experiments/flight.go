@@ -269,7 +269,7 @@ func (c *comms) enqueue(vc uint8, now time.Duration) {
 // every from next, and returns the next one's due time.
 func (c *comms) bulk(next, every, now time.Duration) time.Duration {
 	for every > 0 && next <= now {
-		c.payload = appendDuration(append(c.payload[:0], "bulk t="...), next)
+		c.payload = append(append(c.payload[:0], "bulk t="...), next.String()...)
 		c.payload = append(c.payload, " frame of science payload data"...)
 		c.enqueue(3, now)
 		next += every
@@ -312,12 +312,4 @@ func (c *comms) totals() (delivered, skipped, p0 uint64) {
 		p0 += c.st.Delivered(id, 0)
 	}
 	return delivered, skipped, p0
-}
-
-// appendDuration appends d exactly as d.String() formats it; the
-// downlink payloads, and through them the campaign goldens, depend on
-// those bytes. Duration.String is inlinable and its result does not
-// escape here, so the append allocates nothing.
-func appendDuration(dst []byte, d time.Duration) []byte {
-	return append(dst, d.String()...)
 }

@@ -68,7 +68,10 @@ type MissionTally struct {
 	LostToLatchup   int
 	LostToSDC       int
 	LatchupsCleared int
-	SEUsOutvoted    int
+	// SEUsOutvoted counts payload datasets whose vote outvoted a
+	// replica (emr.VoteStats.Corrected), not upsets: one upset in a
+	// replica that later datasets read disagrees in each of their votes.
+	SEUsOutvoted int
 }
 
 // MissionSurvival runs the campaign for both arms and renders the table.
@@ -150,7 +153,7 @@ type missionResult struct {
 	Damaged         bool
 	SDC             bool
 	LatchupsCleared int
-	SEUsOutvoted    int
+	SEUsOutvoted    int // payload datasets whose vote outvoted a replica
 }
 
 // missionPair carries both arms of one mission trial through the

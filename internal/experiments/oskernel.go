@@ -353,10 +353,8 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 	switch class {
 	case machine.OSFaultIOErrorBurst:
 		f.Duration, f.ErrorRate = c.FaultDuration, c.IOErrorRate
-	case machine.OSFaultFSCorruption:
+	case machine.OSFaultFSCorruption, machine.OSFaultSchedulerStall:
 		f.Duration = c.FaultDuration
-	case machine.OSFaultSchedulerStall:
-		f.Duration, f.Executor = c.FaultDuration, c.StallExecutor
 	}
 	if err := m.ScheduleOSFault(f); err != nil {
 		return res, err

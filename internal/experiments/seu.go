@@ -36,27 +36,38 @@ type SEUConfig struct {
 	Cache *resultcache.Store
 }
 
-// runScheme executes a workload under the given scheme/frontier on a
-// fresh runtime, at the given replication threshold or, when threshold
-// is nil, the default one, and returns the report.
-func runScheme(b workloads.Builder, scheme fault.Scheme, frontier emr.Frontier, c SEUConfig, threshold *float64) (*emr.Result, error) {
+// seuDevice builds the device every SEU experiment runs on, the
+// default three-executor board with 256 MiB of DRAM and of storage,
+// running scheme with the reliability frontier at frontier (a storage
+// frontier has no ECC DRAM) and its metrics going to tel (nil for
+// none), and stages workload b on it at size bytes from seed. tune,
+// when non-nil, returns the config to build from the default one; it
+// takes and returns the config by value, so the config stays off the
+// heap.
+func seuDevice(b workloads.Builder, size int, seed int64, scheme fault.Scheme, frontier emr.Frontier, tel *telemetry.Registry, tune func(emr.Config) emr.Config) (*emr.Runtime, emr.Spec, error) {
 	cfg := emr.DefaultConfig()
 	cfg.Scheme = scheme
 	cfg.Frontier = frontier
-	cfg.Telemetry = c.Telemetry
-	if threshold != nil {
-		cfg.ReplicationThreshold = *threshold
-	}
-	if frontier == emr.FrontierStorage {
-		cfg.DRAMECC = false
-	}
+	cfg.DRAMECC = frontier == emr.FrontierDRAM
 	cfg.DRAMSize = 256 << 20
 	cfg.StorageSize = 256 << 20
+	cfg.Telemetry = tel
+	if tune != nil {
+		cfg = tune(cfg)
+	}
 	rt, err := emr.New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, emr.Spec{}, err
 	}
-	spec, err := b.Build(rt, c.Size, c.Seed)
+	spec, err := b.Build(rt, size, seed)
+	return rt, spec, err
+}
+
+// runScheme executes a workload under the given scheme/frontier on a
+// fresh SEU device, its config adjusted by tune when non-nil, and
+// returns the result.
+func runScheme(b workloads.Builder, scheme fault.Scheme, frontier emr.Frontier, c SEUConfig, tune func(emr.Config) emr.Config) (*emr.Result, error) {
+	rt, spec, err := seuDevice(b, c.Size, c.Seed, scheme, frontier, c.Telemetry, tune)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +204,8 @@ func Fig13(c SEUConfig) ([]Fig13Point, *Table, error) {
 		if err != nil {
 			return Fig13Point{}, err
 		}
-		res, err := runScheme(b, fault.SchemeEMR, emr.FrontierDRAM, c, &th)
+		res, err := runScheme(b, fault.SchemeEMR, emr.FrontierDRAM, c,
+			func(cfg emr.Config) emr.Config { cfg.ReplicationThreshold = th; return cfg })
 		if err != nil {
 			return Fig13Point{}, fmt.Errorf("%s thr %v: %w", name, th, err)
 		}
@@ -275,7 +287,6 @@ type Fig14Row struct {
 // normalized to unprotected parallel 3-MR, on the DRAM frontier.
 func Fig14(c SEUConfig) ([]Fig14Row, *Table, error) {
 	policy := ild.DefaultBubblePolicy()
-	idleW := emr.DefaultCostModel().IdleWatts
 	tbl := &Table{
 		Title:  "Figure 14: relative energy (normalized to unprotected parallel 3-MR, DRAM frontier)",
 		Header: []string{"Workload", "3-MR", "EMR", "Radshield (EMR+ILD)"},
@@ -300,7 +311,7 @@ func Fig14(c SEUConfig) ([]Fig14Row, *Table, error) {
 		}
 		// ILD adds its bubble fraction of the makespan at idle power plus
 		// the negligible sampling compute.
-		ildExtraJ := float64(policy.OverheadFraction() * em.Report.Makespan.Seconds() * idleW)
+		ildExtraJ := float64(policy.OverheadFraction() * em.Report.Makespan.Seconds() * emr.IdleWatts)
 		den := base.Report.EnergyJ
 		return Fig14Row{
 			Workload:     b.Name,
@@ -432,21 +443,12 @@ func Table7(c Table7Config) (map[string]*fault.Tally, *Table, error) {
 func injectOnce(b workloads.Builder, scheme fault.Scheme, mbu bool, c Table7Config, run int64, golden [][]byte) (fault.Outcome, error) {
 	rng := rand.New(rand.NewSource(c.Seed*1000 + run))
 
-	cfg := emr.DefaultConfig()
-	cfg.Scheme = scheme
-	cfg.Telemetry = c.Telemetry
-	cfg.DRAMSize = 256 << 20
-	cfg.StorageSize = 256 << 20
-	rt, err := emr.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	spec, err := b.Build(rt, c.Size, c.Seed)
+	rt, spec, err := seuDevice(b, c.Size, c.Seed, scheme, emr.FrontierDRAM, c.Telemetry, nil)
 	if err != nil {
 		return 0, err
 	}
 
-	executors := cfg.Executors
+	executors := emr.DefaultConfig().Executors
 	if scheme == fault.SchemeNone || scheme == fault.SchemeChecksum {
 		executors = 1
 	}

@@ -32,7 +32,7 @@ type Server struct {
 
 	// ingestSeq is the receive-side clock surrogate for real
 	// transports: campaigns pass simulated time into Station.Ingest
-	// directly, but a TCP server has no simclock, so "now" is a
+	// directly, but a TCP server has no simulated clock, so "now" is a
 	// monotone ingest counter — deterministic, and still orders
 	// last-seen across links.
 	ingestSeq atomic.Int64

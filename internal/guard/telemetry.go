@@ -143,8 +143,8 @@ func (ins *Instruments) setRedundancyMode(m RedundancyMode) {
 }
 
 // replicaKill records one killed or crashed executor visit. The
-// watchdog runs outside simclock (EMR bills virtual time per run), so
-// the event timestamp is left zero.
+// watchdog runs outside the board's clock (EMR bills virtual time per
+// run), so the event timestamp is left zero.
 func (ins *Instruments) replicaKill(executor, dataset int, cause string) {
 	if ins == nil {
 		return

@@ -132,7 +132,7 @@ func TestBubblesEnableDetectionDuringLongJob(t *testing.T) {
 
 	m.InjectSEL(0.08)
 	var detectedAt time.Duration = -1
-	start := m.Clock().Now()
+	start := m.Now()
 	m.RunTrace(withBubbles, func(tel machine.Telemetry) {
 		if detectedAt < 0 && det.Observe(tel) {
 			detectedAt = tel.T - start

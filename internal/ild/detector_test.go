@@ -52,7 +52,7 @@ func TestDetectsMicroSELWithinSustainWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tr := trace.Quiescent(rng, 30*time.Second, 5*time.Second)
 	var firstAlarm time.Duration = -1
-	start := m.Clock().Now()
+	start := m.Now()
 	m.RunTrace(tr, func(tel machine.Telemetry) {
 		if firstAlarm < 0 && det.Observe(tel) {
 			firstAlarm = tel.T - start
@@ -211,7 +211,7 @@ func TestSetThresholdMatchesFreshDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := m.Clock().Now()
+	start := m.Now()
 	if err := m.InjectSEL(0.08); err != nil {
 		t.Fatal(err)
 	}

@@ -204,7 +204,7 @@ func TestRecorderMatchesWrappingReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := &refRecorder{det: plain}
-	start := m.Clock().Now()
+	start := m.Now()
 	for _, f := range []power.SensorFault{
 		{Kind: power.FaultDropout, Start: start + 15*time.Second, Duration: 2 * time.Second},
 		{Kind: power.FaultGarbage, Start: start + 25*time.Second, Duration: 2 * time.Second},

@@ -6,7 +6,7 @@ package machine
 // trace continues undisturbed; flight code uses PowerCycle.
 func (m *Machine) ClearSEL() {
 	if m.selAmps > 0 {
-		m.ins.selClear(m.clock.Now(), "clear_sel")
+		m.ins.selClear(m.now, "clear_sel")
 	}
 	m.selAmps = 0
 }

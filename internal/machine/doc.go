@@ -7,8 +7,10 @@
 //
 // The machine plays activity traces (package trace) and emits Telemetry
 // samples — exactly the (performance counters, measured current) pairs
-// ILD consumes. Time is simulated (package simclock), so the paper's
-// 960-hour campaign runs in seconds.
+// ILD consumes. Time is simulated: the board's clock (Now) moves only
+// when Step advances it, never backwards and never on its own, so the
+// paper's 960-hour campaign runs in seconds and two runs that step
+// alike observe identical timestamps.
 //
 // Key types: Config sizes the board (cores, power model, sensor seed,
 // sampling cadence and filter, optional hardware watchdog and telemetry

@@ -8,7 +8,6 @@ import (
 
 	"radshield/internal/cpu"
 	"radshield/internal/power"
-	"radshield/internal/simclock"
 	"radshield/internal/telemetry"
 	"radshield/internal/trace"
 )
@@ -106,7 +105,7 @@ func (t Telemetry) TotalInstrPerSec() float64 {
 // Machine is the simulated board.
 type Machine struct {
 	cfg    Config
-	clock  simclock.Clock
+	now    time.Duration // simulated time since the board started
 	cores  []*cpu.Core
 	sensor *power.Sensor
 
@@ -221,9 +220,9 @@ func (m *Machine) refreshElectricalState() {
 // latchup and the thermal drift.
 func (m *Machine) trueCurrentA() float64 { return m.modelCurA + m.selAmps + m.driftA }
 
-// Clock returns the machine's simulated time source. Like the machine,
-// it belongs to the goroutine that flies the board.
-func (m *Machine) Clock() *simclock.Clock { return &m.clock }
+// Now reports the board's simulated time since it started. It moves
+// only when Step advances it, so two runs that step alike read alike.
+func (m *Machine) Now() time.Duration { return m.now }
 
 // Sensor exposes the current sensor, to schedule its faults (the fault
 // layer injects SELs through the machine, not the sensor).
@@ -241,10 +240,10 @@ func (m *Machine) InjectSEL(amps float64) error {
 		return fmt.Errorf("machine: InjectSEL: amps = %v, want > 0", amps)
 	}
 	if m.selAmps == 0 {
-		m.selSince = m.clock.Now()
+		m.selSince = m.now
 	}
 	m.selAmps += amps
-	m.ins.selOnset(m.clock.Now(), amps)
+	m.ins.selOnset(m.now, amps)
 	return nil
 }
 
@@ -264,7 +263,7 @@ func (m *Machine) PowerCycles() int { return m.powerCycles }
 // of the rail, so a partially-accumulated trip does not survive into the
 // fresh boot. Accumulated damage is permanent.
 func (m *Machine) PowerCycle() {
-	now := m.clock.Now()
+	now := m.now
 	m.powerCycles++
 	m.ins.powerCycle()
 	if m.selAmps > 0 {
@@ -339,7 +338,8 @@ func (m *Machine) Step(dt time.Duration) {
 	// The rail stays powered through a panic: energy keeps integrating
 	// and an uncleared latchup keeps heating toward the damage horizon.
 	m.energyJ += float64(m.trueCurrentA() * supplyVoltage * sec)
-	now := m.clock.Advance(dt)
+	m.now += dt
+	now := m.now
 	m.updateOSFaults(now)
 	// Orbital thermal cycle: the current baseline drifts sinusoidally
 	// with board temperature, invisibly to the performance counters.
@@ -362,7 +362,7 @@ func (m *Machine) Step(dt time.Duration) {
 // struct copy goes through the stack with 16-byte moves, which stall
 // when they read the 8-byte stores that just filled the struct.
 func (m *Machine) sample(pc []CoreTelemetry) Telemetry {
-	now := m.clock.Now()
+	now := m.now
 	interval := now - m.lastSample
 	sec := m.sampleSec
 	if interval != m.cfg.SampleEvery {

@@ -159,8 +159,25 @@ func TestRunTraceSampleCountAndTiming(t *testing.T) {
 			t.Fatalf("sample %d at %v, want %v", i, ts, want)
 		}
 	}
-	if got := m.Clock().Now(); got != 5500*time.Microsecond {
+	if got := m.Now(); got != 5500*time.Microsecond {
 		t.Fatalf("clock = %v, want 5.5ms", got)
+	}
+}
+
+func TestNowStartsAtZero(t *testing.T) {
+	if got := New(quietConfig()).Now(); got != 0 {
+		t.Fatalf("new board: Now() = %v, want 0", got)
+	}
+}
+
+func TestStepAccumulatesIntoNow(t *testing.T) {
+	m := New(quietConfig())
+	m.Step(3 * time.Second)
+	m.Step(0)
+	m.Step(-time.Second)
+	m.Step(250 * time.Millisecond)
+	if got, want := m.Now(), 3250*time.Millisecond; got != want {
+		t.Fatalf("after steps of 3s, 0, -1s and 250ms: Now() = %v, want %v", got, want)
 	}
 }
 

@@ -41,8 +41,8 @@ const (
 	// ErrorRate (a seeded stream independent of the sensor's draws).
 	OSFaultIOErrorBurst
 	// OSFaultSchedulerStall starves one EMR executor: the machine only
-	// tracks the window (OSFaultActive); the campaign layer feeds the
-	// stall into the executor's visits via the EMR hook.
+	// tracks the window (OSFaultActive); the campaign layer picks the
+	// executor and feeds the stall into its visits via the EMR hook.
 	OSFaultSchedulerStall
 	// OSFaultFSCorruption is a window during which the recorder's
 	// persisted NVRAM page is damaged (torn writes, bit flips). The
@@ -111,9 +111,6 @@ type OSFault struct {
 	// an OSFaultIOErrorBurst window, in (0, 1]. Other kinds must leave
 	// it zero.
 	ErrorRate float64
-	// Executor is the EMR executor an OSFaultSchedulerStall starves.
-	// Other kinds must leave it zero.
-	Executor int
 }
 
 // activeAt reports whether the fault covers instant now. Spent windows
@@ -154,13 +151,6 @@ func (m *Machine) ScheduleOSFault(f OSFault) error {
 	} else if f.ErrorRate != 0 {
 		return fmt.Errorf("machine: ScheduleOSFault: ErrorRate is only valid for %v", OSFaultIOErrorBurst)
 	}
-	if f.Kind == OSFaultSchedulerStall {
-		if f.Executor < 0 {
-			return fmt.Errorf("machine: ScheduleOSFault: negative executor %d", f.Executor)
-		}
-	} else if f.Executor != 0 {
-		return fmt.Errorf("machine: ScheduleOSFault: Executor is only valid for %v", OSFaultSchedulerStall)
-	}
 	m.osFaults = append(m.osFaults, f)
 	m.osSpent = append(m.osSpent, false)
 	return nil
@@ -169,7 +159,7 @@ func (m *Machine) ScheduleOSFault(f OSFault) error {
 // OSFaultActive returns the earliest-scheduled unspent fault of the
 // given kind covering the present instant.
 func (m *Machine) OSFaultActive(kind OSFaultKind) (OSFault, bool) {
-	now := m.clock.Now()
+	now := m.now
 	for i, f := range m.osFaults {
 		if f.Kind == kind && !m.osSpent[i] && f.activeAt(now) {
 			return f, true

@@ -22,8 +22,6 @@ func TestScheduleOSFaultValidation(t *testing.T) {
 		{Kind: OSFaultIOErrorBurst},                 // rate unset
 		{Kind: OSFaultIOErrorBurst, ErrorRate: 1.5}, // rate out of range
 		{Kind: OSFaultKernelPanic, ErrorRate: 0.5},  // rate on wrong kind
-		{Kind: OSFaultSchedulerStall, Executor: -1}, // negative executor
-		{Kind: OSFaultKernelHang, Executor: 2},      // executor on wrong kind
 	}
 	for i, f := range cases {
 		if err := m.ScheduleOSFault(f); err == nil {
@@ -34,7 +32,7 @@ func TestScheduleOSFaultValidation(t *testing.T) {
 		{Kind: OSFaultKernelPanic, Start: time.Second},
 		{Kind: OSFaultKernelHang},
 		{Kind: OSFaultIOErrorBurst, Duration: time.Second, ErrorRate: 1},
-		{Kind: OSFaultSchedulerStall, Executor: 1, Duration: time.Second},
+		{Kind: OSFaultSchedulerStall, Duration: time.Second},
 		{Kind: OSFaultFSCorruption, Duration: time.Second},
 	}
 	for i, f := range valid {

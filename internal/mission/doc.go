@@ -1,5 +1,5 @@
 // Package mission models flight profiles as typed radiation-climate
-// phases over the campaign simclock.
+// phases over the campaign's simulated time.
 //
 // The paper's evaluation injects faults at fixed per-arm rates, but a
 // real orbit's flux is time-varying: South-Atlantic-Anomaly crossings,

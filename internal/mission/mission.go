@@ -2,6 +2,7 @@ package mission
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -112,6 +113,13 @@ func (p Profile) Validate() error {
 	if len(p.Phase) == 0 {
 		return fmt.Errorf("mission: profile %q has no phases", p.Name)
 	}
+	// A rate that is NaN or infinite, in the base environment or
+	// scaled by a phase, makes the arrival draw never reach the end of
+	// the phase.
+	if !finiteNonNegative(p.Base.SEUPerDay) || !finiteNonNegative(p.Base.SELPerYear) {
+		return fmt.Errorf("mission: profile %q has base rates of %v SEUs a day and %v SELs a year, want finite and at least 0",
+			p.Name, p.Base.SEUPerDay, p.Base.SELPerYear)
+	}
 	for i, ph := range p.Phase {
 		if ph.Kind < 0 || int(ph.Kind) >= numPhaseKinds {
 			return fmt.Errorf("mission: profile %q phase %d has unknown kind %d", p.Name, i, int(ph.Kind))
@@ -119,12 +127,15 @@ func (p Profile) Validate() error {
 		if ph.Duration <= 0 {
 			return fmt.Errorf("mission: profile %q phase %d (%v) needs a positive duration", p.Name, i, ph.Kind)
 		}
-		if ph.SEU < 0 || ph.MBU < 0 || ph.SEL < 0 {
-			return fmt.Errorf("mission: profile %q phase %d (%v) has a negative multiplier", p.Name, i, ph.Kind)
+		if !finiteNonNegative(ph.SEU) || !finiteNonNegative(ph.MBU) || !finiteNonNegative(ph.SEL) {
+			return fmt.Errorf("mission: profile %q phase %d (%v) has a multiplier that is not finite and at least 0", p.Name, i, ph.Kind)
 		}
 	}
 	return nil
 }
+
+// finiteNonNegative reports whether x is a finite value at least 0.
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Total returns the mission length: the sum of phase durations.
 func (p Profile) Total() time.Duration {

@@ -1,6 +1,7 @@
 package mission
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -41,6 +42,12 @@ func TestProfileValidateRejects(t *testing.T) {
 		{Name: "zero-dur", Base: fault.LEO, Phase: []Phase{{Kind: PhaseLEO, SEU: 1, MBU: 1, SEL: 1}}},
 		{Name: "bad-kind", Base: fault.LEO, Phase: []Phase{{Kind: PhaseKind(99), Duration: time.Hour, SEU: 1, MBU: 1, SEL: 1}}},
 		{Name: "neg-mult", Base: fault.LEO, Phase: []Phase{{Kind: PhaseLEO, Duration: time.Hour, SEU: -1, MBU: 1, SEL: 1}}},
+		{Name: "nan-mult", Base: fault.LEO, Phase: []Phase{{Kind: PhaseLEO, Duration: time.Hour, SEU: 1, MBU: 1, SEL: math.NaN()}}},
+		// A boost that is not finite leaves base rates the arrival draw
+		// never finishes with; Validate must refuse them without drawing.
+		LEOWithSAA().Boosted(math.NaN()),
+		LEOWithSAA().Boosted(math.Inf(1)),
+		LEOWithSAA().Boosted(-1),
 	} {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: invalid profile accepted", i)

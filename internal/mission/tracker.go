@@ -6,8 +6,8 @@ import (
 	"radshield/internal/telemetry"
 )
 
-// Tracker walks a profile on the campaign simclock and reports phase
-// transitions. Feed it monotonically non-decreasing sim times (one call
+// Tracker walks a profile on the campaign's simulated time and reports
+// phase transitions. Feed it monotonically non-decreasing sim times (one call
 // per telemetry sample is the intended cadence); it answers with the
 // current phase and emits mission_phase telemetry on every boundary.
 type Tracker struct {

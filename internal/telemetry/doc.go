@@ -24,9 +24,9 @@
 // # Invariants
 //
 //   - Snapshots are deterministic: metrics sort by name, events by
-//     sequence number, and event timestamps are simulated time (package
-//     simclock), never wall clock — two runs of the same seeded
-//     experiment serialize byte-for-byte identically.
+//     sequence number, and event timestamps are simulated time (the
+//     board's clock, machine.Now), never wall clock — two runs of the
+//     same seeded experiment serialize byte-for-byte identically.
 //   - Counters are monotonic within a process; histograms never lose
 //     writes (atomic CAS on the float sum).
 //   - The registry never allocates on the observation path; allocation

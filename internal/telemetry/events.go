@@ -100,7 +100,7 @@ const (
 )
 
 // Event is one structured observation. T is simulated time (offset from
-// simulation start) when the emitter runs under simclock, so event logs
+// simulation start) when the emitter runs in a simulation, so event logs
 // are reproducible run to run; emitters outside a simulation may leave
 // it zero. Fields carry small scalar context; keep values to strings,
 // integers, and floats so JSON snapshots stay stable.

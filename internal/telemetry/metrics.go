@@ -91,7 +91,8 @@ func (g *Gauge) Name() string {
 //
 // Snapshots taken mid-observation may see a count that is ahead of the
 // sum by a few in-flight samples; within one simulation thread (the
-// simclock-driven experiments) snapshots are exact and deterministic.
+// experiments, driven by simulated time) snapshots are exact and
+// deterministic.
 type Histogram struct {
 	name    string
 	unit    string
