@@ -57,8 +57,9 @@ race:
 # objects under every scheme, plus at most
 # one per dataset for EMR's conflict plan, the intrusion-detection job
 # on its canonical pattern at 3 objects, the scheduler's Map at 8
-# objects or fewer whatever its trial count, and a result-cache
-# Open+Close of a 190-entry store at 32 or fewer (see PERFORMANCE.md).
+# objects or fewer whatever its trial count, a result-cache
+# Open+Close of a 190-entry store at 32 or fewer, and Table 2's bytes
+# at a 2 h flight within 16 MB of a 30 min one (see PERFORMANCE.md).
 # They are tagged !race — race instrumentation allocates on its own — so
 # the race suite skips them and check runs them here without the
 # detector.

@@ -44,10 +44,15 @@ import (
 
 // checkFlags rejects a -boost leomission cannot fly, before any work:
 // one that is not a finite value above 0 gives the radiation schedule
-// an arrival rate whose draw never reaches the end of the flight.
+// an arrival rate whose draw never reaches the end of the flight, and
+// one so large that the boosted profile fails validation asks for more
+// events than the schedule may hold.
 func checkFlags(boost float64) error {
 	if !(boost > 0) || math.IsInf(boost, 1) {
 		return fmt.Errorf("-boost %v, want a finite value above 0", boost)
+	}
+	if err := mission.LEOWithSAA().Boosted(boost).Validate(); err != nil {
+		return fmt.Errorf("-boost %v: %v", boost, err)
 	}
 	return nil
 }

@@ -18,6 +18,7 @@ func TestCheckFlags(t *testing.T) {
 		{"negative", -1, "-boost -1,"},
 		{"NaN", math.NaN(), "-boost NaN,"},
 		{"infinite", math.Inf(1), "-boost +Inf,"},
+		{"too many events", 1e11, "-boost 1e+11: mission:"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := checkFlags(tc.boost)

@@ -76,23 +76,20 @@ func AblationQuiescenceGate(c SELConfig) (*Table, error) {
 		name string
 		mon  ild.Monitor
 	}{{"gated (ILD)", gated}, {"ungated", ungated}}
-	// Each variant owns its monitor and replays the same burst trace on
-	// its own machine, so the two trials are independent.
-	type gateCount struct{ fp, n int }
-	counts, _ := sched.Map(len(variants), c.Workers, func(i int) (gateCount, error) {
-		m := machine.New(c.MachineConfig(c.Seed + 310))
-		rng := rand.New(rand.NewSource(c.Seed + 311))
-		var gc gateCount
-		m.RunTrace(trace.Burst(rng, 2*time.Minute, 4), func(tel machine.Telemetry) {
-			gc.n++
-			if variants[i].mon.Observe(tel) {
-				gc.fp++
+	// Both variants observe one flight of the burst trace.
+	m := machine.New(c.MachineConfig(c.Seed + 310))
+	rng := rand.New(rand.NewSource(c.Seed + 311))
+	fp, n := make([]int, len(variants)), 0
+	m.RunTrace(trace.Burst(rng, 2*time.Minute, 4), func(tel machine.Telemetry) {
+		n++
+		for i, v := range variants {
+			if v.mon.Observe(tel) {
+				fp[i]++
 			}
-		})
-		return gc, nil
-	}, sched.WithTelemetry(c.Telemetry))
-	for i, gc := range counts {
-		tbl.AddRow(variants[i].name, fmt.Sprint(gc.fp), fmt.Sprint(gc.n))
+		}
+	})
+	for i, v := range variants {
+		tbl.AddRow(v.name, fmt.Sprint(fp[i]), fmt.Sprint(n))
 	}
 	return tbl, nil
 }
@@ -155,29 +152,6 @@ func AblationClassifier(c SELConfig) (*Table, error) {
 		return nil, err
 	}
 
-	evaluate := func(predict func(machine.Telemetry) bool) (fnr, fpr float64) {
-		var conf stats.Confusion
-		for pass, sel := range []float64{0, c.SELAmps} {
-			m := machine.New(c.MachineConfig(c.Seed + 500 + int64(pass)))
-			if sel > 0 {
-				injectSEL(m, sel)
-			}
-			rng := rand.New(rand.NewSource(c.Seed + 502 + int64(pass)))
-			m.RunTrace(trace.Quiescent(rng, time.Minute, 10*time.Second), func(tel machine.Telemetry) {
-				conf.Record(predict(tel), sel > 0)
-			})
-		}
-		return conf.FalseNegativeRate(), conf.FalsePositiveRate()
-	}
-
-	tbl := &Table{
-		Title:  "Ablation: ILD model choice (per-sample rates during quiescence)",
-		Header: []string{"Model", "FalseNegRate", "FalsePosRate"},
-	}
-	// Training above is shared and serial; evaluation replays identical
-	// campaigns per model, so each model is one scheduler trial. The
-	// forest and Bayes predictors are pure; the ILD detector is stateful
-	// but owned by its trial alone.
 	models := []struct {
 		name    string
 		predict func(machine.Telemetry) bool
@@ -186,13 +160,29 @@ func AblationClassifier(c SELConfig) (*Table, error) {
 		{"random forest", classifierMonitor(rf.Predict)},
 		{"naive bayes", classifierMonitor(nb.Predict)},
 	}
-	type rates struct{ fnr, fpr float64 }
-	rows, _ := sched.Map(len(models), c.Workers, func(i int) (rates, error) {
-		fnr, fpr := evaluate(models[i].predict)
-		return rates{fnr, fpr}, nil
-	}, sched.WithTelemetry(c.Telemetry))
-	for i, r := range rows {
-		tbl.AddRow(models[i].name, pct(r.fnr), pct(r.fpr))
+	// Every model observes one flight of each evaluation stream, clean
+	// then latched. The forest and Bayes predictors are pure; the ILD
+	// detector keeps its state from the first stream into the second.
+	conf := make([]stats.Confusion, len(models))
+	for pass, sel := range []float64{0, c.SELAmps} {
+		m := machine.New(c.MachineConfig(c.Seed + 500 + int64(pass)))
+		if sel > 0 {
+			injectSEL(m, sel)
+		}
+		rng := rand.New(rand.NewSource(c.Seed + 502 + int64(pass)))
+		m.RunTrace(trace.Quiescent(rng, time.Minute, 10*time.Second), func(tel machine.Telemetry) {
+			for i, mod := range models {
+				conf[i].Record(mod.predict(tel), sel > 0)
+			}
+		})
+	}
+
+	tbl := &Table{
+		Title:  "Ablation: ILD model choice (per-sample rates during quiescence)",
+		Header: []string{"Model", "FalseNegRate", "FalsePosRate"},
+	}
+	for i, mod := range models {
+		tbl.AddRow(mod.name, pct(conf[i].FalseNegativeRate()), pct(conf[i].FalsePositiveRate()))
 	}
 	return tbl, nil
 }
@@ -208,7 +198,7 @@ func appendClassifierRow(dst []float64, tel machine.Telemetry) []float64 {
 
 // classifierMonitor flags a latchup when predict classifies the sample's
 // row as class 1. The row is built in a scratch buffer the returned
-// closure owns, so each model's trial reuses its own.
+// closure owns, so each model reuses its own.
 func classifierMonitor(predict func([]float64) int) func(machine.Telemetry) bool {
 	var row []float64
 	return func(tel machine.Telemetry) bool {

@@ -49,15 +49,20 @@ type AdaptiveCampaignConfig struct {
 	// SEU backlog striking the cache.
 	ContactEvery time.Duration
 
-	// Downlink leg: loss rate over the whole mission (drop = LinkLoss,
-	// corrupt = LinkLoss/2, reorder = LinkLoss/4), one blackout of the
-	// given length opening at Total/3 (0 disables), bulk-science cadence,
-	// and the post-mission drain budget for ARQ to finish.
-	LinkLoss  float64
-	Blackout  time.Duration
-	BulkEvery time.Duration
-	Drain     time.Duration
+	// Drain is the downlink leg's post-mission budget for ARQ to
+	// finish (see adaptiveLinkLoss for the leg's link).
+	Drain time.Duration
 }
+
+// The adaptive campaign's downlink leg: a loss rate over the whole
+// mission (drop = adaptiveLinkLoss, corrupt = half of it, reorder a
+// quarter), one blackout of adaptiveBlackout opening at a third of the
+// mission, and a bulk-science frame every adaptiveBulkEvery.
+const (
+	adaptiveLinkLoss  = 0.1
+	adaptiveBlackout  = 2 * time.Minute
+	adaptiveBulkEvery = 30 * time.Second
+)
 
 // DefaultAdaptiveCampaignConfig flies the full mission catalog with the
 // default controller tuning.
@@ -68,9 +73,6 @@ func DefaultAdaptiveCampaignConfig() AdaptiveCampaignConfig {
 		RateBoost:    3000,
 		Controller:   adapt.DefaultConfig(),
 		ContactEvery: 15 * time.Minute,
-		LinkLoss:     0.1,
-		Blackout:     2 * time.Minute,
-		BulkEvery:    30 * time.Second,
 		Drain:        10 * time.Minute,
 	}
 }
@@ -126,9 +128,6 @@ func AdaptiveCampaign(c AdaptiveCampaignConfig) ([]AdaptiveTrial, *Table, error)
 	if c.RateBoost <= 0 || c.ContactEvery <= 0 {
 		return nil, nil, fmt.Errorf("experiments: adaptive campaign needs RateBoost and ContactEvery > 0")
 	}
-	if c.LinkLoss < 0 || c.LinkLoss >= 1 {
-		return nil, nil, fmt.Errorf("experiments: LinkLoss %v out of [0, 1)", c.LinkLoss)
-	}
 	for _, p := range c.Profiles {
 		if err := p.Validate(); err != nil {
 			return nil, nil, err
@@ -142,7 +141,7 @@ func AdaptiveCampaign(c AdaptiveCampaignConfig) ([]AdaptiveTrial, *Table, error)
 
 	// Every result-affecting input participates in each trial's key:
 	// the shared SEL parameters, the boost, the controller tuning, the
-	// downlink knobs, the profile itself, and the trial index (the seed
+	// drain budget, the profile itself, and the trial index (the seed
 	// derives from it). Workers/Telemetry/Cache are deliberately absent.
 	cache := cacheArms[AdaptiveTrial](c.SEL.Cache, "adaptive", len(c.Profiles),
 		func(i int, e *resultcache.Enc) {
@@ -150,9 +149,6 @@ func AdaptiveCampaign(c AdaptiveCampaignConfig) ([]AdaptiveTrial, *Table, error)
 			e.Float(c.RateBoost)
 			e.Duration(c.ContactEvery)
 			e.Value(c.Controller)
-			e.Float(c.LinkLoss)
-			e.Duration(c.Blackout)
-			e.Duration(c.BulkEvery)
 			e.Duration(c.Drain)
 			e.Value(c.Profiles[i])
 			e.Int(int64(i))
@@ -209,7 +205,7 @@ func AdaptiveCampaign(c AdaptiveCampaignConfig) ([]AdaptiveTrial, *Table, error)
 
 	tbl := &Table{
 		Title: fmt.Sprintf("Adaptive campaign: %d profiles, rates ×%.0f, contact every %v, link loss %g",
-			len(c.Profiles), c.RateBoost, c.ContactEvery, c.LinkLoss),
+			len(c.Profiles), c.RateBoost, c.ContactEvery, adaptiveLinkLoss),
 		Header: []string{"Profile", "Arm", "Survived", "MissedSEL", "Detects", "WD", "SDC",
 			"Bubble q/a", "Energy q/a (J)", "p0 d/e", "all d/e", "Moves", "Final"},
 	}
@@ -272,7 +268,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 	// Downlink leg: both arms fly the same impaired link (seeds shared).
 	lcfg := downlink.DefaultLinkConfig()
 	lcfg.Seed = seed + 2
-	link, err := lossyLink(lcfg, c.LinkLoss, prof.Total()/3, c.Blackout)
+	link, err := lossyLink(lcfg, adaptiveLinkLoss, prof.Total()/3, adaptiveBlackout)
 	if err != nil {
 		return arm, err
 	}
@@ -301,7 +297,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 	lastCycle := time.Duration(-refireWindow) // no refire before the first cycle
 	nextContact := c.ContactEvery
 	nextHk := posture.HousekeepEvery
-	nextBulk := c.BulkEvery
+	nextBulk := adaptiveBulkEvery
 	nextTick := downlinkTick
 	var lastTick time.Duration
 	var loopErr error
@@ -378,7 +374,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 			cm.enqueue(1, tel.T)
 			nextHk = tel.T + posture.HousekeepEvery
 		}
-		nextBulk = cm.bulk(nextBulk, c.BulkEvery, tel.T)
+		nextBulk = cm.bulk(nextBulk, adaptiveBulkEvery, tel.T)
 
 		if tel.T >= nextContact {
 			nextContact += c.ContactEvery

@@ -58,8 +58,6 @@ func TestAdaptiveCampaignValidation(t *testing.T) {
 		func(c *AdaptiveCampaignConfig) { c.Profiles = []mission.Profile{{Name: "empty", Base: fault.LEO}} },
 		func(c *AdaptiveCampaignConfig) { c.RateBoost = 0 },
 		func(c *AdaptiveCampaignConfig) { c.ContactEvery = 0 },
-		func(c *AdaptiveCampaignConfig) { c.LinkLoss = 1 },
-		func(c *AdaptiveCampaignConfig) { c.LinkLoss = -0.1 },
 		func(c *AdaptiveCampaignConfig) { c.Controller.Window = -time.Second },
 		func(c *AdaptiveCampaignConfig) { c.Controller.RelaxBelow = c.Controller.EscalateAt },
 	} {

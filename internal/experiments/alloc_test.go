@@ -1,11 +1,13 @@
 //go:build !race
 
-// Allocation-regression test for the campaigns' downlink payload path.
-// Excluded under -race: race instrumentation allocates on its own.
+// Allocation-regression tests for the campaigns' downlink payload path
+// and Table 2's flight. Excluded under -race: race instrumentation
+// allocates on its own.
 
 package experiments
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -55,5 +57,36 @@ func TestAllocsCommsPayload(t *testing.T) {
 	}
 	if d, _, _ := cm.totals(); d == delivered {
 		t.Error("the station received no frame")
+	}
+}
+
+// table2GrowthBound caps how many more bytes Table 2 may allocate for a
+// 2 h flight than for a 30 min one. Its monitors' state grows only per
+// episode, so the difference is the longer flight trace (under 1 MB)
+// and noise; a campaign that kept every 10 ms sample (224 B each, about
+// 81 MB per flight hour) would exceed it by far.
+const table2GrowthBound = 16 << 20
+
+// TestAllocsTable2FlightLength holds Table 2's memory to what its
+// monitors keep, not to its flight length: the bytes it allocates at
+// 2 h exceed those at 30 min by less than table2GrowthBound. It reads
+// the process-wide MemStats, so it must not run in parallel.
+func TestAllocsTable2FlightLength(t *testing.T) {
+	alloc := func(d time.Duration) uint64 {
+		c := DefaultSELConfig()
+		c.Duration = d
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := Table2(c); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := alloc(30*time.Minute), alloc(2*time.Hour)
+	t.Logf("Table 2 allocates %.1f MB at 30 min, %.1f MB at 2 h", float64(short)/1e6, float64(long)/1e6)
+	if long > short+table2GrowthBound {
+		t.Errorf("Table 2 allocates %.1f MB more at 2 h than at 30 min, want under %d MB",
+			float64(long-short)/1e6, table2GrowthBound>>20)
 	}
 }

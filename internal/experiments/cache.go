@@ -11,11 +11,12 @@ import "radshield/internal/resultcache"
 // sound only for arms that are pure functions of their encoded inputs —
 // exactly the determinism contract of DESIGN.md §9, machine-checked by
 // radlint's armpurity analyzer. The rule, enforced by
-// TestCachedArmSitesAreProven: every CachedArm call site must sit
-// either inside a sched.Map job function or inside an exported
-// *Campaign entry point — the two shapes armpurity proves
-// transitively deterministic. Code outside the proven set gets no
-// caching seam; add the proof first.
+// TestCachedArmSitesAreProven: every CachedArm and CachedArms call site
+// must sit either inside a sched.Map job function or inside an exported
+// *Campaign entry point — the two shapes armpurity proves transitively
+// deterministic — so every value the store keeps is computed there.
+// Code outside the proven set gets no caching seam; add the proof
+// first.
 //
 // # Shape
 //
@@ -33,6 +34,11 @@ import "radshield/internal/resultcache"
 //
 // Results still land in internal/sched's per-trial slots, so campaign
 // output is byte-identical warm or cold at any -workers width.
+//
+// A campaign whose arms are detectors observing one shared flight
+// (Table 2's monitors, the threshold sweep's levels) keeps one key per
+// detector but computes them together: its one sched.Map job calls
+// CachedArms, which replays the hits and flies once for all the misses.
 //
 // # Encoding
 //
@@ -119,12 +125,46 @@ func (c *armCache[T]) CachedArm(i int, compute func() (T, error)) (T, error) {
 		var zero T
 		return zero, err
 	}
-	if c.store != nil {
-		var e resultcache.Enc
-		e.Value(v)
-		c.store.Put(c.keys[i], e.Bytes())
-	}
+	c.put(i, v)
 	return v, nil
+}
+
+// CachedArms returns every arm for a campaign whose arms share one
+// computation (one flight that every detector observes): the
+// pre-decoded replays of the hits and, when any arm missed, compute's
+// results for the misses, each stored for next time. compute runs at
+// most once; miss[i] reports whether arm i missed, and compute returns
+// a value for every arm, of which only the misses' are kept.
+func (c *armCache[T]) CachedArms(compute func(miss []bool) ([]T, error)) ([]T, error) {
+	if c.AllHit() {
+		return c.vals, nil
+	}
+	miss := make([]bool, len(c.hit))
+	for i, h := range c.hit {
+		miss[i] = !h
+	}
+	vals, err := compute(miss)
+	if err != nil {
+		return nil, err
+	}
+	for i, h := range c.hit {
+		if h {
+			vals[i] = c.vals[i]
+		} else {
+			c.put(i, vals[i])
+		}
+	}
+	return vals, nil
+}
+
+// put stores arm i's computed value v; a nil store keeps nothing.
+func (c *armCache[T]) put(i int, v T) {
+	if c.store == nil {
+		return
+	}
+	var e resultcache.Enc
+	e.Value(v)
+	c.store.Put(c.keys[i], e.Bytes())
 }
 
 // encSELConfig canonically encodes the SEL campaign parameters that

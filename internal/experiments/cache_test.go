@@ -14,10 +14,10 @@ import (
 )
 
 // TestCachedArmSitesAreProven enforces the cached ⊆ proven contract
-// from cache.go: every CachedArm call site in this package must sit
-// inside a region radlint's armpurity analyzer proves deterministic —
-// either a func literal passed as the job argument to sched.Map, or the
-// body of an exported *Campaign entry point.
+// from cache.go: every CachedArm or CachedArms call site in this
+// package must sit inside a region radlint's armpurity analyzer proves
+// deterministic — either a func literal passed as the job argument to
+// sched.Map, or the body of an exported *Campaign entry point.
 // Caching an unproven arm would replay results the determinism checker
 // never vouched for; add the proof first.
 func TestCachedArmSitesAreProven(t *testing.T) {
@@ -50,7 +50,7 @@ func TestCachedArmSitesAreProven(t *testing.T) {
 							proven = append(proven, fl)
 						}
 					}
-					if sel.Sel.Name == "CachedArm" {
+					if sel.Sel.Name == "CachedArm" || sel.Sel.Name == "CachedArms" {
 						sites = append(sites, v)
 					}
 				}
@@ -59,7 +59,7 @@ func TestCachedArmSitesAreProven(t *testing.T) {
 		}
 	}
 	if len(sites) < 11 {
-		t.Fatalf("found %d CachedArm call sites, want at least one per cached campaign (11)", len(sites))
+		t.Fatalf("found %d CachedArm and CachedArms call sites, want at least one per cached campaign (11)", len(sites))
 	}
 	for _, site := range sites {
 		covered := false
@@ -70,7 +70,7 @@ func TestCachedArmSitesAreProven(t *testing.T) {
 			}
 		}
 		if !covered {
-			t.Errorf("%s: CachedArm call site outside the armpurity-proven set "+
+			t.Errorf("%s: cached-arm call site outside the armpurity-proven set "+
 				"(must be inside a sched.Map job or an exported *Campaign body)",
 				fset.Position(site.Pos()))
 		}

@@ -36,8 +36,6 @@ type GuardCampaignConfig struct {
 	Kinds          []power.FaultKind
 	Onsets         []time.Duration
 	FaultDurations []time.Duration // 0 = permanent once started
-	// OffsetA is the bias magnitude used for FaultOffset trials.
-	OffsetA float64
 	// Supervisor tunes the guard ladder. Note RefireWindow must span a
 	// few quiescence opportunities (bubble cadence) or a biased sensor's
 	// post-cycle refires are never recognized as a storm.
@@ -57,7 +55,6 @@ func DefaultGuardCampaignConfig() GuardCampaignConfig {
 		Kinds:          []power.FaultKind{power.FaultStuck, power.FaultDropout, power.FaultOffset, power.FaultGarbage},
 		Onsets:         []time.Duration{10 * time.Minute},
 		FaultDurations: []time.Duration{6 * time.Minute, 0},
-		OffsetA:        0.12,
 		Supervisor:     sup,
 	}
 }
@@ -131,7 +128,6 @@ func GuardCampaign(c GuardCampaignConfig) ([]GuardTrial, *Table, error) {
 	cache := cacheArms[GuardTrial](c.SEL.Cache, "guard", len(specs),
 		func(i int, e *resultcache.Enc) {
 			encSELConfig(e, c.SEL)
-			e.Float(c.OffsetA)
 			e.Value(c.Supervisor)
 			sp := specs[i]
 			e.Int(int64(sp.kind))
@@ -215,7 +211,7 @@ func flyGuardArm(c GuardCampaignConfig, sp guardTrialSpec, model *linmodel.Model
 	mc.Telemetry = nil // trials run in parallel; per-trial metrics stay local
 	m := machine.New(mc)
 	if err := m.Sensor().ScheduleFault(power.SensorFault{
-		Kind: sp.kind, Start: sp.onset, Duration: sp.dur, OffsetA: c.OffsetA,
+		Kind: sp.kind, Start: sp.onset, Duration: sp.dur, OffsetA: guardOffsetA,
 	}); err != nil {
 		return res, err
 	}
@@ -258,16 +254,14 @@ func flyGuardArm(c GuardCampaignConfig, sp guardTrialSpec, model *linmodel.Model
 	return res, nil
 }
 
-// WatchdogCampaignConfig parameterizes the EMR replica-fault sweep.
+// WatchdogCampaignConfig parameterizes the EMR replica-fault sweep:
+// Datasets chunks of watchdogChunk bytes, each "hang" visit stalled by
+// replicaStall, which Watchdog.Deadline must stay below.
 type WatchdogCampaignConfig struct {
 	Datasets int
-	Chunk    int
 	Seed     int64
 	Workers  int
 	Watchdog guard.WatchdogConfig
-	// Stall is the injected hang length for "hang" trials; it must
-	// exceed Watchdog.Deadline.
-	Stall time.Duration
 	// Telemetry, when non-nil, receives the campaign scheduler's
 	// sched_* metrics.
 	Telemetry *telemetry.Registry
@@ -283,12 +277,21 @@ func DefaultWatchdogCampaignConfig() WatchdogCampaignConfig {
 	wd.Deadline = 10 * time.Millisecond
 	return WatchdogCampaignConfig{
 		Datasets: 4,
-		Chunk:    256,
 		Seed:     9,
 		Watchdog: wd,
-		Stall:    time.Second,
 	}
 }
+
+const (
+	// watchdogChunk is the byte length of each replica-fault dataset.
+	watchdogChunk = 256
+	// replicaStall is how long a hung replica visit stalls, in the
+	// watchdog campaign and the OS-fault campaign's scheduler_stall
+	// stage alike.
+	replicaStall = time.Second
+	// guardOffsetA is the bias of the guard sweep's FaultOffset trials.
+	guardOffsetA = 0.12
+)
 
 // WatchdogTrial is one replica-fault sweep point: one executor failing
 // persistently with one cause, run under TMR with the watchdog
@@ -313,11 +316,11 @@ var errInjectedCrash = fmt.Errorf("experiments: injected replica crash")
 // EMR watchdog and renders the table. Output is byte-identical at any
 // worker width.
 func WatchdogCampaign(c WatchdogCampaignConfig) ([]WatchdogTrial, *Table, error) {
-	if c.Datasets < 1 || c.Chunk < 1 {
-		return nil, nil, fmt.Errorf("experiments: watchdog campaign needs datasets and chunk ≥ 1")
+	if c.Datasets < 1 {
+		return nil, nil, fmt.Errorf("experiments: watchdog campaign needs datasets ≥ 1")
 	}
-	if c.Stall <= c.Watchdog.Deadline {
-		return nil, nil, fmt.Errorf("experiments: Stall %v must exceed the watchdog deadline %v", c.Stall, c.Watchdog.Deadline)
+	if replicaStall <= c.Watchdog.Deadline {
+		return nil, nil, fmt.Errorf("experiments: the %v replica stall must exceed the watchdog deadline %v", replicaStall, c.Watchdog.Deadline)
 	}
 	type wdSpec struct {
 		executor int
@@ -333,10 +336,8 @@ func WatchdogCampaign(c WatchdogCampaignConfig) ([]WatchdogTrial, *Table, error)
 	cache := cacheArms[WatchdogTrial](c.Cache, "watchdog", len(specs),
 		func(i int, e *resultcache.Enc) {
 			e.Int(int64(c.Datasets))
-			e.Int(int64(c.Chunk))
 			e.Int(c.Seed)
 			e.Value(c.Watchdog)
-			e.Duration(c.Stall)
 			e.Int(int64(specs[i].executor))
 			e.Str(specs[i].cause)
 		})
@@ -416,14 +417,14 @@ func watchdogJob(inputs [][]byte) ([]byte, error) {
 
 // runWorkload runs the campaign's chunked digest workload on a fresh
 // runtime for plan, with watch attached. Cause "hang" stalls every
-// after-read visit of executor by Stall, "crash" fails it, and ""
-// injects nothing.
+// after-read visit of executor by replicaStall, "crash" fails it, and
+// "" injects nothing.
 func (c WatchdogCampaignConfig) runWorkload(plan guard.Plan, watch emr.Watcher, executor int, cause string) (*emr.Result, error) {
 	rt, err := emr.New(planConfig(plan, watch))
 	if err != nil {
 		return nil, err
 	}
-	data := make([]byte, c.Datasets*c.Chunk)
+	data := make([]byte, c.Datasets*watchdogChunk)
 	for i := range data {
 		data[i] = byte(int64(i)*7 + c.Seed)
 	}
@@ -433,7 +434,7 @@ func (c WatchdogCampaignConfig) runWorkload(plan guard.Plan, watch emr.Watcher, 
 	}
 	spec := emr.Spec{Name: "watchdog", Datasets: make([]emr.Dataset, c.Datasets), Job: watchdogJob, CyclesPerByte: 10}
 	for i := range spec.Datasets {
-		s, err := ref.Slice(uint64(i*c.Chunk), uint64(c.Chunk))
+		s, err := ref.Slice(uint64(i*watchdogChunk), watchdogChunk)
 		if err != nil {
 			return nil, err
 		}
@@ -443,7 +444,7 @@ func (c WatchdogCampaignConfig) runWorkload(plan guard.Plan, watch emr.Watcher, 
 		spec.Hook = func(hp *emr.HookPoint) {
 			if hp.Phase == emr.PhaseAfterRead && hp.Executor == executor {
 				if cause == "hang" {
-					hp.Stall = c.Stall
+					hp.Stall = replicaStall
 				} else {
 					hp.Fail = errInjectedCrash
 				}

@@ -24,11 +24,11 @@ import (
 // Detected payload failures are retried (standard flight-software
 // behaviour), so only SDC counts against the protected arm.
 
-// MissionConfig parameterizes the campaign.
+// MissionConfig parameterizes the campaign. Every mission flies the
+// fault.LEO environment.
 type MissionConfig struct {
-	Environment fault.Environment
-	Missions    int
-	Duration    time.Duration // per mission
+	Missions int
+	Duration time.Duration // per mission
 	// RateBoost multiplies event rates so short simulated missions see
 	// meaningful event counts (survival statistics need events).
 	RateBoost float64
@@ -54,11 +54,10 @@ type MissionConfig struct {
 // rates.
 func DefaultMissionConfig() MissionConfig {
 	return MissionConfig{
-		Environment: fault.LEO,
-		Missions:    5,
-		Duration:    12 * time.Hour,
-		RateBoost:   600,
-		Seed:        3,
+		Missions:  5,
+		Duration:  12 * time.Hour,
+		RateBoost: 600,
+		Seed:      3,
 	}
 }
 
@@ -76,17 +75,15 @@ type MissionTally struct {
 
 // MissionSurvival runs the campaign for both arms and renders the table.
 func MissionSurvival(c MissionConfig) (protected, unprotected MissionTally, tbl *Table, err error) {
-	env := c.Environment
+	env := fault.LEO
 	env.SELPerYear *= c.RateBoost
 	env.SEUPerDay *= c.RateBoost / 10 // SEUs are already frequent
 
-	// Each mission's key covers everything its pair depends on: the
-	// un-boosted environment, the boost, the mission length, and the
-	// trial-derived seed. Missions count is deliberately absent —
+	// Each mission's key covers everything its pair depends on but the
+	// code: the boost, the mission length, and the trial-derived seed. Missions count is deliberately absent —
 	// growing the sweep replays the arms already flown.
 	cache := cacheArms[missionPair](c.Cache, "mission", c.Missions,
 		func(i int, e *resultcache.Enc) {
-			e.Value(c.Environment)
 			e.Float(c.RateBoost)
 			e.Duration(c.Duration)
 			e.Int(c.Seed)
@@ -135,7 +132,7 @@ func MissionSurvival(c MissionConfig) (protected, unprotected MissionTally, tbl 
 
 	tbl = &Table{
 		Title: fmt.Sprintf("Mission survival: %d×%v missions, %s environment (rates ×%.0f)",
-			c.Missions, c.Duration, c.Environment.Name, c.RateBoost),
+			c.Missions, c.Duration, fault.LEO.Name, c.RateBoost),
 		Header: []string{"Arm", "Survived", "Lost (latchup)", "Lost (SDC)", "SELs cleared", "SEUs outvoted"},
 	}
 	row := func(name string, t MissionTally) {

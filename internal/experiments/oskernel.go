@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"radshield/internal/downlink"
-	"radshield/internal/emr"
 	"radshield/internal/guard"
 	"radshield/internal/linmodel"
 	"radshield/internal/machine"
@@ -42,28 +41,33 @@ type OSFaultCampaignConfig struct {
 	// and hangs hold until a power cycle regardless.
 	Onsets        []time.Duration
 	FaultDuration time.Duration
-	// WatchdogTimeout is the guarded arm's hardware watchdog; the bare
-	// arm flies without one (the pre-Trikarenos COTS baseline).
-	WatchdogTimeout time.Duration
-	// IOErrorRate is the per-call failure probability during the
-	// io_error_burst window.
-	IOErrorRate float64
-	// SnapshotEvery is the recorder's NVRAM page cadence —
-	// the bounded-loss window a reboot rolls back to. HousekeepEvery is
-	// the telemetry-record enqueue cadence; RecorderCap sizes the ring.
-	SnapshotEvery  time.Duration
-	HousekeepEvery time.Duration
-	RecorderCap    int
 	// Supervisor tunes the guarded arm's ladder; the campaign expects
 	// HangAfter and HeartbeatTimeout enabled.
 	Supervisor guard.SupervisorConfig
-	// Watchdog, Stall and StallExecutor drive the scheduler_stall
-	// class's EMR stage: the guarded runtime attaches the watchdog and
-	// kills the starved executor's visits; the bare runtime just waits.
-	Watchdog      guard.WatchdogConfig
-	Stall         time.Duration
-	StallExecutor int
+	// Watchdog drives the scheduler_stall class's EMR stage, which
+	// stalls executor osStallExecutor's visits by replicaStall: the
+	// guarded runtime attaches the watchdog and kills the starved
+	// executor's visits; the bare runtime just waits.
+	Watchdog guard.WatchdogConfig
 }
+
+const (
+	// osWatchdogTimeout is the guarded arm's hardware watchdog; the
+	// bare arm flies without one (the pre-Trikarenos COTS baseline).
+	osWatchdogTimeout = 30 * time.Second
+	// osIOErrorRate is the per-call failure probability during the
+	// io_error_burst window.
+	osIOErrorRate = 0.9
+	// osSnapshotEvery is the recorder's NVRAM page cadence — the
+	// bounded-loss window a reboot rolls back to. osHousekeepEvery is
+	// the telemetry-record enqueue cadence; osRecorderCap sizes the
+	// ring.
+	osSnapshotEvery  = 30 * time.Second
+	osHousekeepEvery = 10 * time.Second
+	osRecorderCap    = 256
+	// osStallExecutor is the executor the scheduler_stall stage starves.
+	osStallExecutor = 1
+)
 
 // DefaultOSFaultCampaignConfig sweeps all five OS fault classes at two
 // onsets — mid-mission and just past the second latchup — with a
@@ -88,17 +92,10 @@ func DefaultOSFaultCampaignConfig() OSFaultCampaignConfig {
 			machine.OSFaultSchedulerStall,
 			machine.OSFaultFSCorruption,
 		},
-		Onsets:          []time.Duration{10 * time.Minute, 13 * time.Minute},
-		FaultDuration:   7 * time.Minute, // spans the 16-minute SEL reboot
-		WatchdogTimeout: 30 * time.Second,
-		IOErrorRate:     0.9,
-		SnapshotEvery:   30 * time.Second,
-		HousekeepEvery:  10 * time.Second,
-		RecorderCap:     256,
-		Supervisor:      sup,
-		Watchdog:        wd,
-		Stall:           time.Second,
-		StallExecutor:   1,
+		Onsets:        []time.Duration{10 * time.Minute, 13 * time.Minute},
+		FaultDuration: 7 * time.Minute, // spans the 16-minute SEL reboot
+		Supervisor:    sup,
+		Watchdog:      wd,
 	}
 }
 
@@ -202,20 +199,8 @@ func OSFaultCampaign(c OSFaultCampaignConfig) ([]OSFaultTrial, *Table, error) {
 	if c.FaultDuration <= 0 {
 		return nil, nil, fmt.Errorf("experiments: FaultDuration must be positive")
 	}
-	if c.WatchdogTimeout <= 0 {
-		return nil, nil, fmt.Errorf("experiments: WatchdogTimeout must be positive (the guarded arm's whole point)")
-	}
-	if !(c.IOErrorRate > 0 && c.IOErrorRate <= 1) {
-		return nil, nil, fmt.Errorf("experiments: IOErrorRate %v must be in (0, 1]", c.IOErrorRate)
-	}
-	if c.SnapshotEvery <= 0 || c.HousekeepEvery <= 0 || c.RecorderCap < 1 {
-		return nil, nil, fmt.Errorf("experiments: SnapshotEvery, HousekeepEvery and RecorderCap must be positive")
-	}
-	if c.Stall <= c.Watchdog.Deadline {
-		return nil, nil, fmt.Errorf("experiments: Stall %v must exceed the watchdog deadline %v", c.Stall, c.Watchdog.Deadline)
-	}
-	if c.StallExecutor < 0 || c.StallExecutor >= emr.DefaultConfig().Executors {
-		return nil, nil, fmt.Errorf("experiments: StallExecutor %d out of range", c.StallExecutor)
+	if replicaStall <= c.Watchdog.Deadline {
+		return nil, nil, fmt.Errorf("experiments: the %v replica stall must exceed the watchdog deadline %v", replicaStall, c.Watchdog.Deadline)
 	}
 
 	// The grid is classes × onsets, onset-major within a class; the
@@ -232,15 +217,8 @@ func OSFaultCampaign(c OSFaultCampaignConfig) ([]OSFaultTrial, *Table, error) {
 			e.Int(int64(class))
 			e.Duration(onset)
 			e.Duration(c.FaultDuration)
-			e.Duration(c.WatchdogTimeout)
-			e.Float(c.IOErrorRate)
-			e.Duration(c.SnapshotEvery)
-			e.Duration(c.HousekeepEvery)
-			e.Int(int64(c.RecorderCap))
 			e.Value(c.Supervisor)
 			e.Value(c.Watchdog)
-			e.Duration(c.Stall)
-			e.Int(int64(c.StallExecutor))
 			e.Int(int64(i))
 		})
 
@@ -294,7 +272,7 @@ func OSFaultCampaign(c OSFaultCampaignConfig) ([]OSFaultTrial, *Table, error) {
 
 	tbl := &Table{
 		Title: fmt.Sprintf("OS-fault campaign: %v missions, %d onsets, watchdog %v (guarded arm only)",
-			c.SEL.Duration, len(c.Onsets), c.WatchdogTimeout),
+			c.SEL.Duration, len(c.Onsets), osWatchdogTimeout),
 		Header: []string{"Class", "Onset", "Detect", "Recover", "WdReset", "HangCyc", "IOErr", "PageRecov",
 			"Lost g/u", "MissedSEL g/u", "Cycles g/u", "CleanReplay g/u", "Survived g/u", "EMR stage"},
 	}
@@ -335,7 +313,7 @@ func latencyStr(d time.Duration) string {
 
 // flyOSFaultArm flies one mission arm over the pair's flight trace:
 // latchups on the campaign period, the scheduled OS fault, and the
-// flight recorder persisting NVRAM pages every SnapshotEvery. The
+// flight recorder persisting NVRAM pages every osSnapshotEvery. The
 // guarded arm has the hardware watchdog fitted, routes samples through
 // the supervisor (hang + heartbeat detection on), verifies every page
 // before trusting it, and repairs a corrupt page at boot. The bare arm
@@ -346,13 +324,13 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 	mc := c.SEL.MachineConfig(seed)
 	mc.Telemetry = nil // trials run in parallel; per-trial metrics stay local
 	if guarded {
-		mc.WatchdogTimeout = c.WatchdogTimeout
+		mc.WatchdogTimeout = osWatchdogTimeout
 	}
 	m := machine.New(mc)
 	f := machine.OSFault{Kind: class, Start: onset}
 	switch class {
 	case machine.OSFaultIOErrorBurst:
-		f.Duration, f.ErrorRate = c.FaultDuration, c.IOErrorRate
+		f.Duration, f.ErrorRate = c.FaultDuration, osIOErrorRate
 	case machine.OSFaultFSCorruption, machine.OSFaultSchedulerStall:
 		f.Duration = c.FaultDuration
 	}
@@ -364,13 +342,13 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 		return res, err
 	}
 
-	rec, err := downlink.NewRecorder(c.RecorderCap)
+	rec, err := downlink.NewRecorder(osRecorderCap)
 	if err != nil {
 		return res, err
 	}
 	// scratch is the guarded arm's write-verify target: a page is only
 	// trusted after it round-trips through the real decoder.
-	scratch, err := downlink.NewRecorder(c.RecorderCap)
+	scratch, err := downlink.NewRecorder(osRecorderCap)
 	if err != nil {
 		return res, err
 	}
@@ -438,8 +416,8 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 		firstSEL = onset - c.SEL.SampleEvery
 	}
 	sels := c.SEL.periodicSELs(firstSEL)
-	nextSave := c.SnapshotEvery
-	nextHousekeep := c.HousekeepEvery
+	nextSave := osSnapshotEvery
+	nextHousekeep := osHousekeepEvery
 	faultSeen := false
 	var hkPayload [8]byte
 
@@ -465,7 +443,7 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 		// injected failure there just retries next tick; the machine
 		// counts it).
 		if tel.T >= nextHousekeep {
-			nextHousekeep += c.HousekeepEvery
+			nextHousekeep += osHousekeepEvery
 			_ = m.IOCheck("emr_frontier_read")
 			binary.LittleEndian.PutUint64(hkPayload[:], uint64(tel.T))
 			if _, _, err := rec.Enqueue(0, hkPayload[:], tel.T); err == nil {
@@ -476,7 +454,7 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 		// NVRAM page save. A hung kernel cannot write the page (the
 		// syscall never returns); a dead one never reaches this code.
 		if tel.T >= nextSave {
-			nextSave += c.SnapshotEvery
+			nextSave += osSnapshotEvery
 			if !m.KernelHung() {
 				save(tel.T)
 			}
@@ -514,14 +492,8 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 // degraded plan; the bare runtime waits out every stall, and the
 // makespan overrun is the price.
 func stallEMRStage(c OSFaultCampaignConfig, seed int64, tr *OSFaultTrial) error {
-	wc := WatchdogCampaignConfig{
-		Datasets: 4,
-		Chunk:    256,
-		Seed:     seed,
-		Watchdog: c.Watchdog,
-		Stall:    c.Stall,
-	}
-	g, err := watchdogTrialArm(wc, c.StallExecutor, "hang")
+	wc := WatchdogCampaignConfig{Datasets: 4, Seed: seed, Watchdog: c.Watchdog}
+	g, err := watchdogTrialArm(wc, osStallExecutor, "hang")
 	if err != nil {
 		return err
 	}
@@ -542,7 +514,7 @@ func stallEMRStage(c OSFaultCampaignConfig, seed int64, tr *OSFaultTrial) error 
 	if err != nil {
 		return err
 	}
-	stalled, err := wc.runWorkload(guard.RedundancyTMR.Plan(), nil, c.StallExecutor, "hang")
+	stalled, err := wc.runWorkload(guard.RedundancyTMR.Plan(), nil, osStallExecutor, "hang")
 	if err != nil {
 		return err
 	}

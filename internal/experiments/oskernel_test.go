@@ -30,15 +30,7 @@ func TestOSFaultCampaignValidation(t *testing.T) {
 		func(c *OSFaultCampaignConfig) { c.Onsets = nil },
 		func(c *OSFaultCampaignConfig) { c.Onsets = []time.Duration{0} },
 		func(c *OSFaultCampaignConfig) { c.FaultDuration = -time.Second },
-		func(c *OSFaultCampaignConfig) { c.WatchdogTimeout = 0 },
-		func(c *OSFaultCampaignConfig) { c.IOErrorRate = 0 },
-		func(c *OSFaultCampaignConfig) { c.IOErrorRate = 1.5 },
-		func(c *OSFaultCampaignConfig) { c.SnapshotEvery = 0 },
-		func(c *OSFaultCampaignConfig) { c.HousekeepEvery = 0 },
-		func(c *OSFaultCampaignConfig) { c.RecorderCap = 0 },
-		func(c *OSFaultCampaignConfig) { c.Stall = c.Watchdog.Deadline },
-		func(c *OSFaultCampaignConfig) { c.StallExecutor = -1 },
-		func(c *OSFaultCampaignConfig) { c.StallExecutor = 1000 },
+		func(c *OSFaultCampaignConfig) { c.Watchdog.Deadline = replicaStall },
 	} {
 		c := DefaultOSFaultCampaignConfig()
 		mod(&c)
@@ -98,7 +90,7 @@ func TestOSFaultCampaignOutcomes(t *testing.T) {
 			if tr.WatchdogResets < 1 {
 				t.Errorf("panic: no watchdog reset (got %d)", tr.WatchdogResets)
 			}
-			if tr.DetectLatency > 2*equivOSFault(0).WatchdogTimeout {
+			if tr.DetectLatency > 2*osWatchdogTimeout {
 				t.Errorf("panic: detection latency %v not bounded by the watchdog", tr.DetectLatency)
 			}
 			if tr.UnguardedSurvived {

@@ -20,7 +20,9 @@ import (
 // SELConfig parameterizes the SEL-detection experiments. The defaults
 // scale the paper's 960-hour campaign down to laptop runtimes while
 // keeping sample counts large enough for stable rates; pass a longer
-// Duration to approach the paper's scale.
+// Duration to approach the paper's scale. Table 2 keeps no sample, so
+// what grows with Duration is its flight trace, about 0.5 MB a flight
+// hour (about 0.5 GB at 960 h).
 type SELConfig struct {
 	Duration    time.Duration // flight-campaign length (paper: 960 h)
 	SampleEvery time.Duration // telemetry cadence (paper: 1 ms)
@@ -31,9 +33,10 @@ type SELConfig struct {
 	Seed        int64
 
 	// Workers bounds the campaign scheduler's parallelism for the
-	// experiments that fan out independent trials (Table 2 monitors,
-	// Fig 10 sweep levels, threshold sweeps, ablation variants); <= 0
-	// means one worker per CPU. Output is byte-identical at any width.
+	// experiments that fan out independent trials (Fig 10 sweep levels,
+	// the rolling-minimum ablation's filter widths, the flight
+	// campaigns' arms); <= 0 means one worker per CPU. Output is
+	// byte-identical at any width.
 	Workers int
 
 	// Telemetry, when non-nil, receives machine, detector, and campaign
@@ -156,71 +159,6 @@ type DetectorAccuracyResult struct {
 	MaxLatency        time.Duration
 }
 
-// table2Episode is one recorded SEL episode: its onset time and the
-// sample-index range over which the serial harness would have treated
-// samples as in-episode (lastSample is the clearing sample, inclusive,
-// or -1 when the campaign ends mid-episode).
-type table2Episode struct {
-	start       time.Duration
-	firstSample int
-	lastSample  int
-}
-
-// table2Recording is the monitor-independent campaign input: the full
-// telemetry stream of the flight trace with latchups injected on the
-// paper's schedule, plus the episode windows derived from it. Episode
-// scheduling depends only on sample timestamps — never on detector
-// output — so every monitor can replay the identical stream in
-// parallel. Memory: one machine.Telemetry (64 B) plus four
-// CoreTelemetry (160 B) per sample, ≈0.3 GB for the paper-scale
-// 4 h / 10 ms campaign; scale Duration accordingly.
-type table2Recording struct {
-	samples  []machine.Telemetry
-	episodes []table2Episode
-	// perCore backs every sample's PerCore, back to back: RunTrace
-	// reuses one buffer for every sample, so each is copied here.
-	perCore []machine.CoreTelemetry
-}
-
-// recordTable2Campaign plays the Table 2 flight trace once, injecting
-// and clearing latchups exactly as the serial harness did, and records
-// the resulting telemetry stream.
-func recordTable2Campaign(c SELConfig) *table2Recording {
-	mc := c.MachineConfig(c.Seed)
-	m := machine.New(mc)
-	_, flight := c.PairTrace(rand.New(rand.NewSource(c.Seed+1)), c.Duration, 3*time.Minute, ild.NewInstruments(c.Telemetry))
-
-	// RunTrace samples once per SampleEvery of trace time, so the
-	// recording never outgrows these.
-	n := int(flight.Total() / mc.SampleEvery)
-	rec := &table2Recording{
-		samples: make([]machine.Telemetry, 0, n),
-		perCore: make([]machine.CoreTelemetry, 0, n*mc.Cores),
-	}
-	nextSEL := c.SELEvery
-	episodeEnd := time.Duration(-1)
-	k := 0
-	m.RunTrace(flight, func(tel machine.Telemetry) {
-		if episodeEnd < 0 && tel.T >= nextSEL {
-			injectSEL(m, c.SELAmps)
-			episodeEnd = tel.T + c.Window
-			rec.episodes = append(rec.episodes, table2Episode{start: tel.T, firstSample: k, lastSample: -1})
-		}
-		start := len(rec.perCore)
-		rec.perCore = append(rec.perCore, tel.PerCore...)
-		tel.PerCore = rec.perCore[start:len(rec.perCore):len(rec.perCore)]
-		rec.samples = append(rec.samples, tel)
-		if episodeEnd >= 0 && tel.T >= episodeEnd {
-			m.ClearSEL()
-			episodeEnd = -1
-			nextSEL = tel.T + c.SELEvery
-			rec.episodes[len(rec.episodes)-1].lastSample = k
-		}
-		k++
-	})
-	return rec
-}
-
 // table2State is one monitor's accumulated campaign statistics, cached
 // per monitor (see cache.go for why its fields are exported).
 type table2State struct {
@@ -230,68 +168,22 @@ type table2State struct {
 	NegSamples int
 }
 
-// replayTable2 walks a monitor over the recorded stream, reproducing the
-// serial harness's per-sample bookkeeping bit for bit. ildInstruments is
-// non-nil only for the ILD trial, which also owns the per-episode
-// telemetry counters.
-func replayTable2(rec *table2Recording, mon ild.Monitor, ins *ild.Instruments, episodesCtr, missedCtr *telemetry.Counter) table2State {
-	var st table2State
-	ep := 0
-	for k, tel := range rec.samples {
-		var cur *table2Episode
-		if ep < len(rec.episodes) {
-			if e := &rec.episodes[ep]; k >= e.firstSample && (e.lastSample < 0 || k <= e.lastSample) {
-				cur = e
-				if k == e.firstSample {
-					st.EpisodeHit = append(st.EpisodeHit, false)
-				}
-			}
-		}
-		fired := mon.Observe(tel)
-		if cur != nil {
-			if fired && !st.EpisodeHit[len(st.EpisodeHit)-1] {
-				st.EpisodeHit[len(st.EpisodeHit)-1] = true
-				st.Latencies = append(st.Latencies, tel.T-cur.start)
-				if ins != nil {
-					ins.ObserveLatency(tel.T - cur.start)
-				}
-			}
-			if k == cur.lastSample {
-				if ins != nil {
-					episodesCtr.Inc()
-					if !st.EpisodeHit[len(st.EpisodeHit)-1] {
-						missedCtr.Inc()
-					}
-				}
-				ep++
-			}
-		} else {
-			st.NegSamples++
-			if fired {
-				st.FPSamples++
-				if ins != nil {
-					ins.CountFalseTrip()
-				}
-			}
-		}
-	}
-	return st
+// table2Monitor is one Table 2 detector: its row name and how to build
+// it, trained.
+type table2Monitor struct {
+	name  string
+	build func() (ild.Monitor, error)
 }
 
 // Table2 runs the detector-accuracy campaign (paper Table 2): a long
 // flight-software trace with periodic +SELAmps latchups, evaluated by
 // ILD, the current-only random forest, and three static thresholds.
 //
-// The campaign stream is recorded once (it is monitor-independent), then
-// each detector trains and replays it as one scheduler trial, so the
-// monitors evaluate in parallel yet the rendered table is byte-identical
-// to a workers=1 run.
+// Latchups strike and clear on the sample clock, never on a detection,
+// so the stream is the same whichever monitor watches it: one trial
+// trains the monitors the cache missed and flies the campaign once past
+// all of them.
 func Table2(c SELConfig) ([]DetectorAccuracyResult, *Table, error) {
-	type monitorSpec struct {
-		name  string
-		build func() (ild.Monitor, error)
-	}
-
 	// Attach instruments to the ILD detector (not the baselines: Table 2
 	// compares detectors, but the telemetry story follows the paper's
 	// deployed design).
@@ -302,7 +194,7 @@ func Table2(c SELConfig) ([]DetectorAccuracyResult, *Table, error) {
 		missedCtr = c.Telemetry.Counter("ild_episodes_missed_total", "episodes")
 	}
 
-	specs := []monitorSpec{
+	monitors := []table2Monitor{
 		{"ILD", func() (ild.Monitor, error) {
 			det, err := TrainILD(c)
 			if err != nil {
@@ -314,47 +206,32 @@ func Table2(c SELConfig) ([]DetectorAccuracyResult, *Table, error) {
 		{"RandomForest", func() (ild.Monitor, error) { return trainForestBaseline(c), nil }},
 	}
 	for _, level := range []float64{1.75, 1.80, 1.85} {
-		level := level
-		specs = append(specs, monitorSpec{fmt.Sprintf("Static %.2fA", level), func() (ild.Monitor, error) {
+		monitors = append(monitors, table2Monitor{fmt.Sprintf("Static %.2fA", level), func() (ild.Monitor, error) {
 			return ild.NewStaticThreshold(level)
 		}})
 	}
 
-	cache := cacheArms[table2State](c.Cache, "table2", len(specs),
+	cache := cacheArms[table2State](c.Cache, "table2", len(monitors),
 		func(i int, e *resultcache.Enc) {
 			encSELConfig(e, c)
-			e.Str(specs[i].name)
+			e.Str(monitors[i].name)
 		})
-
-	// The recorded campaign stream is monitor-independent input for the
-	// replay arms; a fully warm cache never replays, so skip recording.
-	var rec *table2Recording
-	if !cache.AllHit() {
-		rec = recordTable2Campaign(c)
-	}
-
-	states, err := sched.Map(len(specs), c.Workers, func(i int) (table2State, error) {
-		return cache.CachedArm(i, func() (table2State, error) {
-			mon, err := specs[i].build()
-			if err != nil {
-				return table2State{}, err
-			}
-			if i == 0 { // ILD owns the detector-side telemetry
-				return replayTable2(rec, mon, ins, episodesCtr, missedCtr), nil
-			}
-			return replayTable2(rec, mon, nil, nil, nil), nil
+	flights, err := sched.Map(1, c.Workers, func(int) ([]table2State, error) {
+		return cache.CachedArms(func(miss []bool) ([]table2State, error) {
+			return flyTable2(c, monitors, miss, ins, episodesCtr, missedCtr)
 		})
 	}, sched.WithTelemetry(c.Telemetry))
 	if err != nil {
 		return nil, nil, err
 	}
+	states := flights[0]
 
-	results := make([]DetectorAccuracyResult, len(specs))
+	results := make([]DetectorAccuracyResult, len(monitors))
 	tbl := &Table{
 		Title:  "Table 2: SEL detector accuracy",
 		Header: []string{"Detector", "Episodes", "FalseNegRate", "FalsePosRate", "MeanLatency", "MaxLatency"},
 	}
-	for i, mon := range specs {
+	for i, mon := range monitors {
 		st := states[i]
 		missed := 0
 		for _, hit := range st.EpisodeHit {
@@ -389,6 +266,82 @@ func Table2(c SELConfig) ([]DetectorAccuracyResult, *Table, error) {
 			mean.Round(time.Millisecond).String(), max.Round(time.Millisecond).String())
 	}
 	return results, tbl, nil
+}
+
+// flyTable2 trains the monitors fly marks and flies the Table 2 campaign
+// once past them, returning each one's statistics (the zero state for
+// the others). An episode runs from the sample that injects its latchup
+// through the sample that clears it, a window later; one still open
+// when the flight ends runs to the last sample. ins counts the flight's
+// bubbles; beyond that the ILD monitor, the first, alone feeds the
+// detector-side telemetry: ins and the episode counters.
+func flyTable2(c SELConfig, monitors []table2Monitor, fly []bool, ins *ild.Instruments,
+	episodesCtr, missedCtr *telemetry.Counter) ([]table2State, error) {
+	mons := make([]ild.Monitor, len(monitors))
+	for i, mon := range monitors {
+		if !fly[i] {
+			continue
+		}
+		var err error
+		if mons[i], err = mon.build(); err != nil {
+			return nil, err
+		}
+	}
+	states := make([]table2State, len(monitors))
+
+	m := machine.New(c.MachineConfig(c.Seed))
+	_, flight := c.PairTrace(rand.New(rand.NewSource(c.Seed+1)), c.Duration, 3*time.Minute, ins)
+	nextSEL := c.SELEvery
+	var start time.Duration         // the open episode's first sample
+	episodeEnd := time.Duration(-1) // -1: no episode open
+	m.RunTrace(flight, func(tel machine.Telemetry) {
+		opens := episodeEnd < 0 && tel.T >= nextSEL
+		if opens {
+			injectSEL(m, c.SELAmps)
+			start, episodeEnd = tel.T, tel.T+c.Window
+		}
+		in := episodeEnd >= 0
+		clears := in && tel.T >= episodeEnd
+		for i, mon := range mons {
+			if mon == nil {
+				continue
+			}
+			st, own := &states[i], i == 0
+			fired := mon.Observe(tel)
+			if !in {
+				st.NegSamples++
+				if fired {
+					st.FPSamples++
+					if own {
+						ins.CountFalseTrip()
+					}
+				}
+				continue
+			}
+			if opens {
+				st.EpisodeHit = append(st.EpisodeHit, false)
+			}
+			hit := &st.EpisodeHit[len(st.EpisodeHit)-1]
+			if fired && !*hit {
+				*hit = true
+				st.Latencies = append(st.Latencies, tel.T-start)
+				if own {
+					ins.ObserveLatency(tel.T - start)
+				}
+			}
+			if clears && own {
+				episodesCtr.Inc()
+				if !*hit {
+					missedCtr.Inc()
+				}
+			}
+		}
+		if clears {
+			m.ClearSEL()
+			episodeEnd, nextSEL = -1, tel.T+c.SELEvery
+		}
+	})
+	return states, nil
 }
 
 // Fig10 sweeps the latchup magnitude (paper Figure 10): one-minute SEL
@@ -440,35 +393,55 @@ func Fig10(c SELConfig, episodesPer int) (*Figure, error) {
 	return fig, nil
 }
 
-// fig10Level computes one magnitude level of the Figure 10 sweep.
+// fig10Level computes one magnitude level of the Figure 10 sweep:
+// one-minute episodes on a board of its own, ten seconds of recovery
+// after each.
 func fig10Level(c SELConfig, model *linmodel.Model, li, episodesPer int) (float64, error) {
 	ca := li + 1
-	amps := float64(ca) / 100
 	det, err := ild.NewDetector(model, c.ildConfig())
 	if err != nil {
 		return 0, err
 	}
 	m := machine.New(c.MachineConfig(c.Seed + int64(ca)*10))
 	rng := rand.New(rand.NewSource(c.Seed + 2))
-	missed := 0
-	for ep := 0; ep < episodesPer; ep++ {
-		det.Reset()
-		// One minute latched, one minute clear, all quiescent.
+	missed := latchupEpisodes(m, rng, []*ild.Detector{det}, float64(ca)/100, episodesPer,
+		10*time.Second, 10*time.Second, 5*time.Second)
+	return float64(missed[0]) / float64(episodesPer), nil
+}
+
+// latchupEpisodes flies n latchup episodes of amps on m, all quiescent
+// with a blip every gap: each resets the detectors, latches the board
+// for one minute they observe, clears it, resets them again and lets
+// the board recover for an unobserved recovery stretch (a blip every
+// recoveryGap). It returns each detector's missed episodes, those in
+// which it never fired.
+func latchupEpisodes(m *machine.Machine, rng *rand.Rand, dets []*ild.Detector, amps float64, n int,
+	gap, recovery, recoveryGap time.Duration) []int {
+	missed := make([]int, len(dets))
+	hit := make([]bool, len(dets))
+	for ep := 0; ep < n; ep++ {
+		for i, det := range dets {
+			det.Reset()
+			hit[i] = false
+		}
 		injectSEL(m, amps)
-		hit := false
-		m.RunTrace(trace.Quiescent(rng, time.Minute, 10*time.Second), func(tel machine.Telemetry) {
-			if det.Observe(tel) {
-				hit = true
+		m.RunTrace(trace.Quiescent(rng, time.Minute, gap), func(tel machine.Telemetry) {
+			for i, det := range dets {
+				if det.Observe(tel) {
+					hit[i] = true
+				}
 			}
 		})
 		m.ClearSEL()
-		det.Reset()
-		m.RunTrace(trace.Quiescent(rng, 10*time.Second, 5*time.Second), nil)
-		if !hit {
-			missed++
+		for i, det := range dets {
+			det.Reset()
+			if !hit[i] {
+				missed[i]++
+			}
 		}
+		m.RunTrace(trace.Quiescent(rng, recovery, recoveryGap), nil)
 	}
-	return float64(missed) / float64(episodesPer), nil
+	return missed
 }
 
 // Table3 reports ILD's worst-case overhead (paper Table 3): the bubble

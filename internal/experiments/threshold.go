@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"radshield/internal/ild"
-	"radshield/internal/linmodel"
 	"radshield/internal/machine"
 	"radshield/internal/resultcache"
 	"radshield/internal/sched"
@@ -25,13 +24,10 @@ type ThresholdPoint struct {
 // simulated datasets in 0.005A increments, and 0.055A presented no false
 // negative rates while minimizing false positive rates."
 //
-// For each candidate threshold, one detector (same trained model)
-// observes clean quiescence (counting per-sample false positives) and
-// +0.07 A SEL episodes (counting per-episode misses).
+// One detector per candidate threshold (same trained model) observes
+// clean quiescence (counting per-sample false positives) and +0.07 A
+// SEL episodes (counting per-episode misses).
 func ThresholdSweep(c SELConfig, episodes int) ([]ThresholdPoint, *Table, error) {
-	// Every candidate threshold re-runs the identical campaign (same
-	// machine seeds, same traces) with its own detector instance over the
-	// shared read-only model, so levels are independent scheduler trials.
 	thresholds := []float64{0.040, 0.045, 0.050, 0.055, 0.060, 0.065, 0.070, 0.075, 0.080}
 
 	cache := cacheArms[ThresholdPoint](c.Cache, "threshold", len(thresholds),
@@ -40,27 +36,22 @@ func ThresholdSweep(c SELConfig, episodes int) ([]ThresholdPoint, *Table, error)
 			e.Int(int64(episodes))
 			e.Float(thresholds[ti])
 		})
-
-	var model *linmodel.Model
-	if !cache.AllHit() {
-		base, err := TrainILD(c)
-		if err != nil {
-			return nil, nil, err
-		}
-		model = base.Model()
-	}
-
-	tbl := &Table{
-		Title:  "Decision-threshold sweep (paper §3.1: 0.055 A chosen)",
-		Header: []string{"Threshold (A)", "FalseNegRate", "FalsePosRate"},
-	}
-	points, err := sched.Map(len(thresholds), c.Workers, func(ti int) (ThresholdPoint, error) {
-		return cache.CachedArm(ti, func() (ThresholdPoint, error) {
-			return thresholdLevel(c, model, thresholds[ti], episodes)
+	// Latchups strike and clear on a fixed schedule, never on a
+	// detection, so every threshold judges the identical stream: one
+	// trial flies it once past all nine detectors.
+	sweeps, err := sched.Map(1, c.Workers, func(int) ([]ThresholdPoint, error) {
+		return cache.CachedArms(func([]bool) ([]ThresholdPoint, error) {
+			return sweepThresholds(c, thresholds, episodes)
 		})
 	}, sched.WithTelemetry(c.Telemetry))
 	if err != nil {
 		return nil, nil, err
+	}
+	points := sweeps[0]
+
+	tbl := &Table{
+		Title:  "Decision-threshold sweep (paper §3.1: 0.055 A chosen)",
+		Header: []string{"Threshold (A)", "FalseNegRate", "FalsePosRate"},
 	}
 	for _, p := range points {
 		tbl.AddRow(fmt.Sprintf("%.3f", p.ThresholdA), pct(p.FalseNegativeRate), pct(p.FalsePositiveRate))
@@ -68,48 +59,45 @@ func ThresholdSweep(c SELConfig, episodes int) ([]ThresholdPoint, *Table, error)
 	return points, tbl, nil
 }
 
-// thresholdLevel computes one candidate threshold's campaign arm.
-func thresholdLevel(c SELConfig, model *linmodel.Model, th float64, episodes int) (ThresholdPoint, error) {
-	cfg := c.ildConfig()
-	cfg.ThresholdA = th
-	det, err := ild.NewDetector(model, cfg)
+// sweepThresholds trains the model and flies the sweep's campaign once,
+// one detector per threshold observing it.
+func sweepThresholds(c SELConfig, thresholds []float64, episodes int) ([]ThresholdPoint, error) {
+	base, err := TrainILD(c)
 	if err != nil {
-		return ThresholdPoint{}, err
+		return nil, err
+	}
+	dets := make([]*ild.Detector, len(thresholds))
+	for i, th := range thresholds {
+		cfg := c.ildConfig()
+		cfg.ThresholdA = th
+		if dets[i], err = ild.NewDetector(base.Model(), cfg); err != nil {
+			return nil, err
+		}
 	}
 
 	// Clean phase: long quiescence, no SEL — count FP samples.
 	m := machine.New(c.MachineConfig(c.Seed + 700))
 	rng := rand.New(rand.NewSource(c.Seed + 701))
-	fp, clean := 0, 0
+	fp, clean := make([]int, len(dets)), 0
 	m.RunTrace(trace.Quiescent(rng, 4*time.Minute, 15*time.Second), func(tel machine.Telemetry) {
 		clean++
-		if det.Observe(tel) {
-			fp++
+		for i, det := range dets {
+			if det.Observe(tel) {
+				fp[i]++
+			}
 		}
 	})
 
 	// Episode phase: SEL episodes at the paper's minimum magnitude.
-	missed := 0
-	for ep := 0; ep < episodes; ep++ {
-		det.Reset()
-		injectSEL(m, c.SELAmps)
-		hit := false
-		m.RunTrace(trace.Quiescent(rng, time.Minute, 15*time.Second), func(tel machine.Telemetry) {
-			if det.Observe(tel) {
-				hit = true
-			}
-		})
-		m.ClearSEL()
-		det.Reset()
-		m.RunTrace(trace.Quiescent(rng, 15*time.Second, 10*time.Second), nil)
-		if !hit {
-			missed++
+	missed := latchupEpisodes(m, rng, dets, c.SELAmps, episodes, 15*time.Second, 15*time.Second, 10*time.Second)
+
+	points := make([]ThresholdPoint, len(thresholds))
+	for i, th := range thresholds {
+		points[i] = ThresholdPoint{
+			ThresholdA:        th,
+			FalseNegativeRate: float64(missed[i]) / float64(episodes),
+			FalsePositiveRate: float64(fp[i]) / float64(clean),
 		}
 	}
-
-	return ThresholdPoint{
-		ThresholdA:        th,
-		FalseNegativeRate: float64(missed) / float64(episodes),
-		FalsePositiveRate: float64(fp) / float64(clean),
-	}, nil
+	return points, nil
 }

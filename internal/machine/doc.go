@@ -23,9 +23,10 @@
 //
 // Sample ownership: RunTrace samples every PerCore into one buffer the
 // machine owns and rewrites on the next sample, so the Telemetry its
-// callback receives is valid only until the callback returns. A
-// consumer that keeps samples copies PerCore (Table 2's record-once
-// replay copies each into its own arena).
+// callback receives is valid only until the callback returns. No
+// campaign keeps a sample: several detectors judging one stream all
+// observe it inside the callback. A consumer that must keep samples
+// copies PerCore.
 //
 // Invariants: a latched machine whose SEL is not cleared within
 // SELDamageAfter of simulated time is permanently damaged (the paper's

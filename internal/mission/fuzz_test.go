@@ -33,8 +33,9 @@ func FuzzProfileSchedule(f *testing.F) {
 			p = p.Boosted(boost)
 		}
 		if err := p.Validate(); err != nil {
-			// Zero-duration phases are the only invalid shape this
-			// fuzzer can build; Schedule must refuse them, not draw.
+			// Zero-duration phases and boosts that expect more events
+			// than Validate allows are the invalid shapes this fuzzer
+			// can build; Schedule must refuse them, not draw.
 			if _, serr := p.Schedule(rand.New(rand.NewSource(seed))); serr == nil {
 				t.Fatal("Schedule accepted a profile Validate rejected")
 			}

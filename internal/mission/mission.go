@@ -131,8 +131,25 @@ func (p Profile) Validate() error {
 			return fmt.Errorf("mission: profile %q phase %d (%v) has a multiplier that is not finite and at least 0", p.Name, i, ph.Kind)
 		}
 	}
+	// Schedule draws every event before the flight starts, so a
+	// finite but huge rate would ask for more than memory holds.
+	day := float64(24 * time.Hour)
+	var expected float64
+	for _, ph := range p.Phase {
+		d := float64(ph.Duration)
+		expected += p.Base.SEUPerDay*ph.SEU*d/day + p.Base.SELPerYear*ph.SEL*d/(365.25*day)
+	}
+	if !(expected <= maxExpectedEvents) {
+		return fmt.Errorf("mission: profile %q expects %.3g radiation events, want at most %d", p.Name, expected, maxExpectedEvents)
+	}
 	return nil
 }
+
+// maxExpectedEvents bounds the radiation events a valid profile
+// expects to schedule. Every campaign and program stays far below it:
+// examples/leomission's default boost schedules about 80, the adaptive
+// campaign's catalog at a boost of 60,000 a few thousand.
+const maxExpectedEvents = 1 << 20
 
 // finiteNonNegative reports whether x is a finite value at least 0.
 func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }

@@ -48,6 +48,8 @@ func TestProfileValidateRejects(t *testing.T) {
 		LEOWithSAA().Boosted(math.NaN()),
 		LEOWithSAA().Boosted(math.Inf(1)),
 		LEOWithSAA().Boosted(-1),
+		// A finite boost so large that scheduling would exhaust memory.
+		LEOWithSAA().Boosted(1e11),
 	} {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: invalid profile accepted", i)
