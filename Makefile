@@ -51,12 +51,16 @@ race:
 # result-cache replay's in-place decode of a fixed-width struct, the
 # shared latchup-protection path, the downlink comms tick, frame codec,
 # stream frame reader and recorder restore, and the campaigns' payload
-# path (build, enqueue and comms tick) at zero allocations, a 4 h
+# path (build, enqueue and comms tick) at zero allocations, a recorder
+# filling with small payloads at one object per 32 records or fewer, a 4 h
 # flight-software trace under 40 objects, EMR runtime construction
-# under 2 MB, an EMR Run's growth with its dataset count: a handful of
+# under 2 MB, an EMR Run's growth with its dataset count, with a
+# no-op job and with the image-processing and dnn jobs: a handful of
 # objects under every scheme, plus at most
-# one per dataset for EMR's conflict plan, the intrusion-detection job
-# on its canonical pattern at 3 objects, the scheduler's Map at 8
+# one per dataset for EMR's conflict plan, every EMR job's output
+# appended into a dst with room at no allocation, the
+# intrusion-detection job on its canonical pattern at 2 objects (its
+# match index), the scheduler's Map at 8
 # objects or fewer whatever its trial count, a result-cache
 # Open+Close of a 190-entry store at 32 or fewer, and Table 2's bytes
 # at a 2 h flight within 16 MB of a 30 min one (see PERFORMANCE.md).

@@ -30,7 +30,7 @@ var xorTable = [4]byte{0x1d, 0x2e, 0x3f, 0x40}
 func PureSpec() emr.Spec {
 	return emr.Spec{
 		Name: "pure",
-		Job: func(inputs [][]byte) ([]byte, error) {
+		Job: func(dst []byte, inputs [][]byte) ([]byte, error) {
 			if len(inputs) == 0 {
 				return nil, errCorrupt
 			}
@@ -38,7 +38,7 @@ func PureSpec() emr.Spec {
 			for i, b := range inputs[0] {
 				sum ^= b ^ xorTable[i%len(xorTable)]
 			}
-			return []byte{sum}, nil
+			return append(dst, sum), nil
 		},
 	}
 }
@@ -46,7 +46,7 @@ func PureSpec() emr.Spec {
 // CountingSpec captures package state — healthy replicas disagree.
 func CountingSpec() emr.Spec {
 	return emr.Spec{
-		Job: func(inputs [][]byte) ([]byte, error) { // want `emr job function literal is not replica-deterministic: package-level variable puredemo\.hits \(write of package-level state\)`
+		Job: func(dst []byte, inputs [][]byte) ([]byte, error) { // want `emr job function literal is not replica-deterministic: package-level variable puredemo\.hits \(write of package-level state\)`
 			hits++
 			return nil, nil
 		},
@@ -56,16 +56,16 @@ func CountingSpec() emr.Spec {
 // ClockSpec stamps outputs with the wall clock.
 func ClockSpec() emr.Spec {
 	return emr.Spec{
-		Job: func(inputs [][]byte) ([]byte, error) { // want `emr job function literal is not replica-deterministic: time\.Now \(wall-clock read\)`
+		Job: func(dst []byte, inputs [][]byte) ([]byte, error) { // want `emr job function literal is not replica-deterministic: time\.Now \(wall-clock read\)`
 			t := time.Now()
-			return []byte(t.String()), nil
+			return append(dst, t.String()...), nil
 		},
 	}
 }
 
 // randomJob draws from the global generator.
-func randomJob(inputs [][]byte) ([]byte, error) {
-	return []byte{byte(rand.Intn(256))}, nil
+func randomJob(dst []byte, inputs [][]byte) ([]byte, error) {
+	return append(dst, byte(rand.Intn(256))), nil
 }
 
 // NamedSpec hands a named package function to the runner; the purity
@@ -83,7 +83,7 @@ func bumpHits() {
 // names the helper carrying the impurity.
 func TransitiveSpec() emr.Spec {
 	return emr.Spec{
-		Job: func(inputs [][]byte) ([]byte, error) { // want `emr job function literal is not replica-deterministic: package-level variable puredemo\.hits \(write of package-level state\) via puredemo\.bumpHits`
+		Job: func(dst []byte, inputs [][]byte) ([]byte, error) { // want `emr job function literal is not replica-deterministic: package-level variable puredemo\.hits \(write of package-level state\) via puredemo\.bumpHits`
 			bumpHits()
 			return nil, nil
 		},
@@ -95,8 +95,8 @@ func TransitiveSpec() emr.Spec {
 // back to this job.
 func CrossPackageSpec() emr.Spec {
 	return emr.Spec{
-		Job: func(inputs [][]byte) ([]byte, error) { // want `emr job function literal is not replica-deterministic: time\.Now \(wall-clock read\) via impure\.Stamp`
-			return impure.Stamp(inputs[0]), nil
+		Job: func(dst []byte, inputs [][]byte) ([]byte, error) { // want `emr job function literal is not replica-deterministic: time\.Now \(wall-clock read\) via impure\.Stamp`
+			return impure.Stamp(append(dst, inputs[0]...)), nil
 		},
 	}
 }
@@ -105,9 +105,9 @@ func CrossPackageSpec() emr.Spec {
 func CaptureSpec() emr.Spec {
 	count := 0
 	return emr.Spec{
-		Job: func(inputs [][]byte) ([]byte, error) { // want `emr job function literal is not replica-deterministic: captured variable count \(write to captured variable\)`
+		Job: func(dst []byte, inputs [][]byte) ([]byte, error) { // want `emr job function literal is not replica-deterministic: captured variable count \(write to captured variable\)`
 			count++
-			return []byte{byte(count)}, nil
+			return append(dst, byte(count)), nil
 		},
 	}
 }
@@ -124,10 +124,8 @@ func AssignedSpec() emr.Spec {
 // zero-field struct namespace with no state, so it is exempt.
 func EndianSpec() emr.Spec {
 	return emr.Spec{
-		Job: func(inputs [][]byte) ([]byte, error) {
-			out := make([]byte, 4)
-			binary.BigEndian.PutUint32(out, uint32(len(inputs[0])))
-			return out, nil
+		Job: func(dst []byte, inputs [][]byte) ([]byte, error) {
+			return binary.BigEndian.AppendUint32(dst, uint32(len(inputs[0]))), nil
 		},
 	}
 }
@@ -136,12 +134,12 @@ func EndianSpec() emr.Spec {
 // local to the job invocation.
 func LocalAccumulatorSpec() emr.Spec {
 	return emr.Spec{
-		Job: func(inputs [][]byte) ([]byte, error) {
+		Job: func(dst []byte, inputs [][]byte) ([]byte, error) {
 			acc := 0
 			for _, b := range inputs[0] {
 				acc += int(b)
 			}
-			return []byte{byte(acc)}, nil
+			return append(dst, byte(acc)), nil
 		},
 	}
 }

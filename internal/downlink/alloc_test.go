@@ -187,3 +187,27 @@ func TestAllocsRecorderRestore(t *testing.T) {
 		t.Errorf("Snapshot allocates %.3f objects, want 1 (the page)", avg)
 	}
 }
+
+// TestAllocsRecorderFill pins the payload slabs: a fresh recorder filled
+// to its capacity with small payloads, none acknowledged, allocates a
+// slab per payloadSlabBufs records and its queue's growth, not a buffer
+// per record (79 objects, against 4,111 when every record made its own).
+func TestAllocsRecorderFill(t *testing.T) {
+	const n = 4096
+	payload := []byte("sel_detected level=max t=1h2m3.5s")
+	avg := testing.AllocsPerRun(10, func() {
+		r, err := NewRecorder(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, _, err := r.Enqueue(3, payload, time.Duration(i)*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("%.0f objects for %d records", avg, n)
+	if avg > n/32 {
+		t.Errorf("filling a %d-record recorder allocates %.0f objects, want ≤ %d", n, avg, n/32)
+	}
+}

@@ -44,6 +44,7 @@ type Recorder struct {
 	ins      *Instruments
 
 	free   [][]byte        // payload buffers ready for reuse
+	slab   []byte          // the uncarved rest of the last payload slab
 	victim Record          // the last eviction, lent to Enqueue's caller
 	enc    resultcache.Enc // Snapshot's encode scratch
 }
@@ -51,6 +52,11 @@ type Recorder struct {
 // payloadBufMin is the smallest payload buffer the recorder allocates,
 // so a recycled buffer fits any of the campaigns' event payloads.
 const payloadBufMin = 64
+
+// payloadSlabBufs is how many minimum-size payload buffers one slab
+// holds: a recorder filling towards its peak occupancy allocates one
+// slab per that many records instead of one buffer per record.
+const payloadSlabBufs = 64
 
 // recQueue is one channel's unacknowledged records, oldest first: the
 // live records are buf[head:]. Releasing from the front advances head,
@@ -125,7 +131,10 @@ func (r *Recorder) Enqueue(vc uint8, payload []byte, now time.Duration) (Record,
 }
 
 // payloadBuf returns an empty buffer with room for n bytes, recycled
-// when one is free.
+// when one is free. A new buffer for a payload of at most payloadBufMin
+// bytes is carved from the current slab, its capacity ending where its
+// neighbour's begins, so an append can never reach the neighbour; a
+// larger payload gets a buffer of its own.
 func (r *Recorder) payloadBuf(n int) []byte {
 	if k := len(r.free); k > 0 {
 		b := r.free[k-1]
@@ -134,7 +143,15 @@ func (r *Recorder) payloadBuf(n int) []byte {
 			return b[:0]
 		}
 	}
-	return make([]byte, 0, max(n, payloadBufMin))
+	if n > payloadBufMin {
+		return make([]byte, 0, n)
+	}
+	if len(r.slab) == 0 {
+		r.slab = make([]byte, payloadSlabBufs*payloadBufMin)
+	}
+	b := r.slab[:0:payloadBufMin]
+	r.slab = r.slab[payloadBufMin:]
+	return b
 }
 
 // release hands a payload buffer back for reuse.

@@ -2,14 +2,16 @@
 
 // Excluded under -race: race instrumentation allocates on its own.
 
-package emr
+package emr_test
 
 import (
 	"fmt"
 	"runtime"
 	"testing"
 
+	"radshield/internal/emr"
 	"radshield/internal/fault"
+	"radshield/internal/workloads"
 )
 
 // TestAllocsEMRNew pins construction cost: devices are backed only as
@@ -19,7 +21,7 @@ func TestAllocsEMRNew(t *testing.T) {
 	const limit = 2 << 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := New(DefaultConfig()); err != nil {
+	if _, err := emr.New(emr.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -32,47 +34,84 @@ func TestAllocsEMRNew(t *testing.T) {
 // so every Run may return it.
 var noAllocOut = []byte{0x5a, 0xa5, 0x5a, 0xa5}
 
-// noAllocJob allocates nothing, so the objects a Run allocates are all
-// the runtime's own.
-func noAllocJob([][]byte) ([]byte, error) { return noAllocOut, nil }
+// noAllocJob allocates nothing and ignores dst, so the objects a Run
+// allocates are all the runtime's own.
+func noAllocJob([]byte, [][]byte) ([]byte, error) { return noAllocOut, nil }
 
 // TestAllocsEMRRun pins the runtime's per-dataset bookkeeping: on a
 // reused runtime and spec, a 64-dataset Run may allocate only a handful
 // of objects more than a 16-dataset one under every scheme, hooked or
 // not, and EMR at most one more per extra dataset for its conflict plan.
-// Visits reuse their executor's scratch, and each run table has one
-// backing array.
+// Visits reuse their executor's scratch, each run table has one backing
+// array, and the image-processing and dnn jobs append their outputs to
+// their executor's buffer, which a Run sizes from its first output.
 func TestAllocsEMRRun(t *testing.T) {
 	const small, large = 16, 64
-	for _, scheme := range []fault.Scheme{fault.SchemeEMR, fault.SchemeUnprotectedParallel, fault.SchemeSerial3MR, fault.SchemeNone, fault.SchemeChecksum} {
-		for _, hooked := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/hooked=%v", scheme, hooked), func(t *testing.T) {
-				rt := newRuntime(t, scheme)
-				spec := chunkedSpec(t, rt, large, 256, true)
-				spec.Job = noAllocJob
-				if hooked {
-					spec.Hook = func(*HookPoint) {}
+	// The no-op job's subtests are named by scheme alone; the workloads'
+	// take their name as a prefix.
+	specs := []struct {
+		name  string
+		runs  int // image-processing scans 64 strips three times a Run
+		build func(*testing.T, *emr.Runtime) (emr.Spec, error)
+	}{
+		{"", 20, func(t *testing.T, rt *emr.Runtime) (emr.Spec, error) {
+			spec := emr.ChunkedSpec(t, rt, large, 256, true)
+			spec.Job = noAllocJob
+			return spec, nil
+		}},
+		// 1,040 map rows make 64 strips.
+		{"image-processing", 3, func(_ *testing.T, rt *emr.Runtime) (emr.Spec, error) {
+			return workloads.ImageProcessing().Build(rt, 1040*256, 1)
+		}},
+		{"dnn", 20, func(_ *testing.T, rt *emr.Runtime) (emr.Spec, error) {
+			return workloads.NeuralNetwork().Build(rt, large*256, 1)
+		}},
+	}
+	for _, s := range specs {
+		for _, scheme := range []fault.Scheme{fault.SchemeEMR, fault.SchemeUnprotectedParallel, fault.SchemeSerial3MR, fault.SchemeNone, fault.SchemeChecksum} {
+			for _, hooked := range []bool{false, true} {
+				name := fmt.Sprintf("%v/hooked=%v", scheme, hooked)
+				if s.name != "" {
+					name = s.name + "/" + name
 				}
-				allocs := func(n int) float64 {
-					s := spec
-					s.Datasets = spec.Datasets[:n]
-					return testing.AllocsPerRun(20, func() {
-						if _, err := rt.Run(s); err != nil {
-							t.Fatal(err)
-						}
-					})
-				}
-				extra := allocs(large) - allocs(small)
-				t.Logf("%.2f objects per extra dataset", extra/(large-small))
-				limit := 8.0
-				if scheme == fault.SchemeEMR {
-					limit = large - small
-				}
-				if extra > limit {
-					t.Errorf("a %d-dataset Run allocates %.0f objects more than a %d-dataset one (%.2f per extra dataset), want at most %.0f",
-						large, extra, small, extra/(large-small), limit)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					cfg := emr.DefaultConfig()
+					cfg.Scheme = scheme
+					rt, err := emr.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spec, err := s.build(t, rt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(spec.Datasets) != large {
+						t.Fatalf("the spec has %d datasets, want %d", len(spec.Datasets), large)
+					}
+					if hooked {
+						spec.Hook = func(*emr.HookPoint) {}
+					}
+					allocs := func(n int) float64 {
+						sub := spec
+						sub.Datasets = spec.Datasets[:n]
+						return testing.AllocsPerRun(s.runs, func() {
+							if _, err := rt.Run(sub); err != nil {
+								t.Fatal(err)
+							}
+						})
+					}
+					extra := allocs(large) - allocs(small)
+					t.Logf("%.2f objects per extra dataset", extra/(large-small))
+					limit := 8.0
+					if scheme == fault.SchemeEMR {
+						limit = large - small
+					}
+					if extra > limit {
+						t.Errorf("a %d-dataset Run allocates %.0f objects more than a %d-dataset one (%.2f per extra dataset), want at most %.0f",
+							large, extra, small, extra/(large-small), limit)
+					}
+				})
+			}
 		}
 	}
 }

@@ -49,9 +49,16 @@
 // downlink.Link.RecvDown's frames: a JobFunc's inputs are valid only
 // until the job returns, and a hook's *HookPoint, Regions included, only
 // during the hook call. Each executor owns one set of visit buffers that
-// the runtime refills for its next visit, so a job returns bytes it
-// owns, never a sub-slice of its inputs, and a hook copies out whatever
-// it keeps.
+// the runtime refills for its next visit, so a job never returns a
+// sub-slice of its inputs, and a hook copies out whatever it keeps.
+// Outputs go the other way: each executor also owns an output buffer,
+// and a job appends its output to the empty dst it is handed, whose
+// capacity is that buffer's free tail (a job that returns bytes it owns
+// instead is still correct). Each recorded output's capacity ends at
+// its length, so neither a PhaseAfterJob hook's append nor the next job
+// reaches another dataset's output, and a buffer is never rewound, so a
+// Result's Outputs and PerDataset outputs stay valid and unchanged
+// after later Runs and Resets of the runtime.
 //
 // Invariants: datasets in one jobset never share a cache line (the
 // conflict graph is computed over replica-resolved regions); each

@@ -13,14 +13,14 @@ import (
 
 // sumJob adds all input bytes into a 4-byte big-endian checksum — a
 // minimal deterministic job whose output changes if any input bit flips.
-func sumJob(inputs [][]byte) ([]byte, error) {
+func sumJob(dst []byte, inputs [][]byte) ([]byte, error) {
 	var sum uint32
 	for _, in := range inputs {
 		for _, b := range in {
 			sum = sum*31 + uint32(b)
 		}
 	}
-	return []byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)}, nil
+	return append(dst, byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum)), nil
 }
 
 // newRuntime builds a runtime with the given scheme, failing the test on
@@ -388,12 +388,12 @@ func TestJobErrorDetected(t *testing.T) {
 	spec := Spec{
 		Name:     "failing",
 		Datasets: []Dataset{{Inputs: []InputRef{ref}}},
-		Job: func(inputs [][]byte) ([]byte, error) {
+		Job: func(dst []byte, inputs [][]byte) ([]byte, error) {
 			calls++
 			if calls == 1 {
 				return nil, boom // first executor visit crashes
 			}
-			return sumJob(inputs)
+			return sumJob(dst, inputs)
 		},
 		CyclesPerByte: 1,
 	}
@@ -515,12 +515,12 @@ func ExampleRuntime_Run() {
 			{Inputs: []InputRef{mustSlice(ref, 0, 10)}},
 			{Inputs: []InputRef{mustSlice(ref, 10, 10)}},
 		},
-		Job: func(inputs [][]byte) ([]byte, error) {
+		Job: func(dst []byte, inputs [][]byte) ([]byte, error) {
 			var sum byte
 			for _, b := range inputs[0] {
 				sum += b
 			}
-			return []byte{sum}, nil
+			return append(dst, sum), nil
 		},
 		CyclesPerByte: 8,
 	}

@@ -46,7 +46,8 @@ type HookPoint struct {
 	// with replicas resolved to their private addresses.
 	Regions []mem.Region
 	// Output is the executor's freshly computed output (PhaseAfterJob
-	// only); hooks may mutate it in place.
+	// only); hooks may mutate it in place or replace it. Its capacity
+	// ends at its length, so an append copies it.
 	Output []byte
 	// Fail, when set by the hook, aborts this executor's job with the
 	// given error.
@@ -95,7 +96,9 @@ type DatasetResult struct {
 	Disagreement bool // executors disagreed (even if corrected)
 }
 
-// Result is what Run returns.
+// Result is what Run returns. Its outputs live in the executors' output
+// buffers, which no later Run or Reset writes over, so they stay valid
+// and unchanged for as long as the caller keeps them.
 type Result struct {
 	Outputs    [][]byte // voted output per dataset (nil on failure)
 	PerDataset []DatasetResult
@@ -174,14 +177,37 @@ func (r *Runtime) watchVisit(executor, dataset int, v visitParts, visitErr error
 
 // visitScratch is one executor's reusable visit state: the dataset's
 // resolved regions, the job's input headers, one byte buffer per input
-// slot, and the hook point. build sizes the runtime's scratch to
-// cfg.Executors, so each executor keeps buffers sized to the inputs it
-// reads.
+// slot, the hook point, and the output buffer. build sizes the
+// runtime's scratch to cfg.Executors, so each executor keeps buffers
+// sized to the inputs it reads.
 type visitScratch struct {
 	regions []mem.Region
 	inputs  [][]byte
 	bufs    [][]byte
 	hp      HookPoint
+	// out holds the executor's recorded outputs back to back; its free
+	// tail is the next job's dst. It only ever advances, and a full
+	// buffer is replaced, never rewound, so no later visit or Run writes
+	// over a recorded output.
+	out []byte
+}
+
+// keep records a job's output: it advances the executor's buffer past
+// an output that landed in dst, the buffer's free tail, and when the
+// output outgrew the tail it starts a buffer with room for one output
+// of this size per dataset. The returned output is capacity-limited, so
+// neither a hook's append nor the executor's next job can write past it
+// into another dataset's output.
+func (s *visitScratch) keep(out, dst []byte, datasets int) []byte {
+	n := len(out)
+	switch {
+	case n == 0:
+	case n <= cap(dst) && &out[0] == &dst[:1][0]:
+		s.out = s.out[:len(s.out)+n]
+	case n > cap(dst):
+		s.out = make([]byte, 0, n*datasets)
+	}
+	return out[:n:n]
 }
 
 // visit performs one executor's processing of one dataset: resolve
@@ -260,10 +286,11 @@ func (r *Runtime) visit(spec *Spec, a *analysis, sums *checksumStore, dsIdx, exe
 	if err := r.verifyChecksums(sums, ds, dsIdx, s.inputs); err != nil {
 		return nil, io, err
 	}
-	out, err = spec.Job(s.inputs)
-	if err != nil {
+	dst := s.out[len(s.out):]
+	if out, err = spec.Job(dst, s.inputs); err != nil {
 		return nil, io, err
 	}
+	out = s.keep(out, dst, len(spec.Datasets))
 	if spec.Hook != nil {
 		if !fire(PhaseAfterJob) {
 			return nil, io, s.hp.Fail

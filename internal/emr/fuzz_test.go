@@ -101,7 +101,7 @@ func FuzzChecksum(f *testing.F) {
 		if len(data) > 4<<10 {
 			data = data[:4<<10]
 		}
-		want, err := sumJob([][]byte{data})
+		want, err := sumJob(nil, [][]byte{data})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func FuzzChecksum(f *testing.F) {
 // into an FNV-1a digest, so an input served from a reused buffer at the
 // wrong length, with stale bytes, or in the wrong slot changes the
 // output.
-func shapeJob(inputs [][]byte) ([]byte, error) {
+func shapeJob(dst []byte, inputs [][]byte) ([]byte, error) {
 	h := uint64(14695981039346656037)
 	mix := func(b byte) { h = (h ^ uint64(b)) * 1099511628211 }
 	mix(byte(len(inputs)))
@@ -177,7 +177,7 @@ func shapeJob(inputs [][]byte) ([]byte, error) {
 			mix(b)
 		}
 	}
-	return binary.BigEndian.AppendUint64(nil, h), nil
+	return binary.BigEndian.AppendUint64(dst, h), nil
 }
 
 // shapeDatasets cuts up to 12 datasets out of ref as shape directs.
@@ -254,7 +254,7 @@ func FuzzRunShapes(f *testing.F) {
 						t.Fatal(err)
 					}
 				}
-				want[d], _ = shapeJob(inputs)
+				want[d], _ = shapeJob(nil, inputs)
 			}
 			for _, hook := range []Hook{nil, func(*HookPoint) {}} {
 				spec.Hook = hook

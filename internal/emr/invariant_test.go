@@ -17,7 +17,7 @@ import (
 // of the same output bit — two different faults, one identical wrong
 // answer, a false counterexample the real workloads (AES, DEFLATE, SAD)
 // do not exhibit.
-func mixJob(inputs [][]byte) ([]byte, error) {
+func mixJob(dst []byte, inputs [][]byte) ([]byte, error) {
 	var h uint32 = 2166136261
 	for _, in := range inputs {
 		for _, b := range in {
@@ -30,7 +30,7 @@ func mixJob(inputs [][]byte) ([]byte, error) {
 	h ^= h >> 13
 	h *= 0xc2b2ae35
 	h ^= h >> 16
-	return []byte{byte(h >> 24), byte(h >> 16), byte(h >> 8), byte(h)}, nil
+	return append(dst, byte(h>>24), byte(h>>16), byte(h>>8), byte(h)), nil
 }
 
 // The strongest guarantee EMR offers, as a property test: under ANY

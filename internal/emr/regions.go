@@ -36,13 +36,23 @@ type Dataset struct {
 }
 
 // JobFunc computes one job: it receives the dataset's bytes in
-// declaration order and returns the output. The bytes come from the
+// declaration order, appends its output to dst and returns the result,
+// the way append and strconv.AppendInt do. The bytes come from the
 // simulated memory hierarchy, so upsets that reached the executor are
 // visible in the slices. The inputs are valid only until the job
 // returns: the runtime refills the same buffers for the executor's next
-// visit. A job therefore keeps no reference to them and returns bytes it
-// owns, never a sub-slice of its inputs.
-type JobFunc func(inputs [][]byte) ([]byte, error)
+// visit. A job therefore keeps no reference to them and never returns a
+// sub-slice of its inputs.
+//
+// The runtime passes a zero-length dst whose capacity is the free tail
+// of the executor's output buffer, so an output appended within that
+// capacity costs no allocation; appending past it is allowed and
+// allocates as append does. The runtime keeps whatever slice the job
+// returns, so a job that ignores dst and returns bytes it owns stays
+// correct, only slower. It advances its buffer only past an output that
+// starts at dst's first byte, so a job returns dst extended, never a
+// later part of it.
+type JobFunc func(dst []byte, inputs [][]byte) ([]byte, error)
 
 // regionKey identifies an exact region (identical pointer and offset, as
 // the paper's common-data detection requires).

@@ -136,7 +136,7 @@ func TestPropertyThresholdInvariantOutputs(t *testing.T) {
 		}
 		// Compare against direct computation.
 		for i := range datasets {
-			want, _ := sumJob([][]byte{data[i*128 : (i+1)*128], {1, 2, 3, 4, 5, 6, 7, 8}})
+			want, _ := sumJob(nil, [][]byte{data[i*128 : (i+1)*128], {1, 2, 3, 4, 5, 6, 7, 8}})
 			if !bytes.Equal(res.Outputs[i], want) {
 				return false
 			}
@@ -214,7 +214,7 @@ func TestPropertySingleExecutorCorruptionAlwaysMasked(t *testing.T) {
 			return false
 		}
 		for i := range datasets {
-			want, _ := sumJob([][]byte{data[i*128 : (i+1)*128]})
+			want, _ := sumJob(nil, [][]byte{data[i*128 : (i+1)*128]})
 			if !bytes.Equal(res.Outputs[i], want) {
 				return false
 			}

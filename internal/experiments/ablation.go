@@ -123,10 +123,12 @@ func AblationBubbleCadence() *Table {
 func AblationClassifier(c SELConfig) (*Table, error) {
 	// Training data: quiescent features (+ current appended) under both
 	// labels.
+	train := c
+	train.Telemetry = nil // training injections are not flight SELs
 	var X [][]float64
 	var y []int
 	for pass, sel := range []float64{0, c.SELAmps} {
-		m := machine.New(c.MachineConfig(c.Seed + 400 + int64(pass)))
+		m := machine.New(train.MachineConfig(c.Seed + 400 + int64(pass)))
 		if sel > 0 {
 			injectSEL(m, sel)
 		}

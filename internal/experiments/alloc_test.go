@@ -90,3 +90,17 @@ func TestAllocsTable2FlightLength(t *testing.T) {
 			float64(long-short)/1e6, table2GrowthBound>>20)
 	}
 }
+
+// TestAllocsWatchdogJob checks that the watchdog campaign's job, whose
+// output is all it allocates, allocates nothing into a dst with room.
+func TestAllocsWatchdogJob(t *testing.T) {
+	in := [][]byte{[]byte("watchdog chunk zero")}
+	dst := make([]byte, 0, 4)
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := watchdogJob(dst, in); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("watchdogJob allocates %v objects into a dst with room, want 0", avg)
+	}
+}

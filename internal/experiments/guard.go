@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"time"
@@ -404,15 +405,16 @@ func watchdogTrialArm(c WatchdogCampaignConfig, executor int, cause string) (Wat
 	return tr, nil
 }
 
-// watchdogJob digests its inputs deterministically.
-func watchdogJob(inputs [][]byte) ([]byte, error) {
+// watchdogJob digests its inputs deterministically and appends the
+// digest to dst.
+func watchdogJob(dst []byte, inputs [][]byte) ([]byte, error) {
 	var sum uint32
 	for _, in := range inputs {
 		for _, b := range in {
 			sum = sum*31 + uint32(b)
 		}
 	}
-	return []byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)}, nil
+	return binary.BigEndian.AppendUint32(dst, sum), nil
 }
 
 // runWorkload runs the campaign's chunked digest workload on a fresh

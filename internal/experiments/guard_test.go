@@ -143,7 +143,7 @@ func TestWatchdogJobDoesNotRetainInputs(t *testing.T) {
 		return [][]byte{[]byte("watchdog chunk zero"), {0, 1, 2, 3, 0xff}}
 	}
 	in := inputs()
-	out, err := watchdogJob(in)
+	out, err := watchdogJob(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +156,43 @@ func TestWatchdogJobDoesNotRetainInputs(t *testing.T) {
 	if !bytes.Equal(out, kept) {
 		t.Fatal("overwriting the inputs changed the output")
 	}
-	again, err := watchdogJob(inputs())
+	again, err := watchdogJob(nil, inputs())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out, again) {
 		t.Fatalf("output %x, but a second call on fresh copies gave %x", out, again)
+	}
+}
+
+// watchdogJob must meet the EMR append contract: with any room in dst
+// it returns the bytes it returns with a nil dst, and an output that
+// fits lands in dst and leaves the capacity past it untouched.
+func TestWatchdogJobAppendsToDst(t *testing.T) {
+	in := [][]byte{[]byte("watchdog chunk zero"), {0, 1, 2, 3, 0xff}}
+	want, err := watchdogJob(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const canary = 0xa5
+	for room := 0; room <= len(want)+8; room++ {
+		backing := bytes.Repeat([]byte{canary}, room)
+		got, err := watchdogJob(backing[:0], in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("with %d bytes of room: output %x, want %x", room, got, want)
+		}
+		if room < len(got) {
+			continue
+		}
+		if &got[0] != &backing[0] {
+			t.Fatalf("with %d bytes of room: the output did not land in dst", room)
+		}
+		if n := bytes.Count(backing[len(got):], []byte{canary}); n != room-len(got) {
+			t.Fatalf("with %d bytes of room: %d canary bytes past the output changed", room, room-len(got)-n)
+		}
 	}
 }
 

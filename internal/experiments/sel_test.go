@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"radshield/internal/telemetry"
 )
 
 // quickSEL shrinks the campaign for unit-test latency while keeping
@@ -143,11 +145,27 @@ func TestAblationBubbleCadence(t *testing.T) {
 func TestAblationClassifier(t *testing.T) {
 	c := DefaultSELConfig()
 	c.TrainFor = time.Minute
+	c.Telemetry = telemetry.NewRegistry(64)
 	tbl, err := AblationClassifier(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", tbl)
+	// Only the latched evaluation pass is a flight latchup: the training
+	// boards fly without the campaign's registry.
+	snap := c.Telemetry.Snapshot()
+	if got := snap.Counter("machine_sel_injected_total"); got != 1 {
+		t.Errorf("machine_sel_injected_total = %d, want 1", got)
+	}
+	onsets := 0
+	for _, ev := range snap.Events {
+		if ev.Kind == telemetry.KindSELOnset {
+			onsets++
+		}
+	}
+	if onsets != 1 {
+		t.Errorf("%d sel_onset events, want 1", onsets)
+	}
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 models", len(tbl.Rows))
 	}

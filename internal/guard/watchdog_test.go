@@ -170,14 +170,14 @@ func TestWatchdogTelemetry(t *testing.T) {
 }
 
 // sumJob mirrors the EMR test workload: a tiny deterministic digest.
-func sumJob(inputs [][]byte) ([]byte, error) {
+func sumJob(dst []byte, inputs [][]byte) ([]byte, error) {
 	var sum uint32
 	for _, in := range inputs {
 		for _, b := range in {
 			sum = sum*31 + uint32(b)
 		}
 	}
-	return []byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)}, nil
+	return append(dst, byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum)), nil
 }
 
 // loadSpec stages n chunked datasets into rt.

@@ -3,6 +3,7 @@ package workloads
 import (
 	"crypto/aes"
 	"fmt"
+	"slices"
 
 	"radshield/internal/emr"
 )
@@ -34,13 +35,15 @@ func Encryption() Builder {
 			if err != nil {
 				return emr.Spec{}, err
 			}
+			refs := make([]emr.InputRef, 0, 2*n)
 			datasets := make([]emr.Dataset, n)
-			for i := 0; i < n; i++ {
+			for i := range datasets {
 				chunk, err := plain.Slice(uint64(i*aesChunk), aesChunk)
 				if err != nil {
 					return emr.Spec{}, err
 				}
-				datasets[i] = emr.Dataset{Inputs: []emr.InputRef{chunk, key}}
+				refs = append(refs, chunk, key)
+				datasets[i] = emr.Dataset{Inputs: slices.Clip(refs[2*i:])}
 			}
 			return emr.Spec{
 				Name:          "encryption",
@@ -52,8 +55,9 @@ func Encryption() Builder {
 	}
 }
 
-// aesJob encrypts inputs[0] under key inputs[1] in ECB mode.
-func aesJob(inputs [][]byte) ([]byte, error) {
+// aesJob encrypts inputs[0] under key inputs[1] in ECB mode, appending
+// the ciphertext to dst.
+func aesJob(dst []byte, inputs [][]byte) ([]byte, error) {
 	if len(inputs) != 2 {
 		return nil, fmt.Errorf("aes: want [chunk, key], got %d inputs", len(inputs))
 	}
@@ -65,11 +69,13 @@ func aesJob(inputs [][]byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("aes: %w", err)
 	}
-	out := make([]byte, len(chunk))
+	n := len(dst)
+	dst = slices.Grow(dst, len(chunk))[:n+len(chunk)]
+	out := dst[n:]
 	for off := 0; off < len(chunk); off += aes.BlockSize {
 		block.Encrypt(out[off:off+aes.BlockSize], chunk[off:off+aes.BlockSize])
 	}
-	return out, nil
+	return dst, nil
 }
 
 // AESDecryptECB is the inverse transform, used by tests to verify that

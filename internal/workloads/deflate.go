@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
+	"slices"
 
 	"radshield/internal/emr"
 )
@@ -45,23 +46,25 @@ func Compression() Builder {
 			if err != nil {
 				return emr.Spec{}, err
 			}
+			// The first block has no dictionary.
+			refs := make([]emr.InputRef, 0, 2*n-1)
 			datasets := make([]emr.Dataset, n)
-			for i := 0; i < n; i++ {
-				inputs := []emr.InputRef{}
+			for i := range datasets {
+				start := len(refs)
 				if i > 0 {
 					dictOff := uint64(i*deflateBlock - deflateDict)
 					dict, err := data.Slice(dictOff, deflateDict)
 					if err != nil {
 						return emr.Spec{}, err
 					}
-					inputs = append(inputs, dict)
+					refs = append(refs, dict)
 				}
 				block, err := data.Slice(uint64(i*deflateBlock), deflateBlock)
 				if err != nil {
 					return emr.Spec{}, err
 				}
-				inputs = append(inputs, block)
-				datasets[i] = emr.Dataset{Inputs: inputs}
+				refs = append(refs, block)
+				datasets[i] = emr.Dataset{Inputs: slices.Clip(refs[start:])}
 			}
 			return emr.Spec{
 				Name:          "compression",
@@ -74,8 +77,9 @@ func Compression() Builder {
 }
 
 // deflateJob compresses the block (last input) using the preceding
-// window (first input, when present) as the dictionary.
-func deflateJob(inputs [][]byte) ([]byte, error) {
+// window (first input, when present) as the dictionary, appending the
+// stream to dst.
+func deflateJob(dst []byte, inputs [][]byte) ([]byte, error) {
 	var dict, block []byte
 	switch len(inputs) {
 	case 1:
@@ -85,8 +89,8 @@ func deflateJob(inputs [][]byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("deflate: want [dict?, block], got %d inputs", len(inputs))
 	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriterDict(&buf, flate.DefaultCompression, dict)
+	buf := bytes.NewBuffer(dst)
+	w, err := flate.NewWriterDict(buf, flate.DefaultCompression, dict)
 	if err != nil {
 		return nil, fmt.Errorf("deflate: %w", err)
 	}

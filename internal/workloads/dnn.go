@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"radshield/internal/emr"
 )
@@ -60,13 +61,15 @@ func NeuralNetwork() Builder {
 			if err != nil {
 				return emr.Spec{}, err
 			}
+			refs := make([]emr.InputRef, 0, 2*n)
 			datasets := make([]emr.Dataset, n)
-			for i := 0; i < n; i++ {
+			for i := range datasets {
 				sample, err := sRef.Slice(uint64(i*dnnStride), dnnSampleLen)
 				if err != nil {
 					return emr.Spec{}, err
 				}
-				datasets[i] = emr.Dataset{Inputs: []emr.InputRef{sample, wRef}}
+				refs = append(refs, sample, wRef)
+				datasets[i] = emr.Dataset{Inputs: slices.Clip(refs[2*i:])}
 			}
 			return emr.Spec{
 				Name:          "dnn",
@@ -79,9 +82,9 @@ func NeuralNetwork() Builder {
 }
 
 // dnnJob runs the forward pass: input → dense(ReLU) → dense → argmax.
-// Output is (argmax class, logits bits) so any single-weight corruption
-// shows up in the vote.
-func dnnJob(inputs [][]byte) ([]byte, error) {
+// It appends (argmax class, logits bits) to dst, so any single-weight
+// corruption shows up in the vote.
+func dnnJob(dst []byte, inputs [][]byte) ([]byte, error) {
 	if len(inputs) != 2 {
 		return nil, fmt.Errorf("dnn: want [sample, weights], got %d inputs", len(inputs))
 	}
@@ -126,10 +129,9 @@ func dnnJob(inputs [][]byte) ([]byte, error) {
 			best = o
 		}
 	}
-	out := make([]byte, 4+4*dnnOut)
-	binary.BigEndian.PutUint32(out, uint32(best))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(best))
 	for o := 0; o < dnnOut; o++ {
-		binary.BigEndian.PutUint32(out[4+o*4:], math.Float32bits(logits[o]))
+		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(logits[o]))
 	}
-	return out, nil
+	return dst, nil
 }

@@ -3,6 +3,7 @@ package workloads
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"radshield/internal/emr"
 )
@@ -62,23 +63,20 @@ func ImageProcessing() Builder {
 				return emr.Spec{}, err
 			}
 
-			var datasets []emr.Dataset
-			var params []byte
-			nStrips := 0
-			for y := 0; y+imgTemplate <= height; y += imgStride {
-				nStrips++
-				var p [imgParamsLen]byte
-				binary.BigEndian.PutUint64(p[0:], uint64(width))
-				binary.BigEndian.PutUint64(p[8:], uint64(y))
-				params = append(params, p[:]...)
+			nStrips := (height-imgTemplate)/imgStride + 1
+			params := make([]byte, 0, nStrips*imgParamsLen)
+			for i := 0; i < nStrips; i++ {
+				params = binary.BigEndian.AppendUint64(params, uint64(width))
+				params = binary.BigEndian.AppendUint64(params, uint64(i*imgStride))
 			}
 			paramsRef, err := rt.LoadInput("params", params)
 			if err != nil {
 				return emr.Spec{}, err
 			}
-			i := 0
-			for y := 0; y+imgTemplate <= height; y += imgStride {
-				rows, err := mapRef.Slice(uint64(y*width), uint64(imgTemplate*width))
+			refs := make([]emr.InputRef, 0, 3*nStrips)
+			datasets := make([]emr.Dataset, nStrips)
+			for i := range datasets {
+				rows, err := mapRef.Slice(uint64(i*imgStride*width), uint64(imgTemplate*width))
 				if err != nil {
 					return emr.Spec{}, err
 				}
@@ -86,8 +84,8 @@ func ImageProcessing() Builder {
 				if err != nil {
 					return emr.Spec{}, err
 				}
-				datasets = append(datasets, emr.Dataset{Inputs: []emr.InputRef{rows, job, tmplRef}})
-				i++
+				refs = append(refs, rows, job, tmplRef)
+				datasets[i] = emr.Dataset{Inputs: slices.Clip(refs[3*i:])}
 			}
 			return emr.Spec{
 				Name:          "image-processing",
@@ -100,9 +98,9 @@ func ImageProcessing() Builder {
 }
 
 // imageJob scans every x offset of the strip for the best (lowest) sum of
-// absolute differences against the template, returning
-// (bestSAD, globalY, bestX) as three big-endian uint64s.
-func imageJob(inputs [][]byte) ([]byte, error) {
+// absolute differences against the template, appending
+// (bestSAD, globalY, bestX) to dst as three big-endian uint64s.
+func imageJob(dst []byte, inputs [][]byte) ([]byte, error) {
 	if len(inputs) != 3 {
 		return nil, fmt.Errorf("imageproc: want [strip, params, template], got %d inputs", len(inputs))
 	}
@@ -134,7 +132,7 @@ func imageJob(inputs [][]byte) ([]byte, error) {
 			bestSAD, bestX = sad, x
 		}
 	}
-	return putU64(bestSAD, originY, uint64(bestX)), nil
+	return appendMatch(dst, bestSAD, originY, uint64(bestX)), nil
 }
 
 // SWAR constants for rowSAD: each uint64 holds four 16-bit lanes.
@@ -168,6 +166,14 @@ func laneAbsDiff(a, b uint64) uint64 {
 	d := (a | laneBias) - b
 	neg := d>>8&laneOne ^ laneOne
 	return (d&laneLow ^ neg*0xff) + neg
+}
+
+// appendMatch appends an image-processing job output, the match's
+// score, row and column, to dst.
+func appendMatch(dst []byte, score, y, x uint64) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, score)
+	dst = binary.BigEndian.AppendUint64(dst, y)
+	return binary.BigEndian.AppendUint64(dst, x)
 }
 
 // DecodeMatch unpacks an image-processing job output.

@@ -36,9 +36,9 @@ func ImageProcessingNCC() Builder {
 }
 
 // nccJob scans every x offset of the strip for the highest normalized
-// cross-correlation against the template, returning
-// (score×1e9 as u64, globalY, bestX).
-func nccJob(inputs [][]byte) ([]byte, error) {
+// cross-correlation against the template, appending
+// (score×1e9 as u64, globalY, bestX) to dst.
+func nccJob(dst []byte, inputs [][]byte) ([]byte, error) {
 	if len(inputs) != 3 {
 		return nil, fmt.Errorf("ncc: want [strip, params, template], got %d inputs", len(inputs))
 	}
@@ -102,5 +102,5 @@ func nccJob(inputs [][]byte) ([]byte, error) {
 		return nil, fmt.Errorf("ncc: no valid window in strip")
 	}
 	// Fixed-point encode so voting compares exact bytes.
-	return putU64(uint64(int64((bestScore+1)*1e9)), originY, uint64(bestX)), nil
+	return appendMatch(dst, uint64(int64((bestScore+1)*1e9)), originY, uint64(bestX)), nil
 }

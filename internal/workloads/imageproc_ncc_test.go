@@ -62,12 +62,12 @@ func TestNCCIlluminationInvariance(t *testing.T) {
 		Name:          spec2.Name,
 		Datasets:      spec2.Datasets,
 		CyclesPerByte: spec2.CyclesPerByte,
-		Job: func(inputs [][]byte) ([]byte, error) {
+		Job: func(dst []byte, inputs [][]byte) ([]byte, error) {
 			scaled := make([]byte, len(inputs[2]))
 			for i, p := range inputs[2] {
 				scaled[i] = p/2 + 40 // contrast ×0.5, brightness +40
 			}
-			return nccJob([][]byte{inputs[0], inputs[1], scaled})
+			return nccJob(dst, [][]byte{inputs[0], inputs[1], scaled})
 		},
 	})
 	if err != nil {
@@ -98,7 +98,7 @@ func TestNCCDeterministicAcrossSchemes(t *testing.T) {
 }
 
 func TestNCCJobValidation(t *testing.T) {
-	if _, err := nccJob([][]byte{{1}}); err == nil {
+	if _, err := nccJob(nil, [][]byte{{1}}); err == nil {
 		t.Error("wrong arity accepted")
 	}
 	flat := make([]byte, imgTemplate*imgTemplate) // zero variance template
@@ -110,7 +110,7 @@ func TestNCCJobValidation(t *testing.T) {
 	params[7] = 0
 	// width=256
 	params[6], params[7] = 1, 0
-	if _, err := nccJob([][]byte{strip, params, flat}); err == nil {
+	if _, err := nccJob(nil, [][]byte{strip, params, flat}); err == nil {
 		t.Error("flat template accepted")
 	}
 }
@@ -122,7 +122,7 @@ func TestDecodeNCCValidation(t *testing.T) {
 	if _, _, _, err := BestNCC([][]byte{nil}); err == nil {
 		t.Error("no outputs accepted")
 	}
-	out := putU64(uint64(int64((0.5+1)*1e9)), 16, 96)
+	out := appendMatch(nil, uint64(int64((0.5+1)*1e9)), 16, 96)
 	s, y, x, err := DecodeNCC(out)
 	if err != nil || math.Abs(s-0.5) > 1e-6 || y != 16 || x != 96 {
 		t.Fatalf("decode = %v,%v,%v,%v", s, y, x, err)

@@ -31,11 +31,11 @@ func TestImageJobValidation(t *testing.T) {
 		{"short strip", [][]byte{strip[:256*4], goodParams, tmpl}},
 	}
 	for _, c := range cases {
-		if _, err := imageJob(c.inputs); err == nil {
+		if _, err := imageJob(nil, c.inputs); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
 	}
-	if _, err := imageJob([][]byte{strip, goodParams, tmpl}); err != nil {
+	if _, err := imageJob(nil, [][]byte{strip, goodParams, tmpl}); err != nil {
 		t.Fatalf("valid inputs rejected: %v", err)
 	}
 }
@@ -43,16 +43,16 @@ func TestImageJobValidation(t *testing.T) {
 func TestDNNJobValidation(t *testing.T) {
 	sample := make([]byte, dnnSampleLen)
 	weights := make([]byte, dnnWeightsLen)
-	if _, err := dnnJob([][]byte{sample}); err == nil {
+	if _, err := dnnJob(nil, [][]byte{sample}); err == nil {
 		t.Error("wrong arity accepted")
 	}
-	if _, err := dnnJob([][]byte{sample[:8], weights}); err == nil {
+	if _, err := dnnJob(nil, [][]byte{sample[:8], weights}); err == nil {
 		t.Error("short sample accepted")
 	}
-	if _, err := dnnJob([][]byte{sample, weights[:8]}); err == nil {
+	if _, err := dnnJob(nil, [][]byte{sample, weights[:8]}); err == nil {
 		t.Error("short weights accepted")
 	}
-	out, err := dnnJob([][]byte{sample, weights})
+	out, err := dnnJob(nil, [][]byte{sample, weights})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,17 +62,17 @@ func TestDNNJobValidation(t *testing.T) {
 }
 
 func TestIDSJobValidation(t *testing.T) {
-	if _, err := idsJob([][]byte{{1}}); err == nil {
+	if _, err := idsJob(nil, [][]byte{{1}}); err == nil {
 		t.Error("wrong arity accepted")
 	}
 	// A corrupted pattern that no longer compiles is a *detected* error —
 	// the property that makes the replicated pattern vote-safe.
-	if _, err := idsJob([][]byte{[]byte("payload"), []byte("(unclosed")}); err == nil {
+	if _, err := idsJob(nil, [][]byte{[]byte("payload"), []byte("(unclosed")}); err == nil {
 		t.Error("corrupt pattern accepted")
 	} else if !strings.Contains(err.Error(), "corrupt pattern") {
 		t.Errorf("unexpected error: %v", err)
 	}
-	out, err := idsJob([][]byte{[]byte("CMD=REBOOT now"), []byte(idsPattern)})
+	out, err := idsJob(nil, [][]byte{[]byte("CMD=REBOOT now"), []byte(idsPattern)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +82,10 @@ func TestIDSJobValidation(t *testing.T) {
 }
 
 func TestDeflateJobValidation(t *testing.T) {
-	if _, err := deflateJob([][]byte{{1}, {2}, {3}}); err == nil {
+	if _, err := deflateJob(nil, [][]byte{{1}, {2}, {3}}); err == nil {
 		t.Error("3-input deflate accepted")
 	}
-	out, err := deflateJob([][]byte{[]byte(strings.Repeat("radshield ", 100))})
+	out, err := deflateJob(nil, [][]byte{[]byte(strings.Repeat("radshield ", 100))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestDeflateDictionaryActuallyHelps(t *testing.T) {
 	// compressing cold when the data repeats across the boundary.
 	block := []byte(strings.Repeat("telemetry-frame-alpha-bravo ", 80))
 	dict := block[:deflateDict]
-	withDict, err := deflateJob([][]byte{dict, block})
+	withDict, err := deflateJob(nil, [][]byte{dict, block})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := deflateJob([][]byte{block})
+	cold, err := deflateJob(nil, [][]byte{block})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,15 +129,15 @@ func TestAESJobDeterministicPerKey(t *testing.T) {
 	k1 := make([]byte, 32)
 	k2 := make([]byte, 32)
 	k2[0] = 1
-	a, err := aesJob([][]byte{chunk, k1})
+	a, err := aesJob(nil, [][]byte{chunk, k1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := aesJob([][]byte{chunk, k1})
+	b, err := aesJob(nil, [][]byte{chunk, k1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := aesJob([][]byte{chunk, k2})
+	c, err := aesJob(nil, [][]byte{chunk, k2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestJobsDoNotRetainInputs(t *testing.T) {
 					return bufs
 				}
 				in := inputs()
-				out, err := spec.Job(in)
+				out, err := spec.Job(nil, in)
 				if err != nil {
 					t.Fatalf("dataset %d: %v", d, err)
 				}
@@ -190,7 +190,7 @@ func TestJobsDoNotRetainInputs(t *testing.T) {
 				if !bytes.Equal(out, kept) {
 					t.Fatalf("dataset %d: overwriting the inputs changed the output", d)
 				}
-				again, err := spec.Job(inputs())
+				again, err := spec.Job(nil, inputs())
 				if err != nil {
 					t.Fatalf("dataset %d: %v", d, err)
 				}

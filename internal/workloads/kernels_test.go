@@ -47,7 +47,7 @@ func refIDSJob(inputs [][]byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return putU32(uint32(len(re.FindAllIndex(inputs[0], -1)))), nil
+	return binary.BigEndian.AppendUint32(nil, uint32(len(re.FindAllIndex(inputs[0], -1)))), nil
 }
 
 // cycle returns n bytes repeating pix, or zeros when pix is empty.
@@ -88,7 +88,7 @@ func checkImageMatchesReference(t testing.TB, stripPix, tmplPix []byte, width, x
 	params := make([]byte, imgParamsLen)
 	binary.BigEndian.PutUint64(params, uint64(width))
 	binary.BigEndian.PutUint64(params[8:], 48)
-	out, err := imageJob([][]byte{strip, params, tmpl})
+	out, err := imageJob(nil, [][]byte{strip, params, tmpl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestIDSJobMatchesReference(t *testing.T) {
 	}
 	for _, p := range struck {
 		for _, pkt := range packets {
-			got, err := idsJob([][]byte{pkt, p})
+			got, err := idsJob(nil, [][]byte{pkt, p})
 			want, wantErr := refIDSJob([][]byte{pkt, p})
 			if (err == nil) != (wantErr == nil) || !bytes.Equal(got, want) ||
 				err != nil && errors.Unwrap(err).Error() != wantErr.Error() {

@@ -1,8 +1,10 @@
 package workloads
 
 import (
+	"encoding/binary"
 	"fmt"
 	"regexp"
+	"slices"
 	"sync"
 
 	"radshield/internal/emr"
@@ -41,13 +43,15 @@ func IntrusionDetection() Builder {
 			if err != nil {
 				return emr.Spec{}, err
 			}
+			refs := make([]emr.InputRef, 0, 2*n)
 			datasets := make([]emr.Dataset, n)
-			for i := 0; i < n; i++ {
+			for i := range datasets {
 				packet, err := packets.Slice(uint64(i*packetSize), packetSize)
 				if err != nil {
 					return emr.Spec{}, err
 				}
-				datasets[i] = emr.Dataset{Inputs: []emr.InputRef{packet, pattern}}
+				refs = append(refs, packet, pattern)
+				datasets[i] = emr.Dataset{Inputs: slices.Clip(refs[2*i:])}
 			}
 			return emr.Spec{
 				Name:          "intrusion-detection",
@@ -63,11 +67,12 @@ func IntrusionDetection() Builder {
 var idsRegexp = sync.OnceValue(func() *regexp.Regexp { return regexp.MustCompile(idsPattern) })
 
 // idsJob counts the matches in the packet of the regexp its pattern
-// bytes compile to. A compiled regexp is a function of the bytes alone,
-// so bytes equal to idsPattern reuse idsRegexp and any other bytes
-// compile as delivered: a corrupted pattern replica still produces
-// different counts (or a compile error), which the vote catches.
-func idsJob(inputs [][]byte) ([]byte, error) {
+// bytes compile to and appends the count to dst. A compiled regexp is a
+// function of the bytes alone, so bytes equal to idsPattern reuse
+// idsRegexp and any other bytes compile as delivered: a corrupted
+// pattern replica still produces different counts (or a compile error),
+// which the vote catches.
+func idsJob(dst []byte, inputs [][]byte) ([]byte, error) {
 	if len(inputs) != 2 {
 		return nil, fmt.Errorf("ids: want [packet, pattern], got %d inputs", len(inputs))
 	}
@@ -81,5 +86,5 @@ func idsJob(inputs [][]byte) ([]byte, error) {
 		}
 	}
 	matches := re.FindAllIndex(inputs[0], -1)
-	return putU32(uint32(len(matches))), nil
+	return binary.BigEndian.AppendUint32(dst, uint32(len(matches))), nil
 }

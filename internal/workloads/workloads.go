@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -45,19 +44,4 @@ func synthetic(n int, seed int64) []byte {
 	buf := make([]byte, n)
 	rand.New(rand.NewSource(seed)).Read(buf)
 	return buf
-}
-
-// putU32/readU32 are the output serialization helpers shared by jobs.
-func putU32(v uint32) []byte {
-	out := make([]byte, 4)
-	binary.BigEndian.PutUint32(out, v)
-	return out
-}
-
-func putU64(vs ...uint64) []byte {
-	out := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		binary.BigEndian.PutUint64(out[i*8:], v)
-	}
-	return out
 }

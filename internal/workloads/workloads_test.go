@@ -143,13 +143,13 @@ func TestAESRoundTrip(t *testing.T) {
 }
 
 func TestAESJobValidation(t *testing.T) {
-	if _, err := aesJob([][]byte{{1}}); err == nil {
+	if _, err := aesJob(nil, [][]byte{{1}}); err == nil {
 		t.Error("single input accepted")
 	}
-	if _, err := aesJob([][]byte{make([]byte, 15), make([]byte, 32)}); err == nil {
+	if _, err := aesJob(nil, [][]byte{make([]byte, 15), make([]byte, 32)}); err == nil {
 		t.Error("non-block chunk accepted")
 	}
-	if _, err := aesJob([][]byte{make([]byte, 16), make([]byte, 7)}); err == nil {
+	if _, err := aesJob(nil, [][]byte{make([]byte, 16), make([]byte, 7)}); err == nil {
 		t.Error("bad key size accepted")
 	}
 }
