@@ -221,7 +221,7 @@ func main() {
 		}
 	}
 
-	_, mission := cfg.PairTrace(rand.New(rand.NewSource(*seed+2)), time.Duration(*hours*float64(time.Hour)), 3*time.Minute, ins)
+	_, mission := cfg.PairTrace(rand.New(rand.NewSource(*seed+2)), time.Duration(*hours*float64(time.Hour)), cfg.BubblePause(), ins)
 
 	fmt.Printf("mission start: %v of flight software, SEL strike at %v (+%.3f A)\n",
 		mission.Total().Round(time.Second), *selAt, *selAmps)

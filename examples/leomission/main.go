@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"math/rand"
 	"os"
 	"time"
 
@@ -70,20 +69,20 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The flight plan: the profile's radiation events, then the
+	// campaigns' bubbled flight trace, from one stream.
 	prof := mission.LEOWithSAA().Boosted(*boost)
-	rng := rand.New(rand.NewSource(*seed))
-	events, err := prof.Schedule(rng)
+	selCfg := experiments.DefaultSELConfig()
+	selCfg.Seed = *seed
+	events, _, flight, err := selCfg.FlightPlan(prof, *seed, selCfg.BubblePause())
 	if err != nil {
 		log.Fatal(err)
 	}
-	dur := prof.Total()
 	fmt.Printf("mission: %q, %v across %d phases → %d scheduled radiation events\n",
-		prof.Name, dur, len(prof.Phase), len(events))
+		prof.Name, prof.Total(), len(prof.Phase), len(events))
 
 	// Ground segment: train ILD before launch. The one detector flies at
 	// the posture's threshold, retuned whenever the posture moves.
-	selCfg := experiments.DefaultSELConfig()
-	selCfg.Seed = *seed
 	det, err := experiments.TrainILD(selCfg)
 	if err != nil {
 		log.Fatal(err)
@@ -99,10 +98,9 @@ func main() {
 	}
 	tracker := mission.NewTracker(prof, nil)
 
-	// Flight segment: the campaigns' board and bubbled flight trace.
+	// Flight segment: the campaigns' board.
 	m := machine.New(selCfg.MachineConfig(*seed + 1))
 	prot := guard.NewProtection(m, det, nil)
-	_, flight := selCfg.PairTrace(rng, dur, 3*time.Minute, nil)
 
 	// Downlink: phase transitions, posture moves, radiation events and
 	// ILD verdicts go to the ground as priority-0 frames, product

@@ -77,10 +77,11 @@ func AblationQuiescenceGate(c SELConfig) (*Table, error) {
 		mon  ild.Monitor
 	}{{"gated (ILD)", gated}, {"ungated", ungated}}
 	// Both variants observe one flight of the burst trace.
-	m := machine.New(c.MachineConfig(c.Seed + 310))
+	mc := c.MachineConfig(c.Seed + 310)
+	m := machine.New(mc)
 	rng := rand.New(rand.NewSource(c.Seed + 311))
 	fp, n := make([]int, len(variants)), 0
-	m.RunTrace(trace.Burst(rng, 2*time.Minute, 4), func(tel machine.Telemetry) {
+	m.RunTrace(trace.Burst(rng, 2*time.Minute, mc.Cores), func(tel machine.Telemetry) {
 		n++
 		for i, v := range variants {
 			if v.mon.Observe(tel) {

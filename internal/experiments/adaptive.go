@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"radshield/internal/adapt"
@@ -39,8 +38,9 @@ type AdaptiveCampaignConfig struct {
 	SEL SELConfig
 	// Profiles is the sweep grid: one paired trial per mission profile.
 	Profiles []mission.Profile
-	// RateBoost compresses mission time the same way the survival
-	// campaign does: SEL rates ×RateBoost, SEU rates ×RateBoost/10.
+	// RateBoost compresses mission time the way the survival campaign
+	// does (mission.Profile.Boosted): SEL rates ×RateBoost, SEU rates
+	// ×RateBoost/10.
 	RateBoost float64
 	// Controller tunes the adaptive arm's ladder (see adapt.Config).
 	Controller adapt.Config
@@ -129,7 +129,7 @@ func AdaptiveCampaign(c AdaptiveCampaignConfig) ([]AdaptiveTrial, *Table, error)
 		return nil, nil, fmt.Errorf("experiments: adaptive campaign needs RateBoost and ContactEvery > 0")
 	}
 	for _, p := range c.Profiles {
-		if err := p.Validate(); err != nil {
+		if err := p.Boosted(c.RateBoost).Validate(); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -173,17 +173,14 @@ func AdaptiveCampaign(c AdaptiveCampaignConfig) ([]AdaptiveTrial, *Table, error)
 		return cache.CachedArm(i, func() (AdaptiveTrial, error) {
 			seed := c.SEL.Seed + 9000 + int64(i)*37
 			prof := c.Profiles[i].Boosted(c.RateBoost)
-			// One RNG stream builds the event schedule and the flight
-			// trace once per pair; both arms replay them read-only.
-			rng := rand.New(rand.NewSource(seed))
-			events, err := prof.Schedule(rng)
-			if err != nil {
-				return AdaptiveTrial{}, err
-			}
+			// One flight plan per pair; both arms fly it read-only.
 			// Bubbles are injected once, at the max-posture cadence, so
 			// both arms fly the identical trace; each arm is charged for
 			// the bubble time its own posture schedules.
-			_, flight := c.SEL.PairTrace(rng, prof.Total(), adapt.PostureFor(adapt.LevelMax).BubbleEvery, nil)
+			events, _, flight, err := c.SEL.FlightPlan(prof, seed, adapt.PostureFor(adapt.LevelMax).BubbleEvery)
+			if err != nil {
+				return AdaptiveTrial{}, err
+			}
 			st, err := flyAdaptiveArm(c, prof, model, golden, events, flight, seed, nil)
 			if err != nil {
 				return AdaptiveTrial{}, err
@@ -291,8 +288,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 		cm.tx.SetBeacon(posture.Beacon, 0, "posture "+level.String())
 	}
 
-	nextEvent := 0
-	pendingSEUs := 0
+	rad := radiation{events: events}
 	sels := selLedger{window: c.SEL.Window, since: -1}
 	lastCycle := time.Duration(-refireWindow) // no refire before the first cycle
 	nextContact := c.ContactEvery
@@ -311,15 +307,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 			event("mission_phase ", phase.Kind.String(), tel.T)
 		}
 
-		for nextEvent < len(events) && events[nextEvent].T <= tel.T {
-			ev := events[nextEvent]
-			nextEvent++
-			if ev.Kind == fault.SEL {
-				injectSEL(m, ev.Amps)
-			} else {
-				pendingSEUs++
-			}
-		}
+		rad.deliver(m, tel.T)
 
 		// A latchup that outlives the detection window is a miss: the
 		// hardware watchdog catches it, at reset cost.
@@ -378,12 +366,11 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 
 		if tel.T >= nextContact {
 			nextContact += c.ContactEvery
-			res, err := payloadContact(posture.Plan(), seed+int64(tel.T), pendingSEUs, golden)
+			res, err := rad.payloadContact(posture.Plan(), seed+int64(tel.T), golden)
 			if err != nil {
 				loopErr = err
 				return
 			}
-			pendingSEUs = 0
 			arm.Corrected += res.corrected
 			arm.Vetoed += res.vetoed
 			if phase.Quiet() {

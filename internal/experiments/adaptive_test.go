@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -52,19 +53,32 @@ func equivAdaptive(workers int) AdaptiveCampaignConfig {
 	return c
 }
 
+// TestAdaptiveCampaignValidation: every invalid config fails before
+// the campaign probes the result store, and so before the detector
+// training and golden payload run that come after the probe. A boost
+// is validated on the profiles it boosts.
 func TestAdaptiveCampaignValidation(t *testing.T) {
+	store := openCacheStore(t, t.TempDir())
+	defer closeCacheStore(t, store)
 	for i, mod := range []func(*AdaptiveCampaignConfig){
 		func(c *AdaptiveCampaignConfig) { c.Profiles = nil },
 		func(c *AdaptiveCampaignConfig) { c.Profiles = []mission.Profile{{Name: "empty", Base: fault.LEO}} },
 		func(c *AdaptiveCampaignConfig) { c.RateBoost = 0 },
+		func(c *AdaptiveCampaignConfig) { c.RateBoost = math.NaN() },
+		func(c *AdaptiveCampaignConfig) { c.RateBoost = math.Inf(1) },
+		func(c *AdaptiveCampaignConfig) { c.RateBoost = 1e11 },
 		func(c *AdaptiveCampaignConfig) { c.ContactEvery = 0 },
 		func(c *AdaptiveCampaignConfig) { c.Controller.Window = -time.Second },
 		func(c *AdaptiveCampaignConfig) { c.Controller.RelaxBelow = c.Controller.EscalateAt },
 	} {
 		c := DefaultAdaptiveCampaignConfig()
+		c.SEL.Cache = store
 		mod(&c)
 		if _, _, err := AdaptiveCampaign(c); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+		if st := store.Stats(); st.Hits+st.Misses != 0 {
+			t.Fatalf("case %d: the campaign probed the result store (%d lookups) before failing", i, st.Hits+st.Misses)
 		}
 	}
 }

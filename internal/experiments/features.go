@@ -39,13 +39,14 @@ const nDistractors = 3
 // FeatureSelection runs the selection experiment over a stepped compute
 // trace.
 func FeatureSelection(c SELConfig) *FeatureSelectionResult {
-	m := machine.New(c.MachineConfig(c.Seed + 900))
+	mc := c.MachineConfig(c.Seed + 900)
+	m := machine.New(mc)
 	rng := rand.New(rand.NewSource(c.Seed + 901))
 
 	var X [][]float64
 	var currents []float64
-	tr := trace.MatMulSteps(4, 600e6, 1.4e9, 100e6, 200*time.Millisecond)
-	tr.Append(trace.Burst(rng, 10*time.Second, 4).Segments...)
+	tr := trace.MatMulSteps(mc.Cores, machine.MinFreqHz, machine.MaxFreqHz, 100e6, 200*time.Millisecond)
+	tr.Append(trace.Burst(rng, 10*time.Second, mc.Cores).Segments...)
 	tr.Append(trace.Quiescent(rng, 10*time.Second, 2*time.Second).Segments...)
 	m.RunTrace(tr, func(tel machine.Telemetry) {
 		row := ild.AppendFeatures(make([]float64, 0, ild.FeatureDim(len(tel.PerCore))+nDistractors), tel)
@@ -79,7 +80,7 @@ func FeatureSelection(c SELConfig) *FeatureSelectionResult {
 	// useless distractor cannot buy importance by overfitting.
 	f := forest.Train(X, y, forest.Config{Trees: 30, MaxDepth: 8, MinLeaf: 25, FeatureFrac: 1, Seed: c.Seed})
 
-	names := append(ild.FeatureNames(4), "distractor.noise", "distractor.const1", "distractor.const2")
+	names := append(ild.FeatureNames(mc.Cores), "distractor.noise", "distractor.const1", "distractor.const2")
 	imp := f.Importance()
 	res := &FeatureSelectionResult{Names: names, Importance: imp}
 	for i, v := range imp {

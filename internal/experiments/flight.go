@@ -12,6 +12,7 @@ import (
 	"radshield/internal/ild"
 	"radshield/internal/linmodel"
 	"radshield/internal/machine"
+	"radshield/internal/mission"
 	"radshield/internal/trace"
 	"radshield/internal/workloads"
 )
@@ -28,13 +29,56 @@ import (
 // window, so a bare SustainFor bubble never quite fills it.
 func (c SELConfig) BubbleLen() time.Duration { return c.ildConfig().SustainFor + time.Second }
 
+// BubblePause is the paper's bubble-free span between measurement
+// bubbles (3 minutes), the cadence Table 3 and Fig 14 charge: every
+// flight but the adaptive campaign's, which flies its posture's, pauses
+// this long.
+func (c SELConfig) BubblePause() time.Duration { return ild.DefaultBubblePolicy().Pause }
+
 // PairTrace draws the flight-software trace both arms of a pair fly,
 // read-only: raw, and with a measurement bubble every pause, each
-// bubble counted on ins (nil: uncounted). Table 2, ildmon and
-// examples/leomission fly the bubbled trace alone.
+// bubble counted on ins (nil: uncounted). Table 2 and ildmon fly the
+// bubbled trace alone.
 func (c SELConfig) PairTrace(rng *rand.Rand, dur, pause time.Duration, ins *ild.Instruments) (raw, bubbled *trace.Trace) {
 	raw = trace.FlightSoftware(rng, dur, machine.DefaultConfig().Cores)
 	return raw, ild.InjectBubbles(raw, ild.BubblePolicy{BubbleLen: c.BubbleLen(), Pause: pause, Instruments: ins})
+}
+
+// FlightPlan draws one flight through prof's scheduled radiation from
+// one stream seeded with seed: the events prof schedules, then the
+// flight-software trace over the profile's span, raw and with a
+// bubble every pause (PairTrace). Every flight that meets scheduled
+// radiation draws it here: the mission and adaptive campaigns and
+// examples/leomission.
+func (c SELConfig) FlightPlan(prof mission.Profile, seed int64, pause time.Duration) (events []fault.Event, raw, bubbled *trace.Trace, err error) {
+	rng := rand.New(rand.NewSource(seed))
+	if events, err = prof.Schedule(rng); err != nil {
+		return nil, nil, nil, err
+	}
+	raw, bubbled = c.PairTrace(rng, prof.Total(), pause, nil)
+	return events, raw, bubbled, nil
+}
+
+// radiation is one arm's feed of a flight plan's events: a latchup
+// strikes the board when due, and an upset joins the backlog that
+// strikes the next payload contact.
+type radiation struct {
+	events  []fault.Event
+	next    int // the first event not yet delivered
+	backlog int // upsets delivered since the last contact
+}
+
+// deliver strikes every event due by t.
+func (r *radiation) deliver(m *machine.Machine, t time.Duration) {
+	for r.next < len(r.events) && r.events[r.next].T <= t {
+		ev := r.events[r.next]
+		r.next++
+		if ev.Kind == fault.SEL {
+			injectSEL(m, ev.Amps)
+		} else {
+			r.backlog++
+		}
+	}
 }
 
 // selLedger is one arm's latchup-episode ledger, and the one definition
@@ -174,16 +218,17 @@ type contact struct {
 	energyJ   float64
 }
 
-// payloadContact runs the payload under plan with the accrued SEU
-// backlog striking the cache. A detected failure (a nil output) is
-// vetoed and retried clean; only a corrupted output that survives to
-// comparison with golden is SDC.
-func payloadContact(p guard.Plan, seed int64, seus int, golden [][]byte) (contact, error) {
+// payloadContact runs the payload under plan with the upset backlog
+// striking the cache, and clears the backlog. A detected failure (a nil
+// output) is vetoed and retried clean; only a corrupted output that
+// survives to comparison with golden is SDC.
+func (r *radiation) payloadContact(p guard.Plan, seed int64, golden [][]byte) (contact, error) {
 	var out contact
-	res, err := StrikePayload(p, campaignPayloadSize, campaignStrikeRate, seed, seus)
+	res, err := StrikePayload(p, campaignPayloadSize, campaignStrikeRate, seed, r.backlog)
 	if err != nil {
 		return out, err
 	}
+	r.backlog = 0
 	out.corrected = res.Report.Votes.Corrected
 	out.energyJ = res.Report.EnergyJ
 	for i := range golden {

@@ -150,7 +150,7 @@ func GuardCampaign(c GuardCampaignConfig) ([]GuardTrial, *Table, error) {
 		return cache.CachedArm(i, func() (GuardTrial, error) {
 			sp := specs[i]
 			seed := c.SEL.Seed + 1000 + int64(i)*29
-			_, flight := c.SEL.PairTrace(rand.New(rand.NewSource(seed+3)), c.SEL.Duration, 3*time.Minute, nil)
+			_, flight := c.SEL.PairTrace(rand.New(rand.NewSource(seed+3)), c.SEL.Duration, c.SEL.BubblePause(), nil)
 			g, err := flyGuardArm(c, sp, model, flight, seed, true)
 			if err != nil {
 				return GuardTrial{}, err

@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"radshield/internal/fault"
 	"radshield/internal/guard"
 	"radshield/internal/machine"
+	"radshield/internal/mission"
 	"radshield/internal/resultcache"
 	"radshield/internal/sched"
 	"radshield/internal/telemetry"
@@ -24,13 +24,14 @@ import (
 // Detected payload failures are retried (standard flight-software
 // behaviour), so only SDC counts against the protected arm.
 
-// MissionConfig parameterizes the campaign. Every mission flies the
-// fault.LEO environment.
+// MissionConfig parameterizes the campaign. Every mission flies one
+// LEO phase over the fault.LEO environment.
 type MissionConfig struct {
 	Missions int
 	Duration time.Duration // per mission
-	// RateBoost multiplies event rates so short simulated missions see
-	// meaningful event counts (survival statistics need events).
+	// RateBoost multiplies event rates (mission.Profile.Boosted) so
+	// short simulated missions see meaningful event counts (survival
+	// statistics need events).
 	RateBoost float64
 	Seed      int64
 
@@ -75,9 +76,14 @@ type MissionTally struct {
 
 // MissionSurvival runs the campaign for both arms and renders the table.
 func MissionSurvival(c MissionConfig) (protected, unprotected MissionTally, tbl *Table, err error) {
-	env := fault.LEO
-	env.SELPerYear *= c.RateBoost
-	env.SEUPerDay *= c.RateBoost / 10 // SEUs are already frequent
+	prof := mission.Profile{
+		Name:  fault.LEO.Name,
+		Base:  fault.LEO,
+		Phase: []mission.Phase{mission.NewPhase(mission.PhaseLEO, c.Duration)},
+	}.Boosted(c.RateBoost)
+	if err = prof.Validate(); err != nil {
+		return protected, unprotected, nil, err
+	}
 
 	// Each mission's key covers everything its pair depends on but the
 	// code: the boost, the mission length, and the trial-derived seed. Missions count is deliberately absent —
@@ -106,11 +112,12 @@ func MissionSurvival(c MissionConfig) (protected, unprotected MissionTally, tbl 
 	pairs, err := sched.Map(c.Missions, c.Workers, func(i int) (missionPair, error) {
 		return cache.CachedArm(i, func() (missionPair, error) {
 			seed := c.Seed + int64(i)*17
-			// One RNG stream builds the event schedule and the flight-software
-			// trace once per pair; both arms replay them read-only.
-			rng := rand.New(rand.NewSource(seed))
-			events := env.Schedule(rng, c.Duration)
-			raw, bubbled := DefaultSELConfig().PairTrace(rng, c.Duration, 3*time.Minute, nil)
+			// One flight plan per pair; both arms fly it read-only.
+			sel := DefaultSELConfig()
+			events, raw, bubbled, err := sel.FlightPlan(prof, seed, sel.BubblePause())
+			if err != nil {
+				return missionPair{}, err
+			}
 			p, err := flyOneMission(seed, true, golden, events, raw, bubbled)
 			if err != nil {
 				return missionPair{}, err
@@ -132,7 +139,7 @@ func MissionSurvival(c MissionConfig) (protected, unprotected MissionTally, tbl 
 
 	tbl = &Table{
 		Title: fmt.Sprintf("Mission survival: %d×%v missions, %s environment (rates ×%.0f)",
-			c.Missions, c.Duration, fault.LEO.Name, c.RateBoost),
+			c.Missions, c.Duration, prof.Name, c.RateBoost),
 		Header: []string{"Arm", "Survived", "Lost (latchup)", "Lost (SDC)", "SELs cleared", "SEUs outvoted"},
 	}
 	row := func(name string, t MissionTally) {
@@ -193,20 +200,11 @@ func flyOneMission(seed int64, shielded bool, golden [][]byte, events []fault.Ev
 		flight, plan = bubbled, guard.RedundancyTMR.Plan()
 	}
 
-	nextEvent := 0
-	pendingSEUs := 0
+	rad := radiation{events: events}
 	nextContact := 3 * time.Hour
 	var payloadErr error
 	m.RunTrace(flight, func(tel machine.Telemetry) {
-		for nextEvent < len(events) && events[nextEvent].T <= tel.T {
-			ev := events[nextEvent]
-			nextEvent++
-			if ev.Kind == fault.SEL {
-				injectSEL(m, ev.Amps)
-			} else {
-				pendingSEUs++
-			}
-		}
+		rad.deliver(m, tel.T)
 		if prot != nil {
 			if _, _, cycled := prot.Observe(tel); cycled {
 				out.LatchupsCleared++
@@ -214,12 +212,11 @@ func flyOneMission(seed int64, shielded bool, golden [][]byte, events []fault.Ev
 		}
 		if tel.T >= nextContact && payloadErr == nil {
 			nextContact += 3 * time.Hour
-			res, err := payloadContact(plan, seed+int64(tel.T), pendingSEUs, golden)
+			res, err := rad.payloadContact(plan, seed+int64(tel.T), golden)
 			if err != nil {
 				payloadErr = err
 				return
 			}
-			pendingSEUs = 0
 			out.SEUsOutvoted += res.corrected
 			out.SDC = out.SDC || res.sdc
 		}

@@ -235,7 +235,7 @@ func OSFaultCampaign(c OSFaultCampaignConfig) ([]OSFaultTrial, *Table, error) {
 		return cache.CachedArm(i, func() (OSFaultTrial, error) {
 			class, onset := gridPoint(i)
 			seed := c.SEL.Seed + 5000 + int64(i)*31
-			_, flight := c.SEL.PairTrace(rand.New(rand.NewSource(seed+3)), c.SEL.Duration, 3*time.Minute, nil)
+			_, flight := c.SEL.PairTrace(rand.New(rand.NewSource(seed+3)), c.SEL.Duration, c.SEL.BubblePause(), nil)
 			g, err := flyOSFaultArm(c, class, onset, model, flight, seed, true)
 			if err != nil {
 				return OSFaultTrial{}, err

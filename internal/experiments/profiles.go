@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"radshield/internal/ild"
+	"radshield/internal/machine"
 	"radshield/internal/sched"
 	"radshield/internal/trace"
 )
@@ -29,11 +30,12 @@ type ProfileStats struct {
 // the paper's §5 span. Each profile is one scheduler trial with its own
 // seeded RNG; workers <= 0 means one per CPU.
 func MissionProfiles(seed int64, workers int) ([]ProfileStats, *Table) {
-	const cores = 4
+	cores := machine.DefaultConfig().Cores
 	// A detection opportunity is a quiescent stretch one flight bubble
 	// long: ILD's sustain window plus the boundary margin.
-	minWindow := DefaultSELConfig().BubbleLen()
-	policy := ild.BubblePolicy{BubbleLen: minWindow, Pause: 3 * time.Minute}
+	sel := DefaultSELConfig()
+	minWindow := sel.BubbleLen()
+	policy := ild.BubblePolicy{BubbleLen: minWindow, Pause: sel.BubblePause()}
 
 	profiles := []struct {
 		name string

@@ -290,7 +290,7 @@ func flyTable2(c SELConfig, monitors []table2Monitor, fly []bool, ins *ild.Instr
 	states := make([]table2State, len(monitors))
 
 	m := machine.New(c.MachineConfig(c.Seed))
-	_, flight := c.PairTrace(rand.New(rand.NewSource(c.Seed+1)), c.Duration, 3*time.Minute, ins)
+	_, flight := c.PairTrace(rand.New(rand.NewSource(c.Seed+1)), c.Duration, c.BubblePause(), ins)
 	nextSEL := c.SELEvery
 	var start time.Duration         // the open episode's first sample
 	episodeEnd := time.Duration(-1) // -1: no episode open
@@ -484,7 +484,7 @@ func Fig2(c SELConfig) *Fig2Result {
 		YLabel: "current (A)",
 	}
 	nominal := Series{Name: "nominal"}
-	m.RunTrace(trace.Navigation(rng, time.Minute, 4), func(tel machine.Telemetry) {
+	m.RunTrace(trace.Navigation(rng, time.Minute, mc.Cores), func(tel machine.Telemetry) {
 		nominal.Add(tel.T.Seconds(), tel.RawA)
 		if tel.RawA > res.MaxNominalA {
 			res.MaxNominalA = tel.RawA
@@ -515,8 +515,9 @@ type Fig5Result struct {
 // stepped across 0–4 cores and the DVFS range correlates ≈99.7 % with
 // measured current.
 func Fig5(c SELConfig) *Fig5Result {
-	m := machine.New(c.MachineConfig(c.Seed + 9))
-	tr := trace.MatMulSteps(4, 600e6, 1.4e9, 100e6, 500*time.Millisecond)
+	mc := c.MachineConfig(c.Seed + 9)
+	m := machine.New(mc)
+	tr := trace.MatMulSteps(mc.Cores, machine.MinFreqHz, machine.MaxFreqHz, 100e6, 500*time.Millisecond)
 	fig := &Figure{
 		Title:  "Figure 5: current vs CPU activity under stepped matmul",
 		XLabel: "time (s)",

@@ -11,7 +11,7 @@
 //     unless power cycled. Modern process nodes produce micro-SELs as
 //     small as +0.07 A.
 //
-// Key types: Environment holds per-orbit SEU/SEL rates (LEO, GEO, deep
+// Key types: Environment holds per-orbit SEU/SEL rates (LEO and deep
 // space presets) and draws Poisson event schedules; BitFlip places one
 // flip at an offset into a region (RandomFlip draws one); Scheme
 // enumerates the protection schemes the evaluation compares (none,

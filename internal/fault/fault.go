@@ -56,12 +56,10 @@ type Environment struct {
 
 // Preset environments. SEU rates follow the paper's CRÈME-MC-derived
 // figure for a Snapdragon-class SoC (1.6 bits/day in deep space); LEO
-// sits lower thanks to residual geomagnetic shielding; sea level is the
-// paper's 700,000× reduction.
+// sits lower thanks to residual geomagnetic shielding.
 var (
 	DeepSpace = Environment{Name: "deep-space", SEUPerDay: 1.6, MBUFrac: 0.1, SELPerYear: 2.0, SELAmpsMin: 0.07, SELAmpsMax: 0.25}
 	LEO       = Environment{Name: "leo", SEUPerDay: 0.4, MBUFrac: 0.08, SELPerYear: 0.8, SELAmpsMin: 0.07, SELAmpsMax: 0.25}
-	SeaLevel  = Environment{Name: "sea-level", SEUPerDay: 1.6 / 700000, MBUFrac: 0.02, SELPerYear: 0, SELAmpsMin: 0, SELAmpsMax: 0}
 )
 
 // Schedule draws a Poisson-process event timeline for the duration. The

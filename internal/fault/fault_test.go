@@ -69,13 +69,6 @@ func TestScheduleEmptyEnvironment(t *testing.T) {
 	}
 }
 
-func TestSeaLevelVastlyQuieterThanSpace(t *testing.T) {
-	ratio := DeepSpace.SEUPerDay / SeaLevel.SEUPerDay
-	if ratio < 600000 || ratio > 800000 {
-		t.Fatalf("deep-space/sea-level SEU ratio = %v, want ≈700,000", ratio)
-	}
-}
-
 func TestRandomFlipBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 1000; i++ {

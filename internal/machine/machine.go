@@ -49,11 +49,11 @@ const SELDamageAfter = 5 * time.Minute
 
 // The board's fixed electrical design.
 const (
-	// The cores' DVFS range. When a trace segment does not pin a
-	// frequency, an ondemand governor makes each core's frequency track
-	// its utilisation within it.
-	minFreqHz = 600e6
-	maxFreqHz = 1.4e9
+	// MinFreqHz and MaxFreqHz are the cores' DVFS range. When a trace
+	// segment does not pin a frequency, an ondemand governor makes each
+	// core's frequency track its utilisation within it.
+	MinFreqHz = 600e6
+	MaxFreqHz = 1.4e9
 	// supplyVoltage is used for energy integration (W = V·I).
 	supplyVoltage = 5.0
 	// The power supply's own over-current protection (paper §3.1:
@@ -196,7 +196,7 @@ func New(cfg Config) *Machine {
 		ins:          newInstruments(cfg.Telemetry),
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		m.cores = append(m.cores, cpu.NewCore(i, minFreqHz))
+		m.cores = append(m.cores, cpu.NewCore(i, MinFreqHz))
 	}
 	m.state.Cores = make([]power.CoreState, cfg.Cores)
 	m.refreshElectricalState()
@@ -305,10 +305,10 @@ func (m *Machine) ApplySegment(s trace.Segment) {
 		load = c.Load()
 		m.dramRate += load.MemBytesPerSec
 		if s.FreqHz > 0 {
-			c.SetFreqHz(clampF(s.FreqHz, minFreqHz, maxFreqHz))
+			c.SetFreqHz(clampF(s.FreqHz, MinFreqHz, MaxFreqHz))
 		} else {
 			// ondemand: frequency tracks utilisation.
-			c.SetFreqHz(minFreqHz + float64(load.Util*(maxFreqHz-minFreqHz)))
+			c.SetFreqHz(MinFreqHz + float64(load.Util*(MaxFreqHz-MinFreqHz)))
 		}
 	}
 	m.diskReadRate = s.DiskReadPerSec

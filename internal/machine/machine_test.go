@@ -64,11 +64,11 @@ func TestGovernorTracksUtil(t *testing.T) {
 	m.ApplySegment(trace.Segment{Loads: []cpu.Load{cpu.ComputeLoad}})
 	m.Step(time.Millisecond)
 	tel := m.sampleNow()
-	if tel.PerCore[0].FreqHz != maxFreqHz {
-		t.Errorf("busy core freq = %g, want max %g", tel.PerCore[0].FreqHz, maxFreqHz)
+	if tel.PerCore[0].FreqHz != MaxFreqHz {
+		t.Errorf("busy core freq = %g, want max %g", tel.PerCore[0].FreqHz, MaxFreqHz)
 	}
-	if tel.PerCore[1].FreqHz != minFreqHz {
-		t.Errorf("idle core freq = %g, want min %g", tel.PerCore[1].FreqHz, minFreqHz)
+	if tel.PerCore[1].FreqHz != MinFreqHz {
+		t.Errorf("idle core freq = %g, want min %g", tel.PerCore[1].FreqHz, MinFreqHz)
 	}
 }
 
@@ -85,8 +85,8 @@ func TestSegmentFreqOverrideWins(t *testing.T) {
 func TestFreqOverrideClamped(t *testing.T) {
 	m := New(quietConfig())
 	m.ApplySegment(trace.Segment{Loads: []cpu.Load{cpu.ComputeLoad}, FreqHz: 9e9})
-	if got := m.state.Cores[0].FreqHz; got != maxFreqHz {
-		t.Errorf("freq = %g, want clamped to %g", got, maxFreqHz)
+	if got := m.state.Cores[0].FreqHz; got != MaxFreqHz {
+		t.Errorf("freq = %g, want clamped to %g", got, MaxFreqHz)
 	}
 }
 

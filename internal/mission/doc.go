@@ -7,7 +7,8 @@
 // of magnitude within one mission. A Profile strings typed Phases —
 // each a duration plus flux multipliers over a base fault.Environment —
 // into a deterministic schedule; Profile.Schedule turns it into a
-// seeded fault.Event stream via fault.SchedulePiecewise, and a Tracker
+// seeded fault.Event stream, one Poisson draw per phase over the scaled
+// environment, and a Tracker
 // walks the profile at sample cadence, emitting mission_phase telemetry
 // at every boundary so downstream consumers (the adaptive controller in
 // internal/adapt, the downlink housekeeping stream) can follow the

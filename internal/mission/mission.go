@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"radshield/internal/fault"
@@ -177,38 +178,41 @@ func (p Profile) PhaseAt(t time.Duration) (Phase, int) {
 	return p.Phase[len(p.Phase)-1], len(p.Phase) - 1
 }
 
-// Windows renders the profile as the piecewise rate schedule
-// fault.SchedulePiecewise consumes: one contiguous half-open window per
-// phase.
-func (p Profile) Windows() []fault.RateWindow {
-	out := make([]fault.RateWindow, len(p.Phase))
-	var start time.Duration
-	for i, ph := range p.Phase {
-		out[i] = fault.RateWindow{
-			Start:    start,
-			Duration: ph.Duration,
-			SEU:      ph.SEU,
-			MBU:      ph.MBU,
-			SEL:      ph.SEL,
-		}
-		start += ph.Duration
-	}
-	return out
-}
-
 // Schedule turns the profile into a seeded radiation event stream: the
-// profile's generator. Deterministic per rng seed.
+// profile's generator. Each phase draws Poisson arrivals, in phase
+// order from rng, over the base environment scaled by its multipliers
+// (the MBU fraction, a probability, clamped to 1), offset by the
+// phase's start. Phases are half-open and contiguous, so every event
+// lands in exactly one. Deterministic per rng seed; the events are
+// sorted by time.
 func (p Profile) Schedule(rng *rand.Rand) ([]fault.Event, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return p.Base.SchedulePiecewise(rng, p.Windows())
+	var events []fault.Event
+	var start time.Duration
+	for _, ph := range p.Phase {
+		env := p.Base
+		env.SEUPerDay *= ph.SEU
+		env.SELPerYear *= ph.SEL
+		env.MBUFrac = min(env.MBUFrac*ph.MBU, 1)
+		for _, ev := range env.Schedule(rng, ph.Duration) {
+			ev.T += start
+			events = append(events, ev)
+		}
+		start += ph.Duration
+	}
+	sort.Slice(events, func(i, j int) bool { return events[i].T < events[j].T })
+	return events, nil
 }
 
 // Boosted returns a copy of the profile with the base environment's
-// event rates multiplied, the same compression trick the mission
-// campaign uses so short simulated flights see meaningful event counts
-// (SEUs get a tenth of the boost — they are already frequent).
+// event rates multiplied: SEL rates by rateBoost, SEU rates by a tenth
+// of it (they are already frequent). It is the one boost rule, by which
+// the mission and adaptive campaigns and examples/leomission compress
+// mission time so short simulated flights see meaningful event counts;
+// Validate rejects a boost that is negative or not finite, or one that
+// asks for more events than a schedule may hold.
 func (p Profile) Boosted(rateBoost float64) Profile {
 	p.Base.SELPerYear *= rateBoost
 	p.Base.SEUPerDay *= rateBoost / 10

@@ -18,20 +18,6 @@ func TestCatalogProfilesValidate(t *testing.T) {
 		if p.Total() <= 0 {
 			t.Errorf("%s: non-positive total %v", p.Name, p.Total())
 		}
-		ws := p.Windows()
-		if len(ws) != len(p.Phase) {
-			t.Fatalf("%s: %d windows for %d phases", p.Name, len(ws), len(p.Phase))
-		}
-		var start time.Duration
-		for i, w := range ws {
-			if w.Start != start {
-				t.Errorf("%s: window %d starts at %v, want contiguous %v", p.Name, i, w.Start, start)
-			}
-			start = w.End()
-		}
-		if start != p.Total() {
-			t.Errorf("%s: windows cover %v, total is %v", p.Name, start, p.Total())
-		}
 	}
 }
 
@@ -116,6 +102,132 @@ func TestScheduleDeterministicAndPhaseWeighted(t *testing.T) {
 	quietRate := quiet / quietLen
 	if stormRate < 10*quietRate {
 		t.Errorf("storm density %.2f/min not ≫ quiet %.2f/min — multipliers not applied?", stormRate, quietRate)
+	}
+}
+
+// phaseOwners counts the phases of p whose half-open span holds t.
+func phaseOwners(p Profile, t time.Duration) (owners, last int) {
+	var start time.Duration
+	for i, ph := range p.Phase {
+		if t >= start && t < start+ph.Duration {
+			owners, last = owners+1, i
+		}
+		start += ph.Duration
+	}
+	return owners, last
+}
+
+// TestScheduleMatchesIntegratedFlux: over many seeds, the mean event
+// count of each phase matches the phase's integrated flux (rate ×
+// multiplier × duration) within Monte-Carlo tolerance.
+func TestScheduleMatchesIntegratedFlux(t *testing.T) {
+	p := Profile{
+		Name: "flux",
+		Base: fault.Environment{Name: "test", SEUPerDay: 48, MBUFrac: 0.1, SELAmpsMin: 0.07, SELAmpsMax: 0.25},
+		Phase: []Phase{
+			{Kind: PhaseLEO, Duration: 6 * time.Hour, SEU: 1, MBU: 1, SEL: 1},
+			{Kind: PhaseSAA, Duration: 2 * time.Hour, SEU: 30, MBU: 1, SEL: 1},
+			{Kind: PhaseLEO, Duration: 4 * time.Hour, SEU: 0.5, MBU: 1, SEL: 1},
+		},
+	}
+	const runs = 300
+	perPhase := make([]float64, len(p.Phase))
+	for seed := int64(0); seed < runs; seed++ {
+		events, err := p.Schedule(rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			owners, i := phaseOwners(p, ev.T)
+			if owners != 1 {
+				t.Fatalf("event at %v falls in %d phases", ev.T, owners)
+			}
+			perPhase[i]++
+		}
+	}
+	day := float64(24 * time.Hour)
+	for i, ph := range p.Phase {
+		lambda := p.Base.SEUPerDay / day * ph.SEU * float64(ph.Duration)
+		mean := perPhase[i] / runs
+		// Poisson mean estimate over `runs` trials: σ = sqrt(λ/runs);
+		// allow 5σ so the test stays deterministic-in-practice.
+		tol := 5 * math.Sqrt(lambda/runs)
+		if math.Abs(mean-lambda) > tol {
+			t.Errorf("phase %d: mean count %.2f, want %.2f ± %.2f (integrated flux)", i, mean, lambda, tol)
+		}
+	}
+}
+
+// TestScheduleOnePhaseMatchesEnvironment pins the identity that a
+// one-phase profile at unit multipliers is exactly the constant-rate
+// scheduler: identical events for the same seed.
+func TestScheduleOnePhaseMatchesEnvironment(t *testing.T) {
+	const dur = 12 * time.Hour
+	env := fault.Environment{Name: "test", SEUPerDay: 200, MBUFrac: 0.2, SELPerYear: 4000, SELAmpsMin: 0.07, SELAmpsMax: 0.25}
+	want := env.Schedule(rand.New(rand.NewSource(7)), dur)
+	p := Profile{Name: "flat", Base: env, Phase: []Phase{NewPhase(PhaseLEO, dur)}}
+	got, err := p.Schedule(rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("profile drew %d events, flat schedule %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d differs: %+v vs %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestScheduleOrderedAndInOnePhase is the no-drop/no-duplicate
+// property: the events come in time order, and each lands in exactly
+// one of the contiguous half-open phases.
+func TestScheduleOrderedAndInOnePhase(t *testing.T) {
+	p := Profile{
+		Name: "boundaries",
+		Base: fault.Environment{Name: "test", SEUPerDay: 200, MBUFrac: 0.2, SELPerYear: 400, SELAmpsMin: 0.07, SELAmpsMax: 0.25},
+		Phase: []Phase{
+			{Kind: PhaseLEO, Duration: time.Hour, SEU: 1, MBU: 1, SEL: 1},
+			{Kind: PhaseSAA, Duration: time.Hour, SEU: 10, MBU: 1, SEL: 10},
+			{Kind: PhaseLEO, Duration: time.Hour, SEU: 1, MBU: 1, SEL: 1},
+		},
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		events, err := p.Schedule(rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ev := range events {
+			if i > 0 && ev.T < events[i-1].T {
+				t.Fatalf("seed %d: events out of order at %d", seed, i)
+			}
+			if owners, _ := phaseOwners(p, ev.T); owners != 1 {
+				t.Fatalf("seed %d: event at %v owned by %d phases, want exactly 1", seed, ev.T, owners)
+			}
+		}
+	}
+}
+
+// TestScheduleMBUClamp: a large MBU multiplier saturates the multi-bit
+// fraction at 1, so every upset drawn in the phase is an MBU.
+func TestScheduleMBUClamp(t *testing.T) {
+	p := Profile{
+		Name:  "mbu",
+		Base:  fault.Environment{Name: "test", SEUPerDay: 500, MBUFrac: 0.5},
+		Phase: []Phase{{Kind: PhaseSolarStorm, Duration: 24 * time.Hour, SEU: 1, MBU: 10, SEL: 1}},
+	}
+	events, err := p.Schedule(rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 {
+		t.Fatal("no events drawn")
+	}
+	for _, ev := range events {
+		if ev.Kind == fault.SEU {
+			t.Fatalf("clamped MBU fraction still drew an SEU at %v", ev.T)
+		}
 	}
 }
 
