@@ -60,6 +60,21 @@
 // Result's Outputs and PerDataset outputs stay valid and unchanged
 // after later Runs and Resets of the runtime.
 //
+// A Run's bookkeeping is a few arrays, none of them a map. Planning
+// (regions.go) sorts one key per dataset and distinct region it reads,
+// so a region's uses form one run, and keeps in (addr, len) order the
+// regions the threshold selects: all at 0, none above 1, otherwise
+// those read by at least two datasets and at least threshold·n of the
+// n. The replicas' bus addresses sit in one executor-major table, and
+// each input's index into it (or -1 for an input read in place) in one
+// array cut per dataset, so a visit resolves an input by index. The
+// conflict regions and the greedy first-fit jobsets are each cut from
+// one array. A runtime's first Run sizes every executor's visit
+// scratch from the spec: headers with room for the most inputs any
+// dataset has, and per input slot a buffer as long as the longest
+// region that slot reads, all cut from one byte slab; a later spec
+// that needs more grows them.
+//
 // Invariants: datasets in one jobset never share a cache line (the
 // conflict graph is computed over replica-resolved regions); each
 // executor's visit flushes the dataset's lines before the next redundant

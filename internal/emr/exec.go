@@ -123,6 +123,12 @@ func (r *Runtime) Run(spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("emr: Run(%q): CyclesPerByte (%v) must be positive", spec.Name, spec.CyclesPerByte)
 	}
 
+	visitors := r.cfg.Executors
+	if r.cfg.Scheme == fault.SchemeNone || r.cfg.Scheme == fault.SchemeChecksum {
+		visitors = 1 // one pass on executor 0
+	}
+	r.sizeScratch(spec.Datasets, visitors)
+
 	switch r.cfg.Scheme {
 	case fault.SchemeEMR:
 		if r.cfg.CacheECC {
@@ -177,9 +183,9 @@ func (r *Runtime) watchVisit(executor, dataset int, v visitParts, visitErr error
 
 // visitScratch is one executor's reusable visit state: the dataset's
 // resolved regions, the job's input headers, one byte buffer per input
-// slot, the hook point, and the output buffer. build sizes the
-// runtime's scratch to cfg.Executors, so each executor keeps buffers
-// sized to the inputs it reads.
+// slot, the hook point, and the output buffer. build makes one per
+// executor and a runtime's first Run sizes them (sizeScratch), so each
+// executor keeps buffers sized to the inputs it reads.
 type visitScratch struct {
 	regions []mem.Region
 	inputs  [][]byte
@@ -190,6 +196,45 @@ type visitScratch struct {
 	// buffer is replaced, never rewound, so no later visit or Run writes
 	// over a recorded output.
 	out []byte
+}
+
+// sizeScratch sizes the first visitors executors' scratch for every
+// dataset at once when the runtime has none yet: header slices with
+// room for the most inputs any dataset has, and per input slot a buffer
+// as long as the longest region that slot reads, all executors' buffers
+// cut from one byte slab. It sizes once per runtime; visit grows a
+// buffer for a later spec that needs more.
+func (r *Runtime) sizeScratch(datasets []Dataset, visitors int) {
+	if r.scratch[0].bufs != nil {
+		return
+	}
+	var stack [8]uint64
+	slots := stack[:0] // the longest region each input slot reads
+	for _, d := range datasets {
+		for i, in := range d.Inputs {
+			if i == len(slots) {
+				slots = append(slots, 0)
+			}
+			slots[i] = max(slots[i], in.Region.Len)
+		}
+	}
+	var perVisitor uint64
+	for _, n := range slots {
+		perVisitor += n
+	}
+	m := len(slots)
+	slab := make([]byte, uint64(visitors)*perVisitor)
+	regions := make([]mem.Region, visitors*m)
+	views := make([][]byte, 2*visitors*m) // each visitor's inputs, then its bufs
+	for e := range visitors {
+		s := &r.scratch[e]
+		s.regions = regions[e*m : e*m : (e+1)*m]
+		in := views[2*e*m : (2*e+2)*m]
+		s.inputs, s.bufs = in[:0:m], in[m:2*m:2*m]
+		for i, n := range slots {
+			s.bufs[i], slab = slab[:n:n], slab[n:]
+		}
+	}
 }
 
 // keep records a job's output: it advances the executor's buffer past
@@ -224,12 +269,12 @@ func (r *Runtime) visit(spec *Spec, a *analysis, sums *checksumStore, dsIdx, exe
 	ds := spec.Datasets[dsIdx]
 	s := &r.scratch[executor]
 	s.regions = s.regions[:0]
-	for _, in := range ds.Inputs {
+	for i, in := range ds.Inputs {
+		reg := in.Region
 		if a != nil {
-			s.regions = append(s.regions, a.executorRegion(executor, in))
-		} else {
-			s.regions = append(s.regions, in.Region)
+			reg = a.executorRegion(executor, dsIdx, i, reg)
 		}
+		s.regions = append(s.regions, reg)
 	}
 	// fire runs the hook at one phase on the executor's hook point and
 	// reports whether the visit may go on.
@@ -331,7 +376,11 @@ func (r *Runtime) runEMR(spec *Spec) (*Result, error) {
 		err   error
 	}
 	results := make([]visitResult, ex)
-	var visits []visitParts
+	largest := 0
+	for _, set := range a.jobsets {
+		largest = max(largest, len(set))
+	}
+	visits := make([]visitParts, 0, largest*ex)
 	for _, set := range a.jobsets {
 		k := len(set)
 		visits = visits[:0]

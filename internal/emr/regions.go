@@ -1,8 +1,9 @@
 package emr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"radshield/internal/mem"
 )
@@ -61,12 +62,29 @@ type regionKey struct {
 	len  uint64
 }
 
-// analysis is the pre-execution plan: which regions are replicated,
-// which datasets conflict, and the jobset grouping.
+// compareKeys orders regions by address, then length: the order
+// replicas are materialized in.
+func compareKeys(a, b regionKey) int {
+	if c := cmp.Compare(a.addr, b.addr); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.len, b.len)
+}
+
+// analysis is the pre-execution plan: which regions are replicated and
+// where each executor's copies live, which datasets conflict, and the
+// jobset grouping. Each table is one array, or several slices cut from
+// one, so a plan's bookkeeping is a few allocations whatever the
+// dataset count.
 type analysis struct {
-	replicated map[regionKey]bool
-	// replicas[e][key] is the bus address of executor e's private copy.
-	replicas []map[regionKey]uint64
+	// replicated lists the replicated regions in (addr, len) order.
+	replicated []regionKey
+	// replicas[e*len(replicated)+k] is the bus address of executor e's
+	// private copy of replicated[k].
+	replicas []uint64
+	// replicaOf[d][i] is the index in replicated of dataset d's input i,
+	// or -1 when that input is read in place.
+	replicaOf [][]int
 	// conflictRegions[i] lists dataset i's non-replicated regions.
 	conflictRegions [][]mem.Region
 	jobsets         [][]int
@@ -74,44 +92,51 @@ type analysis struct {
 	replicaBytes    uint64
 }
 
-// detectCommon counts identical regions across datasets and marks those
-// above the replication threshold (paper: "EMR detects this 'common
-// data' by looking for datasets within the input data with identical
-// pointers and offsets").
-func detectCommon(datasets []Dataset, threshold float64) map[regionKey]bool {
-	counts := make(map[regionKey]int)
-	for _, d := range datasets {
-		seen := make(map[regionKey]bool, len(d.Inputs))
-		for _, in := range d.Inputs {
-			k := regionKey{in.Region.Addr, in.Region.Len}
-			if !seen[k] { // count each region once per dataset
-				seen[k] = true
-				counts[k]++
-			}
-		}
-	}
-	replicated := make(map[regionKey]bool)
+// detectCommon returns, in (addr, len) order, the identical regions
+// used by enough datasets to replicate (paper: "EMR detects this
+// 'common data' by looking for datasets within the input data with
+// identical pointers and offsets"). Every dataset adds each of its
+// distinct regions to one key slice, once however often it reads it,
+// and sorting that slice groups a region's uses into one run.
+func detectCommon(datasets []Dataset, threshold float64) []regionKey {
 	if threshold > 1 || len(datasets) == 0 {
-		return replicated
+		return nil
 	}
-	if threshold == 0 {
-		// Replicate everything: the fully-protected parallel 3-MR
-		// endpoint of the paper's Figure 13 sweep (3× memory, zero
-		// conflicts, zero cache clears).
-		for k := range counts {
-			replicated[k] = true
+	inputs := 0
+	for _, d := range datasets {
+		inputs += len(d.Inputs)
+	}
+	keys := make([]regionKey, 0, inputs)
+	for _, d := range datasets {
+	next:
+		for i, in := range d.Inputs {
+			for _, earlier := range d.Inputs[:i] {
+				if earlier.Region == in.Region {
+					continue next // count each region once per dataset
+				}
+			}
+			keys = append(keys, regionKey{in.Region.Addr, in.Region.Len})
 		}
-		return replicated
 	}
+	slices.SortFunc(keys, compareKeys)
 	need := threshold * float64(len(datasets))
-	for k, c := range counts {
-		// A region used by a single dataset gains nothing from
-		// replication; require sharing.
-		if c >= 2 && float64(c) >= need {
-			replicated[k] = true
+	common := keys[:0]
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j] == keys[i] {
+			j++
 		}
+		// Threshold 0 replicates everything: the fully-protected
+		// parallel 3-MR endpoint of the paper's Figure 13 sweep (3×
+		// memory, zero conflicts, zero cache clears). Otherwise a region
+		// used by a single dataset gains nothing from replication;
+		// require sharing.
+		if c := j - i; threshold == 0 || c >= 2 && float64(c) >= need {
+			common = append(common, keys[i])
+		}
+		i = j
 	}
-	return replicated
+	return common
 }
 
 // conflict reports whether datasets a and b share any byte through their
@@ -129,13 +154,21 @@ func conflict(a, b []mem.Region) bool {
 
 // buildJobsets greedily assigns each dataset to the first jobset it does
 // not conflict with (paper: "EMR greedily creates jobsets by assigning
-// jobs to the first available jobset without conflicts").
+// jobs to the first available jobset without conflicts"). While it
+// assigns, each jobset is a list threaded through one index array; the
+// jobsets it returns are then cut from that array's first n entries.
 func buildJobsets(regions [][]mem.Region, extra func(i, j int) bool) (jobsets [][]int, pairs int) {
+	n := len(regions)
+	idx := make([]int, 4*n)
+	// next[i] follows dataset i in its jobset (-1 ends the list); first
+	// and last are each jobset's ends.
+	members, next, first, last := idx[:n], idx[n:2*n], idx[2*n:3*n], idx[3*n:]
+	sets := 0
 	for i := range regions {
-		placed := false
-		for s := range jobsets {
+		s := 0
+		for ; s < sets; s++ {
 			ok := true
-			for _, j := range jobsets[s] {
+			for j := first[s]; j >= 0; j = next[j] {
 				if conflict(regions[i], regions[j]) || (extra != nil && extra(i, j)) {
 					ok = false
 					pairs++
@@ -143,14 +176,26 @@ func buildJobsets(regions [][]mem.Region, extra func(i, j int) bool) (jobsets []
 				}
 			}
 			if ok {
-				jobsets[s] = append(jobsets[s], i)
-				placed = true
 				break
 			}
 		}
-		if !placed {
-			jobsets = append(jobsets, []int{i})
+		if s == sets {
+			first[s] = i
+			sets++
+		} else {
+			next[last[s]] = i
 		}
+		next[i], last[s] = -1, i
+	}
+	jobsets = make([][]int, sets)
+	k := 0
+	for s := range jobsets {
+		start := k
+		for j := first[s]; j >= 0; j = next[j] {
+			members[k] = j
+			k++
+		}
+		jobsets[s] = members[start:k:k]
 	}
 	return jobsets, pairs
 }
@@ -158,78 +203,71 @@ func buildJobsets(regions [][]mem.Region, extra func(i, j int) bool) (jobsets []
 // plan runs replication detection, replica materialization, and jobset
 // construction for a spec.
 func (r *Runtime) plan(spec *Spec) (*analysis, error) {
-	a := &analysis{
-		replicated: detectCommon(spec.Datasets, r.cfg.ReplicationThreshold),
-		replicas:   make([]map[regionKey]uint64, r.cfg.Executors),
-	}
+	ex := r.cfg.Executors
+	common := detectCommon(spec.Datasets, r.cfg.ReplicationThreshold)
+	a := &analysis{replicated: common, replicas: make([]uint64, ex*len(common))}
 
 	// Materialize per-executor replicas of common regions, copying the
-	// canonical bytes from the frontier. Deterministic order keeps
-	// allocation layouts stable across runs.
-	keys := make([]regionKey, 0, len(a.replicated))
-	for k := range a.replicated {
-		keys = append(keys, k)
+	// canonical bytes from the frontier. Deterministic order (keys in
+	// (addr, len) order, executors inner) keeps allocation layouts
+	// stable across runs.
+	var longest uint64
+	for _, k := range common {
+		longest = max(longest, k.len)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].addr != keys[j].addr {
-			return keys[i].addr < keys[j].addr
-		}
-		return keys[i].len < keys[j].len
-	})
-	for e := 0; e < r.cfg.Executors; e++ {
-		a.replicas[e] = make(map[regionKey]uint64, len(keys))
-	}
-	buf := make([]byte, 0)
-	for _, k := range keys {
-		if cap(buf) < int(k.len) {
-			buf = make([]byte, k.len)
-		}
-		buf = buf[:k.len]
-		if err := r.bus.Read(k.addr, buf); err != nil {
+	buf := make([]byte, longest)
+	for ki, k := range common {
+		canon := buf[:k.len]
+		if err := r.bus.Read(k.addr, canon); err != nil {
 			return nil, fmt.Errorf("emr: reading common region %#x: %w", k.addr, err)
 		}
-		for e := 0; e < r.cfg.Executors; e++ {
+		for e := 0; e < ex; e++ {
 			addr, err := r.workAlloc(k.len)
 			if err != nil {
 				return nil, fmt.Errorf("emr: allocating replica: %w", err)
 			}
-			if err := r.bus.Write(addr, buf); err != nil {
+			if err := r.bus.Write(addr, canon); err != nil {
 				return nil, fmt.Errorf("emr: writing replica: %w", err)
 			}
-			a.replicas[e][k] = addr
+			a.replicas[e*len(common)+ki] = addr
 			a.replicaBytes += k.len
 		}
 	}
 
-	// Conflict graph over non-replicated regions only, every dataset's
-	// list cut from one backing array.
+	// Each input's replica index, and the conflict graph over the
+	// non-replicated regions; every dataset's lists are cut from one
+	// backing array per table.
 	inputs := 0
 	for _, d := range spec.Datasets {
 		inputs += len(d.Inputs)
 	}
 	shared := make([]mem.Region, 0, inputs)
+	replicaOf := make([]int, 0, inputs)
 	a.conflictRegions = make([][]mem.Region, len(spec.Datasets))
+	a.replicaOf = make([][]int, len(spec.Datasets))
 	for i, d := range spec.Datasets {
-		start := len(shared)
+		start, from := len(shared), len(replicaOf)
 		for _, in := range d.Inputs {
-			k := regionKey{in.Region.Addr, in.Region.Len}
-			if !a.replicated[k] {
+			k, ok := slices.BinarySearchFunc(common, regionKey{in.Region.Addr, in.Region.Len}, compareKeys)
+			if !ok {
+				k = -1
 				shared = append(shared, in.Region)
 			}
+			replicaOf = append(replicaOf, k)
 		}
 		a.conflictRegions[i] = shared[start:len(shared):len(shared)]
+		a.replicaOf[i] = replicaOf[from:len(replicaOf):len(replicaOf)]
 	}
 	a.jobsets, a.conflictPairs = buildJobsets(a.conflictRegions, spec.ExtraConflict)
 	return a, nil
 }
 
-// executorRegion resolves the region executor e actually reads for an
-// input: the private replica when the region is replicated, the shared
-// frontier region otherwise.
-func (a *analysis) executorRegion(e int, in InputRef) mem.Region {
-	k := regionKey{in.Region.Addr, in.Region.Len}
-	if a.replicated[k] {
-		return mem.Region{Addr: a.replicas[e][k], Len: in.Region.Len}
+// executorRegion resolves the region executor e actually reads for
+// dataset d's input i, whose frontier region is reg: the private replica
+// when the region is replicated, the shared frontier region otherwise.
+func (a *analysis) executorRegion(e, d, i int, reg mem.Region) mem.Region {
+	if k := a.replicaOf[d][i]; k >= 0 {
+		return mem.Region{Addr: a.replicas[e*len(a.replicated)+k], Len: reg.Len}
 	}
-	return in.Region
+	return reg
 }

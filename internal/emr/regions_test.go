@@ -2,7 +2,9 @@ package emr
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -22,11 +24,18 @@ func TestDetectCommonThresholds(t *testing.T) {
 		{Inputs: []InputRef{mk(400, 10)}},
 	}
 	// Shared region appears in 3 of 4 datasets = 75 %.
-	if got := detectCommon(datasets, 0.5); len(got) != 1 || !got[regionKey{0, 32}] {
+	if got := detectCommon(datasets, 0.5); len(got) != 1 || got[0] != (regionKey{0, 32}) {
 		t.Fatalf("threshold 0.5: %v, want the shared region", got)
 	}
 	if got := detectCommon(datasets, 0.80); len(got) != 0 {
 		t.Fatalf("threshold 0.80: %v, want none (75%% < 80%%)", got)
+	}
+	// At exactly threshold·n datasets a region is kept.
+	if got := detectCommon(datasets, 0.75); len(got) != 1 || got[0] != (regionKey{0, 32}) {
+		t.Fatalf("threshold 0.75: %v, want the shared region (75%% ≥ 75%%)", got)
+	}
+	if got := detectCommon(datasets[:3], 1); len(got) != 1 || got[0] != (regionKey{0, 32}) {
+		t.Fatalf("threshold 1: %v, want the region every dataset reads", got)
 	}
 	if got := detectCommon(datasets, 2.0); len(got) != 0 {
 		t.Fatalf("disabled threshold: %v", got)
@@ -232,5 +241,139 @@ func TestSchemeChecksumInTable4(t *testing.T) {
 	}
 	if fault.SchemeChecksum.String() != "Checksum" {
 		t.Fatal("scheme name")
+	}
+}
+
+// planDatasets draws n datasets of 1–5 inputs over frontier region ref
+// (at least 4 KiB). An input is one of three kinds: a repeat of an
+// earlier input of the same dataset, one of a few regions the datasets
+// share, or a fresh region at any offset, so fresh regions overlap each
+// other and the shared ones.
+func planDatasets(rng *rand.Rand, ref InputRef, n int) []Dataset {
+	region := func() InputRef {
+		off := uint64(rng.Intn(4 << 10))
+		return mustSlice(ref, off, 1+uint64(rng.Intn(min(512, 4<<10-int(off)))))
+	}
+	pool := make([]InputRef, 1+rng.Intn(6))
+	for i := range pool {
+		pool[i] = region()
+	}
+	datasets := make([]Dataset, n)
+	for d := range datasets {
+		inputs := make([]InputRef, 1+rng.Intn(5))
+		for i := range inputs {
+			switch k := rng.Intn(10); {
+			case k < 2 && i > 0:
+				inputs[i] = inputs[rng.Intn(i)]
+			case k < 6:
+				inputs[i] = pool[rng.Intn(len(pool))]
+			default:
+				inputs[i] = region()
+			}
+		}
+		datasets[d] = Dataset{Inputs: inputs}
+	}
+	return datasets
+}
+
+// FuzzPlanMatchesReference holds plan to the map-based planner it
+// replaced: over the same datasets on two identically staged runtimes,
+// both replicate the same regions to the same addresses, resolve every
+// executor's inputs alike, and build the same conflict regions,
+// jobsets and conflict-pair count, at every threshold rule (0 keeps
+// all, above 1 none, otherwise shared by at least 2 and threshold·n
+// datasets) and with and without a declared extra conflict.
+func FuzzPlanMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(0))
+	f.Add(int64(7), uint8(47), uint8(3))
+	f.Add(int64(42), uint8(0), uint8(1))
+	f.Add(int64(-3), uint8(200), uint8(4))
+
+	f.Fuzz(func(t *testing.T, seed int64, datasets, every uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 4<<10)
+		rng.Read(data)
+		n := 1 + int(datasets)%64
+		// extra declares datasets i and j in conflict whenever i+j is a
+		// multiple of mod, which every picks from 2 to 6.
+		mod := 2 + int(every)%5
+		extra := func(i, j int) bool { return (i+j)%mod == 0 }
+		spec := Spec{Name: "plan", Job: sumJob, CyclesPerByte: 1}
+		var staged []*Runtime
+		for _, threshold := range []float64{0, 0.01, 0.5, 1, 2} {
+			for _, ex := range []func(i, j int) bool{nil, extra} {
+				staged = staged[:0]
+				for range 2 {
+					cfg := DefaultConfig()
+					cfg.ReplicationThreshold = threshold
+					rt, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := rt.LoadInput("plan", data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if spec.Datasets == nil {
+						spec.Datasets = planDatasets(rng, ref, n)
+					}
+					staged = append(staged, rt)
+				}
+				spec.ExtraConflict = ex
+				got, err := staged[0].plan(&spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := staged[1].referencePlan(&spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("threshold %v extra %v", threshold, ex != nil)
+				comparePlans(t, name, &spec, got, want)
+			}
+		}
+	})
+}
+
+// comparePlans fails t unless got, planned by plan, equals want,
+// planned by referencePlan for the same spec.
+func comparePlans(t *testing.T, name string, spec *Spec, got *analysis, want *referenceAnalysis) {
+	t.Helper()
+	if len(got.replicated) != len(want.replicated) {
+		t.Fatalf("%s: %d regions replicated, want %d", name, len(got.replicated), len(want.replicated))
+	}
+	for k, key := range got.replicated {
+		if !want.replicated[key] {
+			t.Fatalf("%s: replicated %+v, which the reference keeps in place", name, key)
+		}
+		if k > 0 && compareKeys(got.replicated[k-1], key) >= 0 {
+			t.Fatalf("%s: replicated regions out of (addr, len) order at %d: %+v then %+v", name, k, got.replicated[k-1], key)
+		}
+		for e := range want.replicas {
+			if addr := got.replicas[e*len(got.replicated)+k]; addr != want.replicas[e][key] {
+				t.Fatalf("%s: executor %d's replica of %+v at %#x, want %#x", name, e, key, addr, want.replicas[e][key])
+			}
+		}
+	}
+	if got.replicaBytes != want.replicaBytes {
+		t.Fatalf("%s: %d replica bytes, want %d", name, got.replicaBytes, want.replicaBytes)
+	}
+	for d, ds := range spec.Datasets {
+		for i, in := range ds.Inputs {
+			for e := range want.replicas {
+				if g, w := got.executorRegion(e, d, i, in.Region), want.executorRegion(e, in); g != w {
+					t.Fatalf("%s: executor %d reads dataset %d's input %d at %+v, want %+v", name, e, d, i, g, w)
+				}
+			}
+		}
+		if !slices.Equal(got.conflictRegions[d], want.conflictRegions[d]) {
+			t.Fatalf("%s: dataset %d's conflict regions %v, want %v", name, d, got.conflictRegions[d], want.conflictRegions[d])
+		}
+	}
+	if !slices.EqualFunc(got.jobsets, want.jobsets, slices.Equal) {
+		t.Fatalf("%s: jobsets %v, want %v", name, got.jobsets, want.jobsets)
+	}
+	if got.conflictPairs != want.conflictPairs {
+		t.Fatalf("%s: %d conflict pairs, want %d", name, got.conflictPairs, want.conflictPairs)
 	}
 }

@@ -104,3 +104,14 @@ func TestAllocsWatchdogJob(t *testing.T) {
 		t.Errorf("watchdogJob allocates %v objects into a dst with room, want 0", avg)
 	}
 }
+
+// TestAllocsTableString pins a table's rendering at two objects, its
+// column widths and its bytes: its strings.Builder grows once to the
+// rendered length, and no cell goes through fmt.
+func TestAllocsTableString(t *testing.T) {
+	for _, tbl := range renderCases {
+		if got := testing.AllocsPerRun(20, func() { _ = tbl.String() }); got > 2 {
+			t.Errorf("rendering table %q allocates %.0f objects, want at most 2", tbl.Title, got)
+		}
+	}
+}

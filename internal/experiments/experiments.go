@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a rendered experiment result: a header row plus data rows.
@@ -15,10 +16,11 @@ type Table struct {
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// String renders the table with aligned columns.
+// String renders the table with aligned columns. A column is as wide
+// as its longest cell in bytes, and a cell pads with spaces to that
+// width counted in runes, as fmt's %-*s pads, so a column holding a
+// multi-byte rune (σ, µ) renders as it always has.
 func (t *Table) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", t.Title)
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
 		widths[i] = len(h)
@@ -30,12 +32,37 @@ func (t *Table) String() string {
 			}
 		}
 	}
+	pad := func(i int, c string) int { return max(widths[i]-utf8.RuneCountInString(c), 0) }
+	rowLen := func(cells []string) int {
+		n := 1 // the newline
+		for i, c := range cells {
+			n += len(c) + pad(i, c)
+		}
+		return n + 2*max(len(cells)-1, 0)
+	}
+	// The title, the header, the rule under it and the rows, to the byte.
+	size := len("== ") + len(t.Title) + len(" ==\n") + rowLen(t.Header) + 2*max(len(widths)-1, 0) + 1
+	for _, w := range widths {
+		size += w
+	}
+	for _, row := range t.Rows {
+		size += rowLen(row)
+	}
+
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString("== ")
+	b.WriteString(t.Title)
+	b.WriteString(" ==\n")
 	writeRow := func(cells []string) {
 		for i, c := range cells {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			b.WriteString(c)
+			for range pad(i, c) {
+				b.WriteByte(' ')
+			}
 		}
 		b.WriteByte('\n')
 	}
@@ -44,7 +71,9 @@ func (t *Table) String() string {
 		if i > 0 {
 			b.WriteString("  ")
 		}
-		b.WriteString(strings.Repeat("-", w))
+		for range w {
+			b.WriteByte('-')
+		}
 	}
 	b.WriteByte('\n')
 	for _, row := range t.Rows {

@@ -75,7 +75,12 @@ type MissionTally struct {
 }
 
 // MissionSurvival runs the campaign for both arms and renders the table.
+// It fails before any work on fewer than one mission or a profile that
+// mission.Profile.Validate rejects.
 func MissionSurvival(c MissionConfig) (protected, unprotected MissionTally, tbl *Table, err error) {
+	if c.Missions < 1 {
+		return protected, unprotected, nil, fmt.Errorf("experiments: MissionSurvival: Missions = %d, want at least 1", c.Missions)
+	}
 	prof := mission.Profile{
 		Name:  fault.LEO.Name,
 		Base:  fault.LEO,

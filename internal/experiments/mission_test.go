@@ -47,19 +47,23 @@ func TestMissionSurvivalRejectsUnflyable(t *testing.T) {
 	store := openCacheStore(t, t.TempDir())
 	defer closeCacheStore(t, store)
 	for _, tc := range []struct {
-		name  string
-		boost float64
-		dur   time.Duration
+		name     string
+		missions int
+		boost    float64
+		dur      time.Duration
+		want     string
 	}{
-		{"NaN boost", math.NaN(), time.Hour},
-		{"+Inf boost", math.Inf(1), time.Hour},
-		{"boost past the event bound", 1e11, time.Hour},
-		{"zero duration", 600, 0},
+		{"NaN boost", 1, math.NaN(), time.Hour, "mission: profile"},
+		{"+Inf boost", 1, math.Inf(1), time.Hour, "mission: profile"},
+		{"boost past the event bound", 1, 1e11, time.Hour, "mission: profile"},
+		{"zero duration", 1, 600, 0, "mission: profile"},
+		{"zero missions", 0, 600, time.Hour, "Missions = 0"},
+		{"negative missions", -1, 600, time.Hour, "Missions = -1"},
 	} {
-		c := MissionConfig{Missions: 1, Duration: tc.dur, RateBoost: tc.boost, Seed: 3, Workers: 1, Cache: store}
+		c := MissionConfig{Missions: tc.missions, Duration: tc.dur, RateBoost: tc.boost, Seed: 3, Workers: 1, Cache: store}
 		_, _, _, err := MissionSurvival(c)
-		if err == nil || !strings.Contains(err.Error(), "mission: profile") {
-			t.Errorf("%s: err %v, want a profile validation error", tc.name, err)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one naming %q", tc.name, err, tc.want)
 		}
 		if st := store.Stats(); st.Hits+st.Misses != 0 {
 			t.Fatalf("%s: the campaign probed the result store (%d lookups) before failing", tc.name, st.Hits+st.Misses)

@@ -358,8 +358,12 @@ func DefaultTable7Config() Table7Config {
 // Table7 runs the synthetic fault-injection campaign on the image
 // processing workload (paper Table 7): one random SEU per run (two
 // adjacent bits for the MBU row), targets weighted toward the dominant
-// compute phase, classified against a golden run.
+// compute phase, classified against a golden run. It fails before any
+// work on fewer than one run per scheme.
 func Table7(c Table7Config) (map[string]*fault.Tally, *Table, error) {
+	if c.Runs < 1 {
+		return nil, nil, fmt.Errorf("experiments: Table7: Runs = %d, want at least 1", c.Runs)
+	}
 	b := workloads.ImageProcessing()
 
 	schemes := []struct {

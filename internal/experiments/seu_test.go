@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"radshield/internal/fault"
@@ -199,6 +201,26 @@ func TestTable7NoSDCUnderProtection(t *testing.T) {
 	// Protected schemes actively correct some faults.
 	if tallies["EMR"].Counts[fault.Corrected] == 0 {
 		t.Error("EMR corrected nothing")
+	}
+}
+
+// TestTable7RejectsNoRuns requires a campaign of fewer than one run per
+// scheme to fail before it probes the result store or runs the golden
+// pass.
+func TestTable7RejectsNoRuns(t *testing.T) {
+	store := openCacheStore(t, t.TempDir())
+	defer closeCacheStore(t, store)
+	for _, runs := range []int{0, -1} {
+		cfg := DefaultTable7Config()
+		cfg.Runs = runs
+		cfg.Cache = store
+		want := fmt.Sprintf("Runs = %d", runs)
+		if _, tbl, err := Table7(cfg); err == nil || !strings.Contains(err.Error(), want) || tbl != nil {
+			t.Errorf("Runs %d: table %v, err %v, want no table and an error naming %q", runs, tbl, err, want)
+		}
+		if st := store.Stats(); st.Hits+st.Misses != 0 {
+			t.Fatalf("Runs %d: the campaign probed the result store (%d lookups) before failing", runs, st.Hits+st.Misses)
+		}
 	}
 }
 
