@@ -49,9 +49,12 @@ race:
 # Step and the RunTrace loop, the sensor's reads, detectors and the
 # flight-log recorder, forest prediction, cache reads, telemetry), a
 # result-cache replay's in-place decode of a fixed-width struct, the
-# shared latchup-protection path, the downlink comms tick, frame codec,
-# stream frame reader and recorder restore, and the campaigns' payload
-# path (build, enqueue and comms tick) at zero allocations, a recorder
+# shared latchup-protection path, 1,000 downlink comms ticks, the frame
+# codec (every malformed frame's decode included), the stream frame
+# reader, the recorder's restore and its snapshot into a reused page,
+# and the campaigns' payload path (build, enqueue and comms tick) at zero
+# allocations, a whole downlink-campaign arm at 80 objects or fewer
+# whatever its mission length, a recorder
 # filling with small payloads at one object per 32 records or fewer, a 4 h
 # flight-software trace under 40 objects, EMR runtime construction
 # under 2 MB, an EMR Run's growth with its dataset count, with a

@@ -100,8 +100,10 @@ type Frame struct {
 	Payload []byte
 }
 
-// Codec errors. DecodeFrame wraps them with positional context;
-// errors.Is works against these sentinels.
+// Codec errors. DecodeFrame returns them as they are, so a receiver
+// that discards a mangled frame pays nothing for the error; AppendFrame
+// wraps them with the offending value. errors.Is works against these
+// sentinels either way.
 var (
 	ErrTruncated  = errors.New("downlink: frame truncated")
 	ErrBadMagic   = errors.New("downlink: bad frame magic")
@@ -151,21 +153,21 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 // resynchronize).
 func DecodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < HeaderLen+TrailerLen {
-		return Frame{}, 0, fmt.Errorf("%w: %d bytes", ErrTruncated, len(b))
+		return Frame{}, 0, ErrTruncated
 	}
 	if b[0] != magic0 || b[1] != magic1 {
-		return Frame{}, 0, fmt.Errorf("%w: % x", ErrBadMagic, b[:2])
+		return Frame{}, 0, ErrBadMagic
 	}
 	if b[2] != version {
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrBadVersion, b[2])
+		return Frame{}, 0, ErrBadVersion
 	}
 	plen := int(binary.LittleEndian.Uint16(b[12:]))
 	if plen > MaxPayload {
-		return Frame{}, 0, fmt.Errorf("%w: %d bytes", ErrBadLength, plen)
+		return Frame{}, 0, ErrBadLength
 	}
 	total := HeaderLen + plen + TrailerLen
 	if len(b) < total {
-		return Frame{}, 0, fmt.Errorf("%w: need %d bytes, have %d", ErrTruncated, total, len(b))
+		return Frame{}, 0, ErrTruncated
 	}
 	wantCRC := binary.LittleEndian.Uint32(b[HeaderLen+plen:])
 	if crc32.ChecksumIEEE(b[:HeaderLen+plen]) != wantCRC {
@@ -179,10 +181,10 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 		Seq:   binary.LittleEndian.Uint32(b[8:]),
 	}
 	if f.Type >= frameTypeCount {
-		return Frame{}, total, fmt.Errorf("%w: %d", ErrBadType, b[3])
+		return Frame{}, total, ErrBadType
 	}
 	if f.VC >= NumVC {
-		return Frame{}, total, fmt.Errorf("%w: %d", ErrBadVC, f.VC)
+		return Frame{}, total, ErrBadVC
 	}
 	if plen > 0 {
 		f.Payload = b[HeaderLen : HeaderLen+plen : HeaderLen+plen]

@@ -69,19 +69,28 @@ type delivery struct {
 	data []byte
 }
 
+// frameSlabBufs is how many MaxFrameLen frame buffers a pipe carves
+// from one slab, and the room its lists start with. A downlink-campaign
+// arm's down pipe peaks at 12 to 24 buffers and its up pipe at 3 to 6,
+// so a pipe allocates one or two slabs instead of a buffer per frame in
+// flight, and its lists grow once at most.
+const frameSlabBufs = 16
+
 // pipe is one direction of the link. Accepted frames are copied into
 // MaxFrameLen buffers that cycle between inflight, the last recv's
 // result and free, so a steady-state pipe allocates nothing.
 type pipe struct {
 	rateBps  int
 	latency  time.Duration
-	rng      *rand.Rand
-	budget   int64 // bytes × nanoseconds still spendable
+	seed     int64
+	rng      *rand.Rand // nil until the first draw; see source
+	budget   int64      // bytes × nanoseconds still spendable
 	lastNow  time.Duration
 	inflight []delivery
 	nextID   int
 	free     [][]byte // recycled frame buffers
 	out      [][]byte // recv's result, lent to the caller until the next recv
+	slab     []byte   // the uncarved rest of the last frame slab
 
 	dropped      uint64
 	corrupted    uint64
@@ -104,7 +113,7 @@ type LinkStats struct {
 // spacecraft owns one.
 type Link struct {
 	cfg       LinkConfig
-	down, up  *pipe
+	down, up  pipe
 	faults    []LinkFault
 	blackouts []Blackout
 	ins       *Instruments
@@ -126,9 +135,22 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 	}
 	return &Link{
 		cfg:  cfg,
-		down: &pipe{rateBps: cfg.RateBps, latency: cfg.Latency, rng: rand.New(rand.NewSource(cfg.Seed))},
-		up:   &pipe{rateBps: cfg.AckRateBps, latency: cfg.Latency, rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5AD5))},
+		down: newPipe(cfg.RateBps, cfg.Latency, cfg.Seed),
+		up:   newPipe(cfg.AckRateBps, cfg.Latency, cfg.Seed^0x5AD5),
 	}, nil
+}
+
+// newPipe returns an empty pipe whose lists have room for one slab's
+// buffers.
+func newPipe(rateBps int, latency time.Duration, seed int64) pipe {
+	return pipe{
+		rateBps:  rateBps,
+		latency:  latency,
+		seed:     seed,
+		inflight: make([]delivery, 0, frameSlabBufs),
+		free:     make([][]byte, 0, frameSlabBufs),
+		out:      make([][]byte, 0, frameSlabBufs),
+	}
 }
 
 // SetInstruments attaches metric handles for the loss tallies.
@@ -198,7 +220,7 @@ func (l *Link) CanSendDown(n int, now time.Duration) bool {
 // bandwidth; the caller retries later). An accepted frame may still be
 // lost or mangled by the loss model — that is what ARQ is for.
 func (l *Link) SendDown(b []byte, now time.Duration) bool {
-	return l.send(l.down, b, now)
+	return l.send(&l.down, b, now)
 }
 
 // RecvDown returns the frames arriving at the ground at or before now,
@@ -211,7 +233,7 @@ func (l *Link) RecvDown(now time.Duration) [][]byte {
 
 // SendUp transmits an encoded frame ground-to-space (ACKs).
 func (l *Link) SendUp(b []byte, now time.Duration) bool {
-	return l.send(l.up, b, now)
+	return l.send(&l.up, b, now)
 }
 
 // RecvUp returns the frames arriving at the spacecraft at or before
@@ -246,20 +268,20 @@ func (l *Link) send(p *pipe, b []byte, now time.Duration) bool {
 	drop, corrupt, reorder := l.fault(now)
 	// One uniform draw per hazard keeps the stream deterministic and
 	// makes the hazards independent, matching the sweep's loss grid.
-	if drop > 0 && p.rng.Float64() < drop {
+	if drop > 0 && p.source().Float64() < drop {
 		p.dropped++
 		l.ins.linkDropped()
 		return true
 	}
 	data := append(p.buffer(), b...)
-	if corrupt > 0 && p.rng.Float64() < corrupt {
-		bit := p.rng.Intn(len(data) * 8)
+	if corrupt > 0 && p.source().Float64() < corrupt {
+		bit := p.source().Intn(len(data) * 8)
 		data[bit/8] ^= 1 << (bit % 8)
 		p.corrupted++
 		l.ins.linkCorrupted()
 	}
 	due := now + p.latency
-	if reorder > 0 && p.rng.Float64() < reorder {
+	if reorder > 0 && p.source().Float64() < reorder {
 		due += p.latency // held one extra propagation slot
 		p.reordered++
 		l.ins.linkReordered()
@@ -283,6 +305,17 @@ func (l *Link) noteWindows(now time.Duration) {
 		l.faultOpen = faulty
 		l.ins.linkWindow(now, "fault", faulty)
 	}
+}
+
+// source returns the pipe's loss-model stream, seeding it on the first
+// draw, as machine.IOCheck seeds its own: a clean link never draws, so
+// it never builds one, and a seeded stream yields the same draws
+// whenever it is built.
+func (p *pipe) source() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.seed))
+	}
+	return p.rng
 }
 
 // canSend accrues the token bucket to now and checks the budget.
@@ -311,14 +344,21 @@ func (p *pipe) deliver(d delivery) {
 }
 
 // buffer returns an empty frame buffer with room for any frame the
-// token bucket can admit (at most MaxFrameLen bytes).
+// token bucket can admit (at most MaxFrameLen bytes): a recycled one,
+// or else the next one carved from the pipe's slab, its capacity ending
+// where its neighbour's begins.
 func (p *pipe) buffer() []byte {
 	if n := len(p.free); n > 0 {
 		b := p.free[n-1]
 		p.free = p.free[:n-1]
 		return b[:0]
 	}
-	return make([]byte, 0, MaxFrameLen)
+	if len(p.slab) == 0 {
+		p.slab = make([]byte, frameSlabBufs*MaxFrameLen)
+	}
+	b := p.slab[:0:MaxFrameLen]
+	p.slab = p.slab[MaxFrameLen:]
+	return b
 }
 
 // recv takes back the buffers lent by the previous recv, then pops

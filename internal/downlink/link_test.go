@@ -2,6 +2,7 @@ package downlink
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -289,4 +290,113 @@ func TestLinkWindowEvents(t *testing.T) {
 			t.Fatalf("link_fault events = %v, want %v", got, want)
 		}
 	}
+}
+
+// FuzzLinkMatchesReference holds Link to the reference link kept in
+// link_reference_test.go, over a random schedule of fault windows and
+// blackouts and a program of sends and receives in both directions:
+// both must accept the same sends and deliver the same bytes in the same
+// order, Link must keep every frame it lent intact until the next
+// receive in that direction, and both must count the same LinkStats and
+// leave each direction's loss stream at the same draw.
+func FuzzLinkMatchesReference(f *testing.F) {
+	f.Add(int64(0), []byte{})
+	for seed := int64(1); seed <= 8; seed++ {
+		program := make([]byte, 512)
+		rand.New(rand.NewSource(seed)).Read(program)
+		f.Add(seed, program)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, program []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := LinkConfig{
+			RateBps:    64 + rng.Intn(8192),
+			AckRateBps: 64 + rng.Intn(2048),
+			Latency:    time.Duration(rng.Intn(2000)) * time.Millisecond,
+			Seed:       seed,
+		}
+		// Each op advances the clock by up to 63 ticks: short ticks pile
+		// frames up in flight, long ones drain the pipes between sends.
+		tick := time.Duration(1+rng.Intn(40)) * time.Millisecond
+		span := 1 + 32*len(program)*int(tick/time.Millisecond) // the program's expected length, ms
+		got, err := NewLink(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := newReferenceLink(cfg)
+		probs := []float64{0, 0.05, 0.35, 1}
+		for range rng.Intn(4) {
+			lf := LinkFault{
+				Start:    time.Duration(rng.Intn(span)) * time.Millisecond,
+				Duration: time.Duration(rng.Intn(span)) * time.Millisecond, // 0: never closes
+				Drop:     probs[rng.Intn(len(probs))],
+				Corrupt:  probs[rng.Intn(len(probs))],
+				Reorder:  probs[rng.Intn(len(probs))],
+			}
+			if err := got.ScheduleLinkFault(lf); err != nil {
+				t.Fatal(err)
+			}
+			want.faults = append(want.faults, lf)
+		}
+		for range rng.Intn(3) {
+			b := Blackout{Start: time.Duration(rng.Intn(span)) * time.Millisecond, Duration: time.Duration(1+rng.Intn(span/4+1)) * time.Millisecond}
+			if err := got.ScheduleBlackout(b); err != nil {
+				t.Fatal(err)
+			}
+			want.blackouts = append(want.blackouts, b)
+		}
+
+		// lent holds what Link's last receive in each direction returned,
+		// and copies of its frames, to check them against at the next.
+		var lent, lentCopy [2][][]byte
+		checkLent := func(dir int) {
+			for i, b := range lent[dir] {
+				if !bytes.Equal(b, lentCopy[dir][i]) {
+					t.Fatalf("direction %d: lent frame %d changed before the next receive", dir, i)
+				}
+			}
+		}
+		send := [2]func([]byte, time.Duration) bool{got.SendDown, got.SendUp}
+		recv := [2]func(time.Duration) [][]byte{got.RecvDown, got.RecvUp}
+		ref := [2]*referencePipe{want.down, want.up}
+		frame := make([]byte, MaxFrameLen+64)
+		var now time.Duration
+		for i, op := range program {
+			now += time.Duration(op>>2) * tick
+			dir := int(op & 1) // 0: down, 1: up
+			if op&2 == 0 {
+				n := 1 + rng.Intn(96)
+				if rng.Intn(8) == 0 { // up to past what the token bucket ever admits
+					n = 1 + rng.Intn(len(frame))
+				}
+				rng.Read(frame[:n])
+				if g, w := send[dir](frame[:n], now), want.send(ref[dir], frame[:n], now); g != w {
+					t.Fatalf("op %d: direction %d accepted a %d-byte frame: %v, reference %v", i, dir, n, g, w)
+				}
+				continue
+			}
+			checkLent(dir)
+			g, w := recv[dir](now), ref[dir].recv(now)
+			if len(g) != len(w) {
+				t.Fatalf("op %d: direction %d delivered %d frames, reference %d", i, dir, len(g), len(w))
+			}
+			lent[dir], lentCopy[dir] = g, lentCopy[dir][:0]
+			for k := range g {
+				if !bytes.Equal(g[k], w[k]) {
+					t.Fatalf("op %d: direction %d frame %d is % x, reference % x", i, dir, k, g[k], w[k])
+				}
+				lentCopy[dir] = append(lentCopy[dir], bytes.Clone(g[k]))
+			}
+		}
+		checkLent(0)
+		checkLent(1)
+		if g, w := got.Stats(), want.stats(); g != w {
+			t.Fatalf("stats %+v, reference %+v", g, w)
+		}
+		if g, w := got.down.source().Int63(), want.down.rng.Int63(); g != w {
+			t.Fatalf("down loss stream's next draw %d, reference %d", g, w)
+		}
+		if g, w := got.up.source().Int63(), want.up.rng.Int63(); g != w {
+			t.Fatalf("up loss stream's next draw %d, reference %d", g, w)
+		}
+	})
 }

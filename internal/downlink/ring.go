@@ -46,7 +46,7 @@ type Recorder struct {
 	free   [][]byte        // payload buffers ready for reuse
 	slab   []byte          // the uncarved rest of the last payload slab
 	victim Record          // the last eviction, lent to Enqueue's caller
-	enc    resultcache.Enc // Snapshot's encode scratch
+	enc    resultcache.Enc // AppendSnapshot's encode scratch
 }
 
 // payloadBufMin is the smallest payload buffer the recorder allocates,
@@ -55,8 +55,15 @@ const payloadBufMin = 64
 
 // payloadSlabBufs is how many minimum-size payload buffers one slab
 // holds: a recorder filling towards its peak occupancy allocates one
-// slab per that many records instead of one buffer per record.
+// slab per that many records instead of one buffer per record. The
+// free list starts with room for one slab's buffers.
 const payloadSlabBufs = 64
+
+// recQueueMin is the room a channel's queue gets with its first record
+// (the recorder's capacity, if that is smaller): a queue filling towards
+// a backlog doubles from there instead of from one record, and no queue
+// is sized to the whole ring up front.
+const recQueueMin = 64
 
 // recQueue is one channel's unacknowledged records, oldest first: the
 // live records are buf[head:]. Releasing from the front advances head,
@@ -124,10 +131,20 @@ func (r *Recorder) Enqueue(vc uint8, payload []byte, now time.Duration) (Record,
 		evicted = &r.victim
 	}
 	r.nextSeq[vc]++
-	r.perVC[vc].push(rec)
+	r.push(rec)
 	r.count++
 	r.ins.ringDepth(r.count)
 	return rec, evicted, nil
+}
+
+// push appends rec to its channel's queue, giving the queue its
+// starting room with its first record.
+func (r *Recorder) push(rec Record) {
+	q := &r.perVC[rec.VC]
+	if q.buf == nil {
+		q.buf = make([]Record, 0, min(recQueueMin, r.capacity))
+	}
+	q.push(rec)
 }
 
 // payloadBuf returns an empty buffer with room for n bytes, recycled
@@ -148,6 +165,9 @@ func (r *Recorder) payloadBuf(n int) []byte {
 	}
 	if len(r.slab) == 0 {
 		r.slab = make([]byte, payloadSlabBufs*payloadBufMin)
+		if r.free == nil {
+			r.free = make([][]byte, 0, payloadSlabBufs)
+		}
 	}
 	b := r.slab[:0:payloadBufMin]
 	r.slab = r.slab[payloadBufMin:]

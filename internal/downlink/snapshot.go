@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"slices"
 
 	"radshield/internal/resultcache"
 )
@@ -35,12 +36,15 @@ const snapshotHeaderLen = len(snapshotMagic) + 8
 // recorder is empty.
 var ErrSnapshotCorrupt = errors.New("downlink: corrupt recorder snapshot")
 
-// Snapshot encodes the recorder's full state — per-channel sequence
-// cursors, eviction count, and every unacknowledged record — as one
-// self-validating NVRAM page. The encoding is canonical: restoring a
-// snapshot and snapshotting again yields identical bytes. The returned
-// page is the only allocation.
-func (r *Recorder) Snapshot() []byte {
+// AppendSnapshot encodes the recorder's full state — per-channel
+// sequence cursors, eviction count, and every unacknowledged record —
+// as one self-validating NVRAM page, appends it to dst and returns the
+// extended slice. The encoding is canonical: restoring a snapshot and
+// snapshotting again yields identical bytes. The payload is encoded in
+// the recorder's own scratch, so a caller that writes every page into a
+// buffer it reuses allocates nothing once both have grown to the
+// largest page.
+func (r *Recorder) AppendSnapshot(dst []byte) []byte {
 	e := &r.enc
 	e.Reset()
 	e.Uint(r.evicted)
@@ -55,22 +59,22 @@ func (r *Recorder) Snapshot() []byte {
 		}
 	}
 	payload := e.Bytes()
-	out := make([]byte, 0, snapshotHeaderLen+len(payload))
-	out = append(out, snapshotMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	out = append(out, payload...)
+	dst = slices.Grow(dst, snapshotHeaderLen+len(payload))
+	dst = append(dst, snapshotMagic[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	dst = append(dst, payload...)
 	r.ins.snapshotSaved()
-	return out
+	return dst
 }
 
 // Restore replaces the recorder's state with the contents of an NVRAM
-// page produced by Snapshot. The recorder is wiped first; if the page
-// fails any integrity check the error wraps ErrSnapshotCorrupt and the
-// recorder stays verifiably empty — a corrupt page must never replay
-// stale or invented frames. The page decodes straight into the wiped
-// queues and recycled payload buffers, so restoring a page shaped like
-// one restored before allocates nothing.
+// page produced by AppendSnapshot. The recorder is wiped first; if the
+// page fails any integrity check the error wraps ErrSnapshotCorrupt and
+// the recorder stays verifiably empty — a corrupt page must never
+// replay stale or invented frames. The page decodes straight into the
+// wiped queues and recycled payload buffers, so restoring a page shaped
+// like one restored before allocates nothing.
 func (r *Recorder) Restore(data []byte) error {
 	r.wipe()
 	if err := r.decodeSnapshot(data); err != nil {
@@ -154,7 +158,7 @@ func (r *Recorder) decodeSnapshot(data []byte) error {
 				return fmt.Errorf("vc %d: payload %d bytes exceeds %d", vc, len(pay), MaxPayload)
 			}
 			prevSeq = int64(seq)
-			r.perVC[vc].push(Record{
+			r.push(Record{
 				VC:       uint8(vc),
 				Seq:      uint32(seq),
 				Payload:  append(r.payloadBuf(len(pay)), pay...),

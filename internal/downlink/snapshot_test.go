@@ -30,7 +30,7 @@ func loadedRecorder(t testing.TB) *Recorder {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	r := loadedRecorder(t)
-	page := r.Snapshot()
+	page := r.AppendSnapshot(nil)
 
 	fresh, err := NewRecorder(8)
 	if err != nil {
@@ -55,8 +55,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Canonical encoding: restore-then-snapshot is byte-identical.
-	if !bytes.Equal(fresh.Snapshot(), page) {
+	// Canonical encoding: restore-then-snapshot is byte-identical, and
+	// the page lands after what dst already holds.
+	prefix := []byte("nvram")
+	again := fresh.AppendSnapshot(prefix)
+	if !bytes.Equal(again[:len(prefix)], prefix) || !bytes.Equal(again[len(prefix):], page) {
 		t.Fatal("restore-then-snapshot is not byte-identical")
 	}
 	// Sequence cursors survive: a new enqueue must not reuse a seq.
@@ -74,7 +77,7 @@ func TestRestoreEmptySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	page := empty.Snapshot()
+	page := empty.AppendSnapshot(nil)
 	r := loadedRecorder(t)
 	if err := r.Restore(page); err != nil {
 		t.Fatalf("restore of an empty page: %v", err)
@@ -89,7 +92,7 @@ func TestRestoreEmptySnapshot(t *testing.T) {
 // is detected and the recorder left verifiably empty. Wrong replay of a
 // mission record is worse than no replay.
 func TestRestoreCorruptPageDegradesToEmpty(t *testing.T) {
-	good := loadedRecorder(t).Snapshot()
+	good := loadedRecorder(t).AppendSnapshot(nil)
 	rng := rand.New(rand.NewSource(5))
 	pages := map[string][]byte{
 		"torn":      CorruptSnapshot(good, rng, "torn"),
@@ -115,7 +118,7 @@ func TestRestoreCorruptPageDegradesToEmpty(t *testing.T) {
 			t.Fatalf("%s: rejected page left len=%d evicted=%d", name, r.Len(), r.Evicted())
 		}
 		fresh, _ := NewRecorder(8)
-		if !bytes.Equal(r.Snapshot(), fresh.Snapshot()) {
+		if !bytes.Equal(r.AppendSnapshot(nil), fresh.AppendSnapshot(nil)) {
 			t.Fatalf("%s: recorder not verifiably empty after rejection", name)
 		}
 	}
@@ -137,7 +140,7 @@ func TestRestoreRejectsOverCapacityPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := small.Restore(big.Snapshot()); !errors.Is(err, ErrSnapshotCorrupt) {
+	if err := small.Restore(big.AppendSnapshot(nil)); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("over-capacity page: err = %v, want ErrSnapshotCorrupt", err)
 	}
 	if small.Len() != 0 {
@@ -146,7 +149,7 @@ func TestRestoreRejectsOverCapacityPage(t *testing.T) {
 }
 
 func TestCorruptSnapshotModesDeterministic(t *testing.T) {
-	good := loadedRecorder(t).Snapshot()
+	good := loadedRecorder(t).AppendSnapshot(nil)
 	for _, mode := range []string{"torn", "bitflip", "truncate"} {
 		a := CorruptSnapshot(good, rand.New(rand.NewSource(9)), mode)
 		b := CorruptSnapshot(good, rand.New(rand.NewSource(9)), mode)
@@ -174,7 +177,7 @@ func FuzzRecorderSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	good := r.Snapshot()
+	good := r.AppendSnapshot(nil)
 	f.Add(good)
 	f.Add(good[:len(good)/2]) // truncated
 	flipped := append([]byte(nil), good...)
@@ -194,13 +197,13 @@ func FuzzRecorderSnapshot(f *testing.F) {
 				t.Fatalf("rejection %v does not wrap ErrSnapshotCorrupt", err)
 			}
 			fresh, _ := NewRecorder(8)
-			if rec.Len() != 0 || !bytes.Equal(rec.Snapshot(), fresh.Snapshot()) {
+			if rec.Len() != 0 || !bytes.Equal(rec.AppendSnapshot(nil), fresh.AppendSnapshot(nil)) {
 				t.Fatal("rejected page left the recorder non-empty")
 			}
 			return
 		}
-		if !bytes.Equal(rec.Snapshot(), data) {
-			t.Fatalf("accepted page is not canonical:\n in  % x\n out % x", data, rec.Snapshot())
+		if !bytes.Equal(rec.AppendSnapshot(nil), data) {
+			t.Fatalf("accepted page is not canonical:\n in  % x\n out % x", data, rec.AppendSnapshot(nil))
 		}
 	})
 }

@@ -68,9 +68,9 @@ var freshRunLimit = map[fault.Scheme]int{
 
 // freshRunExtra returns how many objects a fresh runtime's first Run of
 // the spec build makes allocates beyond its second Run, the fewest over
-// three fresh runtimes: one count now and then reads one higher (the
-// checksum store's map takes overflow buckets as its random hash seed
-// falls).
+// three fresh runtimes: one count now and then reads one higher (with no
+// map left in a Run, one runtime's Checksum no-op count still read 3
+// instead of 2 in 1 of 50 -count runs).
 func freshRunExtra(t *testing.T, cfg emr.Config, build func(*testing.T, *emr.Runtime) (emr.Spec, error)) int {
 	fewest := math.MaxInt
 	for range 3 {

@@ -3,6 +3,7 @@ package emr
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // This file implements the checksum-guard baseline the paper discusses
@@ -20,9 +21,12 @@ import (
 
 // checksumStore records the CRC of every distinct input region at run
 // start, keyed by exact region: a Slice()d dataset verifies against the
-// CRC of its own bytes, not its parent LoadInput region's.
+// CRC of its own bytes, not its parent LoadInput region's. The regions
+// are one sorted key slice, as the planner keeps them, and a read finds
+// its region by binary search.
 type checksumStore struct {
-	crcs map[regionKey]uint32
+	keys []regionKey // every distinct input region, in (addr, len) order
+	crcs []uint32    // crcs[k] is the CRC of keys[k]'s bytes
 }
 
 // ErrChecksumMismatch is wrapped in the dataset error when a verified
@@ -33,14 +37,30 @@ var ErrChecksumMismatch = fmt.Errorf("emr: input checksum mismatch")
 // the frontier, bypassing the cache (the guard's metadata lives inside
 // the frontier).
 func (r *Runtime) checksumDatasets(spec *Spec) (*checksumStore, error) {
-	store := &checksumStore{crcs: make(map[regionKey]uint32)}
+	inputs := 0
+	for _, ds := range spec.Datasets {
+		inputs += len(ds.Inputs)
+	}
+	keys := make([]regionKey, 0, inputs)
+	for _, ds := range spec.Datasets {
+		for _, in := range ds.Inputs {
+			keys = append(keys, regionKey{in.Region.Addr, in.Region.Len})
+		}
+	}
+	slices.SortFunc(keys, compareKeys)
+	keys = slices.Compact(keys)
+	store := &checksumStore{keys: keys, crcs: make([]uint32, len(keys))}
+	// Each region is read once, when its first reader comes up, so the
+	// frontier sees the reads in dataset order.
+	read := make([]bool, len(keys))
 	buf := []byte(nil)
 	for _, ds := range spec.Datasets {
 		for _, in := range ds.Inputs {
-			k := regionKey{in.Region.Addr, in.Region.Len}
-			if _, ok := store.crcs[k]; ok {
+			k, _ := slices.BinarySearchFunc(keys, regionKey{in.Region.Addr, in.Region.Len}, compareKeys)
+			if read[k] {
 				continue
 			}
+			read[k] = true
 			if uint64(cap(buf)) < in.Region.Len {
 				buf = make([]byte, in.Region.Len)
 			}
@@ -63,11 +83,11 @@ func (r *Runtime) verifyChecksums(store *checksumStore, ds Dataset, dsIdx int, i
 		return nil
 	}
 	for i, in := range ds.Inputs {
-		want, ok := store.crcs[regionKey{in.Region.Addr, in.Region.Len}]
+		k, ok := slices.BinarySearchFunc(store.keys, regionKey{in.Region.Addr, in.Region.Len}, compareKeys)
 		if !ok {
 			return fmt.Errorf("emr: no checksum for %q", in.Name)
 		}
-		if crc32.ChecksumIEEE(inputs[i]) != want {
+		if crc32.ChecksumIEEE(inputs[i]) != store.crcs[k] {
 			r.ins.checksumMiss(dsIdx, in.Name)
 			return fmt.Errorf("%w: %q", ErrChecksumMismatch, in.Name)
 		}

@@ -25,6 +25,24 @@ func TestChecksumSchemeCleanRun(t *testing.T) {
 	}
 }
 
+// TestChecksumStoreReadsEachRegionOnce checks that the checksum store
+// reads every distinct input region from the frontier once, however
+// many datasets read it: eight chunks and the key all eight share make
+// nine reads for sixteen inputs.
+func TestChecksumStoreReadsEachRegionOnce(t *testing.T) {
+	rt := newRuntime(t, fault.SchemeChecksum)
+	spec := chunkedSpec(t, rt, 8, 256, true)
+	reads := func() uint64 { return rt.storage.Stats().Reads + rt.dram.Stats().Reads }
+	before := reads()
+	store, err := rt.checksumDatasets(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reads() - before; got != 9 || len(store.keys) != 9 {
+		t.Fatalf("the store read %d regions and keeps %d, want 9 and 9", got, len(store.keys))
+	}
+}
+
 func TestChecksumSchemeAllowsSingleExecutor(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scheme = fault.SchemeChecksum

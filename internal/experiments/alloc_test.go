@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -112,6 +113,42 @@ func TestAllocsTableString(t *testing.T) {
 	for _, tbl := range renderCases {
 		if got := testing.AllocsPerRun(20, func() { _ = tbl.String() }); got > 2 {
 			t.Errorf("rendering table %q allocates %.0f objects, want at most 2", tbl.Title, got)
+		}
+	}
+}
+
+// TestAllocsDownlinkArm pins what one downlink arm allocates, warm-up
+// included, at the campaign's defaults: a per-arm constant (the link
+// with its frame slabs, the transmitter and its recorder, the ground
+// station), not a cost per frame, per mangled frame or per minute of
+// mission. It flies the clean arm and a 35%-loss arm with a five-minute
+// blackout, each at a 10- and a 20-minute mission.
+func TestAllocsDownlinkArm(t *testing.T) {
+	const bound = 80
+	sp := downlinkSpec{loss: 0.35, blackout: 5 * time.Minute, policy: downlink.PolicyPriority}
+	for _, mission := range []time.Duration{10 * time.Minute, 20 * time.Minute} {
+		c := DefaultDownlinkCampaignConfig()
+		c.Mission = mission
+		for _, lossy := range []bool{false, true} {
+			name := fmt.Sprintf("%v mission, lossy %v", mission, lossy)
+			var arm downlinkArm
+			got := testing.AllocsPerRun(3, func() {
+				var err error
+				if arm, err = flyDownlinkArm(c, sp, c.Seed+4000, lossy); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s: %.0f objects, %d/%d frames delivered, %d retransmitted", name, got, arm.del, arm.enq, arm.retx)
+			if got > bound {
+				t.Errorf("%s: one arm allocates %.0f objects, want at most %d", name, got, bound)
+			}
+			// The arm must fly the path the bound is about.
+			if !lossy && (arm.del != arm.enq || arm.drainedAt < 0) {
+				t.Errorf("%s: the clean arm delivered %d of %d frames, drained at %v", name, arm.del, arm.enq, arm.drainedAt)
+			}
+			if lossy && (arm.del == 0 || arm.retx == 0) {
+				t.Errorf("%s: the lossy arm delivered %d frames and retransmitted %d", name, arm.del, arm.retx)
+			}
 		}
 	}
 }

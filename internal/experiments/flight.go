@@ -287,13 +287,14 @@ type comms struct {
 }
 
 // newComms puts a transmitter configured by tcfg on link, with a
-// default ground station at the far end.
+// ground station at the far end that keeps no channel-0 payloads: a
+// campaign reads only the station's tallies.
 func newComms(link *downlink.Link, tcfg downlink.TxConfig) (*comms, error) {
 	tx, err := downlink.NewTransmitter(link, tcfg)
 	if err != nil {
 		return nil, err
 	}
-	return &comms{tx: tx, link: link, st: downlink.NewStation(downlink.DefaultStationConfig())}, nil
+	return &comms{tx: tx, link: link, st: downlink.NewStation(downlink.StationConfig{})}, nil
 }
 
 // enqueue queues the built payload on channel vc.

@@ -353,7 +353,11 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 		return res, err
 	}
 	corrupter := rand.New(rand.NewSource(seed + 17))
-	page := rec.Snapshot() // the factory NVRAM image: a valid empty page
+	// The NVRAM page pair: page is the image a reboot restores, spare
+	// the buffer the next page is written into. A save that persists its
+	// page swaps the two, so the flight reuses them for every save.
+	page := rec.AppendSnapshot(nil) // the factory NVRAM image: a valid empty page
+	var spare []byte
 
 	detect := func(t time.Duration) {
 		if guarded && res.detectAt < 0 {
@@ -374,9 +378,11 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 			if guarded {
 				detect(t)
 				res.recoveries++
-				page = rec.Snapshot()
+				page = rec.AppendSnapshot(page[:0])
 			}
-		} else if !bytes.Equal(rec.Snapshot(), page) {
+			return
+		}
+		if spare = rec.AppendSnapshot(spare[:0]); !bytes.Equal(spare, page) {
 			res.cleanReplay = false
 		}
 	}
@@ -387,17 +393,18 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 	// both arms — the guarded arm's read-back verification refuses the
 	// page, the bare arm trusts it.
 	save := func(t time.Duration) {
-		fresh := rec.Snapshot()
-		if err := m.IOCheck("nvram_write"); err != nil {
+		spare = rec.AppendSnapshot(spare[:0])
+		if err := m.IOCheck(); err != nil {
 			if guarded {
 				detect(t)
 			} else {
-				page = downlink.CorruptSnapshot(fresh, corrupter, "torn")
+				page = downlink.CorruptSnapshot(spare, corrupter, "torn")
 			}
 			return
 		}
-		written := fresh
-		if _, active := m.OSFaultActive(machine.OSFaultFSCorruption); active {
+		written := spare
+		_, corrupting := m.OSFaultActive(machine.OSFaultFSCorruption)
+		if corrupting {
 			written = downlink.CorruptSnapshot(written, corrupter, "bitflip")
 		}
 		if guarded && scratch.Restore(written) != nil {
@@ -405,7 +412,11 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 			res.recoveries++
 			return // keep the last good page
 		}
-		page = written
+		if corrupting {
+			page = written // a damaged copy; spare stays free
+		} else {
+			page, spare = spare, page
+		}
 	}
 
 	firstSEL := c.SEL.SELEvery
@@ -444,7 +455,7 @@ func flyOSFaultArm(c OSFaultCampaignConfig, class machine.OSFaultKind, onset tim
 		// counts it).
 		if tel.T >= nextHousekeep {
 			nextHousekeep += osHousekeepEvery
-			_ = m.IOCheck("emr_frontier_read")
+			_ = m.IOCheck()
 			binary.LittleEndian.PutUint64(hkPayload[:], uint64(tel.T))
 			if _, _, err := rec.Enqueue(0, hkPayload[:], tel.T); err == nil {
 				res.enqueued++

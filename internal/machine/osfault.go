@@ -233,8 +233,8 @@ const osFaultSeedSalt = 0x051f4
 // page write, an EMR frontier read). During an active io_error_burst
 // window it fails with the window's ErrorRate, drawing from a dedicated
 // seeded stream; outside a window it always succeeds and consumes no
-// randomness. op tags the failing operation in the returned error.
-func (m *Machine) IOCheck(op string) error {
+// randomness. A failed call returns ErrIO itself.
+func (m *Machine) IOCheck() error {
 	f, ok := m.OSFaultActive(OSFaultIOErrorBurst)
 	if !ok {
 		return nil
@@ -247,5 +247,5 @@ func (m *Machine) IOCheck(op string) error {
 	}
 	m.ioErrors++
 	m.ins.osIOError()
-	return fmt.Errorf("%w: %s", ErrIO, op)
+	return ErrIO
 }

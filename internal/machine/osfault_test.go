@@ -199,7 +199,7 @@ func TestIOCheckWindowedAndDeterministic(t *testing.T) {
 		count := func(n int) int {
 			fails := 0
 			for i := 0; i < n; i++ {
-				if err := m.IOCheck("probe"); err != nil {
+				if err := m.IOCheck(); err != nil {
 					if !errors.Is(err, ErrIO) {
 						t.Fatalf("IOCheck error %v does not wrap ErrIO", err)
 					}
@@ -226,7 +226,7 @@ func TestIOCheckWindowedAndDeterministic(t *testing.T) {
 	if b1 != b2 || d1 != d2 || a1 != a2 {
 		t.Fatalf("IO-error stream not deterministic: (%d,%d,%d) vs (%d,%d,%d)", b1, d1, a1, b2, d2, a2)
 	}
-	if m := New(quietConfig()); m.IOCheck("idle") != nil {
+	if m := New(quietConfig()); m.IOCheck() != nil {
 		t.Fatal("IOCheck failed with no faults scheduled")
 	}
 }
